@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check tables stats profile benchgate smp chaos blackbox tail
+.PHONY: all build test check tables stats profile benchgate smp chaos blackbox tail hostprof
 
 all: build test
 
@@ -59,3 +59,9 @@ tail:
 # deterministically; see internal/chaos and EXPERIMENTS.md (E-CHAOS).
 chaos:
 	$(GO) test ./internal/chaos -run 'TestChaosSoak|TestChaosSingleCPU|TestChaosDeterministic' -short -v
+
+# Host-cost profile: untraced File Intensive 1+2 passes under runtime/pprof,
+# folded by package, then the top functions — where the Go simulator's own
+# CPU goes while it produces Table 1's file rows.  Foreground; exits.
+hostprof:
+	sh scripts/hostprof.sh

@@ -476,20 +476,20 @@ func (c *Cache) removeFromDirtyQ(sectors []uint64) {
 	c.dirtyQ = q
 }
 
-// lockArm takes the cache lock under a klat wait mark.  The lock is
-// held across the inner device calls (ReadSectors misses, write-behind
-// and Sync flushes all happen locked), so with several file-server pool
-// threads in flight, waiting here IS queueing on the single disk arm —
-// the mark names those cycles in a request's latency ledger instead of
-// letting them hide inside the file server's service time.
+// lockArm takes the cache lock, under a klat wait mark when it has to
+// wait.  The lock is held across the inner device calls (ReadSectors
+// misses, write-behind and Sync flushes all happen locked), so with
+// several file-server pool threads in flight, waiting here IS queueing on
+// the single disk arm — the mark names those cycles in a request's
+// latency ledger instead of letting them hide inside the file server's
+// service time.  A free lock has no queueing to name and records nothing.
 func (c *Cache) lockArm() {
-	if lt := klat.For(c.eng); lt != nil {
-		end := lt.MarkBegin("bcache-lock")
-		c.mu.Lock()
-		end()
+	if c.mu.TryLock() {
 		return
 	}
+	end := klat.For(c.eng).MarkBegin("bcache-lock")
 	c.mu.Lock()
+	end()
 }
 
 // account records the op's observation-only metrics.  It never charges
@@ -497,11 +497,12 @@ func (c *Cache) lockArm() {
 func (c *Cache) account(hits, misses, ra, wb uint64) {
 	// Exemplar annotations: the counts ride on the current request's
 	// ledger so a p99 drill-down shows whether the hop missed or hit.
-	if lt := klat.For(c.eng); lt != nil {
-		lt.Note("bcache.hit", hits)
-		lt.Note("bcache.miss", misses)
-		lt.Note("bcache.readahead", ra)
-		lt.Note("bcache.writeback", wb)
+	if hits|misses|ra|wb != 0 {
+		h := klat.For(c.eng).Current()
+		h.Note("bcache.hit", hits)
+		h.Note("bcache.miss", misses)
+		h.Note("bcache.readahead", ra)
+		h.Note("bcache.writeback", wb)
 	}
 	// One flight event per outcome class keeps the ring coarse: a
 	// postmortem wants "the cache was missing right before the stall",

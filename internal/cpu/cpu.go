@@ -15,6 +15,7 @@ package cpu
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -218,96 +219,124 @@ func (l *Layout) PlaceInstr(name string, n uint64) Region {
 // cache is one set-associative cache with true-LRU replacement.  Tags are
 // full addresses; the simulated system uses a single physical address
 // space, so competing regions conflict exactly as physical caches do.
+// Set s occupies tags[s*Ways : (s+1)*Ways], and likewise in age.
 type cache struct {
 	cfg  CacheConfig
-	tags [][]uint64 // [set][way]; 0 = invalid
-	age  [][]uint64 // [set][way] last-use stamps
+	tags []uint64 // 0 = invalid
+	age  []uint64 // last-use stamps
 	tick uint64
+	// When LineSize and Sets are powers of two (every configuration in
+	// the tree) pow2 is set and a shift and a mask replace the divisions.
+	pow2      bool
+	lineShift uint
+	setMask   uint64
 }
 
 func newCache(cfg CacheConfig) *cache {
-	c := &cache{cfg: cfg}
-	c.tags = make([][]uint64, cfg.Sets)
-	c.age = make([][]uint64, cfg.Sets)
-	for i := range c.tags {
-		c.tags[i] = make([]uint64, cfg.Ways)
-		c.age[i] = make([]uint64, cfg.Ways)
+	n, sets := cfg.Sets*cfg.Ways, uint64(cfg.Sets)
+	c := &cache{cfg: cfg, tags: make([]uint64, n), age: make([]uint64, n)}
+	if bits.OnesCount64(cfg.LineSize) == 1 && bits.OnesCount64(sets) == 1 {
+		c.pow2, c.lineShift, c.setMask = true, uint(bits.TrailingZeros64(cfg.LineSize)), sets-1
 	}
 	return c
 }
 
 // access touches the line containing addr; it reports whether it hit.
 func (c *cache) access(addr uint64) bool {
-	line := addr / c.cfg.LineSize
-	set := int(line % uint64(c.cfg.Sets))
+	line := addr >> c.lineShift
+	set := line & c.setMask
+	if !c.pow2 {
+		line = addr / c.cfg.LineSize
+		set = line % uint64(c.cfg.Sets)
+	}
 	tag := line + 1 // +1 so a valid tag is never 0
 	c.tick++
-	ways := c.tags[set]
-	for w, t := range ways {
+	lo, hi := int(set)*c.cfg.Ways, int(set+1)*c.cfg.Ways
+	tags, age := c.tags[lo:hi], c.age[lo:hi]
+	for w, t := range tags {
 		if t == tag {
-			c.age[set][w] = c.tick
+			age[w] = c.tick
 			return true
 		}
 	}
-	// Miss: fill the LRU way.
+	// Miss: fill the LRU way (the lowest-numbered one among equals).
 	victim := 0
-	for w := 1; w < len(ways); w++ {
-		if c.age[set][w] < c.age[set][victim] {
+	for w := 1; w < len(age); w++ {
+		if age[w] < age[victim] {
 			victim = w
 		}
 	}
-	ways[victim] = tag
-	c.age[set][victim] = c.tick
+	tags[victim] = tag
+	age[victim] = c.tick
 	return false
 }
 
 func (c *cache) flush() {
-	for s := range c.tags {
-		for w := range c.tags[s] {
-			c.tags[s][w] = 0
-			c.age[s][w] = 0
-		}
-	}
+	clear(c.tags)
+	clear(c.age)
 }
 
-// tlb is a fully-associative LRU TLB over pages.
+// tlb is a fully-associative LRU TLB over pages: parallel slices of the
+// resident pages and their last-use stamps, scanned linearly (TLBEntries
+// at most) — and usually not at all, because consecutive code regions
+// and buffers mostly sit on the page the previous access left in last.
 type tlb struct {
-	entries  int
 	pageSize uint64
-	pages    map[uint64]uint64 // page -> stamp
+	pages    []uint64 // cap = TLBEntries
+	stamps   []uint64
+	last     int // slot of the most recent access
 	tick     uint64
 }
 
 func newTLB(entries int, pageSize uint64) *tlb {
-	return &tlb{entries: entries, pageSize: pageSize, pages: make(map[uint64]uint64, entries)}
+	entries = max(entries, 1) // a TLB always holds the page it just walked
+	return &tlb{pageSize: pageSize, pages: make([]uint64, 0, entries), stamps: make([]uint64, 0, entries)}
 }
 
+// access touches the page containing addr; it reports whether it hit.
 func (t *tlb) access(addr uint64) bool {
 	page := addr / t.pageSize
 	t.tick++
-	if _, ok := t.pages[page]; ok {
-		t.pages[page] = t.tick
+	if t.last < len(t.pages) && t.pages[t.last] == page {
+		t.stamps[t.last] = t.tick
 		return true
 	}
-	if len(t.pages) >= t.entries {
-		var victim uint64
-		var oldest uint64 = ^uint64(0)
-		for p, stamp := range t.pages {
-			if stamp < oldest {
-				oldest = stamp
-				victim = p
-			}
+	for i, p := range t.pages {
+		if p == page {
+			t.stamps[i] = t.tick
+			t.last = i
+			return true
 		}
-		delete(t.pages, victim)
 	}
-	t.pages[page] = t.tick
+	if len(t.pages) < cap(t.pages) {
+		t.last = len(t.pages)
+		t.pages = append(t.pages, page)
+		t.stamps = append(t.stamps, t.tick)
+		return false
+	}
+	// Full: evict the least recently used page (stamps are unique).
+	victim := 0
+	for i, stamp := range t.stamps {
+		if stamp < t.stamps[victim] {
+			victim = i
+		}
+	}
+	t.pages[victim], t.stamps[victim] = page, t.tick
+	t.last = victim
 	return false
 }
 
-func (t *tlb) flush() {
-	for p := range t.pages {
-		delete(t.pages, p)
+// rehit accounts n further accesses to the page just accessed.
+func (t *tlb) rehit(n uint64) {
+	if n > 0 {
+		t.tick += n
+		t.stamps[t.last] = t.tick
 	}
+}
+
+func (t *tlb) flush() {
+	t.pages = t.pages[:0]
+	t.stamps = t.stamps[:0]
 }
 
 // Engine is one simulated processor.  All methods are safe for concurrent
@@ -450,32 +479,38 @@ func (e *Engine) chargeInstr(n uint64) {
 	}
 }
 
-func (e *Engine) chargeIMiss() {
-	e.ctr.ICacheMisses++
-	e.ctr.Cycles += e.cfg.MissLatency
-	e.ctr.BusCycles += e.cfg.BusPerLine
-	if e.prof != nil {
-		e.prof.ProfCharge(e.curRegion, ProfIMiss, e.cfg.MissLatency, e.cfg.BusPerLine, 0)
+// touch runs every line of [addr, end) through the TLB and cache c,
+// charging each miss under kind (ProfIMiss or ProfDMiss) as it happens —
+// the one per-line loop behind Exec, Read, Write and Copy.  A page's
+// lines are taken as a run: the first is a real TLB lookup, the rest
+// would each hit the slot it left in last and are accounted in one step
+// (hits charge nothing, so the charge sequence is the per-line one).
+func (e *Engine) touch(c *cache, kind ProfKind, addr, end uint64) {
+	line, page := c.cfg.LineSize, e.cfg.PageSize
+	misses := &e.ctr.DCacheMisses
+	if kind == ProfIMiss {
+		misses = &e.ctr.ICacheMisses
 	}
-}
-
-func (e *Engine) chargeDMiss() {
-	e.ctr.DCacheMisses++
-	e.ctr.Cycles += e.cfg.MissLatency
-	e.ctr.BusCycles += e.cfg.BusPerLine
-	if e.prof != nil {
-		e.prof.ProfCharge(e.curRegion, ProfDMiss, e.cfg.MissLatency, e.cfg.BusPerLine, 0)
-	}
-}
-
-func (e *Engine) chargeTLB(addr uint64) {
-	if !e.tlb.access(addr) {
-		e.ctr.TLBMisses++
-		e.ctr.Cycles += e.cfg.TLBMissCycles
-		e.ctr.BusCycles += e.cfg.TLBMissBus
-		if e.prof != nil {
-			e.prof.ProfCharge(e.curRegion, ProfTLB, e.cfg.TLBMissCycles, e.cfg.TLBMissBus, 0)
+	for a := addr &^ (line - 1); a < end; {
+		if !e.tlb.access(a) {
+			e.chargeMiss(&e.ctr.TLBMisses, ProfTLB, e.cfg.TLBMissCycles, e.cfg.TLBMissBus)
 		}
+		runEnd := min(end, (a/page+1)*page)
+		e.tlb.rehit((runEnd - a - 1) / line)
+		for ; a < runEnd; a += line {
+			if !c.access(a) {
+				e.chargeMiss(misses, kind, e.cfg.MissLatency, e.cfg.BusPerLine)
+			}
+		}
+	}
+}
+
+func (e *Engine) chargeMiss(n *uint64, kind ProfKind, cycles, bus uint64) {
+	*n++
+	e.ctr.Cycles += cycles
+	e.ctr.BusCycles += bus
+	if e.prof != nil {
+		e.prof.ProfCharge(e.curRegion, kind, cycles, bus, 0)
 	}
 }
 
@@ -501,13 +536,7 @@ func (e *Engine) ExecN(r Region, n int) {
 func (e *Engine) execLocked(r Region) {
 	e.curRegion = r.Name
 	e.chargeInstr(r.Instr)
-	end := r.Base + r.Size
-	for addr := r.Base &^ (e.cfg.ICache.LineSize - 1); addr < end; addr += e.cfg.ICache.LineSize {
-		e.chargeTLB(addr)
-		if !e.icache.access(addr) {
-			e.chargeIMiss()
-		}
-	}
+	e.touch(e.icache, ProfIMiss, r.Base, r.Base+r.Size)
 }
 
 // ExecPartial runs a fraction (num/den) of a region: the instructions and
@@ -543,13 +572,7 @@ func (e *Engine) accessData(addr, size uint64) {
 	e = e.route()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	end := addr + size
-	for a := addr &^ (e.cfg.DCache.LineSize - 1); a < end; a += e.cfg.DCache.LineSize {
-		e.chargeTLB(a)
-		if !e.dcache.access(a) {
-			e.chargeDMiss()
-		}
-	}
+	e.touch(e.dcache, ProfDMiss, addr, addr+size)
 }
 
 // Copy models a physical memory copy of n bytes from src to dst: a tight
@@ -561,19 +584,8 @@ func (e *Engine) Copy(src, dst, n uint64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.chargeInstr(8 + n/4)
-	line := e.cfg.DCache.LineSize
-	for a := src &^ (line - 1); a < src+n; a += line {
-		e.chargeTLB(a)
-		if !e.dcache.access(a) {
-			e.chargeDMiss()
-		}
-	}
-	for a := dst &^ (line - 1); a < dst+n; a += line {
-		e.chargeTLB(a)
-		if !e.dcache.access(a) {
-			e.chargeDMiss()
-		}
-	}
+	e.touch(e.dcache, ProfDMiss, src, src+n)
+	e.touch(e.dcache, ProfDMiss, dst, dst+n)
 }
 
 // SwitchAddressSpace models loading a new address-space root: a fixed

@@ -2,24 +2,8 @@
 
 package cpu
 
-import "runtime"
-
 // threadID identifies the calling execution context where no cheap OS
-// thread id exists: the goroutine id parsed from the runtime stack
-// header.  A binding is only installed under LockOSThread, where the
-// goroutine and its OS thread are one-to-one, so goroutine identity is an
-// equivalent routing key — an unbound goroutine simply never finds a
-// binding under its own id.  Slower than gettid; correctness identical.
-func threadID() int {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	// The header is "goroutine <id> [...".
-	id := 0
-	for _, c := range buf[len("goroutine "):n] {
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + int(c-'0')
-	}
-	return id
-}
+// thread id exists: the goroutine id.  A binding is only installed under
+// LockOSThread, where goroutine and OS thread are one-to-one, so it is an
+// equivalent routing key.  Slower than gettid; correctness identical.
+func threadID() int { return int(GoroutineID()) }

@@ -150,18 +150,18 @@ func (d *Disk) WriteSectors(sector uint64, data []byte) error {
 	return d.intr.Raise(d.vector)
 }
 
-// lockArm takes the arm mutex under a klat wait mark: there is one
-// head, seeks are serialized on it, and a request's latency ledger
-// should name time spent behind a competitor's seek as arm queueing
-// rather than fold it into driver service.
+// lockArm takes the arm mutex, under a klat wait mark when it has to
+// wait: there is one head, seeks are serialized on it, and a request's
+// latency ledger should name time spent behind a competitor's seek as
+// arm queueing rather than fold it into driver service.  A free arm has
+// no queueing to name and records nothing.
 func (d *Disk) lockArm() {
-	if lt := klat.For(d.eng); lt != nil {
-		end := lt.MarkBegin("disk-arm")
-		d.mu.Lock()
-		end()
+	if d.mu.TryLock() {
 		return
 	}
+	end := klat.For(d.eng).MarkBegin("disk-arm")
 	d.mu.Lock()
+	end()
 }
 
 // Counts reports sectors read and written.

@@ -31,8 +31,8 @@
 //
 // The hop pointer rides in the mach message header (see Message.lat),
 // so the server side of a crossing stamps the same ledger the client
-// opened.  Within a handler, propagation is by goroutine: dispatchReply
-// binds the hop to the serving goroutine, nested Calls made by the
+// opened.  Within a handler, propagation is by goroutine: the serve
+// loop binds the hop on its Slot, nested Calls made by the
 // handler attach as child hops, and the waits a subsystem wants named
 // (the buffer-cache lock, the disk arm) mark the bound hop.  A child's
 // window nests inside its parent's service window (the chain is
@@ -61,7 +61,6 @@
 package klat
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -208,15 +207,6 @@ func (h *Hop) NoteSched(burst, poolWait, cpuWait uint64) {
 	h.mu.Unlock()
 }
 
-func (h *Hop) addNote(name string, n uint64) {
-	h.mu.Lock()
-	if h.notes == nil {
-		h.notes = make(map[string]uint64)
-	}
-	h.notes[name] += n
-	h.mu.Unlock()
-}
-
 // --- stamp points called from the mach RPC path ----------------------------
 //
 // All are nil-receiver-safe: a detached boot never mints hops, so every
@@ -251,59 +241,83 @@ func (h *Hop) StampServed() {
 }
 
 // --- goroutine context -----------------------------------------------------
+//
+// The handler chain of one request is synchronous on one goroutine (vfs
+// worker calling into bcache calling the driver through the bound disk
+// thread), so goroutine identity IS request identity while a hop is
+// bound — the same reason the kprof context stack works.  Naming a
+// goroutine costs a stack unwind, so a serve loop, which owns its
+// goroutine, does it once and binds every request on its Slot; only code
+// with no thread of its own (a file system reaching the driver, a
+// contended lock) asks who it is — and only while a hop is bound somewhere.
 
-// current maps goroutine ID -> the hop being served on it.  The handler
-// chain of one request is synchronous on one goroutine (vfs worker
-// calling into bcache calling the driver through the bound disk
-// thread), so goroutine identity IS request identity between Bind and
-// its unbind — the same reason the kprof context stack works.
-var current sync.Map
-
-// goid parses the running goroutine's ID from its stack header — the
-// only portable way to name a goroutine, and cheap enough for a
-// per-RPC observation plane (one small fixed-size Stack call).
-func goid() uint64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	// "goroutine 123 [...": the ID starts at byte 10.
-	var id uint64
-	for _, c := range buf[10:n] {
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + uint64(c-'0')
-	}
-	return id
+// Slot is one serving goroutine's binding cell.  The zero value is
+// ready; its loop calls Release on exit.  Owning goroutine only.
+type Slot struct {
+	gid uint64
+	hop *Hop
 }
 
-var nopUnbind = func() {}
+var (
+	// slots maps goroutine ID -> the *Slot of the serve loop running on
+	// it, registered the first time the loop binds a hop.
+	slots sync.Map
+	// bound counts slots holding a hop, across every tracker.  At zero no
+	// handler is running, nothing can be anyone's parent, and Current
+	// answers without asking who is asking.
+	bound atomic.Int64
+)
 
-// Bind makes h the goroutine's current hop until the returned func runs,
-// restoring whatever was bound before (dispatch can nest: a carrier's
-// sub-hop binds inside the carrier's own binding).  Nil-safe no-op.
-func (h *Hop) Bind() func() {
-	if h == nil {
-		return nopUnbind
-	}
-	g := goid()
-	prev, had := current.Load(g)
-	current.Store(g, h)
-	return func() {
-		if had {
-			current.Store(g, prev)
-		} else {
-			current.Delete(g)
+// Bind makes h the hop being served on the slot's goroutine, replacing
+// whatever was bound (a carrier's dispatch binds each sub-hop in turn,
+// then the carrier again); Bind(nil) ends the binding.  Binding nil on
+// an empty slot — every request of a detached boot — does nothing.
+func (s *Slot) Bind(h *Hop) {
+	prev := s.hop
+	s.hop = h
+	switch {
+	case prev == nil && h != nil:
+		if s.gid == 0 {
+			s.gid = h.t.goid()
+			slots.Store(s.gid, s)
 		}
+		bound.Add(1)
+	case prev != nil && h == nil:
+		bound.Add(-1)
 	}
 }
 
-// Current returns the hop bound to the calling goroutine, or nil.
-func Current() *Hop {
-	v, ok := current.Load(goid())
-	if !ok {
+// Release drops the slot's binding and registration when its loop exits.
+func (s *Slot) Release() {
+	s.Bind(nil)
+	slots.Delete(s.gid)
+	s.gid = 0
+}
+
+// goid derives the calling goroutine's identity from its stack and counts
+// it: klat.identity_lookups is the plane's own host cost.
+func (t *Tracker) goid() uint64 {
+	t.lookups.Add(1)
+	if st := kstat.For(t.eng); st != nil {
+		st.Counter("klat.identity_lookups").Inc()
+	}
+	return cpu.GoroutineID()
+}
+
+// IdentityLookups reports the stack-derived identity resolutions so far.
+func (t *Tracker) IdentityLookups() uint64 { return t.lookups.Load() }
+
+// Current returns the hop bound to the calling goroutine, or nil.  With
+// nothing bound anywhere — every client-side Begin of a closed loop —
+// that is one atomic load.
+func (t *Tracker) Current() *Hop {
+	if t == nil || bound.Load() == 0 {
 		return nil
 	}
-	return v.(*Hop)
+	if v, ok := slots.Load(t.goid()); ok {
+		return v.(*Slot).hop
+	}
+	return nil
 }
 
 // --- tracker ---------------------------------------------------------------
@@ -328,9 +342,10 @@ type family struct {
 // Tracker is the per-engine tail-latency plane.  One is attached to the
 // system's router engine at boot; detaching restores the zero-cost path.
 type Tracker struct {
-	eng *cpu.Engine
-	cfg cpu.Config
-	seq atomic.Uint64
+	eng     *cpu.Engine
+	cfg     cpu.Config
+	seq     atomic.Uint64
+	lookups atomic.Uint64 // see goid
 
 	mu   sync.Mutex
 	fams map[famKey]*family
@@ -375,7 +390,7 @@ func (t *Tracker) Begin(server string, op uint32, width int) *Hop {
 		server = "?"
 	}
 	h := &Hop{t: t, ID: t.seq.Add(1), Server: server, Op: op, Width: width}
-	if parent := Current(); parent != nil && !parent.sealed.Load() {
+	if parent := t.Current(); parent != nil && !parent.sealed.Load() {
 		parent.addChild(h)
 	} else {
 		h.Root = true
@@ -428,18 +443,16 @@ func (t *Tracker) Finish(h *Hop, err error) {
 // MarkBegin opens a named wait mark on the goroutine's current hop —
 // the subsystem-level waits worth naming in a ledger, like the buffer
 // cache's lock (held across device I/O, it IS the disk-arm queue) or
-// the disk's own arm mutex.  The returned func closes the mark, adding
-// the global cycles that elapsed to the hop; with no hop bound (or t
-// nil) both ends are no-ops.  Marks lie inside the hop's own service
-// window and outside its children's windows, so the component rollup
+// the disk's own arm mutex — opened only once the caller knows it must
+// wait (a free lock has no queueing to name).  The returned func closes
+// the mark, adding the global cycles that elapsed to the hop; with no
+// hop bound (or t nil) both ends are no-ops.  Marks lie inside the hop's
+// own service window and outside its children's windows, so the rollup
 // can subtract them from own-service without double counting.
 func (t *Tracker) MarkBegin(name string) func() {
-	if t == nil {
-		return nopUnbind
-	}
-	h := Current()
+	h := t.Current()
 	if h == nil {
-		return nopUnbind
+		return func() {}
 	}
 	start := t.eng.Counters().Cycles
 	return func() {
@@ -447,15 +460,18 @@ func (t *Tracker) MarkBegin(name string) func() {
 	}
 }
 
-// Note annotates the goroutine's current hop with a named count (cache
-// hits, sectors flushed) for exemplar drill-downs.  Nil-safe.
-func (t *Tracker) Note(name string, n uint64) {
-	if t == nil || n == 0 {
+// Note annotates the hop with a named count (cache hits, sectors
+// flushed) for exemplar drill-downs.  Nil-safe.
+func (h *Hop) Note(name string, n uint64) {
+	if h == nil || n == 0 {
 		return
 	}
-	if h := Current(); h != nil {
-		h.addNote(name, n)
+	h.mu.Lock()
+	if h.notes == nil {
+		h.notes = make(map[string]uint64)
 	}
+	h.notes[name] += n
+	h.mu.Unlock()
 }
 
 // record lands one sealed, successful hop in its family: histograms

@@ -84,11 +84,13 @@ func TestNestedChildren(t *testing.T) {
 	root.StampPicked()
 	// Handler runs: some own work, then a nested driver call under a
 	// goroutine binding, then more own work.
-	unbind := root.Bind()
+	var g Slot
+	defer g.Release()
+	g.Bind(root)
 	eng.Stall(100)
 	child := driveHop(tr, eng, "blockdrv", 0x0d01, 5, 40, 5000, 5)
 	eng.Stall(200)
-	unbind()
+	g.Bind(nil)
 	root.StampServed()
 	eng.Stall(30)
 	tr.Finish(root, nil)
@@ -137,13 +139,15 @@ func TestMarksSubtractFromOwn(t *testing.T) {
 	h := tr.Begin("files", 0x0202, 0)
 	h.StampSent()
 	h.StampPicked()
-	unbind := h.Bind()
+	var g Slot
+	defer g.Release()
+	g.Bind(h)
 	end := tr.MarkBegin("bcache-lock")
 	eng.Stall(4000)
 	end()
 	eng.Stall(1000)
-	tr.Note("bcache.miss", 3)
-	unbind()
+	tr.Current().Note("bcache.miss", 3)
+	g.Bind(nil)
 	h.StampServed()
 	tr.Finish(h, nil)
 
@@ -202,16 +206,18 @@ func TestCarrierCriticalPath(t *testing.T) {
 	carrier.StampSent()
 	eng.Stall(20)
 	carrier.StampPicked()
-	unbind := carrier.Bind()
+	var g Slot
+	defer g.Release()
+	g.Bind(carrier)
 	widths := []uint64{500, 9000, 700}
 	for _, w := range widths {
 		sh := carrier.BeginSub(0x0d02)
-		rebind := sh.Bind()
+		g.Bind(sh)
 		eng.Stall(w)
-		rebind()
+		g.Bind(carrier)
 		sh.EndSub()
 	}
-	unbind()
+	g.Bind(nil)
 	carrier.StampServed()
 	eng.Stall(5)
 	tr.Finish(carrier, nil)
@@ -248,32 +254,52 @@ func TestFailedHopDiscarded(t *testing.T) {
 	}
 }
 
-// TestBindNesting: Bind restores the previous binding, and bindings are
-// goroutine-local.
+// TestBindNesting: a slot holds one hop at a time (a carrier's dispatch
+// rebinds sub, carrier, sub…), bindings are goroutine-local, and identity
+// is derived from the stack once per slot plus once per question asked
+// while something is bound — never when nothing is.
 func TestBindNesting(t *testing.T) {
 	tr, _ := newTracker(t)
 	a := tr.Begin("a", 1, 0)
 	b := tr.Begin("b", 2, 0)
-	ua := a.Bind()
-	if Current() != a {
+	if got := tr.IdentityLookups(); got != 0 {
+		t.Fatalf("Begin with nothing bound derived identity %d times", got)
+	}
+	var g Slot
+	g.Bind(nil) // detached request: no registration, no lookup
+	if tr.Current() != nil || tr.IdentityLookups() != 0 {
+		t.Fatal("binding nil on an empty slot must be free")
+	}
+	g.Bind(a)
+	if tr.Current() != a {
 		t.Fatal("a not current")
 	}
-	ub := b.Bind()
-	if Current() != b {
+	g.Bind(b)
+	if tr.Current() != b {
 		t.Fatal("b not current")
 	}
 	done := make(chan bool)
-	go func() { done <- Current() == nil }()
+	go func() { done <- tr.Current() == nil }()
 	if !<-done {
 		t.Fatal("binding leaked across goroutines")
 	}
-	ub()
-	if Current() != a {
-		t.Fatal("unbind did not restore a")
+	g.Bind(a)
+	if tr.Current() != a {
+		t.Fatal("rebinding a did not restore it")
 	}
-	ua()
-	if Current() != nil {
-		t.Fatal("outer unbind did not clear")
+	g.Bind(nil)
+	if tr.Current() != nil {
+		t.Fatal("Bind(nil) did not clear")
+	}
+	// One for the slot's registration, four answered Current calls; the
+	// last Current found nothing bound anywhere and asked nothing.
+	if got := tr.IdentityLookups(); got != 5 {
+		t.Fatalf("identity lookups = %d, want 5", got)
+	}
+	g.Bind(b)
+	g.Release()
+	if tr.Current() != nil || bound.Load() != 0 {
+		t.Fatal("Release left a binding behind")
 	}
 }
 
@@ -293,9 +319,14 @@ func TestNilSafety(t *testing.T) {
 	h.StampPicked()
 	h.StampServed()
 	h.BeginSub(1).EndSub()
-	h.Bind()()
+	var g Slot
+	g.Bind(h)
+	g.Release()
+	if tr.Current() != nil {
+		t.Fatal("Current on nil tracker")
+	}
 	tr.MarkBegin("m")()
-	tr.Note("n", 1)
+	h.Note("n", 1)
 	tr.Finish(h, nil)
 }
 

@@ -5,9 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/kprof"
 	"repro/internal/kstat"
-	"repro/internal/ktrace"
 )
 
 // Server pools: N threads draining one receive right (or one port set)
@@ -132,19 +130,18 @@ func (p *ServerPool) spawnWorker(idx int) error {
 	return nil
 }
 
-// worker is one pool thread's loop.  Its ktrace span is per-thread (named
-// serve:<task>/<worker>) and covers the handler AND the reply delivery, so
-// a trace attributes the full server-side segment of each RPC to the
-// worker that ran it.  A failed reply delivery (oversized or bad-rights
-// reply) poisons neither the worker nor the port: the client was already
+// worker is one pool thread's loop.  Its frame is per-thread
+// (serve:<task>/<worker>), so a trace attributes the full server-side
+// segment of each RPC — handler AND reply delivery — to the worker that
+// ran it.  A failed reply delivery (oversized or bad-rights reply)
+// poisons neither the worker nor the port: the client was already
 // unblocked with ErrReplyFailed, so the worker just takes the next
 // request.  Only a receive failure (dead port, terminated thread) ends the
 // worker.
 func (p *ServerPool) worker(th *Thread, idx int, recv receiveFn, h func(PortName, *Message) *Message) {
 	k := th.task.kernel
-	// Per-worker kprof context frame, computed once so the loop does no
-	// string concatenation per request.
-	serveCtx := "serve:" + th.task.name + "/" + th.name
+	l := serveLoop{th: th, frame: "serve:" + th.task.name + "/" + th.name}
+	defer l.g.Release()
 	for {
 		req, resp, pn, err := recv(th)
 		if err != nil {
@@ -158,25 +155,7 @@ func (p *ServerPool) worker(th *Thread, idx int, recv receiveFn, h func(PortName
 		if st != nil {
 			st.Gauge(p.busyFam).Inc()
 		}
-		reply := func() {
-			hm := func(m *Message) *Message { return h(pn, m) }
-			if pr := kprof.For(k.CPU); pr != nil {
-				pop := pr.Push(serveCtx)
-				popOp := pr.Push(fmt.Sprintf("op:%#04x", uint32(req.ID)))
-				_ = dispatchReply(resp, req, hm)
-				popOp()
-				pop()
-			} else {
-				_ = dispatchReply(resp, req, hm)
-			}
-		}
-		if tr := ktrace.For(k.CPU); tr != nil {
-			sp := tr.Begin(ktrace.EvRPCServe, "mach.rpc", "serve:"+th.task.name+"/"+th.name, req.trace)
-			reply()
-			sp.End()
-		} else {
-			reply()
-		}
+		_ = l.dispatch(resp, req, func(m *Message) *Message { return h(pn, m) })
 		if st != nil {
 			st.Gauge(p.busyFam).Dec()
 			st.Counter(p.opsFam).Inc()

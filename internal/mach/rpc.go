@@ -47,7 +47,7 @@ type Responder struct {
 }
 
 // CallOpts parameterizes one Call.  The zero value means "plain
-// synchronous call, wait forever" — what RPC always did.  The struct
+// synchronous call, wait forever".  The struct
 // leaves room for future per-call policy (retry, priority inheritance)
 // without growing another method per knob.
 type CallOpts struct {
@@ -71,8 +71,7 @@ type CallOpts struct {
 // server thread is waiting in RPCReceive on the destination port, hands
 // the request over with a single physical copy, and blocks until the reply
 // arrives.  There is no reply port and no queuing.  Call and CallV are
-// the only supported client entry points; RPC and RPCWithTimeout are
-// deprecated wrappers.
+// the only client entry points.
 func (th *Thread) Call(dest PortName, req *Message, opts CallOpts) (*Message, error) {
 	if len(opts.Batch) > 0 {
 		reqs := append([]*Message{req}, opts.Batch...)
@@ -126,22 +125,6 @@ func (th *Thread) callMsg(dest PortName, req *Message, timeout time.Duration) (*
 		return th.rpcCall(dest, req, timer.C)
 	}
 	return th.rpcCall(dest, req, nil)
-}
-
-// RPC is Call with the zero options (no deadline).
-//
-// Deprecated: use Call.  Kept only so out-of-tree callers keep
-// compiling; all in-tree callers have migrated.
-func (th *Thread) RPC(dest PortName, req *Message) (*Message, error) {
-	return th.Call(dest, req, CallOpts{})
-}
-
-// RPCWithTimeout is Call with a deadline; the paper's RPC kept a timeout
-// option for device and network servers.
-//
-// Deprecated: use Call with CallOpts.Timeout.
-func (th *Thread) RPCWithTimeout(dest PortName, req *Message, d time.Duration) (*Message, error) {
-	return th.Call(dest, req, CallOpts{Timeout: d})
 }
 
 // rpcCall wraps the shared client path with the kstat RPC families.  The
@@ -684,33 +667,62 @@ func (p *Port) receiverASID() uint64 {
 // Handler processes one RPC request and returns the reply.
 type Handler func(*Message) *Message
 
-// dispatchReply runs h and delivers the reply, demultiplexing vectored
-// carriers: each sub-request is handled independently, in order, and the
-// sub-replies travel back in one crossing.  Handlers never see a
-// carrier, so every existing handler is batch-transparent.
+// serveLoop is what a server loop owns for its whole life: its thread,
+// the "serve:<task>[/<worker>]" frame its spans and profile contexts
+// carry, and the serving goroutine's slot in the latency plane — the loop
+// runs on one goroutine from first receive to exit, so its identity is
+// resolved once, not per request.  Thread.Serve and ServerPool.worker are
+// both this plus a receive.
+type serveLoop struct {
+	th    *Thread
+	frame string
+	g     klat.Slot
+}
+
+// dispatch runs h on one received request and delivers the reply, inside
+// the observation frames every served RPC gets: the ktrace span, parented
+// to the client's RPC span carried in the message so the causal tree
+// crosses tasks (it covers handler AND reply delivery — the
+// server-occupancy segment internal/bench calibrates its concurrency
+// model from), and the kprof server and operation frames.  Vectored
+// carriers are demultiplexed here — each sub-request handled in order,
+// the sub-replies sent back in one crossing — so handlers never see one.
 //
 // This is also where the latency ledger crosses from message to
-// goroutine: the hop binds to the serving goroutine for the handler's
-// duration, so nested Calls the handler makes attach as child hops and
-// subsystem waits (bcache lock, disk arm) mark the right ledger.  A
-// carrier additionally gets one sub-hop per demultiplexed sub-request —
-// its service window — bound in place of the carrier while that sub
-// runs.  All of it is nil-safe no-ops on detached boots.
-func dispatchReply(resp *Responder, req *Message, h Handler) error {
-	unbind := req.lat.Bind()
-	defer unbind()
+// goroutine: the hop is bound on the loop's slot while the handler runs,
+// so nested Calls it makes attach as child hops and subsystem waits
+// (bcache lock, disk arm) mark the right ledger; a carrier's sub-hops —
+// one service window each — are bound in its place in turn.  The binding
+// ends with the handler, before the reply wakes the client: nothing on
+// the reply path consults it, and a closed-loop client's next call then
+// finds nothing bound.  All nil-safe no-ops on detached boots.
+func (l *serveLoop) dispatch(resp *Responder, req *Message, h Handler) error {
+	k := l.th.task.kernel
+	var sp ktrace.Span
+	if t := ktrace.For(k.CPU); t != nil {
+		sp = t.Begin(ktrace.EvRPCServe, "mach.rpc", l.frame, req.trace)
+	}
+	defer sp.End()
+	if pr := kprof.For(k.CPU); pr != nil {
+		defer pr.Push(l.frame)()
+		defer pr.Push(fmt.Sprintf("op:%#04x", uint32(req.ID)))()
+	}
+	l.g.Bind(req.lat)
 	if subs := req.batch; subs != nil {
 		replies := make([]*Message, len(subs))
 		for i, sub := range subs {
 			sh := req.lat.BeginSub(uint32(sub.ID))
-			rebind := sh.Bind()
+			l.g.Bind(sh)
 			replies[i] = h(sub)
-			rebind()
+			l.g.Bind(req.lat)
 			sh.EndSub()
 		}
+		l.g.Bind(nil)
 		return resp.ReplyV(replies)
 	}
-	return resp.Reply(h(req))
+	reply := h(req)
+	l.g.Bind(nil)
+	return resp.Reply(reply)
 }
 
 // Serve runs a server loop on the named receive right: each iteration
@@ -718,41 +730,15 @@ func dispatchReply(resp *Responder, req *Message, h Handler) error {
 // or port dies.  This is the "optimized and simplified ... server loop" of
 // the rework.
 func (th *Thread) Serve(recvName PortName, h Handler) error {
-	k := th.task.kernel
+	l := serveLoop{th: th, frame: "serve:" + th.task.name}
+	defer l.g.Release()
 	for {
 		req, resp, err := th.RPCReceive(recvName)
 		if err != nil {
 			return err
 		}
-		var rerr error
-		serve := func() {
-			if pr := kprof.For(k.CPU); pr != nil {
-				// Profile context: the server frame plus the operation
-				// being handled, so cycles roll up by server and by op.
-				pop := pr.Push("serve:" + th.task.name)
-				popOp := pr.Push(fmt.Sprintf("op:%#04x", uint32(req.ID)))
-				rerr = dispatchReply(resp, req, h)
-				popOp()
-				pop()
-			} else {
-				rerr = dispatchReply(resp, req, h)
-			}
-		}
-		if t := ktrace.For(k.CPU); t != nil {
-			// The server-side span is parented to the client's RPC span
-			// carried in the message, so the causal tree crosses tasks.
-			// It covers the handler AND reply delivery: together they are
-			// the server-occupancy segment of one RPC, which the
-			// concurrency model in internal/bench calibrates from these
-			// spans.  ServerPool workers emit the same shape.
-			sp := t.Begin(ktrace.EvRPCServe, "mach.rpc", "serve:"+th.task.name, req.trace)
-			serve()
-			sp.End()
-		} else {
-			serve()
-		}
-		if rerr != nil {
-			return rerr
+		if err := l.dispatch(resp, req, h); err != nil {
+			return err
 		}
 	}
 }

@@ -18,7 +18,10 @@
 # vectored write-behind flush from many concurrent clients; klat's
 # per-request hops are stamped by whichever thread holds the message —
 # client, pool worker, carrier demux — while monitor dump queries walk
-# live ledgers under the family locks).
+# live ledgers under the family locks, and TestLedgerParentsUnderPools
+# drives four pooled servers nesting calls through one shared thread
+# against four unbound clients; cpu's flat TLB and caches are replayed
+# against their map/slice reference models over a million accesses each).
 # Tier-1 (go build && go test ./...) stays the merge gate; this catches
 # data races tier-1 cannot.
 set -eux
