@@ -297,15 +297,11 @@ func (s *Slot) Release() {
 // goid derives the calling goroutine's identity from its stack and counts
 // it: klat.identity_lookups is the plane's own host cost.
 func (t *Tracker) goid() uint64 {
-	t.lookups.Add(1)
-	if st := kstat.For(t.eng); st != nil {
-		st.Counter("klat.identity_lookups").Inc()
+	if t.lookups != nil {
+		t.lookups.Inc()
 	}
 	return cpu.GoroutineID()
 }
-
-// IdentityLookups reports the stack-derived identity resolutions so far.
-func (t *Tracker) IdentityLookups() uint64 { return t.lookups.Load() }
 
 // Current returns the hop bound to the calling goroutine, or nil.  With
 // nothing bound anywhere — every client-side Begin of a closed loop —
@@ -342,10 +338,11 @@ type family struct {
 // Tracker is the per-engine tail-latency plane.  One is attached to the
 // system's router engine at boot; detaching restores the zero-cost path.
 type Tracker struct {
-	eng     *cpu.Engine
-	cfg     cpu.Config
-	seq     atomic.Uint64
-	lookups atomic.Uint64 // see goid
+	eng *cpu.Engine
+	cfg cpu.Config
+	seq atomic.Uint64
+	// klat.identity_lookups of the kstat set attached before the tracker
+	lookups *kstat.Counter
 
 	mu   sync.Mutex
 	fams map[famKey]*family
@@ -359,6 +356,9 @@ var registry sync.Map
 // registers it for the RPC path's hook points.
 func Attach(eng *cpu.Engine) *Tracker {
 	t := &Tracker{eng: eng, cfg: eng.Config(), fams: make(map[famKey]*family)}
+	if st := kstat.For(eng); st != nil {
+		t.lookups = st.Counter("klat.identity_lookups")
+	}
 	registry.Store(eng, t)
 	return t
 }

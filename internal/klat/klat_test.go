@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/cpu"
+	"repro/internal/kstat"
 )
 
 func newTracker(t *testing.T) (*Tracker, *cpu.Engine) {
@@ -259,15 +260,19 @@ func TestFailedHopDiscarded(t *testing.T) {
 // is derived from the stack once per slot plus once per question asked
 // while something is bound — never when nothing is.
 func TestBindNesting(t *testing.T) {
-	tr, _ := newTracker(t)
+	eng := cpu.NewEngine(cpu.Pentium133())
+	lookups := kstat.Attach(eng).Counter("klat.identity_lookups")
+	defer kstat.Detach(eng)
+	tr := Attach(eng)
+	defer Detach(eng)
 	a := tr.Begin("a", 1, 0)
 	b := tr.Begin("b", 2, 0)
-	if got := tr.IdentityLookups(); got != 0 {
+	if got := lookups.Value(); got != 0 {
 		t.Fatalf("Begin with nothing bound derived identity %d times", got)
 	}
 	var g Slot
 	g.Bind(nil) // detached request: no registration, no lookup
-	if tr.Current() != nil || tr.IdentityLookups() != 0 {
+	if tr.Current() != nil || lookups.Value() != 0 {
 		t.Fatal("binding nil on an empty slot must be free")
 	}
 	g.Bind(a)
@@ -293,7 +298,7 @@ func TestBindNesting(t *testing.T) {
 	}
 	// One for the slot's registration, four answered Current calls; the
 	// last Current found nothing bound anywhere and asked nothing.
-	if got := tr.IdentityLookups(); got != 5 {
+	if got := lookups.Value(); got != 5 {
 		t.Fatalf("identity lookups = %d, want 5", got)
 	}
 	g.Bind(b)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/klat"
+	"repro/internal/kstat"
 )
 
 // TestLedgerParentsUnderPools gates the exactness of the latency plane's
@@ -25,6 +26,8 @@ func TestLedgerParentsUnderPools(t *testing.T) {
 		directOp = 0x40000
 	)
 	k := newTestKernel()
+	lookups := kstat.Attach(k.CPU).Counter("klat.identity_lookups")
+	defer kstat.Detach(k.CPU)
 	lt := klat.Attach(k.CPU)
 	defer klat.Detach(k.CPU)
 
@@ -115,7 +118,7 @@ func TestLedgerParentsUnderPools(t *testing.T) {
 	// Identity is derived once per worker that served, and once per nested
 	// call; a client asks (explicitly above, and in its Call) at most twice
 	// per call, and only while something is bound somewhere.
-	if got, max := lt.IdentityLookups(), uint64(2*clients+5*clients*perCli); got < uint64(clients*perCli) || got > max {
+	if got, max := lookups.Value(), uint64(2*clients+5*clients*perCli); got < uint64(clients*perCli) || got > max {
 		t.Fatalf("identity lookups = %d, want within [%d, %d]", got, clients*perCli, max)
 	}
 }

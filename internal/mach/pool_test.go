@@ -207,7 +207,7 @@ func TestServePoolConcurrentClients(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := pool.Ops(); got != clients*opsEach {
+	if got := settledOps(pool, clients*opsEach); got != clients*opsEach {
 		t.Fatalf("pool.Ops = %d, want %d", got, clients*opsEach)
 	}
 	mu.Lock()
@@ -303,7 +303,17 @@ func TestServeSetPool(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if got := pool.Ops(); got != members*10 {
+	if got := settledOps(pool, members*10); got != members*10 {
 		t.Fatalf("pool.Ops = %d, want %d", got, members*10)
 	}
+}
+
+// settledOps reads pool.Ops once the workers have caught up to want: a
+// worker counts an op after its reply has already woken the client, so
+// the last few may still be in flight when the clients are done.
+func settledOps(pool *ServerPool, want uint64) uint64 {
+	for deadline := time.Now().Add(time.Second); pool.Ops() < want && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	return pool.Ops()
 }

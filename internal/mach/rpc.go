@@ -708,6 +708,7 @@ func (l *serveLoop) dispatch(resp *Responder, req *Message, h Handler) error {
 		defer pr.Push(fmt.Sprintf("op:%#04x", uint32(req.ID)))()
 	}
 	l.g.Bind(req.lat)
+	defer l.g.Bind(nil) // for a handler that panics into a recover
 	if subs := req.batch; subs != nil {
 		replies := make([]*Message, len(subs))
 		for i, sub := range subs {

@@ -6,10 +6,9 @@
 # functions, so a host-cost change starts from a profile instead of a
 # guess.  Runs in the foreground and exits; everything it writes goes to a
 # temporary directory under .bench_build/ (git-ignored) that it removes.
-#
-#   HOSTPROF_PASSES  passes per row (default 20; a pass is a fresh boot
-#                    plus one run of the row, WPOS and native)
-#   HOSTPROF_TOP     function rows to print (default 25)
+# Fixed at 20 passes per row (a pass is a fresh boot plus one run of the
+# row, WPOS and native) on one P, top 25 functions, so two profiles are
+# comparable; for anything else run `go test -cpuprofile` directly.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -18,8 +17,8 @@ dir=$(mktemp -d "$PWD/.bench_build/hostprof.XXXXXX")
 trap 'rm -rf "$dir"' EXIT
 trap 'exit 1' HUP INT PIPE TERM
 
-GOMAXPROCS=${GOMAXPROCS:-1} go test -run '^$' -bench 'Table1_FileIntensive[12]$' \
-	-benchtime "${HOSTPROF_PASSES:-20}x" -cpuprofile "$dir/cpu.pb.gz" -o "$dir/repro.test" . >"$dir/bench.txt" || {
+GOMAXPROCS=1 go test -run '^$' -bench 'Table1_FileIntensive[12]$' \
+	-benchtime 20x -cpuprofile "$dir/cpu.pb.gz" -o "$dir/repro.test" . >"$dir/bench.txt" || {
 	cat "$dir/bench.txt"
 	exit 1
 }
@@ -53,4 +52,4 @@ awk '
 
 echo
 echo "== top functions (flat) =="
-awk -v top="${HOSTPROF_TOP:-25}" '$1 == "flat" { intable = 1 } intable && n++ <= top' "$dir/top.txt"
+awk '$1 == "flat" { intable = 1 } intable && n++ <= 25' "$dir/top.txt"
