@@ -8,7 +8,7 @@ build:
 	$(GO) build ./...
 
 test:
-	$(GO) test ./...
+	$(GO) test -timeout 300s ./...
 
 # Tier-2 gate: vet + race detector on the concurrency-heavy packages.
 check:
@@ -53,12 +53,13 @@ blackbox:
 tail:
 	sh scripts/tail_smoke.sh
 
-# Chaos short soak: one fixed seed driving mixed OS/2 + POSIX + MVM + RPC
-# traffic through all six fault kinds with the invariant oracle on (~30s).
+# Chaos soak, full corpus: three seeds x 36,000 actions of mixed OS/2 +
+# POSIX + MVM + RPC traffic through all six fault kinds with the invariant
+# oracle on (tier-1 runs the same test at 6,000 actions per seed).
 # A failure prints the exact -chaos.seed/-chaos.actions flags to replay it
 # deterministically; see internal/chaos and EXPERIMENTS.md (E-CHAOS).
 chaos:
-	$(GO) test ./internal/chaos -run 'TestChaosSoak|TestChaosSingleCPU|TestChaosDeterministic' -short -v
+	$(GO) test -timeout 600s ./internal/chaos -run 'TestChaosSoak|TestChaosSingleCPU|TestChaosDeterministic' -chaos.actions=36000 -v
 
 # Host-cost profile: untraced File Intensive 1+2 passes under runtime/pprof,
 # folded by package, then the top functions — where the Go simulator's own

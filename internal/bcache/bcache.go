@@ -16,6 +16,7 @@ package bcache
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cpu"
 	"repro/internal/iosys"
@@ -23,6 +24,7 @@ import (
 	"repro/internal/klat"
 	"repro/internal/kstat"
 	"repro/internal/ktrace"
+	"repro/internal/mach"
 	"repro/internal/vfs"
 )
 
@@ -61,6 +63,9 @@ type Cache struct {
 	op    cpu.Region // modeled lookup/bookkeeping cost per cache call
 	arena cpu.Region // modeled backing store; Copy src/dst addresses
 	buf   cpu.Region // stand-in address for the caller's buffer
+
+	below vfs.RequestDev           // inner, when it admits declared requests in turn
+	req   atomic.Pointer[klat.Hop] // the request holding that turn
 
 	mu       sync.Mutex
 	cap      int
@@ -112,6 +117,7 @@ func New(eng *cpu.Engine, layout *cpu.Layout, inner vfs.BlockDev, cfg Config) *C
 		blocks:   make(map[uint64]*block),
 		lru:      list.New(),
 	}
+	c.below, _ = inner.(vfs.RequestDev)
 	if cfg.HRM != nil {
 		cfg.HRM.Register(iosys.Resource{
 			Name: "bcache0", Kind: iosys.ResMemory,
@@ -123,7 +129,7 @@ func New(eng *cpu.Engine, layout *cpu.Layout, inner vfs.BlockDev, cfg Config) *C
 	// touch, and account() only touches counters that moved, so a freshly
 	// booted cache would otherwise be invisible to -prom scrapes and
 	// per-family monitor queries until the first hit/miss of each kind.
-	if st := c.stats(); st != nil {
+	if st := kstat.For(c.eng); st != nil {
 		st.Counter("bcache.hits")
 		st.Counter("bcache.misses")
 		st.Counter("bcache.readahead")
@@ -141,7 +147,24 @@ func (c *Cache) sectorAddr(sector uint64) uint64 {
 	return c.arena.Base + (sector%uint64(c.cap))*SectorSize
 }
 
-func (c *Cache) stats() *kstat.Set { return kstat.For(c.eng) }
+// Begin implements vfs.RequestDev by passing the declaration down; under
+// the inner device's turn the cache notes its hits, misses and lock waits
+// on that request too.  Over a device that takes no turns (a RAM disk)
+// nothing orders requests here, so the cache names none.
+func (c *Cache) Begin(req *mach.Message) {
+	if c.below != nil {
+		c.below.Begin(req)
+		c.req.Store(req.Hop())
+	}
+}
+
+// End implements vfs.RequestDev.
+func (c *Cache) End() {
+	if c.below != nil {
+		c.req.Store(nil)
+		c.below.End()
+	}
+}
 
 // ReadSectors implements vfs.BlockDev.  Cached sectors are copied out
 // without touching the device; contiguous miss runs go to the device in
@@ -476,29 +499,19 @@ func (c *Cache) removeFromDirtyQ(sectors []uint64) {
 	c.dirtyQ = q
 }
 
-// lockArm takes the cache lock, under a klat wait mark when it has to
-// wait.  The lock is held across the inner device calls (ReadSectors
-// misses, write-behind and Sync flushes all happen locked), so with
-// several file-server pool threads in flight, waiting here IS queueing on
-// the single disk arm — the mark names those cycles in a request's
-// latency ledger instead of letting them hide inside the file server's
-// service time.  A free lock has no queueing to name and records nothing.
-func (c *Cache) lockArm() {
-	if c.mu.TryLock() {
-		return
-	}
-	end := klat.For(c.eng).MarkBegin("bcache-lock")
-	c.mu.Lock()
-	end()
-}
+// lockArm takes the cache lock.  It is held across the inner device calls
+// (misses, write-behind and Sync flushes), so waiting here is queueing on
+// the single disk arm and is named so on the request the cache works for.
+// Declared requests took turns below first; what one can still wait
+// behind is a caller that declared nothing (an unmount flush, a harness).
+func (c *Cache) lockArm() { c.req.Load().WaitLock(&c.mu, "bcache-lock") }
 
 // account records the op's observation-only metrics.  It never charges
 // the engine; with kstat detached it only refreshes nothing.
 func (c *Cache) account(hits, misses, ra, wb uint64) {
-	// Exemplar annotations: the counts ride on the current request's
-	// ledger so a p99 drill-down shows whether the hop missed or hit.
-	if hits|misses|ra|wb != 0 {
-		h := klat.For(c.eng).Current()
+	// Exemplar annotations: the counts ride on the ledger of the request
+	// the cache works for, so a p99 drill-down shows whether it missed.
+	if h := c.req.Load(); h != nil {
 		h.Note("bcache.hit", hits)
 		h.Note("bcache.miss", misses)
 		h.Note("bcache.readahead", ra)
@@ -518,7 +531,7 @@ func (c *Cache) account(hits, misses, ra, wb uint64) {
 			fr.Emit(ktrace.EvCache, "bcache", "writeback", wb)
 		}
 	}
-	st := c.stats()
+	st := kstat.For(c.eng)
 	if st == nil {
 		return
 	}
@@ -545,4 +558,7 @@ func sortSectors(s []uint64) {
 	}
 }
 
-var _ vfs.CachedDev = (*Cache)(nil)
+var (
+	_ vfs.CachedDev  = (*Cache)(nil)
+	_ vfs.RequestDev = (*Cache)(nil)
+)

@@ -13,9 +13,12 @@ var (
 )
 
 // TestChaosSoak is the acceptance soak: three seeds at three CPU counts,
-// ≥100k mixed operations total across the OS/2, POSIX and MVM
-// personalities plus raw RPC, with all six fault kinds injected and all
-// four invariants checked after every fault epoch.  A failure's message
+// mixed operations across the OS/2, POSIX and MVM personalities plus raw
+// RPC, with all six fault kinds injected at least twice per seed and all
+// four invariants checked after every fault epoch.  The default budget
+// (6,000 actions per seed) keeps tier-1 under a minute; the full corpus —
+// ≥100k operations — is the same test with -chaos.actions=36000, which is
+// how `make chaos` and scripts/check.sh run it.  A failure's message
 // embeds the exact replay flags.
 func TestChaosSoak(t *testing.T) {
 	type entry struct {
@@ -23,10 +26,9 @@ func TestChaosSoak(t *testing.T) {
 		cpus int
 	}
 	corpus := []entry{{7, 4}, {11, 2}, {23, 8}}
-	actions := 36000
+	actions := 6000
 	if testing.Short() {
 		corpus = corpus[:1]
-		actions = 6000
 	}
 	if *flagActions > 0 {
 		actions = *flagActions
@@ -55,8 +57,8 @@ func TestChaosSoak(t *testing.T) {
 				kinds = append(kinds, FaultPsetShuffle)
 			}
 			for _, k := range kinds {
-				if rep.Faults[k] == 0 {
-					t.Errorf("fault kind %s never injected (%v)", k, rep.Faults)
+				if rep.Faults[k] < 2 {
+					t.Errorf("fault kind %s injected %d times, want >= 2 (%v)", k, rep.Faults[k], rep.Faults)
 				}
 			}
 			if rep.Verified == 0 {

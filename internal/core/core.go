@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/bcache"
 	"repro/internal/cpu"
@@ -110,12 +109,6 @@ type Config struct {
 	ObjectMode netsvc.Mode
 }
 
-// IO returns the I/O sub-config (compatibility accessor).
-func (c *Config) IO() *IOConfig { return &c.IOConfig }
-
-// Servers returns the server sub-config (compatibility accessor).
-func (c *Config) Servers() *ServerConfig { return &c.ServerConfig }
-
 // DefaultConfig returns the configuration of the paper's PowerPC machine.
 func DefaultConfig() Config {
 	return Config{
@@ -170,9 +163,7 @@ type System struct {
 	MVM   *mvm.Server
 	TalOS *talos.Server
 
-	mu      sync.Mutex
 	bootLog []string
-	FATDisk vfs.BlockDev
 }
 
 // ErrBadConfig reports an unusable configuration.
@@ -335,7 +326,6 @@ func Boot(cfg Config) (*System, error) {
 	if err := fat.Format(bootDev); err != nil {
 		return nil, err
 	}
-	s.FATDisk = bootDev
 	if err := s.Files.MountVolume("/", fat.New(), bootDev); err != nil {
 		return nil, err
 	}

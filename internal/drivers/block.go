@@ -193,7 +193,7 @@ func (d *UserBlockDriver) handle(req *mach.Message) *mach.Message {
 		sector := beU64(req.Body[0:8])
 		count := int(beU64(req.Body[8:16]))
 		buf := make([]byte, count*SectorSize)
-		if err := d.disk.ReadSectors(sector, buf); err != nil {
+		if err := d.disk.read(req.Hop(), sector, buf); err != nil {
 			return &mach.Message{ID: 1, Body: []byte(err.Error())}
 		}
 		if d.zeroCopy && len(buf) >= mach.PageSize {
@@ -202,7 +202,7 @@ func (d *UserBlockDriver) handle(req *mach.Message) *mach.Message {
 		return &mach.Message{ID: 0, OOL: buf}
 	case msgWrite:
 		sector := beU64(req.Body[0:8])
-		if err := d.disk.WriteSectors(sector, payload(req)); err != nil {
+		if err := d.disk.write(req.Hop(), sector, payload(req)); err != nil {
 			return &mach.Message{ID: 1, Body: []byte(err.Error())}
 		}
 		return &mach.Message{ID: 0}
@@ -230,23 +230,32 @@ func (d *UserBlockDriver) portFor(caller *mach.Thread) (mach.PortName, error) {
 	return n, nil
 }
 
-// ReadSectors implements BlockDriver via RPC to the driver task.
-func (d *UserBlockDriver) ReadSectors(caller *mach.Thread, sector uint64, count int) ([]byte, error) {
-	sp := traceIO(d.k, "udrv:read")
+// call sends one request to the driver task; an error reply is an error.
+func (d *UserBlockDriver) call(caller *mach.Thread, op string, req *mach.Message) (*mach.Message, error) {
+	sp := traceIO(d.k, op)
 	defer sp.End()
 	n, err := d.portFor(caller)
 	if err != nil {
 		return nil, err
 	}
-	body := make([]byte, 16)
-	putU64(body[0:8], sector)
-	putU64(body[8:16], uint64(count))
-	reply, err := caller.Call(n, &mach.Message{ID: msgRead, Body: body}, mach.CallOpts{})
+	reply, err := caller.Call(n, req, mach.CallOpts{})
 	if err != nil {
 		return nil, err
 	}
 	if reply.ID != 0 {
 		return nil, fmt.Errorf("drivers: %s", reply.Body)
+	}
+	return reply, nil
+}
+
+// ReadSectors implements BlockDriver via RPC to the driver task.
+func (d *UserBlockDriver) ReadSectors(caller *mach.Thread, sector uint64, count int) ([]byte, error) {
+	body := make([]byte, 16)
+	putU64(body[0:8], sector)
+	putU64(body[8:16], uint64(count))
+	reply, err := d.call(caller, "udrv:read", &mach.Message{ID: msgRead, Body: body})
+	if err != nil {
+		return nil, err
 	}
 	return payload(reply), nil
 }
@@ -268,20 +277,8 @@ func (d *UserBlockDriver) writeMsg(sector uint64, data []byte) *mach.Message {
 
 // WriteSectors implements BlockDriver via RPC to the driver task.
 func (d *UserBlockDriver) WriteSectors(caller *mach.Thread, sector uint64, data []byte) error {
-	sp := traceIO(d.k, "udrv:write")
-	defer sp.End()
-	n, err := d.portFor(caller)
-	if err != nil {
-		return err
-	}
-	reply, err := caller.Call(n, d.writeMsg(sector, data), mach.CallOpts{})
-	if err != nil {
-		return err
-	}
-	if reply.ID != 0 {
-		return fmt.Errorf("drivers: %s", reply.Body)
-	}
-	return nil
+	_, err := d.call(caller, "udrv:write", d.writeMsg(sector, data))
+	return err
 }
 
 // WriteSectorsV commits several discontiguous sector runs through the

@@ -79,6 +79,11 @@ func (d *Disk) Vector() int { return d.vector }
 // ReadSectors fills buf (a whole number of sectors) starting at sector,
 // charging seek, DMA and raising the completion interrupt.
 func (d *Disk) ReadSectors(sector uint64, buf []byte) error {
+	return d.read(nil, sector, buf)
+}
+
+// read is ReadSectors for the driver request whose ledger entry is req.
+func (d *Disk) read(req *klat.Hop, sector uint64, buf []byte) error {
 	if len(buf)%SectorSize != 0 {
 		return ErrBadSize
 	}
@@ -91,7 +96,7 @@ func (d *Disk) ReadSectors(sector uint64, buf []byte) error {
 	}
 	defer sp.End()
 	n := uint64(len(buf) / SectorSize)
-	d.lockArm()
+	d.lockArm(req)
 	if sector+n > uint64(len(d.sectors)) {
 		d.mu.Unlock()
 		return ErrBadSector
@@ -121,6 +126,11 @@ func (d *Disk) ReadSectors(sector uint64, buf []byte) error {
 
 // WriteSectors stores data (a whole number of sectors) at sector.
 func (d *Disk) WriteSectors(sector uint64, data []byte) error {
+	return d.write(nil, sector, data)
+}
+
+// write is WriteSectors for the driver request req.
+func (d *Disk) write(req *klat.Hop, sector uint64, data []byte) error {
 	if len(data)%SectorSize != 0 {
 		return ErrBadSize
 	}
@@ -130,7 +140,7 @@ func (d *Disk) WriteSectors(sector uint64, data []byte) error {
 	}
 	defer sp.End()
 	n := uint64(len(data) / SectorSize)
-	d.lockArm()
+	d.lockArm(req)
 	if sector+n > uint64(len(d.sectors)) {
 		d.mu.Unlock()
 		return ErrBadSector
@@ -150,19 +160,10 @@ func (d *Disk) WriteSectors(sector uint64, data []byte) error {
 	return d.intr.Raise(d.vector)
 }
 
-// lockArm takes the arm mutex, under a klat wait mark when it has to
-// wait: there is one head, seeks are serialized on it, and a request's
-// latency ledger should name time spent behind a competitor's seek as
-// arm queueing rather than fold it into driver service.  A free arm has
-// no queueing to name and records nothing.
-func (d *Disk) lockArm() {
-	if d.mu.TryLock() {
-		return
-	}
-	end := klat.For(d.eng).MarkBegin("disk-arm")
-	d.mu.Lock()
-	end()
-}
+// lockArm takes the arm mutex: there is one head, seeks are serialized on
+// it, and time spent behind a competitor's seek is named on req's ledger
+// as arm queueing rather than folded into driver service.
+func (d *Disk) lockArm(req *klat.Hop) { req.WaitLock(&d.mu, "disk-arm") }
 
 // Counts reports sectors read and written.
 func (d *Disk) Counts() (reads, writes uint64) {

@@ -1,6 +1,8 @@
 package drivers
 
 import (
+	"sync"
+
 	"repro/internal/mach"
 	"repro/internal/vfs"
 )
@@ -8,15 +10,38 @@ import (
 // SectorDev adapts a BlockDriver (whose operations need a calling
 // thread) to the thread-less sector-device interface the file systems
 // and the buffer cache consume (vfs.BlockDev).
+//
+// Every caller leaves on the adapter's one private thread, so only the
+// handler holding the request message knows whose driver call it is, and
+// says so with Begin/End (vfs.RequestDev).  The adapter owns the thread,
+// so it owns the exclusivity: requests take turns from Begin to End.
+// Driven with no request named (boot, the native baseline's nil thread)
+// it works the same and its driver calls are roots.
 type SectorDev struct {
 	drv     BlockDriver
 	th      *mach.Thread
 	sectors uint64
+	turn    sync.Mutex
 }
 
 // NewSectorDev binds a driver to a calling thread and a disk size.
 func NewSectorDev(drv BlockDriver, th *mach.Thread, sectors uint64) *SectorDev {
 	return &SectorDev{drv: drv, th: th, sectors: sectors}
+}
+
+// Begin implements vfs.RequestDev: it takes the adapter's turn for req
+// (a wait for it is a wait for the disk behind another request, marked
+// on req as disk-turn) and points the private thread at req, so the
+// driver calls made until End are req's children in the latency ledger.
+func (d *SectorDev) Begin(req *mach.Message) {
+	req.Hop().WaitLock(&d.turn, "disk-turn")
+	d.th.ActFor(req)
+}
+
+// End implements vfs.RequestDev.
+func (d *SectorDev) End() {
+	d.th.ActFor(nil)
+	d.turn.Unlock()
 }
 
 // ReadSectors reads len(buf)/SectorSize sectors starting at sector.
@@ -68,4 +93,7 @@ func (d *VectorSectorDev) WriteSectorsV(runs []vfs.SectorRun) (int, error) {
 	return d.bdrv.WriteSectorsV(d.th, runs)
 }
 
-var _ vfs.BatchDev = (*VectorSectorDev)(nil)
+var (
+	_ vfs.RequestDev = (*SectorDev)(nil)
+	_ vfs.BatchDev   = (*VectorSectorDev)(nil)
+)

@@ -139,9 +139,9 @@ func (t *Tracker) Dump() *Dump {
 func (t *Tracker) dumpHop(h *Hop, rootStart uint64, critical bool) HopDump {
 	d := HopDump{
 		ID: h.ID, Server: h.Server, Op: h.Op, Width: h.Width, Sub: h.Sub,
-		Off:     h.stamps[h.start()].cycles.Load() - rootStart,
-		E2E:     h.E2E(),
-		Service: h.seg(pRecv, pServed),
+		Off:      h.stamps[h.start()].cycles.Load() - rootStart,
+		E2E:      h.E2E(),
+		Service:  h.seg(pRecv, pServed),
 		Critical: critical,
 	}
 	if !h.Sub {
@@ -206,7 +206,7 @@ func (t *Tracker) dumpHop(h *Hop, rootStart uint64, critical bool) HopDump {
 //
 //	cross            every hop's Send + Resume (AS switches, I-cache refill)
 //	queue.<server>   rendezvous wait per destination server
-//	wait.<mark>      named subsystem waits (bcache-lock, disk-arm)
+//	wait.<mark>      named subsystem waits (disk-turn, bcache-lock, disk-arm)
 //	service.<server> own handler cycles per server, marks subtracted
 //
 // "Why was this p99 8x the median" is answered by diffing these buckets

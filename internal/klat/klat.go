@@ -31,13 +31,14 @@
 //
 // The hop pointer rides in the mach message header (see Message.lat),
 // so the server side of a crossing stamps the same ledger the client
-// opened.  Within a handler, propagation is by goroutine: the serve
-// loop binds the hop on its Slot, nested Calls made by the
-// handler attach as child hops, and the waits a subsystem wants named
-// (the buffer-cache lock, the disk arm) mark the bound hop.  A child's
-// window nests inside its parent's service window (the chain is
-// synchronous), so OwnService = Service − Σ child E2E never underflows
-// and the whole tree still sums exactly.
+// opened, and the message a handler is serving IS its request context:
+// whoever works for a request names it.  A nested Call names its parent
+// (Begin takes it), and the waits and counts a subsystem wants on the
+// ledger are recorded on the hop of the request it is working for.
+// Nothing is discovered at run time: a call that names no request is a
+// root, never somebody else's child.  A child's window nests inside its
+// parent's service window (the chain is synchronous), so OwnService =
+// Service − Σ child E2E never underflows and the tree sums exactly.
 //
 // Vectored carriers get one hop for the crossing plus a sub-hop per
 // demultiplexed sub-request (service window only — subs share the
@@ -123,7 +124,7 @@ type Hop struct {
 	// Sub marks a demultiplexed carrier sub-request: service window
 	// only, no queue or crossing segments of its own.
 	Sub bool
-	// Root marks a hop opened outside any handler — a client entry
+	// Root marks a hop opened with no parent named — a client entry
 	// point.  Only root hops enter the exemplar reservoir.
 	Root bool
 
@@ -240,82 +241,6 @@ func (h *Hop) StampServed() {
 	h.stampNow(pServed)
 }
 
-// --- goroutine context -----------------------------------------------------
-//
-// The handler chain of one request is synchronous on one goroutine (vfs
-// worker calling into bcache calling the driver through the bound disk
-// thread), so goroutine identity IS request identity while a hop is
-// bound — the same reason the kprof context stack works.  Naming a
-// goroutine costs a stack unwind, so a serve loop, which owns its
-// goroutine, does it once and binds every request on its Slot; only code
-// with no thread of its own (a file system reaching the driver, a
-// contended lock) asks who it is — and only while a hop is bound somewhere.
-
-// Slot is one serving goroutine's binding cell.  The zero value is
-// ready; its loop calls Release on exit.  Owning goroutine only.
-type Slot struct {
-	gid uint64
-	hop *Hop
-}
-
-var (
-	// slots maps goroutine ID -> the *Slot of the serve loop running on
-	// it, registered the first time the loop binds a hop.
-	slots sync.Map
-	// bound counts slots holding a hop, across every tracker.  At zero no
-	// handler is running, nothing can be anyone's parent, and Current
-	// answers without asking who is asking.
-	bound atomic.Int64
-)
-
-// Bind makes h the hop being served on the slot's goroutine, replacing
-// whatever was bound (a carrier's dispatch binds each sub-hop in turn,
-// then the carrier again); Bind(nil) ends the binding.  Binding nil on
-// an empty slot — every request of a detached boot — does nothing.
-func (s *Slot) Bind(h *Hop) {
-	prev := s.hop
-	s.hop = h
-	switch {
-	case prev == nil && h != nil:
-		if s.gid == 0 {
-			s.gid = h.t.goid()
-			slots.Store(s.gid, s)
-		}
-		bound.Add(1)
-	case prev != nil && h == nil:
-		bound.Add(-1)
-	}
-}
-
-// Release drops the slot's binding and registration when its loop exits.
-func (s *Slot) Release() {
-	s.Bind(nil)
-	slots.Delete(s.gid)
-	s.gid = 0
-}
-
-// goid derives the calling goroutine's identity from its stack and counts
-// it: klat.identity_lookups is the plane's own host cost.
-func (t *Tracker) goid() uint64 {
-	if t.lookups != nil {
-		t.lookups.Inc()
-	}
-	return cpu.GoroutineID()
-}
-
-// Current returns the hop bound to the calling goroutine, or nil.  With
-// nothing bound anywhere — every client-side Begin of a closed loop —
-// that is one atomic load.
-func (t *Tracker) Current() *Hop {
-	if t == nil || bound.Load() == 0 {
-		return nil
-	}
-	if v, ok := slots.Load(t.goid()); ok {
-		return v.(*Slot).hop
-	}
-	return nil
-}
-
 // --- tracker ---------------------------------------------------------------
 
 // famKey identifies a latency family: one destination server × one
@@ -341,8 +266,6 @@ type Tracker struct {
 	eng *cpu.Engine
 	cfg cpu.Config
 	seq atomic.Uint64
-	// klat.identity_lookups of the kstat set attached before the tracker
-	lookups *kstat.Counter
 
 	mu   sync.Mutex
 	fams map[famKey]*family
@@ -356,9 +279,6 @@ var registry sync.Map
 // registers it for the RPC path's hook points.
 func Attach(eng *cpu.Engine) *Tracker {
 	t := &Tracker{eng: eng, cfg: eng.Config(), fams: make(map[famKey]*family)}
-	if st := kstat.For(eng); st != nil {
-		t.lookups = st.Counter("klat.identity_lookups")
-	}
 	registry.Store(eng, t)
 	return t
 }
@@ -378,11 +298,12 @@ func For(eng *cpu.Engine) *Tracker {
 	return v.(*Tracker)
 }
 
-// Begin opens a hop for one outgoing call and stamps P0.  If the
-// calling goroutine is serving a request (a handler making a nested
-// call), the hop attaches to that ledger as a child; otherwise it is a
-// root — a fresh request ID minted at a client entry point.  Nil-safe.
-func (t *Tracker) Begin(server string, op uint32, width int) *Hop {
+// Begin opens a hop for one outgoing call and stamps P0.  A call made
+// for a request being served names that request's hop as parent and
+// attaches to its ledger as a child; with no parent (or one already
+// sealed — its client gave up) the hop is a root, a fresh request ID
+// minted at a client entry point.  Nil-safe.
+func (t *Tracker) Begin(parent *Hop, server string, op uint32, width int) *Hop {
 	if t == nil {
 		return nil
 	}
@@ -390,7 +311,7 @@ func (t *Tracker) Begin(server string, op uint32, width int) *Hop {
 		server = "?"
 	}
 	h := &Hop{t: t, ID: t.seq.Add(1), Server: server, Op: op, Width: width}
-	if parent := t.Current(); parent != nil && !parent.sealed.Load() {
+	if parent != nil && !parent.sealed.Load() {
 		parent.addChild(h)
 	} else {
 		h.Root = true
@@ -440,24 +361,26 @@ func (t *Tracker) Finish(h *Hop, err error) {
 	t.record(h)
 }
 
-// MarkBegin opens a named wait mark on the goroutine's current hop —
-// the subsystem-level waits worth naming in a ledger, like the buffer
-// cache's lock (held across device I/O, it IS the disk-arm queue) or
-// the disk's own arm mutex — opened only once the caller knows it must
-// wait (a free lock has no queueing to name).  The returned func closes
-// the mark, adding the global cycles that elapsed to the hop; with no
-// hop bound (or t nil) both ends are no-ops.  Marks lie inside the hop's
-// own service window and outside its children's windows, so the rollup
-// can subtract them from own-service without double counting.
-func (t *Tracker) MarkBegin(name string) func() {
-	h := t.Current()
+// WaitLock takes l and, if it has to wait for it, names the wait on the
+// hop: the global cycles that pass until l is held become a mark (a turn
+// at the disk adapter, the buffer cache's lock, the disk arm).  A free
+// lock records nothing.  Marks lie inside the hop's own service window
+// and outside its children's, so the rollup can subtract them from
+// own-service without double counting.  A nil hop just locks.
+func (h *Hop) WaitLock(l interface {
+	TryLock() bool
+	Lock()
+}, name string) {
+	if l.TryLock() {
+		return
+	}
 	if h == nil {
-		return func() {}
+		l.Lock()
+		return
 	}
-	start := t.eng.Counters().Cycles
-	return func() {
-		h.addMark(name, t.eng.Counters().Cycles-start)
-	}
+	start := h.t.eng.Counters().Cycles
+	l.Lock()
+	h.addMark(name, h.t.eng.Counters().Cycles-start)
 }
 
 // Note annotates the hop with a named count (cache hits, sectors

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/cpu"
-	"repro/internal/kstat"
 )
 
 func newTracker(t *testing.T) (*Tracker, *cpu.Engine) {
@@ -21,8 +20,8 @@ func newTracker(t *testing.T) (*Tracker, *cpu.Engine) {
 
 // driveHop walks one hop through the five stamp points, advancing the
 // clock by the given segment widths (in stall cycles) between stamps.
-func driveHop(tr *Tracker, eng *cpu.Engine, server string, op uint32, send, queue, service, resume uint64) *Hop {
-	h := tr.Begin(server, op, 0)
+func driveHop(tr *Tracker, eng *cpu.Engine, parent *Hop, server string, op uint32, send, queue, service, resume uint64) *Hop {
+	h := tr.Begin(parent, server, op, 0)
 	eng.Stall(send)
 	h.StampSent()
 	eng.Stall(queue)
@@ -38,7 +37,7 @@ func driveHop(tr *Tracker, eng *cpu.Engine, server string, op uint32, send, queu
 // exactly — the identity every exemplar gate builds on.
 func TestTelescoping(t *testing.T) {
 	tr, eng := newTracker(t)
-	driveHop(tr, eng, "files", 0x0201, 100, 2000, 750, 30)
+	driveHop(tr, eng, nil, "files", 0x0201, 100, 2000, 750, 30)
 	d := tr.Dump()
 	if len(d.Families) != 1 {
 		t.Fatalf("families = %d, want 1", len(d.Families))
@@ -73,25 +72,21 @@ func componentSum(h *HopDump) uint64 {
 	return sum
 }
 
-// TestNestedChildren: a call made while bound to a serving hop attaches
-// as a child; own-service is the parent's service minus the child's
+// TestNestedChildren: a call that names a serving hop as its parent
+// attaches as a child; own-service is the parent's service minus the child's
 // window, and the rollup still sums exactly.
 func TestNestedChildren(t *testing.T) {
 	tr, eng := newTracker(t)
-	root := tr.Begin("files", 0x0201, 0)
+	root := tr.Begin(nil, "files", 0x0201, 0)
 	eng.Stall(10)
 	root.StampSent()
 	eng.Stall(20)
 	root.StampPicked()
-	// Handler runs: some own work, then a nested driver call under a
-	// goroutine binding, then more own work.
-	var g Slot
-	defer g.Release()
-	g.Bind(root)
+	// Handler runs: some own work, then a nested driver call naming the
+	// request it serves, then more own work.
 	eng.Stall(100)
-	child := driveHop(tr, eng, "blockdrv", 0x0d01, 5, 40, 5000, 5)
+	child := driveHop(tr, eng, root, "blockdrv", 0x0d01, 5, 40, 5000, 5)
 	eng.Stall(200)
-	g.Bind(nil)
 	root.StampServed()
 	eng.Stall(30)
 	tr.Finish(root, nil)
@@ -133,22 +128,27 @@ func TestNestedChildren(t *testing.T) {
 	}
 }
 
+// heldFor is a lock somebody else holds for the next n cycles.
+type heldFor struct {
+	eng *cpu.Engine
+	n   uint64
+}
+
+func (heldFor) TryLock() bool { return false }
+func (l heldFor) Lock()       { l.eng.Stall(l.n) }
+
 // TestMarksSubtractFromOwn: a named wait lands in wait.<mark> and comes
 // out of the hop's own-service bucket, keeping the partition exact.
 func TestMarksSubtractFromOwn(t *testing.T) {
 	tr, eng := newTracker(t)
-	h := tr.Begin("files", 0x0202, 0)
+	h := tr.Begin(nil, "files", 0x0202, 0)
 	h.StampSent()
 	h.StampPicked()
-	var g Slot
-	defer g.Release()
-	g.Bind(h)
-	end := tr.MarkBegin("bcache-lock")
-	eng.Stall(4000)
-	end()
+	var free sync.Mutex
+	h.WaitLock(&free, "bcache-lock") // a free lock records nothing
+	h.WaitLock(heldFor{eng, 4000}, "bcache-lock")
 	eng.Stall(1000)
-	tr.Current().Note("bcache.miss", 3)
-	g.Bind(nil)
+	h.Note("bcache.miss", 3)
 	h.StampServed()
 	tr.Finish(h, nil)
 
@@ -177,7 +177,7 @@ func TestReservoirKeepsSlowest(t *testing.T) {
 	tr, eng := newTracker(t)
 	n := ExemplarK + 5
 	for i := 1; i <= n; i++ {
-		driveHop(tr, eng, "files", 0x0201, 0, 0, uint64(i)*1000, 0)
+		driveHop(tr, eng, nil, "files", 0x0201, 0, 0, uint64(i)*1000, 0)
 	}
 	f := tr.Dump().Families[0]
 	if len(f.Exemplars) != ExemplarK {
@@ -202,23 +202,17 @@ func TestReservoirKeepsSlowest(t *testing.T) {
 // slowest sub only; sub windows partition the carrier's service.
 func TestCarrierCriticalPath(t *testing.T) {
 	tr, eng := newTracker(t)
-	carrier := tr.Begin("blockdrv", 0x0d02, 3)
+	carrier := tr.Begin(nil, "blockdrv", 0x0d02, 3)
 	eng.Stall(10)
 	carrier.StampSent()
 	eng.Stall(20)
 	carrier.StampPicked()
-	var g Slot
-	defer g.Release()
-	g.Bind(carrier)
 	widths := []uint64{500, 9000, 700}
 	for _, w := range widths {
 		sh := carrier.BeginSub(0x0d02)
-		g.Bind(sh)
 		eng.Stall(w)
-		g.Bind(carrier)
 		sh.EndSub()
 	}
-	g.Bind(nil)
 	carrier.StampServed()
 	eng.Stall(5)
 	tr.Finish(carrier, nil)
@@ -247,7 +241,7 @@ func TestCarrierCriticalPath(t *testing.T) {
 // reservoir — their server-side stamps may still be in flight.
 func TestFailedHopDiscarded(t *testing.T) {
 	tr, eng := newTracker(t)
-	h := tr.Begin("files", 0x0201, 0)
+	h := tr.Begin(nil, "files", 0x0201, 0)
 	eng.Stall(100)
 	tr.Finish(h, errors.New("timeout"))
 	if d := tr.Dump(); len(d.Families) != 0 {
@@ -255,56 +249,37 @@ func TestFailedHopDiscarded(t *testing.T) {
 	}
 }
 
-// TestBindNesting: a slot holds one hop at a time (a carrier's dispatch
-// rebinds sub, carrier, sub…), bindings are goroutine-local, and identity
-// is derived from the stack once per slot plus once per question asked
-// while something is bound — never when nothing is.
-func TestBindNesting(t *testing.T) {
-	eng := cpu.NewEngine(cpu.Pentium133())
-	lookups := kstat.Attach(eng).Counter("klat.identity_lookups")
-	defer kstat.Detach(eng)
-	tr := Attach(eng)
-	defer Detach(eng)
-	a := tr.Begin("a", 1, 0)
-	b := tr.Begin("b", 2, 0)
-	if got := lookups.Value(); got != 0 {
-		t.Fatalf("Begin with nothing bound derived identity %d times", got)
+// TestParentNaming: a hop's place in a ledger is whatever its opener
+// named and nothing else — no parent makes a root however many requests
+// are in service around it, a served hop and a carrier's sub-hop both
+// adopt the calls that name them, and a parent whose client already gave
+// up (sealed) adopts nothing: the failure direction is "unlinked", never
+// "mislinked".
+func TestParentNaming(t *testing.T) {
+	tr, eng := newTracker(t)
+	a := tr.Begin(nil, "a", 1, 0)
+	b := tr.Begin(nil, "b", 2, 2)
+	a.StampPicked()
+	b.StampPicked()
+	if unnamed := driveHop(tr, eng, nil, "x", 3, 1, 1, 1, 1); !unnamed.Root {
+		t.Fatal("a call that named no parent was linked under a request in service")
 	}
-	var g Slot
-	g.Bind(nil) // detached request: no registration, no lookup
-	if tr.Current() != nil || lookups.Value() != 0 {
-		t.Fatal("binding nil on an empty slot must be free")
+	underA := driveHop(tr, eng, a, "x", 4, 1, 1, 1, 1)
+	sub := b.BeginSub(5)
+	underSub := driveHop(tr, eng, sub, "x", 6, 1, 1, 1, 1)
+	sub.EndSub()
+	if underA.Root || underSub.Root {
+		t.Fatal("a call that named its parent was recorded as a root")
 	}
-	g.Bind(a)
-	if tr.Current() != a {
-		t.Fatal("a not current")
+	if len(a.children) != 1 || a.children[0] != underA {
+		t.Fatalf("a's children = %v, want exactly the call that named it", a.children)
 	}
-	g.Bind(b)
-	if tr.Current() != b {
-		t.Fatal("b not current")
+	if len(b.children) != 1 || b.children[0] != sub || len(sub.children) != 1 || sub.children[0] != underSub {
+		t.Fatal("the carrier's sub-hop did not adopt the call that named it")
 	}
-	done := make(chan bool)
-	go func() { done <- tr.Current() == nil }()
-	if !<-done {
-		t.Fatal("binding leaked across goroutines")
-	}
-	g.Bind(a)
-	if tr.Current() != a {
-		t.Fatal("rebinding a did not restore it")
-	}
-	g.Bind(nil)
-	if tr.Current() != nil {
-		t.Fatal("Bind(nil) did not clear")
-	}
-	// One for the slot's registration, four answered Current calls; the
-	// last Current found nothing bound anywhere and asked nothing.
-	if got := lookups.Value(); got != 5 {
-		t.Fatalf("identity lookups = %d, want 5", got)
-	}
-	g.Bind(b)
-	g.Release()
-	if tr.Current() != nil || bound.Load() != 0 {
-		t.Fatal("Release left a binding behind")
+	tr.Finish(a, nil)
+	if late := tr.Begin(a, "x", 7, 0); !late.Root || len(a.children) != 1 {
+		t.Fatal("a sealed hop adopted a late child")
 	}
 }
 
@@ -316,7 +291,7 @@ func TestNilSafety(t *testing.T) {
 	if tr != nil {
 		t.Fatal("For on unattached engine")
 	}
-	h := tr.Begin("x", 1, 0)
+	h := tr.Begin(nil, "x", 1, 0)
 	if h != nil {
 		t.Fatal("Begin on nil tracker minted a hop")
 	}
@@ -324,13 +299,7 @@ func TestNilSafety(t *testing.T) {
 	h.StampPicked()
 	h.StampServed()
 	h.BeginSub(1).EndSub()
-	var g Slot
-	g.Bind(h)
-	g.Release()
-	if tr.Current() != nil {
-		t.Fatal("Current on nil tracker")
-	}
-	tr.MarkBegin("m")()
+	h.WaitLock(heldFor{eng, 1}, "m")
 	h.Note("n", 1)
 	tr.Finish(h, nil)
 }
@@ -338,7 +307,7 @@ func TestNilSafety(t *testing.T) {
 // TestDumpRoundTrip: JSON out, JSON in, same ledger.
 func TestDumpRoundTrip(t *testing.T) {
 	tr, eng := newTracker(t)
-	driveHop(tr, eng, "files", 0x0201, 1, 2, 3, 4)
+	driveHop(tr, eng, nil, "files", 0x0201, 1, 2, 3, 4)
 	var buf bytes.Buffer
 	if err := tr.Dump().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -369,7 +338,7 @@ func TestConcurrentRecordAndDump(t *testing.T) {
 		go func(g int) {
 			defer rec.Done()
 			for i := 0; i < 200; i++ {
-				driveHop(tr, eng, fmt.Sprintf("srv%d", g%2), uint32(g), 1, 1, uint64(i), 1)
+				driveHop(tr, eng, nil, fmt.Sprintf("srv%d", g%2), uint32(g), 1, 1, uint64(i), 1)
 			}
 		}(g)
 	}

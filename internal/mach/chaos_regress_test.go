@@ -203,7 +203,7 @@ func TestPortSetAbandonedCallerReleasesForwarder(t *testing.T) {
 
 	// No receiver on the set yet: the call times out and is abandoned
 	// while the forwarder holds the exchange.
-	if _, err := th.Call(send, &Message{ID: 1}, CallOpts{Timeout: 30*time.Millisecond}); !errors.Is(err, ErrTimeout) {
+	if _, err := th.Call(send, &Message{ID: 1}, CallOpts{Timeout: 30 * time.Millisecond}); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
 	settle(t, "pending gauge", func() bool { return st.Gauge(ps.pendFam).Value() == 0 })
@@ -216,7 +216,7 @@ func TestPortSetAbandonedCallerReleasesForwarder(t *testing.T) {
 		t.Fatalf("ServeSetPool: %v", err)
 	}
 	defer pool.Stop()
-	reply, err := th.Call(send, &Message{ID: 5}, CallOpts{Timeout: 2*time.Second})
+	reply, err := th.Call(send, &Message{ID: 5}, CallOpts{Timeout: 2 * time.Second})
 	if err != nil || reply.ID != 6 {
 		t.Fatalf("post-abandon RPC: reply=%v err=%v", reply, err)
 	}
@@ -332,7 +332,7 @@ func TestProcessorAssignEmptiesSetMidBurst(t *testing.T) {
 			send, _ := ct.InsertRight(srv, recv, DispMakeSend)
 			th, _ := ct.NewBoundThread("main")
 			for i := 0; i < 150; i++ {
-				reply, err := th.Call(send, &Message{ID: MsgID(i)}, CallOpts{Timeout: 5*time.Second})
+				reply, err := th.Call(send, &Message{ID: MsgID(i)}, CallOpts{Timeout: 5 * time.Second})
 				if err != nil {
 					errs <- err
 					return

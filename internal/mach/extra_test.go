@@ -12,7 +12,7 @@ func TestRPCWithTimeoutExpires(t *testing.T) {
 	client := k.NewTask("client")
 	sendName, _ := client.InsertRight(srv, recv, DispMakeSend)
 	th, _ := client.NewBoundThread("main")
-	if _, err := th.Call(sendName, &Message{}, CallOpts{Timeout: 20*time.Millisecond}); err != ErrTimeout {
+	if _, err := th.Call(sendName, &Message{}, CallOpts{Timeout: 20 * time.Millisecond}); err != ErrTimeout {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
 }

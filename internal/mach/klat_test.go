@@ -5,29 +5,30 @@ import (
 	"testing"
 
 	"repro/internal/klat"
-	"repro/internal/kstat"
 )
 
 // TestLedgerParentsUnderPools gates the exactness of the latency plane's
-// binding where it is hardest: four pooled front-end workers each making
-// a nested call through ONE shared bound thread (the file server's
-// diskio shape — the thread cannot name the parent, only the goroutine
-// can), while four clients with nothing bound call the same back end
-// directly.  Every request carries a unique operation selector, so every
+// parent links where it is hardest: four pooled front-end workers each
+// making a nested call through ONE shared bound thread, all at once (the
+// thread cannot name the parent and neither can the task — only the
+// handler holding the request message can, so each call carries it),
+// while four clients call the same back end directly and a fifth
+// front-end worker nests calls through the same shared thread naming
+// nothing.  Every request carries a unique operation selector, so every
 // family retains its one request in full and the dump can be checked hop
 // by hop: each nested hop hangs under its own server's hop, no client
-// call is linked under someone else's request, and a client asking for
-// its current hop gets none.  Run under -race in tier 2.
+// call is linked under someone else's request, and what the fifth worker
+// did is childless roots only — unlinked, never mislinked.  Run under
+// -race in tier 2.
 func TestLedgerParentsUnderPools(t *testing.T) {
 	const (
 		clients  = 4
 		perCli   = 60
 		nestedOp = 0x80000
 		directOp = 0x40000
+		looseOp  = 0x20000
 	)
 	k := newTestKernel()
-	lookups := kstat.Attach(k.CPU).Counter("klat.identity_lookups")
-	defer kstat.Detach(k.CPU)
 	lt := klat.Attach(k.CPU)
 	defer klat.Detach(k.CPU)
 
@@ -46,8 +47,17 @@ func TestLedgerParentsUnderPools(t *testing.T) {
 	shared, _ := front.NewBoundThread("diskio")
 	frontPort, _ := front.AllocatePort()
 	if _, err := front.ServePool("svc", frontPort, clients, func(m *Message) *Message {
-		if _, err := shared.Call(toBack, &Message{ID: nestedOp | m.ID}, CallOpts{}); err != nil {
+		if _, err := shared.Call(toBack, &Message{ID: nestedOp | m.ID}, CallOpts{Parent: m}); err != nil {
 			t.Errorf("nested call: %v", err)
+		}
+		return &Message{ID: m.ID}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	loosePort, _ := front.AllocatePort()
+	if _, err := front.ServePool("loose", loosePort, 1, func(m *Message) *Message {
+		if _, err := shared.Call(toBack, &Message{ID: nestedOp | m.ID}, CallOpts{}); err != nil {
+			t.Errorf("unnamed nested call: %v", err)
 		}
 		return &Message{ID: m.ID}
 	}); err != nil {
@@ -55,7 +65,7 @@ func TestLedgerParentsUnderPools(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	for c := 0; c < 2*clients; c++ {
+	for c := 0; c <= 2*clients; c++ {
 		task := k.NewTask("client")
 		defer task.Terminate()
 		th, _ := task.NewBoundThread("main")
@@ -67,13 +77,14 @@ func TestLedgerParentsUnderPools(t *testing.T) {
 			dest, _ = task.InsertRight(back, backPort, DispMakeSend)
 			op = directOp
 		}
+		if c == 2*clients {
+			dest, _ = task.InsertRight(front, loosePort, DispMakeSend)
+			op = looseOp
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 1; i <= perCli; i++ {
-				if h := lt.Current(); h != nil {
-					t.Errorf("client %d has hop %d bound", c, h.ID)
-				}
 				if _, err := th.Call(dest, &Message{ID: op | MsgID(c*1000+i)}, CallOpts{}); err != nil {
 					t.Errorf("client %d call %d: %v", c, i, err)
 					return
@@ -83,12 +94,17 @@ func TestLedgerParentsUnderPools(t *testing.T) {
 	}
 	wg.Wait()
 
-	var fronts, directs, nesteds int
+	var fronts, directs, nesteds, looses int
 	for _, f := range lt.Dump().Families {
 		if f.E2E.Count != 1 {
 			t.Fatalf("%s/%#x recorded %d hops, want 1 (selectors are unique)", f.Server, f.Op, f.E2E.Count)
 		}
 		switch {
+		case f.Op&looseOp != 0:
+			looses++
+			if len(f.Exemplars) != 1 || len(f.Exemplars[0].Children) != 0 {
+				t.Fatalf("%s/%#x: a hop nobody named as parent, or whose call named none, is not a childless root: %+v", f.Server, f.Op, f.Exemplars)
+			}
 		case f.Server == "front":
 			fronts++
 			if len(f.Exemplars) != 1 {
@@ -115,10 +131,7 @@ func TestLedgerParentsUnderPools(t *testing.T) {
 	if want := clients * perCli; fronts != want || nesteds != want || directs != want {
 		t.Fatalf("families: %d front, %d nested, %d direct, want %d each", fronts, nesteds, directs, want)
 	}
-	// Identity is derived once per worker that served, and once per nested
-	// call; a client asks (explicitly above, and in its Call) at most twice
-	// per call, and only while something is bound somewhere.
-	if got, max := lookups.Value(), uint64(2*clients+5*clients*perCli); got < uint64(clients*perCli) || got > max {
-		t.Fatalf("identity lookups = %d, want within [%d, %d]", got, clients*perCli, max)
+	if want := 2 * perCli; looses != want {
+		t.Fatalf("families: %d from the worker that named nothing, want %d", looses, want)
 	}
 }

@@ -132,10 +132,12 @@ type Message struct {
 	// lat is the request's tail-latency ledger entry, minted by the
 	// client entry point and riding in the header — like trace — so the
 	// server side of the crossing stamps the same ledger the client
-	// opened.  cloneForDelivery's shallow copy preserves it, which is
-	// exactly right: both sides of one crossing share one hop.  A
-	// vectored carrier carries the carrier hop; its subs get sub-hops
-	// at demux time, not header fields.  Nil on detached boots.
+	// opened, and a handler holding the message can name the request it
+	// works for (Hop, Thread.ActFor, CallOpts.Parent).  cloneForDelivery's
+	// shallow copy preserves it, which is exactly right: both sides of
+	// one crossing share one hop.  A vectored carrier carries the carrier
+	// hop; each sub-request reaches the handler in a header copy carrying
+	// its own sub-hop.  Nil on detached boots.
 	lat *klat.Hop
 }
 
@@ -151,6 +153,17 @@ func (m *Message) Size() int {
 		n += sub.Size()
 	}
 	return n
+}
+
+// Hop returns the latency-ledger entry of the request the message
+// carries, for the waits and counts a server wants named on it.  Nil —
+// and every use of it a no-op — for a nil message, one that was never
+// sent, and on detached boots.
+func (m *Message) Hop() *klat.Hop {
+	if m == nil {
+		return nil
+	}
+	return m.lat
 }
 
 // Batch returns the sub-messages of a vectored carrier, or nil for a

@@ -141,7 +141,6 @@ func (p *ServerPool) spawnWorker(idx int) error {
 func (p *ServerPool) worker(th *Thread, idx int, recv receiveFn, h func(PortName, *Message) *Message) {
 	k := th.task.kernel
 	l := serveLoop{th: th, frame: "serve:" + th.task.name + "/" + th.name}
-	defer l.g.Release()
 	for {
 		req, resp, pn, err := recv(th)
 		if err != nil {
@@ -155,7 +154,7 @@ func (p *ServerPool) worker(th *Thread, idx int, recv receiveFn, h func(PortName
 		if st != nil {
 			st.Gauge(p.busyFam).Inc()
 		}
-		_ = l.dispatch(resp, req, func(m *Message) *Message { return h(pn, m) })
+		_ = l.dispatch(resp, req, pn, h)
 		if st != nil {
 			st.Gauge(p.busyFam).Dec()
 			st.Counter(p.opsFam).Inc()

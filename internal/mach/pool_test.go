@@ -37,7 +37,7 @@ func TestTimeoutDuringServerProcessing(t *testing.T) {
 	sendName, _ := client.InsertRight(srv, recv, DispMakeSend)
 	th, _ := client.NewBoundThread("main")
 
-	if _, err := th.Call(sendName, &Message{ID: 1}, CallOpts{Timeout: 20*time.Millisecond}); !errors.Is(err, ErrTimeout) {
+	if _, err := th.Call(sendName, &Message{ID: 1}, CallOpts{Timeout: 20 * time.Millisecond}); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
 	close(release) // server finishes; its reply must be discarded

@@ -65,6 +65,12 @@ type CallOpts struct {
 	// demux charge.  Call returns the first sub-reply; CallV is the
 	// ergonomic surface over the same mechanism and returns them all.
 	Batch []*Message
+
+	// Parent names the request this call is made for — the message the
+	// calling handler is serving — so the call's hop joins that request's
+	// latency ledger as a child.  It overrides the thread's ActFor; with
+	// neither, the call is a root.
+	Parent *Message
 }
 
 // Call performs a synchronous remote procedure call: it blocks until a
@@ -75,13 +81,13 @@ type CallOpts struct {
 func (th *Thread) Call(dest PortName, req *Message, opts CallOpts) (*Message, error) {
 	if len(opts.Batch) > 0 {
 		reqs := append([]*Message{req}, opts.Batch...)
-		replies, err := th.CallV(dest, reqs, CallOpts{Timeout: opts.Timeout})
+		replies, err := th.CallV(dest, reqs, CallOpts{Timeout: opts.Timeout, Parent: opts.Parent})
 		if err != nil {
 			return nil, err
 		}
 		return replies[0], nil
 	}
-	return th.callMsg(dest, req, opts.Timeout)
+	return th.callMsg(dest, req, opts)
 }
 
 // CallV performs a vectored call: one crossing carries every request in
@@ -95,7 +101,7 @@ func (th *Thread) CallV(dest PortName, reqs []*Message, opts CallOpts) ([]*Messa
 	case 0:
 		return nil, nil
 	case 1:
-		m, err := th.callMsg(dest, reqs[0], opts.Timeout)
+		m, err := th.callMsg(dest, reqs[0], opts)
 		if err != nil {
 			return nil, err
 		}
@@ -107,7 +113,7 @@ func (th *Thread) CallV(dest PortName, reqs []*Message, opts CallOpts) ([]*Messa
 		}
 	}
 	carrier := &Message{ID: reqs[0].ID, trace: reqs[0].trace, batch: reqs}
-	reply, err := th.callMsg(dest, carrier, opts.Timeout)
+	reply, err := th.callMsg(dest, carrier, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -118,13 +124,13 @@ func (th *Thread) CallV(dest PortName, reqs []*Message, opts CallOpts) ([]*Messa
 }
 
 // callMsg arms the optional deadline and runs the shared client path.
-func (th *Thread) callMsg(dest PortName, req *Message, timeout time.Duration) (*Message, error) {
-	if timeout > 0 {
-		timer := time.NewTimer(timeout)
+func (th *Thread) callMsg(dest PortName, req *Message, opts CallOpts) (*Message, error) {
+	if opts.Timeout > 0 {
+		timer := time.NewTimer(opts.Timeout)
 		defer timer.Stop()
-		return th.rpcCall(dest, req, timer.C)
+		return th.rpcCall(dest, req, opts.Parent, timer.C)
 	}
-	return th.rpcCall(dest, req, nil)
+	return th.rpcCall(dest, req, opts.Parent, nil)
 }
 
 // rpcCall wraps the shared client path with the kstat RPC families.  The
@@ -132,7 +138,7 @@ func (th *Thread) callMsg(dest PortName, req *Message, timeout time.Duration) (*
 // wrapped path costs exactly what the raw path does; the per-call
 // instr/cycles deltas are exact for serial callers and interleave under
 // concurrency (counts and bytes stay exact either way).
-func (th *Thread) rpcCall(dest PortName, req *Message, deadline <-chan time.Time) (m *Message, err error) {
+func (th *Thread) rpcCall(dest PortName, req, parent *Message, deadline <-chan time.Time) (m *Message, err error) {
 	k := th.task.kernel
 	st := kstat.For(k.CPU)
 	pr := kprof.For(k.CPU)
@@ -154,9 +160,14 @@ func (th *Thread) rpcCall(dest PortName, req *Message, deadline <-chan time.Time
 		// Every client entry point mints a hop here: P0 now, P1–P3 from
 		// the stamp points down the path (the hop rides in the message
 		// header), P4 and the record/discard decision when the named
-		// return is known.  A call made while serving another request
-		// attaches to that request's ledger as a child hop.
-		hop := lt.Begin(srvName, uint32(req.ID), len(req.batch))
+		// return is known.  A call made for a request being served — named
+		// by the call, else by whoever drives this thread — joins that
+		// request's ledger as a child hop; one that names nothing is a root.
+		of := parent.Hop()
+		if of == nil {
+			of = th.actFor.Load()
+		}
+		hop := lt.Begin(of, srvName, uint32(req.ID), len(req.batch))
 		req.lat = hop
 		defer func() { lt.Finish(hop, err) }()
 	}
@@ -168,26 +179,19 @@ func (th *Thread) rpcCall(dest PortName, req *Message, deadline <-chan time.Time
 		// Batch-aware events: a vectored carrier logs callv/replyv with
 		// the sub-request count, so a flight dump distinguishes one
 		// crossing carrying N ops from N crossings.
+		v, arg := "", uint64(req.ID)
 		if n := len(req.batch); n > 0 {
-			fr.Emit(ktrace.EvRPC, "mach.rpc", "callv:"+name, uint64(n))
-			defer func() {
-				if err != nil {
-					fr.Emit(ktrace.EvRPC, "mach.rpc", "errorv:"+name+":"+err.Error(), uint64(n))
-				} else {
-					fr.Emit(ktrace.EvRPC, "mach.rpc", "replyv:"+name, uint64(n))
-				}
-			}()
-		} else {
-			fr.Emit(ktrace.EvRPC, "mach.rpc", "call:"+name, uint64(req.ID))
-			// Named returns let the outcome event see how the call resolved.
-			defer func() {
-				if err != nil {
-					fr.Emit(ktrace.EvRPC, "mach.rpc", "error:"+name+":"+err.Error(), uint64(req.ID))
-				} else {
-					fr.Emit(ktrace.EvRPC, "mach.rpc", "reply:"+name, uint64(req.ID))
-				}
-			}()
+			v, arg = "v", uint64(n)
 		}
+		fr.Emit(ktrace.EvRPC, "mach.rpc", "call"+v+":"+name, arg)
+		// Named returns let the outcome event see how the call resolved.
+		defer func() {
+			if err != nil {
+				fr.Emit(ktrace.EvRPC, "mach.rpc", "error"+v+":"+name+":"+err.Error(), arg)
+			} else {
+				fr.Emit(ktrace.EvRPC, "mach.rpc", "reply"+v+":"+name, arg)
+			}
+		}()
 	}
 	if pr != nil {
 		frame := "rpc:?"
@@ -526,12 +530,7 @@ func (k *Kernel) chargeRegions(m *Message) {
 // returns ErrBatchMismatch.
 func (r *Responder) Reply(reply *Message) error {
 	if len(r.ex.request.batch) > 0 {
-		if r.done {
-			return ErrNoReplyExpected
-		}
-		r.finish()
-		r.ex.fail(ErrReplyFailed)
-		return ErrBatchMismatch
+		return r.mismatch()
 	}
 	return r.deliver(reply)
 }
@@ -542,24 +541,11 @@ func (r *Responder) Reply(reply *Message) error {
 // batch mismatch, except for the degenerate single-reply case.
 func (r *Responder) ReplyV(replies []*Message) error {
 	n := len(r.ex.request.batch)
-	if n == 0 {
-		if len(replies) == 1 {
-			return r.deliver(replies[0])
-		}
-		if r.done {
-			return ErrNoReplyExpected
-		}
-		r.finish()
-		r.ex.fail(ErrReplyFailed)
-		return ErrBatchMismatch
+	if n == 0 && len(replies) == 1 {
+		return r.deliver(replies[0])
 	}
-	if len(replies) != n {
-		if r.done {
-			return ErrNoReplyExpected
-		}
-		r.finish()
-		r.ex.fail(ErrReplyFailed)
-		return ErrBatchMismatch
+	if n == 0 || len(replies) != n {
+		return r.mismatch()
 	}
 	subs := make([]*Message, n)
 	for i, sub := range replies {
@@ -569,6 +555,17 @@ func (r *Responder) ReplyV(replies []*Message) error {
 		subs[i] = sub
 	}
 	return r.deliver(&Message{ID: subs[0].ID, batch: subs})
+}
+
+// mismatch fails an exchange answered with the wrong reply shape: the
+// client unblocks with ErrReplyFailed, the server gets ErrBatchMismatch.
+func (r *Responder) mismatch() error {
+	if r.done {
+		return ErrNoReplyExpected
+	}
+	r.finish()
+	r.ex.fail(ErrReplyFailed)
+	return ErrBatchMismatch
 }
 
 // finish consumes the responder and ends the server burst.
@@ -667,36 +664,28 @@ func (p *Port) receiverASID() uint64 {
 // Handler processes one RPC request and returns the reply.
 type Handler func(*Message) *Message
 
-// serveLoop is what a server loop owns for its whole life: its thread,
-// the "serve:<task>[/<worker>]" frame its spans and profile contexts
-// carry, and the serving goroutine's slot in the latency plane — the loop
-// runs on one goroutine from first receive to exit, so its identity is
-// resolved once, not per request.  Thread.Serve and ServerPool.worker are
-// both this plus a receive.
+// serveLoop is what a server loop owns for its whole life: its thread
+// and the "serve:<task>[/<worker>]" frame its spans and profile contexts
+// carry.  Thread.Serve and ServerPool.worker are both this plus a receive.
 type serveLoop struct {
 	th    *Thread
 	frame string
-	g     klat.Slot
 }
 
-// dispatch runs h on one received request and delivers the reply, inside
-// the observation frames every served RPC gets: the ktrace span, parented
-// to the client's RPC span carried in the message so the causal tree
-// crosses tasks (it covers handler AND reply delivery — the
+// dispatch runs h on one request received on port pn and delivers the
+// reply, inside the observation frames every served RPC gets: the ktrace
+// span, parented to the client's RPC span carried in the message so the
+// causal tree crosses tasks (it covers handler AND reply delivery — the
 // server-occupancy segment internal/bench calibrates its concurrency
 // model from), and the kprof server and operation frames.  Vectored
 // carriers are demultiplexed here — each sub-request handled in order,
 // the sub-replies sent back in one crossing — so handlers never see one.
 //
-// This is also where the latency ledger crosses from message to
-// goroutine: the hop is bound on the loop's slot while the handler runs,
-// so nested Calls it makes attach as child hops and subsystem waits
-// (bcache lock, disk arm) mark the right ledger; a carrier's sub-hops —
-// one service window each — are bound in its place in turn.  The binding
-// ends with the handler, before the reply wakes the client: nothing on
-// the reply path consults it, and a closed-loop client's next call then
-// finds nothing bound.  All nil-safe no-ops on detached boots.
-func (l *serveLoop) dispatch(resp *Responder, req *Message, h Handler) error {
+// The latency ledger needs nothing bound here: the hop rides in the
+// message the handler is given, and a handler that calls onward names it
+// from there.  A carrier's subs each get a sub-hop — one service window —
+// in a header copy of their own: the sub-messages are still the client's.
+func (l *serveLoop) dispatch(resp *Responder, req *Message, pn PortName, h func(PortName, *Message) *Message) error {
 	k := l.th.task.kernel
 	var sp ktrace.Span
 	if t := ktrace.For(k.CPU); t != nil {
@@ -707,23 +696,25 @@ func (l *serveLoop) dispatch(resp *Responder, req *Message, h Handler) error {
 		defer pr.Push(l.frame)()
 		defer pr.Push(fmt.Sprintf("op:%#04x", uint32(req.ID)))()
 	}
-	l.g.Bind(req.lat)
-	defer l.g.Bind(nil) // for a handler that panics into a recover
 	if subs := req.batch; subs != nil {
 		replies := make([]*Message, len(subs))
+		var hdrs []Message
+		if req.lat != nil {
+			hdrs = make([]Message, len(subs))
+		}
 		for i, sub := range subs {
 			sh := req.lat.BeginSub(uint32(sub.ID))
-			l.g.Bind(sh)
-			replies[i] = h(sub)
-			l.g.Bind(req.lat)
+			if sh != nil {
+				hdrs[i] = *sub
+				hdrs[i].lat = sh
+				sub = &hdrs[i]
+			}
+			replies[i] = h(pn, sub)
 			sh.EndSub()
 		}
-		l.g.Bind(nil)
 		return resp.ReplyV(replies)
 	}
-	reply := h(req)
-	l.g.Bind(nil)
-	return resp.Reply(reply)
+	return resp.Reply(h(pn, req))
 }
 
 // Serve runs a server loop on the named receive right: each iteration
@@ -732,13 +723,13 @@ func (l *serveLoop) dispatch(resp *Responder, req *Message, h Handler) error {
 // the rework.
 func (th *Thread) Serve(recvName PortName, h Handler) error {
 	l := serveLoop{th: th, frame: "serve:" + th.task.name}
-	defer l.g.Release()
+	hp := func(_ PortName, m *Message) *Message { return h(m) }
 	for {
 		req, resp, err := th.RPCReceive(recvName)
 		if err != nil {
 			return err
 		}
-		if err := l.dispatch(resp, req, h); err != nil {
+		if err := l.dispatch(resp, req, recvName, hp); err != nil {
 			return err
 		}
 	}

@@ -66,7 +66,6 @@ type sched struct {
 	bursts      atomic.Uint64
 }
 
-
 // schedEngine is the per-engine scheduler state.
 type schedEngine struct {
 	eng  *cpu.Engine

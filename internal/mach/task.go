@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cpu"
+	"repro/internal/klat"
 	"repro/internal/kprof"
 	"repro/internal/kstat"
 	"repro/internal/ktrace"
@@ -191,11 +192,28 @@ type Thread struct {
 	// before its first receive, read only by that goroutine.
 	poolVT *vtPool
 
+	// actFor is the hop of the request the thread calls for (see ActFor).
+	actFor atomic.Pointer[klat.Hop]
+
 	// wait is the thread's registered blocking point (nil while running):
 	// the structural-introspection hook behind the kflight wait-for
 	// graph.  Written by the thread around its own blocking selects, read
 	// by Kernel.WaitEdges from any goroutine.
 	wait atomic.Pointer[flightWait]
+}
+
+// ActFor names the request the thread's Calls are made for: until
+// ActFor(nil), every call it makes is a child of req in the latency
+// ledger.  This is how a proxy thread — one a server calls onward through
+// for whichever request it is serving, like the file server's diskio —
+// is told its parent by the handler that holds the message.  The thread
+// does not arbitrate: its owner admits one request at a time; callers
+// sharing a thread without such an owner use CallOpts.Parent instead.
+// A nil thread, request or ledger names nothing.
+func (th *Thread) ActFor(req *Message) {
+	if th != nil {
+		th.actFor.Store(req.Hop())
+	}
 }
 
 // syncVT advances the thread's virtual clock to at least v: the thread
@@ -242,32 +260,12 @@ func (t *Task) Spawn(name string, fn func(*Thread)) (*Thread, error) {
 		tr.Emit(ktrace.EvTask, "mach.task", "thread_create:"+name, ktrace.SpanContext{}, uint64(t.id))
 	}
 
-	t.mu.Lock()
-	if t.dead {
-		t.mu.Unlock()
-		return nil, ErrInvalidTask
+	th, err := t.newThread(name)
+	if err != nil {
+		return nil, err
 	}
-	k.mu.Lock()
-	id := k.nextThread
-	k.nextThread++
-	k.mu.Unlock()
-	th := &Thread{
-		task:   t,
-		id:     id,
-		name:   name,
-		doneCh: make(chan struct{}),
-		abort:  make(chan struct{}),
-	}
-	th.selfPort = newPort(k.allocPortID())
-	th.selfPort.recvTask = t
-	th.selfName, _ = t.ports.insert(th.selfPort, RightReceive)
-	t.threads[id] = th
-	t.mu.Unlock()
-
 	go func() {
-		defer func() {
-			th.terminate()
-		}()
+		defer th.terminate()
 		fn(th)
 	}()
 	return th, nil
@@ -276,6 +274,11 @@ func (t *Task) Spawn(name string, fn func(*Thread)) (*Thread, error) {
 // NewBoundThread creates a thread object without a goroutine; the caller's
 // own goroutine acts as the thread (used by benchmarks and the boot task).
 func (t *Task) NewBoundThread(name string) (*Thread, error) {
+	return t.newThread(name)
+}
+
+// newThread allocates a thread in the task and enters it in its table.
+func (t *Task) newThread(name string) (*Thread, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.dead {

@@ -51,9 +51,11 @@ type Server struct {
 	mu   sync.Mutex
 	apps map[string]map[string]string
 
-	// ioMu serializes profile-file I/O: s.fs rides one bound thread, and
-	// two interleaved flushes would corrupt the profile on disk.
+	// ioMu serializes profile-file I/O: s.fs rides one bound thread (io),
+	// told by ioMu's holder which request it calls the file server for,
+	// and two interleaved flushes would corrupt the profile on disk.
 	ioMu sync.Mutex
+	io   *mach.Thread
 	fs   *vfs.Client // persistence; may be nil
 	file string
 }
@@ -81,11 +83,11 @@ func NewServer(k *mach.Kernel, files *vfs.Server, profilePath string, pool int) 
 	}
 	s.port = port
 	if files != nil {
-		th, err := s.task.NewBoundThread("profile-io")
+		s.io, err = s.task.NewBoundThread("profile-io")
 		if err != nil {
 			return nil, err
 		}
-		s.fs, err = files.NewClient(th, vfs.ProfileOS2)
+		s.fs, err = files.NewClient(s.io, vfs.ProfileOS2)
 		if err != nil {
 			return nil, err
 		}
@@ -196,7 +198,7 @@ func (s *Server) handle(req *mach.Message) *mach.Message {
 		}
 		return &mach.Message{ID: 0, OOL: []byte(strings.Join(keys, "\n"))}
 	case msgFlush:
-		if err := s.flush(); err != nil {
+		if err := s.flush(req); err != nil {
 			return toWire(err)
 		}
 		return &mach.Message{ID: 0}
@@ -261,12 +263,7 @@ func (s *Server) delete(app, key string) error {
 func (s *Server) enumApps() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.apps))
-	for a := range s.apps {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
+	return s.enumAppsLocked()
 }
 
 func (s *Server) enumKeys(app string) ([]string, error) {
@@ -285,13 +282,15 @@ func (s *Server) enumKeys(app string) ([]string, error) {
 }
 
 // flush serializes the store as an .INI-style profile through the file
-// server.
-func (s *Server) flush() error {
+// server, on behalf of req.
+func (s *Server) flush(req *mach.Message) error {
 	if s.fs == nil {
 		return nil
 	}
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
+	s.io.ActFor(req)
+	defer s.io.ActFor(nil)
 	s.mu.Lock()
 	var b strings.Builder
 	for _, app := range s.enumAppsLocked() {

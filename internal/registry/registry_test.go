@@ -1,11 +1,14 @@
 package registry
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/cpu"
+	"repro/internal/klat"
 	"repro/internal/mach"
 	"repro/internal/vfs"
 )
@@ -198,5 +201,85 @@ func TestPropertyRoundTripThroughProfile(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFlushNamesItsRequest: the profile-io thread calls the file server
+// on behalf of whichever request is flushing, and says so — a Set that is
+// then flushed shows registry → fileserver as parent and children in the
+// latency ledger, and nothing the file server did for it stands alone as
+// a root.  With a pool of 4 and four clients flushing at once, each flush
+// still owns exactly the file operations it caused.
+func TestFlushNamesItsRequest(t *testing.T) {
+	k := mach.New(cpu.Pentium133())
+	fsrv, err := vfs.NewServer(k, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsrv.Mount("/", vfs.NewMemFS())
+	srv, err := NewServer(k, fsrv, "/OS2SYS.INI", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Attached after the boot-time load, which nobody asked for.
+	lt := klat.Attach(k.CPU)
+	defer klat.Detach(k.CPU)
+
+	const clients = 4
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			th, _ := k.NewTask("app").NewBoundThread("main")
+			c, err := srv.NewClient(th)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := c.Set("App", fmt.Sprintf("key%d", i), "v"); err != nil {
+				t.Errorf("Set: %v", err)
+			}
+			if err := c.Flush(); err != nil {
+				t.Errorf("Flush: %v", err)
+			}
+		}(i)
+	}
+	wg.Wait()
+
+	var fileHops, underFlush uint64
+	for _, f := range lt.Dump().Families {
+		switch {
+		case f.Server == "fileserver":
+			fileHops += f.E2E.Count
+			if len(f.Exemplars) != 0 {
+				t.Fatalf("fileserver/%#x: a file operation made for a flush is a root", f.Op)
+			}
+		case f.Op == uint32(msgFlush):
+			if len(f.Exemplars) != clients {
+				t.Fatalf("%d flush ledgers, want %d", len(f.Exemplars), clients)
+			}
+			for _, ex := range f.Exemplars {
+				// open, truncate, write, close
+				if len(ex.Children) != 4 {
+					t.Fatalf("flush #%d has %d file operations under it, want 4: %+v", ex.ID, len(ex.Children), ex.Children)
+				}
+				for _, c := range ex.Children {
+					if c.Server != "fileserver" {
+						t.Fatalf("flush #%d: child %+v is not a file-server hop", ex.ID, c)
+					}
+					underFlush++
+				}
+			}
+		case f.Op == uint32(msgSet):
+			for _, ex := range f.Exemplars {
+				if len(ex.Children) != 0 {
+					t.Fatalf("set #%d made no calls but has children %+v", ex.ID, ex.Children)
+				}
+			}
+		}
+	}
+	if fileHops != underFlush || fileHops == 0 {
+		t.Fatalf("%d file-server hops recorded, %d under flushes", fileHops, underFlush)
 	}
 }

@@ -467,18 +467,13 @@ func (d *Dispatcher) OpenCount() int {
 	return len(d.opens)
 }
 
-// Sync flushes every mounted file system.
-func (d *Dispatcher) Sync() error {
+// mounted snapshots the mounted file systems (for the server's MsgSync).
+func (d *Dispatcher) mounted() []FileSystem {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	fss := make([]FileSystem, 0, len(d.mounts))
 	for _, fs := range d.mounts {
 		fss = append(fss, fs)
 	}
-	d.mu.Unlock()
-	for _, fs := range fss {
-		if err := fs.Sync(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return fss
 }

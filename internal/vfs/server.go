@@ -109,7 +109,8 @@ type Server struct {
 type volume struct {
 	path string
 	fs   Filesystem
-	cdev CachedDev // non-nil when the server interposed a write-behind cache
+	cdev CachedDev  // non-nil when the server interposed a write-behind cache
+	rdev RequestDev // non-nil when the device stack attributes work to requests
 }
 
 // NewServer starts the file server task with pool server threads on the
@@ -209,6 +210,7 @@ func (s *Server) MountVolume(path string, fs Filesystem, dev BlockDev) error {
 		vol.cdev = factory(dev)
 		dev = vol.cdev
 	}
+	vol.rdev, _ = dev.(RequestDev)
 	if err := fs.Mount(dev); err != nil {
 		return err
 	}
@@ -268,9 +270,7 @@ func (s *Server) VolumeCache(path string) CachedDev {
 // into the cache), then the cache flushes.  A volume without a cache is
 // a no-op — the seed's write-through path needs no flush.
 func (s *Server) flushVolume(fs FileSystem) error {
-	s.vmu.Lock()
-	vol := s.fsVols[fs]
-	s.vmu.Unlock()
+	vol := s.volumeOf(fs)
 	if vol == nil || vol.cdev == nil {
 		return nil
 	}
@@ -280,26 +280,74 @@ func (s *Server) flushVolume(fs FileSystem) error {
 	return vol.cdev.Sync()
 }
 
-// syncVolumes is the MsgSync path: every mounted file system commits,
-// then every cached device flushes its dirty blocks.
-func (s *Server) syncVolumes() error {
-	if err := s.Disp.Sync(); err != nil {
-		return err
+// syncVolumes is the MsgSync path, served for req: every mounted file
+// system commits, then every cached device flushes its dirty blocks.
+func (s *Server) syncVolumes(req *mach.Message) error {
+	fss := s.Disp.mounted()
+	for _, fs := range fss {
+		if err := s.volumeOf(fs).syncFor(req, fs); err != nil {
+			return err
+		}
 	}
-	s.vmu.Lock()
-	vols := make([]*volume, 0, len(s.volumes))
-	for _, v := range s.volumes {
-		vols = append(vols, v)
-	}
-	s.vmu.Unlock()
-	for _, v := range vols {
-		if v.cdev != nil {
-			if err := v.cdev.Sync(); err != nil {
+	for _, fs := range fss {
+		if v := s.volumeOf(fs); v != nil && v.cdev != nil {
+			if err := v.syncFor(req, v.cdev); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// --- request context --------------------------------------------------------
+//
+// The message a handler serves is the request's context, and the vnode
+// and device interfaces under it have no parameter for one.  So a handler
+// declares req on the device stack of the volume the operation resolves
+// to before it enters the file system (begin, which waits for the stack's
+// turn) and takes that back, deferred, when it leaves (end).  A nil
+// volume (plain Mounts, unresolvable paths) and a RAM-backed one have
+// nothing to tell: both are no-ops.  DESIGN.md §8 has the reasoning.
+
+func (v *volume) begin(req *mach.Message) *volume {
+	if v != nil && v.rdev != nil {
+		v.rdev.Begin(req)
+	}
+	return v
+}
+
+func (v *volume) end() {
+	if v != nil && v.rdev != nil {
+		v.rdev.End()
+	}
+}
+
+// syncFor syncs x — the volume's file system or its cache — for req.
+func (v *volume) syncFor(req *mach.Message, x interface{ Sync() error }) error {
+	defer v.begin(req).end()
+	return x.Sync()
+}
+
+// volumeOf returns the MountVolume volume fs serves, or nil.
+func (s *Server) volumeOf(fs FileSystem) *volume {
+	s.vmu.Lock()
+	defer s.vmu.Unlock()
+	return s.fsVols[fs]
+}
+
+// volumeAt returns the volume path resolves into, or nil.
+func (s *Server) volumeAt(path string) *volume {
+	fs, _, err := s.Disp.resolveMount(path)
+	if err != nil {
+		return nil
+	}
+	return s.volumeOf(fs)
+}
+
+// stat is Disp.Stat served for req.
+func (s *Server) stat(req *mach.Message, path string) (Attr, error) {
+	defer s.volumeAt(path).begin(req).end()
+	return s.Disp.Stat(path)
 }
 
 // --- wire helpers ---------------------------------------------------------
@@ -361,71 +409,42 @@ func fromWire(msg string) error {
 
 // --- server side ------------------------------------------------------------
 
-// fsOpName labels file-server operations for tracing.
+// fsOpNames labels file-server operations for tracing, in MsgID order.
+var fsOpNames = [...]string{"open", "close", "read", "write", "truncate", "stat",
+	"fstat", "mkdir", "readdir", "remove", "rename", "setea", "getea", "sync",
+	"readv", "writev", "statbatch"}
+
 func fsOpName(id mach.MsgID) string {
-	switch id {
-	case MsgOpen:
-		return "open"
-	case MsgClose:
-		return "close"
-	case MsgRead:
-		return "read"
-	case MsgWrite:
-		return "write"
-	case MsgTruncate:
-		return "truncate"
-	case MsgStat:
-		return "stat"
-	case MsgFStat:
-		return "fstat"
-	case MsgMkdir:
-		return "mkdir"
-	case MsgReadDir:
-		return "readdir"
-	case MsgRemove:
-		return "remove"
-	case MsgRename:
-		return "rename"
-	case MsgSetEA:
-		return "setea"
-	case MsgGetEA:
-		return "getea"
-	case MsgSync:
-		return "sync"
-	case MsgReadV:
-		return "readv"
-	case MsgWriteV:
-		return "writev"
-	case MsgStatBatch:
-		return "statbatch"
-	default:
-		return "unknown"
+	if i := int(id) - int(MsgOpen); i >= 0 && i < len(fsOpNames) {
+		return fsOpNames[i]
 	}
+	return "unknown"
 }
 
-// obsOp opens the kstat observation of one file-server operation; the
-// returned func records the op count and a cycles-latency sample when
-// called (a no-op with kstat detached).  Reads only, nothing charged.
-func (s *Server) obsOp(op string) func() {
+// obsOp opens the observation of one file-server operation — its ktrace
+// span and kstat sample; the returned func closes both, recording the op
+// count and a cycles-latency sample.  Reads only, nothing charged.
+func (s *Server) obsOp(id mach.MsgID) func() {
+	op := fsOpName(id)
+	var sp ktrace.Span
+	if t := ktrace.For(s.k.CPU); t != nil {
+		sp = t.Begin(ktrace.EvFSOp, "vfs", op, ktrace.SpanContext{})
+	}
 	st := kstat.For(s.k.CPU)
 	if st == nil {
-		return func() {}
+		return sp.End
 	}
 	base := s.k.CPU.Counters()
 	return func() {
 		d := s.k.CPU.Counters().Sub(base)
 		st.Counter("vfs.ops." + op).Inc()
 		st.Histogram("vfs.latency_cycles").Observe(d.Cycles)
+		sp.End()
 	}
 }
 
 func (s *Server) handleControl(req *mach.Message) *mach.Message {
-	var sp ktrace.Span
-	if t := ktrace.For(s.k.CPU); t != nil {
-		sp = t.Begin(ktrace.EvFSOp, "vfs", fsOpName(req.ID), ktrace.SpanContext{})
-	}
-	defer sp.End()
-	defer s.obsOp(fsOpName(req.ID))()
+	defer s.obsOp(req.ID)()
 	s.k.CPU.Exec(s.path)
 	switch req.ID {
 	case MsgOpen:
@@ -433,6 +452,7 @@ func (s *Server) handleControl(req *mach.Message) *mach.Message {
 		if !ok {
 			return errReply(ErrBadHandle)
 		}
+		defer s.volumeAt(r.Path).begin(req).end()
 		fd, err := s.Disp.Open(Profile(r.Profile), r.Path, r.Write, r.Create)
 		if err != nil {
 			return errReply(err)
@@ -473,7 +493,7 @@ func (s *Server) handleControl(req *mach.Message) *mach.Message {
 			}},
 		}
 	case MsgStat:
-		a, err := s.Disp.Stat(string(req.Body))
+		a, err := s.stat(req, string(req.Body))
 		if err != nil {
 			return errReply(err)
 		}
@@ -487,7 +507,7 @@ func (s *Server) handleControl(req *mach.Message) *mach.Message {
 		// N-1 stats that share the crossing.
 		results := make([]wire.StatResult, len(r.Paths))
 		for i, p := range r.Paths {
-			a, err := s.Disp.Stat(p)
+			a, err := s.stat(req, p)
 			if err != nil {
 				results[i].Err = err.Error()
 			} else {
@@ -500,17 +520,20 @@ func (s *Server) handleControl(req *mach.Message) *mach.Message {
 		if !ok {
 			return errReply(ErrBadHandle)
 		}
+		defer s.volumeAt(r.Path).begin(req).end()
 		if err := s.Disp.Mkdir(Profile(r.Profile), r.Path); err != nil {
 			return errReply(err)
 		}
 		return okReply(nil, nil)
 	case MsgReadDir:
+		defer s.volumeAt(string(req.Body)).begin(req).end()
 		ents, err := s.Disp.ReadDir(string(req.Body))
 		if err != nil {
 			return errReply(err)
 		}
 		return okReply(nil, wire.EncodeDirEnts(ents))
 	case MsgRemove:
+		defer s.volumeAt(string(req.Body)).begin(req).end()
 		if err := s.Disp.Remove(string(req.Body)); err != nil {
 			return errReply(err)
 		}
@@ -520,6 +543,16 @@ func (s *Server) handleControl(req *mach.Message) *mach.Message {
 		if !ok {
 			return errReply(ErrBadHandle)
 		}
+		// A rename failing as cross-device still walks both volumes: take
+		// both turns, in mount-path order so two cannot wait on each other.
+		from, to := s.volumeAt(r.From), s.volumeAt(r.To)
+		if to == from {
+			to = nil
+		} else if from != nil && to != nil && to.path < from.path {
+			from, to = to, from
+		}
+		defer from.begin(req).end()
+		defer to.begin(req).end()
 		if err := s.Disp.Rename(Profile(r.Profile), r.From, r.To); err != nil {
 			return errReply(err)
 		}
@@ -529,6 +562,7 @@ func (s *Server) handleControl(req *mach.Message) *mach.Message {
 		if !ok {
 			return errReply(ErrBadHandle)
 		}
+		defer s.volumeAt(r.Path).begin(req).end()
 		if err := s.Disp.SetEA(Profile(r.Profile), r.Path, r.Key, r.Value); err != nil {
 			return errReply(err)
 		}
@@ -538,13 +572,14 @@ func (s *Server) handleControl(req *mach.Message) *mach.Message {
 		if !ok {
 			return errReply(ErrBadHandle)
 		}
+		defer s.volumeAt(r.Path).begin(req).end()
 		v, err := s.Disp.GetEA(r.Path, r.Key)
 		if err != nil {
 			return errReply(err)
 		}
 		return okReply([]byte(v), nil)
 	case MsgSync:
-		if err := s.syncVolumes(); err != nil {
+		if err := s.syncVolumes(req); err != nil {
 			return errReply(err)
 		}
 		return okReply(nil, nil)
@@ -567,13 +602,10 @@ func (s *Server) handleFilePort(port mach.PortName, req *mach.Message) *mach.Mes
 
 // handleFile serves one open file's port.
 func (s *Server) handleFile(fd uint32, req *mach.Message) *mach.Message {
-	var sp ktrace.Span
-	if t := ktrace.For(s.k.CPU); t != nil {
-		sp = t.Begin(ktrace.EvFSOp, "vfs", fsOpName(req.ID), ktrace.SpanContext{})
-	}
-	defer sp.End()
-	defer s.obsOp(fsOpName(req.ID))()
+	defer s.obsOp(req.ID)()
 	s.k.CPU.Exec(s.path)
+	fsys, _ := s.Disp.FileFS(fd) // every open-file op resolves to the file's volume
+	defer s.volumeOf(fsys).begin(req).end()
 	switch req.ID {
 	case MsgRead:
 		r, ok := wire.DecodeReadReq(req.Body)
@@ -671,10 +703,7 @@ func (s *Server) handleFile(fd uint32, req *mach.Message) *mach.Message {
 		// "succeeded".  The blocks the flush could not write stay dirty,
 		// so a later Sync can retry (FaultyDev + Heal).  Uncached
 		// volumes flush nothing and charge nothing.
-		var flushErr error
-		if fsys, err := s.Disp.FileFS(fd); err == nil {
-			flushErr = s.flushVolume(fsys)
-		}
+		flushErr := s.flushVolume(fsys)
 		if err := s.Disp.Close(fd); err != nil {
 			return errReply(err)
 		}

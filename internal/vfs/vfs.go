@@ -16,6 +16,7 @@ import (
 	"errors"
 	"strings"
 
+	"repro/internal/mach"
 	"repro/internal/vfs/wire"
 )
 
@@ -153,6 +154,20 @@ type SectorRun struct {
 type BatchDev interface {
 	BlockDev
 	WriteSectorsV(runs []SectorRun) (int, error)
+}
+
+// RequestDev is a BlockDev that can be told whose work it is doing.  The
+// message a file-server handler serves is the request's whole context and
+// the interfaces above have no parameter for it, so the handler declares
+// it: Begin — "this device stack now works for req" — before it enters
+// the file system, End (deferred) when it leaves.  In between the stack
+// attributes what it does to req; driven with nothing declared, it
+// attributes nothing.  A stack admits one declared request at a time:
+// Begin waits its turn, so every Begin needs its End.
+type RequestDev interface {
+	BlockDev
+	Begin(req *mach.Message)
+	End()
 }
 
 // deadDev is the device of an unmounted volume: every access fails.

@@ -18,27 +18,69 @@
 # vectored write-behind flush from many concurrent clients; klat's
 # per-request hops are stamped by whichever thread holds the message —
 # client, pool worker, carrier demux — while monitor dump queries walk
-# live ledgers under the family locks, and TestLedgerParentsUnderPools
+# live ledgers under the family locks; the request context is named, not
+# discovered, so its exactness tests run here too: TestLedgerParentsUnderPools
 # drives four pooled servers nesting calls through one shared thread
-# against four unbound clients; cpu's flat TLB and caches are replayed
-# against their map/slice reference models over a million accesses each).
+# against four direct clients and a worker that names nothing,
+# TestRequestContextExact four clients through a pool-of-4 file server
+# whose device takes turns while its workers are killed mid-handler, and
+# TestFlushNamesItsRequest four concurrent registry flushes; cpu's flat TLB
+# and caches are replayed against their map/slice reference models over a
+# million accesses each).
 # Tier-1 (go build && go test ./...) stays the merge gate; this catches
 # data races tier-1 cannot.
 set -eux
 
 cd "$(dirname "$0")/.."
 
-go vet ./...
-go test -race ./internal/cpu/... ./internal/kstat/... ./internal/ktrace/... ./internal/kprof/... ./internal/kflight/... ./internal/klat/... ./internal/mach/... ./internal/vfs/... ./internal/os2/... ./internal/monitor/... ./internal/bcache/... ./internal/drivers/...
+# The gate owns what it starts: each step runs in the background in a
+# process group of its own (setsid, where the host has it) and is waited
+# for, so a signal interrupts the wait at once and the trap takes the
+# whole group down — go, the test binaries and benchtables alike — instead
+# of leaving them to finish on their own after the gate is gone.
+if command -v setsid >/dev/null 2>&1; then own=setsid; else own=; fi
+job=
+cleanup() {
+	trap - INT TERM HUP
+	if [ -n "$job" ]; then
+		kill -TERM "-$job" 2>/dev/null || kill -TERM "$job" 2>/dev/null || true
+		wait "$job" 2>/dev/null || true
+	fi
+	exit 130
+}
+trap cleanup INT TERM HUP
+run() {
+	$own "$@" &
+	job=$!
+	wait "$job"
+	job=
+}
+
+run go vet ./...
+
+# The request context is named by the handler that holds the message; a
+# stack unwind to find it must not come back.
+if grep -n 'runtime\.Stack' $(find internal/klat internal/mach internal/vfs internal/bcache internal/drivers -name '*.go' ! -name '*_test.go'); then
+	echo "check: runtime.Stack in a non-test file of klat/mach/vfs/bcache/drivers" >&2
+	exit 1
+fi
+
+# A deadlock — a turn or a rendezvous nobody releases — must fail in
+# seconds, not hang for go test's ten-minute default.
+run go test -race -timeout 300s ./internal/cpu/... ./internal/kstat/... ./internal/ktrace/... ./internal/kprof/... ./internal/kflight/... ./internal/klat/... ./internal/mach/... ./internal/vfs/... ./internal/os2/... ./internal/monitor/... ./internal/bcache/... ./internal/drivers/... ./internal/registry/...
 
 # Chaos short soak under the race detector: one seed, all six fault kinds,
 # full invariant oracle.  Kept -short so the race-instrumented run stays in
-# CI budget; `make chaos` runs the same corpus without instrumentation and
-# a failure in either prints the -chaos.seed flags for deterministic replay.
-go test -race ./internal/chaos/ -short -run 'TestChaosSoak|TestChaosSingleCPU'
+# CI budget; a failure prints the -chaos.seed flags for deterministic replay.
+run go test -race -timeout 300s ./internal/chaos/ -short -run 'TestChaosSoak|TestChaosSingleCPU'
+
+# The full chaos corpus, uninstrumented: three seeds x 36,000 actions.
+# Tier-1 runs the same test at 6,000 actions per seed; this is where the
+# >=100k-operation soak lives (`make chaos` runs it too).
+run go test -timeout 600s ./internal/chaos/ -run TestChaosSoak -chaos.actions=36000
 
 # Benchmark gate: regenerate Table 1 and fail on any WPOS/native ratio
 # drifting more than 5% above the committed BENCH_baseline.json — the
 # always-on flight recorder must stay invisible to the cost model here
 # just as the bit-identical tests require.
-sh scripts/benchgate.sh
+run sh scripts/benchgate.sh

@@ -17,7 +17,7 @@ dir=$(mktemp -d "$PWD/.bench_build/hostprof.XXXXXX")
 trap 'rm -rf "$dir"' EXIT
 trap 'exit 1' HUP INT PIPE TERM
 
-GOMAXPROCS=1 go test -run '^$' -bench 'Table1_FileIntensive[12]$' \
+GOMAXPROCS=1 go test -timeout 300s -run '^$' -bench 'Table1_FileIntensive[12]$' \
 	-benchtime 20x -cpuprofile "$dir/cpu.pb.gz" -o "$dir/repro.test" . >"$dir/bench.txt" || {
 	cat "$dir/bench.txt"
 	exit 1
