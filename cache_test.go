@@ -90,7 +90,7 @@ func TestCacheMonotonicRatios(t *testing.T) {
 	}
 
 	// Cache-on activity is visible in the system-wide kstat fabric (the
-	// same Set the monitor server and cmd/kstat export).
+	// same Set the monitor server and `kobs stat` export).
 	cfg := core.DefaultConfig()
 	cfg.CacheSectors = 256
 	s, err := core.Boot(cfg)

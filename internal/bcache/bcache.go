@@ -520,7 +520,8 @@ func (c *Cache) account(hits, misses, ra, wb uint64) {
 	// One flight event per outcome class keeps the ring coarse: a
 	// postmortem wants "the cache was missing right before the stall",
 	// not a per-sector ledger (kstat holds the exact counts).
-	if fr := kflight.For(c.eng); fr != nil {
+	ps := c.eng.Planes()
+	if fr := kflight.From(ps); fr != nil {
 		if hits > 0 {
 			fr.Emit(ktrace.EvCache, "bcache", "hit", hits)
 		}
@@ -531,7 +532,7 @@ func (c *Cache) account(hits, misses, ra, wb uint64) {
 			fr.Emit(ktrace.EvCache, "bcache", "writeback", wb)
 		}
 	}
-	st := kstat.For(c.eng)
+	st := kstat.From(ps)
 	if st == nil {
 		return
 	}

@@ -15,6 +15,7 @@
 package chaos
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -227,7 +228,9 @@ func (h *harness) writeDump(cause error) string {
 		return ""
 	}
 	defer f.Close()
-	if werr := d.WriteJSON(f); werr != nil {
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	if werr := enc.Encode(d); werr != nil {
 		return ""
 	}
 	return path

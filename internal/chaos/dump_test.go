@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"strings"
@@ -31,13 +32,12 @@ func TestFailWritesFlightDump(t *testing.T) {
 		t.Fatalf("failure message does not name the artifact:\n%s", ferr)
 	}
 	path := ferr.Error()[strings.Index(ferr.Error(), "flight dump: ")+len("flight dump: "):]
-	f, err := os.Open(path)
+	js, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("artifact missing: %v", err)
 	}
-	defer f.Close()
-	d, err := kflight.ReadDump(f)
-	if err != nil {
+	var d kflight.Dump
+	if err := json.Unmarshal(js, &d); err != nil {
 		t.Fatalf("artifact does not parse: %v", err)
 	}
 	if !strings.Contains(d.Reason, "chaos invariant failure") ||

@@ -262,13 +262,13 @@ func (h *harness) injectObsStorm() error {
 			return fmt.Errorf("family: %w", err)
 		}
 	}
-	if err := h.mon.ProfStart(); err != nil && !errors.Is(err, monitor.ErrNoProfiler) {
+	if err := h.mon.ProfStart(); err != nil && !errors.Is(err, monitor.ErrDetached) {
 		return fmt.Errorf("prof start: %w", err)
 	} else if err == nil {
-		if _, perr := h.mon.Profile(); perr != nil && !errors.Is(perr, monitor.ErrNoProfiler) {
+		if _, perr := h.mon.Profile(); perr != nil && !errors.Is(perr, monitor.ErrDetached) {
 			return fmt.Errorf("profile: %w", perr)
 		}
-		if serr := h.mon.ProfStop(); serr != nil && !errors.Is(serr, monitor.ErrNoProfiler) {
+		if serr := h.mon.ProfStop(); serr != nil && !errors.Is(serr, monitor.ErrDetached) {
 			return fmt.Errorf("prof stop: %w", serr)
 		}
 	}

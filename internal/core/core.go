@@ -194,7 +194,7 @@ func Boot(cfg Config) (*System, error) {
 	kflight.Attach(s.Kernel.CPU)
 	// Tail-latency ledger: every Call mints a request hop, the RPC path
 	// stamps it, the slowest requests keep their full hop-by-hop
-	// timelines for MsgTailDump / cmd/klat.  Observation-only like the
+	// timelines for the monitor's tail view.  Observation-only like the
 	// planes above — a detached boot models bit-identical cycles.
 	klat.Attach(s.Kernel.CPU)
 	// On a multi-engine boot, seed the per-engine kstat families so every
@@ -209,17 +209,18 @@ func Boot(cfg Config) (*System, error) {
 	// the model.
 	eng := s.Kernel.CPU
 	s.VM.SetFaultObserver(func(asid, addr uint64, write bool) {
-		if st := kstat.For(eng); st != nil {
+		ps := eng.Planes()
+		if st := kstat.From(ps); st != nil {
 			st.Counter("vm.faults").Inc()
 		}
-		if t := ktrace.For(eng); t != nil {
+		if t := ktrace.From(ps); t != nil {
 			kind := "fault:read"
 			if write {
 				kind = "fault:write"
 			}
 			t.Emit(ktrace.EvVMFault, "vm", kind, ktrace.SpanContext{}, addr|asid<<48)
 		}
-		if fr := kflight.For(eng); fr != nil {
+		if fr := kflight.From(ps); fr != nil {
 			kind := "fault:read"
 			if write {
 				kind = "fault:write"

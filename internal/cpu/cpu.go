@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 )
 
 // Config describes the modeled processor.
@@ -373,6 +374,11 @@ type Engine struct {
 	// stays bit-identical to the single-engine model.
 	slot int
 	cx   *Complex
+
+	// planes is the observation set attached to this engine (planes.go);
+	// planeMu serializes its copy-on-write replacement.
+	planeMu sync.Mutex
+	planes  atomic.Pointer[Planes]
 }
 
 // NewEngine creates a processor with cold caches.

@@ -17,10 +17,11 @@ import (
 // traceIO opens a driver-I/O span when tracing is attached to the engine.
 // The zero Span returned when tracing is off makes End a no-op.
 func traceIO(k *mach.Kernel, name string) ktrace.Span {
-	if st := kstat.For(k.CPU); st != nil {
+	ps := k.CPU.Planes()
+	if st := kstat.From(ps); st != nil {
 		st.Counter("drivers.io." + name).Inc()
 	}
-	if t := ktrace.For(k.CPU); t != nil {
+	if t := ktrace.From(ps); t != nil {
 		return t.Begin(ktrace.EvDriverIO, "drivers", name, ktrace.SpanContext{})
 	}
 	return ktrace.Span{}

@@ -1,7 +1,6 @@
 package kflight
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -10,13 +9,14 @@ import (
 	"repro/internal/kstat"
 )
 
-// EngineSnap is one engine's scheduler state in a dump (mirrors
-// mach.EngineStats without importing mach; empty on single-CPU kernels).
+// EngineSnap is one engine's scheduler state (mach.EngineStats), as a
+// dump carries it; empty on single-CPU kernels.
 type EngineSnap struct {
 	Slot       int    `json:"slot"`
 	Cycles     uint64 `json:"cycles"`
+	Virtual    uint64 `json:"virtual"` // latest modeled burst completion
 	RunQueue   int64  `json:"runq"`
-	Reserved   int64  `json:"reserved"`
+	Reserved   int64  `json:"reserved"` // in-flight burst reservations (0 when quiescent)
 	Dispatches uint64 `json:"dispatches"`
 	Migrations uint64 `json:"migrations"`
 	Steals     uint64 `json:"steals"`
@@ -61,22 +61,6 @@ func (d *Dump) TotalEvents() int {
 		n += len(e.Events)
 	}
 	return n
-}
-
-// WriteJSON serializes the dump.
-func (d *Dump) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
-}
-
-// ReadDump parses a dump previously written with WriteJSON.
-func ReadDump(r io.Reader) (*Dump, error) {
-	var d Dump
-	if err := json.NewDecoder(r).Decode(&d); err != nil {
-		return nil, err
-	}
-	return &d, nil
 }
 
 // WriteText renders the human-readable postmortem: deadlock cycles first

@@ -25,12 +25,11 @@
 // counters but never charge the cost model, so a run with the recorder
 // attached models bit-identical cycles to a detached run (gated by
 // TestFlightWorkloadObservationOnly).  When detached, every hook is one
-// registry lookup.
+// atomic load.
 package kflight
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/cpu"
@@ -115,22 +114,12 @@ func NewRecorder(eng *cpu.Engine, capacity int) *Recorder {
 	if capacity < 1 {
 		capacity = 1
 	}
-	n := 1
-	if cx := eng.Complex(); cx != nil {
-		n = cx.Size()
-	}
-	r := &Recorder{eng: eng, rings: make([]*ring, n)}
+	r := &Recorder{eng: eng, rings: make([]*ring, len(eng.Engines()))}
 	for i := range r.rings {
 		r.rings[i] = &ring{slots: make([]atomic.Pointer[Event], capacity)}
 	}
 	return r
 }
-
-// Engine returns the recorded engine (the router on SMP kernels).
-func (r *Recorder) Engine() *cpu.Engine { return r.eng }
-
-// RingSize reports the per-engine ring capacity.
-func (r *Recorder) RingSize() int { return len(r.rings[0].slots) }
 
 // Engines reports how many per-engine rings the recorder keeps.
 func (r *Recorder) Engines() int { return len(r.rings) }
@@ -183,41 +172,25 @@ func (r *Recorder) EngineDumps() []EngineDump {
 	return out
 }
 
-// --- engine registry -------------------------------------------------------
+// --- engine attachment -----------------------------------------------------
 
-// registry maps *cpu.Engine -> *Recorder, the same idiom as kstat's,
-// ktrace's and kprof's registries: mach hook points consult it, a miss is
-// the disabled fast path.
-var registry sync.Map
-
-// Attach creates a recorder with the default ring size and registers it
-// for the engine's hook points (or returns the one already attached).
+// Attach returns the engine's recorder, attaching one with the default
+// ring size if none is.
 func Attach(eng *cpu.Engine) *Recorder {
 	return AttachSized(eng, DefaultRingSize)
 }
 
-// AttachSized is Attach with an explicit per-engine ring capacity.
+// AttachSized is Attach with an explicit per-engine ring capacity for a
+// fresh recorder; an attached one is returned as it is.
 func AttachSized(eng *cpu.Engine, capacity int) *Recorder {
-	if r := For(eng); r != nil {
-		return r
-	}
-	r := NewRecorder(eng, capacity)
-	actual, _ := registry.LoadOrStore(eng, r)
-	return actual.(*Recorder)
+	return eng.AttachPlane(cpu.PlaneFlight, func() any { return NewRecorder(eng, capacity) }).(*Recorder)
 }
 
-// Detach unregisters the engine's recorder; subsequent hook calls become
-// no-ops again.
-func Detach(eng *cpu.Engine) {
-	registry.Delete(eng)
-}
+// Detach removes the engine's recorder; hook calls become no-ops again.
+func Detach(eng *cpu.Engine) { eng.DetachPlane(cpu.PlaneFlight, nil) }
 
-// For returns the engine's recorder, or nil when detached.  This is the
-// hook-point fast path.
-func For(eng *cpu.Engine) *Recorder {
-	v, ok := registry.Load(eng)
-	if !ok {
-		return nil
-	}
-	return v.(*Recorder)
-}
+// For returns the engine's recorder, or nil when detached.
+func For(eng *cpu.Engine) *Recorder { return From(eng.Planes()) }
+
+// From returns the recorder in an engine's plane set, or nil.
+func From(ps *cpu.Planes) *Recorder { return cpu.PlaneOf[*Recorder](ps, cpu.PlaneFlight) }

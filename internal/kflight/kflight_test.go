@@ -2,6 +2,7 @@ package kflight
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -178,12 +179,12 @@ func TestDumpRoundTripAndText(t *testing.T) {
 	}
 	d := Collect("test dump", r, waits, []EngineSnap{{Slot: 0, RunQueue: 1}}, sampleSnapshot())
 
-	var js bytes.Buffer
-	if err := d.WriteJSON(&js); err != nil {
+	js, err := json.Marshal(d)
+	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadDump(bytes.NewReader(js.Bytes()))
-	if err != nil {
+	back := new(Dump)
+	if err := json.Unmarshal(js, back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Reason != "test dump" || back.TotalEvents() != 1 ||

@@ -1,7 +1,6 @@
 package klat
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -12,8 +11,8 @@ import (
 
 // Dump is a self-contained tail-latency snapshot: every (server, op)
 // family's histograms plus the retained exemplar ledgers.  It travels
-// the same three ways kflight's does: MsgTailDump on the monitor's RPC,
-// the cmd/klat CLI, and plain JSON files.
+// the same three ways kflight's does: the monitor's tail view over RPC,
+// `kobs tail`, and plain JSON files.
 type Dump struct {
 	Families []FamilyDump `json:"families"`
 }
@@ -237,25 +236,9 @@ func (d *HopDump) addComponents(out map[string]uint64) {
 	}
 }
 
-// WriteJSON serializes the dump.
-func (d *Dump) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
-}
-
-// ReadDump parses a dump written by WriteJSON.
-func ReadDump(r io.Reader) (*Dump, error) {
-	d := &Dump{}
-	if err := json.NewDecoder(r).Decode(d); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
 // WriteText renders the per-family histogram table: count, mean, and
 // the latency quantiles with their queue/service/cross split at p99 —
-// the "which family has a tail" overview.  cmd/klat layers the exemplar
+// the "which family has a tail" overview.  `kobs tail` layers the exemplar
 // and waterfall views on top.
 func (d *Dump) WriteText(w io.Writer) error {
 	fmt.Fprintf(w, "%-12s %-8s %8s %10s %10s %10s %10s %10s %10s %10s\n",

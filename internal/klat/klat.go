@@ -271,32 +271,22 @@ type Tracker struct {
 	fams map[famKey]*family
 }
 
-// registry maps *cpu.Engine -> *Tracker, exactly as kstat's: hook
-// points consult it, a miss is the disabled fast path.
-var registry sync.Map
-
-// Attach creates a tracker for the engine (replacing any prior one) and
-// registers it for the RPC path's hook points.
+// Attach returns the engine's tracker, attaching a fresh one if none is
+// (Detach first for a fresh one).
 func Attach(eng *cpu.Engine) *Tracker {
-	t := &Tracker{eng: eng, cfg: eng.Config(), fams: make(map[famKey]*family)}
-	registry.Store(eng, t)
-	return t
+	return eng.AttachPlane(cpu.PlaneLat, func() any {
+		return &Tracker{eng: eng, cfg: eng.Config(), fams: make(map[famKey]*family)}
+	}).(*Tracker)
 }
 
-// Detach unregisters the engine's tracker; hooks become no-ops again.
-func Detach(eng *cpu.Engine) {
-	registry.Delete(eng)
-}
+// Detach removes the engine's tracker; hooks become no-ops again.
+func Detach(eng *cpu.Engine) { eng.DetachPlane(cpu.PlaneLat, nil) }
 
-// For returns the engine's tracker, or nil when the plane is disabled.
-// This is the hook-point fast path.
-func For(eng *cpu.Engine) *Tracker {
-	v, ok := registry.Load(eng)
-	if !ok {
-		return nil
-	}
-	return v.(*Tracker)
-}
+// For returns the engine's tracker, or nil when the plane is detached.
+func For(eng *cpu.Engine) *Tracker { return From(eng.Planes()) }
+
+// From returns the tracker in an engine's plane set, or nil.
+func From(ps *cpu.Planes) *Tracker { return cpu.PlaneOf[*Tracker](ps, cpu.PlaneLat) }
 
 // Begin opens a hop for one outgoing call and stamps P0.  A call made
 // for a request being served names that request's hop as parent and

@@ -2,6 +2,7 @@ package klat
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -308,12 +309,12 @@ func TestNilSafety(t *testing.T) {
 func TestDumpRoundTrip(t *testing.T) {
 	tr, eng := newTracker(t)
 	driveHop(tr, eng, nil, "files", 0x0201, 1, 2, 3, 4)
-	var buf bytes.Buffer
-	if err := tr.Dump().WriteJSON(&buf); err != nil {
+	js, err := json.Marshal(tr.Dump())
+	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := ReadDump(&buf)
-	if err != nil {
+	d := new(Dump)
+	if err := json.Unmarshal(js, d); err != nil {
 		t.Fatal(err)
 	}
 	if len(d.Families) != 1 || d.Families[0].Exemplars[0].E2E != 10 {

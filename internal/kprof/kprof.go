@@ -20,7 +20,7 @@
 // the engine charges but never charges anything itself, so modeled cycle
 // counts are bit-identical with the profiler attached or detached (gated
 // by TestProfWorkloadObservationOnly).  When detached the engine's hook
-// is a nil check; mach's context pushes reduce to one registry lookup.
+// is a nil check; mach's context pushes reduce to one atomic load.
 //
 // Exactness contract, precisely: the *region* and *kind* dimensions are
 // deterministic and exact — they are recorded under the engine lock at
@@ -159,13 +159,6 @@ func (p *Profiler) Disable() {
 	p.mu.Unlock()
 }
 
-// Enabled reports whether charges are being attributed.
-func (p *Profiler) Enabled() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.enabled
-}
-
 // Reset clears the accumulated profile (the kprof.charges self-metric is
 // monotonic and survives).
 func (p *Profiler) Reset() {
@@ -228,61 +221,40 @@ func (p *Profiler) Snapshot() Profile {
 	return prof
 }
 
-// --- engine registry -------------------------------------------------------
+// --- engine attachment -----------------------------------------------------
 
-// registry maps *cpu.Engine -> *Profiler, the same idiom as kstat's and
-// ktrace's registries: mach hook points consult it, a miss is the
-// disabled fast path.
-var registry sync.Map
-
-// Attach creates a Profiler for the engine (or returns the existing one),
-// installs it as the engine's ProfSink, and registers it for the mach
-// context hooks.  On the router of a Complex the sink is installed on
-// every engine — slot 0 gets the Profiler itself, the rest slotSink
-// wrappers — so samples carry the engine the charge landed on.  The
-// profiler starts disabled; call Enable to open an attribution window.
+// Attach returns the engine's Profiler, attaching one if none is: it is
+// installed as the engine's ProfSink and published for the mach context
+// hooks.  On the router of a Complex the sink is installed on every
+// engine — slot 0 gets the Profiler itself, the rest slotSink wrappers —
+// so samples carry the engine the charge landed on.  The profiler starts
+// disabled; call Enable to open an attribution window.
 func Attach(eng *cpu.Engine) *Profiler {
-	if p := For(eng); p != nil {
-		return p
-	}
-	p := &Profiler{eng: eng, cells: make(map[cellKey]*cell)}
-	actual, loaded := registry.LoadOrStore(eng, p)
-	p = actual.(*Profiler)
-	if !loaded {
-		if cx := eng.Complex(); cx != nil {
-			for _, e := range cx.Engines() {
-				if e.Slot() == 0 {
-					e.SetProfSink(p)
-				} else {
-					e.SetProfSink(slotSink{p: p, slot: e.Slot()})
-				}
+	return eng.AttachPlane(cpu.PlaneProf, func() any {
+		p := &Profiler{eng: eng, cells: make(map[cellKey]*cell)}
+		for _, e := range eng.Engines() {
+			var sink cpu.ProfSink = p
+			if e.Slot() > 0 {
+				sink = slotSink{p: p, slot: e.Slot()}
 			}
-		} else {
-			eng.SetProfSink(p)
+			e.SetProfSink(sink)
 		}
-	}
-	return p
+		return p
+	}).(*Profiler)
 }
 
 // Detach removes the engine's profiler; charge sites revert to the nil
 // fast path and mach context pushes become no-ops.
 func Detach(eng *cpu.Engine) {
-	if cx := eng.Complex(); cx != nil {
-		for _, e := range cx.Engines() {
+	eng.DetachPlane(cpu.PlaneProf, func() {
+		for _, e := range eng.Engines() {
 			e.SetProfSink(nil)
 		}
-	} else {
-		eng.SetProfSink(nil)
-	}
-	registry.Delete(eng)
+	})
 }
 
 // For returns the engine's Profiler, or nil when profiling is detached.
-// This is the mach hook-point fast path.
-func For(eng *cpu.Engine) *Profiler {
-	v, ok := registry.Load(eng)
-	if !ok {
-		return nil
-	}
-	return v.(*Profiler)
-}
+func For(eng *cpu.Engine) *Profiler { return From(eng.Planes()) }
+
+// From returns the Profiler in an engine's plane set, or nil.
+func From(ps *cpu.Planes) *Profiler { return cpu.PlaneOf[*Profiler](ps, cpu.PlaneProf) }

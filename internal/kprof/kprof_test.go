@@ -2,6 +2,7 @@ package kprof
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -207,12 +208,12 @@ func TestFoldedAndJSON(t *testing.T) {
 		t.Fatalf("no rpc:vfs;alpha;<kind> line in folded output:\n%s", folded.String())
 	}
 
-	var js bytes.Buffer
-	if err := prof.WriteJSON(&js); err != nil {
+	js, err := json.Marshal(prof)
+	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseJSON(&js)
-	if err != nil {
+	var back Profile
+	if err := json.Unmarshal(js, &back); err != nil {
 		t.Fatal(err)
 	}
 	if len(back.Samples) != len(prof.Samples) {

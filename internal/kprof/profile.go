@@ -1,7 +1,6 @@
 package kprof
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -153,18 +152,4 @@ func (p Profile) WriteFolded(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON writes the profile as JSON, the monitor wire format.
-func (p Profile) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(p)
-}
-
-// ParseJSON decodes a profile written by WriteJSON.
-func ParseJSON(r io.Reader) (Profile, error) {
-	var p Profile
-	err := json.NewDecoder(r).Decode(&p)
-	return p, err
 }

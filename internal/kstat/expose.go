@@ -1,7 +1,6 @@
 package kstat
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -11,13 +10,6 @@ import (
 // Exposition formats over a Snapshot.  These render whatever snapshot
 // they are given — full, delta, or filtered — so the CLI and the monitor
 // protocol compose freely.
-
-// WriteJSON renders the snapshot as indented JSON.
-func WriteJSON(w io.Writer, s Snapshot) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
 
 // WriteText renders a human-readable listing: counters and gauges one per
 // line, histograms with count/mean/p50/p99/max.

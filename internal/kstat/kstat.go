@@ -17,7 +17,7 @@
 // charge them, so modeled cycle counts — the Table 1 and Table 2
 // reproductions — are bit-identical with kstat enabled or disabled
 // (gated by bench.CounterTable2 and TestKstatObservationOnly).  When no
-// Set is attached to an engine the hooks reduce to one registry lookup.
+// Set is attached to an engine the hooks reduce to one atomic load.
 //
 // Family naming convention (dotted, lower-case):
 //
@@ -240,37 +240,20 @@ func (s Snapshot) Names() []string {
 	return out
 }
 
-// --- engine registry -------------------------------------------------------
+// --- engine attachment -----------------------------------------------------
 
-// registry maps *cpu.Engine -> *Set, exactly as ktrace's tracer registry:
-// hook points consult it, a miss is the disabled fast path.
-var registry sync.Map
-
-// Attach creates a fresh Set and registers it for the engine's hook
-// points.
+// Attach returns the engine's Set, attaching a fresh one if none is
+// (Detach first for a fresh one).
 func Attach(eng *cpu.Engine) *Set {
-	s := NewSet()
-	registry.Store(eng, s)
-	return s
+	return eng.AttachPlane(cpu.PlaneStat, func() any { return NewSet() }).(*Set)
 }
 
-// AttachSet registers an existing Set (so several engines can share one,
-// or a test can pre-build families).
-func AttachSet(eng *cpu.Engine, s *Set) {
-	registry.Store(eng, s)
-}
+// Detach removes the engine's Set; hooks become no-ops again.
+func Detach(eng *cpu.Engine) { eng.DetachPlane(cpu.PlaneStat, nil) }
 
-// Detach unregisters the engine's Set; hooks become no-ops again.
-func Detach(eng *cpu.Engine) {
-	registry.Delete(eng)
-}
+// For returns the engine's Set, or nil when metrics are detached.
+func For(eng *cpu.Engine) *Set { return From(eng.Planes()) }
 
-// For returns the engine's Set, or nil when metrics are disabled.  This
-// is the hook-point fast path.
-func For(eng *cpu.Engine) *Set {
-	v, ok := registry.Load(eng)
-	if !ok {
-		return nil
-	}
-	return v.(*Set)
-}
+// From returns the Set in an engine's plane set, or nil: the hook-point
+// fast path for sites that read several planes from one load.
+func From(ps *cpu.Planes) *Set { return cpu.PlaneOf[*Set](ps, cpu.PlaneStat) }

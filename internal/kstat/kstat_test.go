@@ -85,7 +85,8 @@ func TestSnapshotFilter(t *testing.T) {
 	}
 }
 
-// TestRegistry mirrors ktrace's attach/detach contract.
+// TestRegistry checks the attach contract every plane shares: Attach
+// keeps an attached Set, and Detach first is how to get a fresh one.
 func TestRegistry(t *testing.T) {
 	eng := cpu.NewEngine(cpu.Pentium133())
 	if For(eng) != nil {
@@ -95,14 +96,15 @@ func TestRegistry(t *testing.T) {
 	if For(eng) != s {
 		t.Fatal("For did not return the attached Set")
 	}
+	if Attach(eng) != s {
+		t.Fatal("second Attach replaced the attached Set")
+	}
 	Detach(eng)
 	if For(eng) != nil {
-		t.Fatal("Detach left the Set registered")
+		t.Fatal("Detach left the Set attached")
 	}
-	shared := NewSet()
-	AttachSet(eng, shared)
-	if For(eng) != shared {
-		t.Fatal("AttachSet did not register the shared Set")
+	if fresh := Attach(eng); fresh == s {
+		t.Fatal("Attach after Detach returned the old Set")
 	}
 	Detach(eng)
 }
@@ -141,11 +143,12 @@ func TestExpositions(t *testing.T) {
 	s.Histogram("mach.rpc.latency_cycles").Observe(5163)
 	snap := s.Snapshot()
 
-	var text, js, prom bytes.Buffer
+	var text, prom bytes.Buffer
 	if err := WriteText(&text, snap); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteJSON(&js, snap); err != nil {
+	js, err := json.Marshal(snap)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteProm(&prom, snap); err != nil {
@@ -155,7 +158,7 @@ func TestExpositions(t *testing.T) {
 		t.Errorf("text output missing counter:\n%s", text.String())
 	}
 	var parsed Snapshot
-	if err := json.Unmarshal(js.Bytes(), &parsed); err != nil {
+	if err := json.Unmarshal(js, &parsed); err != nil {
 		t.Fatalf("json output does not parse: %v", err)
 	}
 	p := prom.String()

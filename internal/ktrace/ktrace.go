@@ -11,7 +11,7 @@
 // but never charge the engine, so a traced run produces bit-identical
 // cpu.Counters to an untraced run and the Table 1 / Table 2 calibration
 // gates are unaffected.  When no tracer is attached the hooks reduce to
-// one registry lookup and do nothing.
+// one atomic load and do nothing.
 //
 // Span correlation: spans carry a (TraceID, SpanID) context that
 // internal/mach propagates inside messages, so an OS/2 DosOpen can be
@@ -163,9 +163,6 @@ func NewTracer(eng *cpu.Engine, capacity int) *Tracer {
 	return &Tracer{eng: eng, ring: make([]Event, capacity)}
 }
 
-// Engine returns the traced engine.
-func (t *Tracer) Engine() *cpu.Engine { return t.eng }
-
 // Span is an in-progress interval; End emits the matching end event.  The
 // zero Span is a no-op, so call sites can unconditionally defer End.
 type Span struct {
@@ -299,25 +296,29 @@ func (t *Tracer) Reset() {
 	t.open = t.open[:0]
 }
 
-// --- engine registry -------------------------------------------------------
+// --- engine attachment -----------------------------------------------------
 
-// registry maps *cpu.Engine -> *Tracer.  Hook points all over the
-// simulated system consult it; a miss is the disabled fast path.
-var registry sync.Map
-
-// Attach creates a tracer with the default ring size, registers it for
-// the engine's hook points, and subscribes to address-space switches.
+// Attach returns the engine's tracer, attaching one with the default ring
+// size (subscribed to address-space switches) if none is.
 func Attach(eng *cpu.Engine) *Tracer {
 	return AttachSized(eng, DefaultRingSize)
 }
 
-// AttachSized is Attach with an explicit ring capacity.  On the router
-// engine of a Complex the switch observer is installed on every engine,
-// each stamping its own slot, so cross-engine address-space traffic is
-// visible per CPU.
+// AttachSized is Attach with an explicit ring capacity for a fresh
+// tracer; an attached one is returned as it is (Detach first to resize).
 func AttachSized(eng *cpu.Engine, capacity int) *Tracer {
-	t := NewTracer(eng, capacity)
-	registry.Store(eng, t)
+	return eng.AttachPlane(cpu.PlaneTrace, func() any {
+		t := NewTracer(eng, capacity)
+		t.observeSwitches()
+		return t
+	}).(*Tracer)
+}
+
+// observeSwitches subscribes t to address-space switches.  On the router
+// engine of a Complex the observer is installed on every engine, each
+// stamping its own slot, so cross-engine address-space traffic is visible
+// per CPU.
+func (t *Tracer) observeSwitches() {
 	obs := func(slot int) func(asid uint64, ctr cpu.Counters) {
 		return func(asid uint64, ctr cpu.Counters) {
 			t.mu.Lock()
@@ -333,35 +334,23 @@ func AttachSized(eng *cpu.Engine, capacity int) *Tracer {
 			t.mu.Unlock()
 		}
 	}
-	if cx := eng.Complex(); cx != nil {
-		for _, e := range cx.Engines() {
-			e.SetSwitchObserver(obs(e.Slot()))
-		}
-	} else {
-		eng.SetSwitchObserver(obs(eng.Slot()))
+	for _, e := range t.eng.Engines() {
+		e.SetSwitchObserver(obs(e.Slot()))
 	}
-	return t
 }
 
-// Detach unregisters the engine's tracer; subsequent hook calls become
-// no-ops again.
+// Detach removes the engine's tracer and its switch observers; hook
+// calls become no-ops again.
 func Detach(eng *cpu.Engine) {
-	registry.Delete(eng)
-	if cx := eng.Complex(); cx != nil {
-		for _, e := range cx.Engines() {
+	eng.DetachPlane(cpu.PlaneTrace, func() {
+		for _, e := range eng.Engines() {
 			e.SetSwitchObserver(nil)
 		}
-		return
-	}
-	eng.SetSwitchObserver(nil)
+	})
 }
 
-// For returns the engine's tracer, or nil when tracing is disabled.  This
-// is the hook-point fast path.
-func For(eng *cpu.Engine) *Tracer {
-	v, ok := registry.Load(eng)
-	if !ok {
-		return nil
-	}
-	return v.(*Tracer)
-}
+// For returns the engine's tracer, or nil when tracing is detached.
+func For(eng *cpu.Engine) *Tracer { return From(eng.Planes()) }
+
+// From returns the tracer in an engine's plane set, or nil.
+func From(ps *cpu.Planes) *Tracer { return cpu.PlaneOf[*Tracer](ps, cpu.PlaneTrace) }

@@ -13,7 +13,8 @@ import (
 // *registration* lives here, because only the kernel knows what a blocked
 // thread is blocked on: every blocking select of the RPC path
 // (rendezvous, reply wait, receive, set receive) and the queued-IPC
-// condition waits brackets itself with setWait/clearWait, and WaitEdges
+// condition waits brackets itself with setWait/clearWait (a call stores
+// the two records its exchange carries, see taken), and WaitEdges
 // resolves the registered ports to their owning tasks at snapshot time.
 //
 // Registration is always-on and observation-only: one atomic pointer
@@ -37,6 +38,17 @@ func (th *Thread) setWait(kind kflight.WaitKind, port *Port, set *PortSet, op ui
 
 // clearWait removes the registration; the thread is running again.
 func (th *Thread) clearWait() { th.wait.Store(nil) }
+
+// taken is the receive side of a hand-off, run by the server thread that
+// takes the exchange (RPCReceive, RPCReceiveSet) before its handler runs:
+// P2 on the latency ledger, and the caller's wait moved from rendezvous to
+// reply, so a handler that dumps the wait-for graph sees its own caller
+// waiting for it.  The compare-and-swap leaves a caller that has already
+// moved on (abandoned, or registered the reply wait itself) untouched.
+func (ex *rpcExchange) taken() {
+	ex.request.lat.StampPicked()
+	ex.caller.wait.CompareAndSwap(&ex.waits[0], &ex.waits[1])
+}
 
 // WaitEdges materializes the wait-for graph: one edge per blocked thread,
 // thread → port → owning task, resolved at snapshot time so an edge
@@ -77,36 +89,19 @@ func (k *Kernel) WaitEdges() []kflight.WaitEdge {
 	return out
 }
 
-// FlightSched snapshots the scheduler for a dump (nil on single-CPU
-// kernels).
-func (k *Kernel) FlightSched() []kflight.EngineSnap {
-	stats := k.SchedStats()
-	if stats == nil {
-		return nil
-	}
-	out := make([]kflight.EngineSnap, 0, len(stats))
-	for _, es := range stats {
-		out = append(out, kflight.EngineSnap{
-			Slot: es.Slot, Cycles: es.Cycles, RunQueue: es.RunQueue,
-			Reserved: es.Reserved, Dispatches: es.Dispatches,
-			Migrations: es.Migrations, Steals: es.Steals,
-		})
-	}
-	return out
-}
-
 // FlightDump assembles the postmortem dump for this kernel: the flight
 // rings, the wait-for graph with cycles named, scheduler state, and the
 // kstat fabric.  Returns nil when no recorder is attached (the monitor
-// maps that to ErrNoRecorder).
+// maps that to ErrDetached).
 func (k *Kernel) FlightDump(reason string) *kflight.Dump {
-	rec := kflight.For(k.CPU)
+	ps := k.CPU.Planes()
+	rec := kflight.From(ps)
 	if rec == nil {
 		return nil
 	}
 	var stats kstat.Snapshot
-	if st := kstat.For(k.CPU); st != nil {
+	if st := kstat.From(ps); st != nil {
 		stats = st.Snapshot()
 	}
-	return kflight.Collect(reason, rec, k.WaitEdges(), k.FlightSched(), stats)
+	return kflight.Collect(reason, rec, k.WaitEdges(), k.SchedStats(), stats)
 }

@@ -163,12 +163,7 @@ func (k *Kernel) NCPUs() int {
 }
 
 // Engines returns the kernel's engines, slot-ordered.
-func (k *Kernel) Engines() []*cpu.Engine {
-	if k.cx != nil {
-		return k.cx.Engines()
-	}
-	return []*cpu.Engine{k.CPU}
-}
+func (k *Kernel) Engines() []*cpu.Engine { return k.CPU.Engines() }
 
 // place lays out a region with the configured sparsity: instr instructions
 // occupying instr*4*sparsity bytes.

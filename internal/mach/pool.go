@@ -150,11 +150,12 @@ func (p *ServerPool) worker(th *Thread, idx int, recv receiveFn, h func(PortName
 		// same segment the EvRPCServe span attributes, so the monitor's
 		// pool occupancy and the trace calibration agree on what "busy"
 		// means.
-		st := kstat.For(k.CPU)
+		ps := k.CPU.Planes()
+		st := kstat.From(ps)
 		if st != nil {
 			st.Gauge(p.busyFam).Inc()
 		}
-		_ = l.dispatch(resp, req, pn, h)
+		_ = l.dispatch(ps, resp, req, pn, h)
 		if st != nil {
 			st.Gauge(p.busyFam).Dec()
 			st.Counter(p.opsFam).Inc()

@@ -104,6 +104,11 @@ type rpcExchange struct {
 	// caller never leaves them blocked trying to deliver a request
 	// nobody will answer.  Nil for exchanges that cannot be abandoned.
 	gone chan struct{}
+
+	// waits are the caller's wait-for registrations, rendezvous then
+	// reply; the server thread that takes the exchange moves the caller
+	// from the first to the second (taken) before its handler runs.
+	waits [2]flightWait
 }
 
 // goneCh returns the abandon channel (nil-safe: a nil channel in a

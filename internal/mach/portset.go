@@ -245,7 +245,7 @@ func (th *Thread) RPCReceiveSet(ps *PortSet) (*Message, *Responder, PortName, er
 	// P2 for set-served requests (the file server's port-per-open-file
 	// pools): queue-wait — including the forwarder relay — ends when a
 	// pool thread takes the delivery.
-	d.ex.request.lat.StampPicked()
+	d.ex.taken()
 	// One scheduled burst covers receive, handler and reply, as in
 	// RPCReceive; the release rides in the Responder.  The burst
 	// serializes on the pool's virtual capacity — not on th's own

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/cpu"
 	"repro/internal/kflight"
 	"repro/internal/klat"
 	"repro/internal/kprof"
@@ -137,15 +138,15 @@ func (th *Thread) callMsg(dest PortName, req *Message, opts CallOpts) (*Message,
 // hooks only read the engine's counters (never charge them), so the
 // wrapped path costs exactly what the raw path does; the per-call
 // instr/cycles deltas are exact for serial callers and interleave under
-// concurrency (counts and bytes stay exact either way).
+// concurrency (counts and bytes stay exact either way).  Every plane the
+// call feeds comes from one load of the engine's plane set.
 func (th *Thread) rpcCall(dest PortName, req, parent *Message, deadline <-chan time.Time) (m *Message, err error) {
 	k := th.task.kernel
-	st := kstat.For(k.CPU)
-	pr := kprof.For(k.CPU)
-	fr := kflight.For(k.CPU)
-	lt := klat.For(k.CPU)
+	ps := k.CPU.Planes()
+	tr := ktrace.From(ps)
+	st, pr, fr, lt := kstat.From(ps), kprof.From(ps), kflight.From(ps), klat.From(ps)
 	if st == nil && pr == nil && fr == nil && lt == nil {
-		return th.rpcCallRaw(dest, req, deadline)
+		return th.rpcCallRaw(dest, req, tr, deadline)
 	}
 	// Charge-free destination-server lookup, shared by the kstat
 	// per-destination split, the kprof dispatch context frame, the
@@ -201,7 +202,7 @@ func (th *Thread) rpcCall(dest PortName, req, parent *Message, deadline <-chan t
 		defer pr.Push(frame)()
 	}
 	if st == nil {
-		return th.rpcCallRaw(dest, req, deadline)
+		return th.rpcCallRaw(dest, req, tr, deadline)
 	}
 	reqBytes := copiedBytes(req)
 	// Calls and request bytes count at dispatch, so a server taking a
@@ -221,7 +222,7 @@ func (th *Thread) rpcCall(dest PortName, req, parent *Message, deadline <-chan t
 		st.Counter("mach.rpc.to." + srvName + ".calls").Inc()
 	}
 	base := k.CPU.Counters()
-	m, err = th.rpcCallRaw(dest, req, deadline)
+	m, err = th.rpcCallRaw(dest, req, tr, deadline)
 	d := k.CPU.Counters().Sub(base)
 	st.Counter("mach.rpc.instr").Add(d.Instructions)
 	st.Counter("mach.rpc.cycles").Add(d.Cycles)
@@ -268,9 +269,9 @@ func regionBytes(m *Message) uint64 {
 	return n
 }
 
-// rpcCallRaw is the shared client path.  A nil deadline channel never
-// fires.
-func (th *Thread) rpcCallRaw(dest PortName, req *Message, deadline <-chan time.Time) (*Message, error) {
+// rpcCallRaw is the shared client path, spanned on tr when tracing is
+// attached.  A nil deadline channel never fires.
+func (th *Thread) rpcCallRaw(dest PortName, req *Message, tr *ktrace.Tracer, deadline <-chan time.Time) (*Message, error) {
 	k := th.task.kernel
 	if len(req.Body) > InlineMax {
 		return nil, ErrMsgTooLarge
@@ -297,12 +298,12 @@ func (th *Thread) rpcCallRaw(dest PortName, req *Message, deadline <-chan time.T
 	}
 	defer release()
 	var sp ktrace.Span
-	if t := ktrace.For(k.CPU); t != nil {
+	if tr != nil {
 		lbl := fmt.Sprintf("rpc:%#04x", uint32(req.ID))
 		if n := len(req.batch); n > 0 {
 			lbl = fmt.Sprintf("rpcv:%#04x[%d]", uint32(req.ID), n)
 		}
-		sp = t.Begin(ktrace.EvRPC, "mach.rpc", lbl, req.trace)
+		sp = tr.Begin(ktrace.EvRPC, "mach.rpc", lbl, req.trace)
 		req.trace = sp.Context()
 	}
 	defer sp.End()
@@ -343,6 +344,10 @@ func (th *Thread) rpcCallRaw(dest PortName, req *Message, deadline <-chan time.T
 		abort:   th.abort,
 		caller:  th,
 		gone:    make(chan struct{}),
+		waits: [2]flightWait{
+			{kind: kflight.WaitRendezvous, port: port, op: uint32(req.ID)},
+			{kind: kflight.WaitReply, port: port, op: uint32(req.ID)},
+		},
 	}
 
 	// The client blocks for the rendezvous: its burst ends here.  Both
@@ -355,7 +360,7 @@ func (th *Thread) rpcCallRaw(dest PortName, req *Message, deadline <-chan time.T
 	// thread's pickup are the hop's queue-wait.
 	req.lat.StampSent()
 
-	th.setWait(kflight.WaitRendezvous, port, nil, uint32(req.ID))
+	th.wait.Store(&ex.waits[0])
 	select {
 	case port.rpc <- ex:
 	case <-port.rpcClosed():
@@ -370,7 +375,7 @@ func (th *Thread) rpcCallRaw(dest PortName, req *Message, deadline <-chan time.T
 		th.task.ports.consumeSendOnce(dest)
 	}
 
-	th.setWait(kflight.WaitReply, port, nil, uint32(req.ID))
+	th.wait.Store(&ex.waits[1])
 	var out rpcOutcome
 	select {
 	case out = <-ex.reply:
@@ -436,7 +441,7 @@ func (th *Thread) RPCReceive(recvName PortName) (*Message, *Responder, error) {
 	th.clearWait()
 	// P2: a server thread has the exchange; queue-wait ends, the
 	// service segment (receive path, handler, reply) begins.
-	ex.request.lat.StampPicked()
+	ex.taken()
 	if fr := kflight.For(k.CPU); fr != nil {
 		fr.Emit(ktrace.EvRPCServe, "mach.rpc", "recv:"+th.task.name, uint64(ex.request.ID))
 	}
@@ -685,14 +690,14 @@ type serveLoop struct {
 // message the handler is given, and a handler that calls onward names it
 // from there.  A carrier's subs each get a sub-hop — one service window —
 // in a header copy of their own: the sub-messages are still the client's.
-func (l *serveLoop) dispatch(resp *Responder, req *Message, pn PortName, h func(PortName, *Message) *Message) error {
-	k := l.th.task.kernel
+// ps is the engine's plane set, loaded once by the loop for this request.
+func (l *serveLoop) dispatch(ps *cpu.Planes, resp *Responder, req *Message, pn PortName, h func(PortName, *Message) *Message) error {
 	var sp ktrace.Span
-	if t := ktrace.For(k.CPU); t != nil {
+	if t := ktrace.From(ps); t != nil {
 		sp = t.Begin(ktrace.EvRPCServe, "mach.rpc", l.frame, req.trace)
 	}
 	defer sp.End()
-	if pr := kprof.For(k.CPU); pr != nil {
+	if pr := kprof.From(ps); pr != nil {
 		defer pr.Push(l.frame)()
 		defer pr.Push(fmt.Sprintf("op:%#04x", uint32(req.ID)))()
 	}
@@ -729,7 +734,7 @@ func (th *Thread) Serve(recvName PortName, h Handler) error {
 		if err != nil {
 			return err
 		}
-		if err := l.dispatch(resp, req, recvName, hp); err != nil {
+		if err := l.dispatch(th.task.kernel.CPU.Planes(), resp, req, recvName, hp); err != nil {
 			return err
 		}
 	}

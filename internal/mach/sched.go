@@ -455,17 +455,9 @@ func (k *Kernel) PublishCPUStats() {
 	}
 }
 
-// EngineStats is one engine's scheduler view, for tools and tests.
-type EngineStats struct {
-	Slot       int
-	Cycles     uint64
-	Virtual    uint64 // latest modeled burst completion on this engine
-	RunQueue   int64
-	Reserved   int64 // in-flight burst reservations (0 when quiescent)
-	Dispatches uint64
-	Migrations uint64
-	Steals     uint64
-}
+// EngineStats is one engine's scheduler view, for tools and tests — the
+// same record a flight dump carries.
+type EngineStats = kflight.EngineSnap
 
 // SchedStats reports per-engine dispatch statistics (nil on single-CPU
 // kernels).

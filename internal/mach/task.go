@@ -320,10 +320,11 @@ func (th *Thread) Done() <-chan struct{} { return th.doneCh }
 // instructions on the calibrated model.
 func (th *Thread) Self() PortName {
 	k := th.task.kernel
-	if p := kprof.For(k.CPU); p != nil {
+	ps := k.CPU.Planes()
+	if p := kprof.From(ps); p != nil {
 		defer p.Push("trap:thread_self")()
 	}
-	st := kstat.For(k.CPU)
+	st := kstat.From(ps)
 	var base cpu.Counters
 	if st != nil {
 		base = k.CPU.Counters()

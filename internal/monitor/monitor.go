@@ -1,21 +1,22 @@
-// Package monitor implements the kstat monitor server: a shared service
-// in the Figure 1 sense that exports the system's metrics fabric over the
+// Package monitor implements the monitor server: a shared service in the
+// Figure 1 sense that exports the system's observation planes over the
 // system's own RPC.  Like the file server or the registry, it is an
 // ordinary multi-threaded server found through the name service — the
 // observability plane dogfoods the IPC path it observes.
 //
-// The protocol is three messages: a full snapshot (which also establishes
-// a baseline for later deltas), a delta since a previously returned
-// baseline, and a prefix-filtered family query.  Snapshots travel as JSON
-// in the reply's out-of-line region, so arbitrarily large metric sets
-// cross the same virtual-copy path any large payload would.
+// The protocol is one message, MsgQuery, naming a view: metric snapshots,
+// deltas and family filters, the profile window, the flight dump and the
+// tail dump.  Every answer travels as JSON in the reply's out-of-line
+// region, so arbitrarily large answers cross the same virtual-copy path
+// any large payload would.
 package monitor
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/cpu"
@@ -26,26 +27,38 @@ import (
 	"repro/internal/mach"
 )
 
-// Message IDs of the monitor protocol.
-const (
-	MsgSnapshot mach.MsgID = 0x1100 + iota
-	MsgDelta
-	MsgFamily
-	MsgProfStart
-	MsgProfStop
-	MsgProfile
-	MsgFlightDump
-	MsgTailDump
-)
+// MsgQuery is the monitor's one message.  Its body names a view and, after
+// a space, the view's argument:
+//
+//	stat            full snapshot; retains it as a delta baseline
+//	delta <id>      change since baseline id; retains a fresh baseline
+//	family <prefix> snapshot of the families named with prefix
+//	prof.start      attach the profiler, clear it, open a window
+//	prof.stop       close the window (the profile stays readable)
+//	prof            the profile recorded so far
+//	flight          postmortem dump of the flight recorder
+//	tail            the tail-latency plane's histograms and exemplars
+//
+// Every answer travels one way: JSON in the reply's out-of-line region.
+const MsgQuery mach.MsgID = 0x1100
 
-// Errors returned by the monitor.
+// Errors returned by the monitor.  A view of a plane the system runs
+// without answers ErrDetached, wrapped with the plane's name.
 var (
 	ErrUnknownBaseline = errors.New("monitor: unknown or evicted snapshot id")
 	ErrBadRequest      = errors.New("monitor: malformed request")
-	ErrNoProfiler      = errors.New("monitor: no profiler attached (ProfStart first)")
-	ErrNoRecorder      = errors.New("monitor: no flight recorder attached")
-	ErrNoTracker       = errors.New("monitor: no tail-latency tracker attached")
+	ErrDetached        = errors.New("monitor: plane not attached")
 )
+
+// detached names the missing plane on the ErrDetached sentinel.
+func detached(plane string) error { return fmt.Errorf("%w: %s", ErrDetached, plane) }
+
+// statAnswer is the answer of the stat, delta and family views: a
+// snapshot and the baseline the server retained for it (0 for family).
+type statAnswer struct {
+	Baseline uint64         `json:"baseline"`
+	Snapshot kstat.Snapshot `json:"snapshot"`
+}
 
 // maxBaselines bounds the server's retained delta baselines; the oldest
 // is evicted first, so a client polling DeltaSince always has its most
@@ -100,25 +113,42 @@ func (s *Server) Port() mach.PortName { return s.port }
 
 func (s *Server) handle(req *mach.Message) *mach.Message {
 	s.k.CPU.Exec(s.path)
-	switch req.ID {
-	case MsgSnapshot:
+	if req.ID != MsgQuery {
+		return toWire(ErrBadRequest)
+	}
+	view, arg, _ := strings.Cut(string(req.Body), " ")
+	v, err := s.view(view, arg)
+	if err != nil {
+		return toWire(err)
+	}
+	b, err := json.Marshal(v)
+	if err != nil {
+		return toWire(err)
+	}
+	return &mach.Message{ID: 0, OOL: b}
+}
+
+// view answers one query.  A nil answer with no error is a bare
+// acknowledgement (the profile window controls).
+func (s *Server) view(view, arg string) (any, error) {
+	switch view {
+	case "stat":
 		snap := s.set.Snapshot()
-		id := s.saveBaseline(snap)
-		return snapReply(id, snap)
-	case MsgDelta:
-		if len(req.Body) != 8 {
-			return toWire(ErrBadRequest)
+		return statAnswer{Baseline: s.saveBaseline(snap), Snapshot: snap}, nil
+	case "delta":
+		id, err := strconv.ParseUint(arg, 10, 64)
+		if err != nil {
+			return nil, ErrBadRequest
 		}
-		base, ok := s.takeBaseline(binary.LittleEndian.Uint64(req.Body))
+		base, ok := s.takeBaseline(id)
 		if !ok {
-			return toWire(ErrUnknownBaseline)
+			return nil, ErrUnknownBaseline
 		}
 		cur := s.set.Snapshot()
-		id := s.saveBaseline(cur)
-		return snapReply(id, cur.Delta(base))
-	case MsgFamily:
-		return snapReply(0, s.set.Snapshot().Filter(string(req.Body)))
-	case MsgProfStart:
+		return statAnswer{Baseline: s.saveBaseline(cur), Snapshot: cur.Delta(base)}, nil
+	case "family":
+		return statAnswer{Snapshot: s.set.Snapshot().Filter(arg)}, nil
+	case "prof.start":
 		// Open an attribution window: attach the profiler on demand (a
 		// no-op when already attached), clear any previous window, and
 		// enable.  Attachment is observation-only, so flipping it over
@@ -127,61 +157,38 @@ func (s *Server) handle(req *mach.Message) *mach.Message {
 		p := kprof.Attach(s.k.CPU)
 		p.Reset()
 		p.Enable()
-		return okReply()
-	case MsgProfStop:
+		return nil, nil
+	case "prof.stop", "prof":
 		p := kprof.For(s.k.CPU)
 		if p == nil {
-			return toWire(ErrNoProfiler)
+			return nil, detached("kprof")
+		}
+		if view == "prof" {
+			return p.Snapshot(), nil
 		}
 		p.Disable()
-		return okReply()
-	case MsgProfile:
-		p := kprof.For(s.k.CPU)
-		if p == nil {
-			return toWire(ErrNoProfiler)
-		}
-		b, err := json.Marshal(p.Snapshot())
-		if err != nil {
-			return toWire(err)
-		}
-		return &mach.Message{ID: 0, OOL: b}
-	case MsgFlightDump:
+		return nil, nil
+	case "flight":
 		// The dump is assembled by the kernel (flight rings, wait-for
-		// graph, scheduler state, kstat fabric) and shipped as JSON in the
-		// OOL region like every other large monitor payload.  The handling
-		// thread itself shows up in the dump — blocked clients of this very
-		// query appear as reply waits on the monitor port.
-		d := s.k.FlightDump("monitor query")
-		if d == nil {
-			return toWire(ErrNoRecorder)
+		// graph, scheduler state, kstat fabric).  The handling thread
+		// itself shows up in it — the client of this very query appears
+		// as a reply wait on the monitor port.
+		if d := s.k.FlightDump("monitor query"); d != nil {
+			return d, nil
 		}
-		var buf bytes.Buffer
-		if err := d.WriteJSON(&buf); err != nil {
-			return toWire(err)
+		return nil, detached("kflight")
+	case "tail":
+		// Histogram state plus the sealed exemplar ledgers.  The
+		// reservoir keeps being written while this very query runs —
+		// Dump orders itself against live recorders with the family
+		// locks, which the pooled query-storm test exercises.
+		if lt := klat.For(s.k.CPU); lt != nil {
+			return lt.Dump(), nil
 		}
-		return &mach.Message{ID: 0, OOL: buf.Bytes()}
-	case MsgTailDump:
-		// The tail plane snapshots like any family query: histogram
-		// state plus the sealed exemplar ledgers, JSON in the OOL
-		// region.  The reservoir keeps being written while this very
-		// query runs — Dump orders itself against live recorders with
-		// the family locks, which the pooled query-storm test exercises.
-		lt := klat.For(s.k.CPU)
-		if lt == nil {
-			return toWire(ErrNoTracker)
-		}
-		var buf bytes.Buffer
-		if err := lt.Dump().WriteJSON(&buf); err != nil {
-			return toWire(err)
-		}
-		return &mach.Message{ID: 0, OOL: buf.Bytes()}
-	default:
-		return toWire(ErrBadRequest)
+		return nil, detached("klat")
 	}
+	return nil, ErrBadRequest
 }
-
-// okReply is the bodiless success reply of the profile control messages.
-func okReply() *mach.Message { return &mach.Message{ID: 0} }
 
 // saveBaseline stores a snapshot for later delta queries, evicting the
 // oldest baseline past the cap, and returns its id.
@@ -206,17 +213,7 @@ func (s *Server) takeBaseline(id uint64) (kstat.Snapshot, bool) {
 	return snap, ok
 }
 
-func snapReply(id uint64, snap kstat.Snapshot) *mach.Message {
-	b, err := json.Marshal(snap)
-	if err != nil {
-		return toWire(err)
-	}
-	var idb [8]byte
-	binary.LittleEndian.PutUint64(idb[:], id)
-	return &mach.Message{ID: 0, Body: idb[:], OOL: b}
-}
-
-var wireErrs = []error{ErrUnknownBaseline, ErrBadRequest, ErrNoProfiler, ErrNoRecorder, ErrNoTracker}
+var wireErrs = []error{ErrUnknownBaseline, ErrBadRequest}
 
 func toWire(err error) *mach.Message {
 	return &mach.Message{ID: 1, Body: []byte(err.Error())}
@@ -227,6 +224,9 @@ func fromWire(msg string) error {
 		if e.Error() == msg {
 			return e
 		}
+	}
+	if plane, ok := strings.CutPrefix(msg, ErrDetached.Error()+": "); ok {
+		return detached(plane)
 	}
 	return errors.New(msg)
 }
@@ -254,107 +254,73 @@ func Connect(th *mach.Thread, srv *mach.Task, port mach.PortName) (*Client, erro
 	return &Client{th: th, port: n}, nil
 }
 
-func (c *Client) call(id mach.MsgID, body []byte) (uint64, kstat.Snapshot, error) {
-	reply, err := c.th.Call(c.port, &mach.Message{ID: id, Body: body}, mach.CallOpts{})
-	if err != nil {
-		return 0, kstat.Snapshot{}, err
+// query asks the monitor for one view and decodes the JSON answer into
+// out (nil for the bare acknowledgements).
+func (c *Client) query(view, arg string, out any) error {
+	if arg != "" {
+		view += " " + arg
 	}
-	if reply.ID != 0 {
-		return 0, kstat.Snapshot{}, fromWire(string(reply.Body))
-	}
-	var snap kstat.Snapshot
-	if err := json.Unmarshal(reply.OOL, &snap); err != nil {
-		return 0, kstat.Snapshot{}, err
-	}
-	if len(reply.Body) != 8 {
-		return 0, kstat.Snapshot{}, ErrBadRequest
-	}
-	return binary.LittleEndian.Uint64(reply.Body), snap, nil
-}
-
-// Snapshot fetches the full metric set and returns the baseline id the
-// server retained for a later DeltaSince.
-func (c *Client) Snapshot() (kstat.Snapshot, uint64, error) {
-	id, snap, err := c.call(MsgSnapshot, nil)
-	return snap, id, err
-}
-
-// DeltaSince fetches the change since the given baseline and returns the
-// fresh baseline id for the next poll — the top-style repeated query.
-func (c *Client) DeltaSince(baseline uint64) (kstat.Snapshot, uint64, error) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], baseline)
-	id, snap, err := c.call(MsgDelta, b[:])
-	return snap, id, err
-}
-
-// Family fetches only the metrics whose names start with prefix.
-func (c *Client) Family(prefix string) (kstat.Snapshot, error) {
-	_, snap, err := c.call(MsgFamily, []byte(prefix))
-	return snap, err
-}
-
-// ctl performs a control call that replies with no payload.
-func (c *Client) ctl(id mach.MsgID) error {
-	reply, err := c.th.Call(c.port, &mach.Message{ID: id}, mach.CallOpts{})
+	reply, err := c.th.Call(c.port, &mach.Message{ID: MsgQuery, Body: []byte(view)}, mach.CallOpts{})
 	if err != nil {
 		return err
 	}
 	if reply.ID != 0 {
 		return fromWire(string(reply.Body))
 	}
-	return nil
+	if out == nil {
+		return nil
+	}
+	return json.Unmarshal(reply.OOL, out)
+}
+
+// Snapshot fetches the full metric set and returns the baseline id the
+// server retained for a later DeltaSince.
+func (c *Client) Snapshot() (kstat.Snapshot, uint64, error) {
+	var r statAnswer
+	err := c.query("stat", "", &r)
+	return r.Snapshot, r.Baseline, err
+}
+
+// DeltaSince fetches the change since the given baseline and returns the
+// fresh baseline id for the next poll — the top-style repeated query.
+func (c *Client) DeltaSince(baseline uint64) (kstat.Snapshot, uint64, error) {
+	var r statAnswer
+	err := c.query("delta", strconv.FormatUint(baseline, 10), &r)
+	return r.Snapshot, r.Baseline, err
+}
+
+// Family fetches only the metrics whose names start with prefix.
+func (c *Client) Family(prefix string) (kstat.Snapshot, error) {
+	var r statAnswer
+	err := c.query("family", prefix, &r)
+	return r.Snapshot, err
 }
 
 // ProfStart opens a profile attribution window: the server attaches the
 // kprof profiler to the system engine (observation-only), clears any
 // previous window, and enables attribution.
-func (c *Client) ProfStart() error { return c.ctl(MsgProfStart) }
+func (c *Client) ProfStart() error { return c.query("prof.start", "", nil) }
 
 // ProfStop closes the window; the accumulated profile stays readable.
-func (c *Client) ProfStop() error { return c.ctl(MsgProfStop) }
+func (c *Client) ProfStop() error { return c.query("prof.stop", "", nil) }
 
 // Profile fetches the current profile as recorded so far in the window.
-func (c *Client) Profile() (kprof.Profile, error) {
-	reply, err := c.th.Call(c.port, &mach.Message{ID: MsgProfile}, mach.CallOpts{})
-	if err != nil {
-		return kprof.Profile{}, err
-	}
-	if reply.ID != 0 {
-		return kprof.Profile{}, fromWire(string(reply.Body))
-	}
-	var p kprof.Profile
-	if err := json.Unmarshal(reply.OOL, &p); err != nil {
-		return kprof.Profile{}, err
-	}
-	return p, nil
+func (c *Client) Profile() (p kprof.Profile, err error) {
+	err = c.query("prof", "", &p)
+	return p, err
 }
 
 // FlightDump fetches a live postmortem dump from the flight recorder:
 // per-engine event rings, the wait-for graph with any cycles named,
-// scheduler state and the full kstat snapshot.  ErrNoRecorder when the
-// system runs with the recorder detached.
-func (c *Client) FlightDump() (*kflight.Dump, error) {
-	reply, err := c.th.Call(c.port, &mach.Message{ID: MsgFlightDump}, mach.CallOpts{})
-	if err != nil {
-		return nil, err
-	}
-	if reply.ID != 0 {
-		return nil, fromWire(string(reply.Body))
-	}
-	return kflight.ReadDump(bytes.NewReader(reply.OOL))
+// scheduler state and the full kstat snapshot.
+func (c *Client) FlightDump() (d *kflight.Dump, err error) {
+	err = c.query("flight", "", &d)
+	return d, err
 }
 
 // TailDump fetches the tail-latency plane's snapshot: per-(server, op)
 // latency histograms and the exemplar ledgers of the slowest requests.
-// ErrNoTracker when the system runs with the tracker detached.
-func (c *Client) TailDump() (*klat.Dump, error) {
-	reply, err := c.th.Call(c.port, &mach.Message{ID: MsgTailDump}, mach.CallOpts{})
-	if err != nil {
-		return nil, err
-	}
-	if reply.ID != 0 {
-		return nil, fromWire(string(reply.Body))
-	}
-	return klat.ReadDump(bytes.NewReader(reply.OOL))
+func (c *Client) TailDump() (d *klat.Dump, err error) {
+	err = c.query("tail", "", &d)
+	return d, err
 }

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/bcache"
@@ -117,14 +118,17 @@ func TestProfileOverRPC(t *testing.T) {
 // TestProfileNoProfiler checks the wire error for profile queries before
 // any window was opened.
 func TestProfileNoProfiler(t *testing.T) {
-	k, _, c := newRig(t, 1)
-	if p := kprof.For(k.CPU); p != nil {
-		t.Skip("a profiler is already attached to this engine")
-	}
-	if _, err := c.Profile(); err != ErrNoProfiler {
-		t.Fatalf("Profile with no profiler: err = %v, want ErrNoProfiler", err)
-	}
-	if err := c.ProfStop(); err != ErrNoProfiler {
-		t.Fatalf("ProfStop with no profiler: err = %v, want ErrNoProfiler", err)
+	_, _, c := newRig(t, 1)
+	_, err := c.Profile()
+	wantDetached(t, err, "kprof")
+	wantDetached(t, c.ProfStop(), "kprof")
+}
+
+// wantDetached checks err is ErrDetached naming plane, as it crossed the
+// wire.
+func wantDetached(t *testing.T, err error, plane string) {
+	t.Helper()
+	if !errors.Is(err, ErrDetached) || err.Error() != ErrDetached.Error()+": "+plane {
+		t.Fatalf("err = %v, want ErrDetached naming %s", err, plane)
 	}
 }

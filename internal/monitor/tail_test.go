@@ -95,13 +95,12 @@ func TestTailDumpOverRPC(t *testing.T) {
 }
 
 // TestTailDumpDetached: with the tracker detached the monitor answers
-// ErrNoTracker over the wire, like the other planes' sentinel errors.
+// ErrDetached naming klat over the wire, like the other planes.
 func TestTailDumpDetached(t *testing.T) {
 	k, _, c := newRig(t, 1)
 	klat.Detach(k.CPU) // no tracker was attached; Detach is idempotent
-	if _, err := c.TailDump(); err != ErrNoTracker {
-		t.Fatalf("err = %v, want ErrNoTracker", err)
-	}
+	_, err := c.TailDump()
+	wantDetached(t, err, "klat")
 }
 
 // TestTailDumpQueryStorm: pooled monitor threads serve concurrent

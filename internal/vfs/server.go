@@ -426,11 +426,12 @@ func fsOpName(id mach.MsgID) string {
 // count and a cycles-latency sample.  Reads only, nothing charged.
 func (s *Server) obsOp(id mach.MsgID) func() {
 	op := fsOpName(id)
+	ps := s.k.CPU.Planes()
 	var sp ktrace.Span
-	if t := ktrace.For(s.k.CPU); t != nil {
+	if t := ktrace.From(ps); t != nil {
 		sp = t.Begin(ktrace.EvFSOp, "vfs", op, ktrace.SpanContext{})
 	}
-	st := kstat.For(s.k.CPU)
+	st := kstat.From(ps)
 	if st == nil {
 		return sp.End
 	}

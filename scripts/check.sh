@@ -1,32 +1,23 @@
 #!/bin/sh
 # Tier-2 gate: static analysis plus race-detector runs of the packages with
-# real concurrency (the tracer's ring is hammered by concurrent emitters;
-# kstat's sharded counters and histograms are recorded from every server
-# thread at once; mach runs server pools and bound threads; vfs and os2
-# serve pooled multi-threaded RPC with shared bookkeeping hammered by their
-# pool tests; the monitor serves pooled snapshot queries over that RPC;
-# bcache is hit by every file-server pool thread at once; kprof's charge
-# sink and context stack are driven from every charging thread at once;
-# cpu's Complex routes every charge through a per-OS-thread binding table
-# while the SMP dispatcher binds/steals from many goroutines at once;
-# kflight's lock-free rings are swept by dump queries racing live
-# emitters while the watchdog polls the kstat fabric from its own
-# goroutine; the vectored paths move region descriptors and batched
-# sub-messages between client threads and pooled servers with zero
-# copies, so aliasing bugs there surface only under the race detector —
-# the vfs and drivers suites drive CallV/ReadV/WriteV/StatBatch and the
-# vectored write-behind flush from many concurrent clients; klat's
-# per-request hops are stamped by whichever thread holds the message —
-# client, pool worker, carrier demux — while monitor dump queries walk
-# live ledgers under the family locks; the request context is named, not
-# discovered, so its exactness tests run here too: TestLedgerParentsUnderPools
-# drives four pooled servers nesting calls through one shared thread
-# against four direct clients and a worker that names nothing,
-# TestRequestContextExact four clients through a pool-of-4 file server
-# whose device takes turns while its workers are killed mid-handler, and
-# TestFlushNamesItsRequest four concurrent registry flushes; cpu's flat TLB
-# and caches are replayed against their map/slice reference models over a
-# million accesses each).
+# real concurrency.  The five observation planes (kstat, ktrace, kprof,
+# kflight, klat) hang off one attachment: each engine publishes its plane
+# set copy-on-write and every hook site reads it with one atomic load, so
+# attach and detach race live RPC traffic by design — the monitor's
+# prof.start does it at run time, and the isolation tests drive kprof and
+# klat on and off under a four-client Call loop.  Around that attachment:
+# the planes themselves are written from every server thread at once
+# (ktrace's ring, kstat's sharded counters and histograms, kprof's charge
+# sink and context stack, kflight's lock-free rings swept by dump queries
+# and the watchdog, klat's hops stamped by whichever thread holds the
+# message while monitor queries walk live ledgers); mach, vfs, os2,
+# bcache, drivers and registry serve pooled, vectored and region RPC from
+# many clients (aliasing bugs there surface only under the race detector),
+# with the request context named, not discovered — TestLedgerParentsUnderPools,
+# TestRequestContextExact and TestFlushNamesItsRequest run here; cpu's
+# Complex routes every charge through a per-OS-thread binding table while
+# the SMP dispatcher binds and steals from many goroutines; and cmd/kobs
+# runs the end-to-end tier, the CLI as a child process per scenario.
 # Tier-1 (go build && go test ./...) stays the merge gate; this catches
 # data races tier-1 cannot.
 set -eux
@@ -67,7 +58,7 @@ fi
 
 # A deadlock — a turn or a rendezvous nobody releases — must fail in
 # seconds, not hang for go test's ten-minute default.
-run go test -race -timeout 300s ./internal/cpu/... ./internal/kstat/... ./internal/ktrace/... ./internal/kprof/... ./internal/kflight/... ./internal/klat/... ./internal/mach/... ./internal/vfs/... ./internal/os2/... ./internal/monitor/... ./internal/bcache/... ./internal/drivers/... ./internal/registry/...
+run go test -race -timeout 300s ./internal/cpu/... ./internal/kstat/... ./internal/ktrace/... ./internal/kprof/... ./internal/kflight/... ./internal/klat/... ./internal/mach/... ./internal/vfs/... ./internal/os2/... ./internal/monitor/... ./internal/bcache/... ./internal/drivers/... ./internal/registry/... ./cmd/kobs/...
 
 # Chaos short soak under the race detector: one seed, all six fault kinds,
 # full invariant oracle.  Kept -short so the race-instrumented run stays in
