@@ -64,6 +64,92 @@ func TestCacheObservationOff(t *testing.T) {
 	}
 }
 
+// fileConfig is one configuration of the pinned file-path matrix.
+type fileConfig struct {
+	driver core.DriverModel
+	cache  int  // CacheSectors
+	xfer   bool // ZeroCopy and BatchRPC both on
+	pool   int  // ServerPool
+}
+
+// fileMatrix pins WPOS File Intensive 1 and 2 cycles, each on a fresh
+// single-engine boot, over every driver model, buffer-cache size,
+// transfer mode and server-pool size: 36 configurations, 72 cells.  It
+// is the gate for collapsing a file-path mechanism to one path — a
+// merged path that moves a single cell models different cycles and does
+// not merge.  E-CACHE and E-XFER gate only the direction of change; this
+// gates the count.
+var fileMatrix = map[fileConfig][2]uint64{
+	{core.DriverUser, 0, false, 1}:     {43136087, 11463722},
+	{core.DriverUser, 0, false, 4}:     {43121859, 11250428},
+	{core.DriverUser, 0, true, 1}:      {43136087, 11463722},
+	{core.DriverUser, 0, true, 4}:      {43121859, 11250428},
+	{core.DriverUser, 64, false, 1}:    {7316428, 5149836},
+	{core.DriverUser, 64, false, 4}:    {7301626, 4906400},
+	{core.DriverUser, 64, true, 1}:     {7149909, 4577294},
+	{core.DriverUser, 64, true, 4}:     {7135107, 4333648},
+	{core.DriverUser, 256, false, 1}:   {5208228, 5134883},
+	{core.DriverUser, 256, false, 4}:   {5193090, 4891573},
+	{core.DriverUser, 256, true, 1}:    {5045847, 4562447},
+	{core.DriverUser, 256, true, 4}:    {5030709, 4318927},
+	{core.DriverKernel, 0, false, 1}:   {19907858, 6181538},
+	{core.DriverKernel, 0, false, 4}:   {19895534, 5997056},
+	{core.DriverKernel, 0, true, 1}:    {19907858, 6181538},
+	{core.DriverKernel, 0, true, 4}:    {19895534, 5997056},
+	{core.DriverKernel, 64, false, 1}:  {5808327, 3815010},
+	{core.DriverKernel, 64, false, 4}:  {5793063, 3571742},
+	{core.DriverKernel, 64, true, 1}:   {5808327, 3815010},
+	{core.DriverKernel, 64, true, 4}:   {5793063, 3571742},
+	{core.DriverKernel, 256, false, 1}: {4933764, 3808323},
+	{core.DriverKernel, 256, false, 4}: {4917520, 3565097},
+	{core.DriverKernel, 256, true, 1}:  {4933764, 3808323},
+	{core.DriverKernel, 256, true, 4}:  {4917520, 3565097},
+	{core.DriverOODDM, 0, false, 1}:    {20065509, 6213048},
+	{core.DriverOODDM, 0, false, 4}:    {20053185, 6028566},
+	{core.DriverOODDM, 0, true, 1}:     {20065509, 6213048},
+	{core.DriverOODDM, 0, true, 4}:     {20053185, 6028566},
+	{core.DriverOODDM, 64, false, 1}:   {5894734, 3822590},
+	{core.DriverOODDM, 64, false, 4}:   {5879554, 3581030},
+	{core.DriverOODDM, 64, true, 1}:    {5894734, 3822590},
+	{core.DriverOODDM, 64, true, 4}:    {5879554, 3581030},
+	{core.DriverOODDM, 256, false, 1}:  {5009361, 3815848},
+	{core.DriverOODDM, 256, false, 4}:  {4993229, 3574330},
+	{core.DriverOODDM, 256, true, 1}:   {5009361, 3815848},
+	{core.DriverOODDM, 256, true, 4}:   {4993229, 3574330},
+}
+
+// TestFileMatrixPinned checks every cell of fileMatrix exactly.  Its
+// user-level, uncached, features-off, pool-1 cell is the seed's FI1/FI2
+// pin (seedTable1), so a boot with ZeroCopy and BatchRPC off models the
+// pre-redesign system byte for byte.
+func TestFileMatrixPinned(t *testing.T) {
+	if len(fileMatrix) != 36 {
+		t.Fatalf("fileMatrix has %d configurations, want 36", len(fileMatrix))
+	}
+	for fc, want := range fileMatrix {
+		for i, row := range []workload.Row{workload.FileIntensive1, workload.FileIntensive2} {
+			cfg := core.DefaultConfig()
+			cfg.CPUs = 1
+			cfg.Driver = fc.driver
+			cfg.CacheSectors = fc.cache
+			cfg.ZeroCopy, cfg.BatchRPC = fc.xfer, fc.xfer
+			cfg.ServerPool = fc.pool
+			s, err := core.Boot(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := workload.Run(row, s.WorkloadEnv())
+			if err != nil {
+				t.Fatalf("%+v %s: %v", fc, row, err)
+			}
+			if res.Cycles != want[i] {
+				t.Errorf("%s cache=%d xfer=%v pool=%d %s: %d cycles, pinned %d",
+					fc.driver, fc.cache, fc.xfer, fc.pool, row, res.Cycles, want[i])
+			}
+		}
+	}
+}
+
 // TestCacheMonotonicRatios gates experiment E-CACHE: the file-intensive
 // WPOS/native ratios must fall toward the native line as the cache
 // grows, never rise — each size absorbs at least as many driver

@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/core"
-	"repro/internal/workload"
 )
 
 // TestXferRegionZeroPerByte gates the zero-copy claim on the E-XFER
@@ -69,24 +67,30 @@ func TestXferFileIntensiveImproves(t *testing.T) {
 	}
 }
 
-// TestXferFeaturesOffSeedPinned is the api_redesign compatibility gate:
-// a boot with ZeroCopy and BatchRPC explicitly off (the default) must
-// model File Intensive 1 byte-identically to the pre-redesign pin —
-// the new region-map and batch-demux kernel paths exist at fixed
-// addresses but are never executed, and no layout cursor moved.
-func TestXferFeaturesOffSeedPinned(t *testing.T) {
-	cfg := core.DefaultConfig()
-	cfg.ZeroCopy = false
-	cfg.BatchRPC = false
-	s, err := core.Boot(cfg)
+// xferSweepPinned is the exact E-XFER sweep: cycles per payload copied,
+// mapped by region, and batched eight to a carrier, at each size.
+var xferSweepPinned = []bench.XferRow{
+	{Size: 32, Copy: 5238, Region: 6389, Batched: 782},
+	{Size: 256, Copy: 5311, Region: 6389, Batched: 871},
+	{Size: 1024, Copy: 5687, Region: 6389, Batched: 2011},
+	{Size: 4096, Copy: 6685, Region: 6389, Batched: 5727},
+	{Size: 16384, Copy: 25061, Region: 6974, Batched: 20597},
+	{Size: 65536, Copy: 84523, Region: 9314, Batched: 80059},
+}
+
+// TestXferSweepPinned checks every E-XFER cell exactly; with
+// TestFileMatrixPinned it is the cycle pin under the transfer path.
+func TestXferSweepPinned(t *testing.T) {
+	rows, err := bench.XferSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := workload.Run(workload.FileIntensive1, s.WorkloadEnv())
-	if err != nil {
-		t.Fatal(err)
+	if len(rows) != len(xferSweepPinned) {
+		t.Fatalf("%d sweep rows, pinned %d", len(rows), len(xferSweepPinned))
 	}
-	if res.Cycles != seedFI1WPOS {
-		t.Errorf("features-off FI1 = %d cycles, want the seed pin %d", res.Cycles, seedFI1WPOS)
+	for i, r := range rows {
+		if r != xferSweepPinned[i] {
+			t.Errorf("E-XFER row %+v, pinned %+v", r, xferSweepPinned[i])
+		}
 	}
 }
