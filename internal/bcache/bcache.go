@@ -15,6 +15,7 @@ package bcache
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -305,99 +306,76 @@ func (c *Cache) Cached(sector uint64) bool {
 }
 
 // flushLocked writes dirty sectors oldest-first until at most limit
-// remain, batching contiguous runs into single device writes.  The first
-// device error stops the flush; everything not yet written stays dirty.
-// When the device is batch-capable (vfs.BatchDev — only drivers booted
-// with vectored RPC advertise it) every run of the flush goes down in
-// one vectored driver call instead of one crossing per run.
+// remain, assembling contiguous runs into single device writes.  A run
+// is copied out of the cache and then, on a plain device, written at
+// once: the first device error stops the flush.  On a batch-capable
+// device (vfs.BatchDev — only drivers booted with vectored RPC advertise
+// it) the runs are collected and go down in one vectored call, which
+// reports how many landed before the first error.  Either way only the
+// written runs are un-dirtied, so a failed flush retries exactly the
+// rest.
 func (c *Cache) flushLocked(limit int) error {
 	want := len(c.dirtyQ) - limit
 	if want <= 0 {
 		return nil
 	}
 	victims := append([]uint64(nil), c.dirtyQ[:want]...)
-	sortSectors(victims)
-	if bd, ok := c.inner.(vfs.BatchDev); ok {
-		return c.flushBatched(bd, victims)
-	}
+	slices.Sort(victims)
+	bd, vectored := c.inner.(vfs.BatchDev)
 	tr := ktrace.For(c.eng)
-	i := 0
-	for i < len(victims) {
-		run := 1
-		for i+run < len(victims) && victims[i+run] == victims[i]+uint64(run) {
-			run++
+	span := func(name string) ktrace.Span {
+		if tr == nil {
+			return ktrace.Span{}
 		}
-		out := make([]byte, run*SectorSize)
-		for j := 0; j < run; j++ {
-			b := c.blocks[victims[i+j]]
-			copy(out[j*SectorSize:], b.data)
-			c.eng.Copy(c.sectorAddr(victims[i+j]), c.buf.Base, SectorSize)
-		}
-		var sp ktrace.Span
-		if tr != nil {
-			sp = tr.Begin(ktrace.EvCache, "bcache", "writeback", ktrace.SpanContext{})
-		}
-		err := c.inner.WriteSectors(victims[i], out)
-		if tr != nil {
-			sp.End()
-		}
-		if err != nil {
-			return err
-		}
-		for j := 0; j < run; j++ {
-			c.blocks[victims[i+j]].dirty = false
-		}
-		c.removeFromDirtyQ(victims[i : i+run])
-		c.account(0, 0, 0, uint64(run))
-		i += run
+		return tr.Begin(ktrace.EvCache, "bcache", name, ktrace.SpanContext{})
 	}
-	return nil
-}
-
-// flushBatched commits the whole victim set in one vectored driver
-// call.  Runs are assembled exactly as the sequential path would (same
-// per-sector copy-out charges); the driver reports how many runs
-// landed before the first error, and only those are un-dirtied, so a
-// failed flush retries precisely the unwritten runs.
-func (c *Cache) flushBatched(bd vfs.BatchDev, victims []uint64) error {
 	var runs []vfs.SectorRun
-	var bounds [][2]int // victim index range of each run
-	i := 0
-	for i < len(victims) {
+	for i := 0; i < len(victims); {
 		run := 1
 		for i+run < len(victims) && victims[i+run] == victims[i]+uint64(run) {
 			run++
 		}
 		out := make([]byte, run*SectorSize)
-		for j := 0; j < run; j++ {
-			b := c.blocks[victims[i+j]]
-			copy(out[j*SectorSize:], b.data)
-			c.eng.Copy(c.sectorAddr(victims[i+j]), c.buf.Base, SectorSize)
+		for j, s := range victims[i : i+run] {
+			copy(out[j*SectorSize:], c.blocks[s].data)
+			c.eng.Copy(c.sectorAddr(s), c.buf.Base, SectorSize)
 		}
-		runs = append(runs, vfs.SectorRun{Sector: victims[i], Data: out})
-		bounds = append(bounds, [2]int{i, i + run})
+		if vectored {
+			runs = append(runs, vfs.SectorRun{Sector: victims[i], Data: out})
+		} else {
+			sp := span("writeback")
+			err := c.inner.WriteSectors(victims[i], out)
+			sp.End()
+			if err != nil {
+				return err
+			}
+			c.cleaned(victims[i : i+run])
+		}
 		i += run
 	}
-	var sp ktrace.Span
-	if tr := ktrace.For(c.eng); tr != nil {
-		sp = tr.Begin(ktrace.EvCache, "bcache", "writeback_v", ktrace.SpanContext{})
+	if !vectored {
+		return nil
 	}
+	sp := span("writeback_v")
 	done, err := bd.WriteSectorsV(runs)
-	if sp.Context().TraceID != 0 {
-		sp.End()
-	}
-	if done > len(runs) {
-		done = len(runs)
-	}
-	for r := 0; r < done; r++ {
-		lo, hi := bounds[r][0], bounds[r][1]
-		for j := lo; j < hi; j++ {
-			c.blocks[victims[j]].dirty = false
-		}
-		c.removeFromDirtyQ(victims[lo:hi])
-		c.account(0, 0, 0, uint64(hi-lo))
+	sp.End()
+	i := 0
+	for _, r := range runs[:min(done, len(runs))] {
+		n := len(r.Data) / SectorSize
+		c.cleaned(victims[i : i+n])
+		i += n
 	}
 	return err
+}
+
+// cleaned records one written run of sectors: no longer dirty, off the
+// write-behind list, counted as written back.
+func (c *Cache) cleaned(run []uint64) {
+	for _, s := range run {
+		c.blocks[s].dirty = false
+	}
+	c.removeFromDirtyQ(run)
+	c.account(0, 0, 0, uint64(len(run)))
 }
 
 // newBlock allocates (or reclaims) a block for sector s and links it into
@@ -549,14 +527,6 @@ func (c *Cache) account(hits, misses, ra, wb uint64) {
 		st.Counter("bcache.writeback").Add(wb)
 	}
 	st.Gauge("bcache.dirty").Set(int64(len(c.dirtyQ)))
-}
-
-func sortSectors(s []uint64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 var (

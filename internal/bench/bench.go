@@ -570,26 +570,22 @@ type FSResult struct {
 // FSPersonality probes each format through the dispatcher.
 func FSPersonality() ([]FSResult, error) {
 	build := func(name string) (vfs.FileSystem, error) {
+		var fsys vfs.FileSystem
+		dev := vfs.NewRAMDisk(4096)
+		var err error
 		switch name {
 		case "fat":
-			dev := vfs.NewRAMDisk(4096)
-			if err := fat.Format(dev); err != nil {
-				return nil, err
-			}
-			return fat.Mount(dev)
+			fsys, err = fat.New(), fat.Format(dev)
 		case "hpfs":
-			dev := vfs.NewRAMDisk(4096)
-			if err := hpfs.Format(dev); err != nil {
-				return nil, err
-			}
-			return hpfs.Mount(dev)
+			fsys, err = hpfs.New(), hpfs.Format(dev)
 		default:
-			dev := vfs.NewRAMDisk(8192)
-			if err := jfs.Format(dev); err != nil {
-				return nil, err
-			}
-			return jfs.Mount(dev)
+			dev = vfs.NewRAMDisk(8192)
+			fsys, err = jfs.New(), jfs.Format(dev)
 		}
+		if err != nil {
+			return nil, err
+		}
+		return fsys, fsys.Mount(dev)
 	}
 	var out []FSResult
 	for _, name := range []string{"fat", "hpfs", "jfs"} {

@@ -174,6 +174,9 @@ func Boot(cfg Config) (*System, error) {
 	if cfg.MemoryMB <= 0 || cfg.DiskSectors < 128 {
 		return nil, ErrBadConfig
 	}
+	if err := cfg.CPU.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
+	}
 	s := &System{Config: cfg}
 	log := func(f string, a ...any) { s.bootLog = append(s.bootLog, fmt.Sprintf(f, a...)) }
 
@@ -274,10 +277,14 @@ func Boot(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
+	// One transfer agreement for the boot: the file server, its clients,
+	// the driver and the device adapter below all place payloads and
+	// batch by this value.
+	xfer := mach.Transfer{ZeroCopy: cfg.ZeroCopy, Batch: cfg.BatchRPC}
+	if ub, ok := s.Block.(*drivers.UserBlockDriver); ok {
+		ub.SetTransfer(xfer)
+	}
 	if cfg.ZeroCopy || cfg.BatchRPC {
-		if ub, ok := s.Block.(*drivers.UserBlockDriver); ok {
-			ub.SetTransfer(cfg.ZeroCopy, cfg.BatchRPC)
-		}
 		log("transfer: zero-copy=%v vectored-batch=%v", cfg.ZeroCopy, cfg.BatchRPC)
 	}
 	log("block driver: %s", s.Block.Model())
@@ -287,9 +294,7 @@ func Boot(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.ZeroCopy || cfg.BatchRPC {
-		s.Files.SetTransfer(vfs.Transfer{ZeroCopy: cfg.ZeroCopy, Batch: cfg.BatchRPC})
-	}
+	s.Files.SetTransfer(xfer)
 	// Unified buffer cache: when configured, every device-backed volume
 	// mounted below gets a write-behind sector cache interposed inside
 	// the file-server task, so hot file operations stop crossing into the
@@ -308,22 +313,13 @@ func Boot(cfg Config) (*System, error) {
 	}
 	// FAT boot volume over the real block driver (every file op crosses
 	// into the driver unless cached); HPFS and JFS volumes on secondary
-	// RAM disks.  All three attach through the redesigned MountVolume
-	// call, which threads the device through the cache.
+	// RAM disks.  All three attach through MountVolume, which threads the
+	// device through the cache.
 	diskTh, err := s.Files.Task().NewBoundThread("diskio")
 	if err != nil {
 		return nil, err
 	}
-	// The boot device: batch-enabled boots bind the vectored adapter
-	// (which advertises vfs.BatchDev to the buffer cache); everything
-	// else gets the classic adapter so features-off boots never take a
-	// vectored path.
-	var bootDev vfs.BlockDev
-	if ub, ok := s.Block.(drivers.BatchDriver); ok && cfg.BatchRPC {
-		bootDev = drivers.NewVectorSectorDev(ub, diskTh, cfg.DiskSectors)
-	} else {
-		bootDev = drivers.NewSectorDev(s.Block, diskTh, cfg.DiskSectors)
-	}
+	bootDev := drivers.NewDev(s.Block, diskTh, cfg.DiskSectors, xfer)
 	if err := fat.Format(bootDev); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -49,6 +50,13 @@ func TestBootBadConfig(t *testing.T) {
 	cfg.Personalities = []string{"beos"}
 	if _, err := Boot(cfg); err == nil {
 		t.Fatal("unknown personality should fail")
+	}
+	// The cache model indexes by shift and mask: a non-power-of-two
+	// geometry is a configuration error, not a panic at engine build.
+	cfg = DefaultConfig()
+	cfg.CPU.DCache.Sets = 96
+	if _, err := Boot(cfg); !errors.Is(err, ErrBadConfig) || !strings.Contains(err.Error(), "DCache.Sets") {
+		t.Fatalf("non-power-of-two DCache.Sets: err = %v, want ErrBadConfig naming the field", err)
 	}
 }
 

@@ -49,8 +49,8 @@ func BootNative(cfg cpu.Config, memoryMB int, diskSectors uint64) (*NativeSystem
 	if err := fat.Format(dev); err != nil {
 		return nil, err
 	}
-	fatFS, err := fat.Mount(dev)
-	if err != nil {
+	fatFS := fat.New()
+	if err := fatFS.Mount(dev); err != nil {
 		return nil, err
 	}
 	if err := sys.Mount("/", fatFS); err != nil {

@@ -217,39 +217,51 @@ func (l *Layout) PlaceInstr(name string, n uint64) Region {
 	return r
 }
 
+// Validate reports a geometry the model cannot represent.  A cache
+// indexes by shift and mask, and Engine.touch walks a range line by line
+// from addr &^ (LineSize-1), so each cache's Sets and LineSize must be
+// powers of two.
+func (c Config) Validate() error {
+	for _, cc := range []struct {
+		name string
+		cfg  CacheConfig
+	}{{"ICache", c.ICache}, {"DCache", c.DCache}} {
+		if bits.OnesCount64(uint64(cc.cfg.Sets)) != 1 {
+			return fmt.Errorf("cpu: %s.Sets = %d is not a power of two", cc.name, cc.cfg.Sets)
+		}
+		if bits.OnesCount64(cc.cfg.LineSize) != 1 {
+			return fmt.Errorf("cpu: %s.LineSize = %d is not a power of two", cc.name, cc.cfg.LineSize)
+		}
+	}
+	return nil
+}
+
 // cache is one set-associative cache with true-LRU replacement.  Tags are
 // full addresses; the simulated system uses a single physical address
 // space, so competing regions conflict exactly as physical caches do.
 // Set s occupies tags[s*Ways : (s+1)*Ways], and likewise in age.
 type cache struct {
-	cfg  CacheConfig
-	tags []uint64 // 0 = invalid
-	age  []uint64 // last-use stamps
-	tick uint64
-	// When LineSize and Sets are powers of two (every configuration in
-	// the tree) pow2 is set and a shift and a mask replace the divisions.
-	pow2      bool
-	lineShift uint
-	setMask   uint64
+	cfg       CacheConfig
+	tags      []uint64 // 0 = invalid
+	age       []uint64 // last-use stamps
+	tick      uint64
+	lineShift uint   // log2(LineSize)
+	setMask   uint64 // Sets-1
 }
 
+// newCache builds a cold cache; cfg must pass Config.Validate.
 func newCache(cfg CacheConfig) *cache {
-	n, sets := cfg.Sets*cfg.Ways, uint64(cfg.Sets)
-	c := &cache{cfg: cfg, tags: make([]uint64, n), age: make([]uint64, n)}
-	if bits.OnesCount64(cfg.LineSize) == 1 && bits.OnesCount64(sets) == 1 {
-		c.pow2, c.lineShift, c.setMask = true, uint(bits.TrailingZeros64(cfg.LineSize)), sets-1
+	n := cfg.Sets * cfg.Ways
+	return &cache{
+		cfg: cfg, tags: make([]uint64, n), age: make([]uint64, n),
+		lineShift: uint(bits.TrailingZeros64(cfg.LineSize)), setMask: uint64(cfg.Sets) - 1,
 	}
-	return c
 }
 
 // access touches the line containing addr; it reports whether it hit.
 func (c *cache) access(addr uint64) bool {
 	line := addr >> c.lineShift
 	set := line & c.setMask
-	if !c.pow2 {
-		line = addr / c.cfg.LineSize
-		set = line % uint64(c.cfg.Sets)
-	}
 	tag := line + 1 // +1 so a valid tag is never 0
 	c.tick++
 	lo, hi := int(set)*c.cfg.Ways, int(set+1)*c.cfg.Ways
@@ -381,8 +393,12 @@ type Engine struct {
 	planes  atomic.Pointer[Planes]
 }
 
-// NewEngine creates a processor with cold caches.
+// NewEngine creates a processor with cold caches.  It panics, naming the
+// field, on a geometry Config.Validate rejects.
 func NewEngine(cfg Config) *Engine {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	return &Engine{
 		cfg:    cfg,
 		icache: newCache(cfg.ICache),

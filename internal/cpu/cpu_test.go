@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -43,6 +44,37 @@ func TestCacheFlush(t *testing.T) {
 	c.flush()
 	if c.access(0x40) {
 		t.Fatal("flushed cache must miss")
+	}
+}
+
+// TestNewEngineRejectsNonPow2Geometry: the caches index by shift and
+// mask and touch walks lines from addr &^ (LineSize-1), so any other
+// geometry is refused up front, with the offending field named.
+func TestNewEngineRejectsNonPow2Geometry(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		mod   func(*Config)
+	}{
+		{"ICache.Sets", func(c *Config) { c.ICache.Sets = 96 }},
+		{"DCache.Sets", func(c *Config) { c.DCache.Sets = 0 }},
+		{"ICache.LineSize", func(c *Config) { c.ICache.LineSize = 48 }},
+		{"DCache.LineSize", func(c *Config) { c.DCache.LineSize = 24 }},
+	} {
+		cfg := Pentium133()
+		tc.mod(&cfg)
+		func() {
+			defer func() {
+				r := recover()
+				err, ok := r.(error)
+				if !ok || !strings.Contains(err.Error(), tc.field) {
+					t.Errorf("NewEngine with a bad %s: recovered %v, want a panic naming the field", tc.field, r)
+				}
+			}()
+			NewEngine(cfg)
+		}()
+	}
+	if err := Pentium133().Validate(); err != nil {
+		t.Fatalf("Pentium133 rejected: %v", err)
 	}
 }
 

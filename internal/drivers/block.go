@@ -1,6 +1,7 @@
 package drivers
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -39,8 +40,13 @@ type BlockDriver interface {
 	Model() string
 }
 
-// ErrDriverDead reports a driver whose server task has exited.
-var ErrDriverDead = errors.New("drivers: driver task terminated")
+// Errors of the block-driver protocol.
+var (
+	// ErrDriverDead reports a driver whose server task has exited.
+	ErrDriverDead = errors.New("drivers: driver task terminated")
+	// ErrBadRequest reports a request body too short for its operation.
+	ErrBadRequest = errors.New("drivers: malformed request")
+)
 
 // --- In-kernel BSD-style driver -----------------------------------------
 
@@ -115,36 +121,19 @@ type UserBlockDriver struct {
 	disk *Disk
 	path cpu.Region
 
-	// Bulk-transfer features, fixed at boot (see SetTransfer).
-	zeroCopy bool
-	batch    bool
+	// xfer is the boot's transfer agreement (see SetTransfer).
+	xfer mach.Transfer
 
 	mu    sync.Mutex
 	names map[mach.TaskID]mach.PortName
 }
 
-// SetTransfer configures the driver protocol's bulk-transfer features.
-// With zeroCopy on, sector payloads of at least a page move by
-// shared-memory region descriptor (mapped, never copied) in both
-// directions; with batch on, WriteSectorsV commits several runs in one
-// vectored RPC crossing.  Like vfs.Server.SetTransfer this is a
-// boot-time switch: call it before the driver sees traffic, never
-// concurrently with requests.
-func (d *UserBlockDriver) SetTransfer(zeroCopy, batch bool) {
-	d.zeroCopy = zeroCopy
-	d.batch = batch
-}
-
-// payload returns a message's bulk data regardless of placement: the
-// first region descriptor when the peer sent one, the out-of-line
-// buffer otherwise.  Accepting both keeps zero-copy and copying peers
-// interoperable on the one wire protocol.
-func payload(m *mach.Message) []byte {
-	if len(m.Regions) > 0 {
-		return m.Regions[0].Payload()
-	}
-	return m.OOL
-}
+// SetTransfer installs the boot's transfer agreement: sector payloads
+// are placed by its rule (mach.Transfer.Place) in both directions.
+// Whether write-behind runs are vectored is decided where the device
+// adapter is built (NewDev).  Like vfs.Server.SetTransfer this is a
+// boot-time switch: call it before the driver sees traffic.
+func (d *UserBlockDriver) SetTransfer(x mach.Transfer) { d.xfer = x }
 
 // NewUserBlockDriver starts the driver task and its service loop of pool
 // threads (pool <= 1 keeps the classic single loop).
@@ -185,31 +174,43 @@ func NewUserBlockDriver(k *mach.Kernel, layout *cpu.Layout, disk *Disk, hrm *ios
 	return d, nil
 }
 
+// handle serves one request.  The request is wire input from any task
+// holding a send right, and no serve loop recovers a panic, so a body too
+// short for its operation or a run past the disk gets an error reply:
+// the sector count is bounded before it sizes an allocation.
 func (d *UserBlockDriver) handle(req *mach.Message) *mach.Message {
 	sp := traceIO(d.k, "udrv:handle")
 	defer sp.End()
 	d.k.CPU.Exec(d.path)
 	switch req.ID {
 	case msgRead:
-		sector := beU64(req.Body[0:8])
-		count := int(beU64(req.Body[8:16]))
+		if len(req.Body) < 16 {
+			return errReply(ErrBadRequest)
+		}
+		sector, count := binary.BigEndian.Uint64(req.Body[0:8]), binary.BigEndian.Uint64(req.Body[8:16])
+		if count > d.disk.Sectors() {
+			return errReply(ErrBadSector)
+		}
 		buf := make([]byte, count*SectorSize)
 		if err := d.disk.read(req.Hop(), sector, buf); err != nil {
-			return &mach.Message{ID: 1, Body: []byte(err.Error())}
+			return errReply(err)
 		}
-		if d.zeroCopy && len(buf) >= mach.PageSize {
-			return &mach.Message{ID: 0, Regions: []mach.RegionDesc{{Len: uint64(len(buf)), Data: buf}}}
-		}
-		return &mach.Message{ID: 0, OOL: buf}
+		return d.xfer.Place(0, nil, buf)
 	case msgWrite:
-		sector := beU64(req.Body[0:8])
-		if err := d.disk.write(req.Hop(), sector, payload(req)); err != nil {
-			return &mach.Message{ID: 1, Body: []byte(err.Error())}
+		if len(req.Body) < 8 {
+			return errReply(ErrBadRequest)
+		}
+		if err := d.disk.write(req.Hop(), binary.BigEndian.Uint64(req.Body[0:8]), req.Payload()); err != nil {
+			return errReply(err)
 		}
 		return &mach.Message{ID: 0}
 	default:
-		return &mach.Message{ID: 1, Body: []byte("bad op")}
+		return errReply(ErrBadRequest)
 	}
+}
+
+func errReply(err error) *mach.Message {
+	return &mach.Message{ID: 1, Body: []byte(err.Error())}
 }
 
 // portFor gives the caller's task a send right to the driver.
@@ -252,33 +253,25 @@ func (d *UserBlockDriver) call(caller *mach.Thread, op string, req *mach.Message
 // ReadSectors implements BlockDriver via RPC to the driver task.
 func (d *UserBlockDriver) ReadSectors(caller *mach.Thread, sector uint64, count int) ([]byte, error) {
 	body := make([]byte, 16)
-	putU64(body[0:8], sector)
-	putU64(body[8:16], uint64(count))
+	binary.BigEndian.PutUint64(body[0:8], sector)
+	binary.BigEndian.PutUint64(body[8:16], uint64(count))
 	reply, err := d.call(caller, "udrv:read", &mach.Message{ID: msgRead, Body: body})
 	if err != nil {
 		return nil, err
 	}
-	return payload(reply), nil
+	return reply.Payload(), nil
 }
 
-// writeMsg builds a msgWrite request for one sector run, placing the
-// payload by region descriptor when zero-copy is on and the run is at
-// least a page, out of line otherwise.
-func (d *UserBlockDriver) writeMsg(sector uint64, data []byte) *mach.Message {
+// writeReq builds the msgWrite request for one sector run.
+func (d *UserBlockDriver) writeReq(sector uint64, data []byte) *mach.Message {
 	body := make([]byte, 16)
-	putU64(body[0:8], sector)
-	m := &mach.Message{ID: msgWrite, Body: body}
-	if d.zeroCopy && len(data) >= mach.PageSize {
-		m.Regions = []mach.RegionDesc{{Len: uint64(len(data)), Data: data}}
-	} else {
-		m.OOL = data
-	}
-	return m
+	binary.BigEndian.PutUint64(body[0:8], sector)
+	return d.xfer.Place(msgWrite, body, data)
 }
 
 // WriteSectors implements BlockDriver via RPC to the driver task.
 func (d *UserBlockDriver) WriteSectors(caller *mach.Thread, sector uint64, data []byte) error {
-	_, err := d.call(caller, "udrv:write", d.writeMsg(sector, data))
+	_, err := d.call(caller, "udrv:write", d.writeReq(sector, data))
 	return err
 }
 
@@ -287,19 +280,12 @@ func (d *UserBlockDriver) WriteSectors(caller *mach.Thread, sector uint64, data 
 // run rides as a msgWrite sub-message, so the whole write-behind flush
 // costs one dispatch and one address-space round trip.  The count
 // reports how many runs were committed before the first error, so the
-// buffer cache keeps exactly the unwritten runs dirty for retry.
-// Without batch negotiated it degrades to one RPC per run.
+// buffer cache keeps exactly the unwritten runs dirty for retry.  Only
+// the vectored adapter calls it, and NewDev builds that adapter only
+// when the boot's transfer agreement batches.
 func (d *UserBlockDriver) WriteSectorsV(caller *mach.Thread, runs []vfs.SectorRun) (int, error) {
 	if len(runs) == 0 {
 		return 0, nil
-	}
-	if !d.batch {
-		for i, r := range runs {
-			if err := d.WriteSectors(caller, r.Sector, r.Data); err != nil {
-				return i, err
-			}
-		}
-		return len(runs), nil
 	}
 	sp := traceIO(d.k, "udrv:writev")
 	defer sp.End()
@@ -309,7 +295,7 @@ func (d *UserBlockDriver) WriteSectorsV(caller *mach.Thread, runs []vfs.SectorRu
 	}
 	reqs := make([]*mach.Message, len(runs))
 	for i, r := range runs {
-		reqs[i] = d.writeMsg(r.Sector, r.Data)
+		reqs[i] = d.writeReq(r.Sector, r.Data)
 	}
 	replies, err := caller.CallV(n, reqs, mach.CallOpts{})
 	if err != nil {
@@ -417,18 +403,3 @@ func (d *OODDMBlockDriver) Model() string { return "OODDM fine-grained objects" 
 
 // Hierarchy exposes the class hierarchy (for metadata accounting).
 func (d *OODDMBlockDriver) Hierarchy() *objsys.Hierarchy { return d.h }
-
-func beU64(b []byte) uint64 {
-	var v uint64
-	for _, x := range b[:8] {
-		v = v<<8 | uint64(x)
-	}
-	return v
-}
-
-func putU64(b []byte, v uint64) {
-	for i := 7; i >= 0; i-- {
-		b[i] = byte(v)
-		v >>= 8
-	}
-}

@@ -97,7 +97,7 @@ func (d *Disk) read(req *klat.Hop, sector uint64, buf []byte) error {
 	defer sp.End()
 	n := uint64(len(buf) / SectorSize)
 	d.lockArm(req)
-	if sector+n > uint64(len(d.sectors)) {
+	if !d.inRange(sector, n) {
 		d.mu.Unlock()
 		return ErrBadSector
 	}
@@ -141,7 +141,7 @@ func (d *Disk) write(req *klat.Hop, sector uint64, data []byte) error {
 	defer sp.End()
 	n := uint64(len(data) / SectorSize)
 	d.lockArm(req)
-	if sector+n > uint64(len(d.sectors)) {
+	if !d.inRange(sector, n) {
 		d.mu.Unlock()
 		return ErrBadSector
 	}
@@ -158,6 +158,13 @@ func (d *Disk) write(req *klat.Hop, sector uint64, data []byte) error {
 		return err
 	}
 	return d.intr.Raise(d.vector)
+}
+
+// inRange reports whether the n sectors from sector lie on the disk,
+// without forming sector+n (a sector near 2^64 would wrap it).
+func (d *Disk) inRange(sector, n uint64) bool {
+	size := uint64(len(d.sectors))
+	return n <= size && sector <= size-n
 }
 
 // lockArm takes the arm mutex: there is one head, seeks are serialized on

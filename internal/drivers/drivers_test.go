@@ -2,6 +2,7 @@ package drivers
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -71,6 +72,13 @@ func TestDiskErrors(t *testing.T) {
 	}
 	if err := r.disk.WriteSectors(9999, make([]byte, SectorSize)); err != ErrBadSector {
 		t.Fatalf("write overflow err = %v", err)
+	}
+	// sector+n would wrap past 2^64 and pass a naive bound check.
+	if err := r.disk.ReadSectors(1<<64-1, make([]byte, 2*SectorSize)); err != ErrBadSector {
+		t.Fatalf("wrapping read err = %v", err)
+	}
+	if err := r.disk.WriteSectors(1<<64-1, make([]byte, 2*SectorSize)); err != ErrBadSector {
+		t.Fatalf("wrapping write err = %v", err)
 	}
 }
 
@@ -241,6 +249,54 @@ func TestUserDriverDeadTask(t *testing.T) {
 	ud.Task().Terminate()
 	if err := d.WriteSectors(th, 0, make([]byte, SectorSize)); err == nil {
 		t.Fatal("write to dead driver should fail")
+	}
+}
+
+// TestUserDriverSurvivesMalformedRequests: any task holding a send right
+// can put raw bytes on the driver's port, and no serve loop recovers a
+// panic.  A short body, a count past the disk (which must be refused
+// before it sizes an allocation) and a sector whose run would wrap 2^64
+// each get an error reply, and the driver keeps serving.
+func TestUserDriverSurvivesMalformedRequests(t *testing.T) {
+	_, d, th := driverFixture(t, "user")
+	ud := d.(*UserBlockDriver)
+	n, err := ud.portFor(th)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := func(sector, count uint64) []byte {
+		b := make([]byte, 16)
+		binary.BigEndian.PutUint64(b[0:8], sector)
+		binary.BigEndian.PutUint64(b[8:16], count)
+		return b
+	}
+	for _, tc := range []struct {
+		name string
+		m    *mach.Message
+	}{
+		{"empty read", &mach.Message{ID: msgRead}},
+		{"short read", &mach.Message{ID: msgRead, Body: req(0, 1)[:12]}},
+		{"short write", &mach.Message{ID: msgWrite, Body: []byte{1, 2, 3}, OOL: make([]byte, SectorSize)}},
+		{"huge count", &mach.Message{ID: msgRead, Body: req(0, 1<<60)}},
+		{"count past disk", &mach.Message{ID: msgRead, Body: req(0, 4097)}},
+		{"read wraps 2^64", &mach.Message{ID: msgRead, Body: req(1<<64-1, 2)}},
+		{"write wraps 2^64", &mach.Message{ID: msgWrite, Body: req(1<<64-1, 0), OOL: make([]byte, 2*SectorSize)}},
+		{"unknown op", &mach.Message{ID: 0x0DFF}},
+	} {
+		reply, err := th.Call(n, tc.m, mach.CallOpts{})
+		if err != nil {
+			t.Fatalf("%s: RPC died (driver crashed?): %v", tc.name, err)
+		}
+		if reply.ID == 0 {
+			t.Fatalf("%s: accepted", tc.name)
+		}
+	}
+	data := bytes.Repeat([]byte{0x5A}, SectorSize)
+	if err := d.WriteSectors(th, 4095, data); err != nil {
+		t.Fatalf("driver wedged after malformed requests: %v", err)
+	}
+	if got, err := d.ReadSectors(th, 4095, 1); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read back after malformed requests: %v", err)
 	}
 }
 

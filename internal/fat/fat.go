@@ -89,21 +89,10 @@ type FS struct {
 	fat []uint16 // cached allocation table, written through
 }
 
-// New returns an unmounted FAT volume for the redesigned mount API;
-// attach it with Mount.
+// New returns an unmounted FAT volume; attach it with Mount.
 func New() *FS { return &FS{} }
 
-// Mount opens a formatted device (compatibility wrapper over New and
-// Filesystem.Mount).
-func Mount(dev vfs.BlockDev) (*FS, error) {
-	fs := New()
-	if err := fs.Mount(dev); err != nil {
-		return nil, err
-	}
-	return fs, nil
-}
-
-// Mount implements vfs.Filesystem: read the boot sector and load the
+// Mount implements vfs.FileSystem: read the boot sector and load the
 // allocation table.
 func (fs *FS) Mount(dev vfs.BlockDev) error {
 	fs.mu.Lock()
@@ -138,7 +127,7 @@ func (fs *FS) Mount(dev vfs.BlockDev) error {
 	return nil
 }
 
-// Unmount implements vfs.Filesystem (the FAT is written through, so
+// Unmount implements vfs.FileSystem (the FAT is written through, so
 // there is nothing to flush).
 func (fs *FS) Unmount() error {
 	fs.mu.Lock()
@@ -150,10 +139,7 @@ func (fs *FS) Unmount() error {
 	return nil
 }
 
-// Capabilities implements vfs.Filesystem.
-func (fs *FS) Capabilities() vfs.Capabilities { return fs.Caps() }
-
-var _ vfs.Filesystem = (*FS)(nil)
+var _ vfs.FileSystem = (*FS)(nil)
 
 // Root implements vfs.FileSystem.
 func (fs *FS) Root() vfs.Vnode {

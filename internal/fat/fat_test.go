@@ -9,12 +9,18 @@ import (
 	"repro/internal/vfs"
 )
 
+// mount attaches a fresh volume to dev.
+func mount(dev vfs.BlockDev) (*FS, error) {
+	fs := New()
+	return fs, fs.Mount(dev)
+}
+
 func newFS(t testing.TB) *FS {
 	dev := vfs.NewRAMDisk(2048)
 	if err := Format(dev); err != nil {
 		t.Fatalf("Format: %v", err)
 	}
-	fs, err := Mount(dev)
+	fs, err := mount(dev)
 	if err != nil {
 		t.Fatalf("Mount: %v", err)
 	}
@@ -22,7 +28,7 @@ func newFS(t testing.TB) *FS {
 }
 
 func TestMountUnformatted(t *testing.T) {
-	if _, err := Mount(vfs.NewRAMDisk(64)); err != ErrNotFormatted {
+	if _, err := mount(vfs.NewRAMDisk(64)); err != ErrNotFormatted {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -82,7 +88,7 @@ func TestLongNameRejected(t *testing.T) {
 func TestFileDataPersistsAcrossRemount(t *testing.T) {
 	dev := vfs.NewRAMDisk(2048)
 	Format(dev)
-	fs, _ := Mount(dev)
+	fs, _ := mount(dev)
 	f, err := fs.Root().Create("DATA.BIN", false)
 	if err != nil {
 		t.Fatalf("Create: %v", err)
@@ -92,7 +98,7 @@ func TestFileDataPersistsAcrossRemount(t *testing.T) {
 		t.Fatalf("WriteAt: %v", err)
 	}
 	// Remount from the raw device: everything must come off the disk.
-	fs2, err := Mount(dev)
+	fs2, err := mount(dev)
 	if err != nil {
 		t.Fatalf("remount: %v", err)
 	}
@@ -238,7 +244,7 @@ func TestDiskFull(t *testing.T) {
 	if err := Format(dev); err != nil {
 		t.Fatalf("Format: %v", err)
 	}
-	fs, _ := Mount(dev)
+	fs, _ := mount(dev)
 	f, err := fs.Root().Create("X.BIN", false)
 	if err != nil {
 		t.Fatalf("Create: %v", err)

@@ -16,7 +16,7 @@ func TestIOErrorDuringWritePropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := vfs.NewFaultyDev(raw)
-	fs, err := Mount(dev)
+	fs, err := mount(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestIOErrorDuringReadPropagates(t *testing.T) {
 	raw := vfs.NewRAMDisk(2048)
 	Format(raw)
 	dev := vfs.NewFaultyDev(raw)
-	fs, _ := Mount(dev)
+	fs, _ := mount(dev)
 	f, _ := fs.Root().Create("X.TXT", false)
 	f.WriteAt([]byte("payload"), 0)
 	dev.FailAfter(0, true, false)
@@ -66,7 +66,7 @@ func TestMountFailsOnDeadDevice(t *testing.T) {
 	Format(raw)
 	dev := vfs.NewFaultyDev(raw)
 	dev.FailAfter(0, true, true)
-	if _, err := Mount(dev); !errors.Is(err, vfs.ErrIO) {
+	if _, err := mount(dev); !errors.Is(err, vfs.ErrIO) {
 		t.Fatalf("err = %v", err)
 	}
 	_, _, failures := dev.Stats()
@@ -79,13 +79,13 @@ func TestCreateFailsMidwayLeavesMountableVolume(t *testing.T) {
 	raw := vfs.NewRAMDisk(2048)
 	Format(raw)
 	dev := vfs.NewFaultyDev(raw)
-	fs, _ := Mount(dev)
+	fs, _ := mount(dev)
 	// Let a couple of ops through, then fail writes during a create.
 	dev.FailAfter(1, false, true)
 	_, cerr := fs.Root().Create("NEW.TXT", false)
 	dev.Heal()
 	// Whatever happened, the volume must still mount and list.
-	fs2, err := Mount(raw)
+	fs2, err := mount(raw)
 	if err != nil {
 		t.Fatalf("remount: %v", err)
 	}

@@ -88,21 +88,10 @@ type FS struct {
 	total       uint64
 }
 
-// New returns an unmounted HPFS volume for the redesigned mount API;
-// attach it with Mount.
+// New returns an unmounted HPFS volume; attach it with Mount.
 func New() *FS { return &FS{} }
 
-// Mount opens a formatted volume (compatibility wrapper over New and
-// Filesystem.Mount).
-func Mount(dev vfs.BlockDev) (*FS, error) {
-	fs := New()
-	if err := fs.Mount(dev); err != nil {
-		return nil, err
-	}
-	return fs, nil
-}
-
-// Mount implements vfs.Filesystem: read the superblock.
+// Mount implements vfs.FileSystem: read the superblock.
 func (fs *FS) Mount(dev vfs.BlockDev) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -125,7 +114,7 @@ func (fs *FS) Mount(dev vfs.BlockDev) error {
 	return nil
 }
 
-// Unmount implements vfs.Filesystem (writes are synchronous, nothing to
+// Unmount implements vfs.FileSystem (writes are synchronous, nothing to
 // flush).
 func (fs *FS) Unmount() error {
 	fs.mu.Lock()
@@ -137,10 +126,7 @@ func (fs *FS) Unmount() error {
 	return nil
 }
 
-// Capabilities implements vfs.Filesystem.
-func (fs *FS) Capabilities() vfs.Capabilities { return fs.Caps() }
-
-var _ vfs.Filesystem = (*FS)(nil)
+var _ vfs.FileSystem = (*FS)(nil)
 
 // Root implements vfs.FileSystem.
 func (fs *FS) Root() vfs.Vnode { return &node{fs: fs, idx: 0} }

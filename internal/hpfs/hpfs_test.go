@@ -9,12 +9,18 @@ import (
 	"repro/internal/vfs"
 )
 
+// mount attaches a fresh volume to dev.
+func mount(dev vfs.BlockDev) (*FS, error) {
+	fs := New()
+	return fs, fs.Mount(dev)
+}
+
 func newFS(t testing.TB) *FS {
 	dev := vfs.NewRAMDisk(4096)
 	if err := Format(dev); err != nil {
 		t.Fatalf("Format: %v", err)
 	}
-	fs, err := Mount(dev)
+	fs, err := mount(dev)
 	if err != nil {
 		t.Fatalf("Mount: %v", err)
 	}
@@ -22,7 +28,7 @@ func newFS(t testing.TB) *FS {
 }
 
 func TestMountUnformatted(t *testing.T) {
-	if _, err := Mount(vfs.NewRAMDisk(128)); err != ErrNotFormatted {
+	if _, err := mount(vfs.NewRAMDisk(128)); err != ErrNotFormatted {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -61,7 +67,7 @@ func TestNameLimit(t *testing.T) {
 func TestDataPersistsAcrossRemount(t *testing.T) {
 	dev := vfs.NewRAMDisk(4096)
 	Format(dev)
-	fs, _ := Mount(dev)
+	fs, _ := mount(dev)
 	d, _ := fs.Root().Create("docs", true)
 	f, err := d.Create("essay.txt", false)
 	if err != nil {
@@ -71,7 +77,7 @@ func TestDataPersistsAcrossRemount(t *testing.T) {
 	f.WriteAt(payload, 0)
 	f.SetEA(".LONGNAME", "essay about microkernels")
 
-	fs2, _ := Mount(dev)
+	fs2, _ := mount(dev)
 	d2, err := fs2.Root().Lookup("DOCS")
 	if err != nil {
 		t.Fatalf("dir lookup: %v", err)

@@ -16,7 +16,7 @@ func TestHomeWriteFailureAfterCommitIsRecoverable(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := vfs.NewFaultyDev(raw)
-	fs, err := Mount(dev)
+	fs, err := mount(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestHomeWriteFailureAfterCommitIsRecoverable(t *testing.T) {
 	}
 	dev.Heal()
 	// Remount the raw device: replay applies the committed transaction.
-	fs2, err := Mount(raw)
+	fs2, err := mount(raw)
 	if err != nil {
 		t.Fatalf("remount: %v", err)
 	}
@@ -46,7 +46,7 @@ func TestJournalWriteFailureLosesNothingOlder(t *testing.T) {
 	raw := vfs.NewRAMDisk(8192)
 	Format(raw)
 	dev := vfs.NewFaultyDev(raw)
-	fs, _ := Mount(dev)
+	fs, _ := mount(dev)
 	// First transaction lands fully.
 	fs.Root().Create("old.txt", false)
 	if err := fs.Sync(); err != nil {
@@ -59,7 +59,7 @@ func TestJournalWriteFailureLosesNothingOlder(t *testing.T) {
 		t.Fatalf("sync err = %v", err)
 	}
 	dev.Heal()
-	fs2, err := Mount(raw)
+	fs2, err := mount(raw)
 	if err != nil {
 		t.Fatalf("remount: %v", err)
 	}
@@ -76,7 +76,7 @@ func TestDataWriteFailurePropagates(t *testing.T) {
 	raw := vfs.NewRAMDisk(8192)
 	Format(raw)
 	dev := vfs.NewFaultyDev(raw)
-	fs, _ := Mount(dev)
+	fs, _ := mount(dev)
 	f, err := fs.Root().Create("d.bin", false)
 	if err != nil {
 		t.Fatal(err)

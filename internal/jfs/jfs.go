@@ -99,21 +99,10 @@ type FS struct {
 	FailAfterCommit bool
 }
 
-// New returns an unmounted JFS volume for the redesigned mount API;
-// attach it with Mount.
+// New returns an unmounted JFS volume; attach it with Mount.
 func New() *FS { return &FS{} }
 
-// Mount opens a volume, replaying any committed journal first
-// (compatibility wrapper over New and Filesystem.Mount).
-func Mount(dev vfs.BlockDev) (*FS, error) {
-	fs := New()
-	if err := fs.Mount(dev); err != nil {
-		return nil, err
-	}
-	return fs, nil
-}
-
-// Mount implements vfs.Filesystem: read the superblock and replay any
+// Mount implements vfs.FileSystem: read the superblock and replay any
 // committed journal.
 func (fs *FS) Mount(dev vfs.BlockDev) error {
 	fs.mu.Lock()
@@ -140,7 +129,7 @@ func (fs *FS) Mount(dev vfs.BlockDev) error {
 	return fs.replay()
 }
 
-// Unmount implements vfs.Filesystem: commit the journal, then detach.
+// Unmount implements vfs.FileSystem: commit the journal, then detach.
 func (fs *FS) Unmount() error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -154,10 +143,7 @@ func (fs *FS) Unmount() error {
 	return nil
 }
 
-// Capabilities implements vfs.Filesystem.
-func (fs *FS) Capabilities() vfs.Capabilities { return fs.Caps() }
-
-var _ vfs.Filesystem = (*FS)(nil)
+var _ vfs.FileSystem = (*FS)(nil)
 
 // Root implements vfs.FileSystem.
 func (fs *FS) Root() vfs.Vnode { return &node{fs: fs, idx: 0} }

@@ -9,12 +9,18 @@ import (
 	"repro/internal/vfs"
 )
 
+// mount attaches a fresh volume to dev.
+func mount(dev vfs.BlockDev) (*FS, error) {
+	fs := New()
+	return fs, fs.Mount(dev)
+}
+
 func newFS(t testing.TB) (*FS, vfs.BlockDev) {
 	dev := vfs.NewRAMDisk(8192)
 	if err := Format(dev); err != nil {
 		t.Fatalf("Format: %v", err)
 	}
-	fs, err := Mount(dev)
+	fs, err := mount(dev)
 	if err != nil {
 		t.Fatalf("Mount: %v", err)
 	}
@@ -22,7 +28,7 @@ func newFS(t testing.TB) (*FS, vfs.BlockDev) {
 }
 
 func TestMountUnformatted(t *testing.T) {
-	if _, err := Mount(vfs.NewRAMDisk(256)); err != ErrNotFormatted {
+	if _, err := mount(vfs.NewRAMDisk(256)); err != ErrNotFormatted {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -90,7 +96,7 @@ func TestJournalReplayAfterCrash(t *testing.T) {
 		t.Fatal("journal should hold a committed transaction")
 	}
 	// Remount: replay must restore the file.
-	fs2, err := Mount(dev)
+	fs2, err := mount(dev)
 	if err != nil {
 		t.Fatalf("remount: %v", err)
 	}
@@ -99,7 +105,7 @@ func TestJournalReplayAfterCrash(t *testing.T) {
 	}
 	// The journal is checkpointed after replay: a third mount does not
 	// re-apply anything and still sees the file.
-	fs3, err := Mount(dev)
+	fs3, err := mount(dev)
 	if err != nil {
 		t.Fatalf("third mount: %v", err)
 	}
@@ -112,7 +118,7 @@ func TestUncommittedChangesLostOnCrash(t *testing.T) {
 	fs, dev := newFS(t)
 	fs.Root().Create("never-synced.txt", false)
 	// Crash with no Sync at all: overlay discarded.
-	fs2, err := Mount(dev)
+	fs2, err := mount(dev)
 	if err != nil {
 		t.Fatalf("remount: %v", err)
 	}
@@ -130,7 +136,7 @@ func TestSyncDurability(t *testing.T) {
 	if err := fs.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
-	fs2, _ := Mount(dev)
+	fs2, _ := mount(dev)
 	d2, err := fs2.Root().Lookup("dir")
 	if err != nil {
 		t.Fatalf("dir: %v", err)
@@ -211,7 +217,7 @@ func TestPropertyDurableAfterSync(t *testing.T) {
 	check := func(names []string, bodies [][]byte) bool {
 		dev := vfs.NewRAMDisk(8192)
 		Format(dev)
-		fs, _ := Mount(dev)
+		fs, _ := mount(dev)
 		root := fs.Root()
 		want := make(map[string][]byte)
 		for i, nm := range names {
@@ -245,7 +251,7 @@ func TestPropertyDurableAfterSync(t *testing.T) {
 		if err := fs.Sync(); err != nil {
 			return false
 		}
-		fs2, err := Mount(dev)
+		fs2, err := mount(dev)
 		if err != nil {
 			return false
 		}

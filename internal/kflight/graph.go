@@ -31,8 +31,7 @@ const (
 	WaitReply WaitKind = "reply"
 	// WaitReceive: a server thread blocked in RPCReceive for work.
 	WaitReceive WaitKind = "receive"
-	// WaitSetReceive: a server thread blocked in RPCReceiveSet on a port
-	// set.
+	// WaitSetReceive: a server thread blocked receiving on a port set.
 	WaitSetReceive WaitKind = "set-receive"
 	// WaitQueueSend: a classic mach_msg sender blocked on a full queue.
 	WaitQueueSend WaitKind = "queue-send"

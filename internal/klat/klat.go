@@ -224,7 +224,7 @@ func (h *Hop) StampSent() {
 }
 
 // StampPicked marks P2: a server thread took the exchange out of the
-// rendezvous.  RPCReceive and RPCReceiveSet both call it.
+// rendezvous.  RPCReceive and the port-set receive both call it.
 func (h *Hop) StampPicked() {
 	if h == nil {
 		return

@@ -40,7 +40,7 @@ func (th *Thread) setWait(kind kflight.WaitKind, port *Port, set *PortSet, op ui
 func (th *Thread) clearWait() { th.wait.Store(nil) }
 
 // taken is the receive side of a hand-off, run by the server thread that
-// takes the exchange (RPCReceive, RPCReceiveSet) before its handler runs:
+// takes the exchange (RPCReceive, receiveSet) before its handler runs:
 // P2 on the latency ledger, and the caller's wait moved from rendezvous to
 // reply, so a handler that dumps the wait-for graph sees its own caller
 // waiting for it.  The compare-and-swap leaves a caller that has already

@@ -136,6 +136,9 @@ func NewSMP(cfg cpu.Config, ncpu int) *Kernel {
 		tasks:    make(map[TaskID]*Task),
 		nextTask: 1, nextThread: 1,
 	}
+	// The standalone engine stays beside the Complex: a Complex of one
+	// would route every charge through its per-OS-thread binding table,
+	// paying Gettid per charge (tid_linux.go) for nothing to route.
 	if ncpu > 1 {
 		k.cx = cpu.NewComplex(cfg, ncpu)
 		k.CPU = k.cx.Router()

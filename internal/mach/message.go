@@ -81,6 +81,32 @@ func (r *RegionDesc) Payload() []byte {
 	return r.Data[r.Off : r.Off+r.Len]
 }
 
+// Transfer is the bulk-transfer agreement a boot makes once and hands to
+// both ends of every data-carrying protocol — the file server and its
+// clients, the block driver and its caller.  The zero value is the
+// seed's: every payload copied, one crossing per operation.
+type Transfer struct {
+	// ZeroCopy moves payloads of at least a page by region descriptor —
+	// per-page map cost, no per-byte copy cost — instead of out of line.
+	ZeroCopy bool
+	// Batch lets a caller vector several operations into one crossing
+	// (ReadDirStat's stat storm, the buffer cache's write-behind runs).
+	Batch bool
+}
+
+// Place builds a message carrying data by the one bulk-payload rule: by
+// region descriptor when zero-copy is on and data spans at least a page,
+// out of line (copied once) otherwise.  Message.Payload reads it back.
+func (x Transfer) Place(id MsgID, body, data []byte) *Message {
+	m := &Message{ID: id, Body: body}
+	if x.ZeroCopy && len(data) >= PageSize {
+		m.Regions = []RegionDesc{{Len: uint64(len(data)), Data: data}}
+	} else {
+		m.OOL = data
+	}
+	return m
+}
+
 // Message is the unit of communication.  The header mirrors Mach's
 // mach_msg_header_t: a destination, an optional reply port (used only by
 // the classic queued path — the reworked RPC removed reply ports), an
@@ -164,6 +190,15 @@ func (m *Message) Hop() *klat.Hop {
 		return nil
 	}
 	return m.lat
+}
+
+// Payload returns the bulk data a message carries under Transfer.Place:
+// its first region when it has one, its out-of-line buffer otherwise.
+func (m *Message) Payload() []byte {
+	if len(m.Regions) > 0 {
+		return m.Regions[0].Payload()
+	}
+	return m.OOL
 }
 
 // Batch returns the sub-messages of a vectored carrier, or nil for a

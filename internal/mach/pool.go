@@ -64,13 +64,13 @@ func (t *Task) ServePool(name string, recv PortName, n int, h Handler) (*ServerP
 	}, func(_ PortName, m *Message) *Message { return h(m) })
 }
 
-// ServeSetPool starts n threads serving a port set with h; h also receives
-// the member port's name, as in ServeSet.  This is the paper-faithful shape
-// of the file server's port-per-open-file design: many object ports, a
-// fixed pool of threads, no thread per port.
+// ServeSetPool starts n threads serving a port set with h — the one way a
+// set is served; h also receives the member port's name.  This is the
+// paper-faithful shape of the file server's port-per-open-file design:
+// many object ports, a fixed pool of threads, no thread per port.
 func (t *Task) ServeSetPool(name string, ps *PortSet, n int, h func(port PortName, req *Message) *Message) (*ServerPool, error) {
 	return t.servePool(name, n, func(th *Thread) (*Message, *Responder, PortName, error) {
-		return th.RPCReceiveSet(ps)
+		return th.receiveSet(ps)
 	}, h)
 }
 

@@ -9,9 +9,10 @@ import (
 )
 
 // Port sets, inherited from Mach 3.0: a receive right can be moved into a
-// port set, and a single server thread receiving on the set services all
+// port set, and the server threads receiving on the set service all
 // member ports — the mechanism behind designs like the file server's
-// port-per-open-file without a thread per port.
+// port-per-open-file without a thread per port.  A set is served one
+// way: by a ServeSetPool of one or more threads.
 
 // PortSet groups receive rights for combined receive.
 type PortSet struct {
@@ -34,11 +35,6 @@ type PortSet struct {
 	// taken from a member port's rendezvous but no server thread has
 	// received yet.
 	pendFam string
-
-	// pool gives the set's server threads their virtual-time identity:
-	// one slot per receiving thread, bursts serialized on the
-	// earliest-free slot (see vtPool).
-	pool vtPool
 }
 
 type setDelivery struct {
@@ -134,7 +130,7 @@ func (ps *PortSet) forward(port *Port, name PortName) {
 			}
 			select {
 			case ps.ch <- setDelivery{ex: ex, port: port, name: name}:
-				// The receiver decrements in RPCReceiveSet.
+				// The receiver decrements in receiveSet.
 			case <-ex.abort:
 				// Caller thread died; the exchange is already (or about
 				// to be) abandoned on the caller side.
@@ -208,7 +204,7 @@ func (ps *PortSet) Members() int {
 
 // Destroy dissolves the set (member ports survive).  Forwarders holding
 // undelivered exchanges fail their callers with ErrDeadPort, and server
-// threads blocked in RPCReceiveSet unblock with the same error.
+// threads blocked in receiveSet unblock with the same error.
 func (ps *PortSet) Destroy() {
 	ps.mu.Lock()
 	if !ps.dead {
@@ -219,10 +215,11 @@ func (ps *PortSet) Destroy() {
 	ps.mu.Unlock()
 }
 
-// RPCReceiveSet blocks until any member port has an RPC, returning the
-// request, the responder, and the member's receive-right name so the
-// server can tell which object was invoked.
-func (th *Thread) RPCReceiveSet(ps *PortSet) (*Message, *Responder, PortName, error) {
+// receiveSet is a ServeSetPool worker's receive: it blocks until any
+// member port has an RPC, returning the request, the responder, and the
+// member's receive-right name so the server can tell which object was
+// invoked.
+func (th *Thread) receiveSet(ps *PortSet) (*Message, *Responder, PortName, error) {
 	if ps.task != th.task {
 		return nil, nil, NullName, ErrNotReceiver
 	}
@@ -251,14 +248,8 @@ func (th *Thread) RPCReceiveSet(ps *PortSet) (*Message, *Responder, PortName, er
 	// serializes on the pool's virtual capacity — not on th's own
 	// clock, since which worker goroutine won this rendezvous is a
 	// wall-clock accident — and cannot start before the client's send
-	// burst completed in modeled time.  A ServerPool worker carries its
-	// pool; a bare ServeSet thread registers on the set's own.
-	pool := th.poolVT
-	if pool == nil {
-		pool = &ps.pool
-		pool.ensure(th)
-	}
-	rel := k.schedRunPool(th, pool, d.ex.caller.vt.Load())
+	// burst completed in modeled time.
+	rel := k.schedRunPool(th, th.poolVT, d.ex.caller.vt.Load())
 	k.CPU.SwitchAddressSpace(th.task.asid)
 	k.CPU.Exec(k.paths.rpcReceive)
 	k.CPU.Exec(k.paths.rpcStubS)
@@ -272,18 +263,4 @@ func (th *Thread) RPCReceiveSet(ps *PortSet) (*Message, *Responder, PortName, er
 	d.port.mu.Unlock()
 	k.rti()
 	return d.ex.request, &Responder{ex: d.ex, port: d.port, srv: th, release: rel}, d.name, nil
-}
-
-// ServeSet runs a combined server loop over the set: h also receives the
-// member port's name.
-func (th *Thread) ServeSet(ps *PortSet, h func(port PortName, req *Message) *Message) error {
-	for {
-		req, resp, name, err := th.RPCReceiveSet(ps)
-		if err != nil {
-			return err
-		}
-		if err := resp.Reply(h(name, req)); err != nil {
-			return err
-		}
-	}
 }

@@ -27,11 +27,11 @@ func TestPortSetSingleThreadManyPorts(t *testing.T) {
 		t.Fatalf("members = %d", ps.Members())
 	}
 	// ONE server thread services all four ports, echoing the member name.
-	srv.Spawn("combined", func(th *Thread) {
-		th.ServeSet(ps, func(port PortName, req *Message) *Message {
-			return &Message{ID: MsgID(port), Body: req.Body}
-		})
-	})
+	if _, err := srv.ServeSetPool("combined", ps, 1, func(port PortName, req *Message) *Message {
+		return &Message{ID: MsgID(port), Body: req.Body}
+	}); err != nil {
+		t.Fatalf("ServeSetPool: %v", err)
+	}
 
 	client := k.NewTask("client")
 	th, _ := client.NewBoundThread("main")
@@ -64,12 +64,10 @@ func TestPortSetConcurrentClients(t *testing.T) {
 		recvs = append(recvs, n)
 	}
 	// Two server threads on one set.
-	for i := 0; i < 2; i++ {
-		srv.Spawn("loop", func(th *Thread) {
-			th.ServeSet(ps, func(_ PortName, req *Message) *Message {
-				return &Message{ID: req.ID}
-			})
-		})
+	if _, err := srv.ServeSetPool("loop", ps, 2, func(_ PortName, req *Message) *Message {
+		return &Message{ID: req.ID}
+	}); err != nil {
+		t.Fatalf("ServeSetPool: %v", err)
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 6)
@@ -133,7 +131,7 @@ func TestPortSetMembershipErrors(t *testing.T) {
 	}
 	// Receive from a set in another task is refused.
 	oth, _ := other.NewBoundThread("main")
-	if _, _, _, err := oth.RPCReceiveSet(ps); err != ErrNotReceiver {
+	if _, _, _, err := oth.receiveSet(ps); err != ErrNotReceiver {
 		t.Fatalf("cross-task receive err = %v", err)
 	}
 }
@@ -144,9 +142,9 @@ func TestPortSetDestroyAndDeadPorts(t *testing.T) {
 	ps, _ := srv.AllocatePortSet()
 	n, _ := srv.AllocatePort()
 	ps.AddMember(n)
-	srv.Spawn("loop", func(th *Thread) {
-		th.ServeSet(ps, func(_ PortName, req *Message) *Message { return &Message{} })
-	})
+	if _, err := srv.ServeSetPool("loop", ps, 1, func(_ PortName, req *Message) *Message { return &Message{} }); err != nil {
+		t.Fatalf("ServeSetPool: %v", err)
+	}
 	client := k.NewTask("client")
 	th, _ := client.NewBoundThread("main")
 	send, _ := client.InsertRight(srv, n, DispMakeSend)

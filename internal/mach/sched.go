@@ -228,52 +228,25 @@ func (s *sched) pick(th *Thread) (se *schedEngine, stolen bool) {
 // progress at M servers' worth of work while idle gaps stay
 // backfillable.
 //
-// Slots are normally one per receiving thread (registered on first
-// receive, or fixed by a ServerPool), but a pool fronting one physical
+// Slots are one per ServerPool thread, but a pool fronting one physical
 // resource can cap them below its thread count — the block driver runs
 // its virtual capacity at one slot because its bursts are dominated by
 // device time and there is only one disk arm.
 type vtPool struct {
 	mu    sync.Mutex
-	reg   map[*Thread]struct{} // dynamic sizing; nil once fixed
 	slots []uint64
-	fixed bool
 }
 
-// newVTPool returns a pool with a fixed number of virtual servers.
+// newVTPool returns a pool of n virtual servers (at least one).
 func newVTPool(n int) *vtPool {
-	if n < 1 {
-		n = 1
-	}
-	return &vtPool{slots: make([]uint64, n), fixed: true}
+	return &vtPool{slots: make([]uint64, max(n, 1))}
 }
 
-// ensure grows a dynamically-sized pool to cover th (no-op when fixed).
-func (p *vtPool) ensure(th *Thread) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.fixed {
-		return
-	}
-	if p.reg == nil {
-		p.reg = make(map[*Thread]struct{})
-	}
-	if _, ok := p.reg[th]; !ok {
-		p.reg[th] = struct{}{}
-		p.slots = append(p.slots, 0)
-	}
-}
-
-// setSize fixes the pool at n virtual servers, dropping any dynamic
-// registration.  Boot-time only, before traffic.
+// setSize resizes the pool to n virtual servers (at least one).
+// Boot-time only, before traffic.
 func (p *vtPool) setSize(n int) {
-	if n < 1 {
-		n = 1
-	}
 	p.mu.Lock()
-	p.slots = make([]uint64, n)
-	p.reg = nil
-	p.fixed = true
+	p.slots = make([]uint64, max(n, 1))
 	p.mu.Unlock()
 }
 
@@ -283,9 +256,6 @@ func (p *vtPool) setSize(n int) {
 func (p *vtPool) claim(length uint64) uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.slots) == 0 {
-		p.slots = append(p.slots, 0)
-	}
 	best := 0
 	for i := 1; i < len(p.slots); i++ {
 		if p.slots[i] < p.slots[best] {
@@ -297,20 +267,13 @@ func (p *vtPool) claim(length uint64) uint64 {
 	return v
 }
 
-// run places a burst of th: it picks an engine, binds the calling OS
+// place places a burst of th: it picks an engine, binds the calling OS
 // thread to it and charges the migration cost if th last ran elsewhere.
-// The returned release ends the burst (same goroutine).  It returns nil
-// when the caller is already bound — a nested kernel entry stays on its
-// engine.
-func (s *sched) run(th *Thread) func() { return s.place(th, nil, 0) }
-
-// runPool places a port-set server burst: like run, but the burst
-// serializes on the earliest-free virtual slot of the set's pool and on
-// the caller's send completion (ready) instead of on th's own clock.
-func (s *sched) runPool(th *Thread, pool *vtPool, ready uint64) func() {
-	return s.place(th, pool, ready)
-}
-
+// With a pool the burst serializes on the pool's earliest-free virtual
+// slot and on the caller's send completion (ready); without one, on th's
+// own clock.  The returned release ends the burst (same goroutine).  It
+// returns nil when the caller is already bound — a nested kernel entry
+// stays on its engine.
 func (s *sched) place(th *Thread, pool *vtPool, ready uint64) func() {
 	if s.cx.BoundEngine() != nil {
 		return nil
@@ -421,7 +384,7 @@ func (k *Kernel) schedRun(th *Thread) func() {
 	if k.sched == nil {
 		return nil
 	}
-	return k.sched.run(th)
+	return k.sched.place(th, nil, 0)
 }
 
 // schedRunPool is schedRun for a port-set server burst: it serializes on
@@ -431,7 +394,7 @@ func (k *Kernel) schedRunPool(th *Thread, pool *vtPool, ready uint64) func() {
 	if k.sched == nil {
 		return nil
 	}
-	return k.sched.runPool(th, pool, ready)
+	return k.sched.place(th, pool, ready)
 }
 
 // schedReady advances th's virtual clock to vt ahead of its next

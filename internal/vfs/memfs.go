@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"slices"
 	"strings"
 	"sync"
 )
@@ -48,19 +49,15 @@ func (m *MemFS) Caps() Capabilities {
 // Sync implements FileSystem.
 func (m *MemFS) Sync() error { return nil }
 
-// Mount implements Filesystem.  MemFS is RAM-rooted: it accepts (and
+// Mount implements FileSystem.  MemFS is RAM-rooted: it accepts (and
 // ignores) a nil device.
 func (m *MemFS) Mount(dev BlockDev) error { return nil }
 
-// Unmount implements Filesystem; the tree stays reachable, there is no
+// Unmount implements FileSystem; the tree stays reachable, there is no
 // device to detach.
 func (m *MemFS) Unmount() error { return nil }
 
-// Capabilities implements Filesystem.
-func (m *MemFS) Capabilities() Capabilities { return m.Caps() }
-
 var _ FileSystem = (*MemFS)(nil)
-var _ Filesystem = (*MemFS)(nil)
 var _ Vnode = (*memNode)(nil)
 
 func (n *memNode) Attr() (Attr, error) {
@@ -195,7 +192,7 @@ func (n *memNode) ReadDir() ([]DirEnt, error) {
 		out = append(out, DirEnt{Name: c.name, Dir: c.dir, Size: int64(len(c.data))})
 		c.mu.Unlock()
 	}
-	sortDirEnts(out)
+	slices.SortFunc(out, func(a, b DirEnt) int { return strings.Compare(a.Name, b.Name) })
 	return out, nil
 }
 
@@ -217,12 +214,4 @@ func (n *memNode) GetEA(key string) (string, error) {
 		return "", ErrNotFound
 	}
 	return v, nil
-}
-
-func sortDirEnts(ents []DirEnt) {
-	for i := 1; i < len(ents); i++ {
-		for j := i; j > 0 && ents[j].Name < ents[j-1].Name; j-- {
-			ents[j], ents[j-1] = ents[j-1], ents[j]
-		}
-	}
 }

@@ -14,8 +14,8 @@ import (
 )
 
 // File server message IDs.  The vectored ops extend the ID space; the
-// single-op messages keep their pre-redesign values and byte layouts, so
-// an old client still speaks to a new server (wire-compat tests pin it).
+// single-op messages keep their pre-redesign values and byte layouts
+// (wire.TestLegacyLayoutsPinned pins the bytes).
 const (
 	MsgOpen mach.MsgID = 0x0F00 + iota
 	MsgClose
@@ -46,21 +46,6 @@ type VecWrite struct {
 	Data []byte
 }
 
-// Transfer selects the transfer-path features the server and its clients
-// agreed on at boot.  The zero value is the pre-redesign behavior: every
-// payload through the copy path, one crossing per op.  Set it before the
-// server takes traffic (NewClient hands the current value to each new
-// client).
-type Transfer struct {
-	// ZeroCopy moves file payloads of at least one page by region
-	// descriptor — per-page map cost, no per-byte copy cost — instead of
-	// through the OOL copy path.
-	ZeroCopy bool
-	// Batch lets clients vector several operations into one crossing
-	// (ReadDirStat's stat storm, the driver's write-behind runs).
-	Batch bool
-}
-
 // MaxReadChunk bounds one read RPC's server-side buffer; longer reads
 // return short and the client iterates.
 const MaxReadChunk = 1 << 20
@@ -82,7 +67,6 @@ type Server struct {
 	task *mach.Task
 	ctrl mach.PortName
 	path cpu.Region
-	pool int
 
 	ctrlPool *mach.ServerPool
 	filePool *mach.ServerPool // pool > 1 only
@@ -92,23 +76,22 @@ type Server struct {
 	filePorts map[uint32]mach.PortName // fd -> receive name in server task
 	portFDs   map[mach.PortName]uint32 // receive name -> fd (set dispatch)
 
-	// xfer is the transfer-feature agreement; set at boot, read-only
+	// xfer is the boot's transfer agreement; set at boot, read-only
 	// afterwards (SetTransfer documents the contract).
-	xfer Transfer
+	xfer mach.Transfer
 
-	// Volume bookkeeping for the redesigned mount API: cacheNew, when
-	// installed, interposes a buffer cache under every device-backed
-	// volume MountVolume attaches.  vmu guards both maps.
+	// Volume bookkeeping: cacheNew, when installed, interposes a buffer
+	// cache under every device-backed volume MountVolume attaches.  vmu
+	// guards both.
 	cacheNew func(BlockDev) CachedDev
 	vmu      sync.Mutex
-	volumes  map[string]*volume     // mount path -> volume
 	fsVols   map[FileSystem]*volume // mounted fs -> volume (close-flush)
 }
 
-// volume is one attached Filesystem and the device it sits on.
+// volume is one attached FileSystem and the device it sits on.
 type volume struct {
 	path string
-	fs   Filesystem
+	fs   FileSystem
 	cdev CachedDev  // non-nil when the server interposed a write-behind cache
 	rdev RequestDev // non-nil when the device stack attributes work to requests
 }
@@ -128,10 +111,8 @@ func NewServer(k *mach.Kernel, pool int) (*Server, error) {
 		k:         k,
 		task:      k.NewTask("fileserver"),
 		path:      k.Layout().PlaceInstr("file_server_op", 1200),
-		pool:      pool,
 		filePorts: make(map[uint32]mach.PortName),
 		portFDs:   make(map[mach.PortName]uint32),
-		volumes:   make(map[string]*volume),
 		fsVols:    make(map[FileSystem]*volume),
 	}
 	ctrl, err := s.task.AllocatePort()
@@ -153,20 +134,13 @@ func NewServer(k *mach.Kernel, pool int) (*Server, error) {
 	return s, nil
 }
 
-// SetTransfer installs the transfer-feature agreement.  Call at boot,
+// SetTransfer installs the boot's transfer agreement.  Call at boot,
 // before the server takes traffic and before clients are created: the
-// value propagates to clients at NewClient time, and flipping it under
-// live traffic would desynchronize the two sides of the wire.
-func (s *Server) SetTransfer(t Transfer) { s.xfer = t }
-
-// TransferConfig reports the transfer-feature agreement.
-func (s *Server) TransferConfig() Transfer { return s.xfer }
+// value propagates to clients at NewClient time.
+func (s *Server) SetTransfer(x mach.Transfer) { s.xfer = x }
 
 // Task returns the server task (for granting rights and shutdown).
 func (s *Server) Task() *mach.Task { return s.task }
-
-// PoolSize returns the number of server threads per serving pool.
-func (s *Server) PoolSize() int { return s.pool }
 
 // ControlPool exposes the control-port pool (benchmarks and tests).
 func (s *Server) ControlPool() *mach.ServerPool { return s.ctrlPool }
@@ -175,15 +149,10 @@ func (s *Server) ControlPool() *mach.ServerPool { return s.ctrlPool }
 // thread per open file).
 func (s *Server) FilePool() *mach.ServerPool { return s.filePool }
 
-// ControlPort returns the server-side control receive name.
-func (s *Server) ControlPort() mach.PortName { return s.ctrl }
-
-// Mount attaches a file system into the single rooted tree.  Prefer
-// MountVolume, which goes through the redesigned Filesystem mount API
-// and picks up the buffer cache; Mount remains for pre-mounted file
-// systems and tests.
+// Mount attaches a RAM-rooted file system, one with no device, into the
+// single rooted tree: MountVolume(path, fs, nil).
 func (s *Server) Mount(path string, fs FileSystem) error {
-	return s.Disp.Mount(path, fs)
+	return s.MountVolume(path, fs, nil)
 }
 
 // SetDevCache installs a buffer-cache factory: every device-backed
@@ -197,11 +166,11 @@ func (s *Server) SetDevCache(factory func(BlockDev) CachedDev) {
 	s.vmu.Unlock()
 }
 
-// MountVolume is the redesigned mount call: it attaches fs to dev
-// (through the buffer cache when one is installed) and mounts it at
-// path in the single rooted tree.  RAM-rooted filesystems pass a nil
-// dev, which is never cached.
-func (s *Server) MountVolume(path string, fs Filesystem, dev BlockDev) error {
+// MountVolume is the mount call: it attaches fs to dev (through the
+// buffer cache when one is installed) and mounts it at path in the
+// single rooted tree.  RAM-rooted filesystems pass a nil dev, which is
+// never cached.
+func (s *Server) MountVolume(path string, fs FileSystem, dev BlockDev) error {
 	vol := &volume{path: path, fs: fs}
 	s.vmu.Lock()
 	factory := s.cacheNew
@@ -219,49 +188,8 @@ func (s *Server) MountVolume(path string, fs Filesystem, dev BlockDev) error {
 		return err
 	}
 	s.vmu.Lock()
-	s.volumes[path] = vol
 	s.fsVols[fs] = vol
 	s.vmu.Unlock()
-	return nil
-}
-
-// UnmountVolume detaches a volume mounted with MountVolume: the
-// filesystem is flushed and unmounted, the cache (if any) written back,
-// and the path removed from the tree.
-func (s *Server) UnmountVolume(path string) error {
-	s.vmu.Lock()
-	vol, ok := s.volumes[path]
-	s.vmu.Unlock()
-	if !ok {
-		return ErrNotMounted
-	}
-	if err := s.Disp.Unmount(path); err != nil {
-		return err
-	}
-	if err := vol.fs.Unmount(); err != nil {
-		return err
-	}
-	if vol.cdev != nil {
-		if err := vol.cdev.Sync(); err != nil {
-			return err
-		}
-	}
-	s.vmu.Lock()
-	delete(s.volumes, path)
-	delete(s.fsVols, vol.fs)
-	s.vmu.Unlock()
-	return nil
-}
-
-// VolumeCache returns the cache interposed on the volume mounted at
-// path with MountVolume, or nil when the volume has no cache (or the
-// path is not a MountVolume mount).  Test and harness hook.
-func (s *Server) VolumeCache(path string) CachedDev {
-	s.vmu.Lock()
-	defer s.vmu.Unlock()
-	if v := s.volumes[path]; v != nil {
-		return v.cdev
-	}
 	return nil
 }
 
@@ -306,8 +234,8 @@ func (s *Server) syncVolumes(req *mach.Message) error {
 // declares req on the device stack of the volume the operation resolves
 // to before it enters the file system (begin, which waits for the stack's
 // turn) and takes that back, deferred, when it leaves (end).  A nil
-// volume (plain Mounts, unresolvable paths) and a RAM-backed one have
-// nothing to tell: both are no-ops.  DESIGN.md §8 has the reasoning.
+// volume (an unresolvable path) and a RAM-backed one have nothing to
+// tell: both are no-ops.  DESIGN.md §8 has the reasoning.
 
 func (v *volume) begin(req *mach.Message) *volume {
 	if v != nil && v.rdev != nil {
@@ -328,7 +256,7 @@ func (v *volume) syncFor(req *mach.Message, x interface{ Sync() error }) error {
 	return x.Sync()
 }
 
-// volumeOf returns the MountVolume volume fs serves, or nil.
+// volumeOf returns the volume fs serves, or nil.
 func (s *Server) volumeOf(fs FileSystem) *volume {
 	s.vmu.Lock()
 	defer s.vmu.Unlock()
@@ -353,8 +281,9 @@ func (s *Server) stat(req *mach.Message, path string) (Attr, error) {
 // --- wire helpers ---------------------------------------------------------
 //
 // The codec itself lives in vfs/wire (typed encode/decode per message);
-// what remains here is reply framing and the data-payload placement the
-// codec is agnostic to.
+// what remains here is reply framing.  Data payloads are placed by the
+// boot's transfer agreement (mach.Transfer.Place) and read back with
+// mach.Message.Payload.
 
 func errReply(err error) *mach.Message {
 	return &mach.Message{ID: 1, Body: []byte(err.Error())}
@@ -362,31 +291,6 @@ func errReply(err error) *mach.Message {
 
 func okReply(body []byte, ool []byte) *mach.Message {
 	return &mach.Message{ID: 0, Body: body, OOL: ool}
-}
-
-// dataMsg builds a message whose data payload travels by region when
-// zero-copy is on and the payload spans at least a page, and out of line
-// (copy-once) otherwise.  Used symmetrically by server replies and
-// client writes.
-func dataMsg(id mach.MsgID, body, data []byte, zeroCopy bool) *mach.Message {
-	m := &mach.Message{ID: id, Body: body}
-	if zeroCopy && len(data) >= mach.PageSize {
-		m.Regions = []mach.RegionDesc{{Len: uint64(len(data)), Data: data}}
-	} else {
-		m.OOL = data
-	}
-	return m
-}
-
-// msgData returns a message's data payload wherever it traveled: by
-// region when the sender used zero-copy, out of line otherwise.  Every
-// data-carrying handler and client accepts both, so either side may have
-// the feature off (mixed-version wire compatibility).
-func msgData(m *mach.Message) []byte {
-	if len(m.Regions) > 0 {
-		return m.Regions[0].Payload()
-	}
-	return m.OOL
 }
 
 // wireErrors maps error strings back to the canonical sentinels so
@@ -468,6 +372,11 @@ func (s *Server) handleControl(req *mach.Message) *mach.Message {
 		s.filePorts[fd] = fport
 		s.portFDs[fport] = fd
 		s.mu.Unlock()
+		// Two shapes stay, because they model different cycles: at pool 1
+		// each open pays Spawn's thread_create, pooled it pays AddMember's
+		// port_lookup (measured: FI1 43,136,087 cycles at pool 1 against
+		// 43,121,859 at pool 4).  A set pool of one would not reproduce
+		// the paper's thread-per-open-file server.
 		if s.fileSet != nil {
 			err = s.fileSet.AddMember(fport)
 		} else {
@@ -626,7 +535,7 @@ func (s *Server) handleFile(fd uint32, req *mach.Message) *mach.Message {
 		}
 		// A page or more goes back by region descriptor — straight from
 		// the read buffer, no bytes through the copy path.
-		return dataMsg(0, wire.U32(uint32(got)), buf[:got], s.xfer.ZeroCopy)
+		return s.xfer.Place(0, wire.U32(uint32(got)), buf[:got])
 	case MsgReadV:
 		exts, ok := wire.DecodeExtents(req.Body)
 		if !ok {
@@ -649,13 +558,13 @@ func (s *Server) handleFile(fd uint32, req *mach.Message) *mach.Message {
 			ns[i] = uint32(got)
 			buf = append(buf, part[:got]...)
 		}
-		return dataMsg(0, wire.EncodeCounts(ns), buf, s.xfer.ZeroCopy)
+		return s.xfer.Place(0, wire.EncodeCounts(ns), buf)
 	case MsgWrite:
 		r, ok := wire.DecodeWriteReq(req.Body)
 		if !ok {
 			return errReply(ErrBadHandle)
 		}
-		n, err := s.Disp.WriteAt(fd, msgData(req), r.Off)
+		n, err := s.Disp.WriteAt(fd, req.Payload(), r.Off)
 		if err != nil {
 			return errReply(err)
 		}
@@ -665,7 +574,7 @@ func (s *Server) handleFile(fd uint32, req *mach.Message) *mach.Message {
 		if !ok {
 			return errReply(ErrBadHandle)
 		}
-		data := msgData(req)
+		data := req.Payload()
 		ns := make([]uint32, len(exts))
 		for i, e := range exts {
 			if uint64(len(data)) < uint64(e.Len) {
@@ -744,12 +653,12 @@ type Client struct {
 	th      *mach.Thread
 	ctrl    mach.PortName
 	profile Profile
-	xfer    Transfer
+	xfer    mach.Transfer
 }
 
 // NewClient gives the calling task a connection to the server under the
 // given semantic profile.  The client inherits the server's transfer
-// agreement, so both ends of the wire use the same payload placement.
+// agreement, so both ends of the wire place payloads by one rule.
 func (s *Server) NewClient(th *mach.Thread, profile Profile) (*Client, error) {
 	n, err := th.Task().InsertRight(s.task, s.ctrl, mach.DispMakeSend)
 	if err != nil {
@@ -800,8 +709,7 @@ func (c *Client) Open(path string, write, create bool) (*File, error) {
 }
 
 // ReadAt reads up to len(p) bytes at off.  A reply of a page or more
-// arrives by region descriptor when zero-copy is on; the client accepts
-// either placement.
+// arrives by region descriptor when zero-copy is on.
 func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	body := wire.ReadReq{Off: off, Len: uint32(len(p))}.Encode()
 	reply, err := f.c.call(f.port, MsgRead, body, nil)
@@ -812,7 +720,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 		return 0, ErrBadHandle
 	}
 	n := int(binary.LittleEndian.Uint32(reply.Body))
-	data := msgData(reply)
+	data := reply.Payload()
 	if n > len(data) {
 		return 0, ErrBadHandle
 	}
@@ -834,7 +742,7 @@ func (f *File) ReadV(exts []Extent) ([][]byte, error) {
 	if !ok || len(ns) != len(exts) {
 		return nil, ErrBadHandle
 	}
-	data := msgData(reply)
+	data := reply.Payload()
 	out := make([][]byte, len(ns))
 	for i, n := range ns {
 		if uint64(len(data)) < uint64(n) {
@@ -849,7 +757,7 @@ func (f *File) ReadV(exts []Extent) ([][]byte, error) {
 // WriteAt writes p at off: by region descriptor for a page or more with
 // zero-copy on, out of line otherwise.
 func (f *File) WriteAt(p []byte, off int64) (int, error) {
-	req := dataMsg(MsgWrite, wire.WriteReq{Off: off}.Encode(), p, f.c.xfer.ZeroCopy)
+	req := f.c.xfer.Place(MsgWrite, wire.WriteReq{Off: off}.Encode(), p)
 	reply, err := f.c.callMsg(f.port, req)
 	if err != nil {
 		return 0, err
@@ -872,7 +780,7 @@ func (f *File) WriteV(ws []VecWrite) ([]int, error) {
 		exts[i] = Extent{Off: w.Off, Len: uint32(len(w.Data))}
 		data = append(data, w.Data...)
 	}
-	req := dataMsg(MsgWriteV, wire.EncodeExtents(exts), data, f.c.xfer.ZeroCopy)
+	req := f.c.xfer.Place(MsgWriteV, wire.EncodeExtents(exts), data)
 	reply, err := f.c.callMsg(f.port, req)
 	if err != nil {
 		return nil, err
@@ -994,6 +902,8 @@ func (c *Client) ReadDirStat(path string) ([]DirEnt, []Attr, error) {
 			paths[i] = path + "/" + e.Name
 		}
 	}
+	// The per-entry fallback stays: it is the paper's own baseline, the
+	// one-crossing-per-stat storm E-XFER measures batching against.
 	if c.xfer.Batch {
 		attrs, _, err := c.StatBatch(paths)
 		if err != nil {

@@ -88,27 +88,18 @@ type Capabilities struct {
 	LongNames bool
 }
 
-// FileSystem is a mounted physical file system.
+// FileSystem is a physical file system: one object per volume that
+// attaches to its backing device with Mount, serves the vnode tree, and
+// detaches with Unmount, so the file server — and the buffer cache it
+// interposes under every volume — attaches to any format the same way.
+// All four in-tree formats (fat, hpfs, jfs, memfs) implement it; each
+// package's New returns an unmounted volume.
 type FileSystem interface {
 	Root() Vnode
 	FSName() string
 	Caps() Capabilities
 	// Sync flushes metadata (journaled formats commit here).
 	Sync() error
-}
-
-// Filesystem is the redesigned mount API: one object per volume that
-// attaches to its backing device with Mount, serves the vnode tree, and
-// detaches with Unmount.  It subsumes the per-package Mount constructors
-// (fat.Mount, hpfs.Mount, jfs.Mount) so the file server — and the buffer
-// cache it interposes under every volume — can attach to any physical
-// format uniformly.  All four in-tree formats (fat, hpfs, jfs, memfs)
-// implement it.
-type Filesystem interface {
-	FileSystem
-	// Capabilities reports the format's constraint surface (the
-	// mount-level name for Caps).
-	Capabilities() Capabilities
 	// Mount attaches the volume to its backing device and reads the
 	// on-disk structure.  RAM-rooted formats accept a nil device.
 	// Mounting an already-mounted volume fails with ErrMountBusy.
@@ -177,7 +168,7 @@ func (deadDev) ReadSectors(uint64, []byte) error  { return ErrNotMounted }
 func (deadDev) WriteSectors(uint64, []byte) error { return ErrNotMounted }
 func (deadDev) Sectors() uint64                   { return 0 }
 
-// DeadDev is what Filesystem.Unmount implementations install in place of
+// DeadDev is what FileSystem.Unmount implementations install in place of
 // the real device, turning use-after-unmount into clean ErrNotMounted
 // failures instead of nil dereferences.
 var DeadDev BlockDev = deadDev{}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/mach"
-	"repro/internal/vfs/wire"
 )
 
 // Codec robustness tests live in vfs/wire; this file covers the pieces
@@ -109,48 +108,6 @@ func TestOldClientAgainstNewServer(t *testing.T) {
 	// Old-style close.
 	if reply, err = th.Call(fport, &mach.Message{ID: MsgClose}, mach.CallOpts{}); err != nil || reply.ID != 0 {
 		t.Fatalf("legacy close failed: %v %v", err, reply)
-	}
-}
-
-// TestMixedTransferPeers covers the other mixed-version direction: a
-// zero-copy-enabled peer sending regions to a handler that reads
-// msgData, and a plain OOL sender hitting the same handler.
-func TestMixedTransferPeers(t *testing.T) {
-	_, srv, c := newServerRig(t)
-	srv.SetTransfer(Transfer{ZeroCopy: true, Batch: true})
-	f, err := c.Open("/mixed.dat", true, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-
-	// New-style write: payload by region descriptor (page-sized).
-	big := bytes.Repeat([]byte("R"), mach.PageSize)
-	reply, err := c.th.Call(f.port, &mach.Message{
-		ID:      MsgWrite,
-		Body:    wire.WriteReq{Off: 0}.Encode(),
-		Regions: []mach.RegionDesc{{Len: uint64(len(big)), Data: big}},
-	}, mach.CallOpts{})
-	if err != nil || reply.ID != 0 {
-		t.Fatalf("region write failed: %v %v", err, reply)
-	}
-
-	// Old-style write to the same file: data out of line.
-	reply, err = c.th.Call(f.port, &mach.Message{
-		ID:   MsgWrite,
-		Body: wire.WriteReq{Off: int64(len(big))}.Encode(),
-		OOL:  []byte("tail"),
-	}, mach.CallOpts{})
-	if err != nil || reply.ID != 0 {
-		t.Fatalf("ool write failed: %v %v", err, reply)
-	}
-
-	got := make([]byte, len(big)+4)
-	if _, err := f.ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got[:len(big)], big) || string(got[len(big):]) != "tail" {
-		t.Fatal("mixed-placement writes corrupted the file")
 	}
 }
 

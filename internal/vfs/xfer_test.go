@@ -14,7 +14,7 @@ import (
 // xferRig boots a server with the given transfer features, a pool of
 // worker threads, and an attached kstat set — the crossing-count
 // oracle the batching tests read.
-func xferRig(t *testing.T, pool int, xf Transfer) (*mach.Kernel, *Server, *Client, *kstat.Set) {
+func xferRig(t *testing.T, pool int, xf mach.Transfer) (*mach.Kernel, *Server, *Client, *kstat.Set) {
 	t.Helper()
 	k := mach.New(cpu.Pentium133())
 	st := kstat.Attach(k.CPU)
@@ -79,14 +79,14 @@ func TestReadDirStatCrossings(t *testing.T) {
 		return st.Counter("mach.kernel.entries").Value() - base
 	}
 
-	_, _, batched, bst := xferRig(t, 1, Transfer{ZeroCopy: true, Batch: true})
+	_, _, batched, bst := xferRig(t, 1, mach.Transfer{ZeroCopy: true, Batch: true})
 	populate(batched)
 	if got, want := measure(batched, bst), uint64(2*2); got != want {
 		t.Errorf("batched readdir+stat of %d files = %d kernel entries, want %d (one readdir + one carrier)",
 			nFiles, got, want)
 	}
 
-	_, _, plain, pst := xferRig(t, 1, Transfer{})
+	_, _, plain, pst := xferRig(t, 1, mach.Transfer{})
 	populate(plain)
 	if got, want := measure(plain, pst), uint64(2*(1+nFiles)); got != want {
 		t.Errorf("per-entry readdir+stat of %d files = %d kernel entries, want %d",
@@ -97,7 +97,7 @@ func TestReadDirStatCrossings(t *testing.T) {
 // TestStatBatchPerSlotErrors: a batch mixing hits and misses reports
 // per-slot errors without failing the call.
 func TestStatBatchPerSlotErrors(t *testing.T) {
-	_, _, c, _ := xferRig(t, 1, Transfer{ZeroCopy: true, Batch: true})
+	_, _, c, _ := xferRig(t, 1, mach.Transfer{ZeroCopy: true, Batch: true})
 	f, err := c.Open("/real.dat", true, true)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestStatBatchPerSlotErrors(t *testing.T) {
 // server threads is a data race this test exists to hand to -race.
 func TestConcurrentRegionTransfer(t *testing.T) {
 	const workers, iters = 4, 6
-	k, s, _, _ := xferRig(t, workers, Transfer{ZeroCopy: true, Batch: true})
+	k, s, _, _ := xferRig(t, workers, mach.Transfer{ZeroCopy: true, Batch: true})
 	clients := make([]*Client, workers)
 	for i := range clients {
 		th, err := k.NewTask(fmt.Sprintf("app%d", i)).NewBoundThread("main")

@@ -49,6 +49,9 @@ run() {
 
 run go vet ./...
 
+# Formatting drift fails here, not in a later PR that has to reformat it.
+test -z "$(gofmt -l .)"
+
 # The request context is named by the handler that holds the message; a
 # stack unwind to find it must not come back.
 if grep -n 'runtime\.Stack' $(find internal/klat internal/mach internal/vfs internal/bcache internal/drivers -name '*.go' ! -name '*_test.go'); then
