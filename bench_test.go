@@ -556,13 +556,45 @@ func TestFlightWorkloadObservationOnly(t *testing.T) {
 		t.Fatal("boot did not attach a flight recorder")
 	}
 	var events uint64
-	for slot := 0; slot < rec.Engines(); slot++ {
-		events += rec.Emitted(slot)
+	for _, eng := range rec.EngineDumps() {
+		events += eng.Emitted
 	}
 	if events == 0 {
 		t.Fatal("recorder attached but captured no events")
 	}
 	if len(a.Kernel.WaitEdges()) == 0 {
 		t.Fatal("wait-for graph empty despite parked server threads")
+	}
+}
+
+// TestFlightRecordsSetServedPickup: on a pooled boot the file server's
+// port-per-open-file set serves most of its calls, and the flight ring
+// records which worker task picked each one up — exactly one recv per
+// call, on either receive path.
+func TestFlightRecordsSetServedPickup(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.ServerPool = 4
+	s, err := core.Boot(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kflight.Detach(s.Kernel.CPU)
+	kflight.AttachSized(s.Kernel.CPU, 1<<16)
+	if _, err := workload.Run(workload.FileIntensive1, s.WorkloadEnv()); err != nil {
+		t.Fatal(err)
+	}
+	var calls, recvs int
+	for _, eng := range s.Kernel.FlightDump("test").Engines {
+		for _, ev := range eng.Events {
+			switch ev.Name {
+			case "call:fileserver":
+				calls++
+			case "recv:fileserver":
+				recvs++
+			}
+		}
+	}
+	if calls == 0 || recvs != calls {
+		t.Fatalf("flight ring holds %d file-server calls and %d pickups, want one pickup per call", calls, recvs)
 	}
 }

@@ -21,10 +21,8 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/iosys"
-	"repro/internal/kflight"
 	"repro/internal/klat"
 	"repro/internal/kstat"
-	"repro/internal/ktrace"
 	"repro/internal/mach"
 	"repro/internal/vfs"
 )
@@ -66,7 +64,7 @@ type Cache struct {
 	buf   cpu.Region // stand-in address for the caller's buffer
 
 	below vfs.RequestDev           // inner, when it admits declared requests in turn
-	req   atomic.Pointer[klat.Hop] // the request holding that turn
+	req   atomic.Pointer[cpu.Span] // the request holding that turn
 
 	mu       sync.Mutex
 	cap      int
@@ -130,13 +128,12 @@ func New(eng *cpu.Engine, layout *cpu.Layout, inner vfs.BlockDev, cfg Config) *C
 	// touch, and account() only touches counters that moved, so a freshly
 	// booted cache would otherwise be invisible to -prom scrapes and
 	// per-family monitor queries until the first hit/miss of each kind.
-	if st := kstat.For(c.eng); st != nil {
-		st.Counter("bcache.hits")
-		st.Counter("bcache.misses")
-		st.Counter("bcache.readahead")
-		st.Counter("bcache.writeback")
-		st.Gauge("bcache.dirty").Set(0)
-	}
+	st := kstat.For(c.eng)
+	st.Counter("bcache.hits")
+	st.Counter("bcache.misses")
+	st.Counter("bcache.readahead")
+	st.Counter("bcache.writeback")
+	st.Gauge("bcache.dirty").Set(0)
 	return c
 }
 
@@ -155,7 +152,7 @@ func (c *Cache) sectorAddr(sector uint64) uint64 {
 func (c *Cache) Begin(req *mach.Message) {
 	if c.below != nil {
 		c.below.Begin(req)
-		c.req.Store(req.Hop())
+		c.req.Store(req.Record())
 	}
 }
 
@@ -184,8 +181,7 @@ func (c *Cache) ReadSectors(sector uint64, buf []byte) error {
 	c.seqValid = true
 
 	var hits, misses, raFill uint64
-	var sp ktrace.Span
-	tr := ktrace.For(c.eng)
+	var miss *cpu.Span // the read's device time, from its first miss
 	for i := uint64(0); i < n; {
 		s := sector + i
 		if b := c.blocks[s]; b != nil {
@@ -210,14 +206,12 @@ func (c *Cache) ReadSectors(sector uint64, buf []byte) error {
 			}
 		}
 		tmp := make([]byte, (run+extra)*SectorSize)
-		if tr != nil && sp.Context().TraceID == 0 {
-			sp = tr.Begin(ktrace.EvCache, "bcache", "miss", ktrace.SpanContext{})
+		if miss == nil {
+			miss = c.eng.Planes().Open(cpu.Event{Type: cpu.EvCache, Subsystem: "bcache", Name: "miss"}, nil)
 		}
 		if err := c.inner.ReadSectors(s, tmp); err != nil {
 			c.account(hits, misses+run, raFill, 0)
-			if sp.Context().TraceID != 0 {
-				sp.End()
-			}
+			miss.End()
 			return err
 		}
 		copy(buf[i*SectorSize:(i+run)*SectorSize], tmp[:run*SectorSize])
@@ -228,11 +222,7 @@ func (c *Cache) ReadSectors(sector uint64, buf []byte) error {
 		raFill += extra
 		i += run
 	}
-	if sp.Context().TraceID != 0 {
-		sp.End()
-	} else if tr != nil && hits > 0 {
-		tr.Emit(ktrace.EvCache, "bcache", "hit", ktrace.SpanContext{}, hits)
-	}
+	miss.End()
 	c.account(hits, misses, raFill, 0)
 	return nil
 }
@@ -322,12 +312,8 @@ func (c *Cache) flushLocked(limit int) error {
 	victims := append([]uint64(nil), c.dirtyQ[:want]...)
 	slices.Sort(victims)
 	bd, vectored := c.inner.(vfs.BatchDev)
-	tr := ktrace.For(c.eng)
-	span := func(name string) ktrace.Span {
-		if tr == nil {
-			return ktrace.Span{}
-		}
-		return tr.Begin(ktrace.EvCache, "bcache", name, ktrace.SpanContext{})
+	span := func(name string) *cpu.Span {
+		return c.eng.Planes().Open(cpu.Event{Type: cpu.EvCache, Subsystem: "bcache", Name: name}, nil)
 	}
 	var runs []vfs.SectorRun
 	for i := 0; i < len(victims); {
@@ -482,51 +468,27 @@ func (c *Cache) removeFromDirtyQ(sectors []uint64) {
 // the single disk arm and is named so on the request the cache works for.
 // Declared requests took turns below first; what one can still wait
 // behind is a caller that declared nothing (an unmount flush, a harness).
-func (c *Cache) lockArm() { c.req.Load().WaitLock(&c.mu, "bcache-lock") }
+func (c *Cache) lockArm() { klat.Of(c.req.Load()).WaitLock(&c.mu, "bcache-lock") }
 
-// account records the op's observation-only metrics.  It never charges
-// the engine; with kstat detached it only refreshes nothing.
+// outcomes names the cache outcome records, in account's argument order.
+var outcomes = [...]string{"hit", "miss", "readahead", "writeback"}
+
+// account emits one record per outcome class of the op — hits, misses,
+// read-ahead fills, sectors written back, each with its count — on the
+// request the cache works for, so a p99 drill-down shows whether it
+// missed, and refreshes the bcache.dirty gauge, a level rather than a
+// stamp.  Observation-only: it never charges the engine.
 func (c *Cache) account(hits, misses, ra, wb uint64) {
-	// Exemplar annotations: the counts ride on the ledger of the request
-	// the cache works for, so a p99 drill-down shows whether it missed.
-	if h := c.req.Load(); h != nil {
-		h.Note("bcache.hit", hits)
-		h.Note("bcache.miss", misses)
-		h.Note("bcache.readahead", ra)
-		h.Note("bcache.writeback", wb)
-	}
-	// One flight event per outcome class keeps the ring coarse: a
-	// postmortem wants "the cache was missing right before the stall",
-	// not a per-sector ledger (kstat holds the exact counts).
 	ps := c.eng.Planes()
-	if fr := kflight.From(ps); fr != nil {
-		if hits > 0 {
-			fr.Emit(ktrace.EvCache, "bcache", "hit", hits)
-		}
-		if misses > 0 {
-			fr.Emit(ktrace.EvCache, "bcache", "miss", misses)
-		}
-		if wb > 0 {
-			fr.Emit(ktrace.EvCache, "bcache", "writeback", wb)
+	if ps.Wants(cpu.EvCache) {
+		req := c.req.Load()
+		for i, n := range [...]uint64{hits, misses, ra, wb} {
+			if n > 0 {
+				ps.Emit(cpu.Event{Type: cpu.EvCache, Subsystem: "bcache", Name: outcomes[i], Arg: n, Req: req})
+			}
 		}
 	}
-	st := kstat.From(ps)
-	if st == nil {
-		return
-	}
-	if hits > 0 {
-		st.Counter("bcache.hits").Add(hits)
-	}
-	if misses > 0 {
-		st.Counter("bcache.misses").Add(misses)
-	}
-	if ra > 0 {
-		st.Counter("bcache.readahead").Add(ra)
-	}
-	if wb > 0 {
-		st.Counter("bcache.writeback").Add(wb)
-	}
-	st.Gauge("bcache.dirty").Set(int64(len(c.dirtyQ)))
+	kstat.From(ps).Gauge("bcache.dirty").Set(int64(len(c.dirtyQ)))
 }
 
 var (

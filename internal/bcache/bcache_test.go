@@ -7,7 +7,9 @@ import (
 
 	"repro/internal/bcache"
 	"repro/internal/cpu"
+	"repro/internal/kflight"
 	"repro/internal/kstat"
+	"repro/internal/ktrace"
 	"repro/internal/vfs"
 )
 
@@ -409,5 +411,36 @@ func TestUnalignedWriteRefreshesDirtyGauge(t *testing.T) {
 	}
 	if !bytes.Equal(got, sectorData('z')) {
 		t.Fatal("unaligned write did not reach the device")
+	}
+}
+
+// TestMixedReadRecordsBothOutcomes: a read that both hits and misses
+// shows both outcome classes in the trace and in the flight ring.
+func TestMixedReadRecordsBothOutcomes(t *testing.T) {
+	c, eng := newCache(t, vfs.NewRAMDisk(256), bcache.Config{CapacitySectors: 64, ReadAhead: -1})
+	tr := ktrace.Attach(eng)
+	fr := kflight.Attach(eng)
+	buf := make([]byte, 4*ss)
+	if err := c.ReadSectors(10, buf[:2*ss]); err != nil {
+		t.Fatal(err)
+	}
+	tr.Reset()
+	if err := c.ReadSectors(10, buf); err != nil { // 2 hits, 2 misses
+		t.Fatal(err)
+	}
+	outcomes := func(events []cpu.Event) map[string]uint64 {
+		m := map[string]uint64{}
+		for _, e := range events {
+			if e.Type == cpu.EvCache && e.Phase == cpu.PhaseInstant {
+				m[e.Name] += e.Arg
+			}
+		}
+		return m
+	}
+	if got := outcomes(tr.Events()); got["hit"] != 2 || got["miss"] != 2 {
+		t.Errorf("trace outcomes %v, want 2 hits and 2 misses", got)
+	}
+	if got := outcomes(fr.EngineDumps()[0].Events); got["hit"] != 2 || got["miss"] != 4 {
+		t.Errorf("flight outcomes %v, want 2 hits and 4 misses over both reads", got)
 	}
 }

@@ -139,9 +139,13 @@ func ConcurrentClients(clients, pool, opsPerClient int) (ConcurrencyResult, erro
 		return res, fmt.Errorf("bench: E-POOL calibration trace dropped %d events", dropped)
 	}
 
-	serverCycles, spans, err := sumServeSpans(events, "serve:fileserver")
-	if err != nil {
-		return res, err
+	var serverCycles uint64
+	spans := 0
+	for _, sc := range ktrace.BuildSpans(events) {
+		if sc.Type == cpu.EvRPCServe && strings.HasPrefix(sc.Name, "serve:fileserver") {
+			serverCycles += sc.InclCycles
+			spans++
+		}
 	}
 	if spans < concCalOps {
 		return res, fmt.Errorf("bench: E-POOL calibration saw %d serve spans for %d ops", spans, concCalOps)
@@ -216,31 +220,4 @@ func ConcurrentClients(clients, pool, opsPerClient int) (ConcurrencyResult, erro
 		res.WorkerOps = fp.WorkerOps()
 	}
 	return res, nil
-}
-
-// sumServeSpans pairs EvRPCServe begin/end events by span ID and sums the
-// cycle widths of spans whose name carries the given prefix.
-func sumServeSpans(events []ktrace.Event, prefix string) (cycles uint64, spans int, err error) {
-	open := make(map[uint64]uint64)
-	for _, ev := range events {
-		if ev.Type != ktrace.EvRPCServe || !strings.HasPrefix(ev.Name, prefix) {
-			continue
-		}
-		switch ev.Phase {
-		case ktrace.PhaseBegin:
-			open[ev.SpanID] = ev.Ctr.Cycles
-		case ktrace.PhaseEnd:
-			begin, ok := open[ev.SpanID]
-			if !ok {
-				return 0, 0, fmt.Errorf("bench: serve span %d ended without a begin", ev.SpanID)
-			}
-			delete(open, ev.SpanID)
-			cycles += ev.Ctr.Cycles - begin
-			spans++
-		}
-	}
-	if len(open) != 0 {
-		return 0, 0, fmt.Errorf("bench: %d serve spans never ended", len(open))
-	}
-	return cycles, spans, nil
 }

@@ -24,7 +24,6 @@ import (
 	"repro/internal/kstat"
 	"repro/internal/ksync"
 	"repro/internal/ktime"
-	"repro/internal/ktrace"
 	"repro/internal/loader"
 	"repro/internal/mach"
 	"repro/internal/monitor"
@@ -207,29 +206,16 @@ func Boot(cfg Config) (*System, error) {
 		log("smp: %d engines, processor sets, affinity dispatch with idle stealing", ncpu)
 	}
 	s.VM = vm.NewSystem(uint64(cfg.MemoryMB) << 20)
-	// VM fault observation for ktrace and kstat: the hooks fire only when
-	// an observer is attached to this kernel's engine and never charge
-	// the model.
+	// VM fault observation: one record per fault, consumed by whichever
+	// planes are attached to this kernel's engine; it never charges the
+	// model.
 	eng := s.Kernel.CPU
 	s.VM.SetFaultObserver(func(asid, addr uint64, write bool) {
-		ps := eng.Planes()
-		if st := kstat.From(ps); st != nil {
-			st.Counter("vm.faults").Inc()
+		kind := "fault:read"
+		if write {
+			kind = "fault:write"
 		}
-		if t := ktrace.From(ps); t != nil {
-			kind := "fault:read"
-			if write {
-				kind = "fault:write"
-			}
-			t.Emit(ktrace.EvVMFault, "vm", kind, ktrace.SpanContext{}, addr|asid<<48)
-		}
-		if fr := kflight.From(ps); fr != nil {
-			kind := "fault:read"
-			if write {
-				kind = "fault:write"
-			}
-			fr.Emit(ktrace.EvVMFault, "vm", kind, addr|asid<<48)
-		}
+		eng.Planes().Emit(cpu.Event{Type: cpu.EvVMFault, Subsystem: "vm", Name: kind, Arg: addr | asid<<48})
 	})
 	s.Clock = ktime.NewClock(s.Kernel.CPU, layout, 133)
 	s.Sync = ksync.NewFactory(s.Kernel.CPU, layout)

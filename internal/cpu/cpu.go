@@ -137,9 +137,9 @@ func (k ProfKind) String() string {
 }
 
 // ProfSink receives every cost the engine charges, as it is charged: the
-// cycles, bus cycles and instructions just added, the stall kind they were
-// added under, and the name of the innermost code region executed so far
-// ("" before any Exec).  Data, stall and switch costs are attributed to the
+// engine's slot, the cycles, bus cycles and instructions just added, the
+// stall kind they were added under, and the name of the innermost code
+// region executed so far ("" before any Exec).  Data, stall and switch costs are attributed to the
 // most recently executed region — the code that issued them — exactly as a
 // PC-sampling profiler would attribute them, except nothing is sampled:
 // every charge is delivered.
@@ -148,7 +148,7 @@ func (k ProfKind) String() string {
 // fast, must not call back into the engine, and — like every observation
 // hook in this system — must never charge costs themselves.
 type ProfSink interface {
-	ProfCharge(region string, kind ProfKind, cycles, bus, instr uint64)
+	ProfCharge(slot int, region string, kind ProfKind, cycles, bus, instr uint64)
 }
 
 // CPI returns cycles per instruction, the paper's fourth counter row.
@@ -363,11 +363,6 @@ type Engine struct {
 	ctr    Counters
 	asid   uint64
 
-	// switchObs, when set, is called after every address-space switch
-	// with the new ASID and a counter snapshot.  It is an observation
-	// hook (used by internal/ktrace) and must never charge the engine.
-	switchObs func(asid uint64, ctr Counters)
-
 	// prof, when set, receives every charge as it lands (used by
 	// internal/kprof).  Observation-only: the nil check is the entire
 	// disabled fast path.
@@ -386,11 +381,16 @@ type Engine struct {
 	// stays bit-identical to the single-engine model.
 	slot int
 	cx   *Complex
+	// root is the router of the Complex a non-router engine belongs to:
+	// the engine whose plane set observes this one.
+	root *Engine
 
 	// planes is the observation set attached to this engine (planes.go);
 	// planeMu serializes its copy-on-write replacement.
 	planeMu sync.Mutex
 	planes  atomic.Pointer[Planes]
+	// open is the stack of open records the trace and profile read.
+	open openRecords
 }
 
 // NewEngine creates a processor with cold caches.  It panics, naming the
@@ -497,7 +497,7 @@ func (e *Engine) chargeInstr(n uint64) {
 	e.ctr.cpiFrac %= 100
 	e.ctr.Cycles += whole
 	if e.prof != nil {
-		e.prof.ProfCharge(e.curRegion, ProfBase, whole, 0, n)
+		e.prof.ProfCharge(e.slot, e.curRegion, ProfBase, whole, 0, n)
 	}
 }
 
@@ -532,7 +532,7 @@ func (e *Engine) chargeMiss(n *uint64, kind ProfKind, cycles, bus uint64) {
 	e.ctr.Cycles += cycles
 	e.ctr.BusCycles += bus
 	if e.prof != nil {
-		e.prof.ProfCharge(e.curRegion, kind, cycles, bus, 0)
+		e.prof.ProfCharge(e.slot, e.curRegion, kind, cycles, bus, 0)
 	}
 }
 
@@ -625,23 +625,14 @@ func (e *Engine) SwitchAddressSpace(asid uint64) {
 	e.ctr.Switches++
 	e.ctr.Cycles += e.cfg.SwitchCycles
 	if e.prof != nil {
-		e.prof.ProfCharge(e.curRegion, ProfSwitch, e.cfg.SwitchCycles, 0, 0)
+		e.prof.ProfCharge(e.slot, e.curRegion, ProfSwitch, e.cfg.SwitchCycles, 0, 0)
 	}
 	e.tlb.flush()
-	obs, ctr := e.switchObs, e.ctr
 	e.mu.Unlock()
-	if obs != nil {
-		obs(asid, ctr)
+	if e.root != nil {
+		e = e.root
 	}
-}
-
-// SetSwitchObserver installs (or, with nil, removes) the address-space
-// switch observation hook.  The observer runs outside the engine lock and
-// must not charge costs.  Engine-local, never routed — see SetProfSink.
-func (e *Engine) SetSwitchObserver(fn func(asid uint64, ctr Counters)) {
-	e.mu.Lock()
-	e.switchObs = fn
-	e.mu.Unlock()
+	e.Planes().Emit(Event{Type: EvASSwitch, Subsystem: "cpu", Name: "as_switch", Arg: asid})
 }
 
 // ASID returns the currently loaded address-space identifier (of the
@@ -661,7 +652,7 @@ func (e *Engine) Stall(cycles uint64) {
 	defer e.mu.Unlock()
 	e.ctr.Cycles += cycles
 	if e.prof != nil {
-		e.prof.ProfCharge(e.curRegion, ProfStall, cycles, 0, 0)
+		e.prof.ProfCharge(e.slot, e.curRegion, ProfStall, cycles, 0, 0)
 	}
 }
 
@@ -684,7 +675,7 @@ func (e *Engine) Overhead(cycles, bus uint64) {
 	e.ctr.Cycles += cycles
 	e.ctr.BusCycles += bus
 	if e.prof != nil {
-		e.prof.ProfCharge(e.curRegion, ProfStall, cycles, bus, 0)
+		e.prof.ProfCharge(e.slot, e.curRegion, ProfStall, cycles, bus, 0)
 	}
 }
 
@@ -700,7 +691,7 @@ func (e *Engine) Migrate() {
 	e.ctr.Cycles += e.cfg.MigrateCycles
 	e.ctr.BusCycles += e.cfg.MigrateBus
 	if e.prof != nil {
-		e.prof.ProfCharge(e.curRegion, ProfMigrate, e.cfg.MigrateCycles, e.cfg.MigrateBus, 0)
+		e.prof.ProfCharge(e.slot, e.curRegion, ProfMigrate, e.cfg.MigrateCycles, e.cfg.MigrateBus, 0)
 	}
 }
 
@@ -708,7 +699,7 @@ func (e *Engine) Migrate() {
 // sink.  The sink runs under the engine lock and must not charge costs —
 // attaching one never changes modeled cycle counts.  The hook is
 // engine-local (never routed): observers that want every engine of a
-// Complex install on each one (see kprof.Attach, ktrace.AttachSized).
+// Complex install on each one (see kprof.Attach).
 func (e *Engine) SetProfSink(s ProfSink) {
 	e.mu.Lock()
 	e.prof = s

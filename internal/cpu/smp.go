@@ -38,9 +38,10 @@ func NewComplex(cfg Config, n int) *Complex {
 	for i := 0; i < n; i++ {
 		e := NewEngine(cfg)
 		e.slot = i
+		e.root = cx.engines[0]
 		cx.engines[i] = e
 	}
-	cx.engines[0].cx = cx
+	cx.engines[0].cx, cx.engines[0].root = cx, nil
 	return cx
 }
 

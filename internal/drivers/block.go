@@ -9,23 +9,17 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/iosys"
 	"repro/internal/kstat"
-	"repro/internal/ktrace"
 	"repro/internal/mach"
 	"repro/internal/objsys"
 	"repro/internal/vfs"
 )
 
-// traceIO opens a driver-I/O span when tracing is attached to the engine.
-// The zero Span returned when tracing is off makes End a no-op.
-func traceIO(k *mach.Kernel, name string) ktrace.Span {
+// traceIO counts a driver request and opens its record; End on the nil
+// record returned when nothing observes driver I/O is a no-op.
+func traceIO(k *mach.Kernel, name string) *cpu.Span {
 	ps := k.CPU.Planes()
-	if st := kstat.From(ps); st != nil {
-		st.Counter("drivers.io." + name).Inc()
-	}
-	if t := ktrace.From(ps); t != nil {
-		return t.Begin(ktrace.EvDriverIO, "drivers", name, ktrace.SpanContext{})
-	}
-	return ktrace.Span{}
+	kstat.From(ps).Counter("drivers.io." + name).Inc()
+	return ps.Open(cpu.Event{Type: cpu.EvDriverIO, Subsystem: "drivers", Name: name}, nil)
 }
 
 // BlockDriver is the common interface of the three driver architectures.
@@ -77,8 +71,7 @@ func NewKernelBlockDriver(k *mach.Kernel, layout *cpu.Layout, disk *Disk, intr *
 
 // ReadSectors implements BlockDriver.
 func (d *KernelBlockDriver) ReadSectors(caller *mach.Thread, sector uint64, count int) ([]byte, error) {
-	sp := traceIO(d.k, "bsd:read")
-	defer sp.End()
+	defer traceIO(d.k, "bsd:read").End()
 	d.k.Trap(d.path)
 	buf := make([]byte, count*SectorSize)
 	if err := d.disk.ReadSectors(sector, buf); err != nil {
@@ -89,8 +82,7 @@ func (d *KernelBlockDriver) ReadSectors(caller *mach.Thread, sector uint64, coun
 
 // WriteSectors implements BlockDriver.
 func (d *KernelBlockDriver) WriteSectors(caller *mach.Thread, sector uint64, data []byte) error {
-	sp := traceIO(d.k, "bsd:write")
-	defer sp.End()
+	defer traceIO(d.k, "bsd:write").End()
 	d.k.Trap(d.path)
 	return d.disk.WriteSectors(sector, data)
 }
@@ -179,8 +171,7 @@ func NewUserBlockDriver(k *mach.Kernel, layout *cpu.Layout, disk *Disk, hrm *ios
 // short for its operation or a run past the disk gets an error reply:
 // the sector count is bounded before it sizes an allocation.
 func (d *UserBlockDriver) handle(req *mach.Message) *mach.Message {
-	sp := traceIO(d.k, "udrv:handle")
-	defer sp.End()
+	defer traceIO(d.k, "udrv:handle").End()
 	d.k.CPU.Exec(d.path)
 	switch req.ID {
 	case msgRead:
@@ -234,8 +225,7 @@ func (d *UserBlockDriver) portFor(caller *mach.Thread) (mach.PortName, error) {
 
 // call sends one request to the driver task; an error reply is an error.
 func (d *UserBlockDriver) call(caller *mach.Thread, op string, req *mach.Message) (*mach.Message, error) {
-	sp := traceIO(d.k, op)
-	defer sp.End()
+	defer traceIO(d.k, op).End()
 	n, err := d.portFor(caller)
 	if err != nil {
 		return nil, err
@@ -287,8 +277,7 @@ func (d *UserBlockDriver) WriteSectorsV(caller *mach.Thread, runs []vfs.SectorRu
 	if len(runs) == 0 {
 		return 0, nil
 	}
-	sp := traceIO(d.k, "udrv:writev")
-	defer sp.End()
+	defer traceIO(d.k, "udrv:writev").End()
 	n, err := d.portFor(caller)
 	if err != nil {
 		return 0, err
@@ -374,8 +363,7 @@ func NewOODDMBlockDriver(k *mach.Kernel, layout *cpu.Layout, disk *Disk, intr *i
 
 // ReadSectors implements BlockDriver via the object chain.
 func (d *OODDMBlockDriver) ReadSectors(caller *mach.Thread, sector uint64, count int) ([]byte, error) {
-	sp := traceIO(d.k, "ooddm:read")
-	defer sp.End()
+	defer traceIO(d.k, "ooddm:read").End()
 	d.k.Trap(cpu.Region{})
 	if err := d.h.InvokeChain(d.obj, d.chain); err != nil {
 		return nil, err
@@ -389,8 +377,7 @@ func (d *OODDMBlockDriver) ReadSectors(caller *mach.Thread, sector uint64, count
 
 // WriteSectors implements BlockDriver via the object chain.
 func (d *OODDMBlockDriver) WriteSectors(caller *mach.Thread, sector uint64, data []byte) error {
-	sp := traceIO(d.k, "ooddm:write")
-	defer sp.End()
+	defer traceIO(d.k, "ooddm:write").End()
 	d.k.Trap(cpu.Region{})
 	if err := d.h.InvokeChain(d.obj, d.chain); err != nil {
 		return err

@@ -19,7 +19,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/iosys"
 	"repro/internal/klat"
-	"repro/internal/ktrace"
 )
 
 // SectorSize is the disk sector granularity.
@@ -90,11 +89,7 @@ func (d *Disk) read(req *klat.Hop, sector uint64, buf []byte) error {
 	// Physical device time (seek, DMA) lands in its own "disk" bucket so
 	// attribution can separate it from driver-crossing machinery — the
 	// native system pays this part too.
-	var sp ktrace.Span
-	if t := ktrace.For(d.eng); t != nil {
-		sp = t.Begin(ktrace.EvDriverIO, "disk", "disk:read", ktrace.SpanContext{})
-	}
-	defer sp.End()
+	defer d.eng.Planes().Open(cpu.Event{Type: cpu.EvDriverIO, Subsystem: "disk", Name: "disk:read"}, nil).End()
 	n := uint64(len(buf) / SectorSize)
 	d.lockArm(req)
 	if !d.inRange(sector, n) {
@@ -134,11 +129,7 @@ func (d *Disk) write(req *klat.Hop, sector uint64, data []byte) error {
 	if len(data)%SectorSize != 0 {
 		return ErrBadSize
 	}
-	var sp ktrace.Span
-	if t := ktrace.For(d.eng); t != nil {
-		sp = t.Begin(ktrace.EvDriverIO, "disk", "disk:write", ktrace.SpanContext{})
-	}
-	defer sp.End()
+	defer d.eng.Planes().Open(cpu.Event{Type: cpu.EvDriverIO, Subsystem: "disk", Name: "disk:write"}, nil).End()
 	n := uint64(len(data) / SectorSize)
 	d.lockArm(req)
 	if !d.inRange(sector, n) {

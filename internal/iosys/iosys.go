@@ -19,7 +19,6 @@ import (
 	"sync"
 
 	"repro/internal/cpu"
-	"repro/internal/ktrace"
 )
 
 // Errors returned by the I/O system.
@@ -244,14 +243,11 @@ func (ic *InterruptController) Raise(vector int) error {
 	if !ok {
 		return nil
 	}
-	var sp ktrace.Span
-	if t := ktrace.For(ic.eng); t != nil {
-		name := "intr:kernel"
-		if e.userLevel {
-			name = "intr:reflect"
-		}
-		sp = t.Begin(ktrace.EvInterrupt, "iosys", name, ktrace.SpanContext{})
+	name := "intr:kernel"
+	if e.userLevel {
+		name = "intr:reflect"
 	}
+	sp := ic.eng.Planes().Open(cpu.Event{Type: cpu.EvInterrupt, Subsystem: "iosys", Name: name}, nil)
 	if e.userLevel {
 		ic.eng.Exec(ic.reflectOp)
 	}

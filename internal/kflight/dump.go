@@ -3,9 +3,9 @@ package kflight
 import (
 	"fmt"
 	"io"
-	"sort"
-	"strings"
+	"maps"
 
+	"repro/internal/cpu"
 	"repro/internal/kstat"
 )
 
@@ -24,10 +24,10 @@ type EngineSnap struct {
 
 // EngineDump is one engine's flight ring in a dump.
 type EngineDump struct {
-	Slot    int     `json:"slot"`
-	Emitted uint64  `json:"emitted"`
-	Dropped uint64  `json:"dropped"`
-	Events  []Event `json:"events"`
+	Slot    int         `json:"slot"`
+	Emitted uint64      `json:"emitted"`
+	Dropped uint64      `json:"dropped"`
+	Events  []cpu.Event `json:"events"`
 }
 
 // Dump is a postmortem snapshot of the whole diagnosis plane: why it was
@@ -106,14 +106,7 @@ func (d *Dump) WriteText(w io.Writer) error {
 
 	// Occupancy: the nonzero busy/pending gauges are the "work
 	// outstanding" evidence the watchdog fired on.
-	var occ []string
-	for name, v := range d.Stats.Gauges {
-		if v != 0 && (strings.HasSuffix(name, ".busy") || strings.HasSuffix(name, ".pending")) {
-			occ = append(occ, fmt.Sprintf("%s=%d", name, v))
-		}
-	}
-	sort.Strings(occ)
-	if len(occ) > 0 {
+	if occ := occupancy(d.Stats); len(occ) > 0 {
 		fmt.Fprintf(w, "\noutstanding work\n")
 		for _, s := range occ {
 			fmt.Fprintf(w, "  %s\n", s)
@@ -125,7 +118,7 @@ func (d *Dump) WriteText(w io.Writer) error {
 			eng.Slot, len(eng.Events), eng.Emitted, eng.Dropped)
 		for _, ev := range eng.Events {
 			fmt.Fprintf(w, "  [%8d] %10d %-9s %-12s %s arg=%#x\n",
-				ev.Seq, ev.Cycles, ev.TypeName(), ev.Subsystem, ev.Name, ev.Arg)
+				ev.Seq, ev.Ctr.Cycles, ev.Type, ev.Subsystem, ev.Name, ev.Arg)
 		}
 	}
 	return nil
@@ -137,30 +130,20 @@ func (d *Dump) WriteText(w io.Writer) error {
 func Diff(w io.Writer, a, b *Dump) {
 	fmt.Fprintf(w, "kflight diff — %q -> %q\n", a.Reason, b.Reason)
 
-	var names []string
-	for name := range b.Stats.Counters {
-		if b.Stats.Counters[name] != a.Stats.Counters[name] {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	fmt.Fprintf(w, "\ncounters moved (%d)\n", len(names))
-	for _, name := range names {
+	moved := b.Stats.Delta(a.Stats).Counters
+	maps.DeleteFunc(moved, func(_ string, v uint64) bool { return v == 0 })
+	fmt.Fprintf(w, "\ncounters moved (%d)\n", len(moved))
+	for _, name := range kstat.SortedKeys(moved) {
 		fmt.Fprintf(w, "  %-40s %+d\n", name, int64(b.Stats.Counters[name])-int64(a.Stats.Counters[name]))
 	}
 
-	names = names[:0]
-	for name := range b.Stats.Gauges {
-		if b.Stats.Gauges[name] != a.Stats.Gauges[name] {
-			names = append(names, name)
-		}
-	}
-	for name := range a.Stats.Gauges {
-		if _, ok := b.Stats.Gauges[name]; !ok {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
+	levels := maps.Clone(a.Stats.Gauges)
+	maps.Copy(levels, b.Stats.Gauges)
+	maps.DeleteFunc(levels, func(name string, _ int64) bool {
+		v, inB := b.Stats.Gauges[name]
+		return inB && v == a.Stats.Gauges[name]
+	})
+	names := kstat.SortedKeys(levels)
 	fmt.Fprintf(w, "\ngauges moved (%d)\n", len(names))
 	for _, name := range names {
 		fmt.Fprintf(w, "  %-40s %d -> %d\n", name, a.Stats.Gauges[name], b.Stats.Gauges[name])

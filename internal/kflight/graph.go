@@ -1,8 +1,9 @@
 package kflight
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -102,13 +103,10 @@ func FindCycles(edges []WaitEdge) [][]WaitEdge {
 		}
 		adj[e.TaskID] = append(adj[e.TaskID], e)
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	slices.Sort(nodes)
 	for _, es := range adj {
-		sort.Slice(es, func(i, j int) bool {
-			if es[i].OwnerTaskID != es[j].OwnerTaskID {
-				return es[i].OwnerTaskID < es[j].OwnerTaskID
-			}
-			return es[i].ThreadID < es[j].ThreadID
+		slices.SortFunc(es, func(a, b WaitEdge) int {
+			return cmp.Or(cmp.Compare(a.OwnerTaskID, b.OwnerTaskID), cmp.Compare(a.ThreadID, b.ThreadID))
 		})
 	}
 

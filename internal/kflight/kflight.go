@@ -6,12 +6,10 @@
 //
 // It has three parts:
 //
-//   - A per-engine bounded ring of the last K events (RPC dispatch and
-//     outcome, server receives, scheduler dispatches, cache traffic, VM
-//     faults), reusing ktrace's event codes but always-on and lock-free:
-//     each ring is a slot array of atomic pointers indexed by an atomic
-//     sequence, so concurrent emitters never contend on a mutex and a
-//     snapshot is a pointer sweep.
+//   - A per-engine bounded ring of the last K observation records (RPC
+//     calls and outcomes, pickups by server threads, scheduler
+//     dispatches, cache traffic, VM faults): the same cpu.Ring and the
+//     same cpu.Event the trace keeps, always on and small.
 //   - The wait-for graph: internal/mach registers what every blocked
 //     thread waits on (port rendezvous, reply exchange, pool receive,
 //     queued IPC) and kflight materializes the edges and runs cycle
@@ -24,152 +22,83 @@
 // Like kstat/ktrace/kprof, kflight is observation-only: hook points read
 // counters but never charge the cost model, so a run with the recorder
 // attached models bit-identical cycles to a detached run (gated by
-// TestFlightWorkloadObservationOnly).  When detached, every hook is one
-// atomic load.
+// TestFlightWorkloadObservationOnly).
 package kflight
 
 import (
-	"sort"
-	"sync/atomic"
-
 	"repro/internal/cpu"
-	"repro/internal/ktrace"
 )
-
-// Event is one flight-recorder entry.  It reuses ktrace's event codes so
-// the two planes speak the same vocabulary; unlike a ktrace event it
-// carries no span identity — the flight ring is a what-just-happened log,
-// not a causal tree.
-type Event struct {
-	// Seq is the per-engine emission order (monotonic, never reset), so
-	// ring wraps are detectable and dumps interleave deterministically.
-	Seq uint64 `json:"seq"`
-	// Engine is the slot the emitting thread's charges land on.
-	Engine int `json:"engine"`
-	// Type is the ktrace event code (EvRPC, EvRPCServe, EvSched, ...).
-	Type ktrace.EventType `json:"type"`
-	// Subsystem and Name identify the emitting component and operation
-	// ("mach.rpc"/"call:vfs", "mach.sched"/"dispatch:os2", ...).
-	Subsystem string `json:"subsystem"`
-	Name      string `json:"name"`
-	// Arg is an event-specific value (message ID, port, sector, address).
-	Arg uint64 `json:"arg"`
-	// Cycles is the emitting engine's cycle counter at emit time.
-	Cycles uint64 `json:"cycles"`
-}
-
-// TypeName renders the event code ("rpc", "sched", ...), for dumps that
-// were unmarshalled from JSON as well as live events.
-func (e Event) TypeName() string { return e.Type.String() }
 
 // DefaultRingSize is the per-engine ring capacity used by Attach.  Kept
 // deliberately small: the flight ring is always on, and its value is the
 // last moments before a stall, not a full trace (ktrace does that).
 const DefaultRingSize = 512
 
-// ring is one engine's lock-free bounded event buffer.  Writers reserve a
-// slot with one atomic add and publish the immutable event with one
-// atomic pointer store; readers sweep the pointers.  A reader racing a
-// wrap can observe a slot's old and new occupant across two sweeps —
-// snapshots sort by Seq and the watchdog only runs when nothing
-// progresses, so the approximation never matters where dumps are taken.
-type ring struct {
-	seq   atomic.Uint64
-	slots []atomic.Pointer[Event]
-}
-
-func (r *ring) put(e *Event) {
-	e.Seq = r.seq.Add(1) - 1
-	r.slots[int(e.Seq%uint64(len(r.slots)))].Store(e)
-}
-
-// snapshot returns the buffered events oldest-first plus the
-// emitted/dropped totals.
-func (r *ring) snapshot() (events []Event, emitted, dropped uint64) {
-	emitted = r.seq.Load()
-	events = make([]Event, 0, len(r.slots))
-	for i := range r.slots {
-		if e := r.slots[i].Load(); e != nil {
-			events = append(events, *e)
-		}
-	}
-	sort.Slice(events, func(i, j int) bool { return events[i].Seq < events[j].Seq })
-	if n := uint64(len(r.slots)); emitted > n {
-		dropped = emitted - n
-	}
-	return events, emitted, dropped
-}
-
 // Recorder is the always-on flight recorder for one kernel: a bounded
-// lock-free event ring per engine.  All methods are safe for concurrent
-// use from every emitting thread.
+// ring per engine of the records it consumes.  Safe for concurrent use
+// from every emitting thread.
 type Recorder struct {
-	eng   *cpu.Engine
-	rings []*ring
+	rings []*cpu.Ring
 }
 
-// NewRecorder builds a recorder over the engine (or, for the router of a
-// Complex, over all its engines) with the given per-engine ring capacity.
-func NewRecorder(eng *cpu.Engine, capacity int) *Recorder {
-	if capacity < 1 {
-		capacity = 1
+// Observe implements cpu.Observer: calls and their outcomes, pickups by
+// server threads, scheduler dispatches, VM faults and cache outcomes go
+// to the ring of the engine they were stamped on.
+func (r *Recorder) Observe(e cpu.Event) {
+	switch {
+	case e.Phase == cpu.PhaseSent, e.Phase == cpu.PhaseServed, e.Type == cpu.EvCache && e.Name == "readahead":
+		return
 	}
-	r := &Recorder{eng: eng, rings: make([]*ring, len(eng.Engines()))}
-	for i := range r.rings {
-		r.rings[i] = &ring{slots: make([]atomic.Pointer[Event], capacity)}
-	}
-	return r
-}
-
-// Engines reports how many per-engine rings the recorder keeps.
-func (r *Recorder) Engines() int { return len(r.rings) }
-
-// Emit records one event on the emitting thread's current engine.
-// Observation-only: it reads the engine's counters, charges nothing, and
-// takes no locks.
-func (r *Recorder) Emit(typ ktrace.EventType, subsystem, name string, arg uint64) {
-	slot := r.eng.CurrentSlot()
+	slot := e.Engine
 	if slot < 0 || slot >= len(r.rings) {
 		slot = 0
 	}
-	var cyc uint64
-	if cx := r.eng.Complex(); cx != nil {
-		cyc = cx.EngineCounters(slot).Cycles
-	} else {
-		cyc = r.eng.Counters().Cycles
-	}
-	r.rings[slot].put(&Event{
-		Engine: slot, Type: typ, Subsystem: subsystem, Name: name,
-		Arg: arg, Cycles: cyc,
-	})
+	r.rings[slot].Put(e)
 }
 
-// EngineEvents returns one engine's buffered events oldest-first.
-func (r *Recorder) EngineEvents(slot int) []Event {
-	if slot < 0 || slot >= len(r.rings) {
-		return nil
-	}
-	ev, _, _ := r.rings[slot].snapshot()
-	return ev
-}
-
-// Emitted reports the total events emitted on one engine (including those
-// the ring has since overwritten).
-func (r *Recorder) Emitted(slot int) uint64 {
-	if slot < 0 || slot >= len(r.rings) {
-		return 0
-	}
-	return r.rings[slot].seq.Load()
-}
-
-// EngineDumps snapshots every ring for a postmortem dump.
+// EngineDumps snapshots every ring for a postmortem dump, each record
+// under its flight name.
 func (r *Recorder) EngineDumps() []EngineDump {
 	out := make([]EngineDump, 0, len(r.rings))
 	for slot, rg := range r.rings {
-		ev, emitted, dropped := rg.snapshot()
-		out = append(out, EngineDump{Slot: slot, Emitted: emitted, Dropped: dropped, Events: ev})
+		ev := rg.Events()
+		for i := range ev {
+			label(&ev[i])
+		}
+		out = append(out, EngineDump{Slot: slot, Emitted: rg.Emitted(), Dropped: rg.Dropped(), Events: ev})
 	}
 	return out
+}
+
+// label renders a record in the flight vocabulary: call/callv, reply/replyv
+// and error/errorv with the destination server, recv with the task that
+// picked the call up, dispatch with the task a burst was placed for.  A
+// vectored call's arg is its width.
+func label(e *cpu.Event) {
+	name := e.Name
+	switch e.Type {
+	case cpu.EvRPC:
+		if name == "" {
+			name = "?"
+		}
+		v := ""
+		if e.Width > 0 {
+			v, e.Arg = "v", uint64(e.Width)
+		}
+		switch {
+		case e.Phase == cpu.PhasePicked:
+			e.Type, name = cpu.EvRPCServe, "recv:"+name
+		case e.Phase == cpu.PhaseBegin:
+			name = "call" + v + ":" + name
+		case e.Err != "":
+			name = "error" + v + ":" + name + ":" + e.Err
+		default:
+			name = "reply" + v + ":" + name
+		}
+	case cpu.EvSched:
+		name = "dispatch:" + name
+	}
+	e.Name = name
 }
 
 // --- engine attachment -----------------------------------------------------
@@ -181,16 +110,20 @@ func Attach(eng *cpu.Engine) *Recorder {
 }
 
 // AttachSized is Attach with an explicit per-engine ring capacity for a
-// fresh recorder; an attached one is returned as it is.
+// fresh recorder (one ring per engine of the Complex eng routes for); an
+// attached one is returned as it is.
 func AttachSized(eng *cpu.Engine, capacity int) *Recorder {
-	return eng.AttachPlane(cpu.PlaneFlight, func() any { return NewRecorder(eng, capacity) }).(*Recorder)
+	return eng.AttachPlane(cpu.PlaneFlight, func() any {
+		r := &Recorder{rings: make([]*cpu.Ring, len(eng.Engines()))}
+		for i := range r.rings {
+			r.rings[i] = cpu.NewRing(capacity)
+		}
+		return r
+	}).(*Recorder)
 }
 
-// Detach removes the engine's recorder; hook calls become no-ops again.
+// Detach removes the engine's recorder.
 func Detach(eng *cpu.Engine) { eng.DetachPlane(cpu.PlaneFlight, nil) }
 
 // For returns the engine's recorder, or nil when detached.
-func For(eng *cpu.Engine) *Recorder { return From(eng.Planes()) }
-
-// From returns the recorder in an engine's plane set, or nil.
-func From(ps *cpu.Planes) *Recorder { return cpu.PlaneOf[*Recorder](ps, cpu.PlaneFlight) }
+func For(eng *cpu.Engine) *Recorder { return cpu.PlaneOf[*Recorder](eng.Planes(), cpu.PlaneFlight) }

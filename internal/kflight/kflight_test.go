@@ -9,8 +9,12 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/kstat"
-	"repro/internal/ktrace"
 )
+
+// emit records one flight-vocabulary instant on eng.
+func emit(eng *cpu.Engine, arg uint64) {
+	eng.Planes().Emit(cpu.Event{Type: cpu.EvVMFault, Subsystem: "test", Name: "ev", Arg: arg})
+}
 
 // sampleSnapshot builds a kstat snapshot with one busy gauge set, for
 // dump-rendering tests.
@@ -23,14 +27,14 @@ func sampleSnapshot() kstat.Snapshot {
 
 func TestRingOverflowKeepsNewest(t *testing.T) {
 	eng := cpu.NewEngine(cpu.Pentium133())
-	r := NewRecorder(eng, 4)
+	r := AttachSized(eng, 4)
 	for i := 0; i < 10; i++ {
-		r.Emit(ktrace.EvRPC, "test", "ev", uint64(i))
+		emit(eng, uint64(i))
 	}
-	if got := r.Emitted(0); got != 10 {
+	if got := r.EngineDumps()[0].Emitted; got != 10 {
 		t.Fatalf("Emitted = %d, want 10", got)
 	}
-	ev := r.EngineEvents(0)
+	ev := r.EngineDumps()[0].Events
 	if len(ev) != 4 {
 		t.Fatalf("buffered %d events, want ring size 4", len(ev))
 	}
@@ -48,12 +52,12 @@ func TestRingOverflowKeepsNewest(t *testing.T) {
 
 func TestConcurrentEmitAndSnapshot(t *testing.T) {
 	eng := cpu.NewEngine(cpu.Pentium133())
-	r := NewRecorder(eng, 64)
+	r := AttachSized(eng, 64)
 	const workers, per = 8, 500
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	// A reader sweeping the ring while writers wrap it — the race detector
-	// gates the lock-free claim.
+	// is the assertion.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -72,17 +76,17 @@ func TestConcurrentEmitAndSnapshot(t *testing.T) {
 		go func(w int) {
 			defer writers.Done()
 			for i := 0; i < per; i++ {
-				r.Emit(ktrace.EvRPC, "test", "concurrent", uint64(w))
+				emit(eng, uint64(w))
 			}
 		}(w)
 	}
 	writers.Wait()
 	close(stop)
 	wg.Wait()
-	if got := r.Emitted(0); got != workers*per {
+	if got := r.EngineDumps()[0].Emitted; got != workers*per {
 		t.Fatalf("Emitted = %d, want %d", got, workers*per)
 	}
-	ev := r.EngineEvents(0)
+	ev := r.EngineDumps()[0].Events
 	if len(ev) != 64 {
 		t.Fatalf("buffered %d events, want 64", len(ev))
 	}
@@ -171,8 +175,8 @@ func TestFindCyclesDedup(t *testing.T) {
 
 func TestDumpRoundTripAndText(t *testing.T) {
 	eng := cpu.NewEngine(cpu.Pentium133())
-	r := NewRecorder(eng, 8)
-	r.Emit(ktrace.EvRPC, "mach.rpc", "call:files", 0x42)
+	r := AttachSized(eng, 8)
+	eng.Planes().Open(cpu.Event{Type: cpu.EvRPC, Subsystem: "mach.rpc", Name: "files", Arg: 0x42}, nil)
 	waits := []WaitEdge{
 		edge("ping", 1, WaitReply, 20, "pong", 2),
 		edge("pong", 2, WaitRendezvous, 10, "ping", 1),

@@ -151,16 +151,24 @@ func (w *Watchdog) progress() uint64 {
 // replies+errors are clients blocked inside the RPC path right now, which
 // catches hangs among bare threads no pool gauge covers.
 func outstanding(snap kstat.Snapshot) []string {
+	out := occupancy(snap)
+	calls := snap.Counters["mach.rpc.calls"]
+	done := snap.Counters["mach.rpc.replies"] + snap.Counters["mach.rpc.errors"]
+	if calls > done {
+		out = append(out, fmt.Sprintf("mach.rpc.inflight=%d", calls-done))
+	}
+	sort.Strings(out)
+	return out
+}
+
+// occupancy lists the nonzero pool-busy and port-set-pending gauges,
+// "name=level", sorted.
+func occupancy(snap kstat.Snapshot) []string {
 	var out []string
 	for name, v := range snap.Gauges {
 		if v != 0 && (strings.HasSuffix(name, ".busy") || strings.HasSuffix(name, ".pending")) {
 			out = append(out, fmt.Sprintf("%s=%d", name, v))
 		}
-	}
-	calls := snap.Counters["mach.rpc.calls"]
-	done := snap.Counters["mach.rpc.replies"] + snap.Counters["mach.rpc.errors"]
-	if calls > done {
-		out = append(out, fmt.Sprintf("mach.rpc.inflight=%d", calls-done))
 	}
 	sort.Strings(out)
 	return out

@@ -1,8 +1,11 @@
 package klat
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -45,6 +48,9 @@ type HopDump struct {
 	Op     uint32 `json:"op"`
 	Width  int    `json:"width,omitempty"`
 	Sub    bool   `json:"sub,omitempty"`
+	// Failed marks a nested call that failed: its whole window is one
+	// failed.<server> component.
+	Failed bool `json:"failed,omitempty"`
 
 	// Off is the hop's start offset in cycles from the root's entry —
 	// the waterfall x-coordinate.
@@ -104,11 +110,8 @@ func (t *Tracker) Dump() *Dump {
 	for k := range t.fams {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].server != keys[j].server {
-			return keys[i].server < keys[j].server
-		}
-		return keys[i].op < keys[j].op
+	slices.SortFunc(keys, func(a, b famKey) int {
+		return cmp.Or(cmp.Compare(a.server, b.server), cmp.Compare(a.op, b.op))
 	})
 	for _, k := range keys {
 		fams = append(fams, t.fams[k])
@@ -137,7 +140,7 @@ func (t *Tracker) Dump() *Dump {
 // dumpHop materializes one hop (and its subtree) into dump form.
 func (t *Tracker) dumpHop(h *Hop, rootStart uint64, critical bool) HopDump {
 	d := HopDump{
-		ID: h.ID, Server: h.Server, Op: h.Op, Width: h.Width, Sub: h.Sub,
+		ID: h.ID, Server: h.Server, Op: h.Op, Width: h.Width, Sub: h.Sub, Failed: h.failed.Load(),
 		Off:      h.stamps[h.start()].cycles.Load() - rootStart,
 		E2E:      h.E2E(),
 		Service:  h.seg(pRecv, pServed),
@@ -160,18 +163,7 @@ func (t *Tracker) dumpHop(h *Hop, rootStart uint64, critical bool) HopDump {
 	d.SchedBurst = h.schedBurst
 	d.SchedPoolWait = h.schedPoolWait
 	d.SchedCPUWait = h.schedCPUWait
-	if len(h.marks) > 0 {
-		d.Marks = make(map[string]uint64, len(h.marks))
-		for k, v := range h.marks {
-			d.Marks[k] = v
-		}
-	}
-	if len(h.notes) > 0 {
-		d.Notes = make(map[string]uint64, len(h.notes))
-		for k, v := range h.notes {
-			d.Notes[k] = v
-		}
-	}
+	d.Marks, d.Notes = maps.Clone(h.marks), maps.Clone(h.notes)
 	h.mu.Unlock()
 
 	// Critical-path reduction: sequential children (nested calls) are
@@ -207,6 +199,7 @@ func (t *Tracker) dumpHop(h *Hop, rootStart uint64, critical bool) HopDump {
 //	queue.<server>   rendezvous wait per destination server
 //	wait.<mark>      named subsystem waits (disk-turn, bcache-lock, disk-arm)
 //	service.<server> own handler cycles per server, marks subtracted
+//	failed.<server>  the whole window of a nested call that failed
 //
 // "Why was this p99 8x the median" is answered by diffing these buckets
 // against a median exemplar's.
@@ -217,6 +210,10 @@ func (d *HopDump) Components() map[string]uint64 {
 }
 
 func (d *HopDump) addComponents(out map[string]uint64) {
+	if d.Failed {
+		out["failed."+d.Server] += d.E2E
+		return
+	}
 	if v := d.Send + d.Resume; v > 0 {
 		out["cross"] += v
 	}
@@ -269,7 +266,9 @@ func (h *HopDump) writeHop(w io.Writer, depth int) {
 		star = "*"
 	}
 	kind := "call"
-	if h.Sub {
+	if h.Failed {
+		kind = "failed"
+	} else if h.Sub {
 		kind = "sub"
 	} else if h.Width > 0 {
 		kind = fmt.Sprintf("callv[%d]", h.Width)
@@ -281,23 +280,14 @@ func (h *HopDump) writeHop(w io.Writer, depth int) {
 		fmt.Fprintf(w, " vt[burst=%d pool-wait=%d cpu-wait=%d]",
 			h.SchedBurst, h.SchedPoolWait, h.SchedCPUWait)
 	}
-	for _, k := range sortedKeys(h.Marks) {
+	for _, k := range kstat.SortedKeys(h.Marks) {
 		fmt.Fprintf(w, " wait.%s=%d", k, h.Marks[k])
 	}
-	for _, k := range sortedKeys(h.Notes) {
+	for _, k := range kstat.SortedKeys(h.Notes) {
 		fmt.Fprintf(w, " %s=%d", k, h.Notes[k])
 	}
 	fmt.Fprintln(w)
 	for i := range h.Children {
 		h.Children[i].writeHop(w, depth+1)
 	}
-}
-
-func sortedKeys(m map[string]uint64) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }

@@ -29,12 +29,15 @@
 //
 // # Propagation
 //
-// The hop pointer rides in the mach message header (see Message.lat),
-// so the server side of a crossing stamps the same ledger the client
-// opened, and the message a handler is serving IS its request context:
-// whoever works for a request names it.  A nested Call names its parent
-// (Begin takes it), and the waits and counts a subsystem wants on the
-// ledger are recorded on the hop of the request it is working for.
+// klat consumes the engine's observation records: a call's Begin opens
+// its hop (P0), its send, pickup and reply-commit stamps are P1–P3, and
+// its End is P4.  The call's record rides in the mach message header and
+// holds the hop (cpu.Span.Lat), so the server side of a crossing stamps
+// the same ledger the client opened, and the message a handler is
+// serving IS its request context: whoever works for a request names it.
+// A nested Call names its parent (its record's Req), and the waits and
+// counts a subsystem wants on the ledger are recorded on the hop of the
+// request it is working for.
 // Nothing is discovered at run time: a call that names no request is a
 // root, never somebody else's child.  A child's window nests inside its
 // parent's service window (the chain is synchronous), so OwnService =
@@ -49,12 +52,12 @@
 // # Recording
 //
 // Every successful hop lands in its (server, op) family: log-bucketed
-// e2e/queue/service/cross histograms (kept here for self-contained
-// dumps and mirrored into the attached kstat set under klat.*), plus a
-// bounded top-K exemplar reservoir of ROOT hops — the slowest complete
-// requests, full ledger retained.  Failed or abandoned hops are
-// discarded: their server-side stamps may still be in flight, and a
-// tail story built from half-measured requests would lie.
+// e2e/queue/service/cross histograms, plus a bounded top-K exemplar
+// reservoir of ROOT hops — the slowest complete requests, full ledger
+// retained.  Failed or abandoned hops stay out of the histograms: their
+// server-side stamps may still be in flight, and a tail story built from
+// half-measured requests would lie.  A failed nested hop stays in its
+// parent's ledger as one failed window, so the parent still sums.
 //
 // Like kstat/ktrace/kprof/kflight, klat is observation-only: every hook
 // is a counter read plus private bookkeeping, no modeled charge, so a
@@ -68,6 +71,16 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/kstat"
 )
+
+// Of returns the ledger entry a request record holds, or nil: for a nil
+// record, and for one opened while the plane was detached.
+func Of(rec *cpu.Span) *Hop {
+	if rec == nil {
+		return nil
+	}
+	h, _ := rec.Lat.(*Hop)
+	return h
+}
 
 // Stamp indices of a hop, in causal order.
 const (
@@ -131,6 +144,7 @@ type Hop struct {
 	t      *Tracker
 	stamps [numStamps]stamp
 	sealed atomic.Bool
+	failed atomic.Bool
 
 	mu       sync.Mutex
 	children []*Hop
@@ -208,39 +222,6 @@ func (h *Hop) NoteSched(burst, poolWait, cpuWait uint64) {
 	h.mu.Unlock()
 }
 
-// --- stamp points called from the mach RPC path ----------------------------
-//
-// All are nil-receiver-safe: a detached boot never mints hops, so every
-// message carries lat == nil and the hooks reduce to one branch.
-
-// StampSent marks P1: the send burst is charged and the client is about
-// to enter the rendezvous.  Everything after this stamp and before a
-// server thread's pickup is queue-wait.
-func (h *Hop) StampSent() {
-	if h == nil {
-		return
-	}
-	h.stampNow(pSend)
-}
-
-// StampPicked marks P2: a server thread took the exchange out of the
-// rendezvous.  RPCReceive and the port-set receive both call it.
-func (h *Hop) StampPicked() {
-	if h == nil {
-		return
-	}
-	h.stampNow(pRecv)
-}
-
-// StampServed marks P3: the reply committed — the server-occupancy
-// segment of the hop ends here, the client's resume begins.
-func (h *Hop) StampServed() {
-	if h == nil {
-		return
-	}
-	h.stampNow(pServed)
-}
-
 // --- tracker ---------------------------------------------------------------
 
 // famKey identifies a latency family: one destination server × one
@@ -252,9 +233,7 @@ type famKey struct {
 
 // family holds one (server, op) pair's histograms and exemplars.
 type family struct {
-	e2e, queue, service, cross *kstat.Histogram
-	// Mirror names in the attached kstat set, precomputed once.
-	e2eFam, queueFam, serviceFam, crossFam string
+	e2e, queue, service, cross kstat.Histogram
 
 	mu        sync.Mutex
 	exemplars []*Hop // root hops, the K largest E2Es, unsorted
@@ -283,46 +262,70 @@ func Attach(eng *cpu.Engine) *Tracker {
 func Detach(eng *cpu.Engine) { eng.DetachPlane(cpu.PlaneLat, nil) }
 
 // For returns the engine's tracker, or nil when the plane is detached.
-func For(eng *cpu.Engine) *Tracker { return From(eng.Planes()) }
+func For(eng *cpu.Engine) *Tracker { return cpu.PlaneOf[*Tracker](eng.Planes(), cpu.PlaneLat) }
 
-// From returns the tracker in an engine's plane set, or nil.
-func From(ps *cpu.Planes) *Tracker { return cpu.PlaneOf[*Tracker](ps, cpu.PlaneLat) }
-
-// Begin opens a hop for one outgoing call and stamps P0.  A call made
-// for a request being served names that request's hop as parent and
-// attaches to its ledger as a child; with no parent (or one already
-// sealed — its client gave up) the hop is a root, a fresh request ID
-// minted at a client entry point.  Nil-safe.
-func (t *Tracker) Begin(parent *Hop, server string, op uint32, width int) *Hop {
-	if t == nil {
-		return nil
+// Observe implements cpu.Observer: a call's five stamps, and the cache
+// outcomes noted on the request they served.
+func (t *Tracker) Observe(e cpu.Event) {
+	switch e.Phase {
+	case cpu.PhaseBegin:
+		e.Span.Lat = t.begin(Of(e.Req), &e)
+	case cpu.PhaseEnd:
+		t.finish(Of(e.Span), &e)
+	case cpu.PhaseInstant:
+		Of(e.Req).Note(cacheNotes[e.Name], e.Arg)
+	default:
+		// PhaseSent, PhasePicked and PhaseServed are P1, P2 and P3.
+		if h := Of(e.Req); h != nil {
+			h.stamps[pSend+int(e.Phase-cpu.PhaseSent)].set(e.Ctr)
+		}
 	}
+}
+
+// cacheNotes names the exemplar annotation of each cache outcome.
+var cacheNotes = map[string]string{
+	"hit": "bcache.hit", "miss": "bcache.miss",
+	"readahead": "bcache.readahead", "writeback": "bcache.writeback",
+}
+
+// begin opens the hop of one outgoing call at P0.  A call made for a
+// request being served names that request's hop as parent and attaches
+// to its ledger as a child; with no parent (or one already sealed — its
+// client gave up) the hop is a root, a fresh request ID minted at a
+// client entry point.
+func (t *Tracker) begin(parent *Hop, e *cpu.Event) *Hop {
+	server := e.Name
 	if server == "" {
 		server = "?"
 	}
-	h := &Hop{t: t, ID: t.seq.Add(1), Server: server, Op: op, Width: width}
+	h := &Hop{t: t, ID: t.seq.Add(1), Server: server, Op: uint32(e.Arg), Width: e.Width}
 	if parent != nil && !parent.sealed.Load() {
 		parent.addChild(h)
 	} else {
 		h.Root = true
 	}
-	h.stampNow(pEntry)
+	h.stamps[pEntry].set(e.Ctr)
 	return h
 }
 
 // BeginSub opens a sub-hop under a carrier hop for one demultiplexed
-// sub-request and stamps its service-window start.  Subs inherit the
-// carrier's server (same crossing) and record only a service window:
-// queueing and crossing were paid once, by the carrier.  Nil-safe.
-func (h *Hop) BeginSub(op uint32) *Hop {
+// sub-request, stamps its service-window start and returns the request
+// record that carries it to the handler.  Subs inherit the carrier's
+// server (same crossing) and record only a service window: queueing and
+// crossing were paid once, by the carrier.  Nil-safe.
+func (h *Hop) BeginSub(op uint32) *cpu.Span {
 	if h == nil {
 		return nil
 	}
 	t := h.t
-	sh := &Hop{t: t, ID: t.seq.Add(1), Server: h.Server, Op: op, Sub: true}
-	h.addChild(sh)
-	sh.stampNow(pRecv)
-	return sh
+	sub := &struct {
+		rec cpu.Span
+		hop Hop
+	}{hop: Hop{t: t, ID: t.seq.Add(1), Server: h.Server, Op: op, Sub: true}}
+	sub.rec.Lat = &sub.hop
+	h.addChild(&sub.hop)
+	sub.hop.stampNow(pRecv)
+	return &sub.rec
 }
 
 // EndSub seals a sub-hop at its service-window end and records it.
@@ -335,20 +338,20 @@ func (sh *Hop) EndSub() {
 	sh.t.record(sh)
 }
 
-// Finish stamps P4, seals the hop, and records it — or discards it when
-// the call failed: an abandoned exchange's server-side stamps may still
-// be in flight, and half-measured requests have no place in a tail
-// story.  Nil-safe.
-func (t *Tracker) Finish(h *Hop, err error) {
-	if t == nil || h == nil {
+// finish stamps P4, seals the hop, and records it — or, when the call
+// failed, marks it failed: an abandoned exchange's server-side stamps may
+// still be in flight, so the hop stays out of the histograms and, nested,
+// counts in its parent's ledger as one failed window.
+func (t *Tracker) finish(h *Hop, e *cpu.Event) {
+	if h == nil {
 		return
 	}
-	h.stampNow(pReturn)
+	h.stamps[pReturn].set(e.Ctr)
+	h.failed.Store(e.Err != "")
 	h.sealed.Store(true)
-	if err != nil {
-		return
+	if e.Err == "" {
+		t.record(h)
 	}
-	t.record(h)
 }
 
 // WaitLock takes l and, if it has to wait for it, names the wait on the
@@ -398,16 +401,6 @@ func (t *Tracker) record(h *Hop) {
 		f.queue.Observe(h.seg(pSend, pRecv))
 		f.cross.Observe(h.seg(pEntry, pSend) + h.seg(pServed, pReturn))
 	}
-	// Mirror into the attached kstat set so the monitor's snapshot
-	// protocol and the Prometheus exposition see the same families.
-	if st := kstat.For(t.eng); st != nil {
-		st.Histogram(f.e2eFam).Observe(e2e)
-		st.Histogram(f.serviceFam).Observe(h.seg(pRecv, pServed))
-		if !h.Sub {
-			st.Histogram(f.queueFam).Observe(h.seg(pSend, pRecv))
-			st.Histogram(f.crossFam).Observe(h.seg(pEntry, pSend) + h.seg(pServed, pReturn))
-		}
-	}
 	if !h.Root {
 		return
 	}
@@ -435,20 +428,7 @@ func (t *Tracker) family(server string, op uint32) *family {
 	if f, ok := t.fams[k]; ok {
 		return f
 	}
-	base := famName(server, op)
-	f := &family{
-		e2e: new(kstat.Histogram), queue: new(kstat.Histogram),
-		service: new(kstat.Histogram), cross: new(kstat.Histogram),
-		e2eFam: base + ".e2e_cycles", queueFam: base + ".queue_cycles",
-		serviceFam: base + ".service_cycles", crossFam: base + ".cross_cycles",
-	}
+	f := new(family)
 	t.fams[k] = f
 	return f
-}
-
-// famName is the kstat mirror prefix for one latency family.
-func famName(server string, op uint32) string {
-	const hexdig = "0123456789abcdef"
-	return "klat." + server + ".0x" +
-		string([]byte{hexdig[op>>12&0xf], hexdig[op>>8&0xf], hexdig[op>>4&0xf], hexdig[op&0xf]})
 }

@@ -3,7 +3,6 @@ package klat
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -19,26 +18,31 @@ func newTracker(t *testing.T) (*Tracker, *cpu.Engine) {
 	return tr, eng
 }
 
-// driveHop walks one hop through the five stamp points, advancing the
+// call opens a call record made for parent, as the RPC path does.
+func call(eng *cpu.Engine, parent *cpu.Span, server string, op uint32, width int) *cpu.Span {
+	return eng.Planes().Open(cpu.Event{Type: cpu.EvRPC, Name: server, Arg: uint64(op), Width: width, Req: parent}, nil)
+}
+
+// driveHop walks one call through the five stamp points, advancing the
 // clock by the given segment widths (in stall cycles) between stamps.
-func driveHop(tr *Tracker, eng *cpu.Engine, parent *Hop, server string, op uint32, send, queue, service, resume uint64) *Hop {
-	h := tr.Begin(parent, server, op, 0)
+func driveHop(eng *cpu.Engine, parent *cpu.Span, server string, op uint32, send, queue, service, resume uint64) *cpu.Span {
+	rec := call(eng, parent, server, op, 0)
 	eng.Stall(send)
-	h.StampSent()
+	rec.Stamp(cpu.PhaseSent, "", 0)
 	eng.Stall(queue)
-	h.StampPicked()
+	rec.Stamp(cpu.PhasePicked, "", 0)
 	eng.Stall(service)
-	h.StampServed()
+	rec.Stamp(cpu.PhaseServed, "", 0)
 	eng.Stall(resume)
-	tr.Finish(h, nil)
-	return h
+	rec.End()
+	return rec
 }
 
 // TestTelescoping: the four segments sum to the end-to-end figure
 // exactly — the identity every exemplar gate builds on.
 func TestTelescoping(t *testing.T) {
 	tr, eng := newTracker(t)
-	driveHop(tr, eng, nil, "files", 0x0201, 100, 2000, 750, 30)
+	driveHop(eng, nil, "files", 0x0201, 100, 2000, 750, 30)
 	d := tr.Dump()
 	if len(d.Families) != 1 {
 		t.Fatalf("families = %d, want 1", len(d.Families))
@@ -78,21 +82,21 @@ func componentSum(h *HopDump) uint64 {
 // window, and the rollup still sums exactly.
 func TestNestedChildren(t *testing.T) {
 	tr, eng := newTracker(t)
-	root := tr.Begin(nil, "files", 0x0201, 0)
+	root := call(eng, nil, "files", 0x0201, 0)
 	eng.Stall(10)
-	root.StampSent()
+	root.Stamp(cpu.PhaseSent, "", 0)
 	eng.Stall(20)
-	root.StampPicked()
+	root.Stamp(cpu.PhasePicked, "", 0)
 	// Handler runs: some own work, then a nested driver call naming the
 	// request it serves, then more own work.
 	eng.Stall(100)
-	child := driveHop(tr, eng, root, "blockdrv", 0x0d01, 5, 40, 5000, 5)
+	child := driveHop(eng, root, "blockdrv", 0x0d01, 5, 40, 5000, 5)
 	eng.Stall(200)
-	root.StampServed()
+	root.Stamp(cpu.PhaseServed, "", 0)
 	eng.Stall(30)
-	tr.Finish(root, nil)
+	root.End()
 
-	if child.Root {
+	if Of(child).Root {
 		t.Fatal("nested hop must not be a root")
 	}
 	d := tr.Dump()
@@ -142,16 +146,17 @@ func (l heldFor) Lock()       { l.eng.Stall(l.n) }
 // out of the hop's own-service bucket, keeping the partition exact.
 func TestMarksSubtractFromOwn(t *testing.T) {
 	tr, eng := newTracker(t)
-	h := tr.Begin(nil, "files", 0x0202, 0)
-	h.StampSent()
-	h.StampPicked()
+	rec := call(eng, nil, "files", 0x0202, 0)
+	rec.Stamp(cpu.PhaseSent, "", 0)
+	rec.Stamp(cpu.PhasePicked, "", 0)
+	h := Of(rec)
 	var free sync.Mutex
 	h.WaitLock(&free, "bcache-lock") // a free lock records nothing
 	h.WaitLock(heldFor{eng, 4000}, "bcache-lock")
 	eng.Stall(1000)
-	h.Note("bcache.miss", 3)
-	h.StampServed()
-	tr.Finish(h, nil)
+	eng.Planes().Emit(cpu.Event{Type: cpu.EvCache, Name: "miss", Arg: 3, Req: rec})
+	rec.Stamp(cpu.PhaseServed, "", 0)
+	rec.End()
 
 	ex := tr.Dump().Families[0].Exemplars[0]
 	if ex.Marks["bcache-lock"] != 4000 {
@@ -178,7 +183,7 @@ func TestReservoirKeepsSlowest(t *testing.T) {
 	tr, eng := newTracker(t)
 	n := ExemplarK + 5
 	for i := 1; i <= n; i++ {
-		driveHop(tr, eng, nil, "files", 0x0201, 0, 0, uint64(i)*1000, 0)
+		driveHop(eng, nil, "files", 0x0201, 0, 0, uint64(i)*1000, 0)
 	}
 	f := tr.Dump().Families[0]
 	if len(f.Exemplars) != ExemplarK {
@@ -203,20 +208,20 @@ func TestReservoirKeepsSlowest(t *testing.T) {
 // slowest sub only; sub windows partition the carrier's service.
 func TestCarrierCriticalPath(t *testing.T) {
 	tr, eng := newTracker(t)
-	carrier := tr.Begin(nil, "blockdrv", 0x0d02, 3)
+	carrier := call(eng, nil, "blockdrv", 0x0d02, 3)
 	eng.Stall(10)
-	carrier.StampSent()
+	carrier.Stamp(cpu.PhaseSent, "", 0)
 	eng.Stall(20)
-	carrier.StampPicked()
+	carrier.Stamp(cpu.PhasePicked, "", 0)
 	widths := []uint64{500, 9000, 700}
 	for _, w := range widths {
-		sh := carrier.BeginSub(0x0d02)
+		sh := Of(carrier).BeginSub(0x0d02)
 		eng.Stall(w)
-		sh.EndSub()
+		Of(sh).EndSub()
 	}
-	carrier.StampServed()
+	carrier.Stamp(cpu.PhaseServed, "", 0)
 	eng.Stall(5)
-	tr.Finish(carrier, nil)
+	carrier.End()
 
 	ex := tr.Dump().Families[0].Exemplars[0]
 	if ex.Width != 3 || len(ex.Children) != 3 {
@@ -242,11 +247,45 @@ func TestCarrierCriticalPath(t *testing.T) {
 // reservoir — their server-side stamps may still be in flight.
 func TestFailedHopDiscarded(t *testing.T) {
 	tr, eng := newTracker(t)
-	h := tr.Begin(nil, "files", 0x0201, 0)
+	rec := call(eng, nil, "files", 0x0201, 0)
 	eng.Stall(100)
-	tr.Finish(h, errors.New("timeout"))
+	rec.Close(cpu.Event{Err: "timeout"})
 	if d := tr.Dump(); len(d.Families) != 0 {
 		t.Fatalf("failed hop recorded: %+v", d.Families)
+	}
+}
+
+// TestFailedNestedHopInLedger: a nested call that fails after its server
+// picked it up stays in its root's ledger as one failed window, so the
+// root's components still sum to its end-to-end cycles.
+func TestFailedNestedHopInLedger(t *testing.T) {
+	tr, eng := newTracker(t)
+	root := call(eng, nil, "files", 0x0201, 0)
+	eng.Stall(100)
+	root.Stamp(cpu.PhaseSent, "", 0)
+	root.Stamp(cpu.PhasePicked, "", 0)
+	eng.Stall(200)
+	child := call(eng, root, "blockdrv", 0x0d01, 0)
+	child.Stamp(cpu.PhaseSent, "", 0)
+	eng.Stall(5)
+	child.Stamp(cpu.PhasePicked, "", 0)
+	eng.Stall(5000) // the server works past the caller's deadline
+	child.Close(cpu.Event{Err: "timeout"})
+	eng.Stall(100)
+	root.Stamp(cpu.PhaseServed, "", 0)
+	eng.Stall(5)
+	root.End()
+
+	ex := tr.Dump().Families[0].Exemplars[0]
+	if ex.E2E != 5410 || len(ex.Children) != 1 || !ex.Children[0].Failed {
+		t.Fatalf("root e2e=%d children=%+v, want 5410 and one failed child", ex.E2E, ex.Children)
+	}
+	comp := ex.Components()
+	if comp["failed.blockdrv"] != 5005 {
+		t.Fatalf("failed component = %d, want the child's whole window 5005: %v", comp["failed.blockdrv"], comp)
+	}
+	if sum := componentSum(&ex); sum != ex.E2E {
+		t.Fatalf("component sum %d != e2e %d: %v", sum, ex.E2E, comp)
 	}
 }
 
@@ -257,29 +296,30 @@ func TestFailedHopDiscarded(t *testing.T) {
 // up (sealed) adopts nothing: the failure direction is "unlinked", never
 // "mislinked".
 func TestParentNaming(t *testing.T) {
-	tr, eng := newTracker(t)
-	a := tr.Begin(nil, "a", 1, 0)
-	b := tr.Begin(nil, "b", 2, 2)
-	a.StampPicked()
-	b.StampPicked()
-	if unnamed := driveHop(tr, eng, nil, "x", 3, 1, 1, 1, 1); !unnamed.Root {
+	_, eng := newTracker(t)
+	a := call(eng, nil, "a", 1, 0)
+	b := call(eng, nil, "b", 2, 2)
+	a.Stamp(cpu.PhasePicked, "", 0)
+	b.Stamp(cpu.PhasePicked, "", 0)
+	if unnamed := driveHop(eng, nil, "x", 3, 1, 1, 1, 1); !Of(unnamed).Root {
 		t.Fatal("a call that named no parent was linked under a request in service")
 	}
-	underA := driveHop(tr, eng, a, "x", 4, 1, 1, 1, 1)
-	sub := b.BeginSub(5)
-	underSub := driveHop(tr, eng, sub, "x", 6, 1, 1, 1, 1)
-	sub.EndSub()
+	underA := Of(driveHop(eng, a, "x", 4, 1, 1, 1, 1))
+	sub := Of(b).BeginSub(5)
+	underSub := Of(driveHop(eng, sub, "x", 6, 1, 1, 1, 1))
+	Of(sub).EndSub()
 	if underA.Root || underSub.Root {
 		t.Fatal("a call that named its parent was recorded as a root")
 	}
-	if len(a.children) != 1 || a.children[0] != underA {
-		t.Fatalf("a's children = %v, want exactly the call that named it", a.children)
+	ha, hb, hs := Of(a), Of(b), Of(sub)
+	if len(ha.children) != 1 || ha.children[0] != underA {
+		t.Fatalf("a's children = %v, want exactly the call that named it", ha.children)
 	}
-	if len(b.children) != 1 || b.children[0] != sub || len(sub.children) != 1 || sub.children[0] != underSub {
+	if len(hb.children) != 1 || hb.children[0] != hs || len(hs.children) != 1 || hs.children[0] != underSub {
 		t.Fatal("the carrier's sub-hop did not adopt the call that named it")
 	}
-	tr.Finish(a, nil)
-	if late := tr.Begin(a, "x", 7, 0); !late.Root || len(a.children) != 1 {
+	a.End()
+	if late := Of(call(eng, a, "x", 7, 0)); !late.Root || len(ha.children) != 1 {
 		t.Fatal("a sealed hop adopted a late child")
 	}
 }
@@ -288,27 +328,27 @@ func TestParentNaming(t *testing.T) {
 // shape the whole RPC path relies on.
 func TestNilSafety(t *testing.T) {
 	eng := cpu.NewEngine(cpu.Pentium133())
-	var tr *Tracker = For(eng) // not attached
-	if tr != nil {
+	if For(eng) != nil { // not attached
 		t.Fatal("For on unattached engine")
 	}
-	h := tr.Begin(nil, "x", 1, 0)
-	if h != nil {
-		t.Fatal("Begin on nil tracker minted a hop")
+	rec := call(eng, nil, "x", 1, 0)
+	if rec != nil || Of(rec) != nil {
+		t.Fatal("a detached engine minted a call record")
 	}
-	h.StampSent()
-	h.StampPicked()
-	h.StampServed()
-	h.BeginSub(1).EndSub()
+	rec.Stamp(cpu.PhaseSent, "", 0)
+	rec.Stamp(cpu.PhasePicked, "", 0)
+	rec.Stamp(cpu.PhaseServed, "", 0)
+	h := Of(rec)
+	Of(h.BeginSub(1)).EndSub()
 	h.WaitLock(heldFor{eng, 1}, "m")
 	h.Note("n", 1)
-	tr.Finish(h, nil)
+	rec.End()
 }
 
 // TestDumpRoundTrip: JSON out, JSON in, same ledger.
 func TestDumpRoundTrip(t *testing.T) {
 	tr, eng := newTracker(t)
-	driveHop(tr, eng, nil, "files", 0x0201, 1, 2, 3, 4)
+	driveHop(eng, nil, "files", 0x0201, 1, 2, 3, 4)
 	js, err := json.Marshal(tr.Dump())
 	if err != nil {
 		t.Fatal(err)
@@ -339,7 +379,7 @@ func TestConcurrentRecordAndDump(t *testing.T) {
 		go func(g int) {
 			defer rec.Done()
 			for i := 0; i < 200; i++ {
-				driveHop(tr, eng, nil, fmt.Sprintf("srv%d", g%2), uint32(g), 1, 1, uint64(i), 1)
+				driveHop(eng, nil, fmt.Sprintf("srv%d", g%2), uint32(g), 1, 1, uint64(i), 1)
 			}
 		}(g)
 	}

@@ -20,20 +20,22 @@
 // the engine charges but never charges anything itself, so modeled cycle
 // counts are bit-identical with the profiler attached or detached (gated
 // by TestProfWorkloadObservationOnly).  When detached the engine's hook
-// is a nil check; mach's context pushes reduce to one atomic load.
+// is a nil check.
 //
 // Exactness contract, precisely: the *region* and *kind* dimensions are
 // deterministic and exact — they are recorded under the engine lock at
-// the charge site.  The *context stack* is best-effort under concurrency,
-// exactly like ktrace's open-span stack: frames from concurrently running
-// threads interleave on one global stack, so with a multi-threaded
-// workload a cycle can land under a neighbor's frame.  Under the
-// client-blocks-on-RPC serial discipline (every Table 2 measurement, the
-// E-PROF rig) the context is exact too.
+// the charge site.  The *context stack* is best-effort under concurrency:
+// records from concurrently running threads interleave on one stack, so
+// with a multi-threaded workload a cycle can land under a neighbor's
+// frame.  Under the client-blocks-on-RPC serial discipline (every Table 2
+// measurement, the E-PROF rig, a single-client workload) the context is
+// exact too: a serve span closes at its reply commit, before the reply
+// wakes the client, so the client's resume never lands under it.
 package kprof
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 	"sync"
 
@@ -62,30 +64,23 @@ type Profiler struct {
 	mu      sync.Mutex
 	enabled bool
 	cells   map[cellKey]*cell
-	stack   []string
-	ctx     string // strings.Join(stack, ";"), maintained incrementally
 
 	charges   uint64 // total ProfCharge calls, never reset (kstat self-metric)
 	published uint64 // portion of charges already pushed to kstat
 }
 
-// ProfCharge implements cpu.ProfSink.  It runs under the engine lock at
-// every charge site; it must not call back into the engine and must not
-// charge costs.  On a Complex the Profiler itself is only installed on
-// slot 0; the other engines get slotSink wrappers so each charge carries
-// the slot it landed on.
-func (p *Profiler) ProfCharge(region string, kind cpu.ProfKind, cycles, bus, instr uint64) {
-	p.chargeSlot(0, region, kind, cycles, bus, instr)
-}
-
-func (p *Profiler) chargeSlot(slot int, region string, kind cpu.ProfKind, cycles, bus, instr uint64) {
+// ProfCharge implements cpu.ProfSink on every engine the profiler
+// observes: each charge carries the slot it landed on.  It runs under the
+// engine lock at every charge site; it must not take an engine lock or
+// charge costs (the context it reads is one atomic load).
+func (p *Profiler) ProfCharge(slot int, region string, kind cpu.ProfKind, cycles, bus, instr uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.charges++
 	if !p.enabled {
 		return
 	}
-	k := cellKey{ctx: p.ctx, region: region, kind: kind, engine: slot}
+	k := cellKey{ctx: p.eng.ProfContext(), region: region, kind: kind, engine: slot}
 	c := p.cells[k]
 	if c == nil {
 		c = &cell{}
@@ -95,52 +90,6 @@ func (p *Profiler) chargeSlot(slot int, region string, kind cpu.ProfKind, cycles
 	c.bus += bus
 	c.instr += instr
 	c.count++
-}
-
-// slotSink is the per-engine ProfSink of a Complex: it forwards every
-// charge into the shared Profiler stamped with its engine slot.
-type slotSink struct {
-	p    *Profiler
-	slot int
-}
-
-func (s slotSink) ProfCharge(region string, kind cpu.ProfKind, cycles, bus, instr uint64) {
-	s.p.chargeSlot(s.slot, region, kind, cycles, bus, instr)
-}
-
-// Push enters a context frame ("rpc:vfs", "trap:thread_self",
-// "serve:vfs/worker/0", "op:0x0201") and returns the matching pop.  The
-// pop is depth-anchored: it truncates the stack back to the depth at
-// which the frame was pushed, so a missed inner pop cannot leave the
-// stack permanently skewed.  Use as:
-//
-//	defer p.Push("rpc:" + srv)()
-func (p *Profiler) Push(frame string) func() {
-	p.mu.Lock()
-	depth := len(p.stack)
-	p.stack = append(p.stack, frame)
-	p.rejoin()
-	p.mu.Unlock()
-	return func() {
-		p.mu.Lock()
-		if len(p.stack) > depth {
-			p.stack = p.stack[:depth]
-			p.rejoin()
-		}
-		p.mu.Unlock()
-	}
-}
-
-// rejoin rebuilds the cached joined context.  Called with p.mu held.
-func (p *Profiler) rejoin() {
-	p.ctx = strings.Join(p.stack, ";")
-}
-
-// Depth reports the current context-stack depth (for tests).
-func (p *Profiler) Depth() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.stack)
 }
 
 // Enable starts attributing charges.  Charges arriving while disabled are
@@ -195,56 +144,41 @@ func (p *Profiler) Snapshot() Profile {
 	cells, enabled := len(p.cells), p.enabled
 	p.mu.Unlock()
 
-	sort.Slice(prof.Samples, func(i, j int) bool {
-		a, b := &prof.Samples[i], &prof.Samples[j]
-		if ak, bk := strings.Join(a.Stack, ";"), strings.Join(b.Stack, ";"); ak != bk {
-			return ak < bk
-		}
-		if a.Region != b.Region {
-			return a.Region < b.Region
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		return a.Engine < b.Engine
+	slices.SortFunc(prof.Samples, func(a, b Sample) int {
+		return cmp.Or(cmp.Compare(strings.Join(a.Stack, ";"), strings.Join(b.Stack, ";")),
+			cmp.Compare(a.Region, b.Region), cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Engine, b.Engine))
 	})
 
-	if st := kstat.For(p.eng); st != nil {
-		st.Counter("kprof.charges").Add(delta)
-		st.Gauge("kprof.cells").Set(int64(cells))
-		if enabled {
-			st.Gauge("kprof.enabled").Set(1)
-		} else {
-			st.Gauge("kprof.enabled").Set(0)
-		}
+	st := kstat.For(p.eng)
+	st.Counter("kprof.charges").Add(delta)
+	st.Gauge("kprof.cells").Set(int64(cells))
+	on := int64(0)
+	if enabled {
+		on = 1
 	}
+	st.Gauge("kprof.enabled").Set(on)
 	return prof
 }
 
 // --- engine attachment -----------------------------------------------------
 
 // Attach returns the engine's Profiler, attaching one if none is: it is
-// installed as the engine's ProfSink and published for the mach context
-// hooks.  On the router of a Complex the sink is installed on every
-// engine — slot 0 gets the Profiler itself, the rest slotSink wrappers —
-// so samples carry the engine the charge landed on.  The profiler starts
-// disabled; call Enable to open an attribution window.
+// installed as the ProfSink of every engine eng observes, so samples carry
+// the engine the charge landed on, and its slot makes the open-record
+// stack keep the frames.  The profiler starts disabled; call Enable to
+// open an attribution window.
 func Attach(eng *cpu.Engine) *Profiler {
 	return eng.AttachPlane(cpu.PlaneProf, func() any {
 		p := &Profiler{eng: eng, cells: make(map[cellKey]*cell)}
 		for _, e := range eng.Engines() {
-			var sink cpu.ProfSink = p
-			if e.Slot() > 0 {
-				sink = slotSink{p: p, slot: e.Slot()}
-			}
-			e.SetProfSink(sink)
+			e.SetProfSink(p)
 		}
 		return p
 	}).(*Profiler)
 }
 
 // Detach removes the engine's profiler; charge sites revert to the nil
-// fast path and mach context pushes become no-ops.
+// fast path.
 func Detach(eng *cpu.Engine) {
 	eng.DetachPlane(cpu.PlaneProf, func() {
 		for _, e := range eng.Engines() {
@@ -254,7 +188,4 @@ func Detach(eng *cpu.Engine) {
 }
 
 // For returns the engine's Profiler, or nil when profiling is detached.
-func For(eng *cpu.Engine) *Profiler { return From(eng.Planes()) }
-
-// From returns the Profiler in an engine's plane set, or nil.
-func From(ps *cpu.Planes) *Profiler { return cpu.PlaneOf[*Profiler](ps, cpu.PlaneProf) }
+func For(eng *cpu.Engine) *Profiler { return cpu.PlaneOf[*Profiler](eng.Planes(), cpu.PlaneProf) }

@@ -113,25 +113,30 @@ func TestObservationOnly(t *testing.T) {
 	}
 }
 
-// TestContextStack verifies frames attribute cycles under the pushed
-// context and that the depth-anchored pop recovers from a missed inner
-// pop.
+// open opens a record carrying a profile frame on eng.
+func open(eng *cpu.Engine, typ cpu.EventType, name string, arg uint64) *cpu.Span {
+	return eng.Planes().Open(cpu.Event{Type: typ, Subsystem: "trap", Name: name, Arg: arg}, nil)
+}
+
+// TestContextStack verifies cycles are attributed under the frames of the
+// open records, and that closing a record out of order takes exactly its
+// own frame off the stack.
 func TestContextStack(t *testing.T) {
 	eng, p, ra, _ := rig(t)
 
-	popRPC := p.Push("rpc:vfs")
-	popOp := p.Push("op:0x0201")
+	rpc := open(eng, cpu.EvRPC, "vfs", 0)
+	serve := open(eng, cpu.EvRPCServe, "serve:fs", 0x0201)
 	eng.Exec(ra)
-	popOp()
+	serve.End()
 	eng.Exec(ra)
-	popRPC()
+	rpc.End()
 	eng.Exec(ra)
 
 	prof := p.Snapshot()
 	var deep, mid, top bool
 	for _, s := range prof.Samples {
 		switch strings.Join(s.Stack, ";") {
-		case "rpc:vfs;op:0x0201":
+		case "rpc:vfs;serve:fs;op:0x0201":
 			deep = true
 		case "rpc:vfs":
 			mid = true
@@ -143,12 +148,15 @@ func TestContextStack(t *testing.T) {
 		t.Fatalf("missing context levels (deep=%v mid=%v top=%v): %+v", deep, mid, top, prof.Samples)
 	}
 
-	// Missed inner pop: the outer pop truncates past it.
-	popOuter := p.Push("serve:fs")
-	p.Push("op:0x0100") // pop lost
-	popOuter()
-	if d := p.Depth(); d != 0 {
-		t.Fatalf("depth after anchored outer pop = %d, want 0", d)
+	outer := open(eng, cpu.EvRPC, "fs", 0)
+	inner := open(eng, cpu.EvKernel, "region_map", 0)
+	outer.End()
+	if ctx := eng.ProfContext(); ctx != "trap:region_map" {
+		t.Fatalf("context after the outer record closed first = %q, want the inner frame alone", ctx)
+	}
+	inner.End()
+	if ctx := eng.ProfContext(); ctx != "" {
+		t.Fatalf("context with nothing open = %q", ctx)
 	}
 }
 
@@ -185,9 +193,9 @@ func TestWindows(t *testing.T) {
 // JSON round trip.
 func TestFoldedAndJSON(t *testing.T) {
 	eng, p, ra, _ := rig(t)
-	pop := p.Push("rpc:vfs")
+	rpc := open(eng, cpu.EvRPC, "vfs", 0)
 	eng.Exec(ra)
-	pop()
+	rpc.End()
 	prof := p.Snapshot()
 
 	var folded bytes.Buffer
@@ -252,7 +260,7 @@ func TestSelfMetrics(t *testing.T) {
 	}
 }
 
-// TestConcurrent exercises charges, pushes and snapshots from several
+// TestConcurrent exercises charges, framed records and snapshots from several
 // goroutines at once; the race detector is the assertion.
 func TestConcurrent(t *testing.T) {
 	eng, p, ra, rb := rig(t)
@@ -262,13 +270,13 @@ func TestConcurrent(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 200; j++ {
-				pop := p.Push("serve:worker")
+				rec := open(eng, cpu.EvRPC, "worker", 0)
 				if i%2 == 0 {
 					eng.Exec(ra)
 				} else {
 					eng.Exec(rb)
 				}
-				pop()
+				rec.End()
 			}
 		}(i)
 	}

@@ -100,14 +100,6 @@ func (p Profile) ByKind() []Agg {
 	return p.aggregate(func(s *Sample) string { return s.Kind })
 }
 
-// ByEngine rolls the profile up by the engine slot the charges landed
-// on, hottest first.  On single-CPU systems everything reports as "e0".
-func (p Profile) ByEngine() []Agg {
-	return p.aggregate(func(s *Sample) string {
-		return fmt.Sprintf("e%d", s.Engine)
-	})
-}
-
 // ByServer rolls the profile up by outermost context frame — the
 // server/op context mach pushed ("rpc:vfs", "serve:os2", "trap:...") —
 // hottest first.  Cycles charged outside any context report as "(top)".

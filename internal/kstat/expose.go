@@ -1,11 +1,22 @@
 package kstat
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 )
+
+// SortedKeys returns a map's keys in order, for deterministic renders.
+func SortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
 
 // Exposition formats over a Snapshot.  These render whatever snapshot
 // they are given — full, delta, or filtered — so the CLI and the monitor
@@ -14,32 +25,17 @@ import (
 // WriteText renders a human-readable listing: counters and gauges one per
 // line, histograms with count/mean/p50/p99/max.
 func WriteText(w io.Writer, s Snapshot) error {
-	names := make([]string, 0, len(s.Counters))
-	for k := range s.Counters {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
+	for _, k := range SortedKeys(s.Counters) {
 		if _, err := fmt.Fprintf(w, "%-44s %12d\n", k, s.Counters[k]); err != nil {
 			return err
 		}
 	}
-	names = names[:0]
-	for k := range s.Gauges {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
+	for _, k := range SortedKeys(s.Gauges) {
 		if _, err := fmt.Fprintf(w, "%-44s %12d (gauge)\n", k, s.Gauges[k]); err != nil {
 			return err
 		}
 	}
-	names = names[:0]
-	for k := range s.Histograms {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
+	for _, k := range SortedKeys(s.Histograms) {
 		h := s.Histograms[k]
 		if _, err := fmt.Fprintf(w, "%-44s n=%d mean=%.1f p50=%d p99=%d max=%d\n",
 			k, h.Count, h.Mean(), h.Quantile(0.50), h.Quantile(0.99), h.Max()); err != nil {
@@ -105,13 +101,8 @@ func promSeries(name string) (metric, labels string) {
 // families share one metric name with an engine label; the TYPE header is
 // emitted once per metric (engine series sort adjacently).
 func WriteProm(w io.Writer, s Snapshot) error {
-	names := make([]string, 0, len(s.Counters))
-	for k := range s.Counters {
-		names = append(names, k)
-	}
-	sort.Strings(names)
 	lastType := ""
-	for _, k := range names {
+	for _, k := range SortedKeys(s.Counters) {
 		n, lb := promSeries(k)
 		if n != lastType {
 			if _, err := fmt.Fprintf(w, "# TYPE %s_total counter\n", n); err != nil {
@@ -123,13 +114,8 @@ func WriteProm(w io.Writer, s Snapshot) error {
 			return err
 		}
 	}
-	names = names[:0]
-	for k := range s.Gauges {
-		names = append(names, k)
-	}
-	sort.Strings(names)
 	lastType = ""
-	for _, k := range names {
+	for _, k := range SortedKeys(s.Gauges) {
 		n, lb := promSeries(k)
 		if n != lastType {
 			if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n", n); err != nil {
@@ -141,24 +127,14 @@ func WriteProm(w io.Writer, s Snapshot) error {
 			return err
 		}
 	}
-	names = names[:0]
-	for k := range s.Histograms {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
+	for _, k := range SortedKeys(s.Histograms) {
 		h := s.Histograms[k]
 		n := promName(k)
 		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", n); err != nil {
 			return err
 		}
-		idx := make([]int, 0, len(h.Buckets))
-		for i := range h.Buckets {
-			idx = append(idx, i)
-		}
-		sort.Ints(idx)
 		var cum uint64
-		for _, i := range idx {
+		for _, i := range SortedKeys(h.Buckets) {
 			cum += h.Buckets[i]
 			if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", n, BucketUpper(i), cum); err != nil {
 				return err

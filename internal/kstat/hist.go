@@ -52,6 +52,9 @@ type Histogram struct {
 
 // Observe records one value.
 func (h *Histogram) Observe(v uint64) {
+	if h == nil {
+		return
+	}
 	h.buckets[bucketIndex(v)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)

@@ -12,12 +12,14 @@
 //   - Histogram: a mergeable log-bucketed (HDR-style) distribution of
 //     latencies or sizes, readable as quantiles.
 //
-// Like ktrace, kstat is observation-only: hook points all over the
-// simulated system read the cpu.Engine's performance counters but never
-// charge them, so modeled cycle counts — the Table 1 and Table 2
-// reproductions — are bit-identical with kstat enabled or disabled
-// (gated by bench.CounterTable2 and TestKstatObservationOnly).  When no
-// Set is attached to an engine the hooks reduce to one atomic load.
+// Two ways in: a Set consumes the engine's observation records (Observe:
+// RPC calls, the thread_self trap, VM faults, cache outcomes), and counts
+// that are not stamp points — operation counts, pool and port-set levels —
+// go through the direct Counter/Gauge/Histogram API.  Like ktrace, kstat
+// is observation-only: nothing here charges the cpu.Engine, so modeled
+// cycle counts — the Table 1 and Table 2 reproductions — are bit-identical
+// with kstat enabled or disabled (gated by bench.CounterTable2 and
+// TestKstatObservationOnly).
 //
 // Family naming convention (dotted, lower-case):
 //
@@ -35,7 +37,8 @@
 package kstat
 
 import (
-	"sort"
+	"maps"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -68,8 +71,12 @@ func shardIndex() uint64 {
 	return (uint64(uintptr(unsafe.Pointer(&probe))) >> 10) & (numShards - 1)
 }
 
-// Add adds n to the counter.
-func (c *Counter) Add(n uint64) { c.shards[shardIndex()].v.Add(n) }
+// Add adds n to the counter; a nil counter (from a nil Set) drops it.
+func (c *Counter) Add(n uint64) {
+	if c != nil {
+		c.shards[shardIndex()].v.Add(n)
+	}
+}
 
 // Inc adds one.
 func (c *Counter) Inc() { c.Add(1) }
@@ -89,27 +96,38 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set stores the level.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
+// Set stores the level; a nil gauge (from a nil Set) drops it.
+func (g *Gauge) Set(v int64) {
+	if g != nil {
+		g.v.Store(v)
+	}
+}
 
-// Add moves the level by d (negative to decrease).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
+// Add moves the level by d (negative to decrease); nil-safe.
+func (g *Gauge) Add(d int64) {
+	if g != nil {
+		g.v.Add(d)
+	}
+}
 
 // Inc raises the level by one.
-func (g *Gauge) Inc() { g.v.Add(1) }
+func (g *Gauge) Inc() { g.Add(1) }
 
 // Dec lowers the level by one.
-func (g *Gauge) Dec() { g.v.Add(-1) }
+func (g *Gauge) Dec() { g.Add(-1) }
 
 // Value reads the level.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Set is a registry of named metric families.  All methods are safe for
-// concurrent use; families are created on first touch.
+// concurrent use; families are created on first touch.  A nil Set — a
+// detached engine's — hands out nil metrics that drop what they are
+// given, so a count site is one line whether or not kstat is attached.
 type Set struct {
 	counters sync.Map // name -> *Counter
 	gauges   sync.Map // name -> *Gauge
 	hists    sync.Map // name -> *Histogram
+	rpcTo    sync.Map // server -> its mach.rpc.to.<srv>.calls *Counter
 }
 
 // NewSet creates an empty metric set.
@@ -117,6 +135,9 @@ func NewSet() *Set { return &Set{} }
 
 // Counter returns the named counter, creating it if needed.
 func (s *Set) Counter(name string) *Counter {
+	if s == nil {
+		return nil
+	}
 	if v, ok := s.counters.Load(name); ok {
 		return v.(*Counter)
 	}
@@ -126,6 +147,9 @@ func (s *Set) Counter(name string) *Counter {
 
 // Gauge returns the named gauge, creating it if needed.
 func (s *Set) Gauge(name string) *Gauge {
+	if s == nil {
+		return nil
+	}
 	if v, ok := s.gauges.Load(name); ok {
 		return v.(*Gauge)
 	}
@@ -135,11 +159,92 @@ func (s *Set) Gauge(name string) *Gauge {
 
 // Histogram returns the named histogram, creating it if needed.
 func (s *Set) Histogram(name string) *Histogram {
+	if s == nil {
+		return nil
+	}
 	if v, ok := s.hists.Load(name); ok {
 		return v.(*Histogram)
 	}
 	v, _ := s.hists.LoadOrStore(name, new(Histogram))
 	return v.(*Histogram)
+}
+
+// cacheFamilies names the counter of each buffer-cache outcome record.
+var cacheFamilies = map[string]string{
+	"hit": "bcache.hits", "miss": "bcache.misses",
+	"readahead": "bcache.readahead", "writeback": "bcache.writeback",
+}
+
+// Observe implements cpu.Observer: the families of the stamp points.  An
+// RPC call counts at dispatch — so a server taking a snapshot while
+// handling this very call (the monitor serving its own query) already
+// sees it — and its latency and reply at return.  A vectored carrier is
+// ONE call (the conservation law calls == replies + errors holds per
+// crossing, and the chaos harness checks it after each fault epoch); its
+// width lands on mach.rpc.batched.  The per-call instr/cycles deltas are
+// exact for serial callers and interleave under concurrency.
+func (s *Set) Observe(e cpu.Event) {
+	switch e.Type {
+	case cpu.EvRPC:
+		if e.Phase == cpu.PhaseBegin {
+			s.Counter("mach.rpc.calls").Inc()
+			s.Counter("mach.rpc.bytes_in").Add(e.Bytes)
+			if e.Width > 0 {
+				s.Counter("mach.rpc.batched").Add(uint64(e.Width))
+			}
+			if e.Mapped > 0 {
+				s.Counter("mach.ool.bytes_mapped").Add(e.Mapped)
+			}
+			if e.Name != "" {
+				c, ok := s.rpcTo.Load(e.Name)
+				if !ok {
+					c, _ = s.rpcTo.LoadOrStore(e.Name, s.Counter("mach.rpc.to."+e.Name+".calls"))
+				}
+				c.(*Counter).Inc()
+			}
+			return
+		}
+		s.delta(&rpcFamilies, &e)
+		s.Histogram("mach.rpc.size_bytes").Observe(e.Span.Bytes)
+		if e.Err != "" {
+			s.Counter("mach.rpc.errors").Inc()
+			return
+		}
+		s.Counter("mach.rpc.replies").Inc()
+		s.Counter("mach.rpc.bytes_out").Add(e.Bytes)
+		if e.Mapped > 0 {
+			s.Counter("mach.ool.bytes_mapped").Add(e.Mapped)
+		}
+	case cpu.EvTrap:
+		// The mach.trap family is Table 2's trap column accumulated live:
+		// E-CTR (bench.CounterTable2) derives the trap-vs-RPC ratios from
+		// these counters alone.
+		if e.Phase == cpu.PhaseEnd {
+			s.Counter("mach.trap.count").Inc()
+			s.delta(&trapFamilies, &e)
+		}
+	case cpu.EvVMFault:
+		s.Counter("vm.faults").Inc()
+	case cpu.EvCache:
+		s.Counter(cacheFamilies[e.Name]).Add(e.Arg)
+	}
+}
+
+// spanFamilies names the families a span's counter deltas land on.
+type spanFamilies struct{ instr, cycles, bus, latency string }
+
+var (
+	rpcFamilies  = spanFamilies{"mach.rpc.instr", "mach.rpc.cycles", "mach.rpc.bus", "mach.rpc.latency_cycles"}
+	trapFamilies = spanFamilies{"mach.trap.instr", "mach.trap.cycles", "mach.trap.bus", "mach.trap.latency_cycles"}
+)
+
+// delta records a span's counter deltas, begin to end.
+func (s *Set) delta(f *spanFamilies, end *cpu.Event) {
+	d := end.Ctr.Sub(end.Span.Ctr)
+	s.Counter(f.instr).Add(d.Instructions)
+	s.Counter(f.cycles).Add(d.Cycles)
+	s.Counter(f.bus).Add(d.BusCycles)
+	s.Histogram(f.latency).Observe(d.Cycles)
 }
 
 // Snapshot captures every family's current value.  It is weakly
@@ -199,44 +304,16 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 // Filter returns the snapshot restricted to families whose name starts
 // with prefix.
 func (s Snapshot) Filter(prefix string) Snapshot {
-	out := Snapshot{
-		Counters:   map[string]uint64{},
-		Gauges:     map[string]int64{},
-		Histograms: map[string]HistSnapshot{},
+	return Snapshot{
+		Counters:   filter(s.Counters, prefix),
+		Gauges:     filter(s.Gauges, prefix),
+		Histograms: filter(s.Histograms, prefix),
 	}
-	for k, v := range s.Counters {
-		if hasPrefix(k, prefix) {
-			out.Counters[k] = v
-		}
-	}
-	for k, v := range s.Gauges {
-		if hasPrefix(k, prefix) {
-			out.Gauges[k] = v
-		}
-	}
-	for k, v := range s.Histograms {
-		if hasPrefix(k, prefix) {
-			out.Histograms[k] = v
-		}
-	}
-	return out
 }
 
-func hasPrefix(s, p string) bool { return len(s) >= len(p) && s[:len(p)] == p }
-
-// Names returns all family names in the snapshot, sorted.
-func (s Snapshot) Names() []string {
-	out := make([]string, 0, len(s.Counters)+len(s.Gauges)+len(s.Histograms))
-	for k := range s.Counters {
-		out = append(out, k)
-	}
-	for k := range s.Gauges {
-		out = append(out, k)
-	}
-	for k := range s.Histograms {
-		out = append(out, k)
-	}
-	sort.Strings(out)
+func filter[V any](m map[string]V, prefix string) map[string]V {
+	out := maps.Clone(m)
+	maps.DeleteFunc(out, func(k string, _ V) bool { return !strings.HasPrefix(k, prefix) })
 	return out
 }
 

@@ -61,17 +61,13 @@ func NewFactory(eng *cpu.Engine, layout *cpu.Layout) *Factory {
 }
 
 func (f *Factory) kernelOp() {
-	if st := kstat.For(f.eng); st != nil {
-		st.Counter("ksync.kernel_ops").Inc()
-	}
+	kstat.For(f.eng).Counter("ksync.kernel_ops").Inc()
 	f.eng.Stall(f.costs.TrapCycles)
 	f.eng.Exec(f.kernelPath)
 }
 
 func (f *Factory) userOp() {
-	if st := kstat.For(f.eng); st != nil {
-		st.Counter("ksync.user_ops").Inc()
-	}
+	kstat.For(f.eng).Counter("ksync.user_ops").Inc()
 	f.eng.Exec(f.userPath)
 }
 

@@ -1,10 +1,16 @@
 package ktrace
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+
+	"repro/internal/cpu"
+)
 
 // SpanCost is one reconstructed span with its counter deltas.
 type SpanCost struct {
-	Type      EventType
+	Type      cpu.EventType
 	Subsystem string
 	Name      string
 	TraceID   uint64
@@ -25,15 +31,15 @@ type SpanCost struct {
 // BuildSpans pairs begin/end events into spans and computes inclusive and
 // exclusive counter deltas.  Spans whose begin or end fell out of the ring
 // are discarded.  The result is ordered by begin sequence.
-func BuildSpans(events []Event) []*SpanCost {
-	open := make(map[uint64]Event) // SpanID -> begin event
+func BuildSpans(events []cpu.Event) []*SpanCost {
+	open := make(map[uint64]cpu.Event) // SpanID -> begin event
 	byID := make(map[uint64]*SpanCost)
 	var spans []*SpanCost
 	for _, e := range events {
 		switch e.Phase {
-		case PhaseBegin:
+		case cpu.PhaseBegin:
 			open[e.SpanID] = e
-		case PhaseEnd:
+		case cpu.PhaseEnd:
 			b, ok := open[e.SpanID]
 			if !ok {
 				continue // begin wrapped out of the ring
@@ -59,21 +65,14 @@ func BuildSpans(events []Event) []*SpanCost {
 	}
 	for _, sc := range spans {
 		for _, c := range sc.Children {
-			sc.ExclInstr -= min64(sc.ExclInstr, c.InclInstr)
-			sc.ExclCycles -= min64(sc.ExclCycles, c.InclCycles)
-			sc.ExclBus -= min64(sc.ExclBus, c.InclBus)
+			sc.ExclInstr -= min(sc.ExclInstr, c.InclInstr)
+			sc.ExclCycles -= min(sc.ExclCycles, c.InclCycles)
+			sc.ExclBus -= min(sc.ExclBus, c.InclBus)
 		}
 		sort.Slice(sc.Children, func(i, j int) bool { return sc.Children[i].BeginSeq < sc.Children[j].BeginSeq })
 	}
 	sort.Slice(spans, func(i, j int) bool { return spans[i].BeginSeq < spans[j].BeginSeq })
 	return spans
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // SubsystemCost aggregates exclusive costs for one subsystem.
@@ -97,7 +96,7 @@ func (s SubsystemCost) CPI() float64 {
 // first.  Because exclusive costs subtract nested spans, the cycle totals
 // partition the traced work: each simulated cycle inside any span is
 // attributed to exactly one subsystem.
-func Attribute(events []Event) []SubsystemCost {
+func Attribute(events []cpu.Event) []SubsystemCost {
 	agg := make(map[string]*SubsystemCost)
 	for _, sc := range BuildSpans(events) {
 		a, ok := agg[sc.Subsystem]
@@ -114,11 +113,8 @@ func Attribute(events []Event) []SubsystemCost {
 	for _, a := range agg {
 		out = append(out, *a)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Cycles != out[j].Cycles {
-			return out[i].Cycles > out[j].Cycles
-		}
-		return out[i].Subsystem < out[j].Subsystem
+	slices.SortFunc(out, func(a, b SubsystemCost) int {
+		return cmp.Or(cmp.Compare(b.Cycles, a.Cycles), cmp.Compare(a.Subsystem, b.Subsystem))
 	})
 	return out
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"repro/internal/cpu"
 )
 
 // chromeEvent is one entry of the Chrome trace_event JSON array format
@@ -30,7 +32,7 @@ type chromeEvent struct {
 // The array is streamed: each event is marshalled and written on its own,
 // so a full ring export holds one event in memory at a time rather than
 // the whole JSON document.
-func WriteChromeTrace(w io.Writer, events []Event) error {
+func WriteChromeTrace(w io.Writer, events []cpu.Event) error {
 	s := chromeStream{w: w}
 	for _, sc := range BuildSpans(events) {
 		if err := s.emit(chromeEvent{
@@ -51,7 +53,7 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 		}
 	}
 	for _, e := range events {
-		if e.Phase != PhaseInstant {
+		if e.Phase != cpu.PhaseInstant {
 			continue
 		}
 		if err := s.emit(chromeEvent{
@@ -129,7 +131,7 @@ func WriteSummary(w io.Writer, t *Tracer) error {
 // WriteTree renders the first n causal trees, one line per span with
 // inclusive/exclusive cycles — DosOpen across personality -> file server
 // -> driver as an indented tree.
-func WriteTree(w io.Writer, events []Event, n int) {
+func WriteTree(w io.Writer, events []cpu.Event, n int) {
 	spans := BuildSpans(events)
 	roots := Roots(spans)
 	if n > 0 && len(roots) > n {

@@ -18,30 +18,31 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // span ids are identical on every run — which is what makes a golden file
 // of the streaming chrome export possible (real multi-threaded traces
 // interleave server and client events nondeterministically).
-func bootTrace(t *testing.T) []Event {
+func bootTrace(t *testing.T) []cpu.Event {
 	t.Helper()
 	eng := cpu.NewEngine(cpu.Pentium133())
 	l := cpu.NewLayout(0x10_0000)
 	rInit := l.PlaceInstr("boot_init", 300)
 	rMount := l.PlaceInstr("fs_mount", 500)
 	rLookup := l.PlaceInstr("name_lookup", 120)
-	tr := NewTracer(eng, 64)
+	tr := AttachSized(eng, 64)
+	defer Detach(eng)
 
-	boot := tr.Begin(EvTask, "core", "boot", SpanContext{})
+	boot := begin(eng, cpu.EvTask, "core", "boot", nil)
 	eng.Exec(rInit)
 
-	mount := tr.Begin(EvFSOp, "vfs", "mount:hpfs", boot.Context())
+	mount := begin(eng, cpu.EvFSOp, "vfs", "mount:hpfs", boot)
 	eng.Exec(rMount)
-	io := tr.Begin(EvDriverIO, "drivers", "read:superblock", mount.Context())
+	io := begin(eng, cpu.EvDriverIO, "drivers", "read:superblock", mount)
 	eng.Stall(400)
 	io.End()
 	mount.End()
 
-	lookup := tr.Begin(EvNameLookup, "names", "bind:/servers/files", boot.Context())
+	lookup := begin(eng, cpu.EvNameLookup, "names", "bind:/servers/files", boot)
 	eng.Exec(rLookup)
 	lookup.End()
 
-	tr.Emit(EvInterrupt, "kernel", "timer", boot.Context(), 32)
+	instant(eng, cpu.EvInterrupt, "kernel", "timer", 32)
 	boot.End()
 	return tr.Events()
 }

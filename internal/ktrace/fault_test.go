@@ -19,10 +19,11 @@ func TestRingOverflowSingleEmitter(t *testing.T) {
 
 	const ringSize = 64
 	const bursts = 10 * ringSize
-	tr := NewTracer(eng, ringSize)
+	tr := AttachSized(eng, ringSize)
+	defer Detach(eng)
 
 	for i := 0; i < bursts; i++ {
-		sp := tr.Begin(EvIPCSend, "mach.ipc", "send", SpanContext{})
+		sp := begin(eng, cpu.EvIPCSend, "mach.ipc", "send", nil)
 		eng.Exec(op)
 		sp.End()
 	}
@@ -80,7 +81,7 @@ func TestRingOverflowConcurrentBurst(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				sp := tr.Begin(EvNetOp, "netsvc", "burst", SpanContext{})
+				sp := begin(eng, cpu.EvNetOp, "netsvc", "burst", nil)
 				eng.Exec(op)
 				sp.End()
 			}
@@ -114,7 +115,7 @@ func TestRingOverflowConcurrentBurst(t *testing.T) {
 	if len(tr.Events()) != 0 || tr.Dropped() != 0 {
 		t.Errorf("reset left state behind: %d events, %d dropped", len(tr.Events()), tr.Dropped())
 	}
-	sp := tr.Begin(EvNetOp, "netsvc", "after-reset", SpanContext{})
+	sp := begin(eng, cpu.EvNetOp, "netsvc", "after-reset", nil)
 	eng.Exec(op)
 	sp.End()
 	if got := len(BuildSpans(tr.Events())); got != 1 {

@@ -18,17 +18,29 @@ func region(layout *cpu.Layout, name string, instr uint64) cpu.Region {
 	return layout.PlaceInstr(name, instr)
 }
 
+// begin opens a span record on eng; parent, when set, is its carried
+// causal parent.
+func begin(eng *cpu.Engine, typ cpu.EventType, sub, name string, parent *cpu.Span) *cpu.Span {
+	return eng.Planes().Open(cpu.Event{Type: typ, Subsystem: sub, Name: name}, parent)
+}
+
+// instant records an instant on eng.
+func instant(eng *cpu.Engine, typ cpu.EventType, sub, name string, arg uint64) {
+	eng.Planes().Emit(cpu.Event{Type: typ, Subsystem: sub, Name: name, Arg: arg})
+}
+
 // TestSpanPairing checks begin/end pairing, inclusive deltas and the
 // open-stack fallback parenting.
 func TestSpanPairing(t *testing.T) {
 	eng := newEngine()
 	layout := cpu.NewLayout(0x1000)
 	op := region(layout, "op", 100)
-	tr := NewTracer(eng, 1024)
+	tr := AttachSized(eng, 1024)
+	defer Detach(eng)
 
-	outer := tr.Begin(EvAPI, "os2", "DosOpen", SpanContext{})
+	outer := begin(eng, cpu.EvAPI, "os2", "DosOpen", nil)
 	eng.Exec(op)
-	inner := tr.Begin(EvRPC, "mach.rpc", "rpc:0x0f00", SpanContext{})
+	inner := eng.Planes().Open(cpu.Event{Type: cpu.EvRPC, Subsystem: "mach.rpc", Name: "fs", Arg: 0x0f00}, nil)
 	eng.Exec(op)
 	inner.End()
 	eng.Exec(op)
@@ -69,14 +81,15 @@ func TestExplicitContextPropagation(t *testing.T) {
 	eng := newEngine()
 	layout := cpu.NewLayout(0x1000)
 	op := region(layout, "op", 50)
-	tr := NewTracer(eng, 256)
+	tr := AttachSized(eng, 256)
+	defer Detach(eng)
 
-	client := tr.Begin(EvRPC, "mach.rpc", "rpc:0x0d01", SpanContext{})
-	carried := client.Context()
+	client := begin(eng, cpu.EvRPC, "mach.rpc", "rpc:0x0d01", nil)
+	carried := client
 	eng.Exec(op)
 	client.End()
 
-	server := tr.Begin(EvRPCServe, "mach.rpc", "serve:blockdrv", carried)
+	server := begin(eng, cpu.EvRPCServe, "mach.rpc", "serve:blockdrv", carried)
 	eng.Exec(op)
 	server.End()
 
@@ -96,11 +109,12 @@ func TestAttributePartition(t *testing.T) {
 	layout := cpu.NewLayout(0x1000)
 	opA := region(layout, "a", 300)
 	opB := region(layout, "b", 700)
-	tr := NewTracer(eng, 1024)
+	tr := AttachSized(eng, 1024)
+	defer Detach(eng)
 
-	outer := tr.Begin(EvAPI, "os2", "DosWrite", SpanContext{})
+	outer := begin(eng, cpu.EvAPI, "os2", "DosWrite", nil)
 	eng.Exec(opA)
-	inner := tr.Begin(EvDriverIO, "drivers", "udrv:write", SpanContext{})
+	inner := begin(eng, cpu.EvDriverIO, "drivers", "udrv:write", nil)
 	eng.Exec(opB)
 	inner.End()
 	outer.End()
@@ -140,10 +154,7 @@ func TestObservationOnly(t *testing.T) {
 			defer Detach(eng)
 		}
 		for i := 0; i < 50; i++ {
-			var sp Span
-			if tr := For(eng); tr != nil {
-				sp = tr.Begin(EvAPI, "test", "op", SpanContext{})
-			}
+			sp := begin(eng, cpu.EvAPI, "test", "op", nil)
 			eng.Exec(op)
 			eng.SwitchAddressSpace(uint64(i % 4))
 			eng.Copy(0x8000_0000, 0x9000_0000, 4096)
@@ -163,11 +174,12 @@ func TestChromeExport(t *testing.T) {
 	eng := newEngine()
 	layout := cpu.NewLayout(0x1000)
 	op := region(layout, "op", 80)
-	tr := NewTracer(eng, 256)
+	tr := AttachSized(eng, 256)
+	defer Detach(eng)
 
-	sp := tr.Begin(EvFSOp, "vfs", "read", SpanContext{})
+	sp := begin(eng, cpu.EvFSOp, "vfs", "read", nil)
 	eng.Exec(op)
-	tr.Emit(EvVMFault, "vm", "fault:read", SpanContext{}, 0x1234)
+	instant(eng, cpu.EvVMFault, "vm", "fault:read", 0x1234)
 	sp.End()
 
 	var buf bytes.Buffer
@@ -205,8 +217,9 @@ func TestSummaryOutput(t *testing.T) {
 	eng := newEngine()
 	layout := cpu.NewLayout(0x1000)
 	op := region(layout, "op", 120)
-	tr := NewTracer(eng, 256)
-	sp := tr.Begin(EvNameLookup, "names", "lookup:/servers/files", SpanContext{})
+	tr := AttachSized(eng, 256)
+	defer Detach(eng)
+	sp := begin(eng, cpu.EvNameLookup, "names", "lookup:/servers/files", nil)
 	eng.Exec(op)
 	sp.End()
 
@@ -225,7 +238,7 @@ func TestSummaryOutput(t *testing.T) {
 // TestZeroSpanNoop ensures the zero Span is safe to End, the disabled-path
 // contract of every hook site.
 func TestZeroSpanNoop(t *testing.T) {
-	var sp Span
+	var sp *cpu.Span
 	sp.End() // must not panic
 	if For(newEngine()) != nil {
 		t.Error("unattached engine returned a tracer")
@@ -249,10 +262,10 @@ func TestConcurrentEmitters(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				sp := tr.Begin(EvRPC, "mach.rpc", "rpc", SpanContext{})
+				sp := begin(eng, cpu.EvRPC, "mach.rpc", "rpc", nil)
 				eng.Exec(op)
-				tr.Emit(EvVMFault, "vm", "fault", sp.Context(), uint64(i))
-				child := tr.Begin(EvDriverIO, "drivers", "io", sp.Context())
+				instant(eng, cpu.EvVMFault, "vm", "fault", uint64(i))
+				child := begin(eng, cpu.EvDriverIO, "drivers", "io", sp)
 				child.End()
 				sp.End()
 				eng.SwitchAddressSpace(uint64(g))

@@ -1,8 +1,10 @@
 package mach
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
+	"repro/internal/cpu"
 	"repro/internal/kflight"
 	"repro/internal/kstat"
 )
@@ -39,14 +41,15 @@ func (th *Thread) setWait(kind kflight.WaitKind, port *Port, set *PortSet, op ui
 // clearWait removes the registration; the thread is running again.
 func (th *Thread) clearWait() { th.wait.Store(nil) }
 
-// taken is the receive side of a hand-off, run by the server thread that
-// takes the exchange (RPCReceive, receiveSet) before its handler runs:
-// P2 on the latency ledger, and the caller's wait moved from rendezvous to
-// reply, so a handler that dumps the wait-for graph sees its own caller
-// waiting for it.  The compare-and-swap leaves a caller that has already
-// moved on (abandoned, or registered the reply wait itself) untouched.
-func (ex *rpcExchange) taken() {
-	ex.request.lat.StampPicked()
+// taken is the receive side of a hand-off, run by the server thread th
+// that takes the exchange (RPCReceive, receiveSet) before its handler
+// runs: the call's pickup stamp, naming the serving task, and the
+// caller's wait moved from rendezvous to reply, so a handler that dumps
+// the wait-for graph sees its own caller waiting for it.  The
+// compare-and-swap leaves a caller that has already moved on (abandoned,
+// or registered the reply wait itself) untouched.
+func (ex *rpcExchange) taken(th *Thread) {
+	ex.request.rec.Stamp(cpu.PhasePicked, th.task.name, uint64(ex.request.ID))
 	ex.caller.wait.CompareAndSwap(&ex.waits[0], &ex.waits[1])
 }
 
@@ -80,11 +83,8 @@ func (k *Kernel) WaitEdges() []kflight.WaitEdge {
 			out = append(out, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].TaskID != out[j].TaskID {
-			return out[i].TaskID < out[j].TaskID
-		}
-		return out[i].ThreadID < out[j].ThreadID
+	slices.SortFunc(out, func(a, b kflight.WaitEdge) int {
+		return cmp.Or(cmp.Compare(a.TaskID, b.TaskID), cmp.Compare(a.ThreadID, b.ThreadID))
 	})
 	return out
 }
@@ -94,13 +94,12 @@ func (k *Kernel) WaitEdges() []kflight.WaitEdge {
 // kstat fabric.  Returns nil when no recorder is attached (the monitor
 // maps that to ErrDetached).
 func (k *Kernel) FlightDump(reason string) *kflight.Dump {
-	ps := k.CPU.Planes()
-	rec := kflight.From(ps)
+	rec := kflight.For(k.CPU)
 	if rec == nil {
 		return nil
 	}
 	var stats kstat.Snapshot
-	if st := kstat.From(ps); st != nil {
+	if st := kstat.For(k.CPU); st != nil {
 		stats = st.Snapshot()
 	}
 	return kflight.Collect(reason, rec, k.WaitEdges(), k.SchedStats(), stats)

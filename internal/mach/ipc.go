@@ -1,10 +1,8 @@
 package mach
 
 import (
-	"fmt"
-
+	"repro/internal/cpu"
 	"repro/internal/kflight"
-	"repro/internal/ktrace"
 )
 
 // This file implements the classic Mach 3.0 mach_msg path that the rework
@@ -43,10 +41,11 @@ func (th *Thread) MachMsgSend(dest PortName, msg *Message, opts MsgOption) error
 	if len(msg.Regions) > 0 || len(msg.batch) > 0 {
 		return ErrNotSupported
 	}
-	var sp ktrace.Span
-	if t := ktrace.For(k.CPU); t != nil {
-		sp = t.Begin(ktrace.EvIPCSend, "mach.ipc", fmt.Sprintf("send:%#04x", uint32(msg.ID)), msg.trace)
-		msg.trace = sp.Context()
+	// The send's record parents to whatever record the message carried and
+	// becomes the one it carries.
+	sp := k.CPU.Planes().Open(cpu.Event{Type: cpu.EvIPCSend, Subsystem: "mach.ipc", Arg: uint64(msg.ID)}, msg.rec)
+	if sp != nil {
+		msg.rec = sp
 	}
 	defer sp.End()
 	k.CPU.Exec(k.paths.msgStubC)
@@ -129,9 +128,9 @@ func (th *Thread) MachMsgSend(dest PortName, msg *Message, opts MsgOption) error
 // the copy-on-write faults the receiver takes when touching the pages.
 func (th *Thread) MachMsgReceive(recvName PortName, opts MsgOption) (*Message, error) {
 	k := th.task.kernel
-	var sp ktrace.Span
-	if t := ktrace.For(k.CPU); t != nil {
-		sp = t.Begin(ktrace.EvIPCRecv, "mach.ipc", "recv:"+th.task.name, ktrace.SpanContext{})
+	var sp *cpu.Span
+	if ps := k.CPU.Planes(); ps.Wants(cpu.EvIPCRecv) {
+		sp = ps.Open(cpu.Event{Type: cpu.EvIPCRecv, Subsystem: "mach.ipc", Name: "recv:" + th.task.name}, nil)
 	}
 	defer sp.End()
 	k.CPU.Exec(k.paths.msgStubS)

@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cpu"
-	"repro/internal/kprof"
 	"repro/internal/kstat"
 )
 
@@ -245,10 +244,10 @@ func (k *Kernel) Tunables() Tunables { return k.tun }
 func (k *Kernel) Host() *Host { return k.host }
 
 // trap charges one kernel entry: user->kernel privilege transition.
+// mach.kernel.entries is a count, not a stamp point: it goes to kstat's
+// direct API.
 func (k *Kernel) trap() {
-	if st := kstat.For(k.CPU); st != nil {
-		st.Counter("mach.kernel.entries").Inc()
-	}
+	kstat.For(k.CPU).Counter("mach.kernel.entries").Inc()
 	k.CPU.Stall(k.tun.TrapCycles)
 	k.CPU.Overhead(0, k.tun.TrapBusEntry)
 	k.CPU.Exec(k.paths.trapEntry)
@@ -274,11 +273,10 @@ func (k *Kernel) allocPortID() uint64 {
 // Trap charges a full user->kernel->user crossing running the given code
 // path in between.  Components layered on the microkernel (in-kernel
 // drivers, the monolithic baseline of the evaluation) use this to model
-// their trap-based service entries.
+// their trap-based service entries.  Its record carries the
+// "trap:<path>" profile frame.
 func (k *Kernel) Trap(path cpu.Region) {
-	if p := kprof.For(k.CPU); p != nil {
-		defer p.Push("trap:" + path.Name)()
-	}
+	defer k.CPU.Planes().Open(cpu.Event{Type: cpu.EvKernel, Subsystem: "trap", Name: path.Name}, nil).End()
 	k.trap()
 	if path.Instr > 0 {
 		k.CPU.Exec(path)

@@ -1,8 +1,8 @@
 package mach
 
 import (
+	"repro/internal/cpu"
 	"repro/internal/klat"
-	"repro/internal/ktrace"
 )
 
 // MsgID identifies the operation requested by a message, as in MIG-
@@ -151,45 +151,37 @@ type Message struct {
 	// and Responder.ReplyV; never set directly.
 	batch []*Message
 
-	// trace carries the sender's span context so the receiver's work is
-	// parented to the operation that caused it (ktrace correlation).
-	trace ktrace.SpanContext
-
-	// lat is the request's tail-latency ledger entry, minted by the
-	// client entry point and riding in the header — like trace — so the
-	// server side of the crossing stamps the same ledger the client
-	// opened, and a handler holding the message can name the request it
-	// works for (Hop, Thread.ActFor, CallOpts.Parent).  cloneForDelivery's
-	// shallow copy preserves it, which is exactly right: both sides of
-	// one crossing share one hop.  A vectored carrier carries the carrier
-	// hop; each sub-request reaches the handler in a header copy carrying
-	// its own sub-hop.  Nil on detached boots.
-	lat *klat.Hop
+	// rec is the request's identity: the record of the call (or classic
+	// send) that carried it, opened by the sender and riding in the
+	// header, so the server side of the crossing stamps the same record,
+	// its serve span parents to it, and a handler holding the message can
+	// name the request it works for (Hop, Thread.ActFor, CallOpts.Parent).
+	// cloneForDelivery's shallow copy preserves it, which is exactly
+	// right: both sides of one crossing share one record.  A vectored
+	// carrier carries the carrier's record; each sub-request reaches the
+	// handler in a header copy carrying its own sub-hop's.  Nil when no
+	// plane observes calls.
+	rec *cpu.Span
 }
 
 // Size returns the total byte count the message transfers, including
 // by-reference region payloads and, for a vectored carrier, every
 // sub-message.
-func (m *Message) Size() int {
-	n := len(m.Body) + len(m.OOL)
-	for i := range m.Regions {
-		n += int(m.Regions[i].Len)
-	}
-	for _, sub := range m.batch {
-		n += sub.Size()
-	}
-	return n
-}
+func (m *Message) Size() int { return int(copiedBytes(m) + regionBytes(m)) }
 
 // Hop returns the latency-ledger entry of the request the message
 // carries, for the waits and counts a server wants named on it.  Nil —
 // and every use of it a no-op — for a nil message, one that was never
 // sent, and on detached boots.
-func (m *Message) Hop() *klat.Hop {
+func (m *Message) Hop() *klat.Hop { return klat.Of(m.Record()) }
+
+// Record returns the request record the message carries, for the records
+// a server emits on the request's behalf; nil-safe like Hop.
+func (m *Message) Record() *cpu.Span {
 	if m == nil {
 		return nil
 	}
-	return m.lat
+	return m.rec
 }
 
 // Payload returns the bulk data a message carries under Transfer.Place:

@@ -84,11 +84,9 @@ func (t *Task) servePool(name string, n int, recv receiveFn, h func(PortName, *M
 	}
 	fam := "mach.pool." + t.name + "/" + name
 	p.busyFam, p.opsFam, p.workersFam = fam+".busy", fam+".ops", fam+".workers"
-	if st := kstat.For(t.kernel.CPU); st != nil {
-		// Touch the gauge so the family exists even before the first
-		// worker starts; spawnWorker maintains the live count.
-		st.Gauge(p.workersFam).Add(0)
-	}
+	// Touch the gauge so the family exists even before the first
+	// worker starts; spawnWorker maintains the live count.
+	kstat.For(t.kernel.CPU).Gauge(p.workersFam).Add(0)
 	for i := 0; i < n; i++ {
 		if err := p.spawnWorker(i); err != nil {
 			p.Stop()
@@ -111,14 +109,9 @@ func (p *ServerPool) spawnWorker(idx int) error {
 	k := p.task.kernel
 	th, err := p.task.Spawn(fmt.Sprintf("%s/%d", p.name, seq), func(th *Thread) {
 		th.poolVT = p.vtp
-		if st := kstat.For(k.CPU); st != nil {
-			st.Gauge(p.workersFam).Inc()
-		}
-		defer func() {
-			if st := kstat.For(k.CPU); st != nil {
-				st.Gauge(p.workersFam).Dec()
-			}
-		}()
+		workers := kstat.For(k.CPU).Gauge(p.workersFam)
+		workers.Inc()
+		defer workers.Dec()
 		p.worker(th, idx, p.recv, p.handler)
 	})
 	if err != nil {
@@ -152,14 +145,10 @@ func (p *ServerPool) worker(th *Thread, idx int, recv receiveFn, h func(PortName
 		// means.
 		ps := k.CPU.Planes()
 		st := kstat.From(ps)
-		if st != nil {
-			st.Gauge(p.busyFam).Inc()
-		}
+		st.Gauge(p.busyFam).Inc()
 		_ = l.dispatch(ps, resp, req, pn, h)
-		if st != nil {
-			st.Gauge(p.busyFam).Dec()
-			st.Counter(p.opsFam).Inc()
-		}
+		st.Gauge(p.busyFam).Dec()
+		st.Counter(p.opsFam).Inc()
 		p.ops[idx].Add(1)
 	}
 }

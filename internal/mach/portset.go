@@ -124,34 +124,26 @@ func (ps *PortSet) forward(port *Port, name PortName) {
 				ex.fail(ErrDeadPort)
 				return
 			}
-			st := kstat.For(ps.task.kernel.CPU)
-			if st != nil {
-				st.Gauge(ps.pendFam).Inc()
-			}
+			pending := kstat.For(ps.task.kernel.CPU).Gauge(ps.pendFam)
+			pending.Inc()
 			select {
 			case ps.ch <- setDelivery{ex: ex, port: port, name: name}:
 				// The receiver decrements in receiveSet.
 			case <-ex.abort:
 				// Caller thread died; the exchange is already (or about
 				// to be) abandoned on the caller side.
-				if st != nil {
-					st.Gauge(ps.pendFam).Dec()
-				}
+				pending.Dec()
 			case <-ex.goneCh():
 				// Caller abandoned the exchange (deadline expired while
 				// every server thread was busy elsewhere).  Drop it: a
 				// committed delivery now would be discarded anyway, and
 				// blocking here would wedge this member port forever.
-				if st != nil {
-					st.Gauge(ps.pendFam).Dec()
-				}
+				pending.Dec()
 			case <-ps.deadCh:
 				// The set died with the exchange in hand: fail the
 				// caller instead of stranding it in its reply wait.
 				ex.fail(ErrDeadPort)
-				if st != nil {
-					st.Gauge(ps.pendFam).Dec()
-				}
+				pending.Dec()
 				return
 			}
 		case <-port.rpcClosed():
@@ -228,9 +220,7 @@ func (th *Thread) receiveSet(ps *PortSet) (*Message, *Responder, PortName, error
 	var d setDelivery
 	select {
 	case d = <-ps.ch:
-		if st := kstat.For(k.CPU); st != nil {
-			st.Gauge(ps.pendFam).Dec()
-		}
+		kstat.For(k.CPU).Gauge(ps.pendFam).Dec()
 	case <-th.abort:
 		th.clearWait()
 		return nil, nil, NullName, ErrAborted
@@ -239,10 +229,10 @@ func (th *Thread) receiveSet(ps *PortSet) (*Message, *Responder, PortName, error
 		return nil, nil, NullName, ErrDeadPort
 	}
 	th.clearWait()
-	// P2 for set-served requests (the file server's port-per-open-file
+	// Pickup for set-served requests (the file server's port-per-open-file
 	// pools): queue-wait — including the forwarder relay — ends when a
 	// pool thread takes the delivery.
-	d.ex.taken()
+	d.ex.taken(th)
 	// One scheduled burst covers receive, handler and reply, as in
 	// RPCReceive; the release rides in the Responder.  The burst
 	// serializes on the pool's virtual capacity — not on th's own
@@ -250,17 +240,5 @@ func (th *Thread) receiveSet(ps *PortSet) (*Message, *Responder, PortName, error
 	// wall-clock accident — and cannot start before the client's send
 	// burst completed in modeled time.
 	rel := k.schedRunPool(th, th.poolVT, d.ex.caller.vt.Load())
-	k.CPU.SwitchAddressSpace(th.task.asid)
-	k.CPU.Exec(k.paths.rpcReceive)
-	k.CPU.Exec(k.paths.rpcStubS)
-	k.touchKData(d.port.id, 96)
-	if len(d.ex.request.Rights) > 0 {
-		th.task.acceptRights(d.ex.request)
-	}
-	d.port.mu.Lock()
-	d.port.seqno++
-	d.ex.request.Seq = d.port.seqno
-	d.port.mu.Unlock()
-	k.rti()
-	return d.ex.request, &Responder{ex: d.ex, port: d.port, srv: th, release: rel}, d.name, nil
+	return d.ex.request, th.accept(d.ex, d.port, rel), d.name, nil
 }

@@ -1,15 +1,11 @@
 package mach
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/cpu"
 	"repro/internal/kflight"
 	"repro/internal/klat"
-	"repro/internal/kprof"
-	"repro/internal/kstat"
-	"repro/internal/ktrace"
 )
 
 // This file implements the reworked RPC path — the paper's central IPC
@@ -88,7 +84,7 @@ func (th *Thread) Call(dest PortName, req *Message, opts CallOpts) (*Message, er
 		}
 		return replies[0], nil
 	}
-	return th.callMsg(dest, req, opts)
+	return th.rpcCall(dest, req, opts)
 }
 
 // CallV performs a vectored call: one crossing carries every request in
@@ -102,7 +98,7 @@ func (th *Thread) CallV(dest PortName, reqs []*Message, opts CallOpts) ([]*Messa
 	case 0:
 		return nil, nil
 	case 1:
-		m, err := th.callMsg(dest, reqs[0], opts)
+		m, err := th.rpcCall(dest, reqs[0], opts)
 		if err != nil {
 			return nil, err
 		}
@@ -113,8 +109,8 @@ func (th *Thread) CallV(dest PortName, reqs []*Message, opts CallOpts) ([]*Messa
 			return nil, ErrBatchMismatch
 		}
 	}
-	carrier := &Message{ID: reqs[0].ID, trace: reqs[0].trace, batch: reqs}
-	reply, err := th.callMsg(dest, carrier, opts)
+	carrier := &Message{ID: reqs[0].ID, rec: reqs[0].rec, batch: reqs}
+	reply, err := th.rpcCall(dest, carrier, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -124,125 +120,66 @@ func (th *Thread) CallV(dest PortName, reqs []*Message, opts CallOpts) ([]*Messa
 	return reply.batch, nil
 }
 
-// callMsg arms the optional deadline and runs the shared client path.
-func (th *Thread) callMsg(dest PortName, req *Message, opts CallOpts) (*Message, error) {
+// rpcCall arms the optional deadline and runs the shared client path
+// inside the call's record: one record opened at entry, stamped on the
+// way (send done, pickup, reply commit) and closed at return, which every
+// attached plane consumes — the stat families, the flight ring, the
+// profile frame, the trace span and the latency hop.  Its trace parent is
+// whatever record the message already carried (none for a fresh one: the
+// innermost open span), its request is the one the call is made for —
+// named by the call, else by whoever drives this thread; one that names
+// nothing is a root.  Nothing here charges the engine.
+func (th *Thread) rpcCall(dest PortName, req *Message, opts CallOpts) (*Message, error) {
+	var deadline <-chan time.Time
 	if opts.Timeout > 0 {
 		timer := time.NewTimer(opts.Timeout)
 		defer timer.Stop()
-		return th.rpcCall(dest, req, opts.Parent, timer.C)
+		deadline = timer.C
 	}
-	return th.rpcCall(dest, req, opts.Parent, nil)
-}
-
-// rpcCall wraps the shared client path with the kstat RPC families.  The
-// hooks only read the engine's counters (never charge them), so the
-// wrapped path costs exactly what the raw path does; the per-call
-// instr/cycles deltas are exact for serial callers and interleave under
-// concurrency (counts and bytes stay exact either way).  Every plane the
-// call feeds comes from one load of the engine's plane set.
-func (th *Thread) rpcCall(dest PortName, req, parent *Message, deadline <-chan time.Time) (m *Message, err error) {
-	k := th.task.kernel
-	ps := k.CPU.Planes()
-	tr := ktrace.From(ps)
-	st, pr, fr, lt := kstat.From(ps), kprof.From(ps), kflight.From(ps), klat.From(ps)
-	if st == nil && pr == nil && fr == nil && lt == nil {
-		return th.rpcCallRaw(dest, req, tr, deadline)
+	ps := th.task.kernel.CPU.Planes()
+	if !ps.Wants(cpu.EvRPC) {
+		return th.rpcCallRaw(dest, req, deadline)
 	}
-	// Charge-free destination-server lookup, shared by the kstat
-	// per-destination split, the kprof dispatch context frame, the
-	// flight recorder's call event, and the latency ledger's hop.
-	srvName := ""
+	// Charge-free destination-server lookup: the record names the peer.
+	srv := ""
 	if e, lerr := th.task.ports.lookup(dest, RightSend); lerr == nil {
 		if rt := e.port.receiverTask(); rt != nil {
-			srvName = rt.name
+			srv = rt.name
 		}
 	}
-	if lt != nil {
-		// Every client entry point mints a hop here: P0 now, P1–P3 from
-		// the stamp points down the path (the hop rides in the message
-		// header), P4 and the record/discard decision when the named
-		// return is known.  A call made for a request being served — named
-		// by the call, else by whoever drives this thread — joins that
-		// request's ledger as a child hop; one that names nothing is a root.
-		of := parent.Hop()
-		if of == nil {
-			of = th.actFor.Load()
-		}
-		hop := lt.Begin(of, srvName, uint32(req.ID), len(req.batch))
-		req.lat = hop
-		defer func() { lt.Finish(hop, err) }()
+	of := opts.Parent.Record()
+	if klat.Of(of) == nil {
+		of = th.actFor.Load()
 	}
-	if fr != nil {
-		name := srvName
-		if name == "" {
-			name = "?"
-		}
-		// Batch-aware events: a vectored carrier logs callv/replyv with
-		// the sub-request count, so a flight dump distinguishes one
-		// crossing carrying N ops from N crossings.
-		v, arg := "", uint64(req.ID)
-		if n := len(req.batch); n > 0 {
-			v, arg = "v", uint64(n)
-		}
-		fr.Emit(ktrace.EvRPC, "mach.rpc", "call"+v+":"+name, arg)
-		// Named returns let the outcome event see how the call resolved.
-		defer func() {
-			if err != nil {
-				fr.Emit(ktrace.EvRPC, "mach.rpc", "error"+v+":"+name+":"+err.Error(), arg)
-			} else {
-				fr.Emit(ktrace.EvRPC, "mach.rpc", "reply"+v+":"+name, arg)
-			}
-		}()
-	}
-	if pr != nil {
-		frame := "rpc:?"
-		if srvName != "" {
-			frame = "rpc:" + srvName
-		}
-		defer pr.Push(frame)()
-	}
-	if st == nil {
-		return th.rpcCallRaw(dest, req, tr, deadline)
-	}
-	reqBytes := copiedBytes(req)
-	// Calls and request bytes count at dispatch, so a server taking a
-	// snapshot while handling this very call (the monitor serving its own
-	// query) already sees it; latency and reply size land after.  A
-	// vectored carrier is ONE call (the conservation law calls == replies
-	// + errors holds per crossing); its width lands on mach.rpc.batched.
-	st.Counter("mach.rpc.calls").Inc()
-	st.Counter("mach.rpc.bytes_in").Add(reqBytes)
-	if n := len(req.batch); n > 0 {
-		st.Counter("mach.rpc.batched").Add(uint64(n))
-	}
-	if rb := regionBytes(req); rb > 0 {
-		st.Counter("mach.ool.bytes_mapped").Add(rb)
-	}
-	if srvName != "" {
-		st.Counter("mach.rpc.to." + srvName + ".calls").Inc()
-	}
-	base := k.CPU.Counters()
-	m, err = th.rpcCallRaw(dest, req, tr, deadline)
-	d := k.CPU.Counters().Sub(base)
-	st.Counter("mach.rpc.instr").Add(d.Instructions)
-	st.Counter("mach.rpc.cycles").Add(d.Cycles)
-	st.Counter("mach.rpc.bus").Add(d.BusCycles)
-	st.Histogram("mach.rpc.latency_cycles").Observe(d.Cycles)
-	st.Histogram("mach.rpc.size_bytes").Observe(reqBytes)
+	rec := ps.Open(cpu.Event{Type: cpu.EvRPC, Subsystem: "mach.rpc", Name: srv, Arg: uint64(req.ID),
+		Width: len(req.batch), Bytes: copiedBytes(req), Mapped: regionBytes(req), Req: of}, req.rec)
+	req.rec = rec
+	m, err := th.rpcCallRaw(dest, req, deadline)
+	var end cpu.Event
 	if err != nil {
-		st.Counter("mach.rpc.errors").Inc()
+		end.Err = err.Error()
 	} else {
-		// Every dispatched call resolves as exactly one reply or one
-		// error, so after quiesce calls == replies + errors — the
-		// conservation law the chaos harness checks after each fault
-		// epoch.
-		st.Counter("mach.rpc.replies").Inc()
-		st.Counter("mach.rpc.bytes_out").Add(copiedBytes(m))
-		if rb := regionBytes(m); rb > 0 {
-			st.Counter("mach.ool.bytes_mapped").Add(rb)
+		end.Bytes, end.Mapped = copiedBytes(m), regionBytes(m)
+	}
+	rec.Close(end)
+	return m, err
+}
+
+// sendable checks a message against the crossing's limits: inline bodies
+// of at most InlineMax bytes, and no port rights in a carrier's subs.
+func (m *Message) sendable() error {
+	if len(m.Body) > InlineMax {
+		return ErrMsgTooLarge
+	}
+	for _, sub := range m.batch {
+		if len(sub.Body) > InlineMax {
+			return ErrMsgTooLarge
+		}
+		if len(sub.Rights) > 0 {
+			return ErrBatchRights
 		}
 	}
-	return m, err
+	return nil
 }
 
 // copiedBytes counts the bytes a message moves through the physical copy
@@ -269,20 +206,12 @@ func regionBytes(m *Message) uint64 {
 	return n
 }
 
-// rpcCallRaw is the shared client path, spanned on tr when tracing is
-// attached.  A nil deadline channel never fires.
-func (th *Thread) rpcCallRaw(dest PortName, req *Message, tr *ktrace.Tracer, deadline <-chan time.Time) (*Message, error) {
+// rpcCallRaw is the shared client path.  A nil deadline channel never
+// fires.
+func (th *Thread) rpcCallRaw(dest PortName, req *Message, deadline <-chan time.Time) (*Message, error) {
 	k := th.task.kernel
-	if len(req.Body) > InlineMax {
-		return nil, ErrMsgTooLarge
-	}
-	for _, sub := range req.batch {
-		if len(sub.Body) > InlineMax {
-			return nil, ErrMsgTooLarge
-		}
-		if len(sub.Rights) > 0 {
-			return nil, ErrBatchRights
-		}
+	if err := req.sendable(); err != nil {
+		return nil, err
 	}
 	// The send path up to the rendezvous is one scheduled burst; the
 	// resume after the reply is another, dispatched separately — that
@@ -297,16 +226,6 @@ func (th *Thread) rpcCallRaw(dest PortName, req *Message, tr *ktrace.Tracer, dea
 		}
 	}
 	defer release()
-	var sp ktrace.Span
-	if tr != nil {
-		lbl := fmt.Sprintf("rpc:%#04x", uint32(req.ID))
-		if n := len(req.batch); n > 0 {
-			lbl = fmt.Sprintf("rpcv:%#04x[%d]", uint32(req.ID), n)
-		}
-		sp = tr.Begin(ktrace.EvRPC, "mach.rpc", lbl, req.trace)
-		req.trace = sp.Context()
-	}
-	defer sp.End()
 
 	// Simplified client stub and kernel entry.
 	k.CPU.Exec(k.paths.rpcStubC)
@@ -356,9 +275,9 @@ func (th *Thread) rpcCallRaw(dest PortName, req *Message, tr *ktrace.Tracer, dea
 	release()
 	defer th.clearWait()
 
-	// P1: the send burst is fully charged; cycles from here to a server
-	// thread's pickup are the hop's queue-wait.
-	req.lat.StampSent()
+	// Send done: the send burst is fully charged; cycles from here to a
+	// server thread's pickup are the call's queue-wait.
+	req.rec.Stamp(cpu.PhaseSent, "", 0)
 
 	th.wait.Store(&ex.waits[0])
 	select {
@@ -439,12 +358,9 @@ func (th *Thread) RPCReceive(recvName PortName) (*Message, *Responder, error) {
 		return nil, nil, ErrAborted
 	}
 	th.clearWait()
-	// P2: a server thread has the exchange; queue-wait ends, the
+	// Pickup: a server thread has the exchange; queue-wait ends, the
 	// service segment (receive path, handler, reply) begins.
-	ex.taken()
-	if fr := kflight.For(k.CPU); fr != nil {
-		fr.Emit(ktrace.EvRPCServe, "mach.rpc", "recv:"+th.task.name, uint64(ex.request.ID))
-	}
+	ex.taken(th)
 
 	// The server side of the hand-off: load the server's address space,
 	// run the receive return path and the simplified server stub.  The
@@ -460,6 +376,15 @@ func (th *Thread) RPCReceive(recvName PortName) (*Message, *Responder, error) {
 		k.schedReady(th, ex.caller.vt.Load())
 		rel = k.schedRun(th)
 	}
+	return ex.request, th.accept(ex, port, rel), nil
+}
+
+// accept runs the server side of a hand-off inside the burst rel ends:
+// load the server's address space, run the receive return path and the
+// simplified server stub, install carried rights and sequence the
+// request.  Shared by RPCReceive and receiveSet.
+func (th *Thread) accept(ex *rpcExchange, port *Port, rel func()) *Responder {
+	k := th.task.kernel
 	k.CPU.SwitchAddressSpace(th.task.asid)
 	k.CPU.Exec(k.paths.rpcReceive)
 	k.CPU.Exec(k.paths.rpcStubS)
@@ -472,7 +397,7 @@ func (th *Thread) RPCReceive(recvName PortName) (*Message, *Responder, error) {
 	ex.request.Seq = port.seqno
 	port.mu.Unlock()
 	k.rti()
-	return ex.request, &Responder{ex: ex, port: port, srv: th, release: rel}, nil
+	return &Responder{ex: ex, port: port, srv: th, release: rel}
 }
 
 // chargeTransfer charges the data-movement half of one RPC crossing in
@@ -507,15 +432,13 @@ func (k *Kernel) chargeTransfer(m *Message, srcAS, dstAS uint64) {
 
 // chargeRegions charges the by-reference transfer of a message's regions:
 // one rpc_region_map traversal and one map-entry touch per page, zero
-// per-byte cycles.  The kprof frame makes the map cost attributable as
-// its own charge site in profiles.
+// per-byte cycles.  Its record's profile frame makes the map cost
+// attributable as its own charge site.
 func (k *Kernel) chargeRegions(m *Message) {
 	if len(m.Regions) == 0 {
 		return
 	}
-	if pr := kprof.For(k.CPU); pr != nil {
-		defer pr.Push("xfer:region_map")()
-	}
+	defer k.CPU.Planes().Open(cpu.Event{Type: cpu.EvKernel, Subsystem: "xfer", Name: "region_map"}, nil).End()
 	for i := range m.Regions {
 		for p, n := uint64(0), m.Regions[i].Pages(); p < n; p++ {
 			k.CPU.Exec(k.paths.regionMap)
@@ -587,30 +510,14 @@ func (r *Responder) deliver(reply *Message) error {
 	if r.done {
 		return ErrNoReplyExpected
 	}
-	r.done = true
-	defer func() {
-		if r.release != nil {
-			r.release()
-			r.release = nil
-		}
-	}()
+	defer r.finish()
 	k := r.srv.task.kernel
 	if reply == nil {
 		reply = &Message{}
 	}
-	if len(reply.Body) > InlineMax {
+	if err := reply.sendable(); err != nil {
 		r.ex.fail(ErrReplyFailed)
-		return ErrMsgTooLarge
-	}
-	for _, sub := range reply.batch {
-		if len(sub.Body) > InlineMax {
-			r.ex.fail(ErrReplyFailed)
-			return ErrMsgTooLarge
-		}
-		if len(sub.Rights) > 0 {
-			r.ex.fail(ErrReplyFailed)
-			return ErrBatchRights
-		}
+		return err
 	}
 	k.trap()
 	k.CPU.Exec(k.paths.rpcReply)
@@ -642,15 +549,18 @@ func (r *Responder) deliver(reply *Message) error {
 			// measure global work during the hop, not this request's own
 			// waiting, so these virtual-cycle figures — burst length, pool
 			// wait, engine wait — are what E-TAIL's queue attribution
-			// reasons over.
-			r.ex.request.lat.NoteSched(r.srv.schedBurst.Load(),
+			// reasons over.  They are the dispatcher's state handed to the
+			// ledger entry, not a stamp of the crossing.
+			r.ex.request.Hop().NoteSched(r.srv.schedBurst.Load(),
 				r.srv.schedPoolWait.Load(), r.srv.schedCPUWait.Load())
 		}
-		// P3: the reply is committed and the burst released — service
-		// ends here, the client's resume segment starts.  Only the
-		// committed branch stamps: an abandoned exchange's hop was
-		// discarded by the client and must not be written further.
-		r.ex.request.lat.StampServed()
+		// Reply commit: the reply is committed and the burst released —
+		// service ends here and so does the serve span, before the reply
+		// wakes the client, so the client's resume can never land inside
+		// it whatever the host runs first.  Only the committed branch
+		// stamps: an abandoned exchange's call was closed by the client
+		// and must not be written further.
+		r.ex.request.rec.Stamp(cpu.PhaseServed, "", 0)
 		r.ex.reply <- rpcOutcome{m: delivered, vt: r.srv.vt.Load()}
 	}
 	return nil
@@ -678,44 +588,40 @@ type serveLoop struct {
 }
 
 // dispatch runs h on one request received on port pn and delivers the
-// reply, inside the observation frames every served RPC gets: the ktrace
-// span, parented to the client's RPC span carried in the message so the
-// causal tree crosses tasks (it covers handler AND reply delivery — the
+// reply, inside the serve span every served RPC gets: parented to the
+// client's call carried in the message, so the causal tree crosses tasks,
+// carrying the server and operation profile frames, and closed by the
+// call's reply commit (it covers handler AND reply delivery — the
 // server-occupancy segment internal/bench calibrates its concurrency
-// model from), and the kprof server and operation frames.  Vectored
-// carriers are demultiplexed here — each sub-request handled in order,
-// the sub-replies sent back in one crossing — so handlers never see one.
+// model from).  A reply that is never committed closes it on return.
+// Vectored carriers are demultiplexed here — each sub-request handled in
+// order, the sub-replies sent back in one crossing — so handlers never
+// see one.
 //
-// The latency ledger needs nothing bound here: the hop rides in the
-// message the handler is given, and a handler that calls onward names it
-// from there.  A carrier's subs each get a sub-hop — one service window —
-// in a header copy of their own: the sub-messages are still the client's.
-// ps is the engine's plane set, loaded once by the loop for this request.
+// The latency ledger needs nothing bound here: the request record rides
+// in the message the handler is given, and a handler that calls onward
+// names it from there.  A carrier's subs each get a sub-hop — one service
+// window — in a header copy of their own: the sub-messages are still the
+// client's.  ps is the engine's plane set, loaded once by the loop for
+// this request.
 func (l *serveLoop) dispatch(ps *cpu.Planes, resp *Responder, req *Message, pn PortName, h func(PortName, *Message) *Message) error {
-	var sp ktrace.Span
-	if t := ktrace.From(ps); t != nil {
-		sp = t.Begin(ktrace.EvRPCServe, "mach.rpc", l.frame, req.trace)
-	}
-	defer sp.End()
-	if pr := kprof.From(ps); pr != nil {
-		defer pr.Push(l.frame)()
-		defer pr.Push(fmt.Sprintf("op:%#04x", uint32(req.ID)))()
-	}
+	defer ps.Open(cpu.Event{Type: cpu.EvRPCServe, Subsystem: "mach.rpc", Name: l.frame,
+		Arg: uint64(req.ID), Req: req.rec}, req.rec).End()
 	if subs := req.batch; subs != nil {
 		replies := make([]*Message, len(subs))
 		var hdrs []Message
-		if req.lat != nil {
+		if req.Hop() != nil {
 			hdrs = make([]Message, len(subs))
 		}
 		for i, sub := range subs {
-			sh := req.lat.BeginSub(uint32(sub.ID))
+			sh := req.Hop().BeginSub(uint32(sub.ID))
 			if sh != nil {
 				hdrs[i] = *sub
-				hdrs[i].lat = sh
+				hdrs[i].rec = sh
 				sub = &hdrs[i]
 			}
 			replies[i] = h(pn, sub)
-			sh.EndSub()
+			klat.Of(sh).EndSub()
 		}
 		return resp.ReplyV(replies)
 	}

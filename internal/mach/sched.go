@@ -8,7 +8,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/kflight"
 	"repro/internal/kstat"
-	"repro/internal/ktrace"
 )
 
 // sched is the runnable-thread dispatcher of a multi-engine kernel.  A
@@ -299,10 +298,8 @@ func (s *sched) place(th *Thread, pool *vtPool, ready uint64) func() {
 		}
 	}
 	se.dispatches.Add(1)
-	if fr := kflight.For(s.k.CPU); fr != nil {
-		// The Bind above routes this emit's cycle stamp to se's slot.
-		fr.Emit(ktrace.EvSched, "mach.sched", "dispatch:"+th.task.name, uint64(se.slot))
-	}
+	// The Bind above stamps the dispatch record with se's slot.
+	s.k.CPU.Planes().Emit(cpu.Event{Type: cpu.EvSched, Subsystem: "mach.sched", Name: th.task.name, Arg: uint64(se.slot)})
 	return func() {
 		cyc := s.cx.EngineCounters(se.slot).Cycles
 		length := cyc - base
@@ -362,16 +359,17 @@ func (s *sched) place(th *Thread, pool *vtPool, ready uint64) func() {
 		s.burstCycles.Add(length)
 		s.bursts.Add(1)
 		th.schedCycles.Add(length)
-		if st := kstat.For(s.k.CPU); st != nil {
-			st.Gauge(se.famCycles).Set(int64(cyc))
-			st.Gauge(se.famRunq).Set(se.runq.Load())
-			st.Counter(se.famDispatches).Inc()
-			if migrated {
-				st.Counter(se.famMigrations).Inc()
-				st.Counter(se.famCoher).Add(se.eng.Config().MigrateCycles)
-				if stolen {
-					st.Counter(se.famSteals).Inc()
-				}
+		// The per-engine families are levels and counts at release,
+		// not stamps of the dispatch record.
+		st := kstat.For(s.k.CPU)
+		st.Gauge(se.famCycles).Set(int64(cyc))
+		st.Gauge(se.famRunq).Set(se.runq.Load())
+		st.Counter(se.famDispatches).Inc()
+		if migrated {
+			st.Counter(se.famMigrations).Inc()
+			st.Counter(se.famCoher).Add(se.eng.Config().MigrateCycles)
+			if stolen {
+				st.Counter(se.famSteals).Inc()
 			}
 		}
 	}

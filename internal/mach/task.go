@@ -6,10 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cpu"
-	"repro/internal/klat"
-	"repro/internal/kprof"
-	"repro/internal/kstat"
-	"repro/internal/ktrace"
 )
 
 // Task is a Mach task: an address space (identified here by its ASID and
@@ -48,8 +44,8 @@ func (k *Kernel) NewTask(name string) *Task {
 	k.trap()
 	k.CPU.Exec(k.paths.taskCreate)
 	defer k.rti()
-	if t := ktrace.For(k.CPU); t != nil {
-		t.Emit(ktrace.EvTask, "mach.task", "task_create:"+name, ktrace.SpanContext{}, 0)
+	if ps := k.CPU.Planes(); ps.Wants(cpu.EvTask) {
+		ps.Emit(cpu.Event{Type: cpu.EvTask, Subsystem: "mach.task", Name: "task_create:" + name})
 	}
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -192,8 +188,8 @@ type Thread struct {
 	// before its first receive, read only by that goroutine.
 	poolVT *vtPool
 
-	// actFor is the hop of the request the thread calls for (see ActFor).
-	actFor atomic.Pointer[klat.Hop]
+	// actFor is the record of the request the thread calls for (ActFor).
+	actFor atomic.Pointer[cpu.Span]
 
 	// wait is the thread's registered blocking point (nil while running):
 	// the structural-introspection hook behind the kflight wait-for
@@ -212,7 +208,7 @@ type Thread struct {
 // A nil thread, request or ledger names nothing.
 func (th *Thread) ActFor(req *Message) {
 	if th != nil {
-		th.actFor.Store(req.Hop())
+		th.actFor.Store(req.Record())
 	}
 }
 
@@ -256,8 +252,8 @@ func (t *Task) Spawn(name string, fn func(*Thread)) (*Thread, error) {
 	k.trap()
 	k.CPU.Exec(k.paths.threadCreate)
 	k.rti()
-	if tr := ktrace.For(k.CPU); tr != nil {
-		tr.Emit(ktrace.EvTask, "mach.task", "thread_create:"+name, ktrace.SpanContext{}, uint64(t.id))
+	if ps := k.CPU.Planes(); ps.Wants(cpu.EvTask) {
+		ps.Emit(cpu.Event{Type: cpu.EvTask, Subsystem: "mach.task", Name: "thread_create:" + name, Arg: uint64(t.id)})
 	}
 
 	th, err := t.newThread(name)
@@ -320,30 +316,14 @@ func (th *Thread) Done() <-chan struct{} { return th.doneCh }
 // instructions on the calibrated model.
 func (th *Thread) Self() PortName {
 	k := th.task.kernel
-	ps := k.CPU.Planes()
-	if p := kprof.From(ps); p != nil {
-		defer p.Push("trap:thread_self")()
-	}
-	st := kstat.From(ps)
-	var base cpu.Counters
-	if st != nil {
-		base = k.CPU.Counters()
-	}
+	// Its record carries the "trap:thread_self" profile frame and the
+	// mach.trap family (Table 2's trap column); reads only.
+	rec := k.CPU.Planes().Open(cpu.Event{Type: cpu.EvTrap, Subsystem: "trap", Name: "thread_self"}, nil)
 	k.trap()
 	k.CPU.Exec(k.paths.threadSelf)
 	k.touchKData(uint64(th.id), 64)
 	k.rti()
-	if st != nil {
-		// The mach.trap family is Table 2's trap column accumulated live:
-		// E-CTR (bench.CounterTable2) derives the trap-vs-RPC ratios from
-		// these counters alone.  Reads only; nothing is charged.
-		d := k.CPU.Counters().Sub(base)
-		st.Counter("mach.trap.count").Inc()
-		st.Counter("mach.trap.instr").Add(d.Instructions)
-		st.Counter("mach.trap.cycles").Add(d.Cycles)
-		st.Counter("mach.trap.bus").Add(d.BusCycles)
-		st.Histogram("mach.trap.latency_cycles").Observe(d.Cycles)
-	}
+	rec.End()
 	return th.selfName
 }
 

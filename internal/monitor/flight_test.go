@@ -8,7 +8,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/kflight"
 	"repro/internal/kstat"
-	"repro/internal/ktrace"
 	"repro/internal/mach"
 )
 
@@ -50,7 +49,7 @@ func TestFlightDumpOverRPC(t *testing.T) {
 	var sawCall bool
 	for _, eng := range d.Engines {
 		for _, ev := range eng.Events {
-			if ev.Type == ktrace.EvRPC && ev.Name == "call:monitor" {
+			if ev.Type == cpu.EvRPC && ev.Name == "call:monitor" {
 				sawCall = true
 			}
 		}
@@ -76,8 +75,8 @@ func TestFlightDumpOverRPC(t *testing.T) {
 
 // TestFlightDumpQueryStorm hammers the dump endpoint from concurrent
 // clients while other queries flow — every dump must come back parseable
-// and self-consistent under contention (the ring is lock-free; a dump is
-// a pointer sweep racing live emitters).
+// and self-consistent under contention (a dump snapshots the rings while
+// live emitters write them).
 func TestFlightDumpQueryStorm(t *testing.T) {
 	k := mach.New(cpu.Pentium133())
 	st := kstat.Attach(k.CPU)

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/kstat"
-	"repro/internal/ktrace"
 	"repro/internal/mach"
 )
 
@@ -174,12 +173,10 @@ func (s *Service) Bind(path string, b Binding) error {
 
 // Lookup resolves a path to its binding.
 func (s *Service) Lookup(path string) (Binding, error) {
-	if st := kstat.For(s.eng); st != nil {
-		st.Counter("names.lookups").Inc()
-	}
-	var sp ktrace.Span
-	if t := ktrace.For(s.eng); t != nil {
-		sp = t.Begin(ktrace.EvNameLookup, "names", "lookup:"+path, ktrace.SpanContext{})
+	kstat.For(s.eng).Counter("names.lookups").Inc()
+	var sp *cpu.Span
+	if ps := s.eng.Planes(); ps.Wants(cpu.EvNameLookup) {
+		sp = ps.Open(cpu.Event{Type: cpu.EvNameLookup, Subsystem: "names", Name: "lookup:" + path}, nil)
 	}
 	defer sp.End()
 	parts, err := split(path)

@@ -19,7 +19,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/drivers"
 	"repro/internal/kstat"
-	"repro/internal/ktrace"
 	"repro/internal/objsys"
 )
 
@@ -190,11 +189,7 @@ func (s *Stack) checksum(b []byte) uint16 {
 // SendTo transmits a datagram to (dstAddr, dstPort).
 func (ep *Endpoint) SendTo(dstAddr string, dstPort uint16, payload []byte) error {
 	s := ep.stack
-	var sp ktrace.Span
-	if t := ktrace.For(s.eng); t != nil {
-		sp = t.Begin(ktrace.EvNetOp, "netsvc", "sendto", ktrace.SpanContext{})
-	}
-	defer sp.End()
+	defer s.eng.Planes().Open(cpu.Event{Type: cpu.EvNetOp, Subsystem: "netsvc", Name: "sendto"}, nil).End()
 	if len(payload) > MaxPayload {
 		return ErrPayloadLimit
 	}
@@ -210,10 +205,9 @@ func (ep *Endpoint) SendTo(dstAddr string, dstPort uint16, payload []byte) error
 	s.mu.Lock()
 	s.sent++
 	s.mu.Unlock()
-	if st := kstat.For(s.eng); st != nil {
-		st.Counter("netsvc.sent").Inc()
-		st.Counter("netsvc.bytes_sent").Add(uint64(len(payload)))
-	}
+	st := kstat.For(s.eng)
+	st.Counter("netsvc.sent").Inc()
+	st.Counter("netsvc.bytes_sent").Add(uint64(len(payload)))
 	return s.nic.Send(drivers.Frame{Src: s.addr, Dst: dstAddr, Payload: frame})
 }
 
@@ -234,11 +228,7 @@ func (s *Stack) Pump() int {
 }
 
 func (s *Stack) deliver(f drivers.Frame) error {
-	var sp ktrace.Span
-	if t := ktrace.For(s.eng); t != nil {
-		sp = t.Begin(ktrace.EvNetOp, "netsvc", "deliver", ktrace.SpanContext{})
-	}
-	defer sp.End()
+	defer s.eng.Planes().Open(cpu.Event{Type: cpu.EvNetOp, Subsystem: "netsvc", Name: "deliver"}, nil).End()
 	if err := s.runProtocol(); err != nil {
 		return err
 	}
@@ -264,17 +254,14 @@ func (s *Stack) deliver(f drivers.Frame) error {
 	if !ok {
 		s.dropped++
 		s.mu.Unlock()
-		if st := kstat.For(s.eng); st != nil {
-			st.Counter("netsvc.dropped").Inc()
-		}
+		kstat.For(s.eng).Counter("netsvc.dropped").Inc()
 		return ErrNotBound
 	}
 	s.delivered++
 	s.mu.Unlock()
-	if st := kstat.For(s.eng); st != nil {
-		st.Counter("netsvc.delivered").Inc()
-		st.Counter("netsvc.bytes_delivered").Add(uint64(len(payload)))
-	}
+	st := kstat.For(s.eng)
+	st.Counter("netsvc.delivered").Inc()
+	st.Counter("netsvc.bytes_delivered").Add(uint64(len(payload)))
 	ep.mu.Lock()
 	ep.queue = append(ep.queue, append([]byte(nil), payload...))
 	ep.mu.Unlock()
@@ -285,9 +272,7 @@ func (s *Stack) drop() {
 	s.mu.Lock()
 	s.dropped++
 	s.mu.Unlock()
-	if st := kstat.For(s.eng); st != nil {
-		st.Counter("netsvc.dropped").Inc()
-	}
+	kstat.For(s.eng).Counter("netsvc.dropped").Inc()
 }
 
 // Recv pops the next queued datagram.

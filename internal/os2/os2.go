@@ -18,7 +18,6 @@ import (
 	"repro/internal/kstat"
 	"repro/internal/ksync"
 	"repro/internal/ktime"
-	"repro/internal/ktrace"
 	"repro/internal/mach"
 	"repro/internal/vfs"
 	"repro/internal/vm"
@@ -323,14 +322,10 @@ func (p *Process) stubCall() { p.srv.k.CPU.Exec(p.srv.stub) }
 // traceAPI opens a span covering one OS/2 API call.  Top-level calls root
 // a new trace; everything the call causes downstream (file-server RPCs,
 // driver I/O, faults) hangs off it in the causal tree.
-func (p *Process) traceAPI(name string) ktrace.Span {
-	if st := kstat.For(p.srv.k.CPU); st != nil {
-		st.Counter("os2.api." + name).Inc()
-	}
-	if t := ktrace.For(p.srv.k.CPU); t != nil {
-		return t.Begin(ktrace.EvAPI, "os2", name, ktrace.SpanContext{})
-	}
-	return ktrace.Span{}
+func (p *Process) traceAPI(name string) *cpu.Span {
+	ps := p.srv.k.CPU.Planes()
+	kstat.From(ps).Counter("os2.api." + name).Inc()
+	return ps.Open(cpu.Event{Type: cpu.EvAPI, Subsystem: "os2", Name: name}, nil)
 }
 
 // rpc sends a request to the personality server.
@@ -368,8 +363,7 @@ func mapVFSErr(err error) Error {
 
 // DosOpen opens (optionally creating) a file and returns its handle.
 func (p *Process) DosOpen(path string, write, create bool) (uint32, Error) {
-	sp := p.traceAPI("DosOpen")
-	defer sp.End()
+	defer p.traceAPI("DosOpen").End()
 	p.stubCall()
 	f, err := p.fs.Open(path, write, create)
 	if err != nil {
@@ -395,8 +389,7 @@ func (p *Process) file(h uint32) (*os2File, Error) {
 
 // DosRead reads sequentially from the handle's position.
 func (p *Process) DosRead(h uint32, buf []byte) (int, Error) {
-	sp := p.traceAPI("DosRead")
-	defer sp.End()
+	defer p.traceAPI("DosRead").End()
 	p.stubCall()
 	f, e := p.file(h)
 	if e != NoError {
@@ -412,8 +405,7 @@ func (p *Process) DosRead(h uint32, buf []byte) (int, Error) {
 
 // DosWrite writes sequentially at the handle's position.
 func (p *Process) DosWrite(h uint32, data []byte) (int, Error) {
-	sp := p.traceAPI("DosWrite")
-	defer sp.End()
+	defer p.traceAPI("DosWrite").End()
 	p.stubCall()
 	f, e := p.file(h)
 	if e != NoError {
@@ -443,8 +435,7 @@ func (p *Process) DosSetFilePtr(h uint32, pos int64) Error {
 
 // DosClose closes the handle.
 func (p *Process) DosClose(h uint32) Error {
-	sp := p.traceAPI("DosClose")
-	defer sp.End()
+	defer p.traceAPI("DosClose").End()
 	p.stubCall()
 	p.mu.Lock()
 	f, ok := p.files[h]
@@ -461,24 +452,21 @@ func (p *Process) DosClose(h uint32) Error {
 
 // DosDelete removes a file.
 func (p *Process) DosDelete(path string) Error {
-	sp := p.traceAPI("DosDelete")
-	defer sp.End()
+	defer p.traceAPI("DosDelete").End()
 	p.stubCall()
 	return mapVFSErr(p.fs.Remove(path))
 }
 
 // DosMkdir creates a directory.
 func (p *Process) DosMkdir(path string) Error {
-	sp := p.traceAPI("DosMkdir")
-	defer sp.End()
+	defer p.traceAPI("DosMkdir").End()
 	p.stubCall()
 	return mapVFSErr(p.fs.Mkdir(path))
 }
 
 // DosQueryPathInfo stats a path.
 func (p *Process) DosQueryPathInfo(path string) (vfs.Attr, Error) {
-	sp := p.traceAPI("DosQueryPathInfo")
-	defer sp.End()
+	defer p.traceAPI("DosQueryPathInfo").End()
 	p.stubCall()
 	a, err := p.fs.Stat(path)
 	return a, mapVFSErr(err)
@@ -488,8 +476,7 @@ func (p *Process) DosQueryPathInfo(path string) (vfs.Attr, Error) {
 
 // DosAllocMem allocates byte-granular committed or reserved memory.
 func (p *Process) DosAllocMem(bytes uint64, commit bool) (vm.VAddr, Error) {
-	sp := p.traceAPI("DosAllocMem")
-	defer sp.End()
+	defer p.traceAPI("DosAllocMem").End()
 	p.stubCall()
 	return p.Mem.Alloc(bytes, commit)
 }
@@ -517,8 +504,7 @@ func (p *Process) DosQueryMem(base vm.VAddr) (uint64, Error) {
 // DosAllocSharedMem allocates named shared memory that every process sees
 // at the same address — the coerced-memory requirement.
 func (p *Process) DosAllocSharedMem(name string, bytes uint64) (vm.VAddr, Error) {
-	sp := p.traceAPI("DosAllocSharedMem")
-	defer sp.End()
+	defer p.traceAPI("DosAllocSharedMem").End()
 	p.stubCall()
 	var body [8]byte
 	binary.LittleEndian.PutUint64(body[:], bytes)
@@ -636,8 +622,7 @@ func (p *Process) DosSleep(d ktime.Duration) Error {
 // WinPostMsg posts a window message to another process's queue through
 // the personality server (the PM tasking path of Table 1).
 func (p *Process) WinPostMsg(dst PID, msg, arg uint32) Error {
-	sp := p.traceAPI("WinPostMsg")
-	defer sp.End()
+	defer p.traceAPI("WinPostMsg").End()
 	p.stubCall()
 	var body [12]byte
 	binary.LittleEndian.PutUint32(body[0:4], uint32(dst))
@@ -663,8 +648,7 @@ func (p *Process) WinGetMsg(wait bool) (PMMsg, Error) {
 // performance "was comparable or better with the microkernel-based
 // system".
 func (p *Process) GfxLibCall(instr uint64) {
-	sp := p.traceAPI("GfxLibCall")
-	defer sp.End()
+	defer p.traceAPI("GfxLibCall").End()
 	p.srv.k.CPU.Exec(p.srv.gfx)
 	p.srv.k.CPU.Instr(instr)
 }

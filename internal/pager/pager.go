@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/kstat"
-	"repro/internal/ktrace"
 	"repro/internal/vm"
 )
 
@@ -108,14 +107,8 @@ var _ vm.Pager = (*DefaultPager)(nil)
 // PageIn implements vm.Pager: returns stored contents, or zeros for pages
 // never evicted.
 func (p *DefaultPager) PageIn(obj *vm.Object, offset uint64) ([]byte, error) {
-	if st := kstat.For(p.eng); st != nil {
-		st.Counter("pager.pageins").Inc()
-	}
-	var sp ktrace.Span
-	if t := ktrace.For(p.eng); t != nil {
-		sp = t.Begin(ktrace.EvPageIn, "pager", "pagein", ktrace.SpanContext{})
-	}
-	defer sp.End()
+	kstat.For(p.eng).Counter("pager.pageins").Inc()
+	defer p.eng.Planes().Open(cpu.Event{Type: cpu.EvPageIn, Subsystem: "pager", Name: "pagein"}, nil).End()
 	p.eng.Exec(p.inOp)
 	p.mu.Lock()
 	slot, ok := p.slots[pageKey{obj, offset}]
@@ -135,14 +128,8 @@ func (p *DefaultPager) PageIn(obj *vm.Object, offset uint64) ([]byte, error) {
 
 // PageOut implements vm.Pager: stores an evicted page's contents.
 func (p *DefaultPager) PageOut(obj *vm.Object, offset uint64, data []byte) error {
-	if st := kstat.For(p.eng); st != nil {
-		st.Counter("pager.pageouts").Inc()
-	}
-	var sp ktrace.Span
-	if t := ktrace.For(p.eng); t != nil {
-		sp = t.Begin(ktrace.EvPageOut, "pager", "pageout", ktrace.SpanContext{})
-	}
-	defer sp.End()
+	kstat.For(p.eng).Counter("pager.pageouts").Inc()
+	defer p.eng.Planes().Open(cpu.Event{Type: cpu.EvPageOut, Subsystem: "pager", Name: "pageout"}, nil).End()
 	p.eng.Exec(p.outOp)
 	p.mu.Lock()
 	key := pageKey{obj, offset}

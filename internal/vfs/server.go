@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/kstat"
-	"repro/internal/ktrace"
 	"repro/internal/mach"
 	"repro/internal/vfs/wire"
 )
@@ -331,10 +330,7 @@ func fsOpName(id mach.MsgID) string {
 func (s *Server) obsOp(id mach.MsgID) func() {
 	op := fsOpName(id)
 	ps := s.k.CPU.Planes()
-	var sp ktrace.Span
-	if t := ktrace.From(ps); t != nil {
-		sp = t.Begin(ktrace.EvFSOp, "vfs", op, ktrace.SpanContext{})
-	}
+	sp := ps.Open(cpu.Event{Type: cpu.EvFSOp, Subsystem: "vfs", Name: op}, nil)
 	st := kstat.From(ps)
 	if st == nil {
 		return sp.End

@@ -1,16 +1,18 @@
 #!/bin/sh
 # Tier-2 gate: static analysis plus race-detector runs of the packages with
 # real concurrency.  The five observation planes (kstat, ktrace, kprof,
-# kflight, klat) hang off one attachment: each engine publishes its plane
-# set copy-on-write and every hook site reads it with one atomic load, so
-# attach and detach race live RPC traffic by design — the monitor's
-# prof.start does it at run time, and the isolation tests drive kprof and
-# klat on and off under a four-client Call loop.  Around that attachment:
-# the planes themselves are written from every server thread at once
-# (ktrace's ring, kstat's sharded counters and histograms, kprof's charge
-# sink and context stack, kflight's lock-free rings swept by dump queries
-# and the watchdog, klat's hops stamped by whichever thread holds the
-# message while monitor queries walk live ledgers); mach, vfs, os2,
+# kflight, klat) consume one record stream: each engine publishes its plane
+# set copy-on-write, and every stamp point builds one cpu.Event and hands
+# it to that set with one atomic load, so attach and detach race live RPC
+# traffic by design — the monitor's prof.start does it at run time, and
+# the isolation tests drive kprof and klat on and off under a four-client
+# Call loop.  Around that attachment the records are consumed from every
+# server thread at once: one cpu.Ring type holds the trace and the
+# per-engine flight rings (swept by dump queries and the watchdog), one
+# open-record stack per engine gives the trace its parents and kprof its
+# context, kstat's sharded counters and histograms and kprof's charge sink
+# take their updates, and klat's hops are stamped by whichever thread
+# holds the message while monitor queries walk live ledgers; mach, vfs, os2,
 # bcache, drivers and registry serve pooled, vectored and region RPC from
 # many clients (aliasing bugs there surface only under the race detector),
 # with the request context named, not discovered — TestLedgerParentsUnderPools,
@@ -56,6 +58,19 @@ test -z "$(gofmt -l .)"
 # stack unwind to find it must not come back.
 if grep -n 'runtime\.Stack' $(find internal/klat internal/mach internal/vfs internal/bcache internal/drivers -name '*.go' ! -name '*_test.go'); then
 	echo "check: runtime.Stack in a non-test file of klat/mach/vfs/bcache/drivers" >&2
+	exit 1
+fi
+
+# Emission goes through the one record: a stamp point builds a cpu.Event
+# and hands it to its engine's plane set, so no emitter reaches for a
+# plane of its own.  The read side (flight dumps, the monitor, the bench
+# library, kobs and the benchmark) may.
+if grep -nE '(ktrace|kflight|klat)\.(For|From)\(|\.Push\("' $(find . -name '*.go' ! -name '*_test.go' \
+	! -path './internal/cpu/*' ! -path './internal/kstat/*' ! -path './internal/ktrace/*' \
+	! -path './internal/kprof/*' ! -path './internal/kflight/*' ! -path './internal/klat/*' \
+	! -path './internal/mach/flight.go' ! -path './internal/monitor/*' ! -path './internal/bench/*' \
+	! -path './cmd/kobs/*' ! -path './benchmark/*'); then
+	echo "check: a plane reached for outside the record fan-out" >&2
 	exit 1
 fi
 
