@@ -14,12 +14,31 @@ import (
 	"repro/internal/vfs"
 )
 
-// traceIO counts a driver request and opens its record; End on the nil
-// record returned when nothing observes driver I/O is a no-op.
-func traceIO(k *mach.Kernel, name string) *cpu.Span {
+// ioOp names one driver operation: the name of its record and its kstat
+// family, "drivers.io.<name>", built once so no request builds it.
+type ioOp struct{ name, family string }
+
+func newIOOp(name string) ioOp { return ioOp{name: name, family: "drivers.io." + name} }
+
+// The driver operations traceIO counts.
+var (
+	ioBSDRead    = newIOOp("bsd:read")
+	ioBSDWrite   = newIOOp("bsd:write")
+	ioUdrvHandle = newIOOp("udrv:handle")
+	ioUdrvRead   = newIOOp("udrv:read")
+	ioUdrvWrite  = newIOOp("udrv:write")
+	ioUdrvWriteV = newIOOp("udrv:writev")
+	ioOODDMRead  = newIOOp("ooddm:read")
+	ioOODDMWrite = newIOOp("ooddm:write")
+)
+
+// traceIO counts a driver request on its operation's kstat family and
+// opens its record; End on the nil record returned when nothing observes
+// driver I/O is a no-op.
+func traceIO(k *mach.Kernel, op ioOp) *cpu.Span {
 	ps := k.CPU.Planes()
-	kstat.From(ps).Counter("drivers.io." + name).Inc()
-	return ps.Open(cpu.Event{Type: cpu.EvDriverIO, Subsystem: "drivers", Name: name}, nil)
+	kstat.From(ps).Counter(op.family).Inc()
+	return ps.Open(cpu.Event{Type: cpu.EvDriverIO, Subsystem: "drivers", Name: op.name}, nil)
 }
 
 // BlockDriver is the common interface of the three driver architectures.
@@ -71,7 +90,7 @@ func NewKernelBlockDriver(k *mach.Kernel, layout *cpu.Layout, disk *Disk, intr *
 
 // ReadSectors implements BlockDriver.
 func (d *KernelBlockDriver) ReadSectors(caller *mach.Thread, sector uint64, count int) ([]byte, error) {
-	defer traceIO(d.k, "bsd:read").End()
+	defer traceIO(d.k, ioBSDRead).End()
 	d.k.Trap(d.path)
 	buf := make([]byte, count*SectorSize)
 	if err := d.disk.ReadSectors(sector, buf); err != nil {
@@ -82,7 +101,7 @@ func (d *KernelBlockDriver) ReadSectors(caller *mach.Thread, sector uint64, coun
 
 // WriteSectors implements BlockDriver.
 func (d *KernelBlockDriver) WriteSectors(caller *mach.Thread, sector uint64, data []byte) error {
-	defer traceIO(d.k, "bsd:write").End()
+	defer traceIO(d.k, ioBSDWrite).End()
 	d.k.Trap(d.path)
 	return d.disk.WriteSectors(sector, data)
 }
@@ -171,7 +190,7 @@ func NewUserBlockDriver(k *mach.Kernel, layout *cpu.Layout, disk *Disk, hrm *ios
 // short for its operation or a run past the disk gets an error reply:
 // the sector count is bounded before it sizes an allocation.
 func (d *UserBlockDriver) handle(req *mach.Message) *mach.Message {
-	defer traceIO(d.k, "udrv:handle").End()
+	defer traceIO(d.k, ioUdrvHandle).End()
 	d.k.CPU.Exec(d.path)
 	switch req.ID {
 	case msgRead:
@@ -224,7 +243,7 @@ func (d *UserBlockDriver) portFor(caller *mach.Thread) (mach.PortName, error) {
 }
 
 // call sends one request to the driver task; an error reply is an error.
-func (d *UserBlockDriver) call(caller *mach.Thread, op string, req *mach.Message) (*mach.Message, error) {
+func (d *UserBlockDriver) call(caller *mach.Thread, op ioOp, req *mach.Message) (*mach.Message, error) {
 	defer traceIO(d.k, op).End()
 	n, err := d.portFor(caller)
 	if err != nil {
@@ -245,7 +264,7 @@ func (d *UserBlockDriver) ReadSectors(caller *mach.Thread, sector uint64, count 
 	body := make([]byte, 16)
 	binary.BigEndian.PutUint64(body[0:8], sector)
 	binary.BigEndian.PutUint64(body[8:16], uint64(count))
-	reply, err := d.call(caller, "udrv:read", &mach.Message{ID: msgRead, Body: body})
+	reply, err := d.call(caller, ioUdrvRead, &mach.Message{ID: msgRead, Body: body})
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +280,7 @@ func (d *UserBlockDriver) writeReq(sector uint64, data []byte) *mach.Message {
 
 // WriteSectors implements BlockDriver via RPC to the driver task.
 func (d *UserBlockDriver) WriteSectors(caller *mach.Thread, sector uint64, data []byte) error {
-	_, err := d.call(caller, "udrv:write", d.writeReq(sector, data))
+	_, err := d.call(caller, ioUdrvWrite, d.writeReq(sector, data))
 	return err
 }
 
@@ -277,7 +296,7 @@ func (d *UserBlockDriver) WriteSectorsV(caller *mach.Thread, runs []vfs.SectorRu
 	if len(runs) == 0 {
 		return 0, nil
 	}
-	defer traceIO(d.k, "udrv:writev").End()
+	defer traceIO(d.k, ioUdrvWriteV).End()
 	n, err := d.portFor(caller)
 	if err != nil {
 		return 0, err
@@ -363,7 +382,7 @@ func NewOODDMBlockDriver(k *mach.Kernel, layout *cpu.Layout, disk *Disk, intr *i
 
 // ReadSectors implements BlockDriver via the object chain.
 func (d *OODDMBlockDriver) ReadSectors(caller *mach.Thread, sector uint64, count int) ([]byte, error) {
-	defer traceIO(d.k, "ooddm:read").End()
+	defer traceIO(d.k, ioOODDMRead).End()
 	d.k.Trap(cpu.Region{})
 	if err := d.h.InvokeChain(d.obj, d.chain); err != nil {
 		return nil, err
@@ -377,7 +396,7 @@ func (d *OODDMBlockDriver) ReadSectors(caller *mach.Thread, sector uint64, count
 
 // WriteSectors implements BlockDriver via the object chain.
 func (d *OODDMBlockDriver) WriteSectors(caller *mach.Thread, sector uint64, data []byte) error {
-	defer traceIO(d.k, "ooddm:write").End()
+	defer traceIO(d.k, ioOODDMWrite).End()
 	d.k.Trap(cpu.Region{})
 	if err := d.h.InvokeChain(d.obj, d.chain); err != nil {
 		return err

@@ -1,0 +1,174 @@
+package mach_test
+
+import (
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/cpu"
+	"repro/internal/mach"
+)
+
+// crossingRig is one client thread holding send rights to a server task
+// on kernel k: the fixture of the allocation budget below.  send is the
+// first of sends.
+type crossingRig struct {
+	th    *mach.Thread
+	send  mach.PortName
+	sends []mach.PortName
+}
+
+// newCrossingRig builds a server task on k with ports receive rights,
+// served by serve, plus a client thread with a send right to each.
+func newCrossingRig(t *testing.T, k *mach.Kernel, ports int, serve func(srv *mach.Task, recvs []mach.PortName) error) crossingRig {
+	t.Helper()
+	srv := k.NewTask("echo")
+	t.Cleanup(srv.Terminate)
+	recvs := make([]mach.PortName, ports)
+	for i := range recvs {
+		recv, err := srv.AllocatePort()
+		if err != nil {
+			t.Fatal(err)
+		}
+		recvs[i] = recv
+	}
+	if err := serve(srv, recvs); err != nil {
+		t.Fatal(err)
+	}
+	cli := k.NewTask("client")
+	t.Cleanup(cli.Terminate)
+	sends := make([]mach.PortName, ports)
+	for i, recv := range recvs {
+		send, err := cli.InsertRight(srv, recv, mach.DispMakeSend)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sends[i] = send
+	}
+	th, err := cli.NewBoundThread("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return crossingRig{th: th, send: sends[0], sends: sends}
+}
+
+// TestCrossingAllocs pins the host allocation budget of one RPC crossing:
+// the per-call state lives in the calling thread's exchange and in the
+// serve loop, so a null Call allocates nothing between Call and Reply on
+// any serve shape; a region Call allocates nothing in mach; a vectored
+// call allocates only the reply slice CallV returns.  On a default boot
+// the two allocations left are the observation record of the call and
+// its latency hop.  Every handler here returns a reply built once, so
+// what is counted is the kernel's own.
+func TestCrossingAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	reply := &mach.Message{ID: 1}
+	serve := func(srv *mach.Task, recvs []mach.PortName) error {
+		_, err := srv.Spawn("loop", func(th *mach.Thread) {
+			th.Serve(recvs[0], func(*mach.Message) *mach.Message { return reply })
+		})
+		return err
+	}
+	servePool := func(srv *mach.Task, recvs []mach.PortName) error {
+		_, err := srv.ServePool("pool", recvs[0], 2, func(*mach.Message) *mach.Message { return reply })
+		return err
+	}
+	serveSet := func(srv *mach.Task, recvs []mach.PortName) error {
+		ps, err := srv.AllocatePortSet()
+		if err != nil {
+			return err
+		}
+		for _, recv := range recvs {
+			if err := ps.AddMember(recv); err != nil {
+				return err
+			}
+		}
+		_, err = srv.ServeSetPool("set", ps, 2, func(mach.PortName, *mach.Message) *mach.Message { return reply })
+		return err
+	}
+	bare := func(*testing.T) *mach.Kernel { return mach.New(cpu.Pentium133()) }
+	booted := func(t *testing.T) *mach.Kernel {
+		s, err := core.Boot(core.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			for _, task := range s.Kernel.Tasks() {
+				task.Terminate()
+			}
+		})
+		return s.Kernel
+	}
+
+	null := &mach.Message{ID: 1}
+	region := make([]byte, 64<<10)
+	regionReq := &mach.Message{ID: 2, Regions: []mach.RegionDesc{{Len: uint64(len(region)), Data: region}}}
+	batch := make([]*mach.Message, 8)
+	for i := range batch {
+		batch[i] = &mach.Message{ID: mach.MsgID(0x80 + i), Body: make([]byte, 32)}
+	}
+	call := func(req *mach.Message) func(*testing.T, crossingRig) {
+		return func(t *testing.T, r crossingRig) {
+			if _, err := r.th.Call(r.send, req, mach.CallOpts{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	cases := []struct {
+		name   string
+		kernel func(*testing.T) *mach.Kernel
+		ports  int
+		serve  func(*mach.Task, []mach.PortName) error
+		op     func(*testing.T, crossingRig)
+		max    float64
+		exact  bool
+	}{
+		{"Serve null Call", bare, 1, serve, call(null), 0, true},
+		{"ServePool null Call", bare, 1, servePool, call(null), 0, true},
+		{"ServeSetPool null Call", bare, 1, serveSet, call(null), 0, true},
+		// A file server's traffic: a port per open file and several
+		// operations per client thread.  Each call re-aims the thread's
+		// one pair of wait records, whatever port and operation it names.
+		{"many ports and ops", bare, 16, serveSet, func(t *testing.T, r crossingRig) {
+			for i, send := range r.sends {
+				if _, err := r.th.Call(send, &mach.Message{ID: mach.MsgID(0x100 + i%5)}, mach.CallOpts{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}, 0, true},
+		// Call keeps no reference to its request, so a literal passed
+		// straight in stays on the caller's stack.
+		{"literal null Call", bare, 1, serve, func(t *testing.T, r crossingRig) {
+			if _, err := r.th.Call(r.send, &mach.Message{ID: 1}, mach.CallOpts{}); err != nil {
+				t.Fatal(err)
+			}
+		}, 0, true},
+		{"region Call", bare, 1, serve, call(regionReq), 0, true},
+		{"8-wide CallV", bare, 1, serve, func(t *testing.T, r crossingRig) {
+			if _, err := r.th.CallV(r.send, batch, mach.CallOpts{}); err != nil {
+				t.Fatal(err)
+			}
+		}, 1, false},
+		{"Self", bare, 1, serve, func(_ *testing.T, r crossingRig) { r.th.Self() }, 0, true},
+		// core.Boot attaches kstat, kflight and klat: the call's record and
+		// its hop are the two allocations the crossing keeps.
+		{"default-boot null Call", booted, 1, serve, call(null), 2, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r := newCrossingRig(t, c.kernel(t), c.ports, c.serve)
+			// Warm up past every amortized growth: the flight ring fills
+			// (512 records per engine), the latency families mint their
+			// exemplar reservoirs, the exchange and wait records exist.
+			for i := 0; i < 1000; i++ {
+				c.op(t, r)
+			}
+			got := testing.AllocsPerRun(200, func() { c.op(t, r) })
+			if got > c.max || c.exact && got != c.max {
+				t.Errorf("%.2f allocations per call, budget %v", got, c.max)
+			}
+		})
+	}
+}

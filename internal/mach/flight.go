@@ -3,6 +3,7 @@ package mach
 import (
 	"cmp"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/cpu"
 	"repro/internal/kflight"
@@ -15,9 +16,11 @@ import (
 // *registration* lives here, because only the kernel knows what a blocked
 // thread is blocked on: every blocking select of the RPC path
 // (rendezvous, reply wait, receive, set receive) and the queued-IPC
-// condition waits brackets itself with setWait/clearWait (a call stores
-// the two records its exchange carries, see taken), and WaitEdges
-// resolves the registered ports to their owning tasks at snapshot time.
+// condition waits brackets itself with a registration and clearWait, and
+// WaitEdges resolves the registered ports to their owning tasks at
+// snapshot time.  The RPC path builds no record per call: a call stores
+// the pair its exchange carries (see taken), re-aimed at the call's port
+// and operation, a receive the record of its port or set.
 //
 // Registration is always-on and observation-only: one atomic pointer
 // store per blocking point, no cost-model charges, no locks.  The pager
@@ -25,17 +28,31 @@ import (
 // faulting thread's kernel entry, so a thread stuck in paging surfaces as
 // the enclosing RPC wait (see DESIGN.md).
 
-// flightWait records what one blocked thread is waiting on.
+// flightWait records what one blocked thread is waiting on.  WaitEdges
+// reads it from any goroutine.  kind and set are fixed before the record
+// is first published; port and op are atomic because an exchange's pair
+// is re-aimed by each call while a snapshot may still hold it, and such a
+// snapshot may pair the new call's port with the old call's op.
 type flightWait struct {
 	kind kflight.WaitKind
-	port *Port    // the port (or nil for a set wait)
-	set  *PortSet // the port set (set-receive only)
-	op   uint32   // in-flight message ID, when the wait carries one
+	set  *PortSet             // the port set (set-receive only)
+	port atomic.Pointer[Port] // the port (or nil for a set wait)
+	op   atomic.Uint32        // in-flight message ID, when the wait carries one
 }
 
-// setWait registers the thread's current blocking point.
+// aim points the record at port and operation op; it runs before the
+// record is published for the wait it describes.
+func (w *flightWait) aim(port *Port, op uint32) {
+	w.port.Store(port)
+	w.op.Store(op)
+}
+
+// setWait registers the thread's current blocking point in a record of
+// its own: the classic queued path's waits.
 func (th *Thread) setWait(kind kflight.WaitKind, port *Port, set *PortSet, op uint32) {
-	th.wait.Store(&flightWait{kind: kind, port: port, set: set, op: op})
+	w := &flightWait{kind: kind, set: set}
+	w.aim(port, op)
+	th.wait.Store(w)
 }
 
 // clearWait removes the registration; the thread is running again.
@@ -68,12 +85,12 @@ func (k *Kernel) WaitEdges() []kflight.WaitEdge {
 			e := kflight.WaitEdge{
 				Task: t.name, TaskID: uint32(t.id),
 				Thread: th.name, ThreadID: uint32(th.id),
-				Kind: w.kind, Op: w.op,
+				Kind: w.kind, Op: w.op.Load(),
 			}
-			switch {
-			case w.port != nil:
-				e.PortID = w.port.id
-				if rt := w.port.receiverTask(); rt != nil {
+			switch port := w.port.Load(); {
+			case port != nil:
+				e.PortID = port.id
+				if rt := port.receiverTask(); rt != nil {
 					e.OwnerTask, e.OwnerTaskID = rt.name, uint32(rt.id)
 				}
 			case w.set != nil:

@@ -42,11 +42,9 @@ func (th *Thread) MachMsgSend(dest PortName, msg *Message, opts MsgOption) error
 		return ErrNotSupported
 	}
 	// The send's record parents to whatever record the message carried and
-	// becomes the one it carries.
+	// becomes the one the delivered copy carries; the sender's message is
+	// left as it was, so sending it again parents the same way.
 	sp := k.CPU.Planes().Open(cpu.Event{Type: cpu.EvIPCSend, Subsystem: "mach.ipc", Arg: uint64(msg.ID)}, msg.rec)
-	if sp != nil {
-		msg.rec = sp
-	}
 	defer sp.End()
 	k.CPU.Exec(k.paths.msgStubC)
 	k.trap()
@@ -62,6 +60,9 @@ func (th *Thread) MachMsgSend(dest PortName, msg *Message, opts MsgOption) error
 
 	// Reply-port processing: resolve the local (reply) right.
 	m := cloneForDelivery(msg)
+	if sp != nil {
+		m.rec = sp
+	}
 	if msg.Local != NullName {
 		le, lerr := th.task.ports.lookup(msg.Local, RightNone)
 		if lerr != nil {

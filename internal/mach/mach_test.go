@@ -128,8 +128,9 @@ func TestRPCCarriesSendRight(t *testing.T) {
 			done <- err.Error()
 			return
 		}
+		body := string(req.Body) // the request is valid until the reply
 		resp.Reply(&Message{Body: []byte("pong")})
-		done <- string(req.Body)
+		done <- body
 	}()
 
 	srv, recv := startServer(t, k, func(m *Message) *Message {

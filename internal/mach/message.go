@@ -152,12 +152,13 @@ type Message struct {
 	batch []*Message
 
 	// rec is the request's identity: the record of the call (or classic
-	// send) that carried it, opened by the sender and riding in the
-	// header, so the server side of the crossing stamps the same record,
-	// its serve span parents to it, and a handler holding the message can
-	// name the request it works for (Hop, Thread.ActFor, CallOpts.Parent).
-	// cloneForDelivery's shallow copy preserves it, which is exactly
-	// right: both sides of one crossing share one record.  A vectored
+	// send) that carried it, opened by the sender and set on the delivered
+	// header only, so the server side of the crossing stamps the same
+	// record, its serve span parents to it, and a handler holding the
+	// message can name the request it works for (Hop, Thread.ActFor,
+	// CallOpts.Parent).  The sender's own message keeps the record it had:
+	// a message a handler passes on parents the onward call to its
+	// request, and a fresh one sent twice makes two roots.  A vectored
 	// carrier carries the carrier's record; each sub-request reaches the
 	// handler in a header copy carrying its own sub-hop's.  Nil when no
 	// plane observes calls.

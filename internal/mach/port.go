@@ -3,6 +3,8 @@ package mach
 import (
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/kflight"
 )
 
 // PortName is a task-local name for a port right.  As in Mach, names are
@@ -68,32 +70,48 @@ type Port struct {
 	// closedCh is closed when the port dies (lazily created for the
 	// port-set forwarders).
 	closedCh chan struct{}
+
+	// recvWait is the wait record of a thread parked in RPCReceive here,
+	// built with the port and never written again: WaitEdges reads it
+	// from any goroutine.
+	recvWait flightWait
 }
 
 // rpcOutcome is what the client's reply wait resolves to: a delivered
-// reply message or a distinguishable failure (dead port, failed reply
-// delivery).
+// reply message — or, for a vectored reply, its sub-replies — or a
+// distinguishable failure (dead port, failed reply delivery).
 type rpcOutcome struct {
-	m   *Message
-	err error
-	vt  uint64 // server's virtual completion time (0 on single-CPU)
+	m     *Message
+	batch []*Message
+	err   error
+	vt    uint64 // server's virtual completion time (0 on single-CPU)
 }
 
-// Exchange states.  Exactly one party moves the exchange out of exPending:
-// the replier (server Reply, port teardown) via commit/fail, or the caller
-// via abandon on timeout or thread abort.  The CAS settles the race; only
-// the winner of the pending state may touch the outcome channel, so the
-// buffered send below can never block or double-fire.
+// Exchange states.  Exactly one party moves a call's exchange out of
+// exPending: the replier (server Reply, port teardown) via commit/fail, or
+// the caller via abandon on timeout or thread abort.  The CAS settles the
+// race; only the winner of the pending state may touch the outcome
+// channel, so the buffered send below can never block or double-fire.
+// Thread.park returns a replied exchange to exPending for the thread's
+// next call.
 const (
 	exPending int32 = iota
 	exReplied
 	exAbandoned
 )
 
-// rpcExchange carries one in-flight synchronous RPC.
+// rpcExchange carries a thread's synchronous RPCs, one at a time.  A
+// thread has at most one call outstanding, so it makes its exchange once
+// and every call reuses it (Thread.exchange, Thread.park): the crossing
+// builds no kernel object of its own.  An exchange a call abandoned is
+// never reused — a server or a port-set forwarder may still hold it — so
+// the thread's next call makes a fresh one.
 type rpcExchange struct {
-	request *Message
-	reply   chan rpcOutcome // buffered(1); sent at most once, by the CAS winner
+	// request is the delivered request header, copied in by value at the
+	// call: the handler's *Message points here, which is why a request
+	// is valid until its reply and no longer.
+	request Message
+	reply   chan rpcOutcome // buffered(1); sent at most once per call, by the CAS winner
 	abort   chan struct{}
 	caller  *Thread
 	state   atomic.Int32
@@ -102,18 +120,16 @@ type rpcExchange struct {
 	// thread abort).  Intermediaries holding the exchange without a
 	// receiver — the port-set forwarders — select on it so an abandoned
 	// caller never leaves them blocked trying to deliver a request
-	// nobody will answer.  Nil for exchanges that cannot be abandoned.
+	// nobody will answer.
 	gone chan struct{}
 
-	// waits are the caller's wait-for registrations, rendezvous then
-	// reply; the server thread that takes the exchange moves the caller
-	// from the first to the second (taken) before its handler runs.
+	// waits are the current call's wait-for registrations, rendezvous
+	// then reply; the server thread that takes the exchange moves the
+	// caller from the first to the second (taken) before its handler
+	// runs.  Each call aims both at its port and operation (aim) before
+	// publishing either.
 	waits [2]flightWait
 }
-
-// goneCh returns the abandon channel (nil-safe: a nil channel in a
-// select simply never fires).
-func (ex *rpcExchange) goneCh() <-chan struct{} { return ex.gone }
 
 // commit claims the right to deliver the outcome.  It returns false when
 // the caller already abandoned the exchange (timeout/abort), in which case
@@ -133,9 +149,7 @@ func (ex *rpcExchange) fail(err error) {
 // committed — the buffered outcome is then in flight and must be taken.
 func (ex *rpcExchange) abandon() bool {
 	if ex.state.CompareAndSwap(exPending, exAbandoned) {
-		if ex.gone != nil {
-			close(ex.gone)
-		}
+		close(ex.gone)
 		return true
 	}
 	return false
@@ -147,6 +161,8 @@ const DefaultQueueLimit = 5
 
 func newPort(id uint64) *Port {
 	p := &Port{id: id, limit: DefaultQueueLimit, rpc: make(chan *rpcExchange)}
+	p.recvWait.kind = kflight.WaitReceive
+	p.recvWait.port.Store(p)
 	p.notEmpty = sync.NewCond(&p.mu)
 	p.notFull = sync.NewCond(&p.mu)
 	return p

@@ -35,6 +35,10 @@ type PortSet struct {
 	// taken from a member port's rendezvous but no server thread has
 	// received yet.
 	pendFam string
+
+	// recvWait is the wait record of a thread parked in the set's
+	// receive, never written after the set is built.
+	recvWait flightWait
 }
 
 type setDelivery struct {
@@ -55,14 +59,16 @@ func (t *Task) AllocatePortSet() (*PortSet, error) {
 		return nil, ErrInvalidTask
 	}
 	id := k.allocPortID()
-	return &PortSet{
+	ps := &PortSet{
 		id:      id,
 		task:    t,
 		members: make(map[*Port]PortName),
 		deadCh:  make(chan struct{}),
 		ch:      make(chan setDelivery),
 		pendFam: fmt.Sprintf("mach.portset.%s/%d.pending", t.name, id),
-	}, nil
+	}
+	ps.recvWait.kind, ps.recvWait.set = kflight.WaitSetReceive, ps
+	return ps, nil
 }
 
 // AddMember moves the named receive right into the set.  A forwarder
@@ -133,7 +139,7 @@ func (ps *PortSet) forward(port *Port, name PortName) {
 				// Caller thread died; the exchange is already (or about
 				// to be) abandoned on the caller side.
 				pending.Dec()
-			case <-ex.goneCh():
+			case <-ex.gone:
 				// Caller abandoned the exchange (deadline expired while
 				// every server thread was busy elsewhere).  Drop it: a
 				// committed delivery now would be discarded anyway, and
@@ -216,7 +222,7 @@ func (th *Thread) receiveSet(ps *PortSet) (*Message, *Responder, PortName, error
 		return nil, nil, NullName, ErrNotReceiver
 	}
 	k := th.task.kernel
-	th.setWait(kflight.WaitSetReceive, nil, ps, 0)
+	th.wait.Store(&ps.recvWait)
 	var d setDelivery
 	select {
 	case d = <-ps.ch:
@@ -240,5 +246,5 @@ func (th *Thread) receiveSet(ps *PortSet) (*Message, *Responder, PortName, error
 	// wall-clock accident — and cannot start before the client's send
 	// burst completed in modeled time.
 	rel := k.schedRunPool(th, th.poolVT, d.ex.caller.vt.Load())
-	return d.ex.request, th.accept(d.ex, d.port, rel), d.name, nil
+	return &d.ex.request, th.accept(d.ex, d.port, rel), d.name, nil
 }

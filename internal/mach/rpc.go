@@ -1,6 +1,7 @@
 package mach
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/cpu"
@@ -29,7 +30,11 @@ func userBufAddr(asid uint64) uint64 {
 	return 0x8000_0000 + asid*0x0100_0000
 }
 
-// Responder completes one received RPC.
+// Responder completes one received RPC.  It belongs to the server thread
+// that received the request: valid until the reply, and filled in again
+// by the thread's next receive.  A receive loop must therefore not keep a
+// Responder past the thread's next receive — a reply deferred that long
+// would answer the newer request.
 type Responder struct {
 	ex   *rpcExchange
 	port *Port
@@ -41,6 +46,9 @@ type Responder struct {
 	// hand-rolled receive loop get scheduled without changing: the
 	// receive-handle-reply window is exactly one dispatched burst.
 	release func()
+	// carrier is the header ReplyV sends its sub-replies in.  It stays
+	// with the server: the caller receives the sub-replies alone.
+	carrier Message
 }
 
 // CallOpts parameterizes one Call.  The zero value means "plain
@@ -56,13 +64,6 @@ type CallOpts struct {
 	// instead of resurrecting the call.
 	Timeout time.Duration
 
-	// Batch vectors additional sub-requests into the same crossing as
-	// the request passed to Call: one dispatch, one AS-switch pair, one
-	// I-cache refill charged for the whole batch, plus a small per-sub
-	// demux charge.  Call returns the first sub-reply; CallV is the
-	// ergonomic surface over the same mechanism and returns them all.
-	Batch []*Message
-
 	// Parent names the request this call is made for — the message the
 	// calling handler is serving — so the call's hop joins that request's
 	// latency ledger as a child.  It overrides the thread's ActFor; with
@@ -74,17 +75,25 @@ type CallOpts struct {
 // server thread is waiting in RPCReceive on the destination port, hands
 // the request over with a single physical copy, and blocks until the reply
 // arrives.  There is no reply port and no queuing.  Call and CallV are
-// the only client entry points.
+// the only client entry points; CallV is the vectored one.
+//
+// The request stays the caller's: the kernel delivers a copy of its
+// header and writes nothing into it, so one message can be sent again.
+// The reply is the one the handler built, and the caller's to keep.
+//
+// Call runs the crossing inside the call's record: one record opened at
+// entry, stamped on the way (send done, pickup, reply commit) and closed
+// at return, which every attached plane consumes — the stat families, the
+// flight ring, the profile frame, the trace span and the latency hop.  The
+// record rides to the server in the delivered header.  Its trace parent
+// is whatever record the message already carried (a request the caller
+// is serving and passes on; none for a fresh one: the innermost open
+// span), its request is the one the call is made for — named by the call,
+// else by whoever drives this thread; one that names nothing is a root.
+// Nothing here charges the engine.
 func (th *Thread) Call(dest PortName, req *Message, opts CallOpts) (*Message, error) {
-	if len(opts.Batch) > 0 {
-		reqs := append([]*Message{req}, opts.Batch...)
-		replies, err := th.CallV(dest, reqs, CallOpts{Timeout: opts.Timeout, Parent: opts.Parent})
-		if err != nil {
-			return nil, err
-		}
-		return replies[0], nil
-	}
-	return th.rpcCall(dest, req, opts)
+	out := th.rpcCall(dest, req, opts)
+	return out.m, out.err
 }
 
 // CallV performs a vectored call: one crossing carries every request in
@@ -92,13 +101,14 @@ func (th *Thread) Call(dest PortName, req *Message, opts CallOpts) (*Message, er
 // pays one dispatch, one AS-switch pair and one I-cache refill; each
 // sub-message adds only its body copy (or per-page region map) and a
 // small demux charge.  Sub-messages cannot carry port rights.  A batch
-// of one degrades to a plain Call; an empty batch is a no-op.
+// of one degrades to a plain Call; an empty batch is a no-op.  The
+// returned slice is the call's one allocation.
 func (th *Thread) CallV(dest PortName, reqs []*Message, opts CallOpts) ([]*Message, error) {
 	switch len(reqs) {
 	case 0:
 		return nil, nil
 	case 1:
-		m, err := th.rpcCall(dest, reqs[0], opts)
+		m, err := th.Call(dest, reqs[0], opts)
 		if err != nil {
 			return nil, err
 		}
@@ -109,27 +119,20 @@ func (th *Thread) CallV(dest PortName, reqs []*Message, opts CallOpts) ([]*Messa
 			return nil, ErrBatchMismatch
 		}
 	}
-	carrier := &Message{ID: reqs[0].ID, rec: reqs[0].rec, batch: reqs}
-	reply, err := th.rpcCall(dest, carrier, opts)
-	if err != nil {
-		return nil, err
+	carrier := Message{ID: reqs[0].ID, rec: reqs[0].rec, batch: reqs}
+	out := th.rpcCall(dest, &carrier, opts)
+	if out.err != nil {
+		return nil, out.err
 	}
-	if len(reply.batch) != len(reqs) {
+	if len(out.batch) != len(reqs) {
 		return nil, ErrBatchMismatch
 	}
-	return reply.batch, nil
+	return out.batch, nil
 }
 
 // rpcCall arms the optional deadline and runs the shared client path
-// inside the call's record: one record opened at entry, stamped on the
-// way (send done, pickup, reply commit) and closed at return, which every
-// attached plane consumes — the stat families, the flight ring, the
-// profile frame, the trace span and the latency hop.  Its trace parent is
-// whatever record the message already carried (none for a fresh one: the
-// innermost open span), its request is the one the call is made for —
-// named by the call, else by whoever drives this thread; one that names
-// nothing is a root.  Nothing here charges the engine.
-func (th *Thread) rpcCall(dest PortName, req *Message, opts CallOpts) (*Message, error) {
+// inside the call's record (see Call).
+func (th *Thread) rpcCall(dest PortName, req *Message, opts CallOpts) rpcOutcome {
 	var deadline <-chan time.Time
 	if opts.Timeout > 0 {
 		timer := time.NewTimer(opts.Timeout)
@@ -138,7 +141,7 @@ func (th *Thread) rpcCall(dest PortName, req *Message, opts CallOpts) (*Message,
 	}
 	ps := th.task.kernel.CPU.Planes()
 	if !ps.Wants(cpu.EvRPC) {
-		return th.rpcCallRaw(dest, req, deadline)
+		return th.rpcCallRaw(dest, req, nil, deadline)
 	}
 	// Charge-free destination-server lookup: the record names the peer.
 	srv := ""
@@ -153,16 +156,19 @@ func (th *Thread) rpcCall(dest PortName, req *Message, opts CallOpts) (*Message,
 	}
 	rec := ps.Open(cpu.Event{Type: cpu.EvRPC, Subsystem: "mach.rpc", Name: srv, Arg: uint64(req.ID),
 		Width: len(req.batch), Bytes: copiedBytes(req), Mapped: regionBytes(req), Req: of}, req.rec)
-	req.rec = rec
-	m, err := th.rpcCallRaw(dest, req, deadline)
+	out := th.rpcCallRaw(dest, req, rec, deadline)
 	var end cpu.Event
-	if err != nil {
-		end.Err = err.Error()
+	if out.err != nil {
+		end.Err = out.err.Error()
 	} else {
-		end.Bytes, end.Mapped = copiedBytes(m), regionBytes(m)
+		reply := Message{batch: out.batch} // a vectored reply's sub-replies
+		if out.m != nil {
+			reply = *out.m
+		}
+		end.Bytes, end.Mapped = copiedBytes(&reply), regionBytes(&reply)
 	}
 	rec.Close(end)
-	return m, err
+	return out
 }
 
 // sendable checks a message against the crossing's limits: inline bodies
@@ -206,12 +212,35 @@ func regionBytes(m *Message) uint64 {
 	return n
 }
 
-// rpcCallRaw is the shared client path.  A nil deadline channel never
-// fires.
-func (th *Thread) rpcCallRaw(dest PortName, req *Message, deadline <-chan time.Time) (*Message, error) {
+// exchange takes the thread's idle exchange for a call, or makes one: at
+// the thread's first call, after an abandoned call, and for a call made
+// while another goroutine's call through the same thread holds it.
+func (th *Thread) exchange() *rpcExchange {
+	if ex := th.ex.Swap(nil); ex != nil {
+		return ex
+	}
+	ex := &rpcExchange{reply: make(chan rpcOutcome, 1), abort: th.abort, caller: th, gone: make(chan struct{})}
+	ex.waits[0].kind = kflight.WaitRendezvous
+	ex.waits[1].kind = kflight.WaitReply
+	return ex
+}
+
+// park returns ex to the thread for its next call.  Legal only where the
+// call holds ex alone: it was never handed over (the rendezvous failed),
+// or its outcome has been received — the replier's send on ex.reply was
+// its last access, and no port, forwarder or server holds it.  An
+// abandoned exchange is never parked.
+func (th *Thread) park(ex *rpcExchange) {
+	ex.state.Store(exPending)
+	th.ex.Store(ex)
+}
+
+// rpcCallRaw is the shared client path; rec is the call's record, nil
+// when nothing observes calls.  A nil deadline channel never fires.
+func (th *Thread) rpcCallRaw(dest PortName, req *Message, rec *cpu.Span, deadline <-chan time.Time) rpcOutcome {
 	k := th.task.kernel
 	if err := req.sendable(); err != nil {
-		return nil, err
+		return rpcOutcome{err: err}
 	}
 	// The send path up to the rendezvous is one scheduled burst; the
 	// resume after the reply is another, dispatched separately — that
@@ -235,16 +264,23 @@ func (th *Thread) rpcCallRaw(dest PortName, req *Message, deadline <-chan time.T
 	port, entry, err := th.task.portFor(dest, RightSend)
 	if err != nil {
 		k.rti()
-		return nil, err
+		return rpcOutcome{err: err}
 	}
 	k.touchKData(port.id, 96)
 	k.CPU.Exec(k.paths.rpcSend)
 
-	// Carry rights.
+	// The request header crosses by value, in the thread's exchange, with
+	// the call's record.  Carried rights are resolved and renamed in the
+	// delivered copy's own list, so the caller's keeps its names.
+	ex := th.exchange()
+	ex.request = *req
+	ex.request.rec = rec
 	if len(req.Rights) > 0 {
-		if err := th.task.loadRights(req); err != nil {
+		ex.request.Rights = slices.Clone(req.Rights)
+		if err := th.task.loadRights(&ex.request); err != nil {
+			th.park(ex)
 			k.rti()
-			return nil, err
+			return rpcOutcome{err: err}
 		}
 	}
 
@@ -257,17 +293,8 @@ func (th *Thread) rpcCallRaw(dest PortName, req *Message, deadline <-chan time.T
 	k.chargeTransfer(req, th.task.asid, dstAS)
 	k.CPU.Exec(k.paths.schedule)
 
-	ex := &rpcExchange{
-		request: cloneForDelivery(req),
-		reply:   make(chan rpcOutcome, 1),
-		abort:   th.abort,
-		caller:  th,
-		gone:    make(chan struct{}),
-		waits: [2]flightWait{
-			{kind: kflight.WaitRendezvous, port: port, op: uint32(req.ID)},
-			{kind: kflight.WaitReply, port: port, op: uint32(req.ID)},
-		},
-	}
+	ex.waits[0].aim(port, uint32(req.ID))
+	ex.waits[1].aim(port, uint32(req.ID))
 
 	// The client blocks for the rendezvous: its burst ends here.  Both
 	// blocking points register with the flight recorder's wait-for graph;
@@ -277,18 +304,21 @@ func (th *Thread) rpcCallRaw(dest PortName, req *Message, deadline <-chan time.T
 
 	// Send done: the send burst is fully charged; cycles from here to a
 	// server thread's pickup are the call's queue-wait.
-	req.rec.Stamp(cpu.PhaseSent, "", 0)
+	rec.Stamp(cpu.PhaseSent, "", 0)
 
 	th.wait.Store(&ex.waits[0])
 	select {
 	case port.rpc <- ex:
 	case <-port.rpcClosed():
-		return nil, ErrDeadPort
+		th.park(ex)
+		return rpcOutcome{err: ErrDeadPort}
 	case <-th.abort:
-		return nil, ErrAborted
+		th.park(ex)
+		return rpcOutcome{err: ErrAborted}
 	case <-deadline:
 		// The exchange was never handed over; nothing to abandon.
-		return nil, ErrTimeout
+		th.park(ex)
+		return rpcOutcome{err: ErrTimeout}
 	}
 	if entry.typ == RightSendOnce {
 		th.task.ports.consumeSendOnce(dest)
@@ -300,18 +330,20 @@ func (th *Thread) rpcCallRaw(dest PortName, req *Message, deadline <-chan time.T
 	case out = <-ex.reply:
 	case <-th.abort:
 		ex.abandon()
-		return nil, ErrAborted
+		return rpcOutcome{err: ErrAborted}
 	case <-deadline:
 		if ex.abandon() {
-			return nil, ErrTimeout
+			return rpcOutcome{err: ErrTimeout}
 		}
 		// The reply committed before the deadline took effect; the
 		// buffered outcome is already in flight, so take it.
 		out = <-ex.reply
 	}
 	th.clearWait()
+	// The outcome is in: nobody else holds the exchange any more.
+	th.park(ex)
 	if out.err != nil {
-		return nil, out.err
+		return out
 	}
 
 	// Client resumes: switch back to its space and return to user mode.
@@ -326,13 +358,17 @@ func (th *Thread) rpcCallRaw(dest PortName, req *Message, deadline <-chan time.T
 	k.CPU.Exec(k.paths.schedule)
 	k.rti()
 	k.CPU.Instr(20) // stub epilogue
-	return out.m, nil
+	return out
 }
 
 // RPCReceive blocks the calling server thread until an RPC arrives on the
 // port named by recvName (which must denote a receive right in the
 // thread's task).  It returns the request and a Responder that must be
-// used exactly once.
+// used exactly once.  Both are valid until the reply: the request header
+// is the caller's exchange, which the caller's next call overwrites, and
+// the Responder is the thread's own, which its next receive fills in.  A
+// loop that defers a reply must send it before the thread receives again;
+// read anything needed from the request before replying.
 func (th *Thread) RPCReceive(recvName PortName) (*Message, *Responder, error) {
 	k := th.task.kernel
 	port, _, err := th.task.portFor(recvName, RightReceive)
@@ -346,7 +382,7 @@ func (th *Thread) RPCReceive(recvName PortName) (*Message, *Responder, error) {
 	// A parked server thread registers as a receive wait; receive-side
 	// kinds never form dependency edges (they are capacity, not demand),
 	// but the dump lists them so "who is idle" is visible postmortem.
-	th.setWait(kflight.WaitReceive, port, nil, 0)
+	th.wait.Store(&port.recvWait)
 	var ex *rpcExchange
 	select {
 	case ex = <-port.rpc:
@@ -376,13 +412,14 @@ func (th *Thread) RPCReceive(recvName PortName) (*Message, *Responder, error) {
 		k.schedReady(th, ex.caller.vt.Load())
 		rel = k.schedRun(th)
 	}
-	return ex.request, th.accept(ex, port, rel), nil
+	return &ex.request, th.accept(ex, port, rel), nil
 }
 
 // accept runs the server side of a hand-off inside the burst rel ends:
 // load the server's address space, run the receive return path and the
 // simplified server stub, install carried rights and sequence the
-// request.  Shared by RPCReceive and receiveSet.
+// request.  It returns the thread's Responder, set up for ex.  Shared by
+// RPCReceive and receiveSet.
 func (th *Thread) accept(ex *rpcExchange, port *Port, rel func()) *Responder {
 	k := th.task.kernel
 	k.CPU.SwitchAddressSpace(th.task.asid)
@@ -390,14 +427,15 @@ func (th *Thread) accept(ex *rpcExchange, port *Port, rel func()) *Responder {
 	k.CPU.Exec(k.paths.rpcStubS)
 	k.touchKData(port.id, 96)
 	if len(ex.request.Rights) > 0 {
-		th.task.acceptRights(ex.request)
+		th.task.acceptRights(&ex.request)
 	}
 	port.mu.Lock()
 	port.seqno++
 	ex.request.Seq = port.seqno
 	port.mu.Unlock()
 	k.rti()
-	return &Responder{ex: ex, port: port, srv: th, release: rel}
+	th.resp = Responder{ex: ex, port: port, srv: th, release: rel}
+	return &th.resp
 }
 
 // chargeTransfer charges the data-movement half of one RPC crossing in
@@ -457,6 +495,11 @@ func (k *Kernel) chargeRegions(m *Message) {
 // fails the exchange (the client unblocks with ErrReplyFailed) and
 // returns ErrBatchMismatch.
 func (r *Responder) Reply(reply *Message) error {
+	// A used Responder's exchange may already be serving the caller's
+	// next call: check before reading it.
+	if r.done {
+		return ErrNoReplyExpected
+	}
 	if len(r.ex.request.batch) > 0 {
 		return r.mismatch()
 	}
@@ -466,8 +509,12 @@ func (r *Responder) Reply(reply *Message) error {
 // ReplyV completes a vectored RPC: one crossing carries every sub-reply
 // back, in request order.  len(replies) must equal the request batch
 // width (nil slots become empty replies); ReplyV on a plain request is a
-// batch mismatch, except for the degenerate single-reply case.
+// batch mismatch, except for the degenerate single-reply case.  The
+// caller receives a slice of its own, so replies may be reused.
 func (r *Responder) ReplyV(replies []*Message) error {
+	if r.done {
+		return ErrNoReplyExpected
+	}
 	n := len(r.ex.request.batch)
 	if n == 0 && len(replies) == 1 {
 		return r.deliver(replies[0])
@@ -482,15 +529,13 @@ func (r *Responder) ReplyV(replies []*Message) error {
 		}
 		subs[i] = sub
 	}
-	return r.deliver(&Message{ID: subs[0].ID, batch: subs})
+	r.carrier = Message{ID: subs[0].ID, batch: subs}
+	return r.deliver(&r.carrier)
 }
 
 // mismatch fails an exchange answered with the wrong reply shape: the
 // client unblocks with ErrReplyFailed, the server gets ErrBatchMismatch.
 func (r *Responder) mismatch() error {
-	if r.done {
-		return ErrNoReplyExpected
-	}
 	r.finish()
 	r.ex.fail(ErrReplyFailed)
 	return ErrBatchMismatch
@@ -507,13 +552,16 @@ func (r *Responder) finish() {
 
 // deliver is the shared reply path for plain replies and reply carriers.
 func (r *Responder) deliver(reply *Message) error {
-	if r.done {
-		return ErrNoReplyExpected
-	}
 	defer r.finish()
 	k := r.srv.task.kernel
-	if reply == nil {
-		reply = &Message{}
+	// The reply the handler built is what the caller gets, except where
+	// the kernel cannot hand it over as it is: no reply at all (the caller
+	// gets an empty one), the request header echoed back (it lives in the
+	// caller's exchange, which the caller's next call overwrites), and a
+	// reply carrying rights (the kernel renames them into the caller's
+	// space, and the handler's own list keeps the server's names).
+	if reply == nil || reply == &r.ex.request || len(reply.Rights) > 0 {
+		reply = cloneForDelivery(reply)
 	}
 	if err := reply.sendable(); err != nil {
 		r.ex.fail(ErrReplyFailed)
@@ -530,13 +578,12 @@ func (r *Responder) deliver(reply *Message) error {
 		}
 	}
 	k.CPU.Exec(k.paths.schedule)
-	delivered := cloneForDelivery(reply)
 	if r.ex.commit() {
 		// Install carried rights only for a caller that is still
 		// waiting; an abandoned caller's name space must not change
 		// under it, and the loaded rights die with the reply.
-		if len(delivered.Rights) > 0 {
-			r.ex.caller.task.acceptRights(delivered)
+		if len(reply.Rights) > 0 {
+			r.ex.caller.task.acceptRights(reply)
 		}
 		// End the server burst before waking the client, so the outcome
 		// carries the handler's virtual completion time and the client's
@@ -561,7 +608,13 @@ func (r *Responder) deliver(reply *Message) error {
 		// stamps: an abandoned exchange's call was closed by the client
 		// and must not be written further.
 		r.ex.request.rec.Stamp(cpu.PhaseServed, "", 0)
-		r.ex.reply <- rpcOutcome{m: delivered, vt: r.srv.vt.Load()}
+		out := rpcOutcome{m: reply, vt: r.srv.vt.Load()}
+		if reply.batch != nil {
+			out = rpcOutcome{batch: reply.batch, vt: out.vt}
+		}
+		// The send is the replier's last access to the exchange: from here
+		// the caller may reuse it (Thread.park).
+		r.ex.reply <- out
 	}
 	return nil
 }
@@ -576,15 +629,25 @@ func (p *Port) receiverASID() uint64 {
 	return p.recvTask.asid
 }
 
-// Handler processes one RPC request and returns the reply.
+// Handler processes one RPC request and returns the reply.  The request
+// is valid until its reply: its header lives in the caller's exchange,
+// which the caller's next call overwrites, so a handler keeps nothing of
+// it past the reply but what it copied out — its record (Record, Hop) or
+// the bytes it points to, which stay the caller's.  A handler may return
+// the request itself; the kernel copies it then.  Any other reply goes to
+// the caller as it is, so a handler must not change a reply it has
+// returned.  Every handler in this tree has been checked against this
+// contract: none keeps its request past the reply.
 type Handler func(*Message) *Message
 
-// serveLoop is what a server loop owns for its whole life: its thread
-// and the "serve:<task>[/<worker>]" frame its spans and profile contexts
-// carry.  Thread.Serve and ServerPool.worker are both this plus a receive.
+// serveLoop is what a server loop owns for its whole life: its thread,
+// the "serve:<task>[/<worker>]" frame its spans and profile contexts
+// carry, and the slots a vectored request's sub-replies are gathered in.
+// Thread.Serve and ServerPool.worker are both this plus a receive.
 type serveLoop struct {
-	th    *Thread
-	frame string
+	th      *Thread
+	frame   string
+	replies []*Message
 }
 
 // dispatch runs h on one request received on port pn and delivers the
@@ -608,7 +671,10 @@ func (l *serveLoop) dispatch(ps *cpu.Planes, resp *Responder, req *Message, pn P
 	defer ps.Open(cpu.Event{Type: cpu.EvRPCServe, Subsystem: "mach.rpc", Name: l.frame,
 		Arg: uint64(req.ID), Req: req.rec}, req.rec).End()
 	if subs := req.batch; subs != nil {
-		replies := make([]*Message, len(subs))
+		if cap(l.replies) < len(subs) {
+			l.replies = make([]*Message, len(subs))
+		}
+		replies := l.replies[:len(subs)]
 		var hdrs []Message
 		if req.Hop() != nil {
 			hdrs = make([]Message, len(subs))
@@ -623,7 +689,9 @@ func (l *serveLoop) dispatch(ps *cpu.Planes, resp *Responder, req *Message, pn P
 			replies[i] = h(pn, sub)
 			klat.Of(sh).EndSub()
 		}
-		return resp.ReplyV(replies)
+		err := resp.ReplyV(replies)
+		clear(replies) // the caller got its own slice; keep nothing alive
+		return err
 	}
 	return resp.Reply(h(pn, req))
 }
@@ -646,13 +714,19 @@ func (th *Thread) Serve(recvName PortName, h Handler) error {
 	}
 }
 
-// cloneForDelivery snapshots a message as delivery would: the receiver
-// gets its own header copy; body bytes are shared because the cost of the
-// physical copy is charged in the cost model and the simulation treats
-// delivered bodies as immutable.
+// cloneForDelivery copies a header the kernel cannot deliver as it is
+// (see deliver): the copy has its own rights list, so renaming them
+// leaves the original's names alone, and shares the body bytes, because
+// the physical copy is charged in the cost model and the simulation
+// treats delivered bodies as immutable.  A nil message copies as an empty
+// one.
 func cloneForDelivery(m *Message) *Message {
-	c := *m
-	return &c
+	c := new(Message)
+	if m != nil {
+		*c = *m
+		c.Rights = slices.Clone(m.Rights)
+	}
+	return c
 }
 
 // loadRights resolves the in-transit rights of a message against the

@@ -196,6 +196,16 @@ type Thread struct {
 	// graph.  Written by the thread around its own blocking selects, read
 	// by Kernel.WaitEdges from any goroutine.
 	wait atomic.Pointer[flightWait]
+
+	// ex is the thread's idle exchange, taken by each call and parked
+	// again once the call's outcome is in (see rpcExchange).  Nil before
+	// the first call, after an abandoned one, and while a call is out.
+	ex atomic.Pointer[rpcExchange]
+
+	// resp is the Responder of the request the thread last received: a
+	// server thread answers one request before it takes the next, so its
+	// receive fills this one in rather than building another.
+	resp Responder
 }
 
 // ActFor names the request the thread's Calls are made for: until

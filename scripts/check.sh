@@ -16,7 +16,11 @@
 # bcache, drivers and registry serve pooled, vectored and region RPC from
 # many clients (aliasing bugs there surface only under the race detector),
 # with the request context named, not discovered — TestLedgerParentsUnderPools,
-# TestRequestContextExact and TestFlushNamesItsRequest run here; cpu's
+# TestRequestContextExact and TestFlushNamesItsRequest run here; each
+# thread reuses one RPC exchange for all its calls, and a server or a
+# port-set forwarder may still hold one its caller abandoned, so the
+# exchange-reuse lifecycle tests run fifty times over under the detector;
+# cpu's
 # Complex routes every charge through a per-OS-thread binding table while
 # the SMP dispatcher binds and steals from many goroutines; and cmd/kobs
 # runs the end-to-end tier, the CLI as a child process per scenario.
@@ -77,6 +81,11 @@ fi
 # A deadlock — a turn or a rendezvous nobody releases — must fail in
 # seconds, not hang for go test's ten-minute default.
 run go test -race -timeout 300s ./internal/cpu/... ./internal/kstat/... ./internal/ktrace/... ./internal/kprof/... ./internal/kflight/... ./internal/klat/... ./internal/mach/... ./internal/vfs/... ./internal/os2/... ./internal/monitor/... ./internal/bcache/... ./internal/drivers/... ./internal/registry/... ./cmd/kobs/...
+
+# The exchange-reuse lifecycle: a kept reply, a timeout racing its late
+# reply (direct and through a port-set forwarder), a worker killed
+# mid-handler.  Rare interleavings, so many runs.
+run go test -race -count=50 -timeout 300s -run 'TestExchange|TestReusedRequestIsRoot' ./internal/mach/
 
 # Chaos short soak under the race detector: one seed, all six fault kinds,
 # full invariant oracle.  Kept -short so the race-instrumented run stays in
