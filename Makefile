@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check tables e2e benchgate chaos hostprof
+.PHONY: all build test check tables e2e chaos hostprof
 
 all: build test
 
@@ -25,11 +25,6 @@ tables:
 # it starts.
 e2e:
 	$(GO) test -timeout 120s -run E2E ./cmd/kobs
-
-# Benchmark gate: regenerate Table 1 and fail on any WPOS/native ratio
-# more than 5% above the committed BENCH_baseline.json.
-benchgate:
-	sh scripts/benchgate.sh
 
 # Chaos soak, full corpus: three seeds x 36,000 actions of mixed OS/2 +
 # POSIX + MVM + RPC traffic through all six fault kinds with the invariant

@@ -289,6 +289,37 @@ func TestServerPoolScaling(t *testing.T) {
 	}
 }
 
+// TestTable1AgainstPaper holds Table 1's shape across re-pins of the
+// exact counts in TestCacheObservationOff: every ratio within 1.25x of
+// the published one, the file rows slower on WPOS by more than 2x, the
+// graphics rows faster, and the overall ratio within 1.25x of the
+// paper's 1.21.
+func TestTable1AgainstPaper(t *testing.T) {
+	const tol, paperOverall = 1.25, 1.21
+	rows, err := bench.Table1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if r.Ratio < r.Paper/tol || r.Ratio > r.Paper*tol {
+			t.Errorf("%s ratio %.2f vs paper %.2f beyond %.2fx", r.Row, r.Ratio, r.Paper, tol)
+		}
+		switch r.Row {
+		case workload.FileIntensive1, workload.FileIntensive2:
+			if r.Ratio <= 2 {
+				t.Errorf("%s ratio %.2f, want > 2", r.Row, r.Ratio)
+			}
+		case workload.GraphicsLow, workload.GraphicsMedium, workload.GraphicsHigh:
+			if r.Ratio >= 1 {
+				t.Errorf("%s ratio %.2f, want < 1", r.Row, r.Ratio)
+			}
+		}
+	}
+	if m, _ := bench.Overall(rows); m < paperOverall/tol || m > paperOverall*tol {
+		t.Errorf("overall ratio %.2f vs paper %.2f beyond %.2fx", m, paperOverall, tol)
+	}
+}
+
 func TestTable2AgainstPaper(t *testing.T) {
 	got, err := bench.Table2()
 	if err != nil {

@@ -4,270 +4,82 @@
 //
 // Usage:
 //
-//	benchtables            # everything
+//	benchtables            # everything but the cache and smp sweeps
 //	benchtables -only 1    # Table 1 only
 //	benchtables -only 2    # Table 2 only
 //	benchtables -only ipc  # the IPC rework sweep
+//	benchtables -only xfer # E-XFER: bulk-transfer modes
 //	benchtables -only fig1 # the architecture figure
 //	benchtables -only extras  # E5-E10 ablations
 //	benchtables -only cache   # E-CACHE: buffer-cache size sweep
 //	benchtables -only smp     # E-SMP: multiprocessor scaling curve
 //	benchtables -cache 1024   # Table 1 with a 1024-sector buffer cache
-//	benchtables -json results.json  # also write machine-readable records
-//	benchtables -stats stats.json   # per-workload kstat metrics appendix
-//	benchtables -only 1 -gate BENCH_baseline.json  # fail on ratio regressions
+//
+// An unknown -only name is a usage error: exit status 2 and the valid
+// names on standard error.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/core"
 )
 
-// record is one measured number in the -json output: which table it belongs
-// to, what it measures, the measured value, and the published value when the
-// paper prints one (0 otherwise).
-type record struct {
-	Table    string  `json:"table"`
-	Name     string  `json:"name"`
-	Metric   string  `json:"metric"`
-	Measured float64 `json:"measured"`
-	Paper    float64 `json:"paper,omitempty"`
-}
-
-var records []record
-
-func emit(table, name, metric string, measured, paper float64) {
-	records = append(records, record{Table: table, Name: name, Metric: metric, Measured: measured, Paper: paper})
-}
-
 func main() {
 	only := flag.String("only", "", "which artifact to regenerate: 1, 2, ipc, xfer, fig1, extras, cache, smp (default all but cache and smp)")
 	cache := flag.Int("cache", 0, "file-server buffer cache size in sectors for Table 1 (0 = off, the paper's configuration)")
-	jsonPath := flag.String("json", "", "also write the regenerated numbers as JSON records to this path")
-	statsPath := flag.String("stats", "", "write the per-workload kstat metrics appendix as JSON to this path")
-	gatePath := flag.String("gate", "", "compare Table 1 ratios against this baseline JSON and exit nonzero on a >5% regression")
-	gateXferFlag := flag.Bool("gatexfer", false, "assert the E-XFER crossover cells of this run (use with -only xfer) and exit nonzero when a transfer mode stops winning where it must")
 	flag.Parse()
-	run := func(name string) bool { return *only == "" || *only == name }
-	if run("fig1") {
-		figure1()
+	picked, err := pick(sections(*cache), *only)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchtables:", err)
+		os.Exit(2)
 	}
-	if run("1") {
-		table1(*cache)
-	}
-	if run("2") {
-		table2()
-	}
-	if run("ipc") {
-		ipcSweep()
-	}
-	if run("xfer") {
-		xferSweep()
-	}
-	if run("extras") {
-		extras()
-	}
-	if *only == "cache" {
-		cacheSweep()
-	}
-	if *only == "smp" {
-		smpCurve()
-	}
-	if *jsonPath != "" {
-		writeJSON(*jsonPath)
-	}
-	if *statsPath != "" {
-		statsAppendix(*statsPath)
-	}
-	if *gatePath != "" {
-		gate(*gatePath)
-	}
-	if *gateXferFlag {
-		gateXfer()
+	for _, s := range picked {
+		s.print()
 	}
 }
 
-// gateXfer asserts the E-XFER crossover structure on this run's records:
-// copying must win below a page, region transfer must win from a page
-// up (it charges per page mapped, never per byte), batching must
-// amortize the crossing cost of small transfers, and the file-intensive
-// ratios must not regress with the features on.  These are
-// self-consistency cells — no baseline file, since the claim is about
-// the shape of the sweep, not its absolute level.
-func gateXfer() {
-	cells := map[string]map[string]float64{}
-	for _, r := range records {
-		if r.Table != "exfer" {
-			continue
-		}
-		if cells[r.Name] == nil {
-			cells[r.Name] = map[string]float64{}
-		}
-		cells[r.Name][r.Metric] = r.Measured
-	}
-	if len(cells) == 0 {
-		fail(fmt.Errorf("gatexfer: this run produced no E-XFER records (use -only xfer)"))
-	}
-	fmt.Println("E-XFER gate: transfer-mode crossover cells")
-	fmt.Println()
-	failures := 0
-	check := func(ok bool, format string, a ...any) {
-		status := "ok"
-		if !ok {
-			status = "FAILED"
-			failures++
-		}
-		fmt.Printf("  %-7s %s\n", status, fmt.Sprintf(format, a...))
-	}
-	cell := func(name, metric string) float64 {
-		m, ok := cells[name]
-		if !ok {
-			fail(fmt.Errorf("gatexfer: no %q records", name))
-		}
-		v, ok := m[metric]
-		if !ok {
-			fail(fmt.Errorf("gatexfer: no %s/%s record", name, metric))
-		}
-		return v
-	}
-	for _, size := range []int{32, 256} {
-		n := fmt.Sprintf("%d bytes", size)
-		check(cell(n, "copy_cycles") < cell(n, "region_cycles"),
-			"copy beats region at %s (%.0f < %.0f): per-page map cost dominates small payloads", n,
-			cell(n, "copy_cycles"), cell(n, "region_cycles"))
-		check(cell(n, "batched_cycles") < cell(n, "copy_cycles"),
-			"batching beats one-call-per-op at %s (%.0f < %.0f): crossing cost amortized", n,
-			cell(n, "batched_cycles"), cell(n, "copy_cycles"))
-	}
-	for _, size := range []int{4096, 16384, 65536} {
-		n := fmt.Sprintf("%d bytes", size)
-		check(cell(n, "region_cycles") < cell(n, "copy_cycles"),
-			"region beats copy at %s (%.0f < %.0f): zero per-byte cost from a page up", n,
-			cell(n, "region_cycles"), cell(n, "copy_cycles"))
-	}
-	check(cell("fi1_cache256", "ratio_on") <= cell("fi1_cache256", "ratio_off"),
-		"FI1 ratio with features on (%.4f) no worse than off (%.4f)",
-		cell("fi1_cache256", "ratio_on"), cell("fi1_cache256", "ratio_off"))
-	check(cell("fi2_cache256", "ratio_on") <= cell("fi2_cache256", "ratio_off"),
-		"FI2 ratio with features on (%.4f) no worse than off (%.4f)",
-		cell("fi2_cache256", "ratio_on"), cell("fi2_cache256", "ratio_off"))
-	if failures > 0 {
-		fmt.Printf("\ngatexfer: %d crossover cell(s) violated\n", failures)
-		os.Exit(1)
-	}
-	fmt.Println("\ngatexfer: all crossover cells hold")
+// section is one artifact benchtables prints, under its -only name.
+type section struct {
+	name      string
+	byDefault bool // printed when -only is not given
+	print     func()
 }
 
-// gateTolerance is the allowed relative growth of a Table 1 ratio before
-// the gate fails the run.
-const gateTolerance = 0.05
-
-// gate compares this run's Table 1 ratio records against a committed
-// baseline and exits nonzero when any ratio regressed by more than the
-// tolerance.  Ratios are WPOS-cycles over native-cycles, so bigger is
-// worse.
-func gate(path string) {
-	f, err := os.Open(path)
-	if err != nil {
-		fail(err)
-	}
-	var baseline []record
-	err = json.NewDecoder(f).Decode(&baseline)
-	f.Close()
-	if err != nil {
-		fail(fmt.Errorf("gate: %s: %w", path, err))
-	}
-	current := map[string]float64{}
-	for _, r := range records {
-		if r.Table == "table1" && r.Metric == "ratio" {
-			current[r.Name] = r.Measured
-		}
-	}
-	if len(current) == 0 {
-		fail(fmt.Errorf("gate: this run produced no Table 1 ratios (use -only 1 or the default sections)"))
-	}
-	fmt.Printf("Benchmark gate: Table 1 ratios vs %s (tolerance %.0f%%)\n\n", path, 100*gateTolerance)
-	failures := 0
-	for _, b := range baseline {
-		if b.Table != "table1" || b.Metric != "ratio" {
-			continue
-		}
-		got, ok := current[b.Name]
-		if !ok {
-			fmt.Printf("  MISSING %-19s baseline %.3f, not measured this run\n", b.Name, b.Measured)
-			failures++
-			continue
-		}
-		status := "ok"
-		if got > b.Measured*(1+gateTolerance) {
-			status = "REGRESSED"
-			failures++
-		}
-		fmt.Printf("  %-9s %-19s baseline %.3f measured %.3f (%+.1f%%)\n",
-			status, b.Name, b.Measured, got, 100*(got/b.Measured-1))
-	}
-	if failures > 0 {
-		fmt.Printf("\ngate: %d ratio(s) regressed beyond %.0f%%\n", failures, 100*gateTolerance)
-		os.Exit(1)
-	}
-	fmt.Println("\ngate: all ratios within tolerance")
-}
-
-// statsAppendix reruns the Table 1 workloads with the metrics fabric and
-// writes each one's kstat delta to path, printing a one-line summary per
-// workload.
-func statsAppendix(path string) {
-	rows, err := bench.Table1Stats()
-	if err != nil {
-		fail(err)
-	}
-	fmt.Println("Metrics appendix: per-workload kstat deltas (written to", path+")")
-	fmt.Println()
-	for _, r := range rows {
-		fmt.Printf("%-19s rpc=%d kernel-entries=%d vfs.read=%d vfs.write=%d fs-calls=%d drv-calls=%d\n",
-			r.Row,
-			r.Stats.Counters["mach.rpc.calls"],
-			r.Stats.Counters["mach.kernel.entries"],
-			r.Stats.Counters["vfs.ops.read"],
-			r.Stats.Counters["vfs.ops.write"],
-			r.Stats.Counters["mach.rpc.to.fileserver.calls"],
-			r.Stats.Counters["mach.rpc.to.blockdrv.calls"])
-	}
-	fmt.Println()
-	f, err := os.Create(path)
-	if err != nil {
-		fail(err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rows); err != nil {
-		f.Close()
-		fail(err)
-	}
-	if err := f.Close(); err != nil {
-		fail(err)
+// sections lists every artifact in print order.
+func sections(cacheSectors int) []section {
+	return []section{
+		{"fig1", true, figure1},
+		{"1", true, func() { table1(cacheSectors) }},
+		{"2", true, table2},
+		{"ipc", true, ipcSweep},
+		{"xfer", true, xferSweep},
+		{"extras", true, extras},
+		{"cache", false, cacheSweep},
+		{"smp", false, smpCurve},
 	}
 }
 
-func writeJSON(path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		fail(err)
+// pick returns the sections -only selects: every default one when only is
+// empty, else the one it names.  An unknown name is an error listing the
+// valid ones.
+func pick(all []section, only string) ([]section, error) {
+	var picked []section
+	var names []string
+	for _, s := range all {
+		if only == s.name || only == "" && s.byDefault {
+			picked = append(picked, s)
+		}
+		names = append(names, s.name)
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(records); err != nil {
-		f.Close()
-		fail(err)
+	if len(picked) == 0 {
+		return nil, fmt.Errorf("unknown section %q (valid: %s)", only, strings.Join(names, ", "))
 	}
-	if err := f.Close(); err != nil {
-		fail(err)
-	}
+	return picked, nil
 }
 
 func fail(err error) {
@@ -308,13 +120,9 @@ func table1(cacheSectors int) {
 	for _, r := range rows {
 		fmt.Printf("%-19s %-24s %12d %14d %8.2f %8.2f\n",
 			r.Row, r.Content, r.WPOS, r.Native, r.Ratio, r.Paper)
-		emit("table1", string(r.Row), "wpos_cycles", float64(r.WPOS), 0)
-		emit("table1", string(r.Row), "native_cycles", float64(r.Native), 0)
-		emit("table1", string(r.Row), "ratio", r.Ratio, r.Paper)
 	}
 	m, p := bench.Overall(rows)
 	fmt.Printf("%-19s %-24s %12s %14s %8.2f %8.2f\n", "Overall", "", "", "", m, p)
-	emit("table1", "Overall", "ratio", m, p)
 	fmt.Println()
 }
 
@@ -339,14 +147,6 @@ func table2() {
 	row("Cycles", t.TrapCycles, t.RPCCycles, gc, pp.TrapCycles, pp.RPCCycles, pc, "%.0f")
 	row("Bus Cycles", t.TrapBus, t.RPCBus, gb, pp.TrapBus, pp.RPCBus, pb, "%.0f")
 	row("CPI", t.TrapCPI, t.RPCCPI, gcpi, pp.TrapCPI, pp.RPCCPI, pcpi, "%.2f")
-	emit("table2", "thread_self", "instructions", t.TrapInstr, pp.TrapInstr)
-	emit("table2", "thread_self", "cycles", t.TrapCycles, pp.TrapCycles)
-	emit("table2", "thread_self", "bus_cycles", t.TrapBus, pp.TrapBus)
-	emit("table2", "thread_self", "cpi", t.TrapCPI, pp.TrapCPI)
-	emit("table2", "rpc_32byte", "instructions", t.RPCInstr, pp.RPCInstr)
-	emit("table2", "rpc_32byte", "cycles", t.RPCCycles, pp.RPCCycles)
-	emit("table2", "rpc_32byte", "bus_cycles", t.RPCBus, pp.RPCBus)
-	emit("table2", "rpc_32byte", "cpi", t.RPCCPI, pp.RPCCPI)
 	fmt.Println()
 	fmt.Println(bench.TrapVsRPCNote(t))
 	fmt.Println()
@@ -364,8 +164,6 @@ func cacheSweep() {
 	fmt.Printf("%14s %18s %18s\n", "cache sectors", "File Intensive 1", "File Intensive 2")
 	for _, p := range pts {
 		fmt.Printf("%14d %18.2f %18.2f\n", p.Sectors, p.FI1, p.FI2)
-		emit("ecache", fmt.Sprintf("%d sectors", p.Sectors), "fi1_ratio", p.FI1, 0)
-		emit("ecache", fmt.Sprintf("%d sectors", p.Sectors), "fi2_ratio", p.FI2, 0)
 	}
 	fmt.Println()
 }
@@ -388,22 +186,14 @@ func smpCurve() {
 		"cpus", "ops", "elapsed cycles", "ops/sec", "speedup", "migrations", "steals", "coher cycles")
 	for _, p := range res.Curve {
 		row(p)
-		name := fmt.Sprintf("%d cpus", p.CPUs)
-		emit("esmp", name, "ops_per_sec", p.OpsPerSec, 0)
-		emit("esmp", name, "speedup", p.Speedup, 0)
-		emit("esmp", name, "migrations", float64(p.Migrations), 0)
 	}
 	if p := res.Raw; p.CPUs > 0 {
 		fmt.Printf("\nraw driver path (cache off, %d cpus): every operation chains through the\nsingle-threaded block driver and its device time:\n", p.CPUs)
 		row(p)
-		emit("esmp", "raw-driver", "ops_per_sec", p.OpsPerSec, 0)
-		emit("esmp", "raw-driver", "speedup", p.Speedup, 0)
 	}
 	if p := res.Pinned; p.CPUs > 0 {
 		fmt.Printf("\ndriver-pinned (cache on, block driver confined to one processor of %d\nvia processor_assign/task_assign):\n", p.CPUs)
 		row(p)
-		emit("esmp", "driver-pinned", "ops_per_sec", p.OpsPerSec, 0)
-		emit("esmp", "driver-pinned", "speedup", p.Speedup, 0)
 	}
 	fmt.Println()
 	fmt.Println("The curve flattens past the pool size: beyond 4 engines the file server's")
@@ -423,7 +213,6 @@ func ipcSweep() {
 	fmt.Printf("%10s %14s %14s %10s\n", "bytes", "old (cycles)", "new (cycles)", "speedup")
 	for _, p := range pts {
 		fmt.Printf("%10d %14d %14d %9.2fx\n", p.Size, p.OldCycles, p.NewCycles, p.Speedup)
-		emit("ipc", fmt.Sprintf("%d bytes", p.Size), "speedup", p.Speedup, 0)
 	}
 	fmt.Println()
 }
@@ -441,10 +230,6 @@ func xferSweep() {
 	fmt.Printf("%10s %14s %14s %14s\n", "bytes", "copy (cyc)", "region (cyc)", "batched (cyc)")
 	for _, r := range rows {
 		fmt.Printf("%10d %14d %14d %14d\n", r.Size, r.Copy, r.Region, r.Batched)
-		name := fmt.Sprintf("%d bytes", r.Size)
-		emit("exfer", name, "copy_cycles", float64(r.Copy), 0)
-		emit("exfer", name, "region_cycles", float64(r.Region), 0)
-		emit("exfer", name, "batched_cycles", float64(r.Batched), 0)
 	}
 	fmt.Println()
 	fi, err := bench.XferFI(256)
@@ -453,10 +238,6 @@ func xferSweep() {
 	}
 	fmt.Printf("file-intensive ratios at a %d-sector cache, features off -> on:\n", fi.CacheSectors)
 	fmt.Printf("  FI1 %.4f -> %.4f   FI2 %.4f -> %.4f\n", fi.OffFI1, fi.OnFI1, fi.OffFI2, fi.OnFI2)
-	emit("exfer", "fi1_cache256", "ratio_off", fi.OffFI1, 0)
-	emit("exfer", "fi1_cache256", "ratio_on", fi.OnFI1, 0)
-	emit("exfer", "fi2_cache256", "ratio_off", fi.OffFI2, 0)
-	emit("exfer", "fi2_cache256", "ratio_on", fi.OnFI2, 0)
 	fmt.Println()
 }
 
@@ -470,7 +251,6 @@ func extras() {
 	}
 	fmt.Printf("E5  name service:       X.500-style %d cycles/lookup vs simplified %d  (%.1fx)\n",
 		ns.FullCycles, ns.SimpleCycles, ns.Ratio)
-	emit("extras", "E5 name service", "ratio", ns.Ratio, 0)
 
 	obj, err := bench.Objects()
 	if err != nil {
@@ -478,7 +258,6 @@ func extras() {
 	}
 	fmt.Printf("E6  object systems:     fine-grained %d cycles/datagram vs MK++-style %d  (%.2fx, %d B class metadata)\n",
 		obj.FineCycles, obj.CoarseCycles, obj.Ratio, obj.MetadataBytes)
-	emit("extras", "E6 object systems", "ratio", obj.Ratio, 0)
 
 	mem, err := bench.MemFootprint()
 	if err != nil {
@@ -504,7 +283,6 @@ func extras() {
 	fmt.Printf("E9  driver models:      ")
 	for _, r := range drv {
 		fmt.Printf("[%s %d cycles/op] ", r.Model, r.Cycles)
-		emit("extras", "E9 "+r.Model, "cycles_per_op", float64(r.Cycles), 0)
 	}
 	fmt.Println()
 

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mvm"
-	"repro/internal/netsvc"
 )
 
 func main() {
@@ -45,7 +44,6 @@ func main() {
 	default:
 		cfg.Driver = core.DriverUser
 	}
-	cfg.ObjectMode = netsvc.FineGrained
 
 	s, err := core.Boot(cfg)
 	if err != nil {

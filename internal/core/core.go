@@ -60,11 +60,6 @@ type IOConfig struct {
 	// every file operation crosses to the block driver exactly as in the
 	// seed reproduction.
 	CacheSectors int
-	// CacheReadAhead is the sequential read-ahead window in sectors
-	// (0 = bcache default, negative disables read-ahead).
-	CacheReadAhead int
-	// CacheDirtyMax bounds the write-behind list (0 = bcache default).
-	CacheDirtyMax int
 	// ZeroCopy moves bulk payloads of at least a page on the file and
 	// driver protocols by shared-memory region descriptor — per-page map
 	// cost, zero per-byte copy cycles — instead of copied out-of-line
@@ -104,8 +99,6 @@ type Config struct {
 	ServerConfig
 	// Personalities to start: "os2", "posix", "mvm" (default all).
 	Personalities []string
-	// ObjectMode selects the networking framework style.
-	ObjectMode netsvc.Mode
 }
 
 // DefaultConfig returns the configuration of the paper's PowerPC machine.
@@ -115,7 +108,6 @@ func DefaultConfig() Config {
 		MemoryMB:      64,
 		IOConfig:      IOConfig{DiskSectors: 16384, Driver: DriverUser},
 		Personalities: []string{"os2", "posix", "mvm", "talos"},
-		ObjectMode:    netsvc.FineGrained,
 	}
 }
 
@@ -291,8 +283,6 @@ func Boot(cfg Config) (*System, error) {
 		s.Files.SetDevCache(func(dev vfs.BlockDev) vfs.CachedDev {
 			return bcache.New(s.Kernel.CPU, layout, dev, bcache.Config{
 				CapacitySectors: cfg.CacheSectors,
-				DirtyMax:        cfg.CacheDirtyMax,
-				ReadAhead:       cfg.CacheReadAhead,
 				HRM:             hrm,
 			})
 		})
@@ -326,7 +316,9 @@ func Boot(cfg Config) (*System, error) {
 	if err := s.Files.MountVolume("/jfs", jfs.New(), jdev); err != nil {
 		return nil, err
 	}
-	s.Net, err = netsvc.NewStack(s.Kernel.CPU, layout, s.NICs[0], "wpos", cfg.ObjectMode)
+	// The booted stack is always the fine-grained one; E6 and the
+	// multiserver example build the coarse stack directly.
+	s.Net, err = netsvc.NewStack(s.Kernel.CPU, layout, s.NICs[0], "wpos", netsvc.FineGrained)
 	if err != nil {
 		return nil, err
 	}
@@ -335,7 +327,7 @@ func Boot(cfg Config) (*System, error) {
 		return nil, err
 	}
 	log("shared services: file server (fat on %s driver, hpfs, jfs), networking (%v objects), registry",
-		cfg.Driver, cfg.ObjectMode)
+		cfg.Driver, netsvc.FineGrained)
 
 	// Bind the servers into the single rooted name tree.
 	bind := func(path string, task *mach.Task, attrs ...names.Attr) {

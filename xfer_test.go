@@ -35,6 +35,19 @@ func TestXferRegionZeroPerByte(t *testing.T) {
 	if regionSlope*10 >= copySlope {
 		t.Errorf("region slope %d cycles over 60 KiB is not <10%% of copy slope %d", regionSlope, copySlope)
 	}
+	// The crossover: below a page the per-page map cost dominates and
+	// copying wins; from a page up region transfer wins.  The exact pins
+	// below move with any cost-model change, this shape must not.
+	for _, size := range []int{32, 256} {
+		if cell[size].Copy >= cell[size].Region {
+			t.Errorf("copy does not beat region at %d B: %d vs %d cycles", size, cell[size].Copy, cell[size].Region)
+		}
+	}
+	for _, size := range []int{4096, 16384, 65536} {
+		if cell[size].Region >= cell[size].Copy {
+			t.Errorf("region does not beat copy at %d B: %d vs %d cycles", size, cell[size].Region, cell[size].Copy)
+		}
+	}
 	// Batching amortizes the fixed crossing cost: per-op cost of an
 	// 8-wide batch must be under half the one-call-per-op cost while the
 	// payload is small enough for the crossing to dominate.
