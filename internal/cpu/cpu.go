@@ -239,117 +239,97 @@ func (c Config) Validate() error {
 // cache is one set-associative cache with true-LRU replacement.  Tags are
 // full addresses; the simulated system uses a single physical address
 // space, so competing regions conflict exactly as physical caches do.
-// Set s occupies tags[s*Ways : (s+1)*Ways], and likewise in age.
+// Set s occupies tags[s*Ways : (s+1)*Ways], most recently used first —
+// Mattson's LRU stack, so the way a line hits in is its stack distance
+// and the last way is the victim.
 type cache struct {
 	cfg       CacheConfig
 	tags      []uint64 // 0 = invalid
-	age       []uint64 // last-use stamps
-	tick      uint64
-	lineShift uint   // log2(LineSize)
-	setMask   uint64 // Sets-1
+	lineShift uint     // log2(LineSize)
+	setMask   uint64   // Sets-1
 }
 
 // newCache builds a cold cache; cfg must pass Config.Validate.
 func newCache(cfg CacheConfig) *cache {
-	n := cfg.Sets * cfg.Ways
 	return &cache{
-		cfg: cfg, tags: make([]uint64, n), age: make([]uint64, n),
+		cfg: cfg, tags: make([]uint64, cfg.Sets*cfg.Ways),
 		lineShift: uint(bits.TrailingZeros64(cfg.LineSize)), setMask: uint64(cfg.Sets) - 1,
 	}
 }
 
-// access touches the line containing addr; it reports whether it hit.
-func (c *cache) access(addr uint64) bool {
-	line := addr >> c.lineShift
-	set := line & c.setMask
-	tag := line + 1 // +1 so a valid tag is never 0
-	c.tick++
-	lo, hi := int(set)*c.cfg.Ways, int(set+1)*c.cfg.Ways
-	tags, age := c.tags[lo:hi], c.age[lo:hi]
-	for w, t := range tags {
-		if t == tag {
-			age[w] = c.tick
-			return true
+// run touches the line at a and every LineSize step after it below end,
+// and returns how many missed.  A hit on the most recent way costs one
+// compare; any other hit, or a miss, moves the line to the front of its
+// set, and a miss drops the set's last way.
+func (c *cache) run(a, end uint64) (misses uint64) {
+	tags, ways, step := c.tags, c.cfg.Ways, c.cfg.LineSize
+	shift, mask := c.lineShift, c.setMask
+	for ; a < end; a += step {
+		line := a >> shift
+		tag := line + 1 // +1 so a valid tag is never 0
+		lo := int(line&mask) * ways
+		set := tags[lo : lo+ways]
+		if set[0] == tag {
+			continue
 		}
-	}
-	// Miss: fill the LRU way (the lowest-numbered one among equals).
-	victim := 0
-	for w := 1; w < len(age); w++ {
-		if age[w] < age[victim] {
-			victim = w
+		w := 1
+		for w < ways && set[w] != tag {
+			w++
 		}
+		if w == ways {
+			misses++
+			w--
+		}
+		for ; w > 0; w-- {
+			set[w] = set[w-1]
+		}
+		set[0] = tag
 	}
-	tags[victim] = tag
-	age[victim] = c.tick
-	return false
+	return misses
 }
 
 func (c *cache) flush() {
 	clear(c.tags)
-	clear(c.age)
 }
 
-// tlb is a fully-associative LRU TLB over pages: parallel slices of the
-// resident pages and their last-use stamps, scanned linearly (TLBEntries
-// at most) — and usually not at all, because consecutive code regions
-// and buffers mostly sit on the page the previous access left in last.
+// tlb is a fully-associative LRU TLB over pages, the resident pages held
+// most recently used first (TLBEntries at most).  A lookup is usually one
+// compare: consecutive code regions and buffers mostly sit on the page
+// the previous access left at the front.
 type tlb struct {
 	pageSize uint64
 	pages    []uint64 // cap = TLBEntries
-	stamps   []uint64
-	last     int // slot of the most recent access
-	tick     uint64
 }
 
 func newTLB(entries int, pageSize uint64) *tlb {
 	entries = max(entries, 1) // a TLB always holds the page it just walked
-	return &tlb{pageSize: pageSize, pages: make([]uint64, 0, entries), stamps: make([]uint64, 0, entries)}
+	return &tlb{pageSize: pageSize, pages: make([]uint64, 0, entries)}
 }
 
 // access touches the page containing addr; it reports whether it hit.
 func (t *tlb) access(addr uint64) bool {
 	page := addr / t.pageSize
-	t.tick++
-	if t.last < len(t.pages) && t.pages[t.last] == page {
-		t.stamps[t.last] = t.tick
-		return true
+	p := t.pages
+	i := 0
+	for i < len(p) && p[i] != page {
+		i++
 	}
-	for i, p := range t.pages {
-		if p == page {
-			t.stamps[i] = t.tick
-			t.last = i
-			return true
-		}
+	hit := i < len(p)
+	if !hit && i < cap(p) {
+		p = p[:i+1] // grow into a free slot
+		t.pages = p
+	} else if !hit {
+		i-- // drop the least recent page
 	}
-	if len(t.pages) < cap(t.pages) {
-		t.last = len(t.pages)
-		t.pages = append(t.pages, page)
-		t.stamps = append(t.stamps, t.tick)
-		return false
+	for ; i > 0; i-- {
+		p[i] = p[i-1]
 	}
-	// Full: evict the least recently used page (stamps are unique).
-	victim := 0
-	for i, stamp := range t.stamps {
-		if stamp < t.stamps[victim] {
-			victim = i
-		}
-	}
-	t.pages[victim], t.stamps[victim] = page, t.tick
-	t.last = victim
-	return false
-}
-
-// rehit accounts n further accesses to the page just accessed.
-func (t *tlb) rehit(n uint64) {
-	if n > 0 {
-		t.tick += n
-		t.stamps[t.last] = t.tick
-	}
+	p[0] = page
+	return hit
 }
 
 func (t *tlb) flush() {
 	t.pages = t.pages[:0]
-	t.stamps = t.stamps[:0]
 }
 
 // Engine is one simulated processor.  All methods are safe for concurrent
@@ -502,11 +482,12 @@ func (e *Engine) chargeInstr(n uint64) {
 }
 
 // touch runs every line of [addr, end) through the TLB and cache c,
-// charging each miss under kind (ProfIMiss or ProfDMiss) as it happens —
-// the one per-line loop behind Exec, Read, Write and Copy.  A page's
-// lines are taken as a run: the first is a real TLB lookup, the rest
-// would each hit the slot it left in last and are accounted in one step
-// (hits charge nothing, so the charge sequence is the per-line one).
+// charging each miss under kind (ProfIMiss or ProfDMiss) — the one
+// per-line loop behind Exec, Read, Write and Copy.  A page's lines are
+// taken as a run: the first is a real TLB lookup, the rest hit the page
+// it left at the front and need no lookup, and the cache returns the
+// run's miss count.  Hits charge nothing, so the charge sequence is the
+// per-line one: the run's TLB miss, then its line misses.
 func (e *Engine) touch(c *cache, kind ProfKind, addr, end uint64) {
 	line, page := c.cfg.LineSize, e.cfg.PageSize
 	misses := &e.ctr.DCacheMisses
@@ -515,24 +496,26 @@ func (e *Engine) touch(c *cache, kind ProfKind, addr, end uint64) {
 	}
 	for a := addr &^ (line - 1); a < end; {
 		if !e.tlb.access(a) {
-			e.chargeMiss(&e.ctr.TLBMisses, ProfTLB, e.cfg.TLBMissCycles, e.cfg.TLBMissBus)
+			e.chargeMiss(&e.ctr.TLBMisses, 1, ProfTLB, e.cfg.TLBMissCycles, e.cfg.TLBMissBus)
 		}
 		runEnd := min(end, (a/page+1)*page)
-		e.tlb.rehit((runEnd - a - 1) / line)
-		for ; a < runEnd; a += line {
-			if !c.access(a) {
-				e.chargeMiss(misses, kind, e.cfg.MissLatency, e.cfg.BusPerLine)
-			}
+		if n := c.run(a, runEnd); n > 0 {
+			e.chargeMiss(misses, n, kind, e.cfg.MissLatency, e.cfg.BusPerLine)
 		}
+		a += (runEnd - a + line - 1) &^ (line - 1) // the first line at or past runEnd
 	}
 }
 
-func (e *Engine) chargeMiss(n *uint64, kind ProfKind, cycles, bus uint64) {
-	*n++
-	e.ctr.Cycles += cycles
-	e.ctr.BusCycles += bus
+// chargeMiss adds n misses of cycles and bus each to the counter ctr and
+// the totals, and hands an attached sink one charge per miss.
+func (e *Engine) chargeMiss(ctr *uint64, n uint64, kind ProfKind, cycles, bus uint64) {
+	*ctr += n
+	e.ctr.Cycles += n * cycles
+	e.ctr.BusCycles += n * bus
 	if e.prof != nil {
-		e.prof.ProfCharge(e.slot, e.curRegion, kind, cycles, bus, 0)
+		for ; n > 0; n-- {
+			e.prof.ProfCharge(e.slot, e.curRegion, kind, cycles, bus, 0)
+		}
 	}
 }
 

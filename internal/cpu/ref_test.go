@@ -1,16 +1,23 @@
 package cpu
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
-// The map TLB and slice-of-slices cache the engine used before its
-// structures were flattened, kept verbatim as reference models: the flat
-// versions are an optimisation of the simulator, not a change to the
-// model, so they must produce the same hit/miss sequence access for
-// access — which is what keeps Tables 1 and 2 bit-identical.
+// The stamp-based map TLB and slice-of-slices cache the engine used
+// before its structures were flattened and put in recency order, kept
+// verbatim as reference models: the recency-ordered versions are an
+// optimisation of the simulator, not a change to the model, so they must
+// produce the same hit/miss sequence access for access — which is what
+// keeps Tables 1 and 2 bit-identical — and hold the same lines in the
+// same recency order.
+
+// access touches the line containing addr; it reports whether it hit.
+func (c *cache) access(addr uint64) bool { return c.run(addr, addr+1) == 0 }
 
 type refCache struct {
 	cfg  CacheConfig
@@ -101,6 +108,53 @@ func (t *refTLB) flush() {
 	}
 }
 
+// byRecency returns tags ordered by their stamps, most recent first, with
+// unstamped (invalid) entries last: the order the recency-ordered models
+// hold their lines in.
+func byRecency(tags, stamps []uint64) []uint64 {
+	idx := make([]int, len(tags))
+	for i := range idx {
+		idx[i] = i
+	}
+	slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(stamps[b], stamps[a]) })
+	out := make([]uint64, len(tags))
+	for i, j := range idx {
+		out[i] = tags[j]
+	}
+	return out
+}
+
+// resident is the reference TLB's pages, most recent first.
+func (t *refTLB) resident() []uint64 {
+	var pages, stamps []uint64
+	for p, stamp := range t.pages {
+		pages, stamps = append(pages, p), append(stamps, stamp)
+	}
+	return byRecency(pages, stamps)
+}
+
+// sameSets fails unless every set of got holds the reference's lines in
+// the reference's recency order.
+func sameSets(t *testing.T, what string, got *cache, ref *refCache) {
+	t.Helper()
+	w := got.cfg.Ways
+	for s := range ref.tags {
+		want, have := byRecency(ref.tags[s], ref.age[s]), got.tags[s*w:(s+1)*w]
+		if !slices.Equal(want, have) {
+			t.Fatalf("%s set %d: lines %#x, reference in recency order %#x", what, s, have, want)
+		}
+	}
+}
+
+// sameTLB fails unless got holds the reference's pages in its recency
+// order.
+func sameTLB(t *testing.T, what string, got *tlb, ref *refTLB) {
+	t.Helper()
+	if want := ref.resident(); !slices.Equal(want, got.pages) {
+		t.Fatalf("%s: pages %#x, reference in recency order %#x", what, got.pages, want)
+	}
+}
+
 // accessGen produces a seeded address stream mixing the patterns the
 // simulated system issues: runs of consecutive lines (region fetches,
 // copies), page-crossing strides, uniformly random touches over a range
@@ -156,20 +210,13 @@ func TestTLBMatchesReference(t *testing.T) {
 					a := gen.next()
 					want, have := ref.access(a), got.access(a)
 					if want != have {
-						t.Fatalf("access %d (addr %#x, %d flushes in): flat TLB hit=%v, reference hit=%v", i, a, flushes, have, want)
+						t.Fatalf("access %d (addr %#x, %d flushes in): TLB hit=%v, reference hit=%v", i, a, flushes, have, want)
 					}
 					if want {
 						hits++
 					}
 				}
-				if ref.tick != got.tick || len(ref.pages) != len(got.pages) {
-					t.Fatalf("final state: tick %d vs %d, resident %d vs %d", got.tick, ref.tick, len(got.pages), len(ref.pages))
-				}
-				for i, p := range got.pages {
-					if ref.pages[p] != got.stamps[i] {
-						t.Fatalf("page %#x: stamp %d, reference %d", p, got.stamps[i], ref.pages[p])
-					}
-				}
+				sameTLB(t, "final state", got, ref)
 				if hits == 0 || hits == diffAccesses {
 					t.Fatalf("degenerate stream: %d hits of %d", hits, diffAccesses)
 				}
@@ -183,6 +230,7 @@ func TestCacheMatchesReference(t *testing.T) {
 		Pentium133().ICache,
 		{Sets: 1, Ways: 8, LineSize: 32},   // fully associative
 		{Sets: 256, Ways: 1, LineSize: 16}, // direct mapped
+		{Sets: 64, Ways: 4, LineSize: 32},  // hits shift from mid-set
 	}
 	for ci, cfg := range cfgs {
 		for _, flushEvery := range []int{0, 20000} {
@@ -199,23 +247,13 @@ func TestCacheMatchesReference(t *testing.T) {
 					a := gen.next()
 					want, have := ref.access(a), got.access(a)
 					if want != have {
-						t.Fatalf("access %d (addr %#x): flat cache hit=%v, reference hit=%v", i, a, have, want)
+						t.Fatalf("access %d (addr %#x): cache hit=%v, reference hit=%v", i, a, have, want)
 					}
 					if want {
 						hits++
 					}
 				}
-				if ref.tick != got.tick {
-					t.Fatalf("tick %d, reference %d", got.tick, ref.tick)
-				}
-				for s := range ref.tags {
-					for w := range ref.tags[s] {
-						if ref.tags[s][w] != got.tags[s*cfg.Ways+w] || ref.age[s][w] != got.age[s*cfg.Ways+w] {
-							t.Fatalf("set %d way %d: tag/age %#x/%d, reference %#x/%d", s, w,
-								got.tags[s*cfg.Ways+w], got.age[s*cfg.Ways+w], ref.tags[s][w], ref.age[s][w])
-						}
-					}
-				}
+				sameSets(t, "final state", got, ref)
 				if hits == 0 || hits == diffAccesses {
 					t.Fatalf("degenerate stream: %d hits of %d", hits, diffAccesses)
 				}
@@ -224,76 +262,207 @@ func TestCacheMatchesReference(t *testing.T) {
 	}
 }
 
-// TestEngineMatchesReference drives whole engines — the flat structures
-// and the page-run loop behind Exec/Read/Write/Copy/SwitchAddressSpace —
-// against the reference models walked one line at a time, the way the
-// engine used to, and requires the same counters after every call.
-func TestEngineMatchesReference(t *testing.T) {
+// profCharge is one charge a ProfSink receives.
+type profCharge struct {
+	region             string
+	kind               ProfKind
+	cycles, bus, instr uint64
+}
+
+// recSink records every charge it is handed.
+type recSink struct{ got []profCharge }
+
+func (s *recSink) ProfCharge(_ int, region string, kind ProfKind, cycles, bus, instr uint64) {
+	s.got = append(s.got, profCharge{region, kind, cycles, bus, instr})
+}
+
+// refEngine is the engine as it used to be: the reference models walked
+// one line at a time, a TLB lookup per line, each miss charged as it
+// happens.  It keeps the counters and the charge sequence a ProfSink
+// would have received.
+type refEngine struct {
+	cfg     Config
+	ic, dc  *refCache
+	tl      *refTLB
+	asid    uint64
+	region  string
+	ctr     Counters
+	charges []profCharge
+}
+
+func newRefEngine(cfg Config) *refEngine {
+	return &refEngine{cfg: cfg, ic: newRefCache(cfg.ICache), dc: newRefCache(cfg.DCache),
+		tl: newRefTLB(cfg.TLBEntries, cfg.PageSize)}
+}
+
+func (r *refEngine) charge(kind ProfKind, cycles, bus, instr uint64) {
+	r.ctr.Cycles += cycles
+	r.ctr.BusCycles += bus
+	r.charges = append(r.charges, profCharge{r.region, kind, cycles, bus, instr})
+}
+
+func (r *refEngine) instr(n uint64) {
+	r.ctr.Instructions += n
+	r.ctr.cpiFrac += n * r.cfg.BaseCPI100
+	whole := r.ctr.cpiFrac / 100
+	r.ctr.cpiFrac %= 100
+	r.charge(ProfBase, whole, 0, n)
+}
+
+func (r *refEngine) lines(c *refCache, kind ProfKind, addr, end uint64) {
+	miss := &r.ctr.DCacheMisses
+	if kind == ProfIMiss {
+		miss = &r.ctr.ICacheMisses
+	}
+	for a := addr &^ (c.cfg.LineSize - 1); a < end; a += c.cfg.LineSize {
+		if !r.tl.access(a) {
+			r.ctr.TLBMisses++
+			r.charge(ProfTLB, r.cfg.TLBMissCycles, r.cfg.TLBMissBus, 0)
+		}
+		if !c.access(a) {
+			*miss++
+			r.charge(kind, r.cfg.MissLatency, r.cfg.BusPerLine, 0)
+		}
+	}
+}
+
+// mixedStream drives eng and ref through the same seeded mix of address
+// space switches, unaligned reads and writes, copies (including the empty
+// one) and region fetches, calling check after each call.
+func mixedStream(eng *Engine, ref *refEngine, seed uint64, calls int, check func(call, op int)) {
+	rng := rand.New(rand.NewPCG(seed, uint64(ref.cfg.TLBEntries)))
+	regions := []string{"alpha", "beta", "gamma"}
+	for i := 0; i < calls; i++ {
+		op := rng.IntN(8)
+		switch op {
+		case 0:
+			next := rng.Uint64N(4)
+			eng.SwitchAddressSpace(next)
+			if next != ref.asid {
+				ref.asid = next
+				ref.tl.flush()
+				ref.ctr.Switches++
+				ref.charge(ProfSwitch, ref.cfg.SwitchCycles, 0, 0)
+			}
+		case 1: // unaligned, up to a few pages
+			addr, size := rng.Uint64N(1<<22), 1+rng.Uint64N(9000)
+			eng.Read(addr, size)
+			ref.lines(ref.dc, ProfDMiss, addr, addr+size)
+		case 2:
+			addr, size := rng.Uint64N(1<<22), rng.Uint64N(70)
+			eng.Write(addr, size)
+			if size > 0 {
+				ref.lines(ref.dc, ProfDMiss, addr, addr+size)
+			}
+		case 3: // both streams, including the empty copy
+			src, dst, n := rng.Uint64N(1<<22), rng.Uint64N(1<<22), rng.Uint64N(6000)
+			eng.Copy(src, dst, n)
+			ref.instr(8 + n/4)
+			ref.lines(ref.dc, ProfDMiss, src, src+n)
+			ref.lines(ref.dc, ProfDMiss, dst, dst+n)
+		default:
+			r := Region{Name: regions[rng.IntN(len(regions))], Base: rng.Uint64N(1<<20) &^ 31, Size: 4 * (1 + rng.Uint64N(1200))}
+			r.Instr = r.Size / 4
+			eng.Exec(r)
+			ref.region = r.Name
+			ref.instr(r.Instr)
+			ref.lines(ref.ic, ProfIMiss, r.Base, r.Base+r.Size)
+		}
+		check(i, op)
+	}
+}
+
+// engineConfigs are the geometries the engine is checked on: the paper's
+// machine, and one with a two-entry TLB and a small D-cache so evictions
+// dominate.
+func engineConfigs() []Config {
 	small := Pentium133()
 	small.TLBEntries = 2
 	small.DCache.Sets = 32
-	for _, cfg := range []Config{Pentium133(), small} {
-		eng := NewEngine(cfg)
-		ic, dc, tl := newRefCache(cfg.ICache), newRefCache(cfg.DCache), newRefTLB(cfg.TLBEntries, cfg.PageSize)
-		var want Counters
-		lines := func(c *refCache, miss *uint64, addr, end uint64) {
-			for a := addr &^ 31; a < end; a += 32 {
-				if !tl.access(a) {
-					want.TLBMisses++
-				}
-				if !c.access(a) {
-					*miss++
-				}
+	return []Config{Pentium133(), small}
+}
+
+// TestEngineMatchesReference drives whole engines — the recency-ordered
+// structures and the page-run loop behind Exec/Read/Write/Copy/
+// SwitchAddressSpace — against the reference models walked one line at a
+// time, the way the engine used to, and requires the same counters after
+// every call and the same resident lines in the same order at the end.
+func TestEngineMatchesReference(t *testing.T) {
+	for _, cfg := range engineConfigs() {
+		eng, ref := NewEngine(cfg), newRefEngine(cfg)
+		mixedStream(eng, ref, 7, 60000, func(i, op int) {
+			if got, want := eng.Counters(), ref.ctr; got != want {
+				t.Fatalf("TLBEntries=%d, call %d (op %d): engine %v i$=%d d$=%d tlb=%d sw=%d, reference %v i$=%d d$=%d tlb=%d sw=%d",
+					cfg.TLBEntries, i, op, got, got.ICacheMisses, got.DCacheMisses, got.TLBMisses, got.Switches,
+					want, want.ICacheMisses, want.DCacheMisses, want.TLBMisses, want.Switches)
 			}
+		})
+		what := fmt.Sprintf("TLBEntries=%d", cfg.TLBEntries)
+		sameTLB(t, what+" TLB", eng.tlb, ref.tl)
+		sameSets(t, what+" I-cache", eng.icache, ref.ic)
+		sameSets(t, what+" D-cache", eng.dcache, ref.dc)
+	}
+}
+
+// TestProfSinkMatchesReference: a page run's misses are charged to the
+// counters at once, but an attached sink still receives one charge per
+// miss, in the per-line order — the run's TLB miss, then its line misses
+// — so every profile cell and charge count stays what it was.
+func TestProfSinkMatchesReference(t *testing.T) {
+	for _, cfg := range engineConfigs() {
+		eng, ref := NewEngine(cfg), newRefEngine(cfg)
+		sink := &recSink{}
+		eng.SetProfSink(sink)
+		var charges int
+		mixedStream(eng, ref, 11, 20000, func(i, op int) {
+			if !slices.Equal(sink.got, ref.charges) {
+				t.Fatalf("TLBEntries=%d, call %d (op %d): sink got %d charges %v,\nreference %d charges %v",
+					cfg.TLBEntries, i, op, len(sink.got), sink.got, len(ref.charges), ref.charges)
+			}
+			charges += len(sink.got)
+			sink.got, ref.charges = sink.got[:0], ref.charges[:0]
+		})
+		if charges == 0 {
+			t.Fatalf("TLBEntries=%d: no charges delivered", cfg.TLBEntries)
 		}
-		rng := rand.New(rand.NewPCG(7, uint64(cfg.TLBEntries)))
-		asid := uint64(0)
-		for i := 0; i < 60000; i++ {
-			op := rng.IntN(8)
-			switch op {
+	}
+}
+
+// BenchmarkTouch times the engine's inner loop — TLB lookup, cache sets,
+// miss charges — with no system booted around it: accessGen's seeded
+// stream taken through Exec, Read and Copy on one engine, reported per
+// line touched.  The loop is sensitive to code alignment, so compare runs
+// of it with benchstat rather than by eye.
+func BenchmarkTouch(b *testing.B) {
+	type call struct{ op, a, c, n uint64 }
+	gen := &accessGen{rng: rand.New(rand.NewPCG(1, 2))}
+	calls := make([]call, 4096)
+	var lines uint64
+	span := func(a, n uint64) uint64 { return (a+n-1)/32 - a/32 + 1 }
+	for i := range calls {
+		c := call{op: uint64(i % 3), a: gen.next(), c: gen.next(), n: 4 + gen.rng.Uint64N(2048)}
+		if c.op == 0 {
+			c.a &^= 31
+		}
+		lines += span(c.a, c.n)
+		if c.op == 2 {
+			lines += span(c.c, c.n)
+		}
+		calls[i] = c
+	}
+	eng := NewEngine(Pentium133())
+	b.ResetTimer()
+	for range b.N {
+		for _, c := range calls {
+			switch c.op {
 			case 0:
-				if next := rng.Uint64N(4); next != asid {
-					asid = next
-					tl.flush()
-					want.Switches++
-				}
-				eng.SwitchAddressSpace(asid)
-			case 1: // unaligned, up to a few pages
-				addr, size := rng.Uint64N(1<<22), 1+rng.Uint64N(9000)
-				eng.Read(addr, size)
-				lines(dc, &want.DCacheMisses, addr, addr+size)
-			case 2:
-				addr, size := rng.Uint64N(1<<22), rng.Uint64N(70)
-				eng.Write(addr, size)
-				if size > 0 {
-					lines(dc, &want.DCacheMisses, addr, addr+size)
-				}
-			case 3: // both streams, including the empty copy
-				src, dst, n := rng.Uint64N(1<<22), rng.Uint64N(1<<22), rng.Uint64N(6000)
-				eng.Copy(src, dst, n)
-				lines(dc, &want.DCacheMisses, src, src+n)
-				lines(dc, &want.DCacheMisses, dst, dst+n)
+				eng.Exec(Region{Name: "bench", Base: c.a, Size: c.n, Instr: c.n / 4})
+			case 1:
+				eng.Read(c.a, c.n)
 			default:
-				r := Region{Base: rng.Uint64N(1<<20) &^ 31, Size: 4 * (1 + rng.Uint64N(1200))}
-				r.Instr = r.Size / 4
-				eng.Exec(r)
-				lines(ic, &want.ICacheMisses, r.Base, r.Base+r.Size)
-			}
-			got := eng.Counters()
-			if got.ICacheMisses != want.ICacheMisses || got.DCacheMisses != want.DCacheMisses ||
-				got.TLBMisses != want.TLBMisses || got.Switches != want.Switches {
-				t.Fatalf("TLBEntries=%d, call %d (op %d): engine i$=%d d$=%d tlb=%d sw=%d, reference i$=%d d$=%d tlb=%d sw=%d",
-					cfg.TLBEntries, i, op, got.ICacheMisses, got.DCacheMisses, got.TLBMisses, got.Switches,
-					want.ICacheMisses, want.DCacheMisses, want.TLBMisses, want.Switches)
-			}
-		}
-		if eng.tlb.tick != tl.tick {
-			t.Fatalf("TLBEntries=%d: TLB tick %d, reference %d", cfg.TLBEntries, eng.tlb.tick, tl.tick)
-		}
-		for i, p := range eng.tlb.pages {
-			if tl.pages[p] != eng.tlb.stamps[i] {
-				t.Fatalf("TLBEntries=%d: page %#x stamp %d, reference %d", cfg.TLBEntries, p, eng.tlb.stamps[i], tl.pages[p])
+				eng.Copy(c.a, c.c, c.n)
 			}
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(lines*uint64(b.N)), "ns/line")
 }

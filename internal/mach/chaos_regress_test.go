@@ -364,3 +364,57 @@ func TestProcessorAssignEmptiesSetMidBurst(t *testing.T) {
 		return true
 	})
 }
+
+// A pool's busy gauge covers handler and reply — the serve span's segment
+// — so it must fall by the reply commit that releases the caller, not
+// after: a caller (or a watchdog polling right after boot) that has its
+// reply never finds the call still busy.  Each round boots a fresh kernel
+// and pool and reads the gauge the instant each call returns, for plain,
+// vectored and undeliverable replies.
+func TestPoolBusyFallsBeforeReply(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		k := newTestKernel()
+		st := kstat.Attach(k.CPU)
+		srv := k.NewTask("fsrv")
+		recv, err := srv.AllocatePort()
+		if err != nil {
+			t.Fatalf("AllocatePort: %v", err)
+		}
+		pool, err := srv.ServePool("work", recv, 2, func(m *Message) *Message {
+			if m.ID == 3 {
+				return &Message{Body: make([]byte, InlineMax+1)} // undeliverable
+			}
+			return &Message{ID: m.ID + 100}
+		})
+		if err != nil {
+			t.Fatalf("ServePool: %v", err)
+		}
+		client := k.NewTask("client")
+		send, _ := client.InsertRight(srv, recv, DispMakeSend)
+		th, _ := client.NewBoundThread("main")
+		busy := st.Gauge(pool.busyFam)
+		for i := 0; i < 10; i++ {
+			var err error
+			switch i % 3 {
+			case 0:
+				_, err = th.Call(send, &Message{ID: 1}, CallOpts{})
+			case 1:
+				_, err = th.CallV(send, []*Message{{ID: 1}, {ID: 2}}, CallOpts{})
+			default:
+				if _, err = th.Call(send, &Message{ID: 3}, CallOpts{}); errors.Is(err, ErrReplyFailed) {
+					err = nil
+				}
+			}
+			if err != nil {
+				t.Fatalf("round %d call %d: %v", round, i, err)
+			}
+			if v := busy.Value(); v != 0 {
+				t.Fatalf("round %d call %d: busy gauge reads %d after the caller has its reply", round, i, v)
+			}
+		}
+		client.Terminate()
+		srv.Terminate()
+		pool.Wait()
+		kstat.Detach(k.CPU)
+	}
+}

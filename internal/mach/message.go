@@ -193,9 +193,3 @@ func (m *Message) Payload() []byte {
 	}
 	return m.OOL
 }
-
-// Batch returns the sub-messages of a vectored carrier, or nil for a
-// plain message.  Serve and the pool worker loops demultiplex carriers
-// before the handler ever sees one; hand-rolled RPCReceive loops that
-// want vectored clients must do the same and answer with ReplyV.
-func (m *Message) Batch() []*Message { return m.batch }

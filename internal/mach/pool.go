@@ -142,12 +142,14 @@ func (p *ServerPool) worker(th *Thread, idx int, recv receiveFn, h func(PortName
 		// Worker occupancy: the busy gauge covers handler + reply, the
 		// same segment the EvRPCServe span attributes, so the monitor's
 		// pool occupancy and the trace calibration agree on what "busy"
-		// means.
+		// means.  The responder lowers it at the reply commit, before
+		// the caller is released, so a caller never sees its own call
+		// still busy.
 		ps := k.CPU.Planes()
 		st := kstat.From(ps)
-		st.Gauge(p.busyFam).Inc()
+		resp.busy = st.Gauge(p.busyFam)
+		resp.busy.Inc()
 		_ = l.dispatch(ps, resp, req, pn, h)
-		st.Gauge(p.busyFam).Dec()
 		st.Counter(p.opsFam).Inc()
 		p.ops[idx].Add(1)
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/kflight"
 	"repro/internal/klat"
+	"repro/internal/kstat"
 )
 
 // This file implements the reworked RPC path — the paper's central IPC
@@ -49,6 +50,11 @@ type Responder struct {
 	// carrier is the header ReplyV sends its sub-replies in.  It stays
 	// with the server: the caller receives the sub-replies alone.
 	carrier Message
+	// busy is the occupancy gauge of the pool whose worker received the
+	// request (nil outside a pool).  It falls at the reply commit, with
+	// the serve span, or wherever the exchange resolves without one —
+	// never after the caller has its reply.
+	busy *kstat.Gauge
 }
 
 // CallOpts parameterizes one Call.  The zero value means "plain
@@ -541,9 +547,16 @@ func (r *Responder) mismatch() error {
 	return ErrBatchMismatch
 }
 
+// idle lowers the pool's busy gauge, once.
+func (r *Responder) idle() {
+	r.busy.Dec()
+	r.busy = nil
+}
+
 // finish consumes the responder and ends the server burst.
 func (r *Responder) finish() {
 	r.done = true
+	r.idle()
 	if r.release != nil {
 		r.release()
 		r.release = nil
@@ -564,6 +577,7 @@ func (r *Responder) deliver(reply *Message) error {
 		reply = cloneForDelivery(reply)
 	}
 	if err := reply.sendable(); err != nil {
+		r.idle()
 		r.ex.fail(ErrReplyFailed)
 		return err
 	}
@@ -573,6 +587,7 @@ func (r *Responder) deliver(reply *Message) error {
 	k.chargeTransfer(reply, r.srv.task.asid, callerAS)
 	if len(reply.Rights) > 0 {
 		if err := r.srv.task.loadRights(reply); err != nil {
+			r.idle()
 			r.ex.fail(ErrReplyFailed)
 			return err
 		}
@@ -602,12 +617,14 @@ func (r *Responder) deliver(reply *Message) error {
 				r.srv.schedPoolWait.Load(), r.srv.schedCPUWait.Load())
 		}
 		// Reply commit: the reply is committed and the burst released —
-		// service ends here and so does the serve span, before the reply
-		// wakes the client, so the client's resume can never land inside
-		// it whatever the host runs first.  Only the committed branch
-		// stamps: an abandoned exchange's call was closed by the client
-		// and must not be written further.
+		// service ends here and so do the serve span and the pool's busy
+		// gauge, before the reply wakes the client, so the client's
+		// resume can never land inside them whatever the host runs
+		// first.  Only the committed branch stamps: an abandoned
+		// exchange's call was closed by the client and must not be
+		// written further.
 		r.ex.request.rec.Stamp(cpu.PhaseServed, "", 0)
+		r.idle()
 		out := rpcOutcome{m: reply, vt: r.srv.vt.Load()}
 		if reply.batch != nil {
 			out = rpcOutcome{batch: reply.batch, vt: out.vt}

@@ -15,7 +15,6 @@ import (
 	"errors"
 
 	"repro/internal/mach"
-	"repro/internal/netsvc"
 	"repro/internal/objsys"
 	"repro/internal/vfs"
 	"repro/internal/vm"
@@ -210,31 +209,4 @@ func (p *TPen) Rect(x, y, w, h int, color byte) error {
 	}
 	p.surface.Fill(x, y, w, h, color)
 	return nil
-}
-
-// TStreamOverNet sends a record stream over the networking framework —
-// CommonPoint's "access to communications".
-type TStreamOverNet struct {
-	app *App
-	obj *objsys.Object
-	ep  *netsvc.Endpoint
-	dst string
-	prt uint16
-}
-
-// NewNetStream binds the framework to an endpoint.
-func (a *App) NewNetStream(ep *netsvc.Endpoint, dstAddr string, dstPort uint16) (*TStreamOverNet, error) {
-	obj, err := a.srv.h.New("TDataStream")
-	if err != nil {
-		return nil, err
-	}
-	return &TStreamOverNet{app: a, obj: obj, ep: ep, dst: dstAddr, prt: dstPort}, nil
-}
-
-// SendRecord marshals one record through the chain and transmits it.
-func (t *TStreamOverNet) SendRecord(rec []byte) error {
-	if err := t.app.srv.h.InvokeChain(t.obj, t.app.srv.streamChain); err != nil {
-		return err
-	}
-	return t.ep.SendTo(t.dst, t.prt, rec)
 }

@@ -87,6 +87,15 @@ run go test -race -timeout 300s ./internal/cpu/... ./internal/kstat/... ./intern
 # mid-handler.  Rare interleavings, so many runs.
 run go test -race -count=50 -timeout 300s -run 'TestExchange|TestReusedRequestIsRoot' ./internal/mach/
 
+# A pool's busy gauge falls at the reply commit, before the caller is
+# released: read the instant each call returns, over many boots.
+run go test -race -count=50 -timeout 300s -run 'TestPoolBusyFallsBeforeReply' ./internal/mach/
+
+# The cost model's inner loop (TLB, cache sets, miss charges) with no
+# boot around it, run once so the benchmark cannot rot; compare runs of
+# it with benchstat.
+run go test -run '^$' -bench Touch -benchtime 1x -timeout 120s ./internal/cpu
+
 # Chaos short soak under the race detector: one seed, all six fault kinds,
 # full invariant oracle.  Kept -short so the race-instrumented run stays in
 # CI budget; a failure prints the -chaos.seed flags for deterministic replay.
