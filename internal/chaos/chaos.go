@@ -2,7 +2,7 @@
 // full Figure-1 system (pooled servers, buffer cache, SMP engines), drives
 // mixed traffic through the OS/2, POSIX and MVM personalities plus a raw
 // RPC client concurrently, and injects mid-stream faults — pool-thread
-// death and restart, port destruction during rendezvous, device outages
+// death and restart, port destruction under waiting callers, device outages
 // and heal cycles, buffer-cache flush failures, processor_assign
 // repartitioning, and monitor/profiler query storms — while checking that
 // the system stays live, loses no acknowledged write, conserves its kstat

@@ -79,7 +79,7 @@ func (e *echoService) currentPool() *mach.ServerPool {
 }
 
 // destroyPort deallocates the receive right out from under the pool and
-// any in-flight rendezvous.
+// any caller waiting for one of its slots.
 func (e *echoService) destroyPort() error {
 	e.mu.Lock()
 	recv := e.recv

@@ -20,20 +20,17 @@ import (
 type WaitKind string
 
 // Wait kinds.  The send-side kinds are *dependency* edges (the waiter
-// needs the port's owner to act); the receive-side kinds are server
-// threads parked waiting for work — shown in dumps as worker states, but
-// never part of a deadlock cycle.
+// needs the port's owner to act); the receive-side kind is a classic
+// receiver parked waiting for work — shown in dumps as a worker state,
+// but never part of a deadlock cycle.  Reworked-RPC servers are passive
+// (a caller runs the handler), so no server thread parks for work.
 const (
-	// WaitRendezvous: an RPC client blocked handing its exchange to a
-	// server thread (no server is receiving).
+	// WaitRendezvous: an RPC client blocked waiting for a free slot of
+	// the port's server.
 	WaitRendezvous WaitKind = "rendezvous"
-	// WaitReply: an RPC client blocked for its reply (a server thread
-	// holds the exchange).
+	// WaitReply: an RPC client whose call holds a slot, waiting for its
+	// handler's reply.
 	WaitReply WaitKind = "reply"
-	// WaitReceive: a server thread blocked in RPCReceive for work.
-	WaitReceive WaitKind = "receive"
-	// WaitSetReceive: a server thread blocked receiving on a port set.
-	WaitSetReceive WaitKind = "set-receive"
 	// WaitQueueSend: a classic mach_msg sender blocked on a full queue.
 	WaitQueueSend WaitKind = "queue-send"
 	// WaitQueueRecv: a classic mach_msg receiver blocked on an empty

@@ -7,12 +7,12 @@
 // It has three parts:
 //
 //   - A per-engine bounded ring of the last K observation records (RPC
-//     calls and outcomes, pickups by server threads, scheduler
+//     calls and outcomes, pickups by server slots, scheduler
 //     dispatches, cache traffic, VM faults): the same cpu.Ring and the
 //     same cpu.Event the trace keeps, always on and small.
 //   - The wait-for graph: internal/mach registers what every blocked
-//     thread waits on (port rendezvous, reply exchange, pool receive,
-//     queued IPC) and kflight materializes the edges and runs cycle
+//     thread waits on (a server slot, a handler's reply, queued IPC)
+//     and kflight materializes the edges and runs cycle
 //     detection, so a deadlock comes out as a named thread→port→thread
 //     cycle instead of "no progress".
 //   - A stall watchdog (watchdog.go) that compares kstat progress

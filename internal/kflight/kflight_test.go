@@ -119,8 +119,8 @@ func TestFindCyclesTwoTask(t *testing.T) {
 	edges := []WaitEdge{
 		edge("ping", 1, WaitReply, 20, "pong", 2),
 		edge("pong", 2, WaitRendezvous, 10, "ping", 1),
-		// Parked workers never join cycles.
-		edge("idle", 3, WaitReceive, 30, "idle", 3),
+		// Parked receivers never join cycles.
+		edge("idle", 3, WaitQueueRecv, 30, "idle", 3),
 	}
 	cycles := FindCycles(edges)
 	if len(cycles) != 1 {
@@ -151,8 +151,7 @@ func TestFindCyclesNoFalsePositives(t *testing.T) {
 	edges := []WaitEdge{
 		edge("a", 1, WaitReply, 20, "b", 2),
 		edge("b", 2, WaitRendezvous, 30, "c", 3),
-		edge("c", 3, WaitReceive, 31, "c", 3),
-		edge("d", 4, WaitSetReceive, 40, "d", 4),
+		edge("c", 3, WaitQueueRecv, 31, "c", 3),
 	}
 	if cycles := FindCycles(edges); len(cycles) != 0 {
 		t.Fatalf("acyclic graph reported cycles: %v", cycles)

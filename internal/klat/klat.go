@@ -8,12 +8,12 @@
 //
 // Every stamp reads the machine-wide cycle counter (on SMP, the Complex
 // router's sum across engines).  That clock is monotonic under the
-// happens-before edges the RPC path already establishes (program order
-// on each side, channel hand-offs at the rendezvous and the reply), so
-// the five stamps of a hop always telescope:
+// happens-before edges the RPC path already establishes (a call runs
+// its server side on its own goroutine, after taking a free server slot
+// from a channel), so the five stamps of a hop always telescope:
 //
 //	P0 client entry   ─┐ Send    = P1-P0  (client stub, copy, charge)
-//	P1 rendezvous     ─┤ Queue   = P2-P1  (waiting for a server thread)
+//	P1 slot wait      ─┤ Queue   = P2-P1  (waiting for a server slot)
 //	P2 server pickup  ─┤ Service = P3-P2  (receive path + handler + reply)
 //	P3 reply commit   ─┤ Resume  = P4-P3  (client resume, AS switch back)
 //	P4 client return  ─┘ E2E     = P4-P0  = Send+Queue+Service+Resume
@@ -85,8 +85,8 @@ func Of(rec *cpu.Span) *Hop {
 // Stamp indices of a hop, in causal order.
 const (
 	pEntry  = iota // P0: client entry (Begin)
-	pSend          // P1: send burst done, entering the rendezvous
-	pRecv          // P2: a server thread picked the exchange up
+	pSend          // P1: send burst done, entering the slot wait
+	pRecv          // P2: the call took a server slot
 	pServed        // P3: reply committed (service end)
 	pReturn        // P4: client back in user mode
 	numStamps

@@ -52,9 +52,8 @@ func newCrossingRig(t *testing.T, k *mach.Kernel, ports int, serve func(srv *mac
 }
 
 // TestCrossingAllocs pins the host allocation budget of one RPC crossing:
-// the per-call state lives in the calling thread's exchange and in the
-// serve loop, so a null Call allocates nothing between Call and Reply on
-// any serve shape; a region Call allocates nothing in mach; a vectored
+// the per-call state lives in the calling thread and in the server slot
+// the call takes, so a null Call allocates nothing on any serve shape; a region Call allocates nothing in mach; a vectored
 // call allocates only the reply slice CallV returns.  On a default boot
 // the two allocations left are the observation record of the call and
 // its latency hop.  Every handler here returns a reply built once, so
@@ -161,7 +160,7 @@ func TestCrossingAllocs(t *testing.T) {
 			r := newCrossingRig(t, c.kernel(t), c.ports, c.serve)
 			// Warm up past every amortized growth: the flight ring fills
 			// (512 records per engine), the latency families mint their
-			// exemplar reservoirs, the exchange and wait records exist.
+			// exemplar reservoirs.
 			for i := 0; i < 1000; i++ {
 				c.op(t, r)
 			}

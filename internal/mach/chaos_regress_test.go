@@ -31,7 +31,7 @@ func settle(t *testing.T, what string, cond func() bool) {
 }
 
 // Satellite 1: destroying a pool's receive right while a handler is still
-// running must tear the pool down cleanly — every worker exits (Wait
+// running must tear the pool down cleanly — every slot dies (Wait
 // returns), the in-flight handler's reply is still delivered, the busy
 // gauge returns to zero, and the pool-occupancy workers gauge drains to
 // zero rather than showing phantom workers forever.
@@ -57,7 +57,7 @@ func TestPoolTeardownOnPortDestroyMidHandler(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ServePool: %v", err)
 	}
-	// Each worker increments the gauge from its own thread as it starts.
+	// Each slot raises the gauge as it is created.
 	settle(t, "workers gauge at start", func() bool {
 		return st.Gauge(pool.WorkersGauge()).Value() == 3
 	})
@@ -75,15 +75,15 @@ func TestPoolTeardownOnPortDestroyMidHandler(t *testing.T) {
 		}
 		slowDone <- err
 	}()
-	<-entered // the slow handler is mid-flight on one worker
+	<-entered // the slow handler is mid-flight on one slot
 
 	if err := srv.DeallocatePort(recv); err != nil {
 		t.Fatalf("DeallocatePort: %v", err)
 	}
 	close(release) // let the in-flight handler finish against a dead port
 
-	// The in-flight exchange was already handed to the worker; its reply
-	// must still reach the caller (cooperative termination contract).
+	// The in-flight call already holds its slot; its reply must still
+	// reach the caller (cooperative termination contract).
 	select {
 	case err := <-slowDone:
 		if err != nil {
@@ -93,13 +93,13 @@ func TestPoolTeardownOnPortDestroyMidHandler(t *testing.T) {
 		t.Fatal("in-flight caller still blocked after port destroy")
 	}
 
-	// Every worker must exit its receive loop, not hang.
+	// Every slot must die with the port.
 	waited := make(chan struct{})
 	go func() { pool.Wait(); close(waited) }()
 	select {
 	case <-waited:
 	case <-time.After(2 * time.Second):
-		t.Fatal("pool workers did not exit after port destroy")
+		t.Fatal("pool slots did not die with the port")
 	}
 	if n := pool.LiveWorkers(); n != 0 {
 		t.Fatalf("LiveWorkers after teardown = %d, want 0", n)
@@ -158,7 +158,7 @@ func TestPoolKillRespawnWorkerEdges(t *testing.T) {
 	if pool.KillWorker(7) {
 		t.Fatal("KillWorker out of range returned true")
 	}
-	call() // the surviving worker still serves
+	call() // the surviving slot still serves
 
 	if err := pool.RespawnWorker(1); !errors.Is(err, ErrThreadRunning) {
 		t.Fatalf("RespawnWorker on live slot: err = %v, want ErrThreadRunning", err)
@@ -176,11 +176,9 @@ func TestPoolKillRespawnWorkerEdges(t *testing.T) {
 	call()
 }
 
-// Forwarder-stall regression: a caller that abandons a port-set rendezvous
-// (timeout with no receiver) must release the forwarder — the set's
-// pending gauge drains to zero and a receiver attached afterwards serves
-// fresh calls rather than finding the member port wedged on a dead
-// exchange.
+// A caller that times out waiting for a slot of a port set nothing
+// serves yet leaves no trace: the set's pending gauge drains to zero and
+// a pool registered afterwards serves fresh calls to the member port.
 func TestPortSetAbandonedCallerReleasesForwarder(t *testing.T) {
 	k := newTestKernel()
 	st := kstat.Attach(k.CPU)
@@ -201,8 +199,7 @@ func TestPortSetAbandonedCallerReleasesForwarder(t *testing.T) {
 	send, _ := client.InsertRight(srv, member, DispMakeSend)
 	th, _ := client.NewBoundThread("main")
 
-	// No receiver on the set yet: the call times out and is abandoned
-	// while the forwarder holds the exchange.
+	// No pool on the set yet: the call times out waiting for one.
 	if _, err := th.Call(send, &Message{ID: 1}, CallOpts{Timeout: 30 * time.Millisecond}); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
@@ -222,9 +219,8 @@ func TestPortSetAbandonedCallerReleasesForwarder(t *testing.T) {
 	}
 }
 
-// Destroying a port set while a caller is parked in a member's forwarded
-// rendezvous must fail the caller with ErrDeadPort in bounded time — the
-// forwarder may never strand the exchange.
+// Destroying a port set while a caller of a member port waits for one of
+// the set's slots must fail the caller with ErrDeadPort in bounded time.
 func TestPortSetDestroyUnblocksForwardedCaller(t *testing.T) {
 	k := newTestKernel()
 	st := kstat.Attach(k.CPU)
@@ -245,8 +241,8 @@ func TestPortSetDestroyUnblocksForwardedCaller(t *testing.T) {
 		_, err := th.Call(send, &Message{ID: 1}, CallOpts{})
 		done <- err
 	}()
-	// Wait until the forwarder actually holds the caller's exchange.
-	settle(t, "forwarder pickup", func() bool { return st.Gauge(ps.pendFam).Value() == 1 })
+	// Wait until the caller is counted waiting on the set.
+	settle(t, "caller waiting", func() bool { return st.Gauge(ps.pendFam).Value() == 1 })
 
 	ps.Destroy()
 	select {

@@ -2,7 +2,7 @@ package mach
 
 import (
 	"errors"
-	"sync/atomic"
+	"fmt"
 	"testing"
 	"time"
 
@@ -10,9 +10,10 @@ import (
 	"repro/internal/ktrace"
 )
 
-// The exchange-reuse lifecycle: a thread's calls share one exchange, an
-// abandoned one is never reused, and nothing a caller keeps changes under
-// its later calls.  scripts/check.sh runs these under -race -count=50.
+// The call lifecycle around a passive server's slots: the deadline bounds
+// only the wait for a slot, a call that has a slot always completes, and
+// nothing a caller keeps changes under its later calls.
+// scripts/check.sh runs these under -race -count=50.
 
 // exchangeClient returns a client thread with a send right to recv.
 func exchangeClient(t *testing.T, k *Kernel, srv *Task, recv PortName) (*Thread, PortName) {
@@ -32,7 +33,7 @@ func exchangeClient(t *testing.T, k *Kernel, srv *Task, recv PortName) (*Thread,
 
 // A reply kept across 100 later calls is unchanged, and so is the request
 // it answered — even when the handler answers with the request header it
-// was given, which lives in the caller's exchange.
+// was given, which lives in the server's slot.
 func TestExchangeReplyKeptAcrossCalls(t *testing.T) {
 	k := newTestKernel()
 	srv, recv := startServer(t, k, func(m *Message) *Message {
@@ -61,32 +62,56 @@ func TestExchangeReplyKeptAcrossCalls(t *testing.T) {
 	}
 }
 
-// heldTimeout is the deadline of a call whose handler holds it: long
-// enough that an idle server takes the request well before it fires, so
-// the deadline expires after the hand-off.  Each test checks that it did.
-const heldTimeout = 100 * time.Millisecond
+// slotTimeout is the deadline of a call that finds every slot busy.
+const slotTimeout = 20 * time.Millisecond
 
-// timeoutThenReuse drives one call past its deadline while the handler
-// still holds it, then calls again on the same thread at once while the
-// late reply is released: the new call gets only its own reply, on an
-// exchange other than the abandoned one, and so does the call after it.
-func timeoutThenReuse(t *testing.T, th *Thread, send PortName, entered, hold chan struct{}) {
+// holdAbove is a handler that holds every request with an ID of at least
+// 1000, signalling entered as it takes one, until hold is closed.
+func holdAbove(entered chan<- struct{}, hold <-chan struct{}) func(PortName, *Message) *Message {
+	return func(_ PortName, m *Message) *Message {
+		if m.ID >= 1000 {
+			entered <- struct{}{}
+			<-hold
+		}
+		return &Message{ID: m.ID + 1}
+	}
+}
+
+// timeoutWhileBusy fills all n slots of the server on recv with held
+// calls, each from a thread of its own, then times out one call on th
+// while they hold: the deadline fires in the wait for a slot and the
+// handler never sees that call.  Released, each held call gets its own
+// reply, and th's next calls get theirs.
+func timeoutWhileBusy(t *testing.T, k *Kernel, srv *Task, recv PortName, n int, entered chan struct{}, hold chan struct{}) {
 	t.Helper()
+	th, send := exchangeClient(t, k, srv, recv)
 	if _, err := th.Call(send, &Message{ID: 100}, CallOpts{}); err != nil {
 		t.Fatal(err)
 	}
-	abandoned := th.ex.Load()
-	if _, err := th.Call(send, &Message{ID: 1}, CallOpts{Timeout: heldTimeout}); !errors.Is(err, ErrTimeout) {
+	held := make(chan error, n)
+	for i := 0; i < n; i++ {
+		hth, hsend := exchangeClient(t, k, srv, recv)
+		id := MsgID(1000 + i)
+		go func() {
+			reply, err := hth.Call(hsend, &Message{ID: id}, CallOpts{})
+			if err == nil && reply.ID != id+1 {
+				err = fmt.Errorf("held call %d got reply %d", id, reply.ID)
+			}
+			held <- err
+		}()
+	}
+	for i := 0; i < n; i++ {
+		<-entered
+	}
+	if _, err := th.Call(send, &Message{ID: 1}, CallOpts{Timeout: slotTimeout}); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
-	select {
-	case <-entered:
-	default:
-		// The call never reached the handler: only the rendezvous timeout
-		// ran, and there is no late reply to race.
-		t.Fatal("the call timed out before the handler took it")
+	close(hold)
+	for i := 0; i < n; i++ {
+		if err := <-held; err != nil {
+			t.Fatal(err)
+		}
 	}
-	close(hold) // the late reply races the next call
 	for _, id := range []MsgID{40, 50} {
 		reply, err := th.Call(send, &Message{ID: id}, CallOpts{Timeout: 5 * time.Second})
 		if err != nil {
@@ -95,21 +120,6 @@ func timeoutThenReuse(t *testing.T, th *Thread, send PortName, entered, hold cha
 		if reply.ID != id+1 {
 			t.Fatalf("call %d got reply %d: another call's", id, reply.ID)
 		}
-		if th.ex.Load() == abandoned {
-			t.Fatal("the abandoned exchange was reused")
-		}
-	}
-}
-
-// holdFirst is a handler that closes entered when it takes request 1 and
-// holds it until hold is closed.
-func holdFirst(entered, hold chan struct{}) Handler {
-	return func(m *Message) *Message {
-		if m.ID == 1 {
-			close(entered)
-			<-hold
-		}
-		return &Message{ID: m.ID + 1}
 	}
 }
 
@@ -119,14 +129,14 @@ func TestExchangeTimeoutThenReuse(t *testing.T) {
 	t.Cleanup(srv.Terminate)
 	recv, _ := srv.AllocatePort()
 	entered, hold := make(chan struct{}), make(chan struct{})
-	if _, err := srv.ServePool("pool", recv, 2, holdFirst(entered, hold)); err != nil {
+	h := holdAbove(entered, hold)
+	if _, err := srv.ServePool("pool", recv, 2, func(m *Message) *Message { return h(recv, m) }); err != nil {
 		t.Fatal(err)
 	}
-	th, send := exchangeClient(t, k, srv, recv)
-	timeoutThenReuse(t, th, send, entered, hold)
+	timeoutWhileBusy(t, k, srv, recv, 2, entered, hold)
 }
 
-// The same through a port set, where a forwarder relays the exchange.
+// The same through a port set, whose member ports share the set's slots.
 func TestExchangeTimeoutThenReuseThroughSet(t *testing.T) {
 	k := newTestKernel()
 	srv := k.NewTask("server")
@@ -140,80 +150,62 @@ func TestExchangeTimeoutThenReuseThroughSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	entered, hold := make(chan struct{}), make(chan struct{})
-	h := holdFirst(entered, hold)
-	if _, err := srv.ServeSetPool("set", ps, 2, func(_ PortName, m *Message) *Message { return h(m) }); err != nil {
+	if _, err := srv.ServeSetPool("set", ps, 2, holdAbove(entered, hold)); err != nil {
 		t.Fatal(err)
 	}
-	th, send := exchangeClient(t, k, srv, recv)
-	timeoutThenReuse(t, th, send, entered, hold)
+	timeoutWhileBusy(t, k, srv, recv, 2, entered, hold)
 }
 
-// A pool worker killed mid-handler, while its caller waits for the reply,
-// leaves no caller hung, and the caller's next call, served by the
-// respawned worker, succeeds on a fresh exchange while the killed worker's
-// handler is still running.
-//
-// The error path is the caller's own deadline.  KillWorker does not
-// resolve the exchange its worker holds: the handler runs on and its reply
-// stays deliverable (see KillWorker), so what unblocks the caller is
-// ErrTimeout from the reply wait, and the late reply is later discarded.
+// A pool slot killed mid-handler leaves no caller hung: its handler runs
+// on and its caller gets the reply, but the slot is not freed again, so a
+// second caller times out waiting for one — until RespawnWorker makes a
+// fresh slot, which serves the next call while the killed slot's handler
+// is still running.
 func TestExchangeKilledWorkerThenReuse(t *testing.T) {
 	k := newTestKernel()
 	srv := k.NewTask("server")
 	t.Cleanup(srv.Terminate)
 	recv, _ := srv.AllocatePort()
 	entered, hold := make(chan struct{}), make(chan struct{})
-	pool, err := srv.ServePool("pool", recv, 1, func(m *Message) *Message {
-		if m.ID == 1 {
-			close(entered)
-			<-hold
-		}
-		return &Message{ID: m.ID + 1}
-	})
+	h := holdAbove(entered, hold)
+	pool, err := srv.ServePool("pool", recv, 1, func(m *Message) *Message { return h(recv, m) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	th, send := exchangeClient(t, k, srv, recv)
-	if _, err := th.Call(send, &Message{ID: 100}, CallOpts{}); err != nil {
-		t.Fatal(err)
-	}
-	abandoned := th.ex.Load()
-
-	// The killer reports whether it killed the worker before the call
-	// returned: returned is set only once the call is back.
-	var returned atomic.Bool
-	killed := make(chan bool, 1)
+	hth, hsend := exchangeClient(t, k, srv, recv)
+	held := make(chan error, 1)
 	go func() {
-		<-entered
-		ok := pool.KillWorker(0)
-		killed <- ok && !returned.Load()
+		reply, err := hth.Call(hsend, &Message{ID: 1000}, CallOpts{})
+		if err == nil && reply.ID != 1001 {
+			err = fmt.Errorf("killed slot's call got reply %d", reply.ID)
+		}
+		held <- err
 	}()
-	_, err = th.Call(send, &Message{ID: 1}, CallOpts{Timeout: heldTimeout})
-	returned.Store(true)
-	if !errors.Is(err, ErrTimeout) {
+	<-entered
+	if !pool.KillWorker(0) {
+		t.Fatal("the slot was not killed mid-handler")
+	}
+
+	th, send := exchangeClient(t, k, srv, recv)
+	if _, err := th.Call(send, &Message{ID: 1}, CallOpts{Timeout: slotTimeout}); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
-	}
-	select {
-	case <-entered:
-	default:
-		t.Fatal("the call timed out before the handler took it")
-	}
-	if !<-killed {
-		t.Fatal("the worker was not killed mid-handler while its caller waited")
 	}
 	if err := pool.RespawnWorker(0); err != nil {
 		t.Fatal(err)
 	}
 	reply, err := th.Call(send, &Message{ID: 40}, CallOpts{Timeout: 5 * time.Second})
 	if err != nil || reply.ID != 41 {
-		t.Fatalf("call after the kill: reply %v, err %v", reply, err)
+		t.Fatalf("call after the respawn: reply %v, err %v", reply, err)
 	}
-	if th.ex.Load() == abandoned {
-		t.Fatal("the abandoned exchange was reused")
+	close(hold)
+	if err := <-held; err != nil {
+		t.Fatal(err)
 	}
-	close(hold) // the killed worker's late reply is discarded
 	if reply, err := th.Call(send, &Message{ID: 50}, CallOpts{Timeout: 5 * time.Second}); err != nil || reply.ID != 51 {
-		t.Fatalf("call after the late reply: reply %v, err %v", reply, err)
+		t.Fatalf("call after the killed slot's reply: reply %v, err %v", reply, err)
+	}
+	if n := pool.LiveWorkers(); n != 1 {
+		t.Fatalf("LiveWorkers = %d, want 1", n)
 	}
 }
 

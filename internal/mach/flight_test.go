@@ -11,11 +11,10 @@ import (
 
 // TestCallerWaitsForReplyInHandler: by the time a handler runs, the
 // thread that called it is registered as waiting for the reply — not
-// still at the rendezvous — on both receive paths (a pool on one port
+// still waiting for a slot — on both serve shapes (a pool on one port
 // and a pool on a port set).  A handler that dumps the wait-for graph
 // (the monitor's flight view) sees its own client blocked on it.  Four
-// clients make the hand-off contended, so a receiver that left the move
-// to the caller would lose the race here.
+// clients on two slots make the slot wait contended.
 func TestCallerWaitsForReplyInHandler(t *testing.T) {
 	for _, set := range []bool{false, true} {
 		name := "receive"

@@ -101,7 +101,7 @@ func (th *Thread) MachMsgSend(dest PortName, msg *Message, opts MsgOption) error
 		}
 		// A full-queue block is a real dependency edge: the sender waits
 		// on the receiver draining the queue.
-		th.setWait(kflight.WaitQueueSend, port, nil, uint32(msg.ID))
+		th.setWait(kflight.WaitQueueSend, port, uint32(msg.ID))
 		port.notFull.Wait()
 		th.clearWait()
 	}
@@ -155,7 +155,7 @@ func (th *Thread) MachMsgReceive(recvName PortName, opts MsgOption) (*Message, e
 			k.rti()
 			return nil, ErrTimeout
 		}
-		th.setWait(kflight.WaitQueueRecv, port, nil, 0)
+		th.setWait(kflight.WaitQueueRecv, port, 0)
 		aborted := waitOrAbort(port, th)
 		th.clearWait()
 		if aborted {

@@ -114,33 +114,35 @@ func TestRPCOOLDelivered(t *testing.T) {
 	}
 }
 
+// TestRPCCarriesSendRight: a right carried in a request lands in the
+// server's space under a name of its own, and the handler can call
+// through it — here back into a port the client serves, a call nested in
+// the handler that runs on the client's own goroutine.
 func TestRPCCarriesSendRight(t *testing.T) {
 	k := newTestKernel()
-	// The server receives a right in the request and uses it to RPC back
-	// into a second port owned by the client.
 	client := k.NewTask("client")
+	defer client.Terminate()
 	clientRecv, _ := client.AllocatePort()
-	done := make(chan string, 1)
-	go func() {
-		th, _ := client.NewBoundThread("backserver")
-		req, resp, err := th.RPCReceive(clientRecv)
-		if err != nil {
-			done <- err.Error()
-			return
-		}
-		body := string(req.Body) // the request is valid until the reply
-		resp.Reply(&Message{Body: []byte("pong")})
-		done <- body
-	}()
+	if _, err := client.Spawn("backserver", func(th *Thread) {
+		th.Serve(clientRecv, func(m *Message) *Message { return &Message{Body: []byte("pong")} })
+	}); err != nil {
+		t.Fatal(err)
+	}
 
+	var srvTh *Thread
 	srv, recv := startServer(t, k, func(m *Message) *Message {
 		if len(m.Rights) != 1 || m.Rights[0].Name == NullName {
 			return &Message{Body: []byte("no right")}
 		}
 		// Use the carried right from the server task's own thread.
-		return &Message{Body: []byte("ok:" + m.Rights[0].Disposition.str())}
+		back, err := srvTh.Call(m.Rights[0].Name, &Message{Body: []byte("ping")}, CallOpts{})
+		if err != nil {
+			return &Message{Body: []byte(err.Error())}
+		}
+		return &Message{Body: []byte("ok:" + m.Rights[0].Disposition.str() + ":" + string(back.Body))}
 	})
 	defer srv.Terminate()
+	srvTh, _ = srv.NewBoundThread("caller")
 
 	sendName, _ := client.InsertRight(srv, recv, DispMakeSend)
 	th, _ := client.NewBoundThread("main")
@@ -150,14 +152,12 @@ func TestRPCCarriesSendRight(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RPC: %v", err)
 	}
-	if string(reply.Body) != "ok:make-send" {
+	if string(reply.Body) != "ok:make-send:pong" {
 		t.Fatalf("reply = %q", reply.Body)
 	}
-	// Now exercise the transferred right: find it in the server's space.
 	if srv.PortCount() < 2 {
 		t.Fatal("server should have gained a right")
 	}
-	_ = done
 }
 
 func (d PortDisposition) str() string {
@@ -573,7 +573,8 @@ func TestConcurrentRPCClients(t *testing.T) {
 		return &Message{ID: m.ID}
 	})
 	defer srv.Terminate()
-	// Several extra server threads so clients do not serialize.
+	// A port has one server: extra Serve loops on it are refused
+	// (ErrRightExists), and the clients share its one slot.
 	for i := 0; i < 3; i++ {
 		srv.Spawn("loop", func(th *Thread) {
 			th.Serve(recv, func(m *Message) *Message { return &Message{ID: m.ID} })

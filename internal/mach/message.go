@@ -148,7 +148,7 @@ type Message struct {
 
 	// batch marks this message as a vectored carrier: one crossing
 	// transporting these sub-requests (or sub-replies).  Built by CallV
-	// and Responder.ReplyV; never set directly.
+	// and by a vectored request's reply; never set directly.
 	batch []*Message
 
 	// rec is the request's identity: the record of the call (or classic

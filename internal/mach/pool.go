@@ -8,163 +8,179 @@ import (
 	"repro/internal/kstat"
 )
 
-// Server pools: N threads draining one receive right (or one port set)
-// concurrently.  This is the multi-threaded form of the rework's
-// "optimized and simplified ... server loops": the port's synchronous
-// rendezvous already admits any number of waiting receivers, so a pool is
-// simply N threads blocked in RPCReceive on the same right, and a client
-// hands its exchange to whichever one the scheduler picks.  Nothing is
-// queued; with all workers busy, callers block in the rendezvous exactly
-// as they would against a single-threaded server.
+// Server pools: N slots serving one receive right (or one port set).
+// Servers are passive: a slot is a server thread with no goroutine of its
+// own.  A caller takes a free slot and runs the server side of its
+// crossing — receive path, handler, reply — on its own goroutine, under
+// the slot's thread identity (Ford & Lepreau's migrating threads; a
+// passive protection domain in seL4 MCS).  Nothing is queued: with every
+// slot busy, callers block for a free one, exactly as they would against
+// a single-threaded server.
 //
 // Handler concurrency contract: a handler given to ServePool or
-// ServeSetPool with n > 1 runs on up to n threads at once and MUST
+// ServeSetPool with n > 1 runs on up to n goroutines at once and MUST
 // synchronize any access to server state shared across requests.  Message
-// bodies are private to each exchange and need no locking.  Each server
+// bodies are private to each call and need no locking.  Each server
 // documents its own contract at its handler.
 
-// ServerPool is a set of server threads draining a shared receive right.
+// ServerPool is a set of server slots serving a shared receive right.
 type ServerPool struct {
-	task *Task
-	name string
-	ops  []atomic.Uint64
-
-	// recv and handler are retained so a dead worker can be respawned on
-	// the same receive right (RespawnWorker).
-	recv    receiveFn
+	task    *Task
+	name    string
 	handler func(PortName, *Message) *Message
 
+	// idle holds the free slots.  Its capacity is twice the slot count:
+	// besides one live slot per index it may hold, per index, the one
+	// killed slot still there or on its way back, which takers drop and
+	// RespawnWorker purges.
+	idle chan *slot
+
 	// vtp is the pool's virtual capacity on multi-engine kernels: its
-	// workers' bursts serialize on these interchangeable server slots
-	// (one per thread unless capped by LimitVirtualServers) rather than
-	// on each worker's own clock.
+	// slots' bursts serialize on these interchangeable virtual servers
+	// (one per slot unless capped by LimitVirtualServers) rather than on
+	// each slot's own clock.
 	vtp *vtPool
 
-	// kstat family names, precomputed so the worker loop does no string
-	// concatenation per request.
+	// ops and the kstat family names exist only for ServePool and
+	// ServeSetPool; a Thread.Serve registration has neither.
+	ops                         []atomic.Uint64
 	busyFam, opsFam, workersFam string
 
 	mu      sync.Mutex
-	threads []*Thread // slot i holds worker i's current thread
-	spawned int       // monotonic name counter across respawns
+	slots   []*slot // slot i's current thread, nil for Thread.Serve
+	spawned int     // monotonic name counter across respawns
 }
 
-// receiveFn blocks one worker until a request arrives, returning the
-// member port name for set-based pools (the receive right's own name for
-// single-port pools).
-type receiveFn func(*Thread) (*Message, *Responder, PortName, error)
+// slot is one server thread of a pool, and what a call through it
+// borrows: the thread's identity, the frame its serve spans carry, and
+// the request header the handler is given.
+type slot struct {
+	th    *Thread
+	idx   int
+	frame string // serve:<task>[/<thread>]
 
-// ServePool starts n threads serving the named receive right with h.
-// n < 1 is treated as 1.  Workers exit when the port is destroyed or the
-// task terminates.
+	// req is the delivered request header, copied in by value when the
+	// call takes the slot: the handler's *Message points here, which is
+	// why a request is valid until its reply and no longer.
+	req Message
+	// replies gathers a vectored request's sub-replies, and carrier is
+	// the header they travel back in.
+	replies []*Message
+	carrier Message
+}
+
+// ServePool registers n slots serving the named receive right with h.
+// n < 1 is treated as 1.  The slots die with the port or the task.
 func (t *Task) ServePool(name string, recv PortName, n int, h Handler) (*ServerPool, error) {
-	return t.servePool(name, n, func(th *Thread) (*Message, *Responder, PortName, error) {
-		req, resp, err := th.RPCReceive(recv)
-		return req, resp, recv, err
-	}, func(_ PortName, m *Message) *Message { return h(m) })
-}
-
-// ServeSetPool starts n threads serving a port set with h — the one way a
-// set is served; h also receives the member port's name.  This is the
-// paper-faithful shape of the file server's port-per-open-file design:
-// many object ports, a fixed pool of threads, no thread per port.
-func (t *Task) ServeSetPool(name string, ps *PortSet, n int, h func(port PortName, req *Message) *Message) (*ServerPool, error) {
-	return t.servePool(name, n, func(th *Thread) (*Message, *Responder, PortName, error) {
-		return th.receiveSet(ps)
-	}, h)
-}
-
-func (t *Task) servePool(name string, n int, recv receiveFn, h func(PortName, *Message) *Message) (*ServerPool, error) {
-	if n < 1 {
-		n = 1
+	port, _, err := t.portFor(recv, RightReceive)
+	if err != nil {
+		return nil, err
 	}
+	if port.receiverTask() != t {
+		return nil, ErrNotReceiver
+	}
+	return t.servePool(name, n, func(_ PortName, m *Message) *Message { return h(m) },
+		func(p *ServerPool) error { return port.serve(p, recv) })
+}
+
+// ServeSetPool registers n slots serving a port set with h — the one way
+// a set is served; h also receives the member port's name.  This is the
+// paper-faithful shape of the file server's port-per-open-file design:
+// many object ports, a fixed pool of slots, no thread per port.
+func (t *Task) ServeSetPool(name string, ps *PortSet, n int, h func(port PortName, req *Message) *Message) (*ServerPool, error) {
+	if ps.task != t {
+		return nil, ErrNotReceiver
+	}
+	return t.servePool(name, n, h, ps.serve)
+}
+
+func (t *Task) servePool(name string, n int, h func(PortName, *Message) *Message, register func(*ServerPool) error) (*ServerPool, error) {
+	n = max(n, 1)
 	p := &ServerPool{
-		task: t, name: name, recv: recv, handler: h,
-		ops: make([]atomic.Uint64, n), threads: make([]*Thread, n), vtp: newVTPool(n),
+		task: t, name: name, handler: h, idle: make(chan *slot, 2*n),
+		ops: make([]atomic.Uint64, n), slots: make([]*slot, n), vtp: newVTPool(n),
 	}
 	fam := "mach.pool." + t.name + "/" + name
 	p.busyFam, p.opsFam, p.workersFam = fam+".busy", fam+".ops", fam+".workers"
-	// Touch the gauge so the family exists even before the first
-	// worker starts; spawnWorker maintains the live count.
+	// Touch the gauge so the family exists even before the first slot;
+	// spawnSlot maintains the live count.
 	kstat.For(t.kernel.CPU).Gauge(p.workersFam).Add(0)
 	for i := 0; i < n; i++ {
-		if err := p.spawnWorker(i); err != nil {
+		if err := p.spawnSlot(i); err != nil {
 			p.Stop()
 			return nil, err
 		}
 	}
+	if err := register(p); err != nil {
+		p.Stop()
+		return nil, err
+	}
 	return p, nil
 }
 
-// spawnWorker starts (or restarts) worker slot idx.  The pool-occupancy
-// workers gauge counts live workers: incremented when a worker starts and
-// decremented when its loop exits for any reason — dead port, terminated
-// thread, task shutdown — so the monitor never shows phantom workers
-// after a pool dies.
-func (p *ServerPool) spawnWorker(idx int) error {
+// spawnSlot creates (or recreates) slot idx through the charged
+// thread_create path and frees it.  The workers gauge counts live slots:
+// raised here, lowered when the slot's thread dies for any reason —
+// kill, stop, dead port, task shutdown — so the monitor never shows
+// phantom workers.
+func (p *ServerPool) spawnSlot(idx int) error {
 	p.mu.Lock()
 	seq := p.spawned
 	p.spawned++
 	p.mu.Unlock()
-	k := p.task.kernel
-	th, err := p.task.Spawn(fmt.Sprintf("%s/%d", p.name, seq), func(th *Thread) {
-		th.poolVT = p.vtp
-		workers := kstat.For(k.CPU).Gauge(p.workersFam)
-		workers.Inc()
-		defer workers.Dec()
-		p.worker(th, idx, p.recv, p.handler)
-	})
+	workers := kstat.For(p.task.kernel.CPU).Gauge(p.workersFam)
+	workers.Inc()
+	th, err := p.task.create(fmt.Sprintf("%s/%d", p.name, seq), workers.Dec)
 	if err != nil {
+		workers.Dec()
 		return err
 	}
+	th.poolVT = p.vtp
+	s := &slot{th: th, idx: idx, frame: "serve:" + p.task.name + "/" + th.name}
 	p.mu.Lock()
-	p.threads[idx] = th
+	p.slots[idx] = s
 	p.mu.Unlock()
+	// Drop the killed slots still waiting to be taken, so that killing
+	// and respawning without traffic never fills idle.
+	for range len(p.idle) {
+		select {
+		case old := <-p.idle:
+			p.free(old)
+		default:
+		}
+	}
+	p.idle <- s
 	return nil
 }
 
-// worker is one pool thread's loop.  Its frame is per-thread
-// (serve:<task>/<worker>), so a trace attributes the full server-side
-// segment of each RPC — handler AND reply delivery — to the worker that
-// ran it.  A failed reply delivery (oversized or bad-rights reply)
-// poisons neither the worker nor the port: the client was already
-// unblocked with ErrReplyFailed, so the worker just takes the next
-// request.  Only a receive failure (dead port, terminated thread) ends the
-// worker.
-func (p *ServerPool) worker(th *Thread, idx int, recv receiveFn, h func(PortName, *Message) *Message) {
-	k := th.task.kernel
-	l := serveLoop{th: th, frame: "serve:" + th.task.name + "/" + th.name}
-	for {
-		req, resp, pn, err := recv(th)
-		if err != nil {
-			return
-		}
-		// Worker occupancy: the busy gauge covers handler + reply, the
-		// same segment the EvRPCServe span attributes, so the monitor's
-		// pool occupancy and the trace calibration agree on what "busy"
-		// means.  The responder lowers it at the reply commit, before
-		// the caller is released, so a caller never sees its own call
-		// still busy.
-		ps := k.CPU.Planes()
-		st := kstat.From(ps)
-		resp.busy = st.Gauge(p.busyFam)
-		resp.busy.Inc()
-		_ = l.dispatch(ps, resp, req, pn, h)
-		st.Counter(p.opsFam).Inc()
-		p.ops[idx].Add(1)
+// free returns a slot after its call; a killed slot is not returned.
+func (p *ServerPool) free(s *slot) {
+	if !s.th.Dead() {
+		p.idle <- s
 	}
 }
 
-// Size reports the number of worker slots.
+// retire kills every slot of a pool whose port or set died; nil-safe.
+// A handler already running completes and its reply is delivered.
+func (p *ServerPool) retire() {
+	if p == nil {
+		return
+	}
+	for _, th := range p.snapshot() {
+		th.terminate()
+	}
+}
+
+// Size reports the number of slots.
 func (p *ServerPool) Size() int { return len(p.ops) }
 
 // WorkersGauge reports the kstat gauge family that tracks this pool's
-// live worker count, so external health checks (the chaos harness) can
+// live slot count, so external health checks (the chaos harness) can
 // compare the published gauge against LiveWorkers.
 func (p *ServerPool) WorkersGauge() string { return p.workersFam }
 
 // LimitVirtualServers caps the pool's virtual capacity at n servers on
-// multi-engine kernels, regardless of thread count.  A pool fronting one
+// multi-engine kernels, regardless of slot count.  A pool fronting one
 // physical resource uses this to keep the resource serial in modeled
 // time — the block driver caps at 1 because its bursts are dominated by
 // device time and there is only one disk arm.  Call at boot, before the
@@ -180,7 +196,7 @@ func (p *ServerPool) Ops() uint64 {
 	return sum
 }
 
-// WorkerOps reports per-worker completion counts, for checking that load
+// WorkerOps reports per-slot completion counts, for checking that load
 // actually spreads across the pool.
 func (p *ServerPool) WorkerOps() []uint64 {
 	out := make([]uint64, len(p.ops))
@@ -190,45 +206,50 @@ func (p *ServerPool) WorkerOps() []uint64 {
 	return out
 }
 
-// Stop terminates all workers (thread_terminate on each).
+// Stop terminates every slot (thread_terminate on each).
 func (p *ServerPool) Stop() {
 	for _, th := range p.snapshot() {
 		th.Terminate()
 	}
 }
 
-// Wait blocks until every worker has exited.
+// Wait blocks until every slot's thread has died.
 func (p *ServerPool) Wait() {
 	for _, th := range p.snapshot() {
 		<-th.Done()
 	}
 }
 
-// snapshot returns the current worker threads (nil slots skipped).
+// snapshot returns the current slot threads.
 func (p *ServerPool) snapshot() []*Thread {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]*Thread, 0, len(p.threads))
-	for _, th := range p.threads {
-		if th != nil {
-			out = append(out, th)
+	out := make([]*Thread, 0, len(p.slots))
+	for _, s := range p.slots {
+		if s != nil {
+			out = append(out, s.th)
 		}
 	}
 	return out
 }
 
-// KillWorker terminates worker slot i mid-flight (thread_terminate on its
-// current thread), simulating a crashed pool thread.  A handler already
-// running completes and its reply is still delivered; the worker exits at
-// its next blocking point.  Returns false when i is out of range or the
-// slot's thread is already dead.
-func (p *ServerPool) KillWorker(i int) bool {
+// slotThread returns slot i's current thread, nil when i is out of range.
+func (p *ServerPool) slotThread(i int) *Thread {
 	p.mu.Lock()
-	var th *Thread
-	if i >= 0 && i < len(p.threads) {
-		th = p.threads[i]
+	defer p.mu.Unlock()
+	if i < 0 || i >= len(p.slots) || p.slots[i] == nil {
+		return nil
 	}
-	p.mu.Unlock()
+	return p.slots[i].th
+}
+
+// KillWorker terminates slot i (thread_terminate on its thread),
+// simulating a crashed pool thread.  A handler already running on the
+// slot completes and its reply is still delivered, but the slot is not
+// freed again.  Returns false when i is out of range or the slot's thread
+// is already dead.
+func (p *ServerPool) KillWorker(i int) bool {
+	th := p.slotThread(i)
 	if th == nil || th.Dead() {
 		return false
 	}
@@ -236,24 +257,20 @@ func (p *ServerPool) KillWorker(i int) bool {
 	return true
 }
 
-// RespawnWorker restarts a dead worker slot with a fresh thread on the
-// same receive right — the pool's crash-recovery path.  It fails if the
-// slot's thread is still alive or the task has terminated.
+// RespawnWorker recreates a dead slot with a fresh thread — the pool's
+// crash-recovery path.  It fails if the slot's thread is still alive or
+// the task has terminated.
 func (p *ServerPool) RespawnWorker(i int) error {
-	p.mu.Lock()
-	if i < 0 || i >= len(p.threads) {
-		p.mu.Unlock()
+	if i < 0 || i >= len(p.slots) {
 		return ErrInvalidThread
 	}
-	if th := p.threads[i]; th != nil && !th.Dead() {
-		p.mu.Unlock()
+	if th := p.slotThread(i); th != nil && !th.Dead() {
 		return ErrThreadRunning
 	}
-	p.mu.Unlock()
-	return p.spawnWorker(i)
+	return p.spawnSlot(i)
 }
 
-// LiveWorkers counts worker slots whose thread is currently alive.
+// LiveWorkers counts slots whose thread is currently alive.
 func (p *ServerPool) LiveWorkers() int {
 	n := 0
 	for _, th := range p.snapshot() {

@@ -10,23 +10,23 @@ import (
 
 // --- RPC lifecycle edges -----------------------------------------------------
 
-// A timeout that fires while the server is still running the handler must
-// abandon the exchange: the client returns ErrTimeout, the late reply is
-// discarded rather than resurrecting the call, and — the bug this guards
-// against — no leaked goroutine keeps charging the cost model.  The next
-// RPC on the same port must get its own fresh reply, not the stale one.
+// A deadline bounds only the wait for a slot.  With the one slot of a
+// Serve server held by another thread's call, a timed call fails with
+// ErrTimeout and never reaches the handler; the held call, whose handler
+// had started, still completes with its own reply, and the next call on
+// the timed-out thread gets its own fresh one.
 func TestTimeoutDuringServerProcessing(t *testing.T) {
 	k := newTestKernel()
-	release := make(chan struct{})
-	var calls int
+	entered, release := make(chan struct{}), make(chan struct{})
 	var mu sync.Mutex
+	var seen []MsgID
 	srv, recv := startServer(t, k, func(m *Message) *Message {
 		mu.Lock()
-		calls++
-		n := calls
+		seen = append(seen, m.ID)
 		mu.Unlock()
-		if n == 1 {
-			<-release // hold the first request past the client's deadline
+		if m.ID == 1 {
+			close(entered)
+			<-release // hold the slot past the other client's deadline
 		}
 		return &Message{ID: m.ID + 1}
 	})
@@ -35,12 +35,25 @@ func TestTimeoutDuringServerProcessing(t *testing.T) {
 	client := k.NewTask("client")
 	defer client.Terminate()
 	sendName, _ := client.InsertRight(srv, recv, DispMakeSend)
+	holder, _ := client.NewBoundThread("holder")
 	th, _ := client.NewBoundThread("main")
 
-	if _, err := th.Call(sendName, &Message{ID: 1}, CallOpts{Timeout: 20 * time.Millisecond}); !errors.Is(err, ErrTimeout) {
+	held := make(chan *Message, 1)
+	go func() {
+		reply, err := holder.Call(sendName, &Message{ID: 1}, CallOpts{})
+		if err != nil {
+			t.Error(err)
+		}
+		held <- reply
+	}()
+	<-entered
+	if _, err := th.Call(sendName, &Message{ID: 20}, CallOpts{Timeout: 20 * time.Millisecond}); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
-	close(release) // server finishes; its reply must be discarded
+	close(release)
+	if reply := <-held; reply == nil || reply.ID != 2 {
+		t.Fatalf("held call got %v, want reply 2", reply)
+	}
 
 	reply, err := th.Call(sendName, &Message{ID: 40}, CallOpts{})
 	if err != nil {
@@ -49,11 +62,16 @@ func TestTimeoutDuringServerProcessing(t *testing.T) {
 	if reply.ID != 41 {
 		t.Fatalf("follow-up got stale reply: ID=%d, want 41", reply.ID)
 	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(seen) != 2 || seen[0] != 1 || seen[1] != 40 {
+		t.Fatalf("handler saw %v, want [1 40]: the timed-out call must not run", seen)
+	}
 }
 
-// Destroying a port must unblock a client parked in the rendezvous with
-// ErrDeadPort, not strand it forever (no server thread will ever take the
-// exchange from a dead port).
+// Destroying a port must unblock a client waiting for a slot with
+// ErrDeadPort, not strand it forever (nothing will ever serve a dead
+// port).
 func TestPortDestroyUnblocksRendezvous(t *testing.T) {
 	k := newTestKernel()
 	srv := k.NewTask("server")
@@ -68,7 +86,7 @@ func TestPortDestroyUnblocksRendezvous(t *testing.T) {
 		_, err := th.Call(sendName, &Message{ID: 7}, CallOpts{})
 		done <- err
 	}()
-	time.Sleep(10 * time.Millisecond) // let the client reach the rendezvous
+	time.Sleep(10 * time.Millisecond) // let the client reach the slot wait
 	if err := srv.DeallocatePort(recv); err != nil {
 		t.Fatalf("DeallocatePort: %v", err)
 	}
@@ -82,73 +100,46 @@ func TestPortDestroyUnblocksRendezvous(t *testing.T) {
 	}
 }
 
-// A reply the server cannot deliver must still resolve the exchange: the
-// client unblocks with ErrReplyFailed (not a hang), the server sees the
-// underlying error, and the server loop keeps serving.
+// A reply the kernel cannot deliver fails the call, not the server: the
+// client gets ErrReplyFailed wrapping the cause (a right the server never
+// held, an oversized body), and the same server answers the next
+// well-formed request.
 func TestReplyRightsFailureUnblocksClient(t *testing.T) {
 	k := newTestKernel()
-	srv := k.NewTask("server")
-	defer srv.Terminate()
-	recv, _ := srv.AllocatePort()
-
-	replyErrs := make(chan error, 4)
-	_, err := srv.Spawn("loop", func(th *Thread) {
-		for {
-			req, resp, err := th.RPCReceive(recv)
-			if err != nil {
-				return
-			}
-			var reply *Message
-			switch req.ID {
-			case 1: // carry a right under a name the server never held
-				reply = &Message{Rights: []PortRight{{Name: PortName(99999), Disposition: DispCopySend}}}
-			case 2: // oversized inline body
-				reply = &Message{Body: make([]byte, InlineMax+1)}
-			default:
-				reply = &Message{ID: req.ID + 1}
-			}
-			replyErrs <- resp.Reply(reply)
+	srv, recv := startServer(t, k, func(req *Message) *Message {
+		switch req.ID {
+		case 1: // carry a right under a name the server never held
+			return &Message{Rights: []PortRight{{Name: PortName(99999), Disposition: DispCopySend}}}
+		case 2: // oversized inline body
+			return &Message{Body: make([]byte, InlineMax+1)}
 		}
+		return &Message{ID: req.ID + 1}
 	})
-	if err != nil {
-		t.Fatalf("Spawn: %v", err)
-	}
+	defer srv.Terminate()
 
 	client := k.NewTask("client")
 	defer client.Terminate()
 	sendName, _ := client.InsertRight(srv, recv, DispMakeSend)
 	th, _ := client.NewBoundThread("main")
 
-	for id, wantSrv := range map[MsgID]error{1: ErrInvalidName, 2: ErrMsgTooLarge} {
-		callDone := make(chan error, 1)
-		go func() {
-			_, err := th.Call(sendName, &Message{ID: id}, CallOpts{})
-			callDone <- err
-		}()
-		select {
-		case err := <-callDone:
-			if !errors.Is(err, ErrReplyFailed) {
-				t.Fatalf("ID %d: client err = %v, want ErrReplyFailed", id, err)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatalf("ID %d: client deadlocked on failed reply", id)
-		}
-		if err := <-replyErrs; !errors.Is(err, wantSrv) {
-			t.Fatalf("ID %d: server Reply err = %v, want %v", id, err, wantSrv)
+	for id, cause := range map[MsgID]error{1: ErrInvalidName, 2: ErrMsgTooLarge} {
+		_, err := th.Call(sendName, &Message{ID: id}, CallOpts{})
+		if !errors.Is(err, ErrReplyFailed) || !errors.Is(err, cause) {
+			t.Fatalf("ID %d: client err = %v, want ErrReplyFailed from %v", id, err, cause)
 		}
 	}
 
-	// The same server loop must still answer a well-formed request.
+	// The same server must still answer a well-formed request.
 	reply, err := th.Call(sendName, &Message{ID: 10}, CallOpts{})
 	if err != nil || reply.ID != 11 {
-		t.Fatalf("server loop dead after failed replies: reply=%v err=%v", reply, err)
+		t.Fatalf("server dead after failed replies: reply=%v err=%v", reply, err)
 	}
 }
 
 // --- server pools ------------------------------------------------------------
 
-// A pool of N threads on one receive right must drain concurrent clients,
-// spread work across more than one worker, and answer every request
+// A pool of N slots on one receive right must serve concurrent clients,
+// spread work across more than one slot, and answer every request
 // correctly (run under -race via scripts/check.sh).
 func TestServePoolConcurrentClients(t *testing.T) {
 	k := newTestKernel()
@@ -207,7 +198,7 @@ func TestServePoolConcurrentClients(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := settledOps(pool, clients*opsEach); got != clients*opsEach {
+	if got := pool.Ops(); got != clients*opsEach {
 		t.Fatalf("pool.Ops = %d, want %d", got, clients*opsEach)
 	}
 	mu.Lock()
@@ -223,7 +214,7 @@ func TestServePoolConcurrentClients(t *testing.T) {
 		}
 	}
 	if busy < 2 {
-		t.Errorf("only %d of 4 workers did any work; pool is not spreading load", busy)
+		t.Errorf("only %d of 4 slots did any work; pool is not spreading load", busy)
 	}
 
 	// Destroying the port retires the whole pool.
@@ -235,7 +226,7 @@ func TestServePoolConcurrentClients(t *testing.T) {
 	select {
 	case <-waited:
 	case <-time.After(2 * time.Second):
-		t.Fatal("pool workers did not exit after port destruction")
+		t.Fatal("pool slots did not die with the port")
 	}
 }
 
@@ -303,17 +294,7 @@ func TestServeSetPool(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if got := settledOps(pool, members*10); got != members*10 {
+	if got := pool.Ops(); got != members*10 {
 		t.Fatalf("pool.Ops = %d, want %d", got, members*10)
 	}
-}
-
-// settledOps reads pool.Ops once the workers have caught up to want: a
-// worker counts an op after its reply has already woken the client, so
-// the last few may still be in flight when the clients are done.
-func settledOps(pool *ServerPool, want uint64) uint64 {
-	for deadline := time.Now().Add(time.Second); pool.Ops() < want && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-	}
-	return pool.Ops()
 }

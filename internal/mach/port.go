@@ -1,11 +1,6 @@
 package mach
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/kflight"
-)
+import "sync"
 
 // PortName is a task-local name for a port right.  As in Mach, names are
 // internal capabilities: they have meaning only within one task's port
@@ -42,10 +37,10 @@ func (r RightType) String() string {
 	}
 }
 
-// Port is a kernel message queue / RPC rendezvous object.  In the queued
-// (classic mach_msg) mode, messages are enqueued up to a limit; in RPC mode
-// the port is a synchronous meeting point between a sender and a blocked
-// server thread, with no queuing at all — one of the paper's key changes.
+// Port is a kernel message queue / RPC object.  In the queued (classic
+// mach_msg) mode, messages are enqueued up to a limit; in RPC mode the
+// port names the passive server that runs its calls, with no queuing at
+// all — one of the paper's key changes.
 type Port struct {
 	id uint64
 
@@ -58,101 +53,20 @@ type Port struct {
 	notEmpty *sync.Cond // receivers wait here (queued IPC)
 	notFull  *sync.Cond // senders wait here (queued IPC)
 
-	// rpc is the synchronous rendezvous channel for the reworked RPC
-	// path: unbuffered, so a sender blocks until a server thread is
-	// actually waiting in RPCReceive — "blocked threads waiting to send
-	// or receive messages ... removed message queuing".
-	rpc chan *rpcExchange
-
 	// seqno counts delivered messages, for tests and debugging.
 	seqno uint64
 
-	// closedCh is closed when the port dies (lazily created for the
-	// port-set forwarders).
-	closedCh chan struct{}
+	// closed is closed when the port dies.
+	closed chan struct{}
 
-	// recvWait is the wait record of a thread parked in RPCReceive here,
-	// built with the port and never written again: WaitEdges reads it
-	// from any goroutine.
-	recvWait flightWait
-}
-
-// rpcOutcome is what the client's reply wait resolves to: a delivered
-// reply message — or, for a vectored reply, its sub-replies — or a
-// distinguishable failure (dead port, failed reply delivery).
-type rpcOutcome struct {
-	m     *Message
-	batch []*Message
-	err   error
-	vt    uint64 // server's virtual completion time (0 on single-CPU)
-}
-
-// Exchange states.  Exactly one party moves a call's exchange out of
-// exPending: the replier (server Reply, port teardown) via commit/fail, or
-// the caller via abandon on timeout or thread abort.  The CAS settles the
-// race; only the winner of the pending state may touch the outcome
-// channel, so the buffered send below can never block or double-fire.
-// Thread.park returns a replied exchange to exPending for the thread's
-// next call.
-const (
-	exPending int32 = iota
-	exReplied
-	exAbandoned
-)
-
-// rpcExchange carries a thread's synchronous RPCs, one at a time.  A
-// thread has at most one call outstanding, so it makes its exchange once
-// and every call reuses it (Thread.exchange, Thread.park): the crossing
-// builds no kernel object of its own.  An exchange a call abandoned is
-// never reused — a server or a port-set forwarder may still hold it — so
-// the thread's next call makes a fresh one.
-type rpcExchange struct {
-	// request is the delivered request header, copied in by value at the
-	// call: the handler's *Message points here, which is why a request
-	// is valid until its reply and no longer.
-	request Message
-	reply   chan rpcOutcome // buffered(1); sent at most once per call, by the CAS winner
-	abort   chan struct{}
-	caller  *Thread
-	state   atomic.Int32
-
-	// gone is closed when the caller abandons the exchange (timeout or
-	// thread abort).  Intermediaries holding the exchange without a
-	// receiver — the port-set forwarders — select on it so an abandoned
-	// caller never leaves them blocked trying to deliver a request
-	// nobody will answer.
-	gone chan struct{}
-
-	// waits are the current call's wait-for registrations, rendezvous
-	// then reply; the server thread that takes the exchange moves the
-	// caller from the first to the second (taken) before its handler
-	// runs.  Each call aims both at its port and operation (aim) before
-	// publishing either.
-	waits [2]flightWait
-}
-
-// commit claims the right to deliver the outcome.  It returns false when
-// the caller already abandoned the exchange (timeout/abort), in which case
-// the reply must be discarded.
-func (ex *rpcExchange) commit() bool {
-	return ex.state.CompareAndSwap(exPending, exReplied)
-}
-
-// fail resolves the exchange with an error outcome if it is still pending.
-func (ex *rpcExchange) fail(err error) {
-	if ex.commit() {
-		ex.reply <- rpcOutcome{err: err}
-	}
-}
-
-// abandon marks the caller as gone.  It returns false when a reply already
-// committed — the buffered outcome is then in flight and must be taken.
-func (ex *rpcExchange) abandon() bool {
-	if ex.state.CompareAndSwap(exPending, exAbandoned) {
-		close(ex.gone)
-		return true
-	}
-	return false
+	// The reworked RPC path's dispatch: the pool whose slots run the
+	// port's calls (ServePool, Serve), or the port set whose pool does;
+	// name is the receive right's name the handler is given.  ready,
+	// made by a caller that found neither, is closed when one is set.
+	pool  *ServerPool
+	set   *PortSet
+	name  PortName
+	ready chan struct{}
 }
 
 // DefaultQueueLimit is the default depth of a port's message queue in the
@@ -160,9 +74,7 @@ func (ex *rpcExchange) abandon() bool {
 const DefaultQueueLimit = 5
 
 func newPort(id uint64) *Port {
-	p := &Port{id: id, limit: DefaultQueueLimit, rpc: make(chan *rpcExchange)}
-	p.recvWait.kind = kflight.WaitReceive
-	p.recvWait.port.Store(p)
+	p := &Port{id: id, limit: DefaultQueueLimit, closed: make(chan struct{})}
 	p.notEmpty = sync.NewCond(&p.mu)
 	p.notFull = sync.NewCond(&p.mu)
 	return p
@@ -183,30 +95,82 @@ func (p *Port) SetQueueLimit(n int) {
 	p.notFull.Broadcast()
 }
 
-// destroy marks the port dead and wakes all waiters.
+// destroy marks the port dead and wakes all waiters: queued-IPC waiters,
+// callers waiting for a slot (ErrDeadPort), and the pool registered on
+// the port, whose slots die with it.
 func (p *Port) destroy() {
 	p.mu.Lock()
+	if p.dead {
+		p.mu.Unlock()
+		return
+	}
 	p.dead = true
 	p.queue = nil
 	p.recvTask = nil
 	p.notEmpty.Broadcast()
 	p.notFull.Broadcast()
-	if p.closedCh != nil {
-		select {
-		case <-p.closedCh:
-		default:
-			close(p.closedCh)
-		}
+	close(p.closed)
+	pool := p.pool
+	p.mu.Unlock()
+	pool.retire()
+}
+
+// route is where a call to a port finds a free slot.
+type route struct {
+	pool *ServerPool // nil while nothing serves the port
+	name PortName    // the handler's name for the port
+	// wake is closed when a pool may have registered (pool nil only).
+	wake <-chan struct{}
+	// closed and gone fail the wait: the port died, its set was destroyed.
+	closed, gone <-chan struct{}
+	// pend is the set's pending gauge family ("" outside a set).
+	pend string
+}
+
+// route resolves the port's dispatch for one call.
+func (p *Port) route() route {
+	p.mu.Lock()
+	r := route{pool: p.pool, name: p.name, closed: p.closed}
+	set := p.set
+	if set == nil && r.pool == nil {
+		r.wake = awaitReady(&p.ready)
 	}
 	p.mu.Unlock()
-	// Drain any RPC senders blocked in rendezvous.
-	for {
-		select {
-		case ex := <-p.rpc:
-			ex.fail(ErrDeadPort)
-		default:
-			return
-		}
+	if set != nil {
+		set.route(&r)
+	}
+	return r
+}
+
+// serve registers pool as the port's server under the handler's name n.
+func (p *Port) serve(pool *ServerPool, n PortName) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	switch {
+	case p.dead:
+		return ErrDeadPort
+	case p.pool != nil || p.set != nil:
+		return ErrRightExists
+	}
+	p.pool, p.name = pool, n
+	closeReady(&p.ready)
+	return nil
+}
+
+// awaitReady returns the channel a caller that found nothing serving a
+// port waits on, making it for the first such caller; closeReady
+// releases them all once a server is there.  The owner's mutex is held.
+func awaitReady(ready *chan struct{}) <-chan struct{} {
+	if *ready == nil {
+		*ready = make(chan struct{})
+	}
+	return *ready
+}
+
+func closeReady(ready *chan struct{}) {
+	if *ready != nil {
+		close(*ready)
+		*ready = nil
 	}
 }
 
@@ -309,13 +273,17 @@ func (s *space) lookup(n PortName, want RightType) (*rightEntry, error) {
 	return e, nil
 }
 
-// consumeSendOnce removes a send-once right after its single use.
-func (s *space) consumeSendOnce(n PortName) {
+// consumeSendOnce removes a send-once right after its single use.  It
+// reports whether this call removed it: of two calls racing through one
+// send-once name, only the one that did may be delivered.
+func (s *space) consumeSendOnce(n PortName) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.rights[n]; ok && e.typ == RightSendOnce {
 		delete(s.rights, n)
+		return true
 	}
+	return false
 }
 
 // remove releases one reference on a name, deleting the entry when the

@@ -3,18 +3,15 @@ package mach
 import (
 	"fmt"
 	"sync"
-
-	"repro/internal/kflight"
-	"repro/internal/kstat"
 )
 
 // Port sets, inherited from Mach 3.0: a receive right can be moved into a
-// port set, and the server threads receiving on the set service all
-// member ports — the mechanism behind designs like the file server's
-// port-per-open-file without a thread per port.  A set is served one
-// way: by a ServeSetPool of one or more threads.
+// port set, and the server serving the set serves all member ports — the
+// mechanism behind designs like the file server's port-per-open-file
+// without a thread per port.  A set is served one way: by a ServeSetPool
+// of one or more slots, which every member's callers share.
 
-// PortSet groups receive rights for combined receive.
+// PortSet groups receive rights for combined service.
 type PortSet struct {
 	id   uint64
 	task *Task
@@ -23,28 +20,18 @@ type PortSet struct {
 	members map[*Port]PortName
 	dead    bool
 
-	// deadCh is closed by Destroy so forwarders and receivers blocked on
-	// the set's channel unwind instead of hanging with an exchange (or a
-	// caller) stranded.
+	// deadCh is closed by Destroy so callers waiting for a slot of the
+	// set unwind with ErrDeadPort instead of hanging.
 	deadCh chan struct{}
 
-	// ch receives exchanges forwarded from member ports.
-	ch chan setDelivery
+	// pool serves the set (ServeSetPool); ready, made by a caller that
+	// found no pool yet, is closed when one registers.
+	pool  *ServerPool
+	ready chan struct{}
 
-	// pendFam is the kstat queue-depth gauge: exchanges a forwarder has
-	// taken from a member port's rendezvous but no server thread has
-	// received yet.
+	// pendFam is the kstat queue-depth gauge: callers waiting for a slot
+	// of the set.
 	pendFam string
-
-	// recvWait is the wait record of a thread parked in the set's
-	// receive, never written after the set is built.
-	recvWait flightWait
-}
-
-type setDelivery struct {
-	ex   *rpcExchange
-	port *Port
-	name PortName // receiver-side name of the member port
 }
 
 // AllocatePortSet creates an empty port set in the task.
@@ -59,22 +46,17 @@ func (t *Task) AllocatePortSet() (*PortSet, error) {
 		return nil, ErrInvalidTask
 	}
 	id := k.allocPortID()
-	ps := &PortSet{
+	return &PortSet{
 		id:      id,
 		task:    t,
 		members: make(map[*Port]PortName),
 		deadCh:  make(chan struct{}),
-		ch:      make(chan setDelivery),
 		pendFam: fmt.Sprintf("mach.portset.%s/%d.pending", t.name, id),
-	}
-	ps.recvWait.kind, ps.recvWait.set = kflight.WaitSetReceive, ps
-	return ps, nil
+	}, nil
 }
 
-// AddMember moves the named receive right into the set.  A forwarder
-// relays the port's synchronous rendezvous into the set's channel,
-// preserving the no-queuing property: a sender still blocks until a
-// server thread actually takes the exchange from the set.
+// AddMember moves the named receive right into the set: from here its
+// callers take the set's slots, and the handler is given n.
 func (ps *PortSet) AddMember(n PortName) error {
 	t := ps.task
 	k := t.kernel
@@ -100,84 +82,40 @@ func (ps *PortSet) AddMember(n PortName) error {
 	}
 	ps.members[port] = n
 	ps.mu.Unlock()
-	go ps.forward(port, n)
+	port.mu.Lock()
+	port.set, port.name = ps, n
+	closeReady(&port.ready)
+	port.mu.Unlock()
 	return nil
 }
 
-// forward relays one member port's exchanges into the set until the port
-// or the set dies.
-func (ps *PortSet) forward(port *Port, name PortName) {
-	for {
-		ps.mu.Lock()
-		_, member := ps.members[port]
-		dead := ps.dead
-		ps.mu.Unlock()
-		if !member || dead || port.Dead() {
-			return
-		}
-		select {
-		case ex, ok := <-portRecvChan(port):
-			if !ok {
-				return
-			}
-			ps.mu.Lock()
-			_, still := ps.members[port]
-			setDead := ps.dead
-			ps.mu.Unlock()
-			if !still || setDead {
-				// The port left the set with an exchange in hand;
-				// fail the caller rather than losing it.
-				ex.fail(ErrDeadPort)
-				return
-			}
-			pending := kstat.For(ps.task.kernel.CPU).Gauge(ps.pendFam)
-			pending.Inc()
-			select {
-			case ps.ch <- setDelivery{ex: ex, port: port, name: name}:
-				// The receiver decrements in receiveSet.
-			case <-ex.abort:
-				// Caller thread died; the exchange is already (or about
-				// to be) abandoned on the caller side.
-				pending.Dec()
-			case <-ex.gone:
-				// Caller abandoned the exchange (deadline expired while
-				// every server thread was busy elsewhere).  Drop it: a
-				// committed delivery now would be discarded anyway, and
-				// blocking here would wedge this member port forever.
-				pending.Dec()
-			case <-ps.deadCh:
-				// The set died with the exchange in hand: fail the
-				// caller instead of stranding it in its reply wait.
-				ex.fail(ErrDeadPort)
-				pending.Dec()
-				return
-			}
-		case <-port.rpcClosed():
-			return
-		case <-ps.deadCh:
-			return
-		}
+// route fills in the set's half of a member port's dispatch.
+func (ps *PortSet) route(r *route) {
+	ps.mu.Lock()
+	r.pool, r.gone, r.pend = ps.pool, ps.deadCh, ps.pendFam
+	if r.pool == nil {
+		r.wake = awaitReady(&ps.ready)
 	}
+	ps.mu.Unlock()
 }
 
-// portRecvChan and rpcClosed expose the port's rendezvous to the
-// forwarder.
-func portRecvChan(p *Port) <-chan *rpcExchange { return p.rpc }
-
-func (p *Port) rpcClosed() <-chan struct{} {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closedCh == nil {
-		p.closedCh = make(chan struct{})
-		if p.dead {
-			close(p.closedCh)
-		}
+// serve registers pool as the set's server.
+func (ps *PortSet) serve(pool *ServerPool) error {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	switch {
+	case ps.dead:
+		return ErrDeadPort
+	case ps.pool != nil:
+		return ErrRightExists
 	}
-	return p.closedCh
+	ps.pool = pool
+	closeReady(&ps.ready)
+	return nil
 }
 
-// RemoveMember takes a port out of the set; it becomes directly
-// receivable again.
+// RemoveMember takes a port out of the set; nothing serves it until a
+// server registers on it again.
 func (ps *PortSet) RemoveMember(n PortName) error {
 	t := ps.task
 	e, err := t.ports.lookup(n, RightReceive)
@@ -185,11 +123,17 @@ func (ps *PortSet) RemoveMember(n PortName) error {
 		return err
 	}
 	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if _, ok := ps.members[e.port]; !ok {
+	_, ok := ps.members[e.port]
+	delete(ps.members, e.port)
+	ps.mu.Unlock()
+	if !ok {
 		return ErrInvalidName
 	}
-	delete(ps.members, e.port)
+	e.port.mu.Lock()
+	if e.port.set == ps {
+		e.port.set = nil
+	}
+	e.port.mu.Unlock()
 	return nil
 }
 
@@ -200,9 +144,9 @@ func (ps *PortSet) Members() int {
 	return len(ps.members)
 }
 
-// Destroy dissolves the set (member ports survive).  Forwarders holding
-// undelivered exchanges fail their callers with ErrDeadPort, and server
-// threads blocked in receiveSet unblock with the same error.
+// Destroy dissolves the set.  Member ports survive, but callers waiting
+// for a slot of the set — and later callers of its former members — fail
+// with ErrDeadPort, and the set's pool retires.
 func (ps *PortSet) Destroy() {
 	ps.mu.Lock()
 	if !ps.dead {
@@ -210,41 +154,7 @@ func (ps *PortSet) Destroy() {
 		close(ps.deadCh)
 	}
 	ps.members = make(map[*Port]PortName)
+	pool := ps.pool
 	ps.mu.Unlock()
-}
-
-// receiveSet is a ServeSetPool worker's receive: it blocks until any
-// member port has an RPC, returning the request, the responder, and the
-// member's receive-right name so the server can tell which object was
-// invoked.
-func (th *Thread) receiveSet(ps *PortSet) (*Message, *Responder, PortName, error) {
-	if ps.task != th.task {
-		return nil, nil, NullName, ErrNotReceiver
-	}
-	k := th.task.kernel
-	th.wait.Store(&ps.recvWait)
-	var d setDelivery
-	select {
-	case d = <-ps.ch:
-		kstat.For(k.CPU).Gauge(ps.pendFam).Dec()
-	case <-th.abort:
-		th.clearWait()
-		return nil, nil, NullName, ErrAborted
-	case <-ps.deadCh:
-		th.clearWait()
-		return nil, nil, NullName, ErrDeadPort
-	}
-	th.clearWait()
-	// Pickup for set-served requests (the file server's port-per-open-file
-	// pools): queue-wait — including the forwarder relay — ends when a
-	// pool thread takes the delivery.
-	d.ex.taken(th)
-	// One scheduled burst covers receive, handler and reply, as in
-	// RPCReceive; the release rides in the Responder.  The burst
-	// serializes on the pool's virtual capacity — not on th's own
-	// clock, since which worker goroutine won this rendezvous is a
-	// wall-clock accident — and cannot start before the client's send
-	// burst completed in modeled time.
-	rel := k.schedRunPool(th, th.poolVT, d.ex.caller.vt.Load())
-	return &d.ex.request, th.accept(d.ex, d.port, rel), d.name, nil
+	pool.retire()
 }

@@ -26,7 +26,7 @@ func TestPortSetSingleThreadManyPorts(t *testing.T) {
 	if ps.Members() != 4 {
 		t.Fatalf("members = %d", ps.Members())
 	}
-	// ONE server thread services all four ports, echoing the member name.
+	// ONE server slot serves all four ports, echoing the member name.
 	if _, err := srv.ServeSetPool("combined", ps, 1, func(port PortName, req *Message) *Message {
 		return &Message{ID: MsgID(port), Body: req.Body}
 	}); err != nil {
@@ -63,7 +63,7 @@ func TestPortSetConcurrentClients(t *testing.T) {
 		ps.AddMember(n)
 		recvs = append(recvs, n)
 	}
-	// Two server threads on one set.
+	// Two server slots on one set.
 	if _, err := srv.ServeSetPool("loop", ps, 2, func(_ PortName, req *Message) *Message {
 		return &Message{ID: req.ID}
 	}); err != nil {
@@ -129,10 +129,9 @@ func TestPortSetMembershipErrors(t *testing.T) {
 	if err := ps.RemoveMember(n); err != ErrInvalidName {
 		t.Fatalf("double remove err = %v", err)
 	}
-	// Receive from a set in another task is refused.
-	oth, _ := other.NewBoundThread("main")
-	if _, _, _, err := oth.receiveSet(ps); err != ErrNotReceiver {
-		t.Fatalf("cross-task receive err = %v", err)
+	// Serving a set from another task is refused.
+	if _, err := other.ServeSetPool("steal", ps, 1, func(PortName, *Message) *Message { return nil }); err != ErrNotReceiver {
+		t.Fatalf("cross-task serve err = %v", err)
 	}
 }
 

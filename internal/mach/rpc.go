@@ -1,11 +1,12 @@
 package mach
 
 import (
+	"fmt"
+	"runtime"
 	"slices"
 	"time"
 
 	"repro/internal/cpu"
-	"repro/internal/kflight"
 	"repro/internal/klat"
 	"repro/internal/kstat"
 )
@@ -13,14 +14,22 @@ import (
 // This file implements the reworked RPC path — the paper's central IPC
 // change.  Relative to classic mach_msg the rework:
 //
-//   - removed reply ports (the reply path is implicit in the rendezvous)
+//   - removed reply ports (the reply goes back on the call that carried
+//     the request)
 //   - made message delivery and reply synchronous
-//   - blocks threads waiting to send or receive
+//   - blocks a caller until a server can take its call
 //   - removed message queuing
 //   - passes data too large for the inline body by reference, copying it
 //     once from sender to receiver
 //   - replaced virtual copy with physical copy
 //   - optimized and simplified the user-level stubs and server loops
+//
+// Servers are passive, one step further along the same line: a call takes
+// a free slot of the server's pool and runs the server side — receive
+// path, handler, reply — on the caller's own goroutine under the slot's
+// thread identity, charging the same sequence a hand-off to a server
+// thread would.  There is no rendezvous, no reply wait and no server
+// goroutine; classic mach_msg (ipc.go) keeps its active receivers.
 //
 // The result in the paper was a 2x–10x message-passing improvement over
 // mach_msg depending on size; BenchmarkFigureIPCSweep reproduces the sweep.
@@ -31,43 +40,15 @@ func userBufAddr(asid uint64) uint64 {
 	return 0x8000_0000 + asid*0x0100_0000
 }
 
-// Responder completes one received RPC.  It belongs to the server thread
-// that received the request: valid until the reply, and filled in again
-// by the thread's next receive.  A receive loop must therefore not keep a
-// Responder past the thread's next receive — a reply deferred that long
-// would answer the newer request.
-type Responder struct {
-	ex   *rpcExchange
-	port *Port
-	srv  *Thread
-	done bool
-	// release ends the server burst the scheduler placed in RPCReceive;
-	// Reply runs it once the reply is delivered (nil on single-CPU
-	// kernels).  Carrying it here is what lets Serve, ServePool and every
-	// hand-rolled receive loop get scheduled without changing: the
-	// receive-handle-reply window is exactly one dispatched burst.
-	release func()
-	// carrier is the header ReplyV sends its sub-replies in.  It stays
-	// with the server: the caller receives the sub-replies alone.
-	carrier Message
-	// busy is the occupancy gauge of the pool whose worker received the
-	// request (nil outside a pool).  It falls at the reply commit, with
-	// the serve span, or wherever the exchange resolves without one —
-	// never after the caller has its reply.
-	busy *kstat.Gauge
-}
-
 // CallOpts parameterizes one Call.  The zero value means "plain
 // synchronous call, wait forever".  The struct
 // leaves room for future per-call policy (retry, priority inheritance)
 // without growing another method per knob.
 type CallOpts struct {
-	// Timeout bounds the call end to end; 0 means no deadline.  The
-	// deadline is wired into the rendezvous and reply waits directly:
-	// expiry during rendezvous means the exchange was never handed over,
-	// and expiry while the server holds the exchange abandons it — a
-	// later Reply finds the abandoned state and discards the reply
-	// instead of resurrecting the call.
+	// Timeout bounds the wait for a free server slot; 0 means no
+	// deadline.  A call that has taken a slot always completes: its
+	// handler runs on the caller's goroutine, so there is no reply to
+	// abandon.
 	Timeout time.Duration
 
 	// Parent names the request this call is made for — the message the
@@ -78,10 +59,10 @@ type CallOpts struct {
 }
 
 // Call performs a synchronous remote procedure call: it blocks until a
-// server thread is waiting in RPCReceive on the destination port, hands
-// the request over with a single physical copy, and blocks until the reply
-// arrives.  There is no reply port and no queuing.  Call and CallV are
-// the only client entry points; CallV is the vectored one.
+// slot of the destination's server is free, moves the request across with
+// a single physical copy, runs the server side on the calling goroutine
+// and returns the reply.  There is no reply port and no queuing.  Call
+// and CallV are the only client entry points; CallV is the vectored one.
 //
 // The request stays the caller's: the kernel delivers a copy of its
 // header and writes nothing into it, so one message can be sent again.
@@ -91,7 +72,7 @@ type CallOpts struct {
 // entry, stamped on the way (send done, pickup, reply commit) and closed
 // at return, which every attached plane consumes — the stat families, the
 // flight ring, the profile frame, the trace span and the latency hop.  The
-// record rides to the server in the delivered header.  Its trace parent
+// record rides to the handler in the delivered header.  Its trace parent
 // is whatever record the message already carried (a request the caller
 // is serving and passes on; none for a fresh one: the innermost open
 // span), its request is the one the call is made for — named by the call,
@@ -218,27 +199,13 @@ func regionBytes(m *Message) uint64 {
 	return n
 }
 
-// exchange takes the thread's idle exchange for a call, or makes one: at
-// the thread's first call, after an abandoned call, and for a call made
-// while another goroutine's call through the same thread holds it.
-func (th *Thread) exchange() *rpcExchange {
-	if ex := th.ex.Swap(nil); ex != nil {
-		return ex
-	}
-	ex := &rpcExchange{reply: make(chan rpcOutcome, 1), abort: th.abort, caller: th, gone: make(chan struct{})}
-	ex.waits[0].kind = kflight.WaitRendezvous
-	ex.waits[1].kind = kflight.WaitReply
-	return ex
-}
-
-// park returns ex to the thread for its next call.  Legal only where the
-// call holds ex alone: it was never handed over (the rendezvous failed),
-// or its outcome has been received — the replier's send on ex.reply was
-// its last access, and no port, forwarder or server holds it.  An
-// abandoned exchange is never parked.
-func (th *Thread) park(ex *rpcExchange) {
-	ex.state.Store(exPending)
-	th.ex.Store(ex)
+// rpcOutcome is what a call resolves to: the reply message — or, for a
+// vectored reply, its sub-replies — or a distinguishable failure.
+type rpcOutcome struct {
+	m     *Message
+	batch []*Message
+	err   error
+	vt    uint64 // the server burst's virtual completion time (0 on single-CPU)
 }
 
 // rpcCallRaw is the shared client path; rec is the call's record, nil
@@ -248,11 +215,12 @@ func (th *Thread) rpcCallRaw(dest PortName, req *Message, rec *cpu.Span, deadlin
 	if err := req.sendable(); err != nil {
 		return rpcOutcome{err: err}
 	}
-	// The send path up to the rendezvous is one scheduled burst; the
-	// resume after the reply is another, dispatched separately — that
-	// resume is where a migration can happen and be charged.  Both
-	// releases funnel through the deferred call, so error returns always
-	// end the current burst.  All of this is nil/no-op on single-CPU.
+	// The send path up to the slot wait is one scheduled burst; the
+	// server side is another, placed on the slot (schedServe); the resume
+	// after the reply is a third, dispatched separately — that resume is
+	// where a migration can happen and be charged.  The send burst's
+	// release funnels through the deferred call, so error returns always
+	// end it.  All of this is nil/no-op on single-CPU.
 	rel := k.schedRun(th)
 	release := func() {
 		if rel != nil {
@@ -275,16 +243,14 @@ func (th *Thread) rpcCallRaw(dest PortName, req *Message, rec *cpu.Span, deadlin
 	k.touchKData(port.id, 96)
 	k.CPU.Exec(k.paths.rpcSend)
 
-	// The request header crosses by value, in the thread's exchange, with
-	// the call's record.  Carried rights are resolved and renamed in the
-	// delivered copy's own list, so the caller's keeps its names.
-	ex := th.exchange()
-	ex.request = *req
-	ex.request.rec = rec
+	// The request header crosses by value, with the call's record.
+	// Carried rights are resolved and renamed in the delivered copy's own
+	// list, so the caller's keeps its names.
+	hdr := *req
+	hdr.rec = rec
 	if len(req.Rights) > 0 {
-		ex.request.Rights = slices.Clone(req.Rights)
-		if err := th.task.loadRights(&ex.request); err != nil {
-			th.park(ex)
+		hdr.Rights = slices.Clone(req.Rights)
+		if err := th.task.loadRights(&hdr); err != nil {
 			k.rti()
 			return rpcOutcome{err: err}
 		}
@@ -299,55 +265,34 @@ func (th *Thread) rpcCallRaw(dest PortName, req *Message, rec *cpu.Span, deadlin
 	k.chargeTransfer(req, th.task.asid, dstAS)
 	k.CPU.Exec(k.paths.schedule)
 
-	ex.waits[0].aim(port, uint32(req.ID))
-	ex.waits[1].aim(port, uint32(req.ID))
-
-	// The client blocks for the rendezvous: its burst ends here.  Both
-	// blocking points register with the flight recorder's wait-for graph;
-	// the deferred clear covers every return path.
+	// The client blocks for a slot: its burst ends here.  Both waits —
+	// for a slot, then for the reply while the handler runs — register
+	// with the flight recorder's wait-for graph; the deferred clear
+	// covers every return path.
+	th.waits[0].aim(port, uint32(req.ID))
+	th.waits[1].aim(port, uint32(req.ID))
 	release()
 	defer th.clearWait()
 
-	// Send done: the send burst is fully charged; cycles from here to a
-	// server thread's pickup are the call's queue-wait.
+	// Send done: the send burst is fully charged; cycles from here to the
+	// slot claim are the call's queue-wait.
 	rec.Stamp(cpu.PhaseSent, "", 0)
 
-	th.wait.Store(&ex.waits[0])
-	select {
-	case port.rpc <- ex:
-	case <-port.rpcClosed():
-		th.park(ex)
-		return rpcOutcome{err: ErrDeadPort}
-	case <-th.abort:
-		th.park(ex)
-		return rpcOutcome{err: ErrAborted}
-	case <-deadline:
-		// The exchange was never handed over; nothing to abandon.
-		th.park(ex)
-		return rpcOutcome{err: ErrTimeout}
+	th.wait.Store(&th.waits[0])
+	s, r, err := th.claim(port, deadline)
+	if err != nil {
+		return rpcOutcome{err: err}
 	}
-	if entry.typ == RightSendOnce {
-		th.task.ports.consumeSendOnce(dest)
+	// A send-once right is spent by the one call that removes it; a call
+	// racing through the same name finds it gone.
+	if entry.typ == RightSendOnce && !th.task.ports.consumeSendOnce(dest) {
+		r.pool.free(s)
+		return rpcOutcome{err: ErrInvalidName}
 	}
-
-	th.wait.Store(&ex.waits[1])
-	var out rpcOutcome
-	select {
-	case out = <-ex.reply:
-	case <-th.abort:
-		ex.abandon()
-		return rpcOutcome{err: ErrAborted}
-	case <-deadline:
-		if ex.abandon() {
-			return rpcOutcome{err: ErrTimeout}
-		}
-		// The reply committed before the deadline took effect; the
-		// buffered outcome is already in flight, so take it.
-		out = <-ex.reply
-	}
+	th.wait.Store(&th.waits[1])
+	s.req = hdr
+	out := r.pool.serve(s, port, r.name, th)
 	th.clearWait()
-	// The outcome is in: nobody else holds the exchange any more.
-	th.park(ex)
 	if out.err != nil {
 		return out
 	}
@@ -356,8 +301,20 @@ func (th *Thread) rpcCallRaw(dest PortName, req *Message, rec *cpu.Span, deadlin
 	// A fresh dispatch — the thread prefers its last engine but may be
 	// stolen to an idle one, paying the migration charge there.  The
 	// resume cannot start before the reply existed in modeled time: the
-	// server's virtual completion time rides in the outcome, and waiting
-	// for it here is what couples client progress to server occupancy.
+	// server burst's virtual completion time rides in the outcome, and
+	// waiting for it here is what couples client progress to server
+	// occupancy.
+	//
+	// On a multi-engine kernel the host processor is yielded first,
+	// unless an outer handler's burst holds this goroutine: a goroutine
+	// woken while the handler ran — a waiter on a host lock the handler
+	// released, such as the drivers' disk turn — then runs before this
+	// thread's next request can take the lock past it (sync.Mutex is not
+	// FIFO).  Without the yield E-TAIL's slowest request waits about
+	// three times as long on the disk turn.
+	if k.sched != nil && k.cx.BoundEngine() == nil {
+		runtime.Gosched()
+	}
 	k.schedReady(th, out.vt)
 	rel = k.schedRun(th)
 	k.CPU.SwitchAddressSpace(th.task.asid)
@@ -367,81 +324,158 @@ func (th *Thread) rpcCallRaw(dest PortName, req *Message, rec *cpu.Span, deadlin
 	return out
 }
 
-// RPCReceive blocks the calling server thread until an RPC arrives on the
-// port named by recvName (which must denote a receive right in the
-// thread's task).  It returns the request and a Responder that must be
-// used exactly once.  Both are valid until the reply: the request header
-// is the caller's exchange, which the caller's next call overwrites, and
-// the Responder is the thread's own, which its next receive fills in.  A
-// loop that defers a reply must send it before the thread receives again;
-// read anything needed from the request before replying.
-func (th *Thread) RPCReceive(recvName PortName) (*Message, *Responder, error) {
-	k := th.task.kernel
-	port, _, err := th.task.portFor(recvName, RightReceive)
-	if err != nil {
-		return nil, nil, err
+// claim blocks th until a slot of the pool serving port is free and takes
+// it, returning the port's route: the pool and the handler's name for the
+// port.  It fails with ErrDeadPort when the port dies or its set is
+// destroyed, with ErrAborted when th is terminated, and with ErrTimeout
+// at the deadline.  A call to a port nothing serves yet waits for a
+// server to register.  A killed slot still waiting to be taken is
+// dropped.
+func (th *Thread) claim(port *Port, deadline <-chan time.Time) (*slot, route, error) {
+	for {
+		r := port.route()
+		var idle chan *slot
+		if r.pool != nil {
+			idle = r.pool.idle
+		}
+		var s *slot
+		select {
+		case s = <-idle:
+		default:
+			// Every slot is busy, or nothing serves the port yet.  A port
+			// set's pending gauge counts its callers waiting here.
+			var pending *kstat.Gauge
+			if r.pend != "" {
+				pending = kstat.For(th.task.kernel.CPU).Gauge(r.pend)
+				pending.Inc()
+			}
+			var err error
+			select {
+			case s = <-idle:
+			case <-r.wake:
+			case <-r.closed:
+				err = ErrDeadPort
+			case <-r.gone:
+				err = ErrDeadPort
+			case <-th.abort:
+				err = ErrAborted
+			case <-deadline:
+				err = ErrTimeout
+			}
+			pending.Dec()
+			if err != nil {
+				return nil, r, err
+			}
+		}
+		if s != nil && !s.th.Dead() {
+			return s, r, nil
+		}
 	}
-	if port.receiverTask() != th.task {
-		return nil, nil, ErrNotReceiver
-	}
-
-	// A parked server thread registers as a receive wait; receive-side
-	// kinds never form dependency edges (they are capacity, not demand),
-	// but the dump lists them so "who is idle" is visible postmortem.
-	th.wait.Store(&port.recvWait)
-	var ex *rpcExchange
-	select {
-	case ex = <-port.rpc:
-	case <-port.rpcClosed():
-		th.clearWait()
-		return nil, nil, ErrDeadPort
-	case <-th.abort:
-		th.clearWait()
-		return nil, nil, ErrAborted
-	}
-	th.clearWait()
-	// Pickup: a server thread has the exchange; queue-wait ends, the
-	// service segment (receive path, handler, reply) begins.
-	ex.taken(th)
-
-	// The server side of the hand-off: load the server's address space,
-	// run the receive return path and the simplified server stub.  The
-	// burst dispatched here covers receive, handler and reply — its
-	// release travels in the Responder, and it cannot start before the
-	// client's send burst completed in modeled time.  Pool workers
-	// serialize on the pool's virtual capacity, not on their own clock
-	// (which worker won the rendezvous is a wall-clock accident).
-	var rel func()
-	if th.poolVT != nil {
-		rel = k.schedRunPool(th, th.poolVT, ex.caller.vt.Load())
-	} else {
-		k.schedReady(th, ex.caller.vt.Load())
-		rel = k.schedRun(th)
-	}
-	return &ex.request, th.accept(ex, port, rel), nil
 }
 
-// accept runs the server side of a hand-off inside the burst rel ends:
-// load the server's address space, run the receive return path and the
-// simplified server stub, install carried rights and sequence the
-// request.  It returns the thread's Responder, set up for ex.  Shared by
-// RPCReceive and receiveSet.
-func (th *Thread) accept(ex *rpcExchange, port *Port, rel func()) *Responder {
-	k := th.task.kernel
-	k.CPU.SwitchAddressSpace(th.task.asid)
+// serve runs the server side of one crossing on the calling goroutine,
+// under slot s's thread identity, for caller — whose request header is
+// already in s.req — and frees the slot.  port is the port called and
+// name the handler's name for it.
+//
+// The server burst covers receive path, handler and reply, and cannot
+// start before the caller's send burst completed in modeled time.  The
+// serve span every served RPC gets is parented to the client's call
+// carried in the message, so the causal tree crosses tasks, carries the
+// server and operation profile frames, and is closed by the reply commit
+// (it covers handler AND reply delivery — the server-occupancy segment
+// internal/bench calibrates its concurrency model from).  A reply that is
+// never committed closes it on return.  The pool's busy gauge covers the
+// same segment.
+func (p *ServerPool) serve(s *slot, port *Port, name PortName, caller *Thread) rpcOutcome {
+	k := p.task.kernel
+	req := &s.req
+	// Pickup: the call has its slot; queue-wait ends, the service segment
+	// (receive path, handler, reply) begins.
+	req.rec.Stamp(cpu.PhasePicked, p.task.name, uint64(req.ID))
+	rel := k.schedServe(s.th, caller.vt.Load())
+
+	// The server side of the crossing: load the server's address space,
+	// run the receive return path and the simplified server stub, install
+	// carried rights and sequence the request.
+	k.CPU.SwitchAddressSpace(p.task.asid)
 	k.CPU.Exec(k.paths.rpcReceive)
 	k.CPU.Exec(k.paths.rpcStubS)
 	k.touchKData(port.id, 96)
-	if len(ex.request.Rights) > 0 {
-		th.task.acceptRights(&ex.request)
+	if len(req.Rights) > 0 {
+		p.task.acceptRights(req)
 	}
 	port.mu.Lock()
 	port.seqno++
-	ex.request.Seq = port.seqno
+	req.Seq = port.seqno
 	port.mu.Unlock()
 	k.rti()
-	th.resp = Responder{ex: ex, port: port, srv: th, release: rel}
-	return &th.resp
+
+	ps := k.CPU.Planes()
+	st := kstat.From(ps)
+	var busy *kstat.Gauge
+	if p.busyFam != "" {
+		busy = st.Gauge(p.busyFam)
+		busy.Inc()
+	}
+	sp := ps.Open(cpu.Event{Type: cpu.EvRPCServe, Subsystem: "mach.rpc", Name: s.frame,
+		Arg: uint64(req.ID), Req: req.rec}, req.rec)
+	out := p.reply(s, s.handle(name, p.handler), caller, rel, busy)
+	sp.End()
+	if p.opsFam != "" {
+		st.Counter(p.opsFam).Inc()
+		p.ops[s.idx].Add(1)
+	}
+	p.free(s)
+	return out
+}
+
+// handle runs h on the slot's request and returns the reply to send.
+// Vectored carriers are demultiplexed here — each sub-request handled in
+// order, the sub-replies sent back in one crossing — so handlers never
+// see one.
+//
+// The latency ledger needs nothing bound here: the request record rides
+// in the message the handler is given, and a handler that calls onward
+// names it from there.  A carrier's subs each get a sub-hop — one service
+// window — in a header copy of their own: the sub-messages are still the
+// client's.
+func (s *slot) handle(name PortName, h func(PortName, *Message) *Message) *Message {
+	req := &s.req
+	subs := req.batch
+	if subs == nil {
+		return h(name, req)
+	}
+	if cap(s.replies) < len(subs) {
+		s.replies = make([]*Message, len(subs))
+	}
+	replies := s.replies[:len(subs)]
+	var hdrs []Message
+	if req.Hop() != nil {
+		hdrs = make([]Message, len(subs))
+	}
+	for i, sub := range subs {
+		sh := req.Hop().BeginSub(uint32(sub.ID))
+		if sh != nil {
+			hdrs[i] = *sub
+			hdrs[i].rec = sh
+			sub = &hdrs[i]
+		}
+		replies[i] = h(name, sub)
+		klat.Of(sh).EndSub()
+	}
+	// The caller receives a slice of its own, so the handler's replies
+	// may be reused; nil slots become empty replies.
+	out := make([]*Message, len(subs))
+	for i, sub := range replies {
+		if sub == nil {
+			sub = &Message{}
+		}
+		out[i] = sub
+	}
+	clear(replies) // keep nothing alive
+	s.carrier = Message{ID: out[0].ID, batch: out}
+	return &s.carrier
 }
 
 // chargeTransfer charges the data-movement half of one RPC crossing in
@@ -491,149 +525,65 @@ func (k *Kernel) chargeRegions(m *Message) {
 	}
 }
 
-// Reply completes the RPC, copying the reply body back with a single
-// physical copy and resuming the blocked client.  A reply the server
-// cannot deliver (oversized body, bad rights) still resolves the exchange:
-// the blocked client unblocks with ErrReplyFailed and the server gets the
-// underlying error, so neither side hangs on the other's mistake.
-//
-// A vectored request must be answered with ReplyV; Reply on a carrier
-// fails the exchange (the client unblocks with ErrReplyFailed) and
-// returns ErrBatchMismatch.
-func (r *Responder) Reply(reply *Message) error {
-	// A used Responder's exchange may already be serving the caller's
-	// next call: check before reading it.
-	if r.done {
-		return ErrNoReplyExpected
-	}
-	if len(r.ex.request.batch) > 0 {
-		return r.mismatch()
-	}
-	return r.deliver(reply)
-}
-
-// ReplyV completes a vectored RPC: one crossing carries every sub-reply
-// back, in request order.  len(replies) must equal the request batch
-// width (nil slots become empty replies); ReplyV on a plain request is a
-// batch mismatch, except for the degenerate single-reply case.  The
-// caller receives a slice of its own, so replies may be reused.
-func (r *Responder) ReplyV(replies []*Message) error {
-	if r.done {
-		return ErrNoReplyExpected
-	}
-	n := len(r.ex.request.batch)
-	if n == 0 && len(replies) == 1 {
-		return r.deliver(replies[0])
-	}
-	if n == 0 || len(replies) != n {
-		return r.mismatch()
-	}
-	subs := make([]*Message, n)
-	for i, sub := range replies {
-		if sub == nil {
-			sub = &Message{}
+// reply copies the reply back to caller with a single physical copy and
+// ends the server burst rel.  The reply the handler built is what the
+// caller gets, except where the kernel cannot hand it over as it is: no
+// reply at all (the caller gets an empty one), the request header echoed
+// back (it lives in the slot, which the slot's next call overwrites), and
+// a reply carrying rights (the kernel renames them into the caller's
+// space, and the handler's own list keeps the server's names).  A reply
+// the kernel cannot deliver (oversized body, bad rights) fails the call
+// with ErrReplyFailed wrapping the cause; the pool serves on.
+func (p *ServerPool) reply(s *slot, reply *Message, caller *Thread, rel func(), busy *kstat.Gauge) rpcOutcome {
+	k := p.task.kernel
+	fail := func(err error) rpcOutcome {
+		busy.Dec()
+		if rel != nil {
+			rel()
 		}
-		subs[i] = sub
+		return rpcOutcome{err: fmt.Errorf("%w: %w", ErrReplyFailed, err)}
 	}
-	r.carrier = Message{ID: subs[0].ID, batch: subs}
-	return r.deliver(&r.carrier)
-}
-
-// mismatch fails an exchange answered with the wrong reply shape: the
-// client unblocks with ErrReplyFailed, the server gets ErrBatchMismatch.
-func (r *Responder) mismatch() error {
-	r.finish()
-	r.ex.fail(ErrReplyFailed)
-	return ErrBatchMismatch
-}
-
-// idle lowers the pool's busy gauge, once.
-func (r *Responder) idle() {
-	r.busy.Dec()
-	r.busy = nil
-}
-
-// finish consumes the responder and ends the server burst.
-func (r *Responder) finish() {
-	r.done = true
-	r.idle()
-	if r.release != nil {
-		r.release()
-		r.release = nil
-	}
-}
-
-// deliver is the shared reply path for plain replies and reply carriers.
-func (r *Responder) deliver(reply *Message) error {
-	defer r.finish()
-	k := r.srv.task.kernel
-	// The reply the handler built is what the caller gets, except where
-	// the kernel cannot hand it over as it is: no reply at all (the caller
-	// gets an empty one), the request header echoed back (it lives in the
-	// caller's exchange, which the caller's next call overwrites), and a
-	// reply carrying rights (the kernel renames them into the caller's
-	// space, and the handler's own list keeps the server's names).
-	if reply == nil || reply == &r.ex.request || len(reply.Rights) > 0 {
+	if reply == nil || reply == &s.req || len(reply.Rights) > 0 {
 		reply = cloneForDelivery(reply)
 	}
 	if err := reply.sendable(); err != nil {
-		r.idle()
-		r.ex.fail(ErrReplyFailed)
-		return err
+		return fail(err)
 	}
 	k.trap()
 	k.CPU.Exec(k.paths.rpcReply)
-	callerAS := r.ex.caller.task.asid
-	k.chargeTransfer(reply, r.srv.task.asid, callerAS)
+	k.chargeTransfer(reply, p.task.asid, caller.task.asid)
 	if len(reply.Rights) > 0 {
-		if err := r.srv.task.loadRights(reply); err != nil {
-			r.idle()
-			r.ex.fail(ErrReplyFailed)
-			return err
+		if err := p.task.loadRights(reply); err != nil {
+			return fail(err)
 		}
 	}
 	k.CPU.Exec(k.paths.schedule)
-	if r.ex.commit() {
-		// Install carried rights only for a caller that is still
-		// waiting; an abandoned caller's name space must not change
-		// under it, and the loaded rights die with the reply.
-		if len(reply.Rights) > 0 {
-			r.ex.caller.task.acceptRights(reply)
-		}
-		// End the server burst before waking the client, so the outcome
-		// carries the handler's virtual completion time and the client's
-		// resume starts after it in modeled time.
-		if r.release != nil {
-			r.release()
-			r.release = nil
-			// The burst just settled: attach its modeled schedule to the
-			// hop's ledger.  On a multi-engine run the wall-clock segments
-			// measure global work during the hop, not this request's own
-			// waiting, so these virtual-cycle figures — burst length, pool
-			// wait, engine wait — are what E-TAIL's queue attribution
-			// reasons over.  They are the dispatcher's state handed to the
-			// ledger entry, not a stamp of the crossing.
-			r.ex.request.Hop().NoteSched(r.srv.schedBurst.Load(),
-				r.srv.schedPoolWait.Load(), r.srv.schedCPUWait.Load())
-		}
-		// Reply commit: the reply is committed and the burst released —
-		// service ends here and so do the serve span and the pool's busy
-		// gauge, before the reply wakes the client, so the client's
-		// resume can never land inside them whatever the host runs
-		// first.  Only the committed branch stamps: an abandoned
-		// exchange's call was closed by the client and must not be
-		// written further.
-		r.ex.request.rec.Stamp(cpu.PhaseServed, "", 0)
-		r.idle()
-		out := rpcOutcome{m: reply, vt: r.srv.vt.Load()}
-		if reply.batch != nil {
-			out = rpcOutcome{batch: reply.batch, vt: out.vt}
-		}
-		// The send is the replier's last access to the exchange: from here
-		// the caller may reuse it (Thread.park).
-		r.ex.reply <- out
+	if len(reply.Rights) > 0 {
+		caller.task.acceptRights(reply)
 	}
-	return nil
+	// End the server burst before the caller resumes, so the outcome
+	// carries the handler's virtual completion time and the resume starts
+	// after it in modeled time.
+	if rel != nil {
+		rel()
+		// The burst just settled: attach its modeled schedule to the
+		// hop's ledger.  On a multi-engine run the wall-clock segments
+		// measure global work during the hop, not this request's own
+		// waiting, so these virtual-cycle figures — burst length, pool
+		// wait, engine wait — are what E-TAIL's queue attribution
+		// reasons over.  They are the dispatcher's state handed to the
+		// ledger entry, not a stamp of the crossing.
+		s.req.Hop().NoteSched(s.th.schedBurst.Load(),
+			s.th.schedPoolWait.Load(), s.th.schedCPUWait.Load())
+	}
+	// Reply commit: service ends here and so do the serve span and the
+	// pool's busy gauge, before the caller resumes.
+	s.req.rec.Stamp(cpu.PhaseServed, "", 0)
+	busy.Dec()
+	if reply.batch != nil {
+		return rpcOutcome{batch: reply.batch, vt: s.th.vt.Load()}
+	}
+	return rpcOutcome{m: reply, vt: s.th.vt.Load()}
 }
 
 // receiverASID reports the address space holding the receive right.
@@ -646,93 +596,47 @@ func (p *Port) receiverASID() uint64 {
 	return p.recvTask.asid
 }
 
-// Handler processes one RPC request and returns the reply.  The request
-// is valid until its reply: its header lives in the caller's exchange,
-// which the caller's next call overwrites, so a handler keeps nothing of
-// it past the reply but what it copied out — its record (Record, Hop) or
-// the bytes it points to, which stay the caller's.  A handler may return
-// the request itself; the kernel copies it then.  Any other reply goes to
-// the caller as it is, so a handler must not change a reply it has
-// returned.  Every handler in this tree has been checked against this
-// contract: none keeps its request past the reply.
+// Handler processes one RPC request and returns the reply.  It runs on
+// the caller's goroutine, under a server slot's identity.  The request is
+// valid until its reply: its header lives in the slot, which the slot's
+// next call overwrites, so a handler keeps nothing of it past the reply
+// but what it copied out — its record (Record, Hop) or the bytes it
+// points to, which stay the caller's.  A handler may return the request
+// itself; the kernel copies it then.  Any other reply goes to the caller
+// as it is, so a handler must not change a reply it has returned.  Every
+// handler in this tree has been checked against this contract: none
+// keeps its request past the reply.
 type Handler func(*Message) *Message
 
-// serveLoop is what a server loop owns for its whole life: its thread,
-// the "serve:<task>[/<worker>]" frame its spans and profile contexts
-// carry, and the slots a vectored request's sub-replies are gathered in.
-// Thread.Serve and ServerPool.worker are both this plus a receive.
-type serveLoop struct {
-	th      *Thread
-	frame   string
-	replies []*Message
-}
-
-// dispatch runs h on one request received on port pn and delivers the
-// reply, inside the serve span every served RPC gets: parented to the
-// client's call carried in the message, so the causal tree crosses tasks,
-// carrying the server and operation profile frames, and closed by the
-// call's reply commit (it covers handler AND reply delivery — the
-// server-occupancy segment internal/bench calibrates its concurrency
-// model from).  A reply that is never committed closes it on return.
-// Vectored carriers are demultiplexed here — each sub-request handled in
-// order, the sub-replies sent back in one crossing — so handlers never
-// see one.
-//
-// The latency ledger needs nothing bound here: the request record rides
-// in the message the handler is given, and a handler that calls onward
-// names it from there.  A carrier's subs each get a sub-hop — one service
-// window — in a header copy of their own: the sub-messages are still the
-// client's.  ps is the engine's plane set, loaded once by the loop for
-// this request.
-func (l *serveLoop) dispatch(ps *cpu.Planes, resp *Responder, req *Message, pn PortName, h func(PortName, *Message) *Message) error {
-	defer ps.Open(cpu.Event{Type: cpu.EvRPCServe, Subsystem: "mach.rpc", Name: l.frame,
-		Arg: uint64(req.ID), Req: req.rec}, req.rec).End()
-	if subs := req.batch; subs != nil {
-		if cap(l.replies) < len(subs) {
-			l.replies = make([]*Message, len(subs))
-		}
-		replies := l.replies[:len(subs)]
-		var hdrs []Message
-		if req.Hop() != nil {
-			hdrs = make([]Message, len(subs))
-		}
-		for i, sub := range subs {
-			sh := req.Hop().BeginSub(uint32(sub.ID))
-			if sh != nil {
-				hdrs[i] = *sub
-				hdrs[i].rec = sh
-				sub = &hdrs[i]
-			}
-			replies[i] = h(pn, sub)
-			klat.Of(sh).EndSub()
-		}
-		err := resp.ReplyV(replies)
-		clear(replies) // the caller got its own slice; keep nothing alive
+// Serve makes th the one slot of a server on the named receive right:
+// each call to the port runs h under th's identity.  It blocks until the
+// thread or the port dies and returns ErrAborted or ErrDeadPort; a port
+// already served fails with ErrRightExists.  This is the "optimized and
+// simplified ... server loop" of the rework, reduced to a registration.
+func (th *Thread) Serve(recvName PortName, h Handler) error {
+	port, _, err := th.task.portFor(recvName, RightReceive)
+	if err != nil {
 		return err
 	}
-	return resp.Reply(h(pn, req))
-}
-
-// Serve runs a server loop on the named receive right: each iteration
-// blocks in RPCReceive, applies h, and replies.  It exits when the thread
-// or port dies.  This is the "optimized and simplified ... server loop" of
-// the rework.
-func (th *Thread) Serve(recvName PortName, h Handler) error {
-	l := serveLoop{th: th, frame: "serve:" + th.task.name}
-	hp := func(_ PortName, m *Message) *Message { return h(m) }
-	for {
-		req, resp, err := th.RPCReceive(recvName)
-		if err != nil {
-			return err
-		}
-		if err := l.dispatch(th.task.kernel.CPU.Planes(), resp, req, recvName, hp); err != nil {
-			return err
-		}
+	if port.receiverTask() != th.task {
+		return ErrNotReceiver
+	}
+	p := &ServerPool{task: th.task, idle: make(chan *slot, 1),
+		handler: func(_ PortName, m *Message) *Message { return h(m) }}
+	p.idle <- &slot{th: th, frame: "serve:" + th.task.name}
+	if err := port.serve(p, recvName); err != nil {
+		return err
+	}
+	select {
+	case <-port.closed:
+		return ErrDeadPort
+	case <-th.abort:
+		return ErrAborted
 	}
 }
 
 // cloneForDelivery copies a header the kernel cannot deliver as it is
-// (see deliver): the copy has its own rights list, so renaming them
+// (see ServerPool.reply): the copy has its own rights list, so renaming them
 // leaves the original's names alone, and shares the body bytes, because
 // the physical copy is charged in the cost model and the simulation
 // treats delivered bodies as immutable.  A nil message copies as an empty

@@ -25,8 +25,8 @@ import (
 //   - serialization domain: a client thread's bursts follow program
 //     order through the thread's virtual clock (Thread.vt), while a
 //     server pool's bursts draw on M interchangeable virtual servers
-//     (vtPool) — which worker goroutine won the rendezvous is a
-//     wall-clock accident that must not order the schedule;
+//     (vtPool) — which slot a caller took is a host accident that
+//     must not order the schedule;
 //   - RPC causality: a server burst cannot start before the caller's
 //     send completed, and replies carry the server's completion time
 //     back into the blocked client (Thread.syncVT), so a client that
@@ -52,7 +52,9 @@ import (
 // clocks, not wall-clock exclusivity, so placement never blocks: a
 // burst placed on a busy engine queues behind it in modeled time while
 // the Go goroutines run freely — which is what keeps the kernel
-// deadlock-free under arbitrary user locking across RPCs.
+// deadlock-free under arbitrary user locking across RPCs.  A crossing is
+// two or three bursts on one goroutine: the caller's send, the server
+// burst on the slot it took (schedServe), and the caller's resume.
 type sched struct {
 	k    *Kernel
 	cx   *cpu.Complex
@@ -215,22 +217,21 @@ func (s *sched) pick(th *Thread) (se *schedEngine, stolen bool) {
 }
 
 // vtPool models a server pool as M interchangeable virtual servers.
-// Which Go goroutine wins the wall-clock rendezvous for a request is
-// arbitrary — a worker that just finished a late-arriving burst can grab
-// a request whose sender completed much earlier in modeled time, and
-// chaining that burst on the worker's own clock would serialize the
-// whole pool into one long false dependency (measured: a saturated
-// four-worker pool flatlining at 1.4x).  Worker identity is a wall-clock
-// artifact, so pool bursts instead claim capacity from M busy-floor
-// slots with the same semantics as schedEngine.busy: the least-loaded
-// slot advances by the burst's length, bounding the pool's aggregate
-// progress at M servers' worth of work while idle gaps stay
-// backfillable.
+// Which slot a caller takes is a host accident — a slot freed by a
+// late-arriving burst can be taken by a caller whose send completed much
+// earlier in modeled time, and chaining that burst on the slot's own
+// clock would serialize the whole pool into one long false dependency
+// (measured: a saturated four-worker pool flatlining at 1.4x).  Slot
+// identity is a wall-clock artifact, so pool bursts instead claim
+// capacity from M busy-floor virtual servers with the same semantics as
+// schedEngine.busy: the least-loaded one advances by the burst's length,
+// bounding the pool's aggregate progress at M servers' worth of work
+// while idle gaps stay backfillable.
 //
-// Slots are one per ServerPool thread, but a pool fronting one physical
-// resource can cap them below its thread count — the block driver runs
-// its virtual capacity at one slot because its bursts are dominated by
-// device time and there is only one disk arm.
+// There is one virtual server per ServerPool slot, but a pool fronting
+// one physical resource can cap them below its slot count — the block
+// driver runs its virtual capacity at one because its bursts are
+// dominated by device time and there is only one disk arm.
 type vtPool struct {
 	mu    sync.Mutex
 	slots []uint64
@@ -270,13 +271,9 @@ func (p *vtPool) claim(length uint64) uint64 {
 // thread to it and charges the migration cost if th last ran elsewhere.
 // With a pool the burst serializes on the pool's earliest-free virtual
 // slot and on the caller's send completion (ready); without one, on th's
-// own clock.  The returned release ends the burst (same goroutine).  It
-// returns nil when the caller is already bound — a nested kernel entry
-// stays on its engine.
+// own clock.  The returned release ends the burst (same goroutine).  A
+// binding already in place is shadowed until the release (Bind nests).
 func (s *sched) place(th *Thread, pool *vtPool, ready uint64) func() {
-	if s.cx.BoundEngine() != nil {
-		return nil
-	}
 	se, stolen := s.pick(th)
 	se.runq.Add(1)
 	// Reserve the burst's estimated length on the engine so later picks
@@ -379,20 +376,29 @@ func (s *sched) place(th *Thread, pool *vtPool, ready uint64) func() {
 // returns the burst's release, or nil on single-CPU kernels and nested
 // entries (where the burst simply continues on the current engine).
 func (k *Kernel) schedRun(th *Thread) func() {
-	if k.sched == nil {
+	if k.sched == nil || k.cx.BoundEngine() != nil {
 		return nil
 	}
 	return k.sched.place(th, nil, 0)
 }
 
-// schedRunPool is schedRun for a port-set server burst: it serializes on
-// the set's virtual server pool and on the caller's send completion at
-// ready, not on th's own clock.
-func (k *Kernel) schedRunPool(th *Thread, pool *vtPool, ready uint64) func() {
+// schedServe places the server burst of a crossing on slot srv — receive
+// path, handler and reply — and returns its release, or nil on single-CPU
+// kernels.  It cannot start before the caller's send completed at ready.
+// A pool slot serializes on the pool's virtual capacity (which slot a
+// caller took is a host accident), any other server thread on its own
+// clock.  The burst is placed even when the caller is bound by an outer
+// handler: a nested call still claims its server's capacity — the block
+// driver's one virtual server is the disk arm.
+func (k *Kernel) schedServe(srv *Thread, ready uint64) func() {
 	if k.sched == nil {
 		return nil
 	}
-	return k.sched.place(th, pool, ready)
+	if srv.poolVT == nil {
+		srv.syncVT(ready)
+		return k.sched.place(srv, nil, 0)
+	}
+	return k.sched.place(srv, srv.poolVT, ready)
 }
 
 // schedReady advances th's virtual clock to vt ahead of its next

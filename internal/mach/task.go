@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cpu"
+	"repro/internal/kflight"
 )
 
 // Task is a Mach task: an address space (identified here by its ASID and
@@ -140,8 +141,9 @@ func (t *Task) String() string {
 	return fmt.Sprintf("task %d (%s)", t.id, t.name)
 }
 
-// Thread is a Mach thread.  Simulated threads are backed by goroutines;
-// all performance numbers come from the cost model, not the Go scheduler.
+// Thread is a Mach thread.  Simulated threads are backed by goroutines,
+// except a server pool's slots, which run on their callers'; all
+// performance numbers come from the cost model, not the Go scheduler.
 type Thread struct {
 	task *Task
 	id   ThreadID
@@ -181,11 +183,10 @@ type Thread struct {
 	schedPoolWait atomic.Uint64
 	schedCPUWait  atomic.Uint64
 
-	// poolVT, when set (by ServerPool before the worker loop starts),
-	// marks this thread as an interchangeable pool worker: its server
-	// bursts serialize on the pool's virtual capacity instead of on the
-	// thread's own clock.  Written once on the worker's own goroutine
-	// before its first receive, read only by that goroutine.
+	// poolVT, when set (by ServerPool as it creates the slot), marks
+	// this thread as an interchangeable pool slot: its server bursts
+	// serialize on the pool's virtual capacity instead of on the
+	// thread's own clock.  Written once before the slot is first freed.
 	poolVT *vtPool
 
 	// actFor is the record of the request the thread calls for (ActFor).
@@ -197,15 +198,14 @@ type Thread struct {
 	// by Kernel.WaitEdges from any goroutine.
 	wait atomic.Pointer[flightWait]
 
-	// ex is the thread's idle exchange, taken by each call and parked
-	// again once the call's outcome is in (see rpcExchange).  Nil before
-	// the first call, after an abandoned one, and while a call is out.
-	ex atomic.Pointer[rpcExchange]
+	// waits are the thread's RPC wait records, for a slot then for the
+	// reply: each call aims both at its port and operation before
+	// publishing either, so the crossing builds no record of its own.
+	waits [2]flightWait
 
-	// resp is the Responder of the request the thread last received: a
-	// server thread answers one request before it takes the next, so its
-	// receive fills this one in rather than building another.
-	resp Responder
+	// exit, when set at creation, runs once when the thread dies: a pool
+	// slot's live count falls with it.
+	exit func()
 }
 
 // ActFor names the request the thread's Calls are made for: until
@@ -258,15 +258,7 @@ func (t *Task) ThreadsSnapshot() []*Thread {
 // Spawn creates a thread in the task running fn on its own goroutine.
 // It charges the thread-creation path.
 func (t *Task) Spawn(name string, fn func(*Thread)) (*Thread, error) {
-	k := t.kernel
-	k.trap()
-	k.CPU.Exec(k.paths.threadCreate)
-	k.rti()
-	if ps := k.CPU.Planes(); ps.Wants(cpu.EvTask) {
-		ps.Emit(cpu.Event{Type: cpu.EvTask, Subsystem: "mach.task", Name: "thread_create:" + name, Arg: uint64(t.id)})
-	}
-
-	th, err := t.newThread(name)
+	th, err := t.create(name, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -277,14 +269,27 @@ func (t *Task) Spawn(name string, fn func(*Thread)) (*Thread, error) {
 	return th, nil
 }
 
+// create is thread_create: it charges the thread-creation path and
+// returns a thread with no goroutine, whose death runs exit.
+func (t *Task) create(name string, exit func()) (*Thread, error) {
+	k := t.kernel
+	k.trap()
+	k.CPU.Exec(k.paths.threadCreate)
+	k.rti()
+	if ps := k.CPU.Planes(); ps.Wants(cpu.EvTask) {
+		ps.Emit(cpu.Event{Type: cpu.EvTask, Subsystem: "mach.task", Name: "thread_create:" + name, Arg: uint64(t.id)})
+	}
+	return t.newThread(name, exit)
+}
+
 // NewBoundThread creates a thread object without a goroutine; the caller's
 // own goroutine acts as the thread (used by benchmarks and the boot task).
 func (t *Task) NewBoundThread(name string) (*Thread, error) {
-	return t.newThread(name)
+	return t.newThread(name, nil)
 }
 
 // newThread allocates a thread in the task and enters it in its table.
-func (t *Task) newThread(name string) (*Thread, error) {
+func (t *Task) newThread(name string, exit func()) (*Thread, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.dead {
@@ -301,7 +306,10 @@ func (t *Task) newThread(name string) (*Thread, error) {
 		name:   name,
 		doneCh: make(chan struct{}),
 		abort:  make(chan struct{}),
+		exit:   exit,
 	}
+	th.waits[0].kind = kflight.WaitRendezvous
+	th.waits[1].kind = kflight.WaitReply
 	th.selfPort = newPort(k.allocPortID())
 	th.selfPort.recvTask = t
 	th.selfName, _ = t.ports.insert(th.selfPort, RightReceive)
@@ -352,6 +360,9 @@ func (th *Thread) terminate() {
 	delete(th.task.threads, th.id)
 	th.task.mu.Unlock()
 	th.selfPort.destroy()
+	if th.exit != nil {
+		th.exit()
+	}
 }
 
 // Terminate kills the thread (thread_terminate).

@@ -622,8 +622,7 @@ func (s *Server) handleFile(fd uint32, req *mach.Message) *mach.Message {
 		s.mu.Unlock()
 		if ok {
 			if s.fileSet != nil {
-				// Leave the set first so the forwarder stops, then
-				// destroy the port.
+				// Leave the set first, then destroy the port.
 				s.fileSet.RemoveMember(fp)
 			}
 			// Destroy the per-file port synchronously: its charges are

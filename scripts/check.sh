@@ -16,11 +16,10 @@
 # bcache, drivers and registry serve pooled, vectored and region RPC from
 # many clients (aliasing bugs there surface only under the race detector),
 # with the request context named, not discovered — TestLedgerParentsUnderPools,
-# TestRequestContextExact and TestFlushNamesItsRequest run here; each
-# thread reuses one RPC exchange for all its calls, and a server or a
-# port-set forwarder may still hold one its caller abandoned, so the
-# exchange-reuse lifecycle tests run fifty times over under the detector;
-# cpu's
+# TestRequestContextExact and TestFlushNamesItsRequest run here; servers
+# are passive, so a caller runs its handler under a pool slot it takes
+# from the pool's free list, and the slot-wait, send-once and pool-bound
+# tests run fifty times over under the detector; cpu's
 # Complex routes every charge through a per-OS-thread binding table while
 # the SMP dispatcher binds and steals from many goroutines; and cmd/kobs
 # runs the end-to-end tier, the CLI as a child process per scenario.
@@ -82,10 +81,11 @@ fi
 # seconds, not hang for go test's ten-minute default.
 run go test -race -timeout 300s ./internal/cpu/... ./internal/kstat/... ./internal/ktrace/... ./internal/kprof/... ./internal/kflight/... ./internal/klat/... ./internal/mach/... ./internal/vfs/... ./internal/os2/... ./internal/monitor/... ./internal/bcache/... ./internal/drivers/... ./internal/registry/... ./cmd/kobs/...
 
-# The exchange-reuse lifecycle: a kept reply, a timeout racing its late
-# reply (direct and through a port-set forwarder), a worker killed
-# mid-handler.  Rare interleavings, so many runs.
-run go test -race -count=50 -timeout 300s -run 'TestExchange|TestReusedRequestIsRoot' ./internal/mach/
+# The slot lifecycle: a kept reply, a deadline firing while every slot
+# is busy (direct and through a port set), a slot killed mid-handler, two
+# calls racing through one send-once right, and a pool never running more
+# handlers than it has slots.  Rare interleavings, so many runs.
+run go test -race -count=50 -timeout 300s -run 'TestExchange|TestReusedRequestIsRoot|TestSendOnceRace|TestPoolNeverRunsMoreThanSize' ./internal/mach/
 
 # A pool's busy gauge falls at the reply commit, before the caller is
 # released: read the instant each call returns, over many boots.
