@@ -16,12 +16,9 @@ package bcache
 import (
 	"container/list"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/cpu"
 	"repro/internal/iosys"
-	"repro/internal/klat"
 	"repro/internal/kstat"
 	"repro/internal/mach"
 	"repro/internal/vfs"
@@ -54,8 +51,9 @@ type block struct {
 }
 
 // Cache is a unified buffer cache over a block device.  It satisfies
-// vfs.CachedDev and is safe for concurrent use (the pooled vfs server
-// calls it from several worker threads).
+// vfs.CachedDev and is not safe for concurrent use: the file server calls
+// it only under the volume's kernel lock, which admits one request at a
+// time however many pool threads serve the volume.
 type Cache struct {
 	eng   *cpu.Engine
 	inner vfs.BlockDev
@@ -63,10 +61,9 @@ type Cache struct {
 	arena cpu.Region // modeled backing store; Copy src/dst addresses
 	buf   cpu.Region // stand-in address for the caller's buffer
 
-	below vfs.RequestDev           // inner, when it admits declared requests in turn
-	req   atomic.Pointer[cpu.Span] // the request holding that turn
+	below vfs.RequestDev // inner, when it attributes work to requests
+	req   *cpu.Span      // the request the cache works for (Begin)
 
-	mu       sync.Mutex
 	cap      int
 	dirtyMax int
 	ra       int
@@ -145,21 +142,19 @@ func (c *Cache) sectorAddr(sector uint64) uint64 {
 	return c.arena.Base + (sector%uint64(c.cap))*SectorSize
 }
 
-// Begin implements vfs.RequestDev by passing the declaration down; under
-// the inner device's turn the cache notes its hits, misses and lock waits
-// on that request too.  Over a device that takes no turns (a RAM disk)
-// nothing orders requests here, so the cache names none.
+// Begin implements vfs.RequestDev: the cache notes its hits, misses and
+// write-backs on req and passes the declaration down.
 func (c *Cache) Begin(req *mach.Message) {
+	c.req = req.Record()
 	if c.below != nil {
 		c.below.Begin(req)
-		c.req.Store(req.Record())
 	}
 }
 
 // End implements vfs.RequestDev.
 func (c *Cache) End() {
+	c.req = nil
 	if c.below != nil {
-		c.req.Store(nil)
 		c.below.End()
 	}
 }
@@ -173,8 +168,6 @@ func (c *Cache) ReadSectors(sector uint64, buf []byte) error {
 		return c.inner.ReadSectors(sector, buf)
 	}
 	n := uint64(len(buf) / SectorSize)
-	c.lockArm()
-	defer c.mu.Unlock()
 	c.eng.Exec(c.op)
 	seq := c.seqValid && sector == c.nextSeq
 	c.nextSeq = sector + n
@@ -233,14 +226,10 @@ func (c *Cache) ReadSectors(sector uint64, buf []byte) error {
 // returned to the caller and the unwritten sectors stay dirty.
 func (c *Cache) WriteSectors(sector uint64, data []byte) error {
 	if len(data) == 0 || len(data)%SectorSize != 0 {
-		c.mu.Lock()
 		c.dropRange(sector, uint64((len(data)+SectorSize-1)/SectorSize))
-		c.mu.Unlock()
 		return c.inner.WriteSectors(sector, data)
 	}
 	n := uint64(len(data) / SectorSize)
-	c.lockArm()
-	defer c.mu.Unlock()
 	c.eng.Exec(c.op)
 	for i := uint64(0); i < n; i++ {
 		s := sector + i
@@ -263,7 +252,7 @@ func (c *Cache) WriteSectors(sector uint64, data []byte) error {
 	}
 	c.account(0, 0, 0, 0)
 	if len(c.dirtyQ) > c.dirtyMax {
-		return c.flushLocked(c.dirtyMax)
+		return c.flush(c.dirtyMax)
 	}
 	return nil
 }
@@ -272,30 +261,24 @@ func (c *Cache) WriteSectors(sector uint64, data []byte) error {
 // error the blocks that could not be written remain dirty so the caller
 // can retry (e.g. after FaultyDev.Heal).
 func (c *Cache) Sync() error {
-	c.lockArm()
-	defer c.mu.Unlock()
 	if len(c.dirtyQ) == 0 {
 		return nil
 	}
 	c.eng.Exec(c.op)
-	return c.flushLocked(0)
+	return c.flush(0)
 }
 
 // Dirty reports the current number of dirty sectors (for tests).
 func (c *Cache) Dirty() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return len(c.dirtyQ)
 }
 
 // Cached reports whether a sector is resident (for tests).
 func (c *Cache) Cached(sector uint64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.blocks[sector] != nil
 }
 
-// flushLocked writes dirty sectors oldest-first until at most limit
+// flush writes dirty sectors oldest-first until at most limit
 // remain, assembling contiguous runs into single device writes.  A run
 // is copied out of the cache and then, on a plain device, written at
 // once: the first device error stops the flush.  On a batch-capable
@@ -304,7 +287,7 @@ func (c *Cache) Cached(sector uint64) bool {
 // reports how many landed before the first error.  Either way only the
 // written runs are un-dirtied, so a failed flush retries exactly the
 // rest.
-func (c *Cache) flushLocked(limit int) error {
+func (c *Cache) flush(limit int) error {
 	want := len(c.dirtyQ) - limit
 	if want <= 0 {
 		return nil
@@ -463,13 +446,6 @@ func (c *Cache) removeFromDirtyQ(sectors []uint64) {
 	c.dirtyQ = q
 }
 
-// lockArm takes the cache lock.  It is held across the inner device calls
-// (misses, write-behind and Sync flushes), so waiting here is queueing on
-// the single disk arm and is named so on the request the cache works for.
-// Declared requests took turns below first; what one can still wait
-// behind is a caller that declared nothing (an unmount flush, a harness).
-func (c *Cache) lockArm() { klat.Of(c.req.Load()).WaitLock(&c.mu, "bcache-lock") }
-
 // outcomes names the cache outcome records, in account's argument order.
 var outcomes = [...]string{"hit", "miss", "readahead", "writeback"}
 
@@ -481,10 +457,9 @@ var outcomes = [...]string{"hit", "miss", "readahead", "writeback"}
 func (c *Cache) account(hits, misses, ra, wb uint64) {
 	ps := c.eng.Planes()
 	if ps.Wants(cpu.EvCache) {
-		req := c.req.Load()
 		for i, n := range [...]uint64{hits, misses, ra, wb} {
 			if n > 0 {
-				ps.Emit(cpu.Event{Type: cpu.EvCache, Subsystem: "bcache", Name: outcomes[i], Arg: n, Req: req})
+				ps.Emit(cpu.Event{Type: cpu.EvCache, Subsystem: "bcache", Name: outcomes[i], Arg: n, Req: c.req})
 			}
 		}
 	}

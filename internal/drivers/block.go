@@ -202,7 +202,7 @@ func (d *UserBlockDriver) handle(req *mach.Message) *mach.Message {
 			return errReply(ErrBadSector)
 		}
 		buf := make([]byte, count*SectorSize)
-		if err := d.disk.read(req.Hop(), sector, buf); err != nil {
+		if err := d.disk.ReadSectors(sector, buf); err != nil {
 			return errReply(err)
 		}
 		return d.xfer.Place(0, nil, buf)
@@ -210,7 +210,7 @@ func (d *UserBlockDriver) handle(req *mach.Message) *mach.Message {
 		if len(req.Body) < 8 {
 			return errReply(ErrBadRequest)
 		}
-		if err := d.disk.write(req.Hop(), binary.BigEndian.Uint64(req.Body[0:8]), req.Payload()); err != nil {
+		if err := d.disk.WriteSectors(binary.BigEndian.Uint64(req.Body[0:8]), req.Payload()); err != nil {
 			return errReply(err)
 		}
 		return &mach.Message{ID: 0}

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/iosys"
-	"repro/internal/klat"
 )
 
 // SectorSize is the disk sector granularity.
@@ -42,6 +41,9 @@ type Disk struct {
 	owner  iosys.Owner
 	dmaCh  int
 
+	// mu serializes the one head: held for the seek charge and the
+	// sector copies, released before the DMA transfer and the interrupt,
+	// so it is held across no call.
 	mu      sync.Mutex
 	sectors [][]byte
 	pos     uint64
@@ -78,11 +80,6 @@ func (d *Disk) Vector() int { return d.vector }
 // ReadSectors fills buf (a whole number of sectors) starting at sector,
 // charging seek, DMA and raising the completion interrupt.
 func (d *Disk) ReadSectors(sector uint64, buf []byte) error {
-	return d.read(nil, sector, buf)
-}
-
-// read is ReadSectors for the driver request whose ledger entry is req.
-func (d *Disk) read(req *klat.Hop, sector uint64, buf []byte) error {
 	if len(buf)%SectorSize != 0 {
 		return ErrBadSize
 	}
@@ -91,7 +88,7 @@ func (d *Disk) read(req *klat.Hop, sector uint64, buf []byte) error {
 	// native system pays this part too.
 	defer d.eng.Planes().Open(cpu.Event{Type: cpu.EvDriverIO, Subsystem: "disk", Name: "disk:read"}, nil).End()
 	n := uint64(len(buf) / SectorSize)
-	d.lockArm(req)
+	d.mu.Lock()
 	if !d.inRange(sector, n) {
 		d.mu.Unlock()
 		return ErrBadSector
@@ -121,17 +118,12 @@ func (d *Disk) read(req *klat.Hop, sector uint64, buf []byte) error {
 
 // WriteSectors stores data (a whole number of sectors) at sector.
 func (d *Disk) WriteSectors(sector uint64, data []byte) error {
-	return d.write(nil, sector, data)
-}
-
-// write is WriteSectors for the driver request req.
-func (d *Disk) write(req *klat.Hop, sector uint64, data []byte) error {
 	if len(data)%SectorSize != 0 {
 		return ErrBadSize
 	}
 	defer d.eng.Planes().Open(cpu.Event{Type: cpu.EvDriverIO, Subsystem: "disk", Name: "disk:write"}, nil).End()
 	n := uint64(len(data) / SectorSize)
-	d.lockArm(req)
+	d.mu.Lock()
 	if !d.inRange(sector, n) {
 		d.mu.Unlock()
 		return ErrBadSector
@@ -157,11 +149,6 @@ func (d *Disk) inRange(sector, n uint64) bool {
 	size := uint64(len(d.sectors))
 	return n <= size && sector <= size-n
 }
-
-// lockArm takes the arm mutex: there is one head, seeks are serialized on
-// it, and time spent behind a competitor's seek is named on req's ledger
-// as arm queueing rather than folded into driver service.
-func (d *Disk) lockArm(req *klat.Hop) { req.WaitLock(&d.mu, "disk-arm") }
 
 // Counts reports sectors read and written.
 func (d *Disk) Counts() (reads, writes uint64) {

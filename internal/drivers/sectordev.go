@@ -1,8 +1,6 @@
 package drivers
 
 import (
-	"sync"
-
 	"repro/internal/mach"
 	"repro/internal/vfs"
 )
@@ -13,15 +11,15 @@ import (
 //
 // Every caller leaves on the adapter's one private thread, so only the
 // handler holding the request message knows whose driver call it is, and
-// says so with Begin/End (vfs.RequestDev).  The adapter owns the thread,
-// so it owns the exclusivity: requests take turns from Begin to End.
-// Driven with no request named (boot, the native baseline's nil thread)
-// it works the same and its driver calls are roots.
+// says so with Begin/End (vfs.RequestDev).  The adapter keeps no lock:
+// the file server calls it only under the volume's kernel lock, which
+// admits one request at a time.  Driven with no request named (boot, the
+// native baseline's nil thread) it works the same and its driver calls
+// are roots.
 type SectorDev struct {
 	drv     BlockDriver
 	th      *mach.Thread
 	sectors uint64
-	turn    sync.Mutex
 }
 
 // NewSectorDev binds a driver to a calling thread and a disk size.
@@ -29,20 +27,13 @@ func NewSectorDev(drv BlockDriver, th *mach.Thread, sectors uint64) *SectorDev {
 	return &SectorDev{drv: drv, th: th, sectors: sectors}
 }
 
-// Begin implements vfs.RequestDev: it takes the adapter's turn for req
-// (a wait for it is a wait for the disk behind another request, marked
-// on req as disk-turn) and points the private thread at req, so the
-// driver calls made until End are req's children in the latency ledger.
-func (d *SectorDev) Begin(req *mach.Message) {
-	req.Hop().WaitLock(&d.turn, "disk-turn")
-	d.th.ActFor(req)
-}
+// Begin implements vfs.RequestDev: it points the private thread at req,
+// so the driver calls made until End are req's children in the latency
+// ledger.
+func (d *SectorDev) Begin(req *mach.Message) { d.th.ActFor(req) }
 
 // End implements vfs.RequestDev.
-func (d *SectorDev) End() {
-	d.th.ActFor(nil)
-	d.turn.Unlock()
-}
+func (d *SectorDev) End() { d.th.ActFor(nil) }
 
 // ReadSectors reads len(buf)/SectorSize sectors starting at sector.
 func (d *SectorDev) ReadSectors(sector uint64, buf []byte) error {

@@ -2,7 +2,6 @@ package drivers
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
 
 	"repro/internal/klat"
@@ -88,108 +87,5 @@ func TestSectorDevUnnamedPathsSafe(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestSectorDevTurns drives the adapter the way the file server does —
-// handlers on a pool declaring the request they serve — over the
-// user-level driver: every driver call lands under the request that held
-// the turn, requests wait their turn, and a turn that had to be waited
-// for is marked on the waiting request's ledger as disk-turn.
-func TestSectorDevTurns(t *testing.T) {
-	r := newRig(t)
-	drv, err := NewUserBlockDriver(r.k, r.k.Layout(), r.disk, r.hrm, r.intr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := r.k.NewTask("fs")
-	defer fs.Terminate()
-	th, _ := fs.NewBoundThread("diskio")
-	dev := NewSectorDev(drv, th, r.disk.Sectors())
-	lt := klat.Attach(r.k.CPU)
-	defer klat.Detach(r.k.CPU)
-
-	// The handler reads one sector per unit of its selector's low byte,
-	// under its request's turn.  A holdOp request parks inside its turn
-	// until released; every other one says when it is about to ask.
-	const holdOp = 0x100
-	holding, asking, release := make(chan struct{}), make(chan struct{}), make(chan struct{})
-	port, _ := fs.AllocatePort()
-	if _, err := fs.ServePool("svc", port, 2, func(m *mach.Message) *mach.Message {
-		if m.ID&holdOp == 0 {
-			asking <- struct{}{}
-		}
-		dev.Begin(m)
-		defer dev.End()
-		if m.ID&holdOp != 0 {
-			holding <- struct{}{}
-			<-release
-		}
-		for i := 0; i < int(m.ID&0xff); i++ {
-			if err := dev.ReadSectors(uint64(i), make([]byte, SectorSize)); err != nil {
-				t.Errorf("read: %v", err)
-			}
-		}
-		return &mach.Message{}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	task := r.k.NewTask("clients")
-	defer task.Terminate()
-	send, _ := task.InsertRight(fs, port, mach.DispMakeSend)
-	done := make(chan struct{})
-	call := func(id mach.MsgID) {
-		cth, _ := task.NewBoundThread("main")
-		if _, err := cth.Call(send, &mach.Message{ID: id}, mach.CallOpts{}); err != nil {
-			t.Errorf("call %#x: %v", id, err)
-		}
-		done <- struct{}{}
-	}
-
-	// One request holds the turn while a second asks for it; the clock
-	// moves 5000 cycles before the first lets go.  Whether the second was
-	// already parked on the turn by then is the host scheduler's call (a
-	// goroutine blocked on a mutex announces nothing), so a round is
-	// repeated, with fresh selectors, until one was.
-	const stall = 5000
-	marked := false
-	for round := mach.MsgID(1); round <= 50 && !marked; round++ {
-		waiter := round<<16 | 2
-		go call(round<<16 | holdOp | 3)
-		<-holding
-		go call(waiter)
-		<-asking
-		for i := 0; i < 100; i++ {
-			runtime.Gosched()
-		}
-		r.k.CPU.Stall(stall)
-		release <- struct{}{}
-		<-done
-		<-done
-		for _, f := range lt.Dump().Families {
-			if f.Server == "fs" && f.Op == uint32(waiter) {
-				marked = f.Exemplars[0].Marks["disk-turn"] >= stall
-			}
-		}
-	}
-	if !marked {
-		t.Fatal("no request that waited out a held turn had the wait marked on it")
-	}
-
-	for _, f := range lt.Dump().Families {
-		switch f.Server {
-		case "blockdrv":
-			if len(f.Exemplars) != 0 {
-				t.Fatalf("blockdrv/%#x: a driver call made under a turn is a root", f.Op)
-			}
-		case "fs":
-			ex := f.Exemplars[0]
-			if want := int(f.Op & 0xff); len(ex.Children) != want {
-				t.Fatalf("fs/%#x: %d driver calls under it, want %d", f.Op, len(ex.Children), want)
-			}
-			if waited := ex.Marks["disk-turn"]; f.Op&holdOp != 0 && waited != 0 {
-				t.Fatalf("fs/%#x took a free turn but is marked as waiting %d cycles", f.Op, waited)
-			}
-		}
 	}
 }

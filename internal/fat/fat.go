@@ -15,7 +15,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"strings"
-	"sync"
 
 	"repro/internal/vfs"
 )
@@ -77,7 +76,6 @@ func Format(dev vfs.BlockDev) error {
 
 // FS is a mounted FAT file system.
 type FS struct {
-	mu  sync.Mutex
 	dev vfs.BlockDev
 
 	fatStart  uint64
@@ -95,8 +93,6 @@ func New() *FS { return &FS{} }
 // Mount implements vfs.FileSystem: read the boot sector and load the
 // allocation table.
 func (fs *FS) Mount(dev vfs.BlockDev) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	if fs.dev != nil && fs.dev != vfs.DeadDev {
 		return vfs.ErrMountBusy
 	}
@@ -130,8 +126,6 @@ func (fs *FS) Mount(dev vfs.BlockDev) error {
 // Unmount implements vfs.FileSystem (the FAT is written through, so
 // there is nothing to flush).
 func (fs *FS) Unmount() error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	if fs.dev == nil {
 		return vfs.ErrNotMounted
 	}
@@ -165,8 +159,6 @@ func (fs *FS) Sync() error { return nil }
 
 // FreeClusters reports unallocated clusters.
 func (fs *FS) FreeClusters() int {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	n := 0
 	for _, e := range fs.fat {
 		if e == freeMark {
@@ -411,8 +403,6 @@ func (n *node) Attr() (vfs.Attr, error) {
 	if n.isRoot {
 		return vfs.Attr{Dir: true}, nil
 	}
-	n.fs.mu.Lock()
-	defer n.fs.mu.Unlock()
 	d, err := n.loadEnt()
 	if err != nil {
 		return vfs.Attr{}, err
@@ -429,8 +419,6 @@ func (n *node) Lookup(name string) (vfs.Vnode, error) {
 	if err != nil {
 		return nil, vfs.ErrNotFound
 	}
-	n.fs.mu.Lock()
-	defer n.fs.mu.Unlock()
 	secs, _, err := n.dirSectors(false)
 	if err != nil {
 		return nil, err
@@ -465,8 +453,6 @@ func (n *node) Create(name string, dir bool) (vfs.Vnode, error) {
 	if _, lerr := n.Lookup(name); lerr == nil {
 		return nil, vfs.ErrExists
 	}
-	n.fs.mu.Lock()
-	defer n.fs.mu.Unlock()
 	secs, dent, err := n.dirSectors(true)
 	if err != nil {
 		return nil, err
@@ -532,8 +518,6 @@ func (n *node) Remove(name string) error {
 		return err
 	}
 	cn := child.(*node)
-	n.fs.mu.Lock()
-	defer n.fs.mu.Unlock()
 	d, err := cn.loadEnt()
 	if err != nil {
 		return err
@@ -574,8 +558,6 @@ func (n *node) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, vfs.ErrBadOffset
 	}
-	n.fs.mu.Lock()
-	defer n.fs.mu.Unlock()
 	d, err := n.loadEnt()
 	if err != nil {
 		return 0, err
@@ -612,8 +594,6 @@ func (n *node) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 || off+int64(len(p)) > maxFileSize {
 		return 0, vfs.ErrBadOffset
 	}
-	n.fs.mu.Lock()
-	defer n.fs.mu.Unlock()
 	d, err := n.loadEnt()
 	if err != nil {
 		return 0, err
@@ -656,8 +636,6 @@ func (n *node) Truncate(size int64) error {
 	if size < 0 || size > maxFileSize {
 		return vfs.ErrBadOffset
 	}
-	n.fs.mu.Lock()
-	defer n.fs.mu.Unlock()
 	d, err := n.loadEnt()
 	if err != nil {
 		return err
@@ -696,8 +674,6 @@ func (n *node) ReadDir() ([]vfs.DirEnt, error) {
 	if !n.dir {
 		return nil, vfs.ErrNotDir
 	}
-	n.fs.mu.Lock()
-	defer n.fs.mu.Unlock()
 	secs, _, err := n.dirSectors(false)
 	if err != nil {
 		return nil, err

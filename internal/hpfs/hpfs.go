@@ -15,7 +15,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"strings"
-	"sync"
 
 	"repro/internal/vfs"
 )
@@ -78,7 +77,6 @@ func Format(dev vfs.BlockDev) error {
 
 // FS is a mounted HPFS volume.
 type FS struct {
-	mu  sync.Mutex
 	dev vfs.BlockDev
 
 	fnodeStart  uint64
@@ -93,8 +91,6 @@ func New() *FS { return &FS{} }
 
 // Mount implements vfs.FileSystem: read the superblock.
 func (fs *FS) Mount(dev vfs.BlockDev) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	if fs.dev != nil && fs.dev != vfs.DeadDev {
 		return vfs.ErrMountBusy
 	}
@@ -117,8 +113,6 @@ func (fs *FS) Mount(dev vfs.BlockDev) error {
 // Unmount implements vfs.FileSystem (writes are synchronous, nothing to
 // flush).
 func (fs *FS) Unmount() error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	if fs.dev == nil {
 		return vfs.ErrNotMounted
 	}
@@ -337,8 +331,6 @@ var _ vfs.Vnode = (*node)(nil)
 
 // Attr implements vfs.Vnode.
 func (n *node) Attr() (vfs.Attr, error) {
-	n.fs.mu.Lock()
-	defer n.fs.mu.Unlock()
 	f, err := n.fs.readFnode(n.idx)
 	if err != nil {
 		return vfs.Attr{}, err
@@ -369,12 +361,6 @@ func (fs *FS) children(f *fnode) ([]uint32, error) {
 // Lookup implements vfs.Vnode with case-insensitive, case-preserving
 // matching.
 func (n *node) Lookup(name string) (vfs.Vnode, error) {
-	n.fs.mu.Lock()
-	defer n.fs.mu.Unlock()
-	return n.lookupLocked(name)
-}
-
-func (n *node) lookupLocked(name string) (vfs.Vnode, error) {
 	f, err := n.fs.readFnode(n.idx)
 	if err != nil {
 		return nil, err
@@ -407,9 +393,7 @@ func (n *node) Create(name string, dir bool) (vfs.Vnode, error) {
 		}
 		return nil, vfs.ErrBadName
 	}
-	n.fs.mu.Lock()
-	defer n.fs.mu.Unlock()
-	if _, err := n.lookupLocked(name); err == nil {
+	if _, err := n.Lookup(name); err == nil {
 		return nil, vfs.ErrExists
 	}
 	f, err := n.fs.readFnode(n.idx)
@@ -441,9 +425,7 @@ func (n *node) Create(name string, dir bool) (vfs.Vnode, error) {
 
 // Remove implements vfs.Vnode.
 func (n *node) Remove(name string) error {
-	n.fs.mu.Lock()
-	defer n.fs.mu.Unlock()
-	child, err := n.lookupLocked(name)
+	child, err := n.Lookup(name)
 	if err != nil {
 		return err
 	}
@@ -660,8 +642,6 @@ func (n *node) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, vfs.ErrBadOffset
 	}
-	n.fs.mu.Lock()
-	defer n.fs.mu.Unlock()
 	f, err := n.fs.readFnode(n.idx)
 	if err != nil {
 		return 0, err
@@ -681,8 +661,6 @@ func (n *node) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, vfs.ErrBadOffset
 	}
-	n.fs.mu.Lock()
-	defer n.fs.mu.Unlock()
 	f, err := n.fs.readFnode(n.idx)
 	if err != nil {
 		return 0, err
@@ -704,8 +682,6 @@ func (n *node) Truncate(size int64) error {
 	if size < 0 {
 		return vfs.ErrBadOffset
 	}
-	n.fs.mu.Lock()
-	defer n.fs.mu.Unlock()
 	f, err := n.fs.readFnode(n.idx)
 	if err != nil {
 		return err
@@ -728,8 +704,6 @@ func (n *node) Truncate(size int64) error {
 
 // ReadDir implements vfs.Vnode.
 func (n *node) ReadDir() ([]vfs.DirEnt, error) {
-	n.fs.mu.Lock()
-	defer n.fs.mu.Unlock()
 	f, err := n.fs.readFnode(n.idx)
 	if err != nil {
 		return nil, err
@@ -768,8 +742,6 @@ func eaSize(eas []ea) int {
 // SetEA implements vfs.Vnode.  The fnode sector bounds the EA area, a
 // genuine format limit like the real HPFS's 64 KiB EA cap.
 func (n *node) SetEA(key, value string) error {
-	n.fs.mu.Lock()
-	defer n.fs.mu.Unlock()
 	f, err := n.fs.readFnode(n.idx)
 	if err != nil {
 		return err
@@ -798,8 +770,6 @@ func (n *node) SetEA(key, value string) error {
 
 // GetEA implements vfs.Vnode.
 func (n *node) GetEA(key string) (string, error) {
-	n.fs.mu.Lock()
-	defer n.fs.mu.Unlock()
 	f, err := n.fs.readFnode(n.idx)
 	if err != nil {
 		return "", err

@@ -11,7 +11,6 @@ package jfs
 import (
 	"encoding/binary"
 	"errors"
-	"sync"
 
 	"repro/internal/vfs"
 )
@@ -77,7 +76,6 @@ func Format(dev vfs.BlockDev) error {
 
 // FS is a mounted JFS volume.
 type FS struct {
-	mu  sync.Mutex
 	dev vfs.BlockDev
 
 	inodeStart   uint64
@@ -105,8 +103,6 @@ func New() *FS { return &FS{} }
 // Mount implements vfs.FileSystem: read the superblock and replay any
 // committed journal.
 func (fs *FS) Mount(dev vfs.BlockDev) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	if fs.dev != nil && fs.dev != vfs.DeadDev {
 		return vfs.ErrMountBusy
 	}
@@ -131,12 +127,10 @@ func (fs *FS) Mount(dev vfs.BlockDev) error {
 
 // Unmount implements vfs.FileSystem: commit the journal, then detach.
 func (fs *FS) Unmount() error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	if fs.dev == nil {
 		return vfs.ErrNotMounted
 	}
-	if err := fs.syncLocked(); err != nil {
+	if err := fs.Sync(); err != nil {
 		return err
 	}
 	fs.dev = vfs.DeadDev
@@ -206,7 +200,7 @@ func (fs *FS) metaWrite(sector uint64, b []byte) error {
 	if len(fs.pendingSq) >= fs.journalCapacity() {
 		// Auto-sync rather than fail: the real system checkpoints
 		// under pressure.
-		if err := fs.syncLocked(); err != nil {
+		if err := fs.Sync(); err != nil {
 			return err
 		}
 	}
@@ -220,12 +214,6 @@ func (fs *FS) metaWrite(sector uint64, b []byte) error {
 // Sync implements vfs.FileSystem: commit the journal, write home, then
 // checkpoint.
 func (fs *FS) Sync() error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.syncLocked()
-}
-
-func (fs *FS) syncLocked() error {
 	if len(fs.pendingSq) == 0 {
 		return nil
 	}
@@ -303,8 +291,6 @@ func (fs *FS) replay() error {
 
 // PendingMetaWrites reports staged-but-uncommitted metadata sectors.
 func (fs *FS) PendingMetaWrites() int {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	return len(fs.pendingSq)
 }
 

@@ -17,8 +17,6 @@ var _ vfs.Vnode = (*node)(nil)
 
 // Attr implements vfs.Vnode.
 func (n *node) Attr() (vfs.Attr, error) {
-	n.fs.mu.Lock()
-	defer n.fs.mu.Unlock()
 	f, err := n.fs.readInode(n.idx)
 	if err != nil {
 		return vfs.Attr{}, err
@@ -47,12 +45,6 @@ func (fs *FS) children(f *inode) ([]uint32, error) {
 
 // Lookup implements vfs.Vnode with JFS's case-sensitive match.
 func (n *node) Lookup(name string) (vfs.Vnode, error) {
-	n.fs.mu.Lock()
-	defer n.fs.mu.Unlock()
-	return n.lookupLocked(name)
-}
-
-func (n *node) lookupLocked(name string) (vfs.Vnode, error) {
 	f, err := n.fs.readInode(n.idx)
 	if err != nil {
 		return nil, err
@@ -85,9 +77,7 @@ func (n *node) Create(name string, dir bool) (vfs.Vnode, error) {
 	if name == "" || strings.ContainsRune(name, '/') {
 		return nil, vfs.ErrBadName
 	}
-	n.fs.mu.Lock()
-	defer n.fs.mu.Unlock()
-	if _, err := n.lookupLocked(name); err == nil {
+	if _, err := n.Lookup(name); err == nil {
 		return nil, vfs.ErrExists
 	}
 	f, err := n.fs.readInode(n.idx)
@@ -118,9 +108,7 @@ func (n *node) Create(name string, dir bool) (vfs.Vnode, error) {
 
 // Remove implements vfs.Vnode.
 func (n *node) Remove(name string) error {
-	n.fs.mu.Lock()
-	defer n.fs.mu.Unlock()
-	child, err := n.lookupLocked(name)
+	child, err := n.Lookup(name)
 	if err != nil {
 		return err
 	}
@@ -192,8 +180,6 @@ func (n *node) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, vfs.ErrBadOffset
 	}
-	n.fs.mu.Lock()
-	defer n.fs.mu.Unlock()
 	f, err := n.fs.readInode(n.idx)
 	if err != nil {
 		return 0, err
@@ -213,8 +199,6 @@ func (n *node) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, vfs.ErrBadOffset
 	}
-	n.fs.mu.Lock()
-	defer n.fs.mu.Unlock()
 	f, err := n.fs.readInode(n.idx)
 	if err != nil {
 		return 0, err
@@ -236,8 +220,6 @@ func (n *node) Truncate(size int64) error {
 	if size < 0 {
 		return vfs.ErrBadOffset
 	}
-	n.fs.mu.Lock()
-	defer n.fs.mu.Unlock()
 	f, err := n.fs.readInode(n.idx)
 	if err != nil {
 		return err
@@ -260,8 +242,6 @@ func (n *node) Truncate(size int64) error {
 
 // ReadDir implements vfs.Vnode.
 func (n *node) ReadDir() ([]vfs.DirEnt, error) {
-	n.fs.mu.Lock()
-	defer n.fs.mu.Unlock()
 	f, err := n.fs.readInode(n.idx)
 	if err != nil {
 		return nil, err
@@ -299,8 +279,6 @@ func eaSize(eas []ea) int {
 
 // SetEA implements vfs.Vnode.
 func (n *node) SetEA(key, value string) error {
-	n.fs.mu.Lock()
-	defer n.fs.mu.Unlock()
 	f, err := n.fs.readInode(n.idx)
 	if err != nil {
 		return err
@@ -329,8 +307,6 @@ func (n *node) SetEA(key, value string) error {
 
 // GetEA implements vfs.Vnode.
 func (n *node) GetEA(key string) (string, error) {
-	n.fs.mu.Lock()
-	defer n.fs.mu.Unlock()
 	f, err := n.fs.readInode(n.idx)
 	if err != nil {
 		return "", err

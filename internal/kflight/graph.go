@@ -14,7 +14,8 @@ import (
 // importing the kernel).  An edge reads "thread T of task A is blocked in
 // <kind> on port P, whose receive right task B holds" — thread → port →
 // owning task, the chain the paper's multi-server debugging stories walk
-// by hand.
+// by hand — or, for a kernel lock, "thread T of task A waits for lock L,
+// which thread H of task B holds".
 
 // WaitKind classifies what a blocked thread is waiting for.
 type WaitKind string
@@ -36,20 +37,24 @@ const (
 	// WaitQueueRecv: a classic mach_msg receiver blocked on an empty
 	// queue.
 	WaitQueueRecv WaitKind = "queue-recv"
+	// WaitKernelLock: a server thread waiting for a kernel lock (a
+	// file-server volume) another thread holds.
+	WaitKernelLock WaitKind = "lock"
 )
 
 // Blocking reports whether the kind is a dependency on the port's owner
 // (true) or an idle server waiting for work (false).
 func (k WaitKind) Blocking() bool {
 	switch k {
-	case WaitRendezvous, WaitReply, WaitQueueSend:
+	case WaitRendezvous, WaitReply, WaitQueueSend, WaitKernelLock:
 		return true
 	}
 	return false
 }
 
 // WaitEdge is one blocked thread's registration: thread → port → owning
-// task.  Owner fields are zero when the port is dead or ownerless.
+// task, or thread → lock → holding thread and its task.  Owner fields are
+// zero when the port is dead or ownerless, or the lock between holders.
 type WaitEdge struct {
 	Task     string   `json:"task"`
 	TaskID   uint32   `json:"task_id"`
@@ -62,12 +67,25 @@ type WaitEdge struct {
 	OwnerTaskID uint32 `json:"owner_task_id,omitempty"`
 	// Op is the message ID in flight, when the wait carries one.
 	Op uint32 `json:"op,omitempty"`
+	// Lock names the kernel lock a WaitKernelLock edge waits for, and
+	// Holder the thread of OwnerTask holding it.
+	Lock     string `json:"lock,omitempty"`
+	Holder   string `json:"holder,omitempty"`
+	HolderID uint32 `json:"holder_id,omitempty"`
 }
 
 func (e WaitEdge) String() string {
-	s := fmt.Sprintf("%s/%s --%s--> port %d", e.Task, e.Thread, e.Kind, e.PortID)
-	if e.OwnerTask != "" {
-		s += " [" + e.OwnerTask + "]"
+	var s string
+	switch {
+	case e.Lock == "":
+		s = fmt.Sprintf("%s/%s --%s--> port %d", e.Task, e.Thread, e.Kind, e.PortID)
+		if e.OwnerTask != "" {
+			s += " [" + e.OwnerTask + "]"
+		}
+	case e.Holder != "":
+		s = fmt.Sprintf("%s/%s --%s--> %s held by %s/%s", e.Task, e.Thread, e.Kind, e.Lock, e.OwnerTask, e.Holder)
+	default:
+		s = fmt.Sprintf("%s/%s --%s--> %s", e.Task, e.Thread, e.Kind, e.Lock)
 	}
 	if e.Op != 0 {
 		s += fmt.Sprintf(" op=%#04x", e.Op)
@@ -89,10 +107,14 @@ func FindCycles(edges []WaitEdge) [][]WaitEdge {
 	// Adjacency over blocking edges with a live owner.  Self-edges
 	// (a task's thread calling another port of its own task) are kept:
 	// a single-threaded server calling itself is the simplest deadlock.
+	// A lock edge inside one task is not: a pool slot waiting for a lock
+	// its sibling holds is ordinary queueing, and whatever the holder
+	// waits on carries the dependency onward in an edge of its own.
 	adj := make(map[uint32][]WaitEdge)
 	var nodes []uint32
 	for _, e := range edges {
-		if !e.Kind.Blocking() || e.OwnerTaskID == 0 {
+		if !e.Kind.Blocking() || e.OwnerTaskID == 0 ||
+			(e.Kind == WaitKernelLock && e.OwnerTaskID == e.TaskID) {
 			continue
 		}
 		if _, ok := adj[e.TaskID]; !ok {

@@ -74,8 +74,8 @@ type HopDump struct {
 	CrossEst uint64 `json:"cross_est"`
 	StallEst uint64 `json:"stall_est"`
 
-	// Marks are the named waits subsystems reported while serving this
-	// hop (wait:* component rows); Notes are annotation counts (cache
+	// Marks are the kernel-lock waits, by lock name, made while serving
+	// this hop (wait.* component rows); Notes are annotation counts (cache
 	// hits, sectors) for drill-downs.
 	Marks map[string]uint64 `json:"marks,omitempty"`
 	Notes map[string]uint64 `json:"notes,omitempty"`
@@ -197,7 +197,7 @@ func (t *Tracker) dumpHop(h *Hop, rootStart uint64, critical bool) HopDump {
 //
 //	cross            every hop's Send + Resume (AS switches, I-cache refill)
 //	queue.<server>   rendezvous wait per destination server
-//	wait.<mark>      named subsystem waits (disk-turn, bcache-lock, disk-arm)
+//	wait.<mark>      waits for a kernel lock, by lock name (volume:/fat)
 //	service.<server> own handler cycles per server, marks subtracted
 //	failed.<server>  the whole window of a nested call that failed
 //

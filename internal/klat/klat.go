@@ -354,25 +354,18 @@ func (t *Tracker) finish(h *Hop, e *cpu.Event) {
 	}
 }
 
-// WaitLock takes l and, if it has to wait for it, names the wait on the
-// hop: the global cycles that pass until l is held become a mark (a turn
-// at the disk adapter, the buffer cache's lock, the disk arm).  A free
-// lock records nothing.  Marks lie inside the hop's own service window
-// and outside its children's, so the rollup can subtract them from
-// own-service without double counting.  A nil hop just locks.
-func (h *Hop) WaitLock(l interface {
-	TryLock() bool
-	Lock()
-}, name string) {
-	if l.TryLock() {
-		return
-	}
+// Wait runs wait — a blocking acquire, such as a contended kernel lock —
+// and names the global cycles it took on the hop as a mark under name.
+// Marks lie inside the hop's own service window and outside its
+// children's, so the rollup can subtract them from own-service without
+// double counting.  A nil hop just waits.
+func (h *Hop) Wait(name string, wait func()) {
 	if h == nil {
-		l.Lock()
+		wait()
 		return
 	}
 	start := h.t.eng.Counters().Cycles
-	l.Lock()
+	wait()
 	h.addMark(name, h.t.eng.Counters().Cycles-start)
 }
 

@@ -133,15 +133,6 @@ func TestNestedChildren(t *testing.T) {
 	}
 }
 
-// heldFor is a lock somebody else holds for the next n cycles.
-type heldFor struct {
-	eng *cpu.Engine
-	n   uint64
-}
-
-func (heldFor) TryLock() bool { return false }
-func (l heldFor) Lock()       { l.eng.Stall(l.n) }
-
 // TestMarksSubtractFromOwn: a named wait lands in wait.<mark> and comes
 // out of the hop's own-service bucket, keeping the partition exact.
 func TestMarksSubtractFromOwn(t *testing.T) {
@@ -150,24 +141,22 @@ func TestMarksSubtractFromOwn(t *testing.T) {
 	rec.Stamp(cpu.PhaseSent, "", 0)
 	rec.Stamp(cpu.PhasePicked, "", 0)
 	h := Of(rec)
-	var free sync.Mutex
-	h.WaitLock(&free, "bcache-lock") // a free lock records nothing
-	h.WaitLock(heldFor{eng, 4000}, "bcache-lock")
+	h.Wait("volume:/fat", func() { eng.Stall(4000) }) // another holder's 4000 cycles
 	eng.Stall(1000)
 	eng.Planes().Emit(cpu.Event{Type: cpu.EvCache, Name: "miss", Arg: 3, Req: rec})
 	rec.Stamp(cpu.PhaseServed, "", 0)
 	rec.End()
 
 	ex := tr.Dump().Families[0].Exemplars[0]
-	if ex.Marks["bcache-lock"] != 4000 {
-		t.Fatalf("mark = %d, want 4000", ex.Marks["bcache-lock"])
+	if ex.Marks["volume:/fat"] != 4000 {
+		t.Fatalf("mark = %d, want 4000", ex.Marks["volume:/fat"])
 	}
 	if ex.Notes["bcache.miss"] != 3 {
 		t.Fatalf("note = %d, want 3", ex.Notes["bcache.miss"])
 	}
 	comp := ex.Components()
-	if comp["wait.bcache-lock"] != 4000 {
-		t.Fatalf("wait component = %d", comp["wait.bcache-lock"])
+	if comp["wait.volume:/fat"] != 4000 {
+		t.Fatalf("wait component = %d", comp["wait.volume:/fat"])
 	}
 	if comp["service.files"] != ex.Own-4000 {
 		t.Fatalf("service component = %d, want own %d - 4000", comp["service.files"], ex.Own)
@@ -340,7 +329,11 @@ func TestNilSafety(t *testing.T) {
 	rec.Stamp(cpu.PhaseServed, "", 0)
 	h := Of(rec)
 	Of(h.BeginSub(1)).EndSub()
-	h.WaitLock(heldFor{eng, 1}, "m")
+	waited := false
+	h.Wait("m", func() { waited = true })
+	if !waited {
+		t.Fatal("a nil hop did not run the wait")
+	}
 	h.Note("n", 1)
 	rec.End()
 }

@@ -13,10 +13,11 @@ import (
 // graph's *types and analysis* live in internal/kflight (so the monitor,
 // chaos harness and CLI consume dumps without importing the kernel); the
 // *registration* lives here, because only the kernel knows what a blocked
-// thread is blocked on: a call's wait for a slot and for its reply, and
-// the queued-IPC condition waits, each bracketed by a registration and
-// clearWait, and WaitEdges resolves the registered ports to their owning
-// tasks at snapshot time.  The RPC path builds no record per call: a
+// thread is blocked on: a call's wait for a slot and for its reply, a
+// contended kernel lock, and the queued-IPC condition waits, each
+// bracketed by a registration and clearWait, and WaitEdges resolves the
+// registered ports to their owning tasks, and locks to their holders, at
+// snapshot time.  The RPC path builds no record per call: a
 // call stores the pair its thread carries (Thread.waits), re-aimed at the
 // call's port and operation.  A passive server has no thread parked for
 // work, so nothing registers a receive.
@@ -36,6 +37,7 @@ type flightWait struct {
 	kind kflight.WaitKind
 	port atomic.Pointer[Port]
 	op   atomic.Uint32 // in-flight message ID, when the wait carries one
+	lock *Lock         // the lock a WaitKernelLock record waits for
 }
 
 // aim points the record at port and operation op; it runs before the
@@ -57,9 +59,10 @@ func (th *Thread) setWait(kind kflight.WaitKind, port *Port, op uint32) {
 func (th *Thread) clearWait() { th.wait.Store(nil) }
 
 // WaitEdges materializes the wait-for graph: one edge per blocked thread,
-// thread → port → owning task, resolved at snapshot time so an edge
-// always names the port's *current* receiver.  Edges are sorted for
-// deterministic dumps.
+// thread → port → owning task or thread → lock → holding thread, resolved
+// at snapshot time so an edge always names the port's *current* receiver
+// and the lock's current holder.  Edges are sorted for deterministic
+// dumps.
 func (k *Kernel) WaitEdges() []kflight.WaitEdge {
 	var out []kflight.WaitEdge
 	for _, t := range k.Tasks() {
@@ -77,6 +80,13 @@ func (k *Kernel) WaitEdges() []kflight.WaitEdge {
 				e.PortID = port.id
 				if rt := port.receiverTask(); rt != nil {
 					e.OwnerTask, e.OwnerTaskID = rt.name, uint32(rt.id)
+				}
+			}
+			if w.lock != nil {
+				e.Lock = w.lock.name
+				if h := w.lock.holding(); h != nil {
+					e.OwnerTask, e.OwnerTaskID = h.task.name, uint32(h.task.id)
+					e.Holder, e.HolderID = h.name, uint32(h.id)
 				}
 			}
 			out = append(out, e)

@@ -163,6 +163,12 @@ type Message struct {
 	// handler in a header copy carrying its own sub-hop's.  Nil when no
 	// plane observes calls.
 	rec *cpu.Span
+
+	// srv is the server thread the delivered header was handed to: the
+	// pool slot whose identity the handler runs under.  Set on delivery,
+	// so a kernel lock taken for the request knows whose wait it is; nil
+	// on a message never delivered and on a carrier's subs.
+	srv *Thread
 }
 
 // Size returns the total byte count the message transfers, including
@@ -183,6 +189,14 @@ func (m *Message) Record() *cpu.Span {
 		return nil
 	}
 	return m.rec
+}
+
+// server returns the thread serving the request; nil-safe like Record.
+func (m *Message) server() *Thread {
+	if m == nil {
+		return nil
+	}
+	return m.srv
 }
 
 // Payload returns the bulk data a message carries under Transfer.Place:

@@ -2,7 +2,6 @@ package mach
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"time"
 
@@ -304,17 +303,6 @@ func (th *Thread) rpcCallRaw(dest PortName, req *Message, rec *cpu.Span, deadlin
 	// server burst's virtual completion time rides in the outcome, and
 	// waiting for it here is what couples client progress to server
 	// occupancy.
-	//
-	// On a multi-engine kernel the host processor is yielded first,
-	// unless an outer handler's burst holds this goroutine: a goroutine
-	// woken while the handler ran — a waiter on a host lock the handler
-	// released, such as the drivers' disk turn — then runs before this
-	// thread's next request can take the lock past it (sync.Mutex is not
-	// FIFO).  Without the yield E-TAIL's slowest request waits about
-	// three times as long on the disk turn.
-	if k.sched != nil && k.cx.BoundEngine() == nil {
-		runtime.Gosched()
-	}
 	k.schedReady(th, out.vt)
 	rel = k.schedRun(th)
 	k.CPU.SwitchAddressSpace(th.task.asid)
@@ -390,6 +378,7 @@ func (th *Thread) claim(port *Port, deadline <-chan time.Time) (*slot, route, er
 func (p *ServerPool) serve(s *slot, port *Port, name PortName, caller *Thread) rpcOutcome {
 	k := p.task.kernel
 	req := &s.req
+	req.srv = s.th
 	// Pickup: the call has its slot; queue-wait ends, the service segment
 	// (receive path, handler, reply) begins.
 	req.rec.Stamp(cpu.PhasePicked, p.task.name, uint64(req.ID))

@@ -20,7 +20,10 @@ import (
 )
 
 // System is the native OS/2 kernel: dispatcher, drivers and devices all
-// behind one trap boundary.
+// behind one trap boundary.  It is driven from one goroutine (the native
+// Table 1 runs), which is the only exclusion its volumes get: the file
+// systems keep no lock of their own, and nothing here serializes calls
+// into Disp the way the file server's volume locks do.
 type System struct {
 	K     *mach.Kernel
 	VM    *vm.System

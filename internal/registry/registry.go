@@ -51,13 +51,14 @@ type Server struct {
 	mu   sync.Mutex
 	apps map[string]map[string]string
 
-	// ioMu serializes profile-file I/O: s.fs rides one bound thread (io),
-	// told by ioMu's holder which request it calls the file server for,
-	// and two interleaved flushes would corrupt the profile on disk.
-	ioMu sync.Mutex
-	io   *mach.Thread
-	fs   *vfs.Client // persistence; may be nil
-	file string
+	// ioLock serializes profile-file I/O across its file-server calls:
+	// s.fs rides one bound thread (io), told by the lock's holder which
+	// request it calls the file server for, and two interleaved flushes
+	// would corrupt the profile on disk.
+	ioLock *mach.Lock
+	io     *mach.Thread
+	fs     *vfs.Client // persistence; may be nil
+	file   string
 }
 
 // NewServer starts the registry with pool service threads (pool <= 1
@@ -68,14 +69,15 @@ type Server struct {
 // Handler concurrency contract: with pool > 1 handle runs on up to pool
 // threads at once.  The store (apps) is guarded by s.mu; profile
 // persistence (flush/load and the underlying vfs.Client) is serialized by
-// s.ioMu.
+// s.ioLock.
 func NewServer(k *mach.Kernel, files *vfs.Server, profilePath string, pool int) (*Server, error) {
 	s := &Server{
-		k:    k,
-		path: k.Layout().PlaceInstr("registry_op", 700),
-		task: k.NewTask("registry"),
-		apps: make(map[string]map[string]string),
-		file: profilePath,
+		k:      k,
+		path:   k.Layout().PlaceInstr("registry_op", 700),
+		task:   k.NewTask("registry"),
+		apps:   make(map[string]map[string]string),
+		ioLock: mach.NewLock("profile-io"),
+		file:   profilePath,
 	}
 	port, err := s.task.AllocatePort()
 	if err != nil {
@@ -282,13 +284,14 @@ func (s *Server) enumKeys(app string) ([]string, error) {
 }
 
 // flush serializes the store as an .INI-style profile through the file
-// server, on behalf of req.
-func (s *Server) flush(req *mach.Message) error {
+// server, on behalf of req.  The close is where a cached volume reports
+// a write-behind failure, so its error is flush's too.
+func (s *Server) flush(req *mach.Message) (err error) {
 	if s.fs == nil {
 		return nil
 	}
-	s.ioMu.Lock()
-	defer s.ioMu.Unlock()
+	s.ioLock.Acquire(req)
+	defer s.ioLock.Release()
 	s.io.ActFor(req)
 	defer s.io.ActFor(nil)
 	s.mu.Lock()
@@ -310,7 +313,11 @@ func (s *Server) flush(req *mach.Message) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	if err := f.Truncate(0); err != nil {
 		return err
 	}
@@ -327,15 +334,18 @@ func (s *Server) enumAppsLocked() []string {
 	return out
 }
 
-// load parses the profile file back.
-func (s *Server) load() error {
-	s.ioMu.Lock()
-	defer s.ioMu.Unlock()
+// load parses the profile file back, at start, before the registry
+// serves: nothing else does profile I/O yet.  A close error fails it.
+func (s *Server) load() (err error) {
 	f, err := s.fs.Open(s.file, false, false)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	a, err := f.Stat()
 	if err != nil {
 		return err

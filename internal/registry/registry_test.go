@@ -7,7 +7,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bcache"
 	"repro/internal/cpu"
+	"repro/internal/hpfs"
 	"repro/internal/klat"
 	"repro/internal/mach"
 	"repro/internal/vfs"
@@ -281,5 +283,55 @@ func TestFlushNamesItsRequest(t *testing.T) {
 	}
 	if fileHops != underFlush || fileHops == 0 {
 		t.Fatalf("%d file-server hops recorded, %d under flushes", fileHops, underFlush)
+	}
+}
+
+// TestFlushReportsWriteBehindFailure: the profile sits on a cached
+// volume, so its bytes reach the device only at the file's close, and a
+// device error surfaces there.  With the device failing writes, the call
+// that flushes must fail, not report a profile that never reached the
+// disk as saved.
+func TestFlushReportsWriteBehindFailure(t *testing.T) {
+	k := mach.New(cpu.Pentium133())
+	fsrv, err := vfs.NewServer(k, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsrv.SetDevCache(func(dev vfs.BlockDev) vfs.CachedDev {
+		return bcache.New(k.CPU, k.Layout(), dev, bcache.Config{CapacitySectors: 64})
+	})
+	ram := vfs.NewRAMDisk(2048)
+	if err := hpfs.Format(ram); err != nil {
+		t.Fatal(err)
+	}
+	dev := vfs.NewFaultyDev(ram)
+	if err := fsrv.MountVolume("/hpfs", hpfs.New(), dev); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(k, fsrv, "/hpfs/OS2SYS.INI", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th, _ := k.NewTask("app").NewBoundThread("main")
+	c, err := srv.NewClient(th)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Set("PM_Colors", "Background", "grey"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatalf("Flush on a healthy device: %v", err)
+	}
+	if err := c.Set("PM_Colors", "Background", "teal"); err != nil {
+		t.Fatal(err)
+	}
+	dev.FailAfter(0, false, true)
+	if err := c.Flush(); err == nil || !strings.Contains(err.Error(), vfs.ErrIO.Error()) {
+		t.Fatalf("Flush with the device failing writes = %v, want the write-behind's %v", err, vfs.ErrIO)
+	}
+	dev.Heal()
+	if err := c.Flush(); err != nil {
+		t.Fatalf("Flush after Heal: %v", err)
 	}
 }

@@ -3,7 +3,6 @@ package vfs
 import (
 	"slices"
 	"strings"
-	"sync"
 )
 
 // MemFS is a RAM file system with full long-name, case-sensitive, EA
@@ -15,7 +14,6 @@ type MemFS struct {
 }
 
 type memNode struct {
-	mu       sync.Mutex
 	name     string
 	dir      bool
 	data     []byte
@@ -61,8 +59,6 @@ var _ FileSystem = (*MemFS)(nil)
 var _ Vnode = (*memNode)(nil)
 
 func (n *memNode) Attr() (Attr, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	a := Attr{Size: int64(len(n.data)), Dir: n.dir, ModTime: n.mtime}
 	if len(n.eas) > 0 {
 		a.EAs = make(map[string]string, len(n.eas))
@@ -74,8 +70,6 @@ func (n *memNode) Attr() (Attr, error) {
 }
 
 func (n *memNode) Lookup(name string) (Vnode, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if !n.dir {
 		return nil, ErrNotDir
 	}
@@ -90,8 +84,6 @@ func (n *memNode) Create(name string, dir bool) (Vnode, error) {
 	if name == "" || strings.ContainsRune(name, '/') {
 		return nil, ErrBadName
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if !n.dir {
 		return nil, ErrNotDir
 	}
@@ -107,8 +99,6 @@ func (n *memNode) Create(name string, dir bool) (Vnode, error) {
 }
 
 func (n *memNode) Remove(name string) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if !n.dir {
 		return ErrNotDir
 	}
@@ -116,19 +106,14 @@ func (n *memNode) Remove(name string) error {
 	if !ok {
 		return ErrNotFound
 	}
-	c.mu.Lock()
 	if c.dir && len(c.children) > 0 {
-		c.mu.Unlock()
 		return ErrNotEmpty
 	}
-	c.mu.Unlock()
 	delete(n.children, name)
 	return nil
 }
 
 func (n *memNode) ReadAt(p []byte, off int64) (int, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if n.dir {
 		return 0, ErrIsDir
 	}
@@ -142,8 +127,6 @@ func (n *memNode) ReadAt(p []byte, off int64) (int, error) {
 }
 
 func (n *memNode) WriteAt(p []byte, off int64) (int, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if n.dir {
 		return 0, ErrIsDir
 	}
@@ -162,8 +145,6 @@ func (n *memNode) WriteAt(p []byte, off int64) (int, error) {
 }
 
 func (n *memNode) Truncate(size int64) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if n.dir {
 		return ErrIsDir
 	}
@@ -181,24 +162,18 @@ func (n *memNode) Truncate(size int64) error {
 }
 
 func (n *memNode) ReadDir() ([]DirEnt, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if !n.dir {
 		return nil, ErrNotDir
 	}
 	out := make([]DirEnt, 0, len(n.children))
 	for _, c := range n.children {
-		c.mu.Lock()
 		out = append(out, DirEnt{Name: c.name, Dir: c.dir, Size: int64(len(c.data))})
-		c.mu.Unlock()
 	}
 	slices.SortFunc(out, func(a, b DirEnt) int { return strings.Compare(a.Name, b.Name) })
 	return out, nil
 }
 
 func (n *memNode) SetEA(key, value string) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if n.eas == nil {
 		n.eas = make(map[string]string)
 	}
@@ -207,8 +182,6 @@ func (n *memNode) SetEA(key, value string) error {
 }
 
 func (n *memNode) GetEA(key string) (string, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	v, ok := n.eas[key]
 	if !ok {
 		return "", ErrNotFound

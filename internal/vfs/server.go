@@ -55,10 +55,12 @@ const MaxReadChunk = 1 << 20
 //
 // Handler concurrency contract: with pool > 1 the control handler and the
 // per-file handlers run on up to pool threads at once.  The filePorts and
-// portFDs maps are guarded by s.mu; the Dispatcher and every mounted
-// FileSystem are internally locked and safe for concurrent calls; message
-// bodies are per-request.  Handlers must not hold s.mu across Dispatcher
-// calls.
+// portFDs maps are guarded by s.mu, the Dispatcher's tables by its own
+// mutex; message bodies are per-request.  A mounted FileSystem and the
+// device stack under it are not safe for concurrent calls: a handler
+// enters one only holding its volume's kernel lock (volume.begin), so
+// each volume serves one request at a time.  Handlers must not hold s.mu
+// across Dispatcher calls.
 type Server struct {
 	Disp *Dispatcher
 
@@ -87,10 +89,12 @@ type Server struct {
 	fsVols   map[FileSystem]*volume // mounted fs -> volume (close-flush)
 }
 
-// volume is one attached FileSystem and the device it sits on.
+// volume is one attached FileSystem, the device it sits on and the
+// kernel lock that admits one request at a time to both.
 type volume struct {
 	path string
 	fs   FileSystem
+	lock *mach.Lock
 	cdev CachedDev  // non-nil when the server interposed a write-behind cache
 	rdev RequestDev // non-nil when the device stack attributes work to requests
 }
@@ -170,7 +174,7 @@ func (s *Server) SetDevCache(factory func(BlockDev) CachedDev) {
 // single rooted tree.  RAM-rooted filesystems pass a nil dev, which is
 // never cached.
 func (s *Server) MountVolume(path string, fs FileSystem, dev BlockDev) error {
-	vol := &volume{path: path, fs: fs}
+	vol := &volume{path: path, fs: fs, lock: mach.NewLock("volume:" + path)}
 	s.vmu.Lock()
 	factory := s.cacheNew
 	s.vmu.Unlock()
@@ -230,22 +234,30 @@ func (s *Server) syncVolumes(req *mach.Message) error {
 //
 // The message a handler serves is the request's context, and the vnode
 // and device interfaces under it have no parameter for one.  So a handler
-// declares req on the device stack of the volume the operation resolves
-// to before it enters the file system (begin, which waits for the stack's
-// turn) and takes that back, deferred, when it leaves (end).  A nil
-// volume (an unresolvable path) and a RAM-backed one have nothing to
-// tell: both are no-ops.  DESIGN.md §8 has the reasoning.
+// takes the volume the operation resolves to for req before it enters the
+// file system (begin: the volume's kernel lock, then req declared on the
+// device stack) and gives it back, deferred, when it leaves (end).  The
+// lock is the volume's one exclusion — file system, cache and device
+// adapter keep none of their own — and it is taken for RAM-backed
+// volumes too.  A nil volume (an unresolvable path) is a no-op.
+// DESIGN.md §8 has the reasoning.
 
 func (v *volume) begin(req *mach.Message) *volume {
-	if v != nil && v.rdev != nil {
-		v.rdev.Begin(req)
+	if v != nil {
+		v.lock.Acquire(req)
+		if v.rdev != nil {
+			v.rdev.Begin(req)
+		}
 	}
 	return v
 }
 
 func (v *volume) end() {
-	if v != nil && v.rdev != nil {
-		v.rdev.End()
+	if v != nil {
+		if v.rdev != nil {
+			v.rdev.End()
+		}
+		v.lock.Release()
 	}
 }
 
@@ -450,7 +462,7 @@ func (s *Server) handleControl(req *mach.Message) *mach.Message {
 			return errReply(ErrBadHandle)
 		}
 		// A rename failing as cross-device still walks both volumes: take
-		// both turns, in mount-path order so two cannot wait on each other.
+		// both, in mount-path order so two cannot wait on each other.
 		from, to := s.volumeAt(r.From), s.volumeAt(r.To)
 		if to == from {
 			to = nil

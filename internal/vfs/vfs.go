@@ -93,7 +93,10 @@ type Capabilities struct {
 // detaches with Unmount, so the file server — and the buffer cache it
 // interposes under every volume — attaches to any format the same way.
 // All four in-tree formats (fat, hpfs, jfs, memfs) implement it; each
-// package's New returns an unmounted volume.
+// package's New returns an unmounted volume.  A volume serves one caller
+// at a time and keeps no lock: the file server admits one request at a
+// time under the volume's kernel lock (Server), and the native baseline
+// drives it from one goroutine.
 type FileSystem interface {
 	Root() Vnode
 	FSName() string
@@ -153,8 +156,8 @@ type BatchDev interface {
 // it: Begin — "this device stack now works for req" — before it enters
 // the file system, End (deferred) when it leaves.  In between the stack
 // attributes what it does to req; driven with nothing declared, it
-// attributes nothing.  A stack admits one declared request at a time:
-// Begin waits its turn, so every Begin needs its End.
+// attributes nothing.  Begin does not wait: the file server calls it
+// holding the volume's kernel lock, which admits one request at a time.
 type RequestDev interface {
 	BlockDev
 	Begin(req *mach.Message)

@@ -19,7 +19,10 @@
 # TestRequestContextExact and TestFlushNamesItsRequest run here; servers
 # are passive, so a caller runs its handler under a pool slot it takes
 # from the pool's free list, and the slot-wait, send-once and pool-bound
-# tests run fifty times over under the detector; cpu's
+# tests run fifty times over under the detector, and so do the kernel
+# lock's FIFO handoff and the volume lock every file system, cache and
+# device adapter relies on instead of a lock of its own (fat, hpfs, jfs
+# and mono, which keep none, run under the detector too); cpu's
 # Complex routes every charge through a per-OS-thread binding table while
 # the SMP dispatcher binds and steals from many goroutines; and cmd/kobs
 # runs the end-to-end tier, the CLI as a child process per scenario.
@@ -64,6 +67,18 @@ if grep -n 'runtime\.Stack' $(find internal/klat internal/mach internal/vfs inte
 	exit 1
 fi
 
+# What a request holds across a kernel call is a mach.Lock, which the
+# kernel sees; a host mutex in the file path must be held across none, and
+# scripts/mutex-allowlist.txt says why for each one.
+find internal/vfs internal/bcache internal/drivers internal/fat internal/hpfs internal/jfs -name '*.go' ! -name '*_test.go' | sort |
+	xargs awk 'FNR == 1 { typ = "" } /^type [A-Za-z0-9_]+ struct/ { typ = $2 } /sync\.(RW)?Mutex/ { print FILENAME " " typ "." $1 }' |
+	while read -r file field; do
+		if ! grep -q "^$file $field " scripts/mutex-allowlist.txt; then
+			echo "check: host mutex $field in $file is not on scripts/mutex-allowlist.txt" >&2
+			exit 1
+		fi
+	done
+
 # Emission goes through the one record: a stamp point builds a cpu.Event
 # and hands it to its engine's plane set, so no emitter reaches for a
 # plane of its own.  The read side (flight dumps, the monitor, the bench
@@ -79,13 +94,19 @@ fi
 
 # A deadlock — a turn or a rendezvous nobody releases — must fail in
 # seconds, not hang for go test's ten-minute default.
-run go test -race -timeout 300s ./internal/cpu/... ./internal/kstat/... ./internal/ktrace/... ./internal/kprof/... ./internal/kflight/... ./internal/klat/... ./internal/mach/... ./internal/vfs/... ./internal/os2/... ./internal/monitor/... ./internal/bcache/... ./internal/drivers/... ./internal/registry/... ./cmd/kobs/...
+run go test -race -timeout 300s ./internal/cpu/... ./internal/kstat/... ./internal/ktrace/... ./internal/kprof/... ./internal/kflight/... ./internal/klat/... ./internal/mach/... ./internal/vfs/... ./internal/os2/... ./internal/monitor/... ./internal/bcache/... ./internal/drivers/... ./internal/registry/... ./internal/fat/... ./internal/hpfs/... ./internal/jfs/... ./internal/mono/... ./cmd/kobs/...
 
 # The slot lifecycle: a kept reply, a deadline firing while every slot
 # is busy (direct and through a port set), a slot killed mid-handler, two
 # calls racing through one send-once right, and a pool never running more
 # handlers than it has slots.  Rare interleavings, so many runs.
 run go test -race -count=50 -timeout 300s -run 'TestExchange|TestReusedRequestIsRoot|TestSendOnceRace|TestPoolNeverRunsMoreThanSize' ./internal/mach/
+
+# The kernel lock: FIFO handoff with the releaser queued behind a
+# waiter, the wait-for edge shown until the handoff, and a volume's
+# requests taking turns on it, device- and RAM-backed.
+run go test -race -count=50 -timeout 300s -run 'TestLockFIFOHandoff|TestLockUncontendedAllocatesNothing' ./internal/mach/
+run go test -race -count=50 -timeout 300s -run 'TestVolumeLockTurns' ./internal/vfs/
 
 # A pool's busy gauge falls at the reply commit, before the caller is
 # released: read the instant each call returns, over many boots.
