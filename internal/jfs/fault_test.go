@@ -71,22 +71,3 @@ func TestJournalWriteFailureLosesNothingOlder(t *testing.T) {
 		t.Fatalf("uncommitted file state = %v", err)
 	}
 }
-
-func TestDataWriteFailurePropagates(t *testing.T) {
-	raw := vfs.NewRAMDisk(8192)
-	Format(raw)
-	dev := vfs.NewFaultyDev(raw)
-	fs, _ := mount(dev)
-	f, err := fs.Root().Create("d.bin", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev.FailAfter(0, false, true)
-	if _, err := f.WriteAt(make([]byte, 2048), 0); !errors.Is(err, vfs.ErrIO) {
-		t.Fatalf("err = %v", err)
-	}
-	dev.Heal()
-	if _, err := f.WriteAt([]byte("fine"), 0); err != nil {
-		t.Fatalf("post-heal: %v", err)
-	}
-}

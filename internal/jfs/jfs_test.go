@@ -52,27 +52,6 @@ func TestCaseSensitiveNames(t *testing.T) {
 	}
 }
 
-func TestBasicIO(t *testing.T) {
-	fs, _ := newFS(t)
-	f, _ := fs.Root().Create("data.bin", false)
-	payload := bytes.Repeat([]byte{0x5C, 3}, 5000)
-	if _, err := f.WriteAt(payload, 0); err != nil {
-		t.Fatalf("WriteAt: %v", err)
-	}
-	got := make([]byte, len(payload))
-	n, err := f.ReadAt(got, 0)
-	if err != nil || n != len(payload) || !bytes.Equal(got, payload) {
-		t.Fatalf("read back: %d %v", n, err)
-	}
-	if err := f.Truncate(100); err != nil {
-		t.Fatalf("Truncate: %v", err)
-	}
-	a, _ := f.Attr()
-	if a.Size != 100 {
-		t.Fatalf("size = %d", a.Size)
-	}
-}
-
 func TestJournalReplayAfterCrash(t *testing.T) {
 	fs, dev := newFS(t)
 	root := fs.Root()
@@ -168,26 +147,6 @@ func TestJournalAutoSyncUnderPressure(t *testing.T) {
 	}
 	if err := fs.Sync(); err != nil {
 		t.Fatalf("final sync: %v", err)
-	}
-}
-
-func TestRemoveAndReuse(t *testing.T) {
-	fs, _ := newFS(t)
-	root := fs.Root()
-	f, _ := root.Create("tmp", false)
-	f.WriteAt(make([]byte, 30*512), 0)
-	if err := root.Remove("tmp"); err != nil {
-		t.Fatalf("Remove: %v", err)
-	}
-	if _, err := root.Lookup("tmp"); err != vfs.ErrNotFound {
-		t.Fatal("file survived")
-	}
-	g, err := root.Create("tmp2", false)
-	if err != nil {
-		t.Fatalf("recreate: %v", err)
-	}
-	if _, err := g.WriteAt(make([]byte, 30*512), 0); err != nil {
-		t.Fatalf("rewrite into freed space: %v", err)
 	}
 }
 

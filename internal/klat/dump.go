@@ -65,15 +65,6 @@ type HopDump struct {
 	Own    uint64 `json:"own"`
 	Resume uint64 `json:"resume"`
 
-	// CrossEst/StallEst estimate, from the event-counter deltas over the
-	// hop window times the model's fixed unit costs, how much of the hop
-	// was crossing cost (AS switches + I-cache refill — kprof's charge
-	// vocabulary) vs cache/TLB-miss stall.  Exact for serial runs;
-	// under concurrency other engines' events interleave in, the same
-	// caveat kstat documents for its per-op deltas.
-	CrossEst uint64 `json:"cross_est"`
-	StallEst uint64 `json:"stall_est"`
-
 	// Marks are the kernel-lock waits, by lock name, made while serving
 	// this hop (wait.* component rows); Notes are annotation counts (cache
 	// hits, sectors) for drill-downs.
@@ -130,7 +121,7 @@ func (t *Tracker) Dump() *Dump {
 		f.mu.Unlock()
 		sort.Slice(exs, func(a, b int) bool { return exs[a].E2E() > exs[b].E2E() })
 		for _, h := range exs {
-			fd.Exemplars = append(fd.Exemplars, t.dumpHop(h, h.stamps[h.start()].cycles.Load(), true))
+			fd.Exemplars = append(fd.Exemplars, dumpHop(h, h.stamps[h.start()].cycles.Load(), true))
 		}
 		d.Families = append(d.Families, fd)
 	}
@@ -138,7 +129,7 @@ func (t *Tracker) Dump() *Dump {
 }
 
 // dumpHop materializes one hop (and its subtree) into dump form.
-func (t *Tracker) dumpHop(h *Hop, rootStart uint64, critical bool) HopDump {
+func dumpHop(h *Hop, rootStart uint64, critical bool) HopDump {
 	d := HopDump{
 		ID: h.ID, Server: h.Server, Op: h.Op, Width: h.Width, Sub: h.Sub, Failed: h.failed.Load(),
 		Off:      h.stamps[h.start()].cycles.Load() - rootStart,
@@ -150,13 +141,6 @@ func (t *Tracker) dumpHop(h *Hop, rootStart uint64, critical bool) HopDump {
 		d.Send = h.seg(pEntry, pSend)
 		d.Queue = h.seg(pSend, pRecv)
 		d.Resume = h.seg(pServed, pReturn)
-	}
-	a, b := &h.stamps[h.start()], &h.stamps[h.end()]
-	if a.done.Load() && b.done.Load() {
-		d.CrossEst = (b.switches.Load()-a.switches.Load())*t.cfg.SwitchCycles +
-			(b.imiss.Load()-a.imiss.Load())*t.cfg.MissLatency
-		d.StallEst = (b.dmiss.Load()-a.dmiss.Load())*t.cfg.MissLatency +
-			(b.tlb.Load()-a.tlb.Load())*t.cfg.TLBMissCycles
 	}
 	h.mu.Lock()
 	children := append([]*Hop(nil), h.children...)
@@ -184,7 +168,7 @@ func (t *Tracker) dumpHop(h *Hop, rootStart uint64, critical bool) HopDump {
 		if h.Width > 0 && c.Sub {
 			onPath = critical && i == slowest
 		}
-		cd := t.dumpHop(c, rootStart, onPath)
+		cd := dumpHop(c, rootStart, onPath)
 		childSum += cd.E2E
 		d.Children = append(d.Children, cd)
 	}

@@ -96,27 +96,18 @@ const (
 // requests keep their full ledgers, everything else is histogram-only.
 const ExemplarK = 8
 
-// stamp is one captured clock point: the cycle counter plus the event
-// counters whose fixed unit costs let a dump estimate how much of a
-// window was crossing cost (AS switches + I-cache refill) vs cache-miss
-// stall.  Fields are atomics because client and server goroutines write
-// different stamps of the same hop; the happens-before edges of the RPC
-// path order them, the atomics keep the race detector satisfied.
+// stamp is one captured clock point: the cycle counter, and whether the
+// point was reached.  Fields are atomics because client and server
+// goroutines write different stamps of the same hop; the happens-before
+// edges of the RPC path order them, the atomics keep the race detector
+// satisfied.
 type stamp struct {
-	done     atomic.Bool
-	cycles   atomic.Uint64
-	imiss    atomic.Uint64
-	dmiss    atomic.Uint64
-	tlb      atomic.Uint64
-	switches atomic.Uint64
+	done   atomic.Bool
+	cycles atomic.Uint64
 }
 
-func (s *stamp) set(c cpu.Counters) {
-	s.cycles.Store(c.Cycles)
-	s.imiss.Store(c.ICacheMisses)
-	s.dmiss.Store(c.DCacheMisses)
-	s.tlb.Store(c.TLBMisses)
-	s.switches.Store(c.Switches)
+func (s *stamp) set(cycles uint64) {
+	s.cycles.Store(cycles)
 	s.done.Store(true)
 }
 
@@ -162,7 +153,7 @@ type Hop struct {
 }
 
 func (h *Hop) stampNow(i int) {
-	h.stamps[i].set(h.t.eng.Counters())
+	h.stamps[i].set(h.t.eng.Counters().Cycles)
 }
 
 // seg returns the cycle width of [a, b], or 0 when either end was never
@@ -243,7 +234,6 @@ type family struct {
 // system's router engine at boot; detaching restores the zero-cost path.
 type Tracker struct {
 	eng *cpu.Engine
-	cfg cpu.Config
 	seq atomic.Uint64
 
 	mu   sync.Mutex
@@ -254,7 +244,7 @@ type Tracker struct {
 // (Detach first for a fresh one).
 func Attach(eng *cpu.Engine) *Tracker {
 	return eng.AttachPlane(cpu.PlaneLat, func() any {
-		return &Tracker{eng: eng, cfg: eng.Config(), fams: make(map[famKey]*family)}
+		return &Tracker{eng: eng, fams: make(map[famKey]*family)}
 	}).(*Tracker)
 }
 
@@ -277,7 +267,7 @@ func (t *Tracker) Observe(e cpu.Event) {
 	default:
 		// PhaseSent, PhasePicked and PhaseServed are P1, P2 and P3.
 		if h := Of(e.Req); h != nil {
-			h.stamps[pSend+int(e.Phase-cpu.PhaseSent)].set(e.Ctr)
+			h.stamps[pSend+int(e.Phase-cpu.PhaseSent)].set(e.Ctr.Cycles)
 		}
 	}
 }
@@ -304,7 +294,7 @@ func (t *Tracker) begin(parent *Hop, e *cpu.Event) *Hop {
 	} else {
 		h.Root = true
 	}
-	h.stamps[pEntry].set(e.Ctr)
+	h.stamps[pEntry].set(e.Ctr.Cycles)
 	return h
 }
 
@@ -346,7 +336,7 @@ func (t *Tracker) finish(h *Hop, e *cpu.Event) {
 	if h == nil {
 		return
 	}
-	h.stamps[pReturn].set(e.Ctr)
+	h.stamps[pReturn].set(e.Ctr.Cycles)
 	h.failed.Store(e.Err != "")
 	h.sealed.Store(true)
 	if e.Err == "" {
