@@ -236,16 +236,20 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// cache is one set-associative cache with true-LRU replacement.  Tags are
-// full addresses; the simulated system uses a single physical address
-// space, so competing regions conflict exactly as physical caches do.
-// Set s occupies tags[s*Ways : (s+1)*Ways], most recently used first —
-// Mattson's LRU stack, so the way a line hits in is its stack distance
+// cache is one set-associative cache with true-LRU replacement.  The
+// simulated system uses a single physical address space, so competing
+// regions conflict exactly as physical caches do.  A way's tag is the
+// line's cache page — its address divided by Sets*LineSize — plus one (0
+// = invalid): within one set that names the same line a full line
+// address would, and a run of consecutive sets in one cache page shares
+// it.  Set s occupies tags[s*Ways : (s+1)*Ways], most recently used first
+// — Mattson's LRU stack, so the way a line hits in is its stack distance
 // and the last way is the victim.
 type cache struct {
 	cfg       CacheConfig
 	tags      []uint64 // 0 = invalid
 	lineShift uint     // log2(LineSize)
+	pageShift uint     // log2(Sets): a line's cache page is line >> pageShift
 	setMask   uint64   // Sets-1
 }
 
@@ -253,22 +257,65 @@ type cache struct {
 func newCache(cfg CacheConfig) *cache {
 	return &cache{
 		cfg: cfg, tags: make([]uint64, cfg.Sets*cfg.Ways),
-		lineShift: uint(bits.TrailingZeros64(cfg.LineSize)), setMask: uint64(cfg.Sets) - 1,
+		lineShift: uint(bits.TrailingZeros64(cfg.LineSize)),
+		pageShift: uint(bits.TrailingZeros64(uint64(cfg.Sets))), setMask: uint64(cfg.Sets) - 1,
 	}
 }
 
 // run touches the line at a and every LineSize step after it below end,
-// and returns how many missed.  A hit on the most recent way costs one
-// compare; any other hit, or a miss, moves the line to the front of its
-// set, and a miss drops the set's last way.
+// and returns how many missed.  The lines are taken a cache page at a
+// time: a run of consecutive sets that all look for one tag.
 func (c *cache) run(a, end uint64) (misses uint64) {
-	tags, ways, step := c.tags, c.cfg.Ways, c.cfg.LineSize
-	shift, mask := c.lineShift, c.setMask
-	for ; a < end; a += step {
-		line := a >> shift
-		tag := line + 1 // +1 so a valid tag is never 0
-		lo := int(line&mask) * ways
-		set := tags[lo : lo+ways]
+	if a >= end {
+		return 0
+	}
+	line, n := a>>c.lineShift, (end-a+c.cfg.LineSize-1)>>c.lineShift
+	for n > 0 {
+		s := line & c.setMask
+		k := min(n, c.setMask+1-s)
+		tag, ways := line>>c.pageShift+1, uint64(c.cfg.Ways)
+		sets := c.tags[s*ways : (s+k)*ways]
+		if ways == 2 {
+			misses += run2(sets, tag)
+		} else {
+			misses += runN(sets, int(ways), tag)
+		}
+		line, n = line+k, n-k
+	}
+	return misses
+}
+
+// run2 looks tag up in each two-way set of sets and returns how many
+// missed.  Every outcome stores the same two ways — tag first, then
+// whichever old way is not tag (the old first way on a miss) — so the
+// loop is selects, not branches.
+func run2(sets []uint64, tag uint64) (misses uint64) {
+	for ; len(sets) >= 2; sets = sets[2:] {
+		a0, a1 := sets[0], sets[1]
+		misses += b2u(a0 != tag) & b2u(a1 != tag)
+		if a0 == tag {
+			a0 = a1
+		}
+		sets[0], sets[1] = tag, a0
+	}
+	return misses
+}
+
+// b2u is 1 for true and 0 for false, which compiles to a flag set.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// runN looks tag up in each ways-way set of sets and returns how many
+// missed.  A hit on the most recent way costs one compare; any other
+// hit, or a miss, moves the line to the front of its set, and a miss
+// drops the set's last way.
+func runN(sets []uint64, ways int, tag uint64) (misses uint64) {
+	for ; len(sets) >= ways; sets = sets[ways:] {
+		set := sets[:ways]
 		if set[0] == tag {
 			continue
 		}

@@ -132,7 +132,12 @@ func (d *Disk) WriteSectors(sector uint64, data []byte) error {
 		d.eng.Stall(d.SeekCycles)
 	}
 	for i := uint64(0); i < n; i++ {
-		d.sectors[sector+i] = append([]byte(nil), data[i*SectorSize:(i+1)*SectorSize]...)
+		src := data[i*SectorSize : (i+1)*SectorSize]
+		if s := d.sectors[sector+i]; s != nil {
+			copy(s, src) // a read copies out, so no caller holds s
+		} else {
+			d.sectors[sector+i] = append([]byte(nil), src...)
+		}
 	}
 	d.pos = sector + n
 	d.writes += n

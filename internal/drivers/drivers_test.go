@@ -9,6 +9,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/iosys"
 	"repro/internal/mach"
+	"repro/internal/vfs"
 )
 
 type rig struct {
@@ -59,6 +60,36 @@ func TestDiskReadWriteRoundTrip(t *testing.T) {
 	}
 	if r.intr.Count(14) != 3 {
 		t.Fatalf("interrupts = %d, want 3", r.intr.Count(14))
+	}
+}
+
+// TestRewriteOwnsItsSectors: on both sector stores, a rewrite copies
+// into the sector's storage, so changing the caller's buffer afterwards,
+// or the buffer a read filled, changes nothing the device returns.
+func TestRewriteOwnsItsSectors(t *testing.T) {
+	for name, dev := range map[string]vfs.BlockDev{"disk": newRig(t).disk, "ramdisk": vfs.NewRAMDisk(16)} {
+		t.Run(name, func(t *testing.T) {
+			data := make([]byte, 2*SectorSize)
+			buf := make([]byte, 2*SectorSize)
+			for _, b := range []byte{1, 2} {
+				for i := range data {
+					data[i] = b
+				}
+				if err := dev.WriteSectors(7, data); err != nil {
+					t.Fatalf("WriteSectors: %v", err)
+				}
+				if err := dev.ReadSectors(7, buf); err != nil {
+					t.Fatalf("ReadSectors: %v", err)
+				}
+				data[0], data[SectorSize], buf[1] = 9, 9, 9
+				if err := dev.ReadSectors(7, buf); err != nil {
+					t.Fatalf("ReadSectors: %v", err)
+				}
+				if want := bytes.Repeat([]byte{b}, 2*SectorSize); !bytes.Equal(buf, want) {
+					t.Fatalf("write %d: read back %v..., want all %d", b, buf[:4], b)
+				}
+			}
+		})
 	}
 }
 

@@ -598,6 +598,11 @@ func (n *node) WriteAt(p []byte, off int64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	if off > int64(d.size) {
+		if err := n.grow(&d, uint64(off)); err != nil {
+			return 0, err
+		}
+	}
 	written := 0
 	buf := make([]byte, sectorSize)
 	for written < len(p) {
@@ -664,9 +669,36 @@ func (n *node) Truncate(size int64) error {
 				}
 			}
 		}
+	} else if size > int64(d.size) {
+		if err := n.grow(&d, uint64(size)); err != nil {
+			return err
+		}
 	}
 	d.size = uint32(size)
 	return n.storeEnt(d)
+}
+
+// grow readies the file to grow from d.size to size bytes that read as
+// zeros past the old end: the old last sector's tail, which a shrink
+// leaves as it was, is cleared, and the clusters added come zeroed from
+// allocCluster.  The caller sets the new size.
+func (n *node) grow(d *dirent, size uint64) error {
+	if within := d.size % sectorSize; within != 0 {
+		s, err := n.fs.chainSector(&d.first, uint64(d.size)/sectorSize, false)
+		if err != nil {
+			return err
+		}
+		buf := make([]byte, sectorSize)
+		if err := n.fs.dev.ReadSectors(s, buf); err != nil {
+			return err
+		}
+		clear(buf[within:])
+		if err := n.fs.dev.WriteSectors(s, buf); err != nil {
+			return err
+		}
+	}
+	_, err := n.fs.chainSector(&d.first, (size-1)/sectorSize, true)
+	return err
 }
 
 // ReadDir implements vfs.Vnode.

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/fat"
 	"repro/internal/hpfs"
 	"repro/internal/jfs"
 	"repro/internal/vfs"
@@ -414,11 +415,22 @@ func TestCreateFailsMidwayLeavesMountableVolume(t *testing.T) {
 // --- growing a file reads zeros ---
 
 // TestGrowReadsZeros: bytes a file gains by growing read as zeros, on
-// the disk formats as on memfs, however the sectors under them were
-// used before.
+// the extent formats and fat as on memfs, however the sectors under them
+// were used before.
 func TestGrowReadsZeros(t *testing.T) {
 	fresh := map[string]func(t *testing.T) vfs.FileSystem{
 		"memfs": func(*testing.T) vfs.FileSystem { return vfs.NewMemFS() },
+		"fat": func(t *testing.T) vfs.FileSystem {
+			dev := vfs.NewRAMDisk(4096)
+			if err := fat.Format(dev); err != nil {
+				t.Fatalf("Format: %v", err)
+			}
+			fs := fat.New()
+			if err := fs.Mount(dev); err != nil {
+				t.Fatalf("Mount: %v", err)
+			}
+			return fs
+		},
 	}
 	for _, ff := range formats {
 		fresh[ff.name] = func(t *testing.T) vfs.FileSystem { fs, _ := ff.fresh(t); return fs }
@@ -453,9 +465,22 @@ func TestGrowReadsZeros(t *testing.T) {
 			}
 			return f
 		}, append(make([]byte, 1500), 'C')},
+		{"shrink-then-write-past-eof", func(t *testing.T, root vfs.Vnode) vfs.Vnode {
+			// Shrink inside a sector, then write past EOF in the same
+			// file: the gap, in the old last sector, is zeros.
+			f, _ := root.Create("gap", false)
+			f.WriteAt(bytes.Repeat([]byte("D"), 1024), 0)
+			if err := f.Truncate(10); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteAt([]byte{'E'}, 600); err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}, append(append(bytes.Repeat([]byte("D"), 10), make([]byte, 590)...), 'E')},
 	}
 	for _, p := range probes {
-		for _, name := range []string{"hpfs", "jfs", "memfs"} {
+		for _, name := range []string{"fat", "hpfs", "jfs", "memfs"} {
 			t.Run(p.name+"/"+name, func(t *testing.T) {
 				f := p.grow(t, fresh[name](t).Root())
 				got := make([]byte, len(p.want))

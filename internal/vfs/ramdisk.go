@@ -53,7 +53,12 @@ func (r *RAMDisk) WriteSectors(sector uint64, data []byte) error {
 		return ErrBadOffset
 	}
 	for i := uint64(0); i < n; i++ {
-		r.sectors[sector+i] = append([]byte(nil), data[i*SectorSize:(i+1)*SectorSize]...)
+		src := data[i*SectorSize : (i+1)*SectorSize]
+		if s := r.sectors[sector+i]; s != nil {
+			copy(s, src) // a read copies out, so no caller holds s
+		} else {
+			r.sectors[sector+i] = append([]byte(nil), src...)
+		}
 	}
 	return nil
 }
