@@ -446,13 +446,28 @@ func (e *Engine) Complex() *Complex { return e.cx }
 
 // route resolves the engine a charge should land on: the engine bound to
 // the calling OS thread when e is the router of a Complex, e itself
-// otherwise.  It is called once at each public entry point, never
+// otherwise.  It also returns the binding the charge is routed through
+// (nil when unbound or standalone), which unlock credits with the
+// charge's cycles.  It is called once at each public entry point, never
 // recursively — the engine it returns is used directly.
-func (e *Engine) route() *Engine {
+func (e *Engine) route() (*Engine, *Binding) {
 	if e.cx == nil {
-		return e
+		return e, nil
 	}
-	return e.cx.current()
+	if b := e.cx.current(); b != nil {
+		return b.eng, b
+	}
+	return e, nil
+}
+
+// unlock releases the engine lock taken by a routed charge, first
+// crediting b with the cycles the charge added since base (the engine's
+// cycle count when the lock was taken).  A standalone engine's b is nil.
+func (e *Engine) unlock(b *Binding, base uint64) {
+	if b != nil {
+		b.cycles += e.ctr.Cycles - base
+	}
+	e.mu.Unlock()
 }
 
 // Counters returns a snapshot of the performance counters.  On the router
@@ -569,17 +584,17 @@ func (e *Engine) chargeMiss(ctr *uint64, n uint64, kind ProfKind, cycles, bus ui
 // Exec runs one traversal of a code region: its instructions retire at the
 // base CPI and every line of its text is fetched through the I-cache.
 func (e *Engine) Exec(r Region) {
-	e = e.route()
+	e, b := e.route()
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock(b, e.ctr.Cycles)
 	e.execLocked(r)
 }
 
 // ExecN runs a region n times back to back.
 func (e *Engine) ExecN(r Region, n int) {
-	e = e.route()
+	e, b := e.route()
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock(b, e.ctr.Cycles)
 	for i := 0; i < n; i++ {
 		e.execLocked(r)
 	}
@@ -621,9 +636,9 @@ func (e *Engine) accessData(addr, size uint64) {
 	if size == 0 {
 		return
 	}
-	e = e.route()
+	e, b := e.route()
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock(b, e.ctr.Cycles)
 	e.touch(e.dcache, ProfDMiss, addr, addr+size)
 }
 
@@ -632,9 +647,9 @@ func (e *Engine) accessData(addr, size uint64) {
 // traffic on both the source and destination.  This is the "replaced
 // virtual with physical copy" path of the reworked RPC.
 func (e *Engine) Copy(src, dst, n uint64) {
-	e = e.route()
+	e, b := e.route()
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock(b, e.ctr.Cycles)
 	e.chargeInstr(8 + n/4)
 	e.touch(e.dcache, ProfDMiss, src, src+n)
 	e.touch(e.dcache, ProfDMiss, dst, dst+n)
@@ -645,12 +660,13 @@ func (e *Engine) Copy(src, dst, n uint64) {
 // subsequent accesses.  Switching to the current space is free (the paper's
 // RPC path always switches: client -> server -> client).
 func (e *Engine) SwitchAddressSpace(asid uint64) {
-	e = e.route()
+	e, b := e.route()
 	e.mu.Lock()
 	if asid == e.asid {
 		e.mu.Unlock()
 		return
 	}
+	base := e.ctr.Cycles
 	e.asid = asid
 	e.ctr.Switches++
 	e.ctr.Cycles += e.cfg.SwitchCycles
@@ -658,7 +674,7 @@ func (e *Engine) SwitchAddressSpace(asid uint64) {
 		e.prof.ProfCharge(e.slot, e.curRegion, ProfSwitch, e.cfg.SwitchCycles, 0, 0)
 	}
 	e.tlb.flush()
-	e.mu.Unlock()
+	e.unlock(b, base)
 	if e.root != nil {
 		e = e.root
 	}
@@ -668,7 +684,7 @@ func (e *Engine) SwitchAddressSpace(asid uint64) {
 // ASID returns the currently loaded address-space identifier (of the
 // calling thread's bound engine, under a Complex).
 func (e *Engine) ASID() uint64 {
-	e = e.route()
+	e, _ = e.route()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.asid
@@ -677,9 +693,9 @@ func (e *Engine) ASID() uint64 {
 // Stall charges raw cycles with no instructions, modeling interrupt
 // latency, DMA wait or device service time.
 func (e *Engine) Stall(cycles uint64) {
-	e = e.route()
+	e, b := e.route()
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock(b, e.ctr.Cycles)
 	e.ctr.Cycles += cycles
 	if e.prof != nil {
 		e.prof.ProfCharge(e.slot, e.curRegion, ProfStall, cycles, 0, 0)
@@ -689,9 +705,9 @@ func (e *Engine) Stall(cycles uint64) {
 // Instr charges n instructions with no specific code footprint (for
 // straight-line computation inside an already-resident region).
 func (e *Engine) Instr(n uint64) {
-	e = e.route()
+	e, b := e.route()
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock(b, e.ctr.Cycles)
 	e.chargeInstr(n)
 }
 
@@ -699,9 +715,9 @@ func (e *Engine) Instr(n uint64) {
 // modeling uncached accesses such as descriptor-table reads during a
 // privilege transition or device-register I/O.
 func (e *Engine) Overhead(cycles, bus uint64) {
-	e = e.route()
+	e, b := e.route()
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock(b, e.ctr.Cycles)
 	e.ctr.Cycles += cycles
 	e.ctr.BusCycles += bus
 	if e.prof != nil {
@@ -715,9 +731,9 @@ func (e *Engine) Overhead(cycles, bus uint64) {
 // after binding, so under a Complex the charge lands on the destination
 // engine.
 func (e *Engine) Migrate() {
-	e = e.route()
+	e, b := e.route()
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock(b, e.ctr.Cycles)
 	e.ctr.Cycles += e.cfg.MigrateCycles
 	e.ctr.BusCycles += e.cfg.MigrateBus
 	if e.prof != nil {

@@ -21,12 +21,28 @@ import (
 // Complex is a set of N engines with a shared routing table.
 type Complex struct {
 	engines []*Engine
-	// bind maps an OS thread id to the engine its current simulated
-	// thread runs on.  A binding is only ever installed under
-	// runtime.LockOSThread, so a live entry can never be observed by any
-	// goroutine but its owner (a locked OS thread runs nothing else).
-	bind sync.Map // threadID() -> *Engine
+	// bind maps an OS thread id to its current binding.  A binding is
+	// only ever installed under runtime.LockOSThread, so a live entry can
+	// never be observed by any goroutine but its owner (a locked OS
+	// thread runs nothing else).
+	bind sync.Map // threadID() -> *Binding
 }
+
+// Binding is one OS thread's route to an engine.  Besides routing, it
+// counts the cycles every charge routed through it adds — the engine's
+// cycles that belong to this binding alone, whatever other threads bound
+// to the same engine charge meanwhile.  A nested binding shadows the
+// outer one, so each cycle is counted in exactly one binding.  The count
+// is written under the engine lock by its owner's charges and read by the
+// owner, so a scheduler can reuse one record per simulated thread.
+type Binding struct {
+	eng    *Engine
+	cycles uint64
+}
+
+// Cycles returns the cycles charged through b since it was bound.  Call
+// it on the bound goroutine.
+func (b *Binding) Cycles() uint64 { return b.cycles }
 
 // NewComplex creates n engines with cold caches; engine 0 is the router
 // all shared charge sites go through.
@@ -55,24 +71,25 @@ func (cx *Complex) Router() *Engine { return cx.engines[0] }
 // modify it.
 func (cx *Complex) Engines() []*Engine { return cx.engines }
 
-// current resolves the engine for the calling OS thread: its binding, or
-// the router when unbound.
-func (cx *Complex) current() *Engine {
+// current returns the calling OS thread's binding, or nil when unbound.
+func (cx *Complex) current() *Binding {
 	if v, ok := cx.bind.Load(threadID()); ok {
-		return v.(*Engine)
+		return v.(*Binding)
 	}
-	return cx.engines[0]
+	return nil
 }
 
 // Bind pins the calling goroutine to its OS thread and routes its charges
-// to engine e until the returned undo runs (on the same goroutine).
-// Bindings nest — a nested Bind shadows the outer one and undo restores
-// it — matching LockOSThread's own nesting.
-func (cx *Complex) Bind(e *Engine) (undo func()) {
+// to engine e through the caller's record b until the returned undo runs
+// (on the same goroutine); b's cycle count starts at zero.  b must not be
+// bound already.  Bindings nest — a nested Bind shadows the outer one and
+// undo restores it — matching LockOSThread's own nesting.
+func (cx *Complex) Bind(b *Binding, e *Engine) (undo func()) {
 	runtime.LockOSThread()
 	tid := threadID()
 	prev, hadPrev := cx.bind.Load(tid)
-	cx.bind.Store(tid, e)
+	b.eng, b.cycles = e, 0
+	cx.bind.Store(tid, b)
 	return func() {
 		if hadPrev {
 			cx.bind.Store(tid, prev)
@@ -88,8 +105,8 @@ func (cx *Complex) Bind(e *Engine) (undo func()) {
 // to it (see the bind field), so a non-nil result is stable until the
 // caller's own undo.
 func (cx *Complex) BoundEngine() *Engine {
-	if v, ok := cx.bind.Load(threadID()); ok {
-		return v.(*Engine)
+	if b := cx.current(); b != nil {
+		return b.eng
 	}
 	return nil
 }
@@ -122,8 +139,6 @@ func (cx *Complex) EngineCounters(slot int) Counters {
 // bound engine's slot under a Complex, 0 otherwise.  Used by tracers to
 // stamp events with an engine id.
 func (e *Engine) CurrentSlot() int {
-	if e.cx == nil {
-		return e.slot
-	}
-	return e.cx.current().slot
+	e, _ = e.route()
+	return e.slot
 }

@@ -41,13 +41,13 @@ func TestComplexBindRoutesCharges(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		undo2 := cx.Bind(cx.Engines()[2])
+		undo2 := cx.Bind(new(Binding), cx.Engines()[2])
 		r.Exec(reg)
 		if got := r.CurrentSlot(); got != 2 {
 			t.Errorf("CurrentSlot = %d under a slot-2 binding", got)
 		}
 		// Nested binding: charges move to slot 1, then back after undo.
-		undo1 := cx.Bind(cx.Engines()[1])
+		undo1 := cx.Bind(new(Binding), cx.Engines()[1])
 		r.Instr(10)
 		undo1()
 		r.Instr(7)
@@ -73,7 +73,7 @@ func TestComplexMigrateCharges(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		undo := cx.Bind(cx.Engines()[1])
+		undo := cx.Bind(new(Binding), cx.Engines()[1])
 		cx.Router().Migrate()
 		undo()
 	}()
@@ -131,7 +131,7 @@ func TestComplexBindRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				undo := cx.Bind(cx.Engines()[(g+i)%4])
+				undo := cx.Bind(new(Binding), cx.Engines()[(g+i)%4])
 				r.Exec(regs[g%4])
 				r.Read(uint64(0x9000_0000+g*8192), 256)
 				if i%3 == 0 {
@@ -157,5 +157,57 @@ func TestComplexBindRace(t *testing.T) {
 	}
 	if tot := r.Counters().Cycles; tot != sum {
 		t.Fatalf("router total %d != per-engine sum %d", tot, sum)
+	}
+}
+
+// TestBindingCountsOwnCharges: a binding counts exactly the cycles charged
+// through it while another goroutine charges the same engine, whatever
+// the interleaving; a nested binding takes its cycles out of the outer
+// one, and the counts sum to the engine's delta.
+func TestBindingCountsOwnCharges(t *testing.T) {
+	cx := NewComplex(Pentium133(), 2)
+	r := cx.Router()
+	e1 := cx.Engines()[1]
+	reg := NewLayout(0).PlaceInstr("path", 150)
+	const rounds = 500
+	var mine, other, inner Binding
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		undo := cx.Bind(&mine, e1)
+		defer undo()
+		for i := 0; i < rounds; i++ {
+			r.Stall(3)
+		}
+		if got := mine.Cycles(); got != 3*rounds {
+			t.Errorf("binding counted %d cycles, charged %d", got, 3*rounds)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		undo := cx.Bind(&other, e1)
+		defer undo()
+		for i := 0; i < rounds; i++ {
+			r.Exec(reg)
+			r.Read(0x9000_0000+uint64(i)*64, 64)
+			if i%50 == 0 {
+				undoInner := cx.Bind(&inner, e1)
+				r.Stall(11)
+				if got := inner.Cycles(); got != 11 {
+					t.Errorf("nested binding counted %d cycles, charged 11", got)
+				}
+				undoInner()
+			}
+		}
+	}()
+	wg.Wait()
+	if got := mine.Cycles(); got != 3*rounds {
+		t.Fatalf("binding counted %d cycles after its undo, charged %d", got, 3*rounds)
+	}
+	// Each cycle on e1 landed in exactly one binding; the nested ones
+	// (11 each, 10 of them) in none of the outer counts.
+	if sum, delta := mine.Cycles()+other.Cycles()+10*11, cx.EngineCounters(1).Cycles; sum != delta {
+		t.Fatalf("bindings sum to %d cycles, engine 1 gained %d", sum, delta)
 	}
 }

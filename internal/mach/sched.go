@@ -55,6 +55,12 @@ import (
 // deadlock-free under arbitrary user locking across RPCs.  A crossing is
 // two or three bursts on one goroutine: the caller's send, the server
 // burst on the slot it took (schedServe), and the caller's resume.
+//
+// A burst's length is the cycles charged through its own binding
+// (cpu.Binding), not its engine's cycle delta: goroutines bound to the
+// same engine meanwhile charge their own bursts, and a nested burst on
+// the same goroutine shadows the outer one, so each cycle lands in
+// exactly one burst and one busy floor.
 type sched struct {
 	k    *Kernel
 	cx   *cpu.Complex
@@ -271,8 +277,10 @@ func (p *vtPool) claim(length uint64) uint64 {
 // thread to it and charges the migration cost if th last ran elsewhere.
 // With a pool the burst serializes on the pool's earliest-free virtual
 // slot and on the caller's send completion (ready); without one, on th's
-// own clock.  The returned release ends the burst (same goroutine).  A
-// binding already in place is shadowed until the release (Bind nests).
+// own clock.  The returned release ends the burst (same goroutine) and
+// settles its length: the cycles charged through the burst's binding.  A
+// binding already in place is shadowed until the release (bindings
+// nest), so an outer burst's length leaves out a nested one's cycles.
 func (s *sched) place(th *Thread, pool *vtPool, ready uint64) func() {
 	se, stolen := s.pick(th)
 	se.runq.Add(1)
@@ -280,15 +288,20 @@ func (s *sched) place(th *Thread, pool *vtPool, ready uint64) func() {
 	// see it queued; settled for the measured length at release.
 	reserve := s.meanBurst()
 	se.resv.Add(int64(reserve))
-	unbind := s.cx.Bind(se.eng)
+	// The thread's binding record is reused; a second burst of the same
+	// thread open at once (callers sharing it) takes a fresh one.
+	b := &th.bind
+	owned := th.bindBusy.CompareAndSwap(false, true)
+	if !owned {
+		b = new(cpu.Binding)
+	}
+	unbind := s.cx.Bind(b, se.eng)
 	prev := th.lastEng.Swap(se.eng)
 	migrated := prev != nil && prev != se.eng
-	base := s.cx.EngineCounters(se.slot).Cycles
 	if migrated {
-		// Charged after Bind (so the coherence cost lands on the
-		// destination engine) and after the base snapshot (so it counts
-		// into the burst's virtual length).
-		se.eng.Migrate()
+		// Charged through the router after Bind, so the coherence cost
+		// lands on the destination engine and counts into the burst.
+		s.k.CPU.Migrate()
 		se.migrations.Add(1)
 		if stolen {
 			se.steals.Add(1)
@@ -298,9 +311,11 @@ func (s *sched) place(th *Thread, pool *vtPool, ready uint64) func() {
 	// The Bind above stamps the dispatch record with se's slot.
 	s.k.CPU.Planes().Emit(cpu.Event{Type: cpu.EvSched, Subsystem: "mach.sched", Name: th.task.name, Arg: uint64(se.slot)})
 	return func() {
-		cyc := s.cx.EngineCounters(se.slot).Cycles
-		length := cyc - base
+		length := b.Cycles()
 		unbind()
+		if owned {
+			th.bindBusy.Store(false)
+		}
 		se.runq.Add(-1)
 		se.resv.Add(-int64(reserve))
 		// Advance virtual time: the burst starts once its engine-capacity
@@ -359,7 +374,7 @@ func (s *sched) place(th *Thread, pool *vtPool, ready uint64) func() {
 		// The per-engine families are levels and counts at release,
 		// not stamps of the dispatch record.
 		st := kstat.For(s.k.CPU)
-		st.Gauge(se.famCycles).Set(int64(cyc))
+		st.Gauge(se.famCycles).Set(int64(s.cx.EngineCounters(se.slot).Cycles))
 		st.Gauge(se.famRunq).Set(se.runq.Load())
 		st.Counter(se.famDispatches).Inc()
 		if migrated {

@@ -26,17 +26,20 @@ func newSMPKernel(t *testing.T, n int) (*Kernel, []*Thread) {
 // burst holds one dispatched burst open on its own goroutine (bindings
 // are per OS thread, and a release must run where the bind did).
 type burst struct {
-	release chan struct{}
-	done    chan struct{}
+	work chan func()
+	done chan struct{}
 }
 
 func dispatchOn(k *Kernel, th *Thread) *burst {
-	b := &burst{release: make(chan struct{}), done: make(chan struct{})}
+	b := &burst{work: make(chan func()), done: make(chan struct{})}
 	placed := make(chan struct{})
 	go func() {
 		rel := k.schedRun(th)
 		close(placed)
-		<-b.release
+		for f := range b.work {
+			f()
+			b.done <- struct{}{}
+		}
 		if rel != nil {
 			rel()
 		}
@@ -46,8 +49,14 @@ func dispatchOn(k *Kernel, th *Thread) *burst {
 	return b
 }
 
+// do runs f inside the burst, on its goroutine, and waits for it.
+func (b *burst) do(f func()) {
+	b.work <- f
+	<-b.done
+}
+
 func (b *burst) end() {
-	close(b.release)
+	close(b.work)
 	<-b.done
 }
 
@@ -273,5 +282,93 @@ func TestSchedPsetPartition(t *testing.T) {
 	iso.RemoveTask(task)
 	if task.pset.Load() != nil {
 		t.Fatalf("RemoveTask did not clear the task's set")
+	}
+}
+
+// newPinnedTask returns a task of k on a set that holds only processor
+// slot, so every burst of its threads lands on that engine.
+func newPinnedTask(t *testing.T, k *Kernel, slot int) *Task {
+	t.Helper()
+	h := k.Host()
+	ps, err := h.CreateSet("one")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.AssignProcessor(h.Processors()[slot], ps)
+	task := k.NewTask("pinned")
+	ps.AssignTask(task)
+	return task
+}
+
+// TestSchedBurstLengthIsOwnCharges: two bursts open at once on one engine
+// are each credited exactly the cycles they charged, not the engine's
+// delta over their lifetimes (which includes the other's charges).
+func TestSchedBurstLengthIsOwnCharges(t *testing.T) {
+	k, _ := newSMPKernel(t, 0)
+	task := newPinnedTask(t, k, 3)
+	th1, _ := task.NewBoundThread("a")
+	th2, _ := task.NewBoundThread("b")
+	e3 := k.Complex().EngineCounters(3).Cycles
+
+	b1 := dispatchOn(k, th1)
+	b2 := dispatchOn(k, th2)
+	if s1, s2 := th1.lastEng.Load().Slot(), th2.lastEng.Load().Slot(); s1 != 3 || s2 != 3 {
+		t.Fatalf("bursts placed on e%d and e%d, want both on e3", s1, s2)
+	}
+	b1.do(func() { k.CPU.Stall(1000) })
+	b2.do(func() { k.CPU.Stall(7) })
+	b2.end()
+	b1.do(func() { k.CPU.Stall(20) })
+	b1.end()
+
+	if got := th2.SchedCycles(); got != 7 {
+		t.Errorf("second burst credited %d cycles, charged 7", got)
+	}
+	if got := th1.SchedCycles(); got != 1020 {
+		t.Errorf("first burst credited %d cycles, charged 1020", got)
+	}
+	if got := k.Complex().EngineCounters(3).Cycles - e3; got != 1027 {
+		t.Errorf("e3 gained %d cycles, want 1027", got)
+	}
+}
+
+// TestSchedNestedBurstCountedOnce: a server burst nested inside a client
+// burst on the same engine (a driver call under a file-server handler)
+// takes its cycles out of the outer burst's length: the two lengths sum
+// to the engine's delta, with no cycle counted twice.
+func TestSchedNestedBurstCountedOnce(t *testing.T) {
+	k, _ := newSMPKernel(t, 0)
+	task := newPinnedTask(t, k, 2)
+	outer, _ := task.NewBoundThread("client")
+	srv, _ := task.NewBoundThread("server")
+	region := k.Layout().Place("sched_nested_work", 2048)
+	e2 := k.Complex().EngineCounters(2).Cycles
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rel := k.schedRun(outer)
+		k.CPU.Exec(region)
+		nested := k.schedServe(srv, outer.VT())
+		if nested == nil {
+			t.Error("nested server burst was not placed")
+			rel()
+			return
+		}
+		k.CPU.Exec(region)
+		k.CPU.Stall(300)
+		nested()
+		k.CPU.Instr(50)
+		rel()
+	}()
+	<-done
+
+	delta := k.Complex().EngineCounters(2).Cycles - e2
+	if got := outer.SchedCycles() + srv.SchedCycles(); got != delta {
+		t.Errorf("outer %d + nested %d = %d cycles, engine delta %d",
+			outer.SchedCycles(), srv.SchedCycles(), got, delta)
+	}
+	if srv.SchedCycles() < 300 {
+		t.Errorf("nested burst credited %d cycles, charged at least 300", srv.SchedCycles())
 	}
 }

@@ -158,11 +158,14 @@ type Thread struct {
 
 	// lastEng is the engine this thread's previous burst ran on — the
 	// scheduler's affinity hint, and the reference that makes a resume
-	// elsewhere a migration.  schedCycles accumulates the engine cycle
-	// deltas observed across the thread's bursts (approximate when
-	// bursts share an engine; exact when they don't).
+	// elsewhere a migration.  schedCycles accumulates the lengths of the
+	// thread's bursts: the cycles each charged through its own binding.
+	// bind is the binding record the thread's bursts reuse, bindBusy
+	// whether a burst holds it.
 	lastEng     atomic.Pointer[cpu.Engine]
 	schedCycles atomic.Uint64
+	bind        cpu.Binding
+	bindBusy    atomic.Bool
 
 	// vt is the thread's virtual clock: the modeled time its last burst
 	// completed.  The scheduler starts each burst at max(engine clock,
