@@ -148,3 +148,66 @@ func TestLockUncontendedAllocatesNothing(t *testing.T) {
 		t.Fatalf("uncontended lock registered waits: %v", es)
 	}
 }
+
+// TestLockWaitFromCarrierSub: a sub-request of a CallV carrier that
+// waits on a kernel lock shows in the wait-for graph as its serving
+// slot's wait, like a plain request's, and a sub header the handler
+// echoes back reaches the caller intact.
+func TestLockWaitFromCarrierSub(t *testing.T) {
+	k := newTestKernel()
+	srv := k.NewTask("server")
+	defer srv.Terminate()
+	recv, err := srv.AllocatePort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const holdOp, subOp = MsgID(0x11), MsgID(0x22)
+	l := NewLock("volume:/test")
+	held, release := make(chan struct{}), make(chan struct{})
+	if _, err := srv.ServePool("pool", recv, 2, func(m *Message) *Message {
+		l.Acquire(m)
+		defer l.Release()
+		if m.ID == holdOp {
+			held <- struct{}{}
+			<-release
+			return &Message{}
+		}
+		return m
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cli := k.NewTask("client")
+	defer cli.Terminate()
+	send, err := cli.InsertRight(srv, recv, DispMakeSend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	holder, _ := cli.NewBoundThread("holder")
+	batcher, _ := cli.NewBoundThread("batcher")
+	done := make(chan []*Message, 1)
+	go func() {
+		if _, err := holder.Call(send, &Message{ID: holdOp}, CallOpts{}); err != nil {
+			t.Errorf("hold call: %v", err)
+		}
+	}()
+	<-held
+	go func() {
+		replies, err := batcher.CallV(send, []*Message{{ID: subOp, Body: []byte("a")}, {ID: subOp, Body: []byte("b")}}, CallOpts{})
+		if err != nil {
+			t.Errorf("CallV: %v", err)
+		}
+		done <- replies
+	}()
+	e, ok := awaitLockEdge(k)
+	close(release)
+	replies := <-done
+	if !ok {
+		t.Fatalf("a carrier sub's lock wait is missing from the wait-for graph: %v", k.WaitEdges())
+	}
+	if e.Task != "server" || e.Lock != "volume:/test" || e.Op != uint32(subOp) || e.Holder == "" || e.HolderID == e.ThreadID {
+		t.Fatalf("sub's edge = %+v, want a server slot waiting for volume:/test held by the other slot", e)
+	}
+	if len(replies) != 2 || replies[0].ID != subOp || string(replies[0].Body) != "a" || string(replies[1].Body) != "b" {
+		t.Fatalf("echoed sub-replies = %+v", replies)
+	}
+}

@@ -63,8 +63,10 @@ type slot struct {
 	// call takes the slot: the handler's *Message points here, which is
 	// why a request is valid until its reply and no longer.
 	req Message
-	// replies gathers a vectored request's sub-replies, and carrier is
-	// the header they travel back in.
+	// subs holds a vectored request's delivered sub-headers, replies
+	// gathers its sub-replies, and carrier is the header they travel
+	// back in.
+	subs    []Message
 	replies []*Message
 	carrier Message
 }

@@ -426,9 +426,11 @@ func (p *ServerPool) serve(s *slot, port *Port, name PortName, caller *Thread) r
 //
 // The latency ledger needs nothing bound here: the request record rides
 // in the message the handler is given, and a handler that calls onward
-// names it from there.  A carrier's subs each get a sub-hop — one service
-// window — in a header copy of their own: the sub-messages are still the
-// client's.
+// names it from there.  Each sub is delivered, like a plain request, as
+// a header copy in the slot (the sub-messages are still the client's)
+// that names the serving thread, so a sub that waits on a kernel lock
+// shows in the wait-for graph; it also carries the sub's sub-hop — one
+// service window.
 func (s *slot) handle(name PortName, h func(PortName, *Message) *Message) *Message {
 	req := &s.req
 	subs := req.batch
@@ -437,32 +439,31 @@ func (s *slot) handle(name PortName, h func(PortName, *Message) *Message) *Messa
 	}
 	if cap(s.replies) < len(subs) {
 		s.replies = make([]*Message, len(subs))
+		s.subs = make([]Message, len(subs))
 	}
-	replies := s.replies[:len(subs)]
-	var hdrs []Message
-	if req.Hop() != nil {
-		hdrs = make([]Message, len(subs))
-	}
+	replies, hdrs := s.replies[:len(subs)], s.subs[:len(subs)]
 	for i, sub := range subs {
+		hdrs[i] = *sub
+		hdrs[i].srv = s.th
 		sh := req.Hop().BeginSub(uint32(sub.ID))
 		if sh != nil {
-			hdrs[i] = *sub
 			hdrs[i].rec = sh
-			sub = &hdrs[i]
 		}
-		replies[i] = h(name, sub)
+		replies[i] = h(name, &hdrs[i])
 		klat.Of(sh).EndSub()
 	}
 	// The caller receives a slice of its own, so the handler's replies
-	// may be reused; nil slots become empty replies.
+	// may be reused; nil slots become empty replies, and a sub header
+	// echoed back is copied out of the slot.
 	out := make([]*Message, len(subs))
 	for i, sub := range replies {
-		if sub == nil {
-			sub = &Message{}
+		if sub == nil || sub == &hdrs[i] {
+			sub = cloneForDelivery(sub)
 		}
 		out[i] = sub
 	}
 	clear(replies) // keep nothing alive
+	clear(hdrs)
 	s.carrier = Message{ID: out[0].ID, batch: out}
 	return &s.carrier
 }

@@ -12,9 +12,9 @@ import (
 	"repro/internal/vfs/wire"
 )
 
-// File server message IDs.  The vectored ops extend the ID space; the
-// single-op messages keep their pre-redesign values and byte layouts
-// (wire.TestLegacyLayoutsPinned pins the bytes).
+// File server message IDs: the single-op protocol, in its pre-redesign
+// values and byte layouts (wire.TestLegacyLayoutsPinned pins the bytes).
+// Batches are mach.Thread.CallV carriers of these same messages.
 const (
 	MsgOpen mach.MsgID = 0x0F00 + iota
 	MsgClose
@@ -30,14 +30,13 @@ const (
 	MsgSetEA
 	MsgGetEA
 	MsgSync
-	// Vectored ops (zero-copy/batching redesign).
-	MsgReadV
-	MsgWriteV
-	MsgStatBatch
 )
 
 // Extent is one (offset, length) pair of a vectored read.
-type Extent = wire.Extent
+type Extent struct {
+	Off int64
+	Len uint32
+}
 
 // VecWrite couples one write buffer with its file offset.
 type VecWrite struct {
@@ -326,8 +325,7 @@ func fromWire(msg string) error {
 
 // fsOpNames labels file-server operations for tracing, in MsgID order.
 var fsOpNames = [...]string{"open", "close", "read", "write", "truncate", "stat",
-	"fstat", "mkdir", "readdir", "remove", "rename", "setea", "getea", "sync",
-	"readv", "writev", "statbatch"}
+	"fstat", "mkdir", "readdir", "remove", "rename", "setea", "getea", "sync"}
 
 func fsOpName(id mach.MsgID) string {
 	if i := int(id) - int(MsgOpen); i >= 0 && i < len(fsOpNames) {
@@ -416,23 +414,6 @@ func (s *Server) handleControl(req *mach.Message) *mach.Message {
 			return errReply(err)
 		}
 		return okReply(wire.EncodeAttr(a), nil)
-	case MsgStatBatch:
-		r, ok := wire.DecodeStatBatchReq(req.Body)
-		if !ok {
-			return errReply(ErrBadHandle)
-		}
-		// Per-slot errors: one missing path must not fail the other
-		// N-1 stats that share the crossing.
-		results := make([]wire.StatResult, len(r.Paths))
-		for i, p := range r.Paths {
-			a, err := s.stat(req, p)
-			if err != nil {
-				results[i].Err = err.Error()
-			} else {
-				results[i].Attr = a
-			}
-		}
-		return okReply(nil, wire.EncodeStatBatchReply(results))
 	case MsgMkdir:
 		r, ok := wire.DecodeMkdirReq(req.Body)
 		if !ok {
@@ -544,29 +525,6 @@ func (s *Server) handleFile(fd uint32, req *mach.Message) *mach.Message {
 		// A page or more goes back by region descriptor — straight from
 		// the read buffer, no bytes through the copy path.
 		return s.xfer.Place(0, wire.U32(uint32(got)), buf[:got])
-	case MsgReadV:
-		exts, ok := wire.DecodeExtents(req.Body)
-		if !ok {
-			return errReply(ErrBadHandle)
-		}
-		// One crossing, N extents: the counts ride inline, the gathered
-		// data rides one payload (region when large enough).
-		var buf []byte
-		ns := make([]uint32, len(exts))
-		for i, e := range exts {
-			n := e.Len
-			if n > MaxReadChunk {
-				n = MaxReadChunk
-			}
-			part := make([]byte, n)
-			got, err := s.Disp.ReadAt(fd, part, e.Off)
-			if err != nil && got == 0 {
-				return errReply(err)
-			}
-			ns[i] = uint32(got)
-			buf = append(buf, part[:got]...)
-		}
-		return s.xfer.Place(0, wire.EncodeCounts(ns), buf)
 	case MsgWrite:
 		r, ok := wire.DecodeWriteReq(req.Body)
 		if !ok {
@@ -577,28 +535,6 @@ func (s *Server) handleFile(fd uint32, req *mach.Message) *mach.Message {
 			return errReply(err)
 		}
 		return okReply(wire.U32(uint32(n)), nil)
-	case MsgWriteV:
-		exts, ok := wire.DecodeExtents(req.Body)
-		if !ok {
-			return errReply(ErrBadHandle)
-		}
-		data := req.Payload()
-		ns := make([]uint32, len(exts))
-		for i, e := range exts {
-			if uint64(len(data)) < uint64(e.Len) {
-				return errReply(ErrBadHandle)
-			}
-			// An error mid-vector fails the whole op; extents before it
-			// have landed, exactly as a short write followed by an error
-			// would on the single-op path.
-			n, err := s.Disp.WriteAt(fd, data[:e.Len], e.Off)
-			if err != nil {
-				return errReply(err)
-			}
-			ns[i] = uint32(n)
-			data = data[e.Len:]
-		}
-		return okReply(wire.EncodeCounts(ns), nil)
 	case MsgTruncate:
 		r, ok := wire.DecodeTruncateReq(req.Body)
 		if !ok {
@@ -678,17 +614,80 @@ func (c *Client) call(dest mach.PortName, id mach.MsgID, body, ool []byte) (*mac
 	return c.callMsg(dest, &mach.Message{ID: id, Body: body, OOL: ool})
 }
 
-// callMsg sends a prebuilt request (region payloads, vectored bodies)
-// and maps error replies back to their sentinels.
+// callMsg sends a prebuilt request (region payloads) and maps an error
+// reply back to its sentinel.
 func (c *Client) callMsg(dest mach.PortName, req *mach.Message) (*mach.Message, error) {
-	reply, err := c.th.Call(dest, req, mach.CallOpts{})
+	return result(c.th.Call(dest, req, mach.CallOpts{}))
+}
+
+// result maps an error reply back to its sentinel, so errors.Is works
+// across the RPC boundary.
+func result(reply *mach.Message, err error) (*mach.Message, error) {
+	if err == nil && reply.ID != 0 {
+		err = fromWire(string(reply.Body))
+	}
 	if err != nil {
 		return nil, err
 	}
-	if reply.ID != 0 {
-		return nil, fromWire(string(reply.Body))
-	}
 	return reply, nil
+}
+
+// Request builders and reply decoders, shared by each single op and its
+// batch: a batch is one mach.Thread.CallV carrier of the op's requests,
+// which the server handles one by one as the single ops they are, so
+// each sub-reply decodes as result and the op's own decoder.
+
+func readReq(off int64, n uint32) *mach.Message {
+	return &mach.Message{ID: MsgRead, Body: wire.ReadReq{Off: off, Len: n}.Encode()}
+}
+
+// readData returns the bytes a MsgRead reply carries; a reply of a page
+// or more carries them by region descriptor when zero-copy is on.
+func readData(reply *mach.Message, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	if len(reply.Body) < 4 {
+		return nil, ErrBadHandle
+	}
+	n := binary.LittleEndian.Uint32(reply.Body)
+	data := reply.Payload()
+	if uint64(n) > uint64(len(data)) {
+		return nil, ErrBadHandle
+	}
+	return data[:n], nil
+}
+
+// writeReq places p by region descriptor for a page or more with
+// zero-copy on, out of line otherwise.
+func (c *Client) writeReq(p []byte, off int64) *mach.Message {
+	return c.xfer.Place(MsgWrite, wire.WriteReq{Off: off}.Encode(), p)
+}
+
+func writeCount(reply *mach.Message, err error) (int, error) {
+	if err != nil {
+		return 0, err
+	}
+	if len(reply.Body) < 4 {
+		return 0, ErrBadHandle
+	}
+	return int(binary.LittleEndian.Uint32(reply.Body)), nil
+}
+
+func statReq(path string) *mach.Message {
+	return &mach.Message{ID: MsgStat, Body: []byte(path)}
+}
+
+// attrOf decodes a MsgStat or MsgFStat reply.
+func attrOf(reply *mach.Message, err error) (Attr, error) {
+	if err != nil {
+		return Attr{}, err
+	}
+	a, ok := wire.DecodeAttr(reply.Body)
+	if !ok {
+		return Attr{}, ErrBadHandle
+	}
+	return a, nil
 }
 
 // File is an open file backed by its own server port.
@@ -715,90 +714,65 @@ func (c *Client) Open(path string, write, create bool) (*File, error) {
 	}, nil
 }
 
-// ReadAt reads up to len(p) bytes at off.  A reply of a page or more
-// arrives by region descriptor when zero-copy is on.
+// ReadAt reads up to len(p) bytes at off.
 func (f *File) ReadAt(p []byte, off int64) (int, error) {
-	body := wire.ReadReq{Off: off, Len: uint32(len(p))}.Encode()
-	reply, err := f.c.call(f.port, MsgRead, body, nil)
+	data, err := readData(f.c.callMsg(f.port, readReq(off, uint32(len(p)))))
 	if err != nil {
 		return 0, err
 	}
-	if len(reply.Body) < 4 {
-		return 0, ErrBadHandle
-	}
-	n := int(binary.LittleEndian.Uint32(reply.Body))
-	data := reply.Payload()
-	if n > len(data) {
-		return 0, ErrBadHandle
-	}
-	copy(p, data[:n])
-	return n, nil
+	return copy(p, data), nil
 }
 
-// ReadV reads several extents in one crossing.  The returned slices
-// alias one gathered reply buffer, in extent order.
+// ReadV reads several extents in one crossing: a carrier of MsgRead
+// subs.  Each returned slice aliases its own sub-reply; the first failed
+// extent fails the call.
 func (f *File) ReadV(exts []Extent) ([][]byte, error) {
 	if len(exts) == 0 {
 		return nil, nil
 	}
-	reply, err := f.c.call(f.port, MsgReadV, wire.EncodeExtents(exts), nil)
+	reqs := make([]*mach.Message, len(exts))
+	for i, e := range exts {
+		reqs[i] = readReq(e.Off, e.Len)
+	}
+	replies, err := f.c.th.CallV(f.port, reqs, mach.CallOpts{})
 	if err != nil {
 		return nil, err
 	}
-	ns, ok := wire.DecodeCounts(reply.Body)
-	if !ok || len(ns) != len(exts) {
-		return nil, ErrBadHandle
-	}
-	data := reply.Payload()
-	out := make([][]byte, len(ns))
-	for i, n := range ns {
-		if uint64(len(data)) < uint64(n) {
-			return nil, ErrBadHandle
+	out := make([][]byte, len(replies))
+	for i, r := range replies {
+		if out[i], err = readData(result(r, nil)); err != nil {
+			return nil, err
 		}
-		out[i] = data[:n]
-		data = data[n:]
 	}
 	return out, nil
 }
 
-// WriteAt writes p at off: by region descriptor for a page or more with
-// zero-copy on, out of line otherwise.
+// WriteAt writes p at off.
 func (f *File) WriteAt(p []byte, off int64) (int, error) {
-	req := f.c.xfer.Place(MsgWrite, wire.WriteReq{Off: off}.Encode(), p)
-	reply, err := f.c.callMsg(f.port, req)
-	if err != nil {
-		return 0, err
-	}
-	if len(reply.Body) < 4 {
-		return 0, ErrBadHandle
-	}
-	return int(binary.LittleEndian.Uint32(reply.Body)), nil
+	return writeCount(f.c.callMsg(f.port, f.c.writeReq(p, off)))
 }
 
-// WriteV writes several buffers in one crossing, gathering them into one
-// payload.  Returns the per-buffer write counts.
+// WriteV writes several buffers in one crossing: a carrier of MsgWrite
+// subs, each placed as WriteAt places it.  Returns the per-buffer write
+// counts.  The server runs every sub-write; the first failure is
+// returned, as UserBlockDriver.WriteSectorsV's carrier reports it.
 func (f *File) WriteV(ws []VecWrite) ([]int, error) {
 	if len(ws) == 0 {
 		return nil, nil
 	}
-	exts := make([]Extent, len(ws))
-	var data []byte
+	reqs := make([]*mach.Message, len(ws))
 	for i, w := range ws {
-		exts[i] = Extent{Off: w.Off, Len: uint32(len(w.Data))}
-		data = append(data, w.Data...)
+		reqs[i] = f.c.writeReq(w.Data, w.Off)
 	}
-	req := f.c.xfer.Place(MsgWriteV, wire.EncodeExtents(exts), data)
-	reply, err := f.c.callMsg(f.port, req)
+	replies, err := f.c.th.CallV(f.port, reqs, mach.CallOpts{})
 	if err != nil {
 		return nil, err
 	}
-	ns, ok := wire.DecodeCounts(reply.Body)
-	if !ok || len(ns) != len(ws) {
-		return nil, ErrBadHandle
-	}
-	out := make([]int, len(ns))
-	for i, n := range ns {
-		out[i] = int(n)
+	out := make([]int, len(replies))
+	for i, r := range replies {
+		if out[i], err = writeCount(result(r, nil)); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
@@ -811,15 +785,7 @@ func (f *File) Truncate(size int64) error {
 
 // Stat returns the file's attributes.
 func (f *File) Stat() (Attr, error) {
-	reply, err := f.c.call(f.port, MsgFStat, nil, nil)
-	if err != nil {
-		return Attr{}, err
-	}
-	a, ok := wire.DecodeAttr(reply.Body)
-	if !ok {
-		return Attr{}, ErrBadHandle
-	}
-	return a, nil
+	return attrOf(f.c.call(f.port, MsgFStat, nil, nil))
 }
 
 // Close releases the open file and its port.
@@ -830,40 +796,28 @@ func (f *File) Close() error {
 
 // Stat queries a path's attributes.
 func (c *Client) Stat(path string) (Attr, error) {
-	reply, err := c.call(c.ctrl, MsgStat, []byte(path), nil)
-	if err != nil {
-		return Attr{}, err
-	}
-	a, ok := wire.DecodeAttr(reply.Body)
-	if !ok {
-		return Attr{}, ErrBadHandle
-	}
-	return a, nil
+	return attrOf(c.callMsg(c.ctrl, statReq(path)))
 }
 
-// StatBatch stats N paths in one crossing.  Per-path errors come back in
-// errs (nil entries mean success); the call-level error covers transport
-// and decode failures only.
+// StatBatch stats N paths in one crossing: a carrier of MsgStat subs.
+// Per-path errors come back in errs (nil entries mean success); the
+// call-level error covers the crossing only.
 func (c *Client) StatBatch(paths []string) ([]Attr, []error, error) {
 	if len(paths) == 0 {
 		return nil, nil, nil
 	}
-	reply, err := c.call(c.ctrl, MsgStatBatch, wire.StatBatchReq{Paths: paths}.Encode(), nil)
+	reqs := make([]*mach.Message, len(paths))
+	for i, p := range paths {
+		reqs[i] = statReq(p)
+	}
+	replies, err := c.th.CallV(c.ctrl, reqs, mach.CallOpts{})
 	if err != nil {
 		return nil, nil, err
 	}
-	results, ok := wire.DecodeStatBatchReply(reply.OOL)
-	if !ok || len(results) != len(paths) {
-		return nil, nil, ErrBadHandle
-	}
-	attrs := make([]Attr, len(results))
-	errs := make([]error, len(results))
-	for i, r := range results {
-		if r.Err != "" {
-			errs[i] = fromWire(r.Err)
-		} else {
-			attrs[i] = r.Attr
-		}
+	attrs := make([]Attr, len(replies))
+	errs := make([]error, len(replies))
+	for i, r := range replies {
+		attrs[i], errs[i] = attrOf(result(r, nil))
 	}
 	return attrs, errs, nil
 }
@@ -889,7 +843,7 @@ func (c *Client) ReadDir(path string) ([]DirEnt, error) {
 
 // ReadDirStat lists a directory and stats every entry — the readdir+stat
 // storm every file browser issues.  With batching on, all N stats share
-// one MsgStatBatch crossing (two crossings total, regardless of N); with
+// one StatBatch carrier (two crossings total, regardless of N); with
 // it off, the fallback pays one Stat crossing per entry, which is what
 // E-XFER charts.  Per-entry stat errors surface as zero Attrs — an entry
 // racing a concurrent remove does not fail the listing.

@@ -3,7 +3,8 @@
 // one encode/decode pair per message, while keeping every legacy byte
 // layout exactly as it was — an old single-op message produced by a
 // pre-wire client decodes byte-for-byte, and the wire-compat tests pin
-// that.
+// that.  The protocol is single-op only: a batch is a mach.Thread.CallV
+// carrier of these same messages, so it needs no codec of its own.
 //
 // Layout conventions, unchanged from the ad-hoc encoding:
 //   - integers are little-endian
@@ -303,158 +304,4 @@ func DecodeGetEAReq(b []byte) (GetEAReq, bool) {
 		return GetEAReq{}, false
 	}
 	return GetEAReq{Path: string(f[0]), Key: string(f[1])}, true
-}
-
-// --- vectored requests (new in the zero-copy/batching redesign) -----------
-
-// Extent is one (offset, length) pair of a vectored read or write.
-type Extent struct {
-	Off int64
-	Len uint32
-}
-
-// EncodeExtents emits u32 count + raw 12-byte extents.
-func EncodeExtents(exts []Extent) []byte {
-	out := U32(uint32(len(exts)))
-	for _, e := range exts {
-		out = append(out, U64(uint64(e.Off))...)
-		out = append(out, U32(e.Len)...)
-	}
-	return out
-}
-
-// DecodeExtents parses a vectored extent list.
-func DecodeExtents(b []byte) ([]Extent, bool) {
-	if len(b) < 4 {
-		return nil, false
-	}
-	n := binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	if uint64(len(b)) < uint64(n)*12 {
-		return nil, false
-	}
-	out := make([]Extent, 0, n)
-	for i := uint32(0); i < n; i++ {
-		out = append(out, Extent{
-			Off: int64(binary.LittleEndian.Uint64(b[0:8])),
-			Len: binary.LittleEndian.Uint32(b[8:12]),
-		})
-		b = b[12:]
-	}
-	return out, true
-}
-
-// EncodeCounts emits the vectored reply's per-extent byte counts:
-// u32 count + raw u32 each.
-func EncodeCounts(ns []uint32) []byte {
-	out := U32(uint32(len(ns)))
-	for _, n := range ns {
-		out = append(out, U32(n)...)
-	}
-	return out
-}
-
-// DecodeCounts parses per-extent byte counts.
-func DecodeCounts(b []byte) ([]uint32, bool) {
-	if len(b) < 4 {
-		return nil, false
-	}
-	n := binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	if uint64(len(b)) < uint64(n)*4 {
-		return nil, false
-	}
-	out := make([]uint32, 0, n)
-	for i := uint32(0); i < n; i++ {
-		out = append(out, binary.LittleEndian.Uint32(b[0:4]))
-		b = b[4:]
-	}
-	return out, true
-}
-
-// StatBatchReq stats N paths in one crossing: u32 count + packed paths.
-type StatBatchReq struct {
-	Paths []string
-}
-
-func (r StatBatchReq) Encode() []byte {
-	out := U32(uint32(len(r.Paths)))
-	for _, p := range r.Paths {
-		out = append(out, Pack([]byte(p))...)
-	}
-	return out
-}
-
-func DecodeStatBatchReq(b []byte) (StatBatchReq, bool) {
-	if len(b) < 4 {
-		return StatBatchReq{}, false
-	}
-	n := binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	capHint := n
-	if capHint > uint32(len(b)/4) {
-		capHint = uint32(len(b) / 4)
-	}
-	out := make([]string, 0, capHint)
-	for i := uint32(0); i < n; i++ {
-		f, ok := Unpack(b, 1)
-		if !ok {
-			return StatBatchReq{}, false
-		}
-		b = b[4+len(f[0]):]
-		out = append(out, string(f[0]))
-	}
-	return StatBatchReq{Paths: out}, true
-}
-
-// StatResult is one slot of a batched stat reply: Err is empty on
-// success.  Per-slot errors keep one missing path from failing the whole
-// batch.
-type StatResult struct {
-	Err  string
-	Attr Attr
-}
-
-// EncodeStatBatchReply emits u32 count + per slot Pack(err, attr).
-func EncodeStatBatchReply(results []StatResult) []byte {
-	out := U32(uint32(len(results)))
-	for _, r := range results {
-		var ab []byte
-		if r.Err == "" {
-			ab = EncodeAttr(r.Attr)
-		}
-		out = append(out, Pack([]byte(r.Err), ab)...)
-	}
-	return out
-}
-
-// DecodeStatBatchReply parses a batched stat reply.
-func DecodeStatBatchReply(b []byte) ([]StatResult, bool) {
-	if len(b) < 4 {
-		return nil, false
-	}
-	n := binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	capHint := n
-	if capHint > uint32(len(b)/8) {
-		capHint = uint32(len(b) / 8)
-	}
-	out := make([]StatResult, 0, capHint)
-	for i := uint32(0); i < n; i++ {
-		f, ok := Unpack(b, 2)
-		if !ok {
-			return nil, false
-		}
-		b = b[8+len(f[0])+len(f[1]):]
-		r := StatResult{Err: string(f[0])}
-		if r.Err == "" {
-			a, ok := DecodeAttr(f[1])
-			if !ok {
-				return nil, false
-			}
-			r.Attr = a
-		}
-		out = append(out, r)
-	}
-	return out, true
 }

@@ -92,10 +92,6 @@ func TestPropertyDirEntCodec(t *testing.T) {
 		DecodeRenameReq(soup)
 		DecodeSetEAReq(soup)
 		DecodeGetEAReq(soup)
-		DecodeExtents(soup)
-		DecodeCounts(soup)
-		DecodeStatBatchReq(soup)
-		DecodeStatBatchReply(soup)
 		return true
 	}
 	if err := quick.Check(noPanic, &quick.Config{MaxCount: 200}); err != nil {
@@ -131,40 +127,6 @@ func TestRequestRoundTrips(t *testing.T) {
 	}
 	if r, ok := DecodeGetEAReq(GetEAReq{Path: "/p", Key: "k"}.Encode()); !ok || r.Path != "/p" || r.Key != "k" {
 		t.Fatalf("getea: %+v %v", r, ok)
-	}
-}
-
-func TestVectoredRoundTrips(t *testing.T) {
-	exts := []Extent{{Off: 0, Len: 512}, {Off: 1 << 33, Len: 4096}, {Off: 7, Len: 0}}
-	got, ok := DecodeExtents(EncodeExtents(exts))
-	if !ok || len(got) != 3 || got[1] != exts[1] || got[2] != exts[2] {
-		t.Fatalf("extents: %+v %v", got, ok)
-	}
-	ns := []uint32{0, 512, 1 << 20}
-	gn, ok := DecodeCounts(EncodeCounts(ns))
-	if !ok || len(gn) != 3 || gn[2] != 1<<20 {
-		t.Fatalf("counts: %+v %v", gn, ok)
-	}
-	req := StatBatchReq{Paths: []string{"/a", "", "/c/d"}}
-	gr, ok := DecodeStatBatchReq(req.Encode())
-	if !ok || len(gr.Paths) != 3 || gr.Paths[0] != "/a" || gr.Paths[1] != "" || gr.Paths[2] != "/c/d" {
-		t.Fatalf("statbatch req: %+v %v", gr, ok)
-	}
-	results := []StatResult{
-		{Attr: Attr{Size: 10, ModTime: 3}},
-		{Err: "vfs: path not found"},
-		{Attr: Attr{Size: 0, Dir: true}},
-	}
-	rr, ok := DecodeStatBatchReply(EncodeStatBatchReply(results))
-	if !ok || len(rr) != 3 || rr[0].Attr.Size != 10 || rr[1].Err != "vfs: path not found" || !rr[2].Attr.Dir {
-		t.Fatalf("statbatch reply: %+v %v", rr, ok)
-	}
-	// Oversized counts must not size allocations.
-	if _, ok := DecodeExtents([]byte{0xFF, 0xFF, 0xFF, 0xFF}); ok {
-		t.Fatal("lying extent count accepted")
-	}
-	if _, ok := DecodeCounts([]byte{0xFF, 0xFF, 0xFF, 0xFF}); ok {
-		t.Fatal("lying count count accepted")
 	}
 }
 

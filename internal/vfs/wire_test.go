@@ -3,6 +3,7 @@ package vfs
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 
 	"repro/internal/mach"
@@ -131,13 +132,30 @@ func TestServerSurvivesMalformedRequests(t *testing.T) {
 			t.Fatalf("malformed %v accepted", id)
 		}
 	}
-	for _, id := range []mach.MsgID{MsgOpen, MsgMkdir, MsgRename, MsgSetEA, MsgGetEA, MsgStatBatch} {
+	for _, id := range []mach.MsgID{MsgOpen, MsgMkdir, MsgRename, MsgSetEA, MsgGetEA} {
 		attack(c.ctrl, id, nil)
 		attack(c.ctrl, id, []byte{1, 2})
 	}
-	for _, id := range []mach.MsgID{MsgRead, MsgWrite, MsgTruncate, MsgReadV, MsgWriteV} {
+	for _, id := range []mach.MsgID{MsgRead, MsgWrite, MsgTruncate} {
 		attack(f.port, id, nil)
 		attack(f.port, id, []byte{1})
+	}
+	// The retired private batch messages — readv and writev on the file
+	// port, statbatch on the control port — get ErrUnsupported: a batch
+	// is a CallV carrier of single ops now.
+	for _, r := range []struct {
+		port mach.PortName
+		id   mach.MsgID
+	}{{f.port, 0x0F0E}, {f.port, 0x0F0F}, {c.ctrl, 0x0F10}} {
+		for _, body := range [][]byte{nil, {1, 2}} {
+			reply, err := c.th.Call(r.port, &mach.Message{ID: r.id, Body: body}, mach.CallOpts{})
+			if err != nil {
+				t.Fatalf("RPC died (server crashed?): %v", err)
+			}
+			if _, err := result(reply, nil); !errors.Is(err, ErrUnsupported) {
+				t.Fatalf("retired %#x answered %v, want %v", r.id, err, ErrUnsupported)
+			}
+		}
 	}
 	// The server still works afterwards.
 	if _, err := f.WriteAt([]byte("alive"), 0); err != nil {

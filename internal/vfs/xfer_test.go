@@ -2,6 +2,7 @@ package vfs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -115,6 +116,77 @@ func TestStatBatchPerSlotErrors(t *testing.T) {
 	}
 	if attrs[0].Dir || attrs[2].Dir {
 		t.Fatal("file misreported as directory")
+	}
+}
+
+// TestBatchOpsAreOneCarrier: StatBatch, ReadV and WriteV each cross
+// once, as one CallV carrier of N single-op subs — two kernel entries
+// and N batched subs per op — on a single-threaded and a pooled server.
+// A missing path fails its own slot only.
+func TestBatchOpsAreOneCarrier(t *testing.T) {
+	for _, pool := range []int{1, 4} {
+		t.Run(fmt.Sprintf("pool%d", pool), func(t *testing.T) {
+			_, _, c, st := xferRig(t, pool, mach.Transfer{ZeroCopy: true, Batch: true})
+			f, err := c.Open("/v.dat", true, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if _, err := f.WriteAt(bytes.Repeat([]byte("x"), 3*mach.PageSize), 0); err != nil {
+				t.Fatal(err)
+			}
+			carrier := func(name string, n uint64, op func() error) {
+				t.Helper()
+				entries, batched := st.Counter("mach.kernel.entries"), st.Counter("mach.rpc.batched")
+				e0, b0 := entries.Value(), batched.Value()
+				if err := op(); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got := entries.Value() - e0; got != 2 {
+					t.Errorf("%s: %d kernel entries, want 2 (one carrier)", name, got)
+				}
+				if got := batched.Value() - b0; got != n {
+					t.Errorf("%s: %d batched subs, want %d", name, got, n)
+				}
+			}
+			carrier("StatBatch", 3, func() error {
+				attrs, errs, err := c.StatBatch([]string{"/v.dat", "/ghost", "/"})
+				if err != nil {
+					return err
+				}
+				if errs[0] != nil || errs[2] != nil || !errors.Is(errs[1], ErrNotFound) {
+					return fmt.Errorf("slot errors %v, want nil, %v, nil", errs, ErrNotFound)
+				}
+				if attrs[0].Size != 3*mach.PageSize || !attrs[2].Dir {
+					return fmt.Errorf("attrs %+v", attrs)
+				}
+				return nil
+			})
+			carrier("WriteV", 3, func() error {
+				ns, err := f.WriteV([]VecWrite{
+					{Off: 0, Data: []byte("ab")},
+					{Off: int64(mach.PageSize), Data: bytes.Repeat([]byte("p"), mach.PageSize)},
+					{Off: 2 * int64(mach.PageSize), Data: []byte("cde")},
+				})
+				if err != nil {
+					return err
+				}
+				if len(ns) != 3 || ns[0] != 2 || ns[1] != mach.PageSize || ns[2] != 3 {
+					return fmt.Errorf("counts %v", ns)
+				}
+				return nil
+			})
+			carrier("ReadV", 3, func() error {
+				chunks, err := f.ReadV([]Extent{{Off: 0, Len: 3}, {Off: int64(mach.PageSize), Len: mach.PageSize}, {Off: 2 * int64(mach.PageSize), Len: 4}})
+				if err != nil {
+					return err
+				}
+				if string(chunks[0]) != "abx" || !bytes.Equal(chunks[1], bytes.Repeat([]byte("p"), mach.PageSize)) || string(chunks[2]) != "cdex" {
+					return fmt.Errorf("chunks %q %d bytes %q", chunks[0], len(chunks[1]), chunks[2])
+				}
+				return nil
+			})
+		})
 	}
 }
 

@@ -103,10 +103,17 @@ run go test -race -timeout 300s ./internal/cpu/... ./internal/kstat/... ./intern
 run go test -race -count=50 -timeout 300s -run 'TestExchange|TestReusedRequestIsRoot|TestSendOnceRace|TestPoolNeverRunsMoreThanSize' ./internal/mach/
 
 # The kernel lock: FIFO handoff with the releaser queued behind a
-# waiter, the wait-for edge shown until the handoff, and a volume's
-# requests taking turns on it, device- and RAM-backed.
-run go test -race -count=50 -timeout 300s -run 'TestLockFIFOHandoff|TestLockUncontendedAllocatesNothing' ./internal/mach/
+# waiter, the wait-for edge shown until the handoff (for a carrier's
+# sub-request too), and a volume's requests taking turns on it, device-
+# and RAM-backed.
+run go test -race -count=50 -timeout 300s -run 'TestLockFIFOHandoff|TestLockUncontendedAllocatesNothing|TestLockWaitFromCarrierSub' ./internal/mach/
 run go test -race -count=50 -timeout 300s -run 'TestVolumeLockTurns' ./internal/vfs/
+
+# The file server's batches are CallV carriers of single ops: each batch
+# op crosses once, on a single-threaded and a pooled server, and
+# region-placed and out-of-line subs from concurrent clients share the
+# pooled server's slots and volume lock.
+run go test -race -count=20 -timeout 300s -run 'TestBatchOpsAreOneCarrier|TestConcurrentRegionTransfer' ./internal/vfs/
 
 # A pool's busy gauge falls at the reply commit, before the caller is
 # released: read the instant each call returns, over many boots.
