@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/kflight"
+	"repro/internal/klat"
 	"repro/internal/kprof"
 	"repro/internal/kstat"
 	"repro/internal/workload"
@@ -486,116 +487,100 @@ func TestECTRCounterDerivedTable2(t *testing.T) {
 	within("cpi", gcpi, pcpi, 1.5)
 }
 
+// TestWorkloadObservationOnly is the observation-only gate of every plane
+// a boot can carry: on two identical boots, one with the plane and one
+// without, File Intensive 1 must model bit-identical cycles — hooks read
+// counters and store records, they never charge.  Each row also checks
+// that the attached side actually recorded the workload.
 func TestWorkloadObservationOnly(t *testing.T) {
-	// Two identical boots; detach the fabric from one.  A Table 1 workload
-	// must model exactly the same cycles on both.
-	a, err := core.Boot(core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := core.Boot(core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	kstat.Detach(b.Kernel.CPU)
-	ra, err := workload.Run(workload.FileIntensive1, a.WorkloadEnv())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := workload.Run(workload.FileIntensive1, b.WorkloadEnv())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ra.Cycles != rb.Cycles {
-		t.Fatalf("kstat perturbed the workload: with=%d without=%d", ra.Cycles, rb.Cycles)
-	}
-	if kstat.For(a.Kernel.CPU).Counter("mach.rpc.calls").Value() == 0 {
-		t.Fatal("fabric attached but saw no RPC traffic")
-	}
-}
-
-func TestProfWorkloadObservationOnly(t *testing.T) {
-	// The kprof acceptance gate: two identical boots, one with the profiler
-	// attached and enabled, one without.  File Intensive 1 must model the
-	// same cycle count on both — attribution observes the charge stream, it
-	// never joins it.
-	a, err := core.Boot(core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := core.Boot(core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := kprof.Attach(a.Kernel.CPU)
-	defer kprof.Detach(a.Kernel.CPU)
-	p.Enable()
-	ra, err := workload.Run(workload.FileIntensive1, a.WorkloadEnv())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := workload.Run(workload.FileIntensive1, b.WorkloadEnv())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ra.Cycles != rb.Cycles {
-		t.Fatalf("kprof perturbed the workload: attached=%d detached=%d", ra.Cycles, rb.Cycles)
-	}
-	// The attached run must actually have attributed the workload: the
-	// profile's total equals the engine's charge stream over the window.
-	cycles, _, _ := p.Snapshot().Totals()
-	if cycles == 0 {
-		t.Fatal("profiler attached but attributed no cycles")
-	}
-	if cycles < ra.Cycles {
-		t.Fatalf("profile attributed %d cycles, workload modeled %d — cycles escaped attribution",
-			cycles, ra.Cycles)
-	}
-}
-
-func TestFlightWorkloadObservationOnly(t *testing.T) {
-	// The kflight acceptance gate: core.Boot attaches the flight recorder
-	// by default; detach it from one of two identical boots.  File
-	// Intensive 1 must model bit-identical cycles either way — the
-	// recorder's hooks read counters and store pointers, they never
-	// charge.
-	a, err := core.Boot(core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := core.Boot(core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	kflight.Detach(b.Kernel.CPU)
-	ra, err := workload.Run(workload.FileIntensive1, a.WorkloadEnv())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := workload.Run(workload.FileIntensive1, b.WorkloadEnv())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ra.Cycles != rb.Cycles {
-		t.Fatalf("kflight perturbed the workload: attached=%d detached=%d", ra.Cycles, rb.Cycles)
-	}
-	// The attached run must actually have recorded events in the ring.
-	// Its wait-for graph is empty once the workload is done: servers are
-	// passive, so no thread parks waiting for work, and no call is left
-	// blocked.
-	rec := kflight.For(a.Kernel.CPU)
-	if rec == nil {
-		t.Fatal("boot did not attach a flight recorder")
-	}
-	var events uint64
-	for _, eng := range rec.EngineDumps() {
-		events += eng.Emitted
-	}
-	if events == 0 {
-		t.Fatal("recorder attached but captured no events")
-	}
-	if edges := a.Kernel.WaitEdges(); len(edges) != 0 {
-		t.Fatalf("wait-for graph of an idle system holds %v", edges)
+	for _, tc := range []struct {
+		plane string
+		// split leaves the plane on a and off b.
+		split func(t *testing.T, a, b *core.System)
+		// recorded checks what the attached side saw of a run of the
+		// given modeled cycles.
+		recorded func(t *testing.T, a *core.System, cycles uint64)
+	}{
+		{"kstat", func(_ *testing.T, _, b *core.System) { kstat.Detach(b.Kernel.CPU) },
+			func(t *testing.T, a *core.System, _ uint64) {
+				if kstat.For(a.Kernel.CPU).Counter("mach.rpc.calls").Value() == 0 {
+					t.Fatal("fabric attached but saw no RPC traffic")
+				}
+			}},
+		{"kprof", func(t *testing.T, a, _ *core.System) {
+			kprof.Attach(a.Kernel.CPU).Enable()
+			t.Cleanup(func() { kprof.Detach(a.Kernel.CPU) })
+		}, func(t *testing.T, a *core.System, cycles uint64) {
+			// The profile's total equals the engine's charge stream over
+			// the window, so it covers at least the workload's cycles.
+			got, _, _ := kprof.For(a.Kernel.CPU).Snapshot().Totals()
+			if got == 0 || got < cycles {
+				t.Fatalf("profile attributed %d cycles, workload modeled %d — cycles escaped attribution", got, cycles)
+			}
+		}},
+		{"kflight", func(_ *testing.T, _, b *core.System) { kflight.Detach(b.Kernel.CPU) },
+			func(t *testing.T, a *core.System, _ uint64) {
+				rec := kflight.For(a.Kernel.CPU)
+				if rec == nil {
+					t.Fatal("boot did not attach a flight recorder")
+				}
+				var events uint64
+				for _, eng := range rec.EngineDumps() {
+					events += eng.Emitted
+				}
+				if events == 0 {
+					t.Fatal("recorder attached but captured no events")
+				}
+				// Servers are passive, so once the workload is done no
+				// thread parks waiting for work and no call is blocked.
+				if edges := a.Kernel.WaitEdges(); len(edges) != 0 {
+					t.Fatalf("wait-for graph of an idle system holds %v", edges)
+				}
+			}},
+		{"klat", func(_ *testing.T, _, b *core.System) { klat.Detach(b.Kernel.CPU) },
+			func(t *testing.T, a *core.System, _ uint64) {
+				lt := klat.For(a.Kernel.CPU)
+				if lt == nil {
+					t.Fatal("tracker not attached on default boot")
+				}
+				var exemplars, multiHop int
+				for _, f := range lt.Dump().Families {
+					exemplars += len(f.Exemplars)
+					for i := range f.Exemplars {
+						if len(f.Exemplars[i].Children) > 0 {
+							multiHop++
+						}
+					}
+				}
+				// File ops chain through the driver.
+				if exemplars == 0 || multiHop == 0 {
+					t.Fatalf("attached boot retained %d exemplars, %d multi-hop", exemplars, multiHop)
+				}
+			}},
+	} {
+		t.Run(tc.plane, func(t *testing.T) {
+			a, err := core.Boot(core.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := core.Boot(core.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.split(t, a, b)
+			ra, err := workload.Run(workload.FileIntensive1, a.WorkloadEnv())
+			if err != nil {
+				t.Fatal(err)
+			}
+			rb, err := workload.Run(workload.FileIntensive1, b.WorkloadEnv())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ra.Cycles != rb.Cycles {
+				t.Fatalf("%s perturbed the workload: attached=%d detached=%d", tc.plane, ra.Cycles, rb.Cycles)
+			}
+			tc.recorded(t, a, ra.Cycles)
+		})
 	}
 }
 

@@ -16,7 +16,7 @@
 // and -clients; `-workload none` observes the booted system alone.  The
 // trace view is the one that does not go through the monitor: the event
 // ring is attached in-process for the run.  -read and -diff render dumps
-// saved by -format json, the chaos harness or the stall watchdog.
+// saved by -format json or by the chaos harness.
 //
 // Exit status is 2 for usage errors (unknown subcommand, workload or
 // format) and 1 for everything else that fails.

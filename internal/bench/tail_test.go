@@ -3,9 +3,7 @@ package bench
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/klat"
-	"repro/internal/workload"
 )
 
 // checkLedger walks one exemplar hop tree asserting the exactness
@@ -79,54 +77,5 @@ func TestETailAttribution(t *testing.T) {
 	}
 	if res.DriverWait == 0 {
 		t.Error("no driver-arm wait attributed in the slowest exemplar")
-	}
-}
-
-// TestTailWorkloadObservationOnly: the latency ledger is observation
-// only.  The same FI1 workload on two identically configured boots —
-// one with the tracker detached — must model bit-identical cycles; the
-// attached side must still have recorded multi-hop ledgers.
-func TestTailWorkloadObservationOnly(t *testing.T) {
-	a, err := core.Boot(core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := core.Boot(core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	klat.Detach(b.Kernel.CPU)
-
-	ra, err := workload.Run(workload.FileIntensive1, a.WorkloadEnv())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := workload.Run(workload.FileIntensive1, b.WorkloadEnv())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ra.Cycles != rb.Cycles {
-		t.Errorf("ledger perturbed the model: attached %d cycles, detached %d", ra.Cycles, rb.Cycles)
-	}
-
-	lt := klat.For(a.Kernel.CPU)
-	if lt == nil {
-		t.Fatal("tracker not attached on default boot")
-	}
-	d := lt.Dump()
-	var exemplars, multiHop int
-	for _, f := range d.Families {
-		exemplars += len(f.Exemplars)
-		for i := range f.Exemplars {
-			if len(f.Exemplars[i].Children) > 0 {
-				multiHop++
-			}
-		}
-	}
-	if exemplars == 0 {
-		t.Error("attached boot retained no exemplars")
-	}
-	if multiHop == 0 {
-		t.Error("no multi-hop ledger retained (file ops should chain through the driver)")
 	}
 }

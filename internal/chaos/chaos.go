@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/jfs"
+	"repro/internal/kflight"
 	"repro/internal/mach"
 	"repro/internal/monitor"
 	"repro/internal/vfs"
@@ -47,7 +48,7 @@ type Config struct {
 	Pool int
 	// CacheSectors sizes the file server's buffer cache (default 512).
 	CacheSectors int
-	// StallTimeout is how long the watchdog tolerates zero progress
+	// StallTimeout is how long drain tolerates a standing op counter
 	// before declaring a deadlock (default 30s).
 	StallTimeout time.Duration
 	// Log, when set, receives the narrative fault log as it happens.
@@ -106,15 +107,15 @@ func (c Config) withDefaults() Config {
 }
 
 type workerCmd struct {
-	verify bool
-	n      int
-	done   chan<- error
+	setup bool
+	n     int
+	done  chan<- error
 }
 
-// worker is one traffic source.  setup and verify run on the harness
-// goroutine; op runs on the worker's own goroutine.  op returns an error
-// only for invariant violations — expected fault-induced failures are
-// counted, not returned.
+// worker is one traffic source.  setup and op run on the worker's own
+// goroutine, under drain; verify runs on the harness goroutine.  op
+// returns an error only for invariant violations — expected
+// fault-induced failures are counted, not returned.
 type worker interface {
 	name() string
 	setup(h *harness) error
@@ -152,8 +153,15 @@ func Run(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	h := &harness{cfg: cfg, faults: make(map[string]int)}
 	rep := &Report{Seed: cfg.Seed, Faults: h.faults}
+	// Ends every worker loop that is not stuck in an op.
+	defer func() {
+		for _, c := range h.cmds {
+			close(c)
+		}
+	}()
 	if err := h.boot(); err != nil {
-		return rep, fmt.Errorf("chaos(seed=%d): boot: %w", cfg.Seed, err)
+		h.fill(rep)
+		return rep, h.fail(fmt.Errorf("boot: %w", err))
 	}
 	schedule := h.schedule()
 	rep.Epochs = len(schedule)
@@ -170,7 +178,7 @@ func Run(cfg Config) (*Report, error) {
 		h.fill(rep)
 		return rep, h.fail(fmt.Errorf("final sync: %w", err))
 	}
-	for i, w := range h.workers {
+	for _, w := range h.workers {
 		clean, tainted, err := w.verify()
 		if err != nil {
 			h.fill(rep)
@@ -178,7 +186,6 @@ func Run(cfg Config) (*Report, error) {
 		}
 		rep.Verified += clean
 		rep.Tainted += tainted
-		_ = i
 	}
 	if err := h.checkInvariants(len(schedule), "final"); err != nil {
 		h.fill(rep)
@@ -313,12 +320,14 @@ func (h *harness) boot() error {
 	}
 	h.results = make(chan error, len(h.workers))
 	for _, w := range h.workers {
-		if err := w.setup(h); err != nil {
-			return fmt.Errorf("setup %s: %w", w.name(), err)
-		}
 		cmds := make(chan workerCmd)
 		h.cmds = append(h.cmds, cmds)
 		go h.loop(w, cmds)
+		// One worker at a time, so the seed pins the volumes' layout.
+		cmds <- workerCmd{setup: true, done: h.results}
+		if err := h.drain(1); err != nil {
+			return fmt.Errorf("setup: %w", err)
+		}
 	}
 	h.logf("booted: cpus=%d pool=%d cache=%d epochs=%d batch=%d/worker",
 		h.cfg.CPUs, h.cfg.Pool, h.cfg.CacheSectors, h.epochs, h.batch)
@@ -328,8 +337,8 @@ func (h *harness) boot() error {
 func (h *harness) loop(w worker, cmds chan workerCmd) {
 	for cmd := range cmds {
 		var err error
-		if cmd.verify {
-			_, _, err = w.verify()
+		if cmd.setup {
+			err = w.setup(h)
 		} else {
 			for i := 0; i < cmd.n && err == nil; i++ {
 				err = w.op()
@@ -364,7 +373,7 @@ func (h *harness) schedule() []string {
 }
 
 // epoch runs one batch on every worker, injects its fault at the batch
-// midpoint, waits for the batch to drain under a progress watchdog,
+// midpoint, waits for the batch to drain while the op counter moves,
 // repairs, and checks the invariants.
 func (h *harness) epoch(i int, kind string) error {
 	start := h.ops.Load()
@@ -403,7 +412,9 @@ func (h *harness) waitOps(target uint64, max time.Duration) {
 
 // drain collects n batch completions, enforcing invariant 1: the op
 // counter must keep moving — a stall longer than StallTimeout is a
-// deadlocked client.
+// deadlocked client.  It is the system's one stall detector: it fires
+// whether or not a gauge shows the stuck work, and the failure's flight
+// dump (fail) carries the wait-for graph and scheduler state.
 func (h *harness) drain(n int) error {
 	last := h.ops.Load()
 	lastMove := time.Now()
@@ -421,28 +432,11 @@ func (h *harness) drain(n int) error {
 				last, lastMove = cur, time.Now()
 			} else if time.Since(lastMove) > h.cfg.StallTimeout {
 				return fmt.Errorf("deadlock: no progress for %v with %d workers outstanding (%s)",
-					h.cfg.StallTimeout, n, h.stuckState())
+					h.cfg.StallTimeout, n, strings.Join(kflight.Outstanding(h.sys.Stats.Snapshot()), " "))
 			}
 		}
 	}
 	return nil
-}
-
-// stuckState summarizes scheduler and pool state for a deadlock report.
-func (h *harness) stuckState() string {
-	var b strings.Builder
-	snap := h.sys.Stats.Snapshot()
-	for name, v := range snap.Gauges {
-		if v != 0 && (strings.HasSuffix(name, ".busy") || strings.HasSuffix(name, ".pending")) {
-			fmt.Fprintf(&b, "%s=%d ", name, v)
-		}
-	}
-	for _, es := range h.sys.Kernel.SchedStats() {
-		if es.RunQueue != 0 {
-			fmt.Fprintf(&b, "e%d.runq=%d ", es.Slot, es.RunQueue)
-		}
-	}
-	return strings.TrimSpace(b.String())
 }
 
 // syncAll flushes every volume through the file server, retrying briefly
@@ -524,13 +518,8 @@ func (h *harness) settleGauges() error {
 
 func (h *harness) gaugeViolation() error {
 	snap := h.sys.Stats.Snapshot()
-	for name, v := range snap.Gauges {
-		if strings.HasPrefix(name, "mach.pool.") && strings.HasSuffix(name, ".busy") && v != 0 {
-			return fmt.Errorf("stuck pool occupancy: %s=%d", name, v)
-		}
-		if strings.HasPrefix(name, "mach.portset.") && strings.HasSuffix(name, ".pending") && v != 0 {
-			return fmt.Errorf("stuck port-set pending: %s=%d", name, v)
-		}
+	if occ := kflight.Outstanding(snap); len(occ) > 0 {
+		return fmt.Errorf("stuck occupancy: %s", strings.Join(occ, " "))
 	}
 	for name, v := range snap.Gauges {
 		if strings.HasPrefix(name, "mach.pool.") && strings.HasSuffix(name, ".workers") && v < 0 {

@@ -3,7 +3,9 @@ package chaos
 import (
 	"flag"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 )
 
 var (
@@ -71,8 +73,11 @@ func TestChaosSoak(t *testing.T) {
 }
 
 // TestChaosSingleCPU covers the classic single-engine boot, where the
-// processor-set fault is replaced by an extra pool kill.
+// processor-set fault is replaced by an extra pool kill.  A completed run
+// leaves no goroutine behind: servers are passive and Run ends its worker
+// loops.
 func TestChaosSingleCPU(t *testing.T) {
+	before := runtime.NumGoroutine()
 	rep, err := Run(Config{Seed: 3, Actions: 4000, CPUs: 1})
 	if err != nil {
 		t.Fatalf("single-CPU soak failed — replay with:\n  go test ./internal/chaos -run TestChaosSingleCPU\n%v", err)
@@ -82,6 +87,11 @@ func TestChaosSingleCPU(t *testing.T) {
 	}
 	if rep.Faults[FaultPoolKill] == 0 {
 		t.Errorf("pool-kill never injected: %v", rep.Faults)
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlive the run, %d before it", runtime.NumGoroutine(), before)
+		}
 	}
 }
 

@@ -2,9 +2,9 @@
 // that call each other are wired up on a booted system and a client is
 // sent in; the classic multi-server hang ("no progress, no message")
 // must come out of kflight as a named thread→port→thread cycle, and the
-// stall watchdog must find it on its own.  The false-positive gates run
-// on the same booted system: an idle boot never dumps, and a
-// saturated-but-progressing system never dumps.
+// postmortem dump must carry it.  Who notices a stall is the chaos
+// harness's drain (internal/chaos, TestDrainNamesStall); here the dump is
+// taken directly.
 package kflight_test
 
 import (
@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/kflight"
 	"repro/internal/mach"
-	"repro/internal/monitor"
 )
 
 // bootT boots the default system and fails the test on error.
@@ -120,37 +119,10 @@ func TestEBlackboxCrossServerDeadlock(t *testing.T) {
 		t.Errorf("cycle kinds = %v, want a reply wait and a rendezvous wait", kinds)
 	}
 
-	// The watchdog must find the stall unprompted: no pool gauges are
-	// involved here, so the outstanding-work evidence is the RPC ledger
-	// (three dispatched calls, none resolved).
-	fired := make(chan *kflight.Dump, 1)
-	wd := kflight.NewWatchdog(kflight.WatchdogConfig{
-		Set:      sys.Stats,
-		Interval: 2 * time.Millisecond,
-		Stall:    25 * time.Millisecond,
-		Collect:  k.FlightDump,
-		OnStall: func(d *kflight.Dump) {
-			select {
-			case fired <- d:
-			default:
-			}
-		},
-	})
-	wd.Start()
-	defer wd.Stop()
-	var dump *kflight.Dump
-	select {
-	case dump = <-fired:
-	case <-time.After(10 * time.Second):
-		t.Fatal("watchdog did not fire on a real deadlock")
-	}
-
+	dump := k.FlightDump("cross-server deadlock")
 	// The postmortem names the exact cycle and carries the flight rings.
 	if len(dump.Cycles) == 0 {
-		t.Fatal("watchdog dump has no cycles")
-	}
-	if !strings.Contains(dump.Reason, "no progress") {
-		t.Errorf("dump reason = %q", dump.Reason)
+		t.Fatal("dump has no cycles")
 	}
 	if dump.TotalEvents() == 0 {
 		t.Error("dump carries no flight-ring events")
@@ -166,63 +138,22 @@ func TestEBlackboxCrossServerDeadlock(t *testing.T) {
 	}
 }
 
-func TestWatchdogIdleBootedSystemNeverDumps(t *testing.T) {
+// TestOutstandingSettledBoot: a settled default boot holds no outstanding
+// work — every busy/pending gauge reads zero and the RPC ledger balances
+// — and a raised busy gauge is listed, "name=level".
+func TestOutstandingSettledBoot(t *testing.T) {
 	sys := bootT(t)
-	wd := kflight.NewWatchdog(kflight.WatchdogConfig{
-		Set:     sys.Stats,
-		Stall:   10 * time.Millisecond,
-		Collect: sys.Kernel.FlightDump,
-		OnStall: func(d *kflight.Dump) { t.Errorf("idle boot dumped: %s", d.Reason) },
-	})
-	// Drive the poll loop over hours of virtual quiet: a booted, settled
-	// system has no outstanding work (the RPC ledger balances and every
-	// gauge sits at zero), so long quiet is healthy.
-	now := time.Now()
-	for i := 0; i < 200; i++ {
-		now = now.Add(time.Minute)
-		wd.Check(now)
+	snap := sys.Stats.Snapshot()
+	if occ := kflight.Outstanding(snap); len(occ) != 0 {
+		t.Fatalf("settled boot holds outstanding work: %v", occ)
 	}
-	if wd.Fired() != 0 {
-		t.Fatalf("idle booted system fired %d stall dumps", wd.Fired())
+	calls, replies, errs := snap.Counters["mach.rpc.calls"], snap.Counters["mach.rpc.replies"], snap.Counters["mach.rpc.errors"]
+	if calls == 0 || calls != replies+errs {
+		t.Fatalf("rpc ledger of a settled boot: calls=%d replies=%d errors=%d", calls, replies, errs)
 	}
-}
-
-func TestWatchdogProgressingBootedSystemNeverDumps(t *testing.T) {
-	sys := bootT(t)
-	// Pin a pool-style busy gauge so the system looks saturated the whole
-	// time; real monitor RPC traffic between polls keeps the progress
-	// counters moving, which must hold the watchdog off no matter how
-	// much virtual time passes between observations.
-	sys.Stats.Gauge("test.saturated.busy").Set(4)
-	b, err := sys.Names.Lookup("/servers/monitor")
-	if err != nil {
-		t.Fatal(err)
-	}
-	task := sys.Kernel.NewTask("wd-client")
-	th, err := task.NewBoundThread("main")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := monitor.Connect(th, b.Task, b.Port)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wd := kflight.NewWatchdog(kflight.WatchdogConfig{
-		Set:     sys.Stats,
-		Stall:   10 * time.Millisecond,
-		Collect: sys.Kernel.FlightDump,
-		OnStall: func(d *kflight.Dump) { t.Errorf("progressing system dumped: %s", d.Reason) },
-	})
-	now := time.Now()
-	wd.Check(now)
-	for i := 0; i < 50; i++ {
-		if _, _, err := c.Snapshot(); err != nil {
-			t.Fatal(err)
-		}
-		now = now.Add(time.Minute)
-		wd.Check(now)
-	}
-	if wd.Fired() != 0 {
-		t.Fatalf("saturated-but-progressing system fired %d stall dumps", wd.Fired())
+	sys.Stats.Gauge("x.busy").Set(2)
+	sys.Stats.Gauge("x.workers").Set(3)
+	if occ := kflight.Outstanding(sys.Stats.Snapshot()); len(occ) != 1 || occ[0] != "x.busy=2" {
+		t.Fatalf("Outstanding = %v, want [x.busy=2]", occ)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"sort"
+	"strings"
 
 	"repro/internal/cpu"
 	"repro/internal/kstat"
@@ -104,9 +106,7 @@ func (d *Dump) WriteText(w io.Writer) error {
 		}
 	}
 
-	// Occupancy: the nonzero busy/pending gauges are the "work
-	// outstanding" evidence the watchdog fired on.
-	if occ := occupancy(d.Stats); len(occ) > 0 {
+	if occ := Outstanding(d.Stats); len(occ) > 0 {
 		fmt.Fprintf(w, "\noutstanding work\n")
 		for _, s := range occ {
 			fmt.Fprintf(w, "  %s\n", s)
@@ -122,6 +122,19 @@ func (d *Dump) WriteText(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// Outstanding lists the nonzero pool-busy and port-set-pending gauges,
+// "name=level", sorted: the work a stalled system still holds.
+func Outstanding(snap kstat.Snapshot) []string {
+	var out []string
+	for name, v := range snap.Gauges {
+		if v != 0 && (strings.HasSuffix(name, ".busy") || strings.HasSuffix(name, ".pending")) {
+			out = append(out, fmt.Sprintf("%s=%d", name, v))
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // Diff renders what changed between two dumps of the same system: counter

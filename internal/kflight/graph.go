@@ -99,8 +99,8 @@ func (e WaitEdge) String() string {
 // granularity is the useful diagnosis plane — "the file server is waiting
 // on the registry which is waiting on the file server" — and
 // deliberately over-approximates thread-level liveness (two threads of
-// one pool can wait on each other's ports without deadlock); the
-// watchdog only dumps when nothing progresses, so a reported cycle under
+// one pool can wait on each other's ports without deadlock); a stall
+// detector dumps only when nothing progresses, so a reported cycle under
 // a real stall is the culprit.  Each cycle is returned as its edge chain:
 // thread → port → owner-task(= next edge's task) → ... back to the first.
 func FindCycles(edges []WaitEdge) [][]WaitEdge {

@@ -4,7 +4,7 @@
 // kflight answers the question every multi-server hang turns into:
 // **who is blocked on whom, and what happened just before?**
 //
-// It has three parts:
+// It has two parts:
 //
 //   - A per-engine bounded ring of the last K observation records (RPC
 //     calls and outcomes, pickups by server slots, scheduler
@@ -15,14 +15,16 @@
 //     and kflight materializes the edges and runs cycle
 //     detection, so a deadlock comes out as a named thread→port→thread
 //     cycle instead of "no progress".
-//   - A stall watchdog (watchdog.go) that compares kstat progress
-//     counters against busy gauges and assembles a postmortem Dump
-//     (dump.go) when work is outstanding but nothing completes.
+//
+// A postmortem Dump (dump.go) gathers both with scheduler state and the
+// kstat fabric.  kflight detects no stall itself: the chaos harness's
+// drain does, when its op counter stops, and dumps through
+// mach.Kernel.FlightDump.
 //
 // Like kstat/ktrace/kprof, kflight is observation-only: hook points read
 // counters but never charge the cost model, so a run with the recorder
 // attached models bit-identical cycles to a detached run (gated by
-// TestFlightWorkloadObservationOnly).
+// TestWorkloadObservationOnly/kflight).
 package kflight
 
 import (

@@ -41,8 +41,8 @@ func (d *stallDev) ReadSectors(sector uint64, buf []byte) error {
 
 // TestLockStallNamedInDump: one file-server request holds a volume's
 // kernel lock across a device call that never returns, and a second
-// request on the same volume waits for the lock.  The stall watchdog
-// fires, and its dump carries both halves of the hang: the waiter's lock
+// request on the same volume waits for the lock.  The flight dump
+// carries both halves of the hang: the waiter's lock
 // edge (waiter → volume lock → holding thread) and the reply edge of the
 // device call the holder's request is stuck in.  The lock wait inside
 // one task is not reported as a deadlock cycle.  The dump survives the
@@ -122,16 +122,7 @@ func TestLockStallNamedInDump(t *testing.T) {
 		}
 	}
 
-	var d *kflight.Dump
-	wd := kflight.NewWatchdog(kflight.WatchdogConfig{Set: sys.Stats, Stall: time.Second, Collect: k.FlightDump,
-		OnStall: func(fired *kflight.Dump) { d = fired }})
-	now := time.Now()
-	wd.Check(now)
-	wd.Check(now.Add(time.Minute))
-	if d == nil {
-		t.Fatal("the watchdog did not fire on a request stuck holding a volume")
-	}
-	js, err := json.Marshal(d)
+	js, err := json.Marshal(k.FlightDump("a request stuck holding a volume"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,8 @@
 //
 // Like kstat/ktrace/kprof/kflight, klat is observation-only: every hook
 // is a counter read plus private bookkeeping, no modeled charge, so a
-// detached boot models bit-identical cycles (TestTailWorkloadObservationOnly).
+// detached boot models bit-identical cycles
+// (TestWorkloadObservationOnly/klat).
 package klat
 
 import (

@@ -19,7 +19,7 @@
 // Like kstat and ktrace, kprof is observation-only: the sink reads what
 // the engine charges but never charges anything itself, so modeled cycle
 // counts are bit-identical with the profiler attached or detached (gated
-// by TestProfWorkloadObservationOnly).  When detached the engine's hook
+// by TestWorkloadObservationOnly/kprof).  When detached the engine's hook
 // is a nil check.
 //
 // Exactness contract, precisely: the *region* and *kind* dimensions are

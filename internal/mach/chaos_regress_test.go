@@ -363,7 +363,7 @@ func TestProcessorAssignEmptiesSetMidBurst(t *testing.T) {
 
 // A pool's busy gauge covers handler and reply — the serve span's segment
 // — so it must fall by the reply commit that releases the caller, not
-// after: a caller (or a watchdog polling right after boot) that has its
+// after: a caller (or the chaos harness's gauge check) that has its
 // reply never finds the call still busy.  Each round boots a fresh kernel
 // and pool and reads the gauge the instant each call returns, for plain,
 // vectored and undeliverable replies.

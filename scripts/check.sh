@@ -8,7 +8,7 @@
 # the isolation tests drive kprof and klat on and off under a four-client
 # Call loop.  Around that attachment the records are consumed from every
 # server thread at once: one cpu.Ring type holds the trace and the
-# per-engine flight rings (swept by dump queries and the watchdog), one
+# per-engine flight rings (swept by dump queries), one
 # open-record stack per engine gives the trace its parents and kprof its
 # context, kstat's sharded counters and histograms and kprof's charge sink
 # take their updates, and klat's hops are stamped by whichever thread
@@ -128,6 +128,11 @@ run go test -run '^$' -bench Touch -benchtime 1x -timeout 120s ./internal/cpu
 # full invariant oracle.  Kept -short so the race-instrumented run stays in
 # CI budget; a failure prints the -chaos.seed flags for deterministic replay.
 run go test -race -timeout 300s ./internal/chaos/ -short -run 'TestChaosSoak|TestChaosSingleCPU'
+
+# The one stall detector and the postmortem it writes: drain fires on a
+# worker stuck in a pool call (naming the busy gauge) and on one holding
+# no kernel wait, and fail's dump parses with the stuck reply edge.
+run go test -race -count=20 -timeout 300s -run 'TestDrainNamesStall|TestFailWritesFlightDump' ./internal/chaos/
 
 # The full chaos corpus, uninstrumented: three seeds x 36,000 actions.
 # Tier-1 runs the same test at 6,000 actions per seed; this is where the
