@@ -297,7 +297,7 @@ func TestServerPoolScaling(t *testing.T) {
 // paper's 1.21.
 func TestTable1AgainstPaper(t *testing.T) {
 	const tol, paperOverall = 1.25, 1.21
-	rows, err := bench.Table1()
+	rows, err := bench.Table1(0)
 	if err != nil {
 		t.Fatal(err)
 	}

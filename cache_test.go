@@ -32,7 +32,7 @@ var seedTable1 = map[workload.Row]struct{ wpos, native uint64 }{
 // the default (cache-off) configuration reproduces the seed's Table 1
 // cycle for cycle, and no bcache metric ever moves.
 func TestCacheObservationOff(t *testing.T) {
-	rows, err := bench.Table1()
+	rows, err := bench.Table1(0)
 	if err != nil {
 		t.Fatal(err)
 	}

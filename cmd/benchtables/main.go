@@ -104,7 +104,7 @@ func figure1() {
 }
 
 func table1(cacheSectors int) {
-	rows, err := bench.Table1Cache(cacheSectors)
+	rows, err := bench.Table1(cacheSectors)
 	if err != nil {
 		fail(err)
 	}

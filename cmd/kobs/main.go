@@ -31,7 +31,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/bench"
@@ -129,21 +128,11 @@ func connect(s *core.System) *monitor.Client {
 // own processes (on an SMP boot the dispatcher spreads the resulting RPC
 // bursts across the engines), and returns the first copy's result.
 func (b *boot) drive(s *core.System, row workload.Row) workload.Result {
-	n := max(b.clients, 1)
-	res := make([]workload.Result, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := range res {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res[i], errs[i] = workload.Run(row, s.WorkloadEnv())
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		check(err)
-	}
+	res := make([]workload.Result, max(b.clients, 1))
+	check(bench.Clients(len(res), func(i int) (err error) {
+		res[i], err = workload.Run(row, s.WorkloadEnv())
+		return err
+	}))
 	return res[0]
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/ktrace"
 	"repro/internal/workload"
 )
@@ -56,24 +55,10 @@ const attrRingSize = 1 << 18
 // Attribution runs E-ATTR for one row (the experiment's canonical row is
 // File Intensive 1).
 func Attribution(row workload.Row) (AttributionResult, error) {
-	// Native baseline (16 MB monolithic, as in Table 1).
-	n, err := core.BootNative(cpu.Pentium133(), 16, 16384)
+	// The untraced Table 1 cell: WPOS against the native baseline.
+	cell, err := table1Rows(core.DefaultConfig(), []workload.Row{row})
 	if err != nil {
 		return AttributionResult{}, err
-	}
-	nres, err := workload.Run(row, n.WorkloadEnv())
-	if err != nil {
-		return AttributionResult{}, fmt.Errorf("native %s: %w", row, err)
-	}
-
-	// Untraced WPOS run: the Table 1 cell.
-	w, err := core.Boot(core.DefaultConfig())
-	if err != nil {
-		return AttributionResult{}, err
-	}
-	wres, err := workload.Run(row, w.WorkloadEnv())
-	if err != nil {
-		return AttributionResult{}, fmt.Errorf("wpos %s: %w", row, err)
 	}
 
 	// Traced WPOS run on a fresh boot: attach after boot so the trace
@@ -91,8 +76,8 @@ func Attribution(row workload.Row) (AttributionResult, error) {
 
 	res := AttributionResult{
 		Row:          row,
-		WPOSCycles:   wres.Cycles,
-		NativeCycles: nres.Cycles,
+		WPOSCycles:   cell[0].WPOS,
+		NativeCycles: cell[0].Native,
 		TracedCycles: tres.Cycles,
 		Subsystems:   ktrace.Attribute(tr.Events()),
 		Dropped:      tr.Dropped(),

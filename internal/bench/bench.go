@@ -45,16 +45,11 @@ var paperTable1 = map[workload.Row]float64{
 }
 
 // Table1 reruns the OS/2 comparison suite: WPOS OS/2 (64 MB, multi-server,
-// user-level driver) against native OS/2 (16 MB, monolithic).
-func Table1() ([]Table1Row, error) {
-	return table1Rows(core.DefaultConfig(), workload.Rows)
-}
-
-// Table1Cache reruns Table 1 with the file server's unified buffer cache
-// sized to cacheSectors (0 = off, the seed's direct-to-driver path).
-// The native baseline is never cached: it is the yardstick the paper
-// measured against.
-func Table1Cache(cacheSectors int) ([]Table1Row, error) {
+// user-level driver) against native OS/2 (16 MB, monolithic), with the
+// file server's unified buffer cache sized to cacheSectors (0 = off, the
+// paper's direct-to-driver path).  The native baseline is never cached:
+// it is the yardstick the paper measured against.
+func Table1(cacheSectors int) ([]Table1Row, error) {
 	cfg := core.DefaultConfig()
 	cfg.CacheSectors = cacheSectors
 	return table1Rows(cfg, workload.Rows)
@@ -71,7 +66,6 @@ type CacheSweepPoint struct {
 // E-CACHE curve showing the WPOS/native ratio moving toward the native
 // line as the cache absorbs driver crossings.
 func CacheSweep(sizes []int) ([]CacheSweepPoint, error) {
-	fiRows := []workload.Row{workload.FileIntensive1, workload.FileIntensive2}
 	var out []CacheSweepPoint
 	for _, n := range sizes {
 		cfg := core.DefaultConfig()
@@ -84,6 +78,9 @@ func CacheSweep(sizes []int) ([]CacheSweepPoint, error) {
 	}
 	return out, nil
 }
+
+// fiRows are Table 1's two file-intensive rows.
+var fiRows = []workload.Row{workload.FileIntensive1, workload.FileIntensive2}
 
 func table1Rows(cfg core.Config, rows []workload.Row) ([]Table1Row, error) {
 	var out []Table1Row
@@ -152,60 +149,30 @@ var PaperTable2 = Table2Result{
 // Table2 measures thread_self against a 32-byte RPC with the performance
 // counters of the CPU model.
 func Table2() (Table2Result, error) {
-	k := mach.New(cpu.Pentium133())
-	srv := k.NewTask("server")
-	recv, err := srv.AllocatePort()
+	r, err := newRig(false, echoBody)
 	if err != nil {
 		return Table2Result{}, err
 	}
-	if _, err := srv.Spawn("loop", func(th *mach.Thread) {
-		th.Serve(recv, func(m *mach.Message) *mach.Message { return &mach.Message{Body: m.Body} })
-	}); err != nil {
-		return Table2Result{}, err
-	}
-	client := k.NewTask("client")
-	sendName, err := client.InsertRight(srv, recv, mach.DispMakeSend)
+	rpc, trap, err := r.table2(nil)
 	if err != nil {
 		return Table2Result{}, err
 	}
-	th, err := client.NewBoundThread("main")
-	if err != nil {
-		return Table2Result{}, err
-	}
+	return table2Of(trap, rpc, table2N, table2N), nil
+}
 
-	const warm, N = 50, 400
-	body := make([]byte, 32)
-	for i := 0; i < warm; i++ {
-		if _, err := th.Call(sendName, &mach.Message{Body: body}, mach.CallOpts{}); err != nil {
-			return Table2Result{}, err
-		}
+// table2Of averages trap and RPC counter deltas over their op counts.
+func table2Of(trap, rpc cpu.Counters, trapN, rpcN uint64) Table2Result {
+	t := Table2Result{
+		TrapInstr:  float64(trap.Instructions) / float64(trapN),
+		RPCInstr:   float64(rpc.Instructions) / float64(rpcN),
+		TrapCycles: float64(trap.Cycles) / float64(trapN),
+		RPCCycles:  float64(rpc.Cycles) / float64(rpcN),
+		TrapBus:    float64(trap.BusCycles) / float64(trapN),
+		RPCBus:     float64(rpc.BusCycles) / float64(rpcN),
 	}
-	base := k.CPU.Counters()
-	for i := 0; i < N; i++ {
-		th.Call(sendName, &mach.Message{Body: body}, mach.CallOpts{})
-	}
-	rpc := k.CPU.Counters().Sub(base)
-
-	for i := 0; i < warm; i++ {
-		th.Self()
-	}
-	base = k.CPU.Counters()
-	for i := 0; i < N; i++ {
-		th.Self()
-	}
-	trap := k.CPU.Counters().Sub(base)
-
-	res := Table2Result{
-		TrapInstr:  float64(trap.Instructions) / N,
-		RPCInstr:   float64(rpc.Instructions) / N,
-		TrapCycles: float64(trap.Cycles) / N,
-		RPCCycles:  float64(rpc.Cycles) / N,
-		TrapBus:    float64(trap.BusCycles) / N,
-		RPCBus:     float64(rpc.BusCycles) / N,
-	}
-	res.TrapCPI = res.TrapCycles / res.TrapInstr
-	res.RPCCPI = res.RPCCycles / res.RPCInstr
-	return res, nil
+	t.TrapCPI = t.TrapCycles / t.TrapInstr
+	t.RPCCPI = t.RPCCycles / t.RPCInstr
+	return t
 }
 
 // IPCPoint is one size in the rework-improvement sweep (E3).
@@ -238,57 +205,28 @@ func IPCSweep() ([]IPCPoint, error) {
 	return out, nil
 }
 
+// rpcCost measures one round trip of size bytes on the rig, reworked or
+// classic.  The reply port is allocated after the client thread in both
+// modes, as the pinned cells were measured.
 func rpcCost(size int, classic bool) (uint64, error) {
-	k := mach.New(cpu.Pentium133())
-	srv := k.NewTask("server")
-	recv, err := srv.AllocatePort()
+	r, err := newRig(classic, sink)
 	if err != nil {
 		return 0, err
 	}
-	echo := func(m *mach.Message) *mach.Message { return &mach.Message{} }
-	if classic {
-		srv.Spawn("loop", func(th *mach.Thread) { th.MachServe(recv, echo) })
-	} else {
-		srv.Spawn("loop", func(th *mach.Thread) { th.Serve(recv, echo) })
-	}
-	client := k.NewTask("client")
-	sendName, err := client.InsertRight(srv, recv, mach.DispMakeSend)
+	reply, err := r.client.AllocatePort()
 	if err != nil {
 		return 0, err
-	}
-	th, err := client.NewBoundThread("main")
-	if err != nil {
-		return 0, err
-	}
-	replyName, err := client.AllocatePort()
-	if err != nil {
-		return 0, err
-	}
-	mk := func() *mach.Message {
-		if size <= mach.InlineMax {
-			return &mach.Message{Body: make([]byte, size)}
-		}
-		return &mach.Message{OOL: make([]byte, size)}
 	}
 	call := func() error {
 		if classic {
-			_, err := th.MachRPC(sendName, mk(), replyName)
+			_, err := r.th.MachRPC(r.send, xferMsg(size, false), reply)
 			return err
 		}
-		_, err := th.Call(sendName, mk(), mach.CallOpts{})
-		return err
+		return r.call(xferMsg(size, false))
 	}
-	const warm, N = 30, 150
-	for i := 0; i < warm; i++ {
-		if err := call(); err != nil {
-			return 0, err
-		}
-	}
-	base := k.CPU.Counters()
-	for i := 0; i < N; i++ {
-		call()
-	}
-	return k.CPU.Counters().Sub(base).Cycles / N, nil
+	const N = 150
+	d, err := bracket(r.k.CPU, 30, N, call, nil)
+	return d.Cycles / N, err
 }
 
 // NSResult compares the X.500-style and simplified name services (E5).
@@ -311,20 +249,15 @@ func NameServices() (NSResult, error) {
 		return NSResult{}, err
 	}
 	const warm, N = 20, 200
-	for i := 0; i < warm; i++ {
-		full.Lookup("/servers/personality/os2/files")
-		simple.Lookup("os2-files")
+	fd, err := bracket(eng, warm, N, func() error { _, err := full.Lookup("/servers/personality/os2/files"); return err }, nil)
+	if err != nil {
+		return NSResult{}, err
 	}
-	base := eng.Counters()
-	for i := 0; i < N; i++ {
-		full.Lookup("/servers/personality/os2/files")
+	sd, err := bracket(eng, warm, N, func() error { _, err := simple.Lookup("os2-files"); return err }, nil)
+	if err != nil {
+		return NSResult{}, err
 	}
-	fc := eng.Counters().Sub(base).Cycles / N
-	base = eng.Counters()
-	for i := 0; i < N; i++ {
-		simple.Lookup("os2-files")
-	}
-	sc := eng.Counters().Sub(base).Cycles / N
+	fc, sc := fd.Cycles/N, sd.Cycles/N
 	return NSResult{FullCycles: fc, SimpleCycles: sc, Ratio: float64(fc) / float64(sc)}, nil
 }
 
@@ -363,17 +296,13 @@ func Objects() (ObjResult, error) {
 			return 0, nil, err
 		}
 		payload := make([]byte, 256)
-		const warm, N = 10, 100
-		for i := 0; i < warm; i++ {
-			ep.SendTo("b", 2, payload)
+		const N = 100
+		d, err := bracket(eng, 10, N, func() error {
+			err := ep.SendTo("b", 2, payload)
 			sb.Pump()
-		}
-		base := eng.Counters()
-		for i := 0; i < N; i++ {
-			ep.SendTo("b", 2, payload)
-			sb.Pump()
-		}
-		return eng.Counters().Sub(base).Cycles / N, sa, nil
+			return err
+		}, nil)
+		return d.Cycles / N, sa, err
 	}
 	fine, sa, err := cost(netsvc.FineGrained)
 	if err != nil {
@@ -466,17 +395,9 @@ func DriverModels() ([]DriverResult, error) {
 			return DriverResult{}, err
 		}
 		buf := make([]byte, drivers.SectorSize)
-		const warm, N = 10, 100
-		for i := 0; i < warm; i++ {
-			if err := d.WriteSectors(th, 0, buf); err != nil {
-				return DriverResult{}, err
-			}
-		}
-		base := k.CPU.Counters()
-		for i := 0; i < N; i++ {
-			d.WriteSectors(th, 0, buf)
-		}
-		return DriverResult{Model: d.Model(), Cycles: k.CPU.Counters().Sub(base).Cycles / N}, nil
+		const N = 100
+		c, err := bracket(k.CPU, 10, N, func() error { return d.WriteSectors(th, 0, buf) }, nil)
+		return DriverResult{Model: d.Model(), Cycles: c.Cycles / N}, err
 	}
 	var out []DriverResult
 	for _, m := range []core.DriverModel{core.DriverKernel, core.DriverOODDM, core.DriverUser} {
@@ -523,34 +444,32 @@ func MVMTranslator() (MVMResult, error) {
 		return MVMResult{}, err
 	}
 
+	// run loads the program, outside the bracket, and runs it once.
+	run := func(vm *mvm.VM) (uint64, error) {
+		vm.Load(prog)
+		d, err := bracket(k.CPU, 0, 1, func() error { return vm.Run(1 << 26) }, nil)
+		return d.Cycles, err
+	}
 	vi, err := srv.NewVM("i", mvm.Interpret)
 	if err != nil {
 		return MVMResult{}, err
 	}
-	vi.Load(prog)
-	base := k.CPU.Counters()
-	if err := vi.Run(1 << 26); err != nil {
+	interp, err := run(vi)
+	if err != nil {
 		return MVMResult{}, err
 	}
-	interp := k.CPU.Counters().Sub(base).Cycles
-
 	vt, err := srv.NewVM("t", mvm.Translate)
 	if err != nil {
 		return MVMResult{}, err
 	}
-	vt.Load(prog)
-	base = k.CPU.Counters()
-	if err := vt.Run(1 << 26); err != nil {
+	cold, err := run(vt)
+	if err != nil {
 		return MVMResult{}, err
 	}
-	cold := k.CPU.Counters().Sub(base).Cycles
-
-	vt.Load(prog)
-	base = k.CPU.Counters()
-	if err := vt.Run(1 << 26); err != nil {
+	hot, err := run(vt)
+	if err != nil {
 		return MVMResult{}, err
 	}
-	hot := k.CPU.Counters().Sub(base).Cycles
 	hits, misses, _ := vt.TranslatorStats()
 	return MVMResult{
 		InterpCycles: interp, ColdTransCycles: cold, HotTransCycles: hot,

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/cpu"
 	"repro/internal/ktrace"
@@ -117,24 +116,23 @@ func ConcurrentClients(clients, pool, opsPerClient int) (ConcurrencyResult, erro
 	if _, err := f.WriteAt(payload, 0); err != nil {
 		return res, err
 	}
+	// Warm the path once untraced, then trace exactly the measured reads.
 	buf := make([]byte, concOpBytes)
-	// Warm the path once untraced so calibration sees the steady state.
-	if _, err := f.ReadAt(buf, 0); err != nil {
+	var events []cpu.Event
+	var dropped uint64
+	d, err := bracket(k.CPU, 1, concCalOps, func() error {
+		_, err := f.ReadAt(buf, 0)
+		return err
+	}, func() func() {
+		tr := ktrace.AttachSized(k.CPU, 1<<15)
+		return func() {
+			events, dropped = tr.Events(), tr.Dropped()
+			ktrace.Detach(k.CPU)
+		}
+	})
+	if err != nil {
 		return res, err
 	}
-
-	tr := ktrace.AttachSized(k.CPU, 1<<15)
-	start := k.CPU.Counters().Cycles
-	for i := 0; i < concCalOps; i++ {
-		if _, err := f.ReadAt(buf, 0); err != nil {
-			ktrace.Detach(k.CPU)
-			return res, err
-		}
-	}
-	total := k.CPU.Counters().Cycles - start
-	events := tr.Events()
-	dropped := tr.Dropped()
-	ktrace.Detach(k.CPU)
 	if dropped != 0 {
 		return res, fmt.Errorf("bench: E-POOL calibration trace dropped %d events", dropped)
 	}
@@ -150,12 +148,9 @@ func ConcurrentClients(clients, pool, opsPerClient int) (ConcurrencyResult, erro
 	if spans < concCalOps {
 		return res, fmt.Errorf("bench: E-POOL calibration saw %d serve spans for %d ops", spans, concCalOps)
 	}
-	res.CyclesPerOp = float64(total) / concCalOps
+	res.CyclesPerOp = float64(d.Cycles) / concCalOps
 	res.ServerCycles = float64(serverCycles) / float64(spans)
-	res.ClientCycles = res.CyclesPerOp - res.ServerCycles
-	if res.ClientCycles < 0 {
-		res.ClientCycles = 0
-	}
+	res.ClientCycles = max(res.CyclesPerOp-res.ServerCycles, 0)
 	if err := f.Close(); err != nil {
 		return res, err
 	}
@@ -163,56 +158,36 @@ func ConcurrentClients(clients, pool, opsPerClient int) (ConcurrencyResult, erro
 	// --- Modeled throughput ------------------------------------------------
 	// Closed-system bottleneck bound: each of the C clients cycles through
 	// c+h of work per op, of which h occupies one of the P server threads.
-	demand := res.CyclesPerOp
-	perServer := res.ServerCycles / float64(pool)
-	bottleneck := demand / float64(clients)
-	if perServer > bottleneck {
-		bottleneck = perServer
-	}
-	res.ModeledOpsPerSec = concHz / bottleneck
+	res.ModeledOpsPerSec = concHz / max(res.CyclesPerOp/float64(clients), res.ServerCycles/float64(pool))
 
 	// --- Real concurrent phase --------------------------------------------
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for c := 0; c < clients; c++ {
-		c := c
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			task := k.NewTask(fmt.Sprintf("client%d", c))
-			defer task.Terminate()
-			th, err := task.NewBoundThread("main")
-			if err != nil {
-				errs <- err
-				return
+	if err := Clients(clients, func(c int) error {
+		task := k.NewTask(fmt.Sprintf("client%d", c))
+		defer task.Terminate()
+		th, err := task.NewBoundThread("main")
+		if err != nil {
+			return err
+		}
+		cl, err := srv.NewClient(th, vfs.ProfileOS2)
+		if err != nil {
+			return err
+		}
+		cf, err := cl.Open(fmt.Sprintf("/c%d.dat", c), true, true)
+		if err != nil {
+			return err
+		}
+		defer cf.Close()
+		if _, err := cf.WriteAt(payload, 0); err != nil {
+			return err
+		}
+		b := make([]byte, concOpBytes)
+		for i := 0; i < opsPerClient; i++ {
+			if _, err := cf.ReadAt(b, 0); err != nil {
+				return fmt.Errorf("client %d op %d: %w", c, i, err)
 			}
-			cl, err := srv.NewClient(th, vfs.ProfileOS2)
-			if err != nil {
-				errs <- err
-				return
-			}
-			cf, err := cl.Open(fmt.Sprintf("/c%d.dat", c), true, true)
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer cf.Close()
-			if _, err := cf.WriteAt(payload, 0); err != nil {
-				errs <- err
-				return
-			}
-			b := make([]byte, concOpBytes)
-			for i := 0; i < opsPerClient; i++ {
-				if _, err := cf.ReadAt(b, 0); err != nil {
-					errs <- fmt.Errorf("client %d op %d: %w", c, i, err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
+		}
+		return nil
+	}); err != nil {
 		return res, err
 	}
 	res.RealOps = uint64(clients * opsPerClient)

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/kstat"
-	"repro/internal/mach"
 )
 
 // Experiment E-CTR: derive Table 2's trap-versus-RPC comparison purely
@@ -27,83 +26,42 @@ type CounterTable2Result struct {
 	TrapOps, RPCOps uint64
 }
 
-// CounterTable2 reruns the Table 2 rig with the metrics fabric attached.
+// CounterTable2 is Table 2's measurement taken with the metrics fabric
+// attached to the rig, plus the fabric's snapshot deltas over the same
+// two measured loops.
 func CounterTable2() (CounterTable2Result, error) {
-	k := mach.New(cpu.Pentium133())
-	st := kstat.Attach(k.CPU)
-	defer kstat.Detach(k.CPU)
-	srv := k.NewTask("server")
-	recv, err := srv.AllocatePort()
+	r, err := newRig(false, echoBody)
 	if err != nil {
 		return CounterTable2Result{}, err
 	}
-	if _, err := srv.Spawn("loop", func(th *mach.Thread) {
-		th.Serve(recv, func(m *mach.Message) *mach.Message { return &mach.Message{Body: m.Body} })
-	}); err != nil {
-		return CounterTable2Result{}, err
-	}
-	client := k.NewTask("client")
-	sendName, err := client.InsertRight(srv, recv, mach.DispMakeSend)
+	st := kstat.Attach(r.k.CPU)
+	defer kstat.Detach(r.k.CPU)
+	var deltas []kstat.Snapshot // the RPC loop's, then the trap loop's
+	rpc, trap, err := r.table2(func() func() {
+		mark := st.Snapshot()
+		return func() { deltas = append(deltas, st.Snapshot().Delta(mark)) }
+	})
 	if err != nil {
 		return CounterTable2Result{}, err
 	}
-	th, err := client.NewBoundThread("main")
-	if err != nil {
-		return CounterTable2Result{}, err
-	}
-
-	const warm, N = 50, 400
-	body := make([]byte, 32)
-	for i := 0; i < warm; i++ {
-		if _, err := th.Call(sendName, &mach.Message{Body: body}, mach.CallOpts{}); err != nil {
-			return CounterTable2Result{}, err
-		}
-	}
-	markRPC := st.Snapshot()
-	base := k.CPU.Counters()
-	for i := 0; i < N; i++ {
-		th.Call(sendName, &mach.Message{Body: body}, mach.CallOpts{})
-	}
-	rpc := k.CPU.Counters().Sub(base)
-	rpcDelta := st.Snapshot().Delta(markRPC)
-
-	for i := 0; i < warm; i++ {
-		th.Self()
-	}
-	markTrap := st.Snapshot()
-	base = k.CPU.Counters()
-	for i := 0; i < N; i++ {
-		th.Self()
-	}
-	trap := k.CPU.Counters().Sub(base)
-	trapDelta := st.Snapshot().Delta(markTrap)
-
+	rpcDelta, trapDelta := deltas[0], deltas[1]
 	res := CounterTable2Result{
-		Direct: Table2Result{
-			TrapInstr:  float64(trap.Instructions) / N,
-			RPCInstr:   float64(rpc.Instructions) / N,
-			TrapCycles: float64(trap.Cycles) / N,
-			RPCCycles:  float64(rpc.Cycles) / N,
-			TrapBus:    float64(trap.BusCycles) / N,
-			RPCBus:     float64(rpc.BusCycles) / N,
-		},
+		Direct:  table2Of(trap, rpc, table2N, table2N),
 		TrapOps: trapDelta.Counters["mach.trap.count"],
 		RPCOps:  rpcDelta.Counters["mach.rpc.calls"],
 	}
-	res.Direct.TrapCPI = res.Direct.TrapCycles / res.Direct.TrapInstr
-	res.Direct.RPCCPI = res.Direct.RPCCycles / res.Direct.RPCInstr
 	if res.TrapOps == 0 || res.RPCOps == 0 {
 		return res, fmt.Errorf("bench: kstat saw no operations (trap=%d rpc=%d)", res.TrapOps, res.RPCOps)
 	}
-	res.FromKstat = Table2Result{
-		TrapInstr:  float64(trapDelta.Counters["mach.trap.instr"]) / float64(res.TrapOps),
-		RPCInstr:   float64(rpcDelta.Counters["mach.rpc.instr"]) / float64(res.RPCOps),
-		TrapCycles: float64(trapDelta.Counters["mach.trap.cycles"]) / float64(res.TrapOps),
-		RPCCycles:  float64(rpcDelta.Counters["mach.rpc.cycles"]) / float64(res.RPCOps),
-		TrapBus:    float64(trapDelta.Counters["mach.trap.bus"]) / float64(res.TrapOps),
-		RPCBus:     float64(rpcDelta.Counters["mach.rpc.bus"]) / float64(res.RPCOps),
-	}
-	res.FromKstat.TrapCPI = res.FromKstat.TrapCycles / res.FromKstat.TrapInstr
-	res.FromKstat.RPCCPI = res.FromKstat.RPCCycles / res.FromKstat.RPCInstr
+	res.FromKstat = table2Of(family(trapDelta, "mach.trap"), family(rpcDelta, "mach.rpc"), res.TrapOps, res.RPCOps)
 	return res, nil
+}
+
+// family reads a kstat family's instr/cycles/bus counters as a delta.
+func family(d kstat.Snapshot, name string) cpu.Counters {
+	return cpu.Counters{
+		Instructions: d.Counters[name+".instr"],
+		Cycles:       d.Counters[name+".cycles"],
+		BusCycles:    d.Counters[name+".bus"],
+	}
 }

@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/kprof"
-	"repro/internal/mach"
 )
 
 // OpProfile is the exact profile of one operation.
@@ -58,56 +57,19 @@ type ProfResult struct {
 // EPROF builds the Table 2 rig (echo server, 32-byte messages, warmed
 // caches), then profiles exactly one RPC and one thread_self trap.
 func EPROF() (ProfResult, error) {
-	k := mach.New(cpu.Pentium133())
-	srv := k.NewTask("server")
-	recv, err := srv.AllocatePort()
+	r, err := newRig(false, echoBody)
 	if err != nil {
 		return ProfResult{}, err
 	}
-	if _, err := srv.Spawn("loop", func(th *mach.Thread) {
-		th.Serve(recv, func(m *mach.Message) *mach.Message { return &mach.Message{Body: m.Body} })
-	}); err != nil {
-		return ProfResult{}, err
-	}
-	client := k.NewTask("client")
-	sendName, err := client.InsertRight(srv, recv, mach.DispMakeSend)
-	if err != nil {
-		return ProfResult{}, err
-	}
-	th, err := client.NewBoundThread("main")
-	if err != nil {
-		return ProfResult{}, err
-	}
+	p := kprof.Attach(r.k.CPU)
+	defer kprof.Detach(r.k.CPU)
 
-	p := kprof.Attach(k.CPU)
-	defer kprof.Detach(k.CPU)
-
-	const warm = 50
-	body := make([]byte, 32)
-	rpc := func() error {
-		_, err := th.Call(sendName, &mach.Message{Body: body}, mach.CallOpts{})
-		return err
-	}
-	trap := func() error { th.Self(); return nil }
-
-	// Warm the RPC path to Table 2's steady state, then profile one call.
-	for i := 0; i < warm; i++ {
-		if err := rpc(); err != nil {
-			return ProfResult{}, err
-		}
-	}
+	// Warm each path to Table 2's steady state, then profile one call.
 	res := ProfResult{}
-	res.RPC, err = profileOne(p, k.CPU, "rpc32", rpc)
-	if err != nil {
+	if res.RPC, err = profileOne(p, r.k.CPU, "rpc32", r.rpc32); err != nil {
 		return ProfResult{}, err
 	}
-
-	// Same for the trap.
-	for i := 0; i < warm; i++ {
-		trap()
-	}
-	res.Trap, err = profileOne(p, k.CPU, "thread_self", trap)
-	if err != nil {
+	if res.Trap, err = profileOne(p, r.k.CPU, "thread_self", r.trap); err != nil {
 		return ProfResult{}, err
 	}
 
@@ -125,15 +87,15 @@ func EPROF() (ProfResult, error) {
 	return res, nil
 }
 
-// profileOne brackets a single operation with an exclusive attribution
-// window and the engine's counters, and checks the two agree exactly.
+// profileOne warms op as Table 2 does, then brackets a single call of it
+// with an exclusive attribution window and the engine's counters, and
+// checks the two agree exactly.
 func profileOne(p *kprof.Profiler, eng *cpu.Engine, name string, op func() error) (OpProfile, error) {
-	p.Reset()
-	p.Enable()
-	base := eng.Counters()
-	err := op()
-	d := eng.Counters().Sub(base)
-	p.Disable()
+	d, err := bracket(eng, table2Warm, 1, op, func() func() {
+		p.Reset()
+		p.Enable()
+		return p.Disable
+	})
 	if err != nil {
 		return OpProfile{}, fmt.Errorf("%s: %w", name, err)
 	}

@@ -2,10 +2,10 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/drivers"
+	"repro/internal/mach"
 	"repro/internal/os2"
 )
 
@@ -156,9 +156,15 @@ func smpClientMix(p *os2.Process, dir string) error {
 // buffer cache (0 = the raw driver path).  pinDriver confines the
 // block-driver task to a one-processor set first (requires ncpu >= 2).
 func SMPCell(ncpu, clients, pool, cacheSectors int, pinDriver bool) (SMPPoint, error) {
+	pt, _, err := smpCell(ncpu, clients, pool, cacheSectors, pinDriver)
+	return pt, err
+}
+
+// smpCell is SMPCell, returning the system it ran on as well.
+func smpCell(ncpu, clients, pool, cacheSectors int, pinDriver bool) (SMPPoint, *core.System, error) {
 	pt := SMPPoint{CPUs: ncpu, Clients: clients, Pool: pool, CacheSectors: cacheSectors, PinnedDriver: pinDriver}
 	if ncpu < 1 || clients < 1 || pool < 1 {
-		return pt, fmt.Errorf("bench: bad E-SMP cell cpus=%d clients=%d pool=%d", ncpu, clients, pool)
+		return pt, nil, fmt.Errorf("bench: bad E-SMP cell cpus=%d clients=%d pool=%d", ncpu, clients, pool)
 	}
 	cfg := core.DefaultConfig()
 	cfg.CPUs = ncpu
@@ -167,22 +173,22 @@ func SMPCell(ncpu, clients, pool, cacheSectors int, pinDriver bool) (SMPPoint, e
 	cfg.Personalities = []string{"os2"}
 	s, err := core.Boot(cfg)
 	if err != nil {
-		return pt, err
+		return pt, nil, err
 	}
 	k := s.Kernel
 
 	if pinDriver {
 		if ncpu < 2 {
-			return pt, fmt.Errorf("bench: driver pinning needs >= 2 CPUs")
+			return pt, nil, fmt.Errorf("bench: driver pinning needs >= 2 CPUs")
 		}
 		ubd, ok := s.Block.(*drivers.UserBlockDriver)
 		if !ok {
-			return pt, fmt.Errorf("bench: driver pinning needs the user-level block driver, have %s", s.Block.Model())
+			return pt, nil, fmt.Errorf("bench: driver pinning needs the user-level block driver, have %s", s.Block.Model())
 		}
 		h := k.Host()
 		set, err := h.CreateSet("driver")
 		if err != nil {
-			return pt, err
+			return pt, nil, err
 		}
 		// The last processor leaves the default set; everything else keeps
 		// engines 0..ncpu-2, the driver serializes on engine ncpu-1.
@@ -190,82 +196,61 @@ func SMPCell(ncpu, clients, pool, cacheSectors int, pinDriver bool) (SMPPoint, e
 		set.AssignTask(ubd.Task())
 	}
 
-	// Per-engine busy-cycle and virtual-clock baselines (boot is excluded
-	// from the measure; the makespan is the virtual clock's advance).
-	base := make([]uint64, ncpu)
-	var vtBase uint64
-	if cx := k.Complex(); cx != nil {
-		for slot := range base {
-			base[slot] = cx.EngineCounters(slot).Cycles
+	// Boot is excluded from the measure; the makespan is the virtual
+	// clock's advance (a lone engine's busy cycles when there is no
+	// complex).
+	base := readSched(k, ncpu)
+	if err := Clients(clients, func(c int) error {
+		p, err := s.OS2.CreateProcess(fmt.Sprintf("works%d", c))
+		if err != nil {
+			return err
 		}
-	} else {
-		base[0] = k.CPU.Counters().Cycles
+		return smpClientMix(p, fmt.Sprintf("/W%d", c))
+	}); err != nil {
+		return pt, nil, err
 	}
-	var migBase, stealBase uint64
-	for _, st := range k.SchedStats() {
-		migBase += st.Migrations
-		stealBase += st.Steals
-		if st.Virtual > vtBase {
-			vtBase = st.Virtual
-		}
-	}
-
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for c := 0; c < clients; c++ {
-		c := c
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p, err := s.OS2.CreateProcess(fmt.Sprintf("works%d", c))
-			if err != nil {
-				errs <- err
-				return
-			}
-			if err := smpClientMix(p, fmt.Sprintf("/W%d", c)); err != nil {
-				errs <- err
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		return pt, err
-	}
-
+	end := readSched(k, ncpu)
 	pt.PerEngineCycles = make([]uint64, ncpu)
-	if cx := k.Complex(); cx != nil {
-		for slot := range pt.PerEngineCycles {
-			d := cx.EngineCounters(slot).Cycles - base[slot]
-			pt.PerEngineCycles[slot] = d
-			pt.TotalCycles += d
-		}
-	} else {
-		d := k.CPU.Counters().Cycles - base[0]
-		pt.PerEngineCycles[0] = d
-		pt.TotalCycles = d
-		pt.ElapsedCycles = d
+	for slot := range pt.PerEngineCycles {
+		pt.PerEngineCycles[slot] = end.cycles[slot] - base.cycles[slot]
+		pt.TotalCycles += pt.PerEngineCycles[slot]
 	}
-	var vtEnd uint64
-	for _, st := range k.SchedStats() {
-		pt.Migrations += st.Migrations
-		pt.Steals += st.Steals
-		if st.Virtual > vtEnd {
-			vtEnd = st.Virtual
-		}
-	}
+	pt.ElapsedCycles = pt.TotalCycles
 	if k.Complex() != nil {
-		pt.ElapsedCycles = vtEnd - vtBase
+		pt.ElapsedCycles = end.clock - base.clock
 	}
-	pt.Migrations -= migBase
-	pt.Steals -= stealBase
+	pt.Migrations, pt.Steals = end.migrations-base.migrations, end.steals-base.steals
 	pt.CoherenceCycles = pt.Migrations * k.CPU.Config().MigrateCycles
 
 	pt.Ops = uint64(clients) * smpOpsPerClient
 	if pt.ElapsedCycles > 0 {
 		pt.OpsPerSec = float64(pt.Ops) * concHz / float64(pt.ElapsedCycles)
 	}
-	return pt, nil
+	return pt, s, nil
+}
+
+// schedState is what an E-SMP cell is measured by: each engine's busy
+// cycles, and the dispatcher's migrations, steals and virtual clock.
+type schedState struct {
+	cycles                    []uint64
+	migrations, steals, clock uint64
+}
+
+func readSched(k *mach.Kernel, ncpu int) schedState {
+	st := schedState{cycles: make([]uint64, ncpu)}
+	if cx := k.Complex(); cx != nil {
+		for slot := range st.cycles {
+			st.cycles[slot] = cx.EngineCounters(slot).Cycles
+		}
+	} else {
+		st.cycles[0] = k.CPU.Counters().Cycles
+	}
+	for _, es := range k.SchedStats() {
+		st.migrations += es.Migrations
+		st.steals += es.Steals
+		st.clock = max(st.clock, es.Virtual)
+	}
+	return st
 }
 
 // SMPResult is the full E-SMP data set.

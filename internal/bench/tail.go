@@ -3,9 +3,7 @@ package bench
 import (
 	"fmt"
 	"sort"
-	"sync"
 
-	"repro/internal/core"
 	"repro/internal/klat"
 	"repro/internal/kstat"
 )
@@ -124,21 +122,15 @@ func ETail() (TailResult, error) {
 	return TailCell(tailCPUs, tailClients, tailPool, tailCacheSectors)
 }
 
-// TailCell boots an ncpu-engine system with a cacheSectors buffer
-// cache, runs clients concurrent FI1 mixes against a pool-threaded
-// file server, and reduces the tail-latency dump to the attribution
-// result.
+// TailCell runs the E-SMP cell of ncpu engines, clients and pool with a
+// cacheSectors buffer cache, then reduces the tail-latency dump its boot
+// recorded to the attribution result.
 func TailCell(ncpu, clients, pool, cacheSectors int) (TailResult, error) {
 	res := TailResult{CPUs: ncpu, Clients: clients, Pool: pool, CacheSectors: cacheSectors}
-	if ncpu < 1 || clients < 1 || pool < 1 || cacheSectors < 1 {
-		return res, fmt.Errorf("bench: bad E-TAIL cell cpus=%d clients=%d pool=%d cache=%d", ncpu, clients, pool, cacheSectors)
+	if cacheSectors < 1 {
+		return res, fmt.Errorf("bench: bad E-TAIL cell cache=%d", cacheSectors)
 	}
-	cfg := core.DefaultConfig()
-	cfg.CPUs = ncpu
-	cfg.ServerPool = pool
-	cfg.CacheSectors = cacheSectors
-	cfg.Personalities = []string{"os2"}
-	s, err := core.Boot(cfg)
+	_, s, err := smpCell(ncpu, clients, pool, cacheSectors, false)
 	if err != nil {
 		return res, err
 	}
@@ -146,30 +138,6 @@ func TailCell(ncpu, clients, pool, cacheSectors int) (TailResult, error) {
 	if lt == nil {
 		return res, fmt.Errorf("bench: E-TAIL needs the tail-latency tracker attached")
 	}
-
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for c := 0; c < clients; c++ {
-		c := c
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p, err := s.OS2.CreateProcess(fmt.Sprintf("tail%d", c))
-			if err != nil {
-				errs <- err
-				return
-			}
-			if err := smpClientMix(p, fmt.Sprintf("/W%d", c)); err != nil {
-				errs <- err
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		return res, err
-	}
-
 	res.Dump = lt.Dump()
 	return res, reduceTail(&res)
 }

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/mach"
-	"repro/internal/workload"
 )
 
 // E-XFER: the transfer-mode sweep behind the zero-copy and vectored-RPC
@@ -72,61 +70,34 @@ func xferMsg(size int, region bool) *mach.Message {
 // to the server (per call for copy/region, per sub-request for
 // batched).
 func xferCost(size int, mode string) (uint64, error) {
-	k := mach.New(cpu.Pentium133())
-	srv := k.NewTask("server")
-	recv, err := srv.AllocatePort()
-	if err != nil {
-		return 0, err
-	}
-	sink := func(m *mach.Message) *mach.Message { return &mach.Message{} }
-	if _, err := srv.Spawn("loop", func(th *mach.Thread) { th.Serve(recv, sink) }); err != nil {
-		return 0, err
-	}
-	client := k.NewTask("client")
-	sendName, err := client.InsertRight(srv, recv, mach.DispMakeSend)
-	if err != nil {
-		return 0, err
-	}
-	th, err := client.NewBoundThread("main")
+	r, err := newRig(false, sink)
 	if err != nil {
 		return 0, err
 	}
 	call := func() error {
 		switch mode {
 		case "copy":
-			_, err := th.Call(sendName, xferMsg(size, false), mach.CallOpts{})
-			return err
+			return r.call(xferMsg(size, false))
 		case "region":
-			_, err := th.Call(sendName, xferMsg(size, true), mach.CallOpts{})
-			return err
+			return r.call(xferMsg(size, true))
 		case "batched":
 			reqs := make([]*mach.Message, XferBatch)
 			for i := range reqs {
 				reqs[i] = xferMsg(size, false)
 			}
-			_, err := th.CallV(sendName, reqs, mach.CallOpts{})
+			_, err := r.th.CallV(r.send, reqs, mach.CallOpts{})
 			return err
 		default:
 			return fmt.Errorf("bench: unknown xfer mode %q", mode)
 		}
 	}
-	const warm, N = 20, 100
-	for i := 0; i < warm; i++ {
-		if err := call(); err != nil {
-			return 0, err
-		}
-	}
-	base := k.CPU.Counters()
-	for i := 0; i < N; i++ {
-		if err := call(); err != nil {
-			return 0, err
-		}
-	}
-	per := k.CPU.Counters().Sub(base).Cycles / N
+	const N = 100
+	d, err := bracket(r.k.CPU, 20, N, call, nil)
+	per := d.Cycles / N
 	if mode == "batched" {
 		per /= XferBatch
 	}
-	return per, nil
+	return per, err
 }
 
 // XferFIResult compares the file-intensive Table 1 ratios with the
@@ -142,7 +113,6 @@ type XferFIResult struct {
 
 // XferFI measures the file-intensive rows both ways at cacheSectors.
 func XferFI(cacheSectors int) (XferFIResult, error) {
-	fiRows := []workload.Row{workload.FileIntensive1, workload.FileIntensive2}
 	cfg := core.DefaultConfig()
 	cfg.CacheSectors = cacheSectors
 	off, err := table1Rows(cfg, fiRows)
