@@ -174,20 +174,23 @@ func Run(cfg Config) (*Report, error) {
 	// Final oracle: heal everything, drain the caches, then have every
 	// worker verify its own files end to end.
 	h.fdev.Heal()
-	if err := h.syncAll(); err != nil {
+	if err := h.guard("final sync", h.syncAll); err != nil {
 		h.fill(rep)
 		return rep, h.fail(fmt.Errorf("final sync: %w", err))
 	}
 	for _, w := range h.workers {
-		clean, tainted, err := w.verify()
-		if err != nil {
+		var clean, tainted int
+		if err := h.guard("final oracle", func() (err error) {
+			clean, tainted, err = w.verify()
+			return err
+		}); err != nil {
 			h.fill(rep)
 			return rep, h.fail(fmt.Errorf("final oracle (%s): %w", w.name(), err))
 		}
 		rep.Verified += clean
 		rep.Tainted += tainted
 	}
-	if err := h.checkInvariants(len(schedule), "final"); err != nil {
+	if err := h.guard("invariant checks", func() error { return h.checkInvariants(len(schedule), "final") }); err != nil {
 		h.fill(rep)
 		return rep, h.fail(err)
 	}
@@ -382,7 +385,9 @@ func (h *harness) epoch(i int, kind string) error {
 	}
 	quota := uint64(h.batch * len(h.workers))
 	h.waitOps(start+quota/2, 5*time.Second)
-	h.inject(i, kind)
+	if err := h.guard("inject "+kind, func() error { h.inject(i, kind); return nil }); err != nil {
+		return err
+	}
 	if err := h.drain(len(h.workers)); err != nil {
 		return err
 	}
@@ -391,10 +396,10 @@ func (h *harness) epoch(i int, kind string) error {
 		h.injectErr = nil
 		return err
 	}
-	if err := h.repair(kind); err != nil {
+	if err := h.guard("repair "+kind, func() error { return h.repair(kind) }); err != nil {
 		return err
 	}
-	if err := h.checkInvariants(i, kind); err != nil {
+	if err := h.guard("invariant checks", func() error { return h.checkInvariants(i, kind) }); err != nil {
 		return err
 	}
 	h.logf("epoch %d (%s): ops+%d errs=%d", i, kind, h.ops.Load()-start, h.opErrs.Load())
@@ -437,6 +442,25 @@ func (h *harness) drain(n int) error {
 		}
 	}
 	return nil
+}
+
+// guard runs one harness call into the system under the stall detector:
+// a call that has not returned after StallTimeout is a deadlock, and the
+// run fails through fail with the flight dump.  It reads no worker
+// results, so it may run while the workers are mid-batch.  A call that
+// never returns is left blocked; the run has failed.
+func (h *harness) guard(what string, call func() error) error {
+	done := make(chan error, 1)
+	go func() { done <- call() }()
+	stall := time.NewTimer(h.cfg.StallTimeout)
+	defer stall.Stop()
+	select {
+	case err := <-done:
+		return err
+	case <-stall.C:
+		return fmt.Errorf("deadlock: %s blocked for %v (%s)",
+			what, h.cfg.StallTimeout, strings.Join(kflight.Outstanding(h.sys.Stats.Snapshot()), " "))
+	}
 }
 
 // syncAll flushes every volume through the file server, retrying briefly

@@ -4,14 +4,17 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/kflight"
 	"repro/internal/mach"
+	"repro/internal/vfs"
 )
 
 // readDump loads the flight dump a fail() error names.
@@ -80,24 +83,38 @@ func TestFailDumpDisabled(t *testing.T) {
 // TestDrainNamesStall checks the system's one stall detector: drain fires
 // when a worker's op stops moving, names the outstanding gauges when a
 // pool slot holds the stuck call, and still fires when no gauge shows
-// anything.  The failure's flight dump carries the stuck call's reply edge.
+// anything; guard fires when a harness call of its own stops.  The
+// failure's flight dump carries the edge the stuck call waits on.
 func TestDrainNamesStall(t *testing.T) {
+	drainOne := func(h *harness) error { return h.drain(1) }
 	for _, tc := range []struct {
 		name string
-		// stall spawns a worker that stops until release; server is the
-		// task whose pool holds its call ("" for a worker outside the
-		// kernel).
-		stall  func(t *testing.T, sys *core.System, release <-chan struct{}, spawn func(func() error))
-		server string
+		// stall sets the hang up: a worker that stops until release,
+		// started through spawn, or a volume lock held until release.
+		stall func(t *testing.T, h *harness, release <-chan struct{}, spawn func(func() error))
+		// detect runs the detector: drain for a worker, guard for a
+		// harness call.
+		detect func(h *harness) error
 		want   string
+		// edge, when set, picks the wait-for edge the dump must carry.
+		edge func(kflight.WaitEdge) bool
 	}{
-		{"pool-call", stallInCall, "stuck", "mach.pool.stuck/serve.busy=1"},
-		{"no-gauge", func(_ *testing.T, _ *core.System, release <-chan struct{}, spawn func(func() error)) {
+		{"pool-call", stallInCall, drainOne, "mach.pool.stuck/serve.busy=1", func(e kflight.WaitEdge) bool {
+			return e.Kind == kflight.WaitReply && e.Task == "caller" && e.OwnerTask == "stuck"
+		}},
+		{"no-gauge", func(_ *testing.T, _ *harness, release <-chan struct{}, spawn func(func() error)) {
 			spawn(func() error { <-release; return nil })
-		}, "", "with 1 workers outstanding ()"},
+		}, drainOne, "with 1 workers outstanding ()", nil},
+		{"harness-call", holdVolumeLock, func(h *harness) error {
+			return h.guard("final sync", h.syncAll)
+		}, "final sync blocked for 100ms", func(e kflight.WaitEdge) bool {
+			return e.Kind == kflight.WaitKernelLock && e.Lock == "volume:/stuck" && e.Holder != ""
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sys, err := core.Boot(core.DefaultConfig())
+			cfg := core.DefaultConfig()
+			cfg.ServerPool = 2 // a sync waiting on a held volume lock still gets a slot
+			sys, err := core.Boot(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,33 +123,78 @@ func TestDrainNamesStall(t *testing.T) {
 			release := make(chan struct{})
 			var workers sync.WaitGroup
 			t.Cleanup(func() { close(release); workers.Wait() })
-			tc.stall(t, sys, release, func(op func() error) {
+			tc.stall(t, h, release, func(op func() error) {
 				workers.Add(1)
 				go func() { defer workers.Done(); h.results <- op() }()
 			})
 
-			derr := h.drain(1)
+			derr := tc.detect(h)
 			if derr == nil || !strings.HasPrefix(derr.Error(), "deadlock:") || !strings.Contains(derr.Error(), tc.want) {
-				t.Fatalf("drain = %v, want a deadlock naming %q", derr, tc.want)
+				t.Fatalf("detector = %v, want a deadlock naming %q", derr, tc.want)
 			}
-			if tc.server == "" {
+			if tc.edge == nil {
 				return
 			}
-			d := readDump(t, h.fail(derr))
-			var edge bool
-			for _, e := range d.Waits {
-				edge = edge || e.Kind == kflight.WaitReply && e.Task == "caller" && e.OwnerTask == tc.server
+			// The call is stuck; wait until it has registered its edge.
+			for deadline := time.Now().Add(10 * time.Second); !slices.ContainsFunc(sys.Kernel.WaitEdges(), tc.edge); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("the stuck call never registered its edge: %v", sys.Kernel.WaitEdges())
+				}
 			}
-			if !edge {
-				t.Errorf("dump lacks the blocked reply edge to %s: %v", tc.server, d.Waits)
+			if d := readDump(t, h.fail(derr)); !slices.ContainsFunc(d.Waits, tc.edge) {
+				t.Errorf("dump lacks the stuck call's edge: %v", d.Waits)
 			}
 		})
 	}
 }
 
+// stuckFS is a RAM volume whose first Sync holds the volume's lock until
+// release, once it has closed entered.
+type stuckFS struct {
+	vfs.FileSystem
+	armed   atomic.Bool
+	entered chan struct{}
+	release <-chan struct{}
+}
+
+func (f *stuckFS) Sync() error {
+	if f.armed.CompareAndSwap(true, false) {
+		close(f.entered)
+		<-f.release
+	}
+	return f.FileSystem.Sync()
+}
+
+// holdVolumeLock mounts /stuck, has a sync from another task take its
+// volume lock and stop there until release, and gives the harness the
+// checker client its own syncs go through.
+func holdVolumeLock(t *testing.T, h *harness, release <-chan struct{}, spawn func(func() error)) {
+	fs := &stuckFS{FileSystem: vfs.NewMemFS(), entered: make(chan struct{}), release: release}
+	fs.armed.Store(true)
+	if err := h.sys.Files.Mount("/stuck", fs); err != nil {
+		t.Fatal(err)
+	}
+	client := func(task string) *vfs.Client {
+		th, err := h.sys.Kernel.NewTask(task).NewBoundThread("main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := h.sys.Files.NewClient(th, vfs.ProfileOS2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	holder := client("holder")
+	h.checker = client("chaos-checker")
+	spawn(holder.Sync)
+	<-fs.entered
+}
+
 // stallInCall spawns a worker blocked in a call to a one-slot server
 // whose handler waits for release, and returns once the slot is busy.
-func stallInCall(t *testing.T, sys *core.System, release <-chan struct{}, spawn func(func() error)) {
+func stallInCall(t *testing.T, h *harness, release <-chan struct{}, spawn func(func() error)) {
+	sys := h.sys
 	k := sys.Kernel
 	srv, client := k.NewTask("stuck"), k.NewTask("caller")
 	port, err := srv.AllocatePort()
