@@ -110,7 +110,7 @@ type Timer struct {
 	idx      int
 }
 
-// After schedules fn to run (on the caller of Advance/Tick) after d.
+// After schedules fn to run (on the caller of Advance) after d.
 func (c *Clock) After(d Duration, fn func(Time)) *Timer {
 	return c.schedule(d, 0, fn)
 }
@@ -145,12 +145,6 @@ func (c *Clock) Cancel(t *Timer) error {
 		heap.Remove(&c.timers, t.idx)
 	}
 	return nil
-}
-
-// Tick fires any timers due at the current simulated time; the kernel's
-// periodic interrupt calls this.
-func (c *Clock) Tick() {
-	c.fireDue()
 }
 
 func (c *Clock) fireDue() {

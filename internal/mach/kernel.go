@@ -237,9 +237,6 @@ func (k *Kernel) fixedPath(base uint64, name string, instr uint64) cpu.Region {
 	}
 }
 
-// Tunables returns the kernel cost knobs.
-func (k *Kernel) Tunables() Tunables { return k.tun }
-
 // Host returns the host object (hosts-and-processor-sets component).
 func (k *Kernel) Host() *Host { return k.host }
 

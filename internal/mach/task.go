@@ -25,7 +25,6 @@ type Task struct {
 	threads   map[ThreadID]*Thread
 	dead      bool
 	selfPort  *Port
-	selfName  PortName
 	suspendCt int
 
 	// AS is an attachment point for the task's address space object
@@ -69,8 +68,7 @@ func (k *Kernel) newTaskLocked(name string) *Task {
 	k.tasks[t.id] = t
 	t.selfPort = newPort(k.allocPortID())
 	t.selfPort.recvTask = t
-	n, _ := t.ports.insert(t.selfPort, RightReceive)
-	t.selfName = n
+	t.ports.insert(t.selfPort, RightReceive)
 	return t
 }
 
@@ -83,12 +81,6 @@ func (t *Task) Name() string { return t.name }
 // ASID returns the address-space identifier loaded on RPC delivery into
 // this task.
 func (t *Task) ASID() uint64 { return t.asid }
-
-// Kernel returns the owning kernel.
-func (t *Task) Kernel() *Kernel { return t.kernel }
-
-// SelfName returns the task's kernel port name (task_self).
-func (t *Task) SelfName() PortName { return t.selfName }
 
 // Terminate kills the task: all threads are marked dead and all ports it
 // holds receive rights for are destroyed.
@@ -125,13 +117,6 @@ func (t *Task) Dead() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.dead
-}
-
-// ThreadCount reports the number of live threads.
-func (t *Task) ThreadCount() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.threads)
 }
 
 // PortCount reports the number of names in the task's port space.

@@ -116,9 +116,6 @@ func (pm *PhysMem) UsedFrames() uint64 {
 	return pm.used
 }
 
-// TotalFrames reports capacity in frames.
-func (pm *PhysMem) TotalFrames() uint64 { return pm.total }
-
 // Pager is the external memory management interface: a user-level task
 // (the default pager, the file server) backs a VM object by providing and
 // accepting page contents.  This is the OSF RI EMMI reduced to its data

@@ -95,25 +95,6 @@ const (
 	DeckFile = "/DECK.BMP"
 )
 
-// Files lists the paths a row touches (patterns expanded), so callers can
-// pre-create, trace or clean up after a workload without knowing its code.
-func Files(r Row) []string {
-	switch r {
-	case FileIntensive1:
-		out := []string{WorksDir}
-		for doc := 0; doc < worksDocs; doc++ {
-			out = append(out, fmt.Sprintf(WorksDocPattern, doc))
-		}
-		return out
-	case FileIntensive2:
-		return []string{TodoFile}
-	case GraphicsLow, GraphicsMedium, GraphicsHigh:
-		return []string{DeckFile}
-	default:
-		return nil
-	}
-}
-
 // worksDocs is the number of documents File Intensive 1 cycles through.
 const worksDocs = 4
 

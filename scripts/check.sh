@@ -131,7 +131,8 @@ run go test -race -timeout 300s ./internal/chaos/ -short -run 'TestChaosSoak|Tes
 
 # The one stall detector and the postmortem it writes: drain fires on a
 # worker stuck in a pool call (naming the busy gauge) and on one holding
-# no kernel wait, and fail's dump parses with the stuck reply edge.
+# no kernel wait, guard fires on a harness sync blocked on a held volume
+# lock, and fail's dump parses with the stuck call's edge.
 run go test -race -count=20 -timeout 300s -run 'TestDrainNamesStall|TestFailWritesFlightDump' ./internal/chaos/
 
 # The full chaos corpus, uninstrumented: three seeds x 36,000 actions.
@@ -145,3 +146,10 @@ run go test -timeout 600s ./internal/chaos/ -run TestChaosSoak -chaos.actions=36
 # Modeled cycles are deterministic, so they are pinned to the cycle here;
 # host time is judged by wposbench records (benchmark/, records/).
 run go test -timeout 300s -run 'TestCacheObservationOff|TestFileMatrixPinned|TestXferSweepPinned|TestXferRegionZeroPerByte|TestXferFileIntensiveImproves|TestTable1AgainstPaper' .
+
+# internal/bench's shared pieces under the race detector: the client
+# fan-out (E-POOL's concurrent phase, the one-client E-SMP cells) and the
+# kernel-only RPC rig with its bracket (Table 2, E-CTR, E-PROF, every
+# pinned rig cell).
+run go test -race -count=3 -timeout 300s -run 'TestServerPoolScaling|TestECTRCounterDerivedTable2' .
+run go test -race -count=3 -timeout 300s -run 'TestEPROF|TestRigCellsPinned' ./internal/bench/
