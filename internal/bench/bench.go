@@ -153,7 +153,7 @@ func Table2() (Table2Result, error) {
 	if err != nil {
 		return Table2Result{}, err
 	}
-	rpc, trap, err := r.table2(nil)
+	trap, rpc, err := r.table2(nil)
 	if err != nil {
 		return Table2Result{}, err
 	}

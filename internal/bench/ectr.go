@@ -37,7 +37,7 @@ func CounterTable2() (CounterTable2Result, error) {
 	st := kstat.Attach(r.k.CPU)
 	defer kstat.Detach(r.k.CPU)
 	var deltas []kstat.Snapshot // the RPC loop's, then the trap loop's
-	rpc, trap, err := r.table2(func() func() {
+	trap, rpc, err := r.table2(func() func() {
 		mark := st.Snapshot()
 		return func() { deltas = append(deltas, st.Snapshot().Delta(mark)) }
 	})

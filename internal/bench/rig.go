@@ -68,14 +68,14 @@ func (r *rig) trap() error { r.th.Self(); return nil }
 // Table 2's loops: warming calls, then measured calls, per operation.
 const table2Warm, table2N = 50, 400
 
-// table2 measures Table 2's two loops on the rig, the RPCs first; window
-// opens over each measured loop (see bracket).
-func (r *rig) table2(window func() func()) (rpc, trap cpu.Counters, err error) {
+// table2 measures Table 2's two loops on the rig, the RPC loop first;
+// window opens over each measured loop (see bracket).
+func (r *rig) table2(window func() func()) (trap, rpc cpu.Counters, err error) {
 	if rpc, err = bracket(r.k.CPU, table2Warm, table2N, r.rpc32, window); err != nil {
-		return rpc, trap, err
+		return trap, rpc, err
 	}
 	trap, err = bracket(r.k.CPU, table2Warm, table2N, r.trap, window)
-	return rpc, trap, err
+	return trap, rpc, err
 }
 
 // bracket calls op warm times, then measures n more calls of it against
