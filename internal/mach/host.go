@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/cpu"
 )
 
 // Host is the hosts-and-processor-sets component inherited from Mach 3.0:
 // a host owns processors grouped into processor sets, and tasks/threads
-// are assigned to a set for scheduling.  Each Processor is one modeled
-// engine, named by its slot; on a multi-engine kernel the scheduler dispatches a
+// are assigned to a set for scheduling.  Each Processor wraps one modeled
+// cpu.Engine; on a multi-engine kernel the scheduler dispatches a
 // thread's RPC bursts onto the engines of its task's processor set, so
 // moving processors between sets (AssignProcessor) genuinely partitions
 // the machine — a set holding one processor serializes everything
@@ -30,7 +32,11 @@ type Processor struct {
 	// repartitions concurrently with dispatch-path and tooling reads —
 	// a plain field here was a data race under chaos repartitioning.
 	set atomic.Pointer[ProcessorSet]
+	eng *cpu.Engine
 }
+
+// Engine returns the modeled engine behind the processor.
+func (p *Processor) Engine() *cpu.Engine { return p.eng }
 
 // Set returns the processor set the processor currently belongs to.
 func (p *Processor) Set() *ProcessorSet { return p.set.Load() }
@@ -52,8 +58,8 @@ func newHost(k *Kernel) *Host {
 	h := &Host{kernel: k, psets: make(map[string]*ProcessorSet)}
 	def := &ProcessorSet{Name: DefaultPSet, assigned: make(map[TaskID]*Task), maxPri: 31}
 	h.psets[DefaultPSet] = def
-	for i := range k.Engines() {
-		p := &Processor{Slot: i, Running: true}
+	for i, eng := range k.Engines() {
+		p := &Processor{Slot: i, Running: true, eng: eng}
 		p.set.Store(def)
 		h.procs = append(h.procs, p)
 		def.procs = append(def.procs, p)
