@@ -36,6 +36,8 @@ chaos:
 
 # Host-cost profile: untraced File Intensive 1+2 passes under runtime/pprof,
 # folded by package, then the top functions — where the Go simulator's own
-# CPU goes while it produces Table 1's file rows.  Foreground; exits.
+# CPU goes while it produces Table 1's file rows.  Other rows: pass a row
+# pattern to the script, e.g. sh scripts/hostprof.sh 'Graphics(Low|Medium|High)'.
+# Foreground; exits.
 hostprof:
 	sh scripts/hostprof.sh

@@ -220,8 +220,12 @@ func (l *Layout) PlaceInstr(name string, n uint64) Region {
 // Validate reports a geometry the model cannot represent.  A cache
 // indexes by shift and mask, and Engine.touch walks a range line by line
 // from addr &^ (LineSize-1), so each cache's Sets and LineSize must be
-// powers of two.
+// powers of two; the TLB and touch divide addresses by PageSize, so it
+// must not be zero.
 func (c Config) Validate() error {
+	if c.PageSize == 0 {
+		return fmt.Errorf("cpu: PageSize = 0: the TLB has no page to map")
+	}
 	for _, cc := range []struct {
 		name string
 		cfg  CacheConfig
@@ -640,6 +644,23 @@ func (e *Engine) accessData(addr, size uint64) {
 	e.mu.Lock()
 	defer e.unlock(b, e.ctr.Cycles)
 	e.touch(e.dcache, ProfDMiss, addr, addr+size)
+}
+
+// StoreRows models a strided store loop, a rectangle painted row by row:
+// width bytes written at addr, addr+stride, ... for rows rows, each row
+// followed by instrPerRow instructions of loop body.  It charges exactly
+// what a Write plus an Instr per row would, in the same order, under one
+// lock.
+func (e *Engine) StoreRows(addr, width, stride uint64, rows int, instrPerRow uint64) {
+	e, b := e.route()
+	e.mu.Lock()
+	defer e.unlock(b, e.ctr.Cycles)
+	for ; rows > 0; rows, addr = rows-1, addr+stride {
+		if width > 0 {
+			e.touch(e.dcache, ProfDMiss, addr, addr+width)
+		}
+		e.chargeInstr(instrPerRow)
+	}
 }
 
 // Copy models a physical memory copy of n bytes from src to dst: a tight

@@ -505,11 +505,93 @@ func TestProfSinkMatchesReference(t *testing.T) {
 	}
 }
 
+// TestStoreRowsMatchesRowLoop: StoreRows is the loop it replaces — a
+// Write of each row and then its Instr — taken under one lock.  Over
+// seeded geometries (rows from just below a page, widths crossing lines,
+// strides of a row, a framebuffer line and more than a page, the
+// small-TLB configs), with address-space switches and region fetches
+// between them, it must leave the same counters after every call, hand a
+// sink the same charges in the same order, credit a Complex binding the
+// same cycles and leave the same lines and pages resident.
+func TestStoreRowsMatchesRowLoop(t *testing.T) {
+	for _, cfg := range engineConfigs() {
+		for _, bound := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/bound=%v", cfgName(cfg), bound), func(t *testing.T) {
+				got, want := NewEngine(cfg), NewEngine(cfg)
+				gotEng, wantEng := got, want
+				var gb, wb Binding
+				if bound { // charge through routers into engine 1 of each
+					gx, wx := NewComplex(cfg, 2), NewComplex(cfg, 2)
+					got, want = gx.Router(), wx.Router()
+					gotEng, wantEng = gx.Engines()[1], wx.Engines()[1]
+					defer gx.Bind(&gb, gotEng)()
+					defer wx.Bind(&wb, wantEng)()
+				}
+				gs, ws := &recSink{}, &recSink{}
+				gotEng.SetProfSink(gs)
+				wantEng.SetProfSink(ws)
+				rng := rand.New(rand.NewPCG(uint64(cfg.TLBEntries)+1, 5))
+				page := cfg.PageSize
+				for i := 0; i < 4000; i++ {
+					switch rng.IntN(6) {
+					case 0:
+						asid := rng.Uint64N(3)
+						got.SwitchAddressSpace(asid)
+						want.SwitchAddressSpace(asid)
+					case 1:
+						r := Region{Name: fmt.Sprint("r", rng.IntN(3)), Base: rng.Uint64N(1<<20) &^ 31, Size: 4 * (1 + rng.Uint64N(600))}
+						r.Instr = r.Size / 4
+						got.Exec(r)
+						want.Exec(r)
+					}
+					addr := rng.Uint64N(1 << 22)
+					if rng.IntN(2) == 0 {
+						addr = (addr/page+1)*page - rng.Uint64N(64) - 1
+					}
+					width := rng.Uint64N(300)
+					stride := []uint64{width, 640, page + rng.Uint64N(3*page), 32 * rng.Uint64N(8)}[rng.IntN(4)]
+					rows, per := rng.IntN(40), width/4
+					if rng.IntN(4) == 0 {
+						per = rng.Uint64N(100)
+					}
+					got.StoreRows(addr, width, stride, rows, per)
+					for r := range rows {
+						want.Write(addr+uint64(r)*stride, width)
+						want.Instr(per)
+					}
+					if g, w := gotEng.rawCounters(), wantEng.rawCounters(); g != w {
+						t.Fatalf("call %d (%d rows of %d bytes at %#x, stride %d): StoreRows %v, row loop %v",
+							i, rows, width, addr, stride, g, w)
+					}
+					if r := got.rawCounters(); bound && r != (Counters{}) {
+						t.Fatalf("call %d: StoreRows charged the router, not the bound engine: %v", i, r)
+					}
+					if gb.Cycles() != wb.Cycles() {
+						t.Fatalf("call %d: binding credited %d cycles, row loop's %d", i, gb.Cycles(), wb.Cycles())
+					}
+					if !slices.Equal(gs.got, ws.got) {
+						t.Fatalf("call %d: sink got %d charges %v,\nrow loop %d charges %v", i, len(gs.got), gs.got, len(ws.got), ws.got)
+					}
+					gs.got, ws.got = gs.got[:0], ws.got[:0]
+				}
+				c := gotEng.rawCounters()
+				if c.DCacheMisses == 0 || c.TLBMisses == 0 || bound && gb.Cycles() == 0 {
+					t.Fatalf("degenerate stream: %v, binding %d cycles", c, gb.Cycles())
+				}
+				if !slices.Equal(gotEng.dcache.tags, wantEng.dcache.tags) || !slices.Equal(gotEng.tlb.pages, wantEng.tlb.pages) {
+					t.Fatal("StoreRows left different lines or pages resident than the row loop")
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkTouch times the engine's inner loop — TLB lookup, cache sets,
 // miss charges — with no system booted around it: accessGen's seeded
 // stream taken through Exec (the I-cache), Read and Copy (the D-cache),
-// one sub-benchmark each on an engine of its own, reported per line
-// touched.  Code fetch and data traffic reward different set
+// and from the same addresses through StoreRows in a framebuffer fill's
+// shape (36 rows of 24 bytes, 640 apart), one sub-benchmark each on an
+// engine of its own, reported per line touched.  Code fetch and data traffic reward different set
 // representations, so a change that trades one for the other shows as
 // one sub-benchmark gaining and another losing.  The loop is sensitive to
 // code alignment, so compare runs of it with benchstat rather than by eye.
@@ -531,6 +613,12 @@ func BenchmarkTouch(b *testing.B) {
 		}},
 		{"read", func(c call) uint64 { return span(c.a, c.n) }, func(e *Engine, c call) { e.Read(c.a, c.n) }},
 		{"copy", func(c call) uint64 { return span(c.a, c.n) + span(c.c, c.n) }, func(e *Engine, c call) { e.Copy(c.a, c.c, c.n) }},
+		{"rows", func(c call) (n uint64) {
+			for r := range uint64(36) {
+				n += span(c.a+r*640, 24)
+			}
+			return n
+		}, func(e *Engine, c call) { e.StoreRows(c.a, 24, 640, 36, 6) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			var lines uint64

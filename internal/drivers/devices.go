@@ -212,25 +212,24 @@ func NewFramebuffer(eng *cpu.Engine, base uint64, w, h int) *Framebuffer {
 // Bounds reports the dimensions.
 func (f *Framebuffer) Bounds() (w, h int) { return f.w, f.h }
 
-// Fill paints a rectangle: pure user-level stores, no kernel involvement.
+// Fill paints a rectangle clipped to the buffer: pure user-level stores,
+// no kernel involvement, charged as one strided loop of rows.
 func (f *Framebuffer) Fill(x, y, w, h int, color byte) {
+	x0, y0, x1, y1 := max(x, 0), max(y, 0), min(x+w, f.w), min(y+h, f.h)
+	if x0 >= x1 || y0 >= y1 {
+		return
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for row := y; row < y+h && row < f.h; row++ {
-		start := row*f.w + x
-		end := start + w
-		if end > (row+1)*f.w {
-			end = (row + 1) * f.w
-		}
-		if start < 0 || start >= len(f.pix) {
-			continue
-		}
-		for i := start; i < end; i++ {
-			f.pix[i] = color
-		}
-		f.eng.Write(f.base+uint64(start), uint64(end-start))
-		f.eng.Instr(uint64(end-start) / 4)
+	first := f.pix[y0*f.w+x0 : y0*f.w+x1]
+	for i := range first {
+		first[i] = color
 	}
+	for row := y0 + 1; row < y1; row++ {
+		copy(f.pix[row*f.w+x0:], first)
+	}
+	width := uint64(x1 - x0)
+	f.eng.StoreRows(f.base+uint64(y0*f.w+x0), width, uint64(f.w), y1-y0, width/4)
 }
 
 // Pixel returns the color at (x, y).

@@ -145,6 +145,55 @@ func TestFramebufferFill(t *testing.T) {
 	if fb.Pixel(63, 47) != 9 {
 		t.Fatal("clipped fill missing")
 	}
+
+	// A rectangle partly or wholly outside the buffer paints exactly its
+	// part inside it, wraps into no neighbouring row, and is charged
+	// exactly the stores of that part: a Write and an Instr per painted
+	// row, nothing for pixels it does not store.
+	const W, H = 64, 8
+	for _, tc := range []struct {
+		name       string
+		x, y, w, h int
+	}{
+		{"inside", 10, 2, 20, 3},
+		{"off right", 70, 0, 4, 2},
+		{"across right", 60, 1, 10, 2},
+		{"off left", -10, 0, 4, 2},
+		{"across left", -4, 2, 8, 1},
+		{"above", 5, -3, 4, 2},
+		{"across top", 5, -1, 4, 3},
+		{"below", 5, 8, 4, 2},
+		{"across bottom", 5, 6, 4, 5},
+		{"over all", -5, -5, 100, 100},
+		{"zero width", 5, 2, 0, 3},
+		{"zero height", 5, 2, 3, 0},
+		{"negative width", 5, 2, -3, 2},
+		{"negative height", 5, 2, 2, -3},
+	} {
+		eng, ref := cpu.NewEngine(cpu.Pentium133()), cpu.NewEngine(cpu.Pentium133())
+		fb := NewFramebuffer(eng, 0xA0000, W, H)
+		fb.Fill(tc.x, tc.y, tc.w, tc.h, 5)
+		for py := 0; py < H; py++ {
+			inY := py >= tc.y && py < tc.y+tc.h
+			var stored uint64
+			for px := 0; px < W; px++ {
+				in := inY && px >= tc.x && px < tc.x+tc.w
+				if got := fb.Pixel(px, py) == 5; got != in {
+					t.Errorf("%s: pixel (%d, %d) painted=%v, inside=%v", tc.name, px, py, got, in)
+				}
+				if in {
+					stored++
+				}
+			}
+			if stored > 0 {
+				ref.Write(0xA0000+uint64(py*W+max(tc.x, 0)), stored)
+				ref.Instr(stored / 4)
+			}
+		}
+		if got, want := eng.Counters(), ref.Counters(); got != want {
+			t.Errorf("%s: charged %v, the painted rows' stores are %v", tc.name, got, want)
+		}
+	}
 }
 
 func TestNICLink(t *testing.T) {

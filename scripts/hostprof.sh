@@ -1,7 +1,10 @@
 #!/bin/sh
-# Host-cost profile of the Table 1 file rows: what the Go simulator spends
-# its CPU on while producing File Intensive 1 and 2, untraced (every
-# observation plane as core.Boot attaches it, none enabled beyond that).
+# Host-cost profile of Table 1 rows: what the Go simulator spends its CPU
+# on while producing them, untraced (every observation plane as core.Boot
+# attaches it, none enabled beyond that).  The optional argument is a
+# regular expression over the row names after BenchmarkTable1_, e.g.
+#   sh scripts/hostprof.sh 'Graphics(Low|Medium|High)'
+# and defaults to File Intensive 1 and 2.
 # Prints the runtime/pprof CPU profile folded by package, then the top
 # functions, so a host-cost change starts from a profile instead of a
 # guess.  Runs in the foreground and exits; everything it writes goes to a
@@ -10,6 +13,7 @@
 # row, WPOS and native) on one P, top 25 functions, so two profiles are
 # comparable; for anything else run `go test -cpuprofile` directly.
 set -eu
+rows=${1:-FileIntensive[12]}
 
 cd "$(dirname "$0")/.."
 mkdir -p .bench_build
@@ -17,7 +21,7 @@ dir=$(mktemp -d "$PWD/.bench_build/hostprof.XXXXXX")
 trap 'rm -rf "$dir"' EXIT
 trap 'exit 1' HUP INT PIPE TERM
 
-GOMAXPROCS=1 go test -timeout 300s -run '^$' -bench 'Table1_FileIntensive[12]$' \
+GOMAXPROCS=1 go test -timeout 300s -run '^$' -bench "Table1_($rows)\$" \
 	-benchtime 20x -cpuprofile "$dir/cpu.pb.gz" -o "$dir/repro.test" . >"$dir/bench.txt" || {
 	cat "$dir/bench.txt"
 	exit 1
