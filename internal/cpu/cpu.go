@@ -96,7 +96,6 @@ type Counters struct {
 	DCacheMisses uint64
 	TLBMisses    uint64
 	Switches     uint64 // address-space switches
-	cpiFrac      uint64 // accumulated hundredths of base cycles
 }
 
 // ProfKind classifies where a charged cycle went.  Every cycle the engine
@@ -392,7 +391,11 @@ type Engine struct {
 	dcache *cache
 	tlb    *tlb
 	ctr    Counters
-	asid   uint64
+	// cpiFrac carries the hundredths of a base cycle that chargeInstr has
+	// not yet added to ctr.Cycles.  It is engine state, not a counter:
+	// two snapshots of ctr compare and subtract without it.
+	cpiFrac uint64
+	asid    uint64
 
 	// prof, when set, receives every charge as it lands (used by
 	// internal/kprof).  Observation-only: the nil check is the entire
@@ -502,14 +505,14 @@ func (e *Engine) Reset() {
 	if e.cx != nil {
 		for _, eng := range e.cx.engines {
 			eng.mu.Lock()
-			eng.ctr = Counters{}
+			eng.ctr, eng.cpiFrac = Counters{}, 0
 			eng.mu.Unlock()
 		}
 		return
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.ctr = Counters{}
+	e.ctr, e.cpiFrac = Counters{}, 0
 }
 
 // ColdStart flushes caches and the TLB and zeroes counters; on the router
@@ -530,7 +533,7 @@ func (e *Engine) coldStartOne() {
 	e.icache.flush()
 	e.dcache.flush()
 	e.tlb.flush()
-	e.ctr = Counters{}
+	e.ctr, e.cpiFrac = Counters{}, 0
 }
 
 // chargeInstr adds n instructions of base pipeline cost.  The profiler is
@@ -538,9 +541,9 @@ func (e *Engine) coldStartOne() {
 // carries in cpiFrac), so profile sums match the counter deltas exactly.
 func (e *Engine) chargeInstr(n uint64) {
 	e.ctr.Instructions += n
-	e.ctr.cpiFrac += n * e.cfg.BaseCPI100
-	whole := e.ctr.cpiFrac / 100
-	e.ctr.cpiFrac %= 100
+	e.cpiFrac += n * e.cfg.BaseCPI100
+	whole := e.cpiFrac / 100
+	e.cpiFrac %= 100
 	e.ctr.Cycles += whole
 	if e.prof != nil {
 		e.prof.ProfCharge(e.slot, e.curRegion, ProfBase, whole, 0, n)

@@ -147,6 +147,23 @@ func TestEngineBaseCPIFraction(t *testing.T) {
 	}
 }
 
+// TestCountersCarryNoRemainder: a counter snapshot is its exported fields
+// alone, so subtracting nothing from it, or comparing it with a copy
+// rebuilt by Sub, gives it back even while a CPI remainder is pending; and
+// Reset drops the remainder with the counters.
+func TestCountersCarryNoRemainder(t *testing.T) {
+	e := NewEngine(Pentium133()) // BaseCPI100 130: one instruction leaves 30 hundredths
+	e.Instr(1)
+	if c := e.Counters(); c != c.Sub(Counters{}) {
+		t.Fatalf("Counters() = %+v, Counters().Sub(zero) = %+v", c, c.Sub(Counters{}))
+	}
+	e.Reset()
+	e.Instr(1)
+	if c := e.Counters().Cycles; c != 1 {
+		t.Fatalf("one instruction after Reset charged %d cycles, want 1", c)
+	}
+}
+
 func TestWorkingSetExceedingICacheMissesEveryPass(t *testing.T) {
 	cfg := Pentium133() // 8 KiB I-cache
 	e := NewEngine(cfg)

@@ -354,6 +354,7 @@ type refEngine struct {
 	asid    uint64
 	region  string
 	ctr     Counters
+	cpiFrac uint64
 	charges []profCharge
 }
 
@@ -370,9 +371,9 @@ func (r *refEngine) charge(kind ProfKind, cycles, bus, instr uint64) {
 
 func (r *refEngine) instr(n uint64) {
 	r.ctr.Instructions += n
-	r.ctr.cpiFrac += n * r.cfg.BaseCPI100
-	whole := r.ctr.cpiFrac / 100
-	r.ctr.cpiFrac %= 100
+	r.cpiFrac += n * r.cfg.BaseCPI100
+	whole := r.cpiFrac / 100
+	r.cpiFrac %= 100
 	r.charge(ProfBase, whole, 0, n)
 }
 

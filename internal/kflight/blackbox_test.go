@@ -55,8 +55,8 @@ func TestEBlackboxCrossServerDeadlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		// Termination closes every thread's abort channel, unwinding the
-		// blocked selects; the goroutines exit with ErrAborted.
+		// Termination wakes every parked wait as aborted, and each port's
+		// death its waiters as closed; the goroutines exit.
 		ping.Terminate()
 		pong.Terminate()
 	})

@@ -31,8 +31,8 @@ func settle(t *testing.T, what string, cond func() bool) {
 }
 
 // Satellite 1: destroying a pool's receive right while a handler is still
-// running must tear the pool down cleanly — every slot dies (Wait
-// returns), the in-flight handler's reply is still delivered, the busy
+// running must tear the pool down cleanly — every slot dies before the
+// destroy returns, the in-flight handler's reply is still delivered, the busy
 // gauge returns to zero, and the pool-occupancy workers gauge drains to
 // zero rather than showing phantom workers forever.
 func TestPoolTeardownOnPortDestroyMidHandler(t *testing.T) {
@@ -93,14 +93,7 @@ func TestPoolTeardownOnPortDestroyMidHandler(t *testing.T) {
 		t.Fatal("in-flight caller still blocked after port destroy")
 	}
 
-	// Every slot must die with the port.
-	waited := make(chan struct{})
-	go func() { pool.Wait(); close(waited) }()
-	select {
-	case <-waited:
-	case <-time.After(2 * time.Second):
-		t.Fatal("pool slots did not die with the port")
-	}
+	// Every slot dies with the port, before the destroy returns.
 	if n := pool.LiveWorkers(); n != 0 {
 		t.Fatalf("LiveWorkers after teardown = %d, want 0", n)
 	}
@@ -410,7 +403,9 @@ func TestPoolBusyFallsBeforeReply(t *testing.T) {
 		}
 		client.Terminate()
 		srv.Terminate()
-		pool.Wait()
+		if n := pool.LiveWorkers(); n != 0 {
+			t.Fatalf("round %d: %d slots alive after the server task died", round, n)
+		}
 		kstat.Detach(k.CPU)
 	}
 }

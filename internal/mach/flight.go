@@ -13,17 +13,20 @@ import (
 // graph's *types and analysis* live in internal/kflight (so the monitor,
 // chaos harness and CLI consume dumps without importing the kernel); the
 // *registration* lives here, because only the kernel knows what a blocked
-// thread is blocked on: a call's wait for a slot and for its reply, a
-// contended kernel lock, and the queued-IPC condition waits, each
-// bracketed by a registration and clearWait, and WaitEdges resolves the
-// registered ports to their owning tasks, and locks to their holders, at
-// snapshot time.  The RPC path builds no record per call: a
-// call stores the pair its thread carries (Thread.waits), re-aimed at the
-// call's port and operation.  A passive server has no thread parked for
-// work, so nothing registers a receive.
+// thread is blocked on.  Every kernel wait parks through one pair
+// (park.go), and park publishes the wait's record for as long as it
+// blocks: a call's wait for a slot, a queued send or receive, a contended
+// kernel lock.  A call's wait for its reply, while its handler runs on
+// its own goroutine, is the one record published without a park.  Serve
+// and a lock's releaser park with no record, so there are five kinds.
+// WaitEdges resolves the registered ports to their owning tasks, and
+// locks to their holders, at snapshot time.  The RPC path builds no
+// record per call: a call stores the pair its thread carries
+// (Thread.waits), re-aimed at the call's port and operation.  A passive
+// server has no thread parked for work, so nothing registers a receive.
 //
 // Registration is always-on and observation-only: one atomic pointer
-// store per blocking point, no cost-model charges, no locks.  The pager
+// store per wait, no cost-model charges, no locks.  The pager
 // never registers — its PageIn/PageOut are synchronous calls inside the
 // faulting thread's kernel entry, so a thread stuck in paging surfaces as
 // the enclosing RPC wait (see DESIGN.md).
@@ -45,14 +48,6 @@ type flightWait struct {
 func (w *flightWait) aim(port *Port, op uint32) {
 	w.port.Store(port)
 	w.op.Store(op)
-}
-
-// setWait registers the thread's current blocking point in a record of
-// its own: the classic queued path's waits.
-func (th *Thread) setWait(kind kflight.WaitKind, port *Port, op uint32) {
-	w := &flightWait{kind: kind}
-	w.aim(port, op)
-	th.wait.Store(w)
 }
 
 // clearWait removes the registration; the thread is running again.

@@ -1,6 +1,8 @@
 package mach
 
 import (
+	"time"
+
 	"repro/internal/cpu"
 	"repro/internal/kflight"
 )
@@ -94,16 +96,17 @@ func (th *Thread) MachMsgSend(dest PortName, msg *Message, opts MsgOption) error
 
 	port.mu.Lock()
 	for len(port.queue) >= port.limit && !port.dead {
-		if opts&MsgSendTimeout != 0 {
-			port.mu.Unlock()
-			k.rti()
-			return ErrQueueFull
-		}
 		// A full-queue block is a real dependency edge: the sender waits
 		// on the receiver draining the queue.
-		th.setWait(kflight.WaitQueueSend, port, uint32(msg.ID))
-		port.notFull.Wait()
-		th.clearWait()
+		err := ErrQueueFull
+		if opts&MsgSendTimeout == 0 {
+			err = th.queueWait(port, &port.senders, kflight.WaitQueueSend, uint32(msg.ID))
+		}
+		if err != nil {
+			port.mu.Unlock()
+			k.rti()
+			return err
+		}
 	}
 	if port.dead {
 		port.mu.Unlock()
@@ -113,7 +116,7 @@ func (th *Thread) MachMsgSend(dest PortName, msg *Message, opts MsgOption) error
 	port.seqno++
 	m.Seq = port.seqno
 	port.queue = append(port.queue, m)
-	port.notEmpty.Signal()
+	port.receivers.next(nil)
 	port.mu.Unlock()
 
 	if entry.typ == RightSendOnce {
@@ -150,18 +153,14 @@ func (th *Thread) MachMsgReceive(recvName PortName, opts MsgOption) (*Message, e
 
 	port.mu.Lock()
 	for len(port.queue) == 0 && !port.dead {
-		if opts&MsgRcvTimeout != 0 {
-			port.mu.Unlock()
-			k.rti()
-			return nil, ErrTimeout
+		err := ErrTimeout
+		if opts&MsgRcvTimeout == 0 {
+			err = th.queueWait(port, &port.receivers, kflight.WaitQueueRecv, 0)
 		}
-		th.setWait(kflight.WaitQueueRecv, port, 0)
-		aborted := waitOrAbort(port, th)
-		th.clearWait()
-		if aborted {
+		if err != nil {
 			port.mu.Unlock()
 			k.rti()
-			return nil, ErrAborted
+			return nil, err
 		}
 	}
 	if port.dead && len(port.queue) == 0 {
@@ -171,7 +170,7 @@ func (th *Thread) MachMsgReceive(recvName PortName, opts MsgOption) (*Message, e
 	}
 	m := port.queue[0]
 	port.queue = port.queue[1:]
-	port.notFull.Signal()
+	port.senders.next(nil)
 	port.mu.Unlock()
 
 	// The receiver runs in its own space now.
@@ -217,33 +216,24 @@ func (th *Thread) MachMsgReceive(recvName PortName, opts MsgOption) (*Message, e
 	return m, nil
 }
 
-// waitOrAbort waits on the port's notEmpty condition but also honors
-// thread termination.  Returns true if the thread was aborted.  The port
-// mutex is held on entry and on return.
-func waitOrAbort(port *Port, th *Thread) bool {
-	th.mu.Lock()
-	dead := th.dead
-	th.mu.Unlock()
-	if dead {
-		return true
+// queueWait parks th on q, one of port's queue waits, until a waker says
+// the queue may have changed (nil) or th is terminated (ErrAborted).
+// port.mu is held on entry and on return; the caller looks again.
+func (th *Thread) queueWait(port *Port, q *waitq, kind kflight.WaitKind, op uint32) error {
+	pk, err := q.enqueue(th, nil, false)
+	if err != nil {
+		return err
 	}
-	// Arrange a wakeup if the thread dies while we wait.
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-th.abort:
-			port.mu.Lock()
-			port.notEmpty.Broadcast()
-			port.mu.Unlock()
-		case <-done:
-		}
-	}()
-	port.notEmpty.Wait()
-	close(done)
-	th.mu.Lock()
-	dead = th.dead
-	th.mu.Unlock()
-	return dead
+	port.mu.Unlock()
+	w := &flightWait{kind: kind}
+	w.aim(port, op)
+	why := pk.park(th, w, time.Time{})
+	port.mu.Lock()
+	if why == aborted {
+		q.drop(pk)
+		return ErrAborted
+	}
+	return nil
 }
 
 // MachRPC is a full classic round trip: allocate (or reuse) a reply port,

@@ -9,12 +9,13 @@ import (
 
 // TestLedgerParentsUnderPools gates the exactness of the latency plane's
 // parent links where it is hardest: four pooled front-end workers each
-// making a nested call through ONE shared bound thread, all at once (the
-// thread cannot name the parent and neither can the task — only the
-// handler holding the request message can, so each call carries it),
-// while four clients call the same back end directly and a fifth
-// front-end worker nests calls through the same shared thread naming
-// nothing.  Every request carries a unique operation selector, so every
+// making a nested call through whichever bound proxy thread of a shared
+// set is free, all at once (a proxy cannot name the parent and neither
+// can the task — only the handler holding the request message can, so
+// each call carries it; a thread is driven by one goroutine at a time,
+// so the proxies are lent, not shared), while four clients call the same
+// back end directly and a fifth front-end worker nests calls through the
+// same proxies naming nothing.  Every request carries a unique operation selector, so every
 // family retains its one request in full and the dump can be checked hop
 // by hop: each nested hop hangs under its own server's hop, no client
 // call is linked under someone else's request, and what the fifth worker
@@ -44,10 +45,20 @@ func TestLedgerParentsUnderPools(t *testing.T) {
 	front := k.NewTask("front")
 	defer front.Terminate()
 	toBack, _ := front.InsertRight(back, backPort, DispMakeSend)
-	shared, _ := front.NewBoundThread("diskio")
+	proxies := make(chan *Thread, clients+1)
+	for range clients + 1 {
+		th, _ := front.NewBoundThread("diskio")
+		proxies <- th
+	}
+	nested := func(m *Message, opts CallOpts) error {
+		th := <-proxies
+		defer func() { proxies <- th }()
+		_, err := th.Call(toBack, &Message{ID: nestedOp | m.ID}, opts)
+		return err
+	}
 	frontPort, _ := front.AllocatePort()
 	if _, err := front.ServePool("svc", frontPort, clients, func(m *Message) *Message {
-		if _, err := shared.Call(toBack, &Message{ID: nestedOp | m.ID}, CallOpts{Parent: m}); err != nil {
+		if err := nested(m, CallOpts{Parent: m}); err != nil {
 			t.Errorf("nested call: %v", err)
 		}
 		return &Message{ID: m.ID}
@@ -56,7 +67,7 @@ func TestLedgerParentsUnderPools(t *testing.T) {
 	}
 	loosePort, _ := front.AllocatePort()
 	if _, err := front.ServePool("loose", loosePort, 1, func(m *Message) *Message {
-		if _, err := shared.Call(toBack, &Message{ID: nestedOp | m.ID}, CallOpts{}); err != nil {
+		if err := nested(m, CallOpts{}); err != nil {
 			t.Errorf("unnamed nested call: %v", err)
 		}
 		return &Message{ID: m.ID}

@@ -2,6 +2,7 @@ package mach
 
 import (
 	"sync"
+	"time"
 
 	"repro/internal/kflight"
 )
@@ -35,14 +36,10 @@ type Lock struct {
 	mu     sync.Mutex // guards what follows; held across no call
 	held   bool
 	holder *Thread
-	queue  []lockWaiter // first come, first served
-}
-
-// lockWaiter is one blocked acquirer: its thread, and the channel its
-// handoff arrives on.
-type lockWaiter struct {
-	th   *Thread
-	turn chan struct{}
+	queue  waitq // first come, first served
+	// handoff is the releaser parked until the holder it handed the lock
+	// to runs.
+	handoff *parker
 }
 
 // NewLock makes a free lock; name labels its waits in the wait-for graph
@@ -51,7 +48,7 @@ func NewLock(name string) *Lock { return &Lock{name: name} }
 
 // Acquire takes l for req, the request the caller serves; nil (boot, a
 // harness) names no thread and no ledger.  Every Acquire needs its
-// Release.
+// Release.  A wait for the lock ends only when it is handed over.
 func (l *Lock) Acquire(req *Message) {
 	th := req.server()
 	l.mu.Lock()
@@ -60,20 +57,23 @@ func (l *Lock) Acquire(req *Message) {
 		l.mu.Unlock()
 		return
 	}
-	w := lockWaiter{th: th, turn: make(chan struct{})}
-	l.queue = append(l.queue, w)
+	p := th.parker()
+	p.arm(th, false)
+	l.queue = append(l.queue, waiter{p: p, th: th})
 	l.mu.Unlock()
 
+	var w *flightWait
 	if th != nil {
-		fw := &flightWait{kind: kflight.WaitKernelLock, lock: l}
-		fw.op.Store(uint32(req.ID))
-		th.wait.Store(fw)
+		w = &flightWait{kind: kflight.WaitKernelLock, lock: l}
+		w.op.Store(uint32(req.ID))
 	}
-	req.Hop().Wait(l.name, func() { <-w.turn })
-	if th != nil {
-		th.clearWait()
-	}
-	w.turn <- struct{}{} // running: the releaser may go on
+	req.Hop().Wait(l.name, func() { p.park(th, w, time.Time{}) })
+	// Running: the releaser may go on.
+	l.mu.Lock()
+	r := l.handoff
+	l.handoff = nil
+	l.mu.Unlock()
+	r.wake(granted)
 }
 
 // Release hands l to its longest waiter, or frees it.
@@ -84,13 +84,13 @@ func (l *Lock) Release() {
 		l.mu.Unlock()
 		return
 	}
-	w := l.queue[0]
-	l.queue[0] = lockWaiter{}
-	l.queue = l.queue[1:]
+	r := l.holder.parker()
+	r.arm(l.holder, false)
+	l.handoff = r
+	w, _ := l.queue.next(nil) // a lock wait takes the first grant
 	l.holder = w.th
 	l.mu.Unlock()
-	w.turn <- struct{}{}
-	<-w.turn
+	r.park(nil, nil, time.Time{})
 }
 
 // holding returns the thread holding l, for the wait-for graph.

@@ -13,6 +13,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/kflight"
 	"repro/internal/mach"
+	"repro/internal/workload"
 )
 
 // The passive-server contract: a call runs its handler on the caller's
@@ -64,6 +65,62 @@ func TestPassiveNoServerGoroutines(t *testing.T) {
 	}
 	for _, h := range hs {
 		p.DosClose(h)
+	}
+}
+
+// TestQueueReceiveStartsNoGoroutine: a classic receive blocked on an empty
+// queue parks its own goroutine and starts none beside it.
+func TestQueueReceiveStartsNoGoroutine(t *testing.T) {
+	k := mach.New(cpu.Pentium133())
+	srv := k.NewTask("server")
+	t.Cleanup(srv.Terminate)
+	recv, _ := srv.AllocatePort()
+	th, _ := srv.NewBoundThread("receiver")
+	before := goroutines()
+	done := make(chan error, 1)
+	go func() {
+		_, err := th.MachMsgReceive(recv, mach.MsgRcv)
+		done <- err
+	}()
+	for len(k.WaitEdges()) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if n := goroutines() - before; n > 1 {
+		t.Errorf("a blocked receive runs %d goroutines, want 1 (its own)", n)
+	}
+	th.Terminate()
+	if err := <-done; !errors.Is(err, mach.ErrAborted) {
+		t.Fatalf("terminated receive returned %v, want ErrAborted", err)
+	}
+}
+
+// TestFileServeThreadsExit: on the pool-1 paper system every open file is
+// served by a thread of its own, spawned to park in Serve.  After File
+// Intensive 1's opens and closes, and with one file left open,
+// terminating every task leaves no goroutine behind.
+func TestFileServeThreadsExit(t *testing.T) {
+	before := goroutines()
+	cfg := core.DefaultConfig()
+	cfg.ServerPool = 1
+	s, err := core.Boot(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := workload.Run(workload.FileIntensive1, s.WorkloadEnv()); err != nil {
+		t.Fatal(err)
+	}
+	p, err := s.OS2.CreateProcess("opener")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, e := p.DosOpen("/LEFT.TXT", true, true); e != 0 {
+		t.Fatalf("DosOpen: %v", e)
+	}
+	for _, task := range s.Kernel.Tasks() {
+		task.Terminate()
+	}
+	if after := goroutines(); after > before {
+		t.Errorf("%d goroutines before the boot, %d after every task died", before, after)
 	}
 }
 

@@ -2,6 +2,7 @@ package mach
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -29,12 +30,6 @@ type ServerPool struct {
 	name    string
 	handler func(PortName, *Message) *Message
 
-	// idle holds the free slots.  Its capacity is twice the slot count:
-	// besides one live slot per index it may hold, per index, the one
-	// killed slot still there or on its way back, which takers drop and
-	// RespawnWorker purges.
-	idle chan *slot
-
 	// vtp is the pool's virtual capacity on multi-engine kernels: its
 	// slots' bursts serialize on these interchangeable virtual servers
 	// (one per slot unless capped by LimitVirtualServers) rather than on
@@ -49,6 +44,15 @@ type ServerPool struct {
 	mu      sync.Mutex
 	slots   []*slot // slot i's current thread, nil for Thread.Serve
 	spawned int     // monotonic name counter across respawns
+	// idle holds the free slots, first freed first taken; a killed slot
+	// still there is dropped by its taker or by RespawnWorker.  waiters
+	// are the callers parked for a slot: a freed slot goes straight to
+	// the first of them.  retired is set once the port or set died.
+	idle    []*slot
+	waiters waitq
+	retired bool
+	// server is the thread parked in Serve, for its registration.
+	server *Thread
 }
 
 // slot is one server thread of a pool, and what a call through it
@@ -99,7 +103,7 @@ func (t *Task) ServeSetPool(name string, ps *PortSet, n int, h func(port PortNam
 func (t *Task) servePool(name string, n int, h func(PortName, *Message) *Message, register func(*ServerPool) error) (*ServerPool, error) {
 	n = max(n, 1)
 	p := &ServerPool{
-		task: t, name: name, handler: h, idle: make(chan *slot, 2*n),
+		task: t, name: name, handler: h, idle: make([]*slot, 0, n),
 		ops: make([]atomic.Uint64, n), slots: make([]*slot, n), vtp: newVTPool(n),
 	}
 	fam := "mach.pool." + t.name + "/" + name
@@ -140,34 +144,58 @@ func (p *ServerPool) spawnSlot(idx int) error {
 	th.poolVT = p.vtp
 	s := &slot{th: th, idx: idx, frame: "serve:" + p.task.name + "/" + th.name}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.slots[idx] = s
-	p.mu.Unlock()
 	// Drop the killed slots still waiting to be taken, so that killing
-	// and respawning without traffic never fills idle.
-	for range len(p.idle) {
-		select {
-		case old := <-p.idle:
-			p.free(old)
-		default:
+	// and respawning without traffic never grows idle.
+	p.idle = slices.DeleteFunc(p.idle, func(old *slot) bool { return old.th.Dead() })
+	p.give(s)
+	return nil
+}
+
+// idleSlot takes the first live idle slot; p.mu is held.
+func (p *ServerPool) idleSlot() *slot {
+	for len(p.idle) > 0 {
+		s := p.idle[0]
+		p.idle = slices.Delete(p.idle, 0, 1)
+		if !s.th.Dead() {
+			return s
 		}
 	}
-	p.idle <- s
 	return nil
 }
 
 // free returns a slot after its call; a killed slot is not returned.
 func (p *ServerPool) free(s *slot) {
-	if !s.th.Dead() {
-		p.idle <- s
+	if s.th.Dead() {
+		return
+	}
+	p.mu.Lock()
+	p.give(s)
+	p.mu.Unlock()
+}
+
+// give hands s to the first parked caller, or makes it idle; p.mu is held.
+func (p *ServerPool) give(s *slot) {
+	if _, ok := p.waiters.next(s); !ok {
+		p.idle = append(p.idle, s)
 	}
 }
 
-// retire kills every slot of a pool whose port or set died; nil-safe.
-// A handler already running completes and its reply is delivered.
+// retire ends a pool whose port or set died; nil-safe.  Its parked
+// callers, and a thread parked in Serve, wake as closed; then every slot
+// dies.  A handler already running completes and its reply is delivered.
 func (p *ServerPool) retire() {
 	if p == nil {
 		return
 	}
+	p.mu.Lock()
+	p.retired = true
+	p.waiters.wake(nil, closed)
+	if p.server != nil {
+		p.server.own.wake(closed)
+	}
+	p.mu.Unlock()
 	for _, th := range p.snapshot() {
 		th.terminate()
 	}
@@ -212,13 +240,6 @@ func (p *ServerPool) WorkerOps() []uint64 {
 func (p *ServerPool) Stop() {
 	for _, th := range p.snapshot() {
 		th.Terminate()
-	}
-}
-
-// Wait blocks until every slot's thread has died.
-func (p *ServerPool) Wait() {
-	for _, th := range p.snapshot() {
-		<-th.Done()
 	}
 }
 

@@ -50,23 +50,21 @@ type Port struct {
 	dead     bool
 	recvTask *Task // task holding the receive right (nil if dead)
 
-	notEmpty *sync.Cond // receivers wait here (queued IPC)
-	notFull  *sync.Cond // senders wait here (queued IPC)
+	// senders and receivers wait for queue room and for a message
+	// (queued IPC).
+	senders, receivers waitq
 
 	// seqno counts delivered messages, for tests and debugging.
 	seqno uint64
 
-	// closed is closed when the port dies.
-	closed chan struct{}
-
 	// The reworked RPC path's dispatch: the pool whose slots run the
 	// port's calls (ServePool, Serve), or the port set whose pool does;
-	// name is the receive right's name the handler is given.  ready,
-	// made by a caller that found neither, is closed when one is set.
-	pool  *ServerPool
-	set   *PortSet
-	name  PortName
-	ready chan struct{}
+	// name is the receive right's name the handler is given.  callers
+	// wait while the port has neither.
+	pool    *ServerPool
+	set     *PortSet
+	name    PortName
+	callers waitq
 }
 
 // DefaultQueueLimit is the default depth of a port's message queue in the
@@ -74,10 +72,7 @@ type Port struct {
 const DefaultQueueLimit = 5
 
 func newPort(id uint64) *Port {
-	p := &Port{id: id, limit: DefaultQueueLimit, closed: make(chan struct{})}
-	p.notEmpty = sync.NewCond(&p.mu)
-	p.notFull = sync.NewCond(&p.mu)
-	return p
+	return &Port{id: id, limit: DefaultQueueLimit}
 }
 
 // ID returns the kernel-internal identity of the port (not visible to
@@ -92,12 +87,13 @@ func (p *Port) SetQueueLimit(n int) {
 		n = 1
 	}
 	p.limit = n
-	p.notFull.Broadcast()
+	p.senders.wake(nil, granted)
 }
 
-// destroy marks the port dead and wakes all waiters: queued-IPC waiters,
-// callers waiting for a slot (ErrDeadPort), and the pool registered on
-// the port, whose slots die with it.
+// destroy marks the port dead and wakes all its waiters as closed:
+// queued-IPC waiters, callers waiting for a server or a slot, and a
+// thread parked in Serve on it.  The pool registered on the port dies
+// with it.
 func (p *Port) destroy() {
 	p.mu.Lock()
 	if p.dead {
@@ -107,11 +103,14 @@ func (p *Port) destroy() {
 	p.dead = true
 	p.queue = nil
 	p.recvTask = nil
-	p.notEmpty.Broadcast()
-	p.notFull.Broadcast()
-	close(p.closed)
-	pool := p.pool
+	p.senders.wake(nil, closed)
+	p.receivers.wake(nil, closed)
+	p.callers.wake(nil, closed)
+	pool, set := p.pool, p.set
 	p.mu.Unlock()
+	if set != nil {
+		set.abandon(p)
+	}
 	pool.retire()
 }
 
@@ -119,27 +118,41 @@ func (p *Port) destroy() {
 type route struct {
 	pool *ServerPool // nil while nothing serves the port
 	name PortName    // the handler's name for the port
-	// wake is closed when a pool may have registered (pool nil only).
-	wake <-chan struct{}
-	// closed and gone fail the wait: the port died, its set was destroyed.
-	closed, gone <-chan struct{}
 	// pend is the set's pending gauge family ("" outside a set).
 	pend string
+	// q is the queue a call that found no free slot waits on, mu its
+	// owner's mutex.
+	q  *waitq
+	mu *sync.Mutex
 }
 
-// route resolves the port's dispatch for one call.
-func (p *Port) route() route {
+// take resolves the port's dispatch for one call by th and takes a free
+// slot of its pool.  With none free, or nothing serving the port yet, it
+// queues th's wait where the grant will come from — the pool's next free
+// slot, the port or its set gaining a server — and returns its parker.
+func (p *Port) take(th *Thread) (*slot, route, *parker, error) {
 	p.mu.Lock()
-	r := route{pool: p.pool, name: p.name, closed: p.closed}
-	set := p.set
-	if set == nil && r.pool == nil {
-		r.wake = awaitReady(&p.ready)
+	r := route{pool: p.pool, name: p.name, q: &p.callers, mu: &p.mu}
+	dead := p.dead
+	if ps := p.set; ps != nil {
+		p.mu.Unlock()
+		ps.mu.Lock()
+		r.pool, r.pend, r.q, r.mu = ps.pool, ps.pendFam, &ps.callers, &ps.mu
+		dead = ps.dead || p.Dead()
 	}
-	p.mu.Unlock()
-	if set != nil {
-		set.route(&r)
+	if r.pool != nil {
+		r.mu.Unlock()
+		r.q, r.mu = &r.pool.waiters, &r.pool.mu
+		r.mu.Lock()
+		if s := r.pool.idleSlot(); s != nil {
+			r.mu.Unlock()
+			return s, r, nil, nil
+		}
+		dead = r.pool.retired || p.Dead()
 	}
-	return r
+	defer r.mu.Unlock()
+	pk, err := r.q.enqueue(th, p, dead)
+	return nil, r, pk, err
 }
 
 // serve registers pool as the port's server under the handler's name n.
@@ -153,25 +166,8 @@ func (p *Port) serve(pool *ServerPool, n PortName) error {
 		return ErrRightExists
 	}
 	p.pool, p.name = pool, n
-	closeReady(&p.ready)
+	p.callers.wake(nil, granted)
 	return nil
-}
-
-// awaitReady returns the channel a caller that found nothing serving a
-// port waits on, making it for the first such caller; closeReady
-// releases them all once a server is there.  The owner's mutex is held.
-func awaitReady(ready *chan struct{}) <-chan struct{} {
-	if *ready == nil {
-		*ready = make(chan struct{})
-	}
-	return *ready
-}
-
-func closeReady(ready *chan struct{}) {
-	if *ready != nil {
-		close(*ready)
-		*ready = nil
-	}
 }
 
 // receiverTask returns the task holding the receive right.

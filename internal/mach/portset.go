@@ -20,14 +20,10 @@ type PortSet struct {
 	members map[*Port]PortName
 	dead    bool
 
-	// deadCh is closed by Destroy so callers waiting for a slot of the
-	// set unwind with ErrDeadPort instead of hanging.
-	deadCh chan struct{}
-
-	// pool serves the set (ServeSetPool); ready, made by a caller that
-	// found no pool yet, is closed when one registers.
-	pool  *ServerPool
-	ready chan struct{}
+	// pool serves the set (ServeSetPool); callers of its members wait
+	// while it has none.
+	pool    *ServerPool
+	callers waitq
 
 	// pendFam is the kstat queue-depth gauge: callers waiting for a slot
 	// of the set.
@@ -50,7 +46,6 @@ func (t *Task) AllocatePortSet() (*PortSet, error) {
 		id:      id,
 		task:    t,
 		members: make(map[*Port]PortName),
-		deadCh:  make(chan struct{}),
 		pendFam: fmt.Sprintf("mach.portset.%s/%d.pending", t.name, id),
 	}, nil
 }
@@ -84,19 +79,9 @@ func (ps *PortSet) AddMember(n PortName) error {
 	ps.mu.Unlock()
 	port.mu.Lock()
 	port.set, port.name = ps, n
-	closeReady(&port.ready)
+	port.callers.wake(nil, granted)
 	port.mu.Unlock()
 	return nil
-}
-
-// route fills in the set's half of a member port's dispatch.
-func (ps *PortSet) route(r *route) {
-	ps.mu.Lock()
-	r.pool, r.gone, r.pend = ps.pool, ps.deadCh, ps.pendFam
-	if r.pool == nil {
-		r.wake = awaitReady(&ps.ready)
-	}
-	ps.mu.Unlock()
 }
 
 // serve registers pool as the set's server.
@@ -110,8 +95,22 @@ func (ps *PortSet) serve(pool *ServerPool) error {
 		return ErrRightExists
 	}
 	ps.pool = pool
-	closeReady(&ps.ready)
+	ps.callers.wake(nil, granted)
 	return nil
+}
+
+// abandon wakes, as closed, the callers of the dead member port p waiting
+// for the set's server or for a slot of its pool.
+func (ps *PortSet) abandon(p *Port) {
+	ps.mu.Lock()
+	ps.callers.wake(p, closed)
+	pool := ps.pool
+	ps.mu.Unlock()
+	if pool != nil {
+		pool.mu.Lock()
+		pool.waiters.wake(p, closed)
+		pool.mu.Unlock()
+	}
 }
 
 // RemoveMember takes a port out of the set; nothing serves it until a
@@ -149,10 +148,8 @@ func (ps *PortSet) Members() int {
 // with ErrDeadPort, and the set's pool retires.
 func (ps *PortSet) Destroy() {
 	ps.mu.Lock()
-	if !ps.dead {
-		ps.dead = true
-		close(ps.deadCh)
-	}
+	ps.dead = true
+	ps.callers.wake(nil, closed)
 	ps.members = make(map[*Port]PortName)
 	pool := ps.pool
 	ps.mu.Unlock()

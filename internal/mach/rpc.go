@@ -116,18 +116,12 @@ func (th *Thread) CallV(dest PortName, reqs []*Message, opts CallOpts) ([]*Messa
 	return out.batch, nil
 }
 
-// rpcCall arms the optional deadline and runs the shared client path
-// inside the call's record (see Call).
+// rpcCall runs the shared client path inside the call's record (see
+// Call).
 func (th *Thread) rpcCall(dest PortName, req *Message, opts CallOpts) rpcOutcome {
-	var deadline <-chan time.Time
-	if opts.Timeout > 0 {
-		timer := time.NewTimer(opts.Timeout)
-		defer timer.Stop()
-		deadline = timer.C
-	}
 	ps := th.task.kernel.CPU.Planes()
 	if !ps.Wants(cpu.EvRPC) {
-		return th.rpcCallRaw(dest, req, nil, deadline)
+		return th.rpcCallRaw(dest, req, nil, opts.Timeout)
 	}
 	// Charge-free destination-server lookup: the record names the peer.
 	srv := ""
@@ -142,7 +136,7 @@ func (th *Thread) rpcCall(dest PortName, req *Message, opts CallOpts) rpcOutcome
 	}
 	rec := ps.Open(cpu.Event{Type: cpu.EvRPC, Subsystem: "mach.rpc", Name: srv, Arg: uint64(req.ID),
 		Width: len(req.batch), Bytes: copiedBytes(req), Mapped: regionBytes(req), Req: of}, req.rec)
-	out := th.rpcCallRaw(dest, req, rec, deadline)
+	out := th.rpcCallRaw(dest, req, rec, opts.Timeout)
 	var end cpu.Event
 	if out.err != nil {
 		end.Err = out.err.Error()
@@ -208,8 +202,8 @@ type rpcOutcome struct {
 }
 
 // rpcCallRaw is the shared client path; rec is the call's record, nil
-// when nothing observes calls.  A nil deadline channel never fires.
-func (th *Thread) rpcCallRaw(dest PortName, req *Message, rec *cpu.Span, deadline <-chan time.Time) rpcOutcome {
+// when nothing observes calls, and timeout bounds the slot wait (0: none).
+func (th *Thread) rpcCallRaw(dest PortName, req *Message, rec *cpu.Span, timeout time.Duration) rpcOutcome {
 	k := th.task.kernel
 	if err := req.sendable(); err != nil {
 		return rpcOutcome{err: err}
@@ -265,20 +259,17 @@ func (th *Thread) rpcCallRaw(dest PortName, req *Message, rec *cpu.Span, deadlin
 	k.CPU.Exec(k.paths.schedule)
 
 	// The client blocks for a slot: its burst ends here.  Both waits —
-	// for a slot, then for the reply while the handler runs — register
-	// with the flight recorder's wait-for graph; the deferred clear
-	// covers every return path.
+	// parked for a slot, then for the reply while the handler runs —
+	// register with the flight recorder's wait-for graph.
 	th.waits[0].aim(port, uint32(req.ID))
 	th.waits[1].aim(port, uint32(req.ID))
 	release()
-	defer th.clearWait()
 
 	// Send done: the send burst is fully charged; cycles from here to the
 	// slot claim are the call's queue-wait.
 	rec.Stamp(cpu.PhaseSent, "", 0)
 
-	th.wait.Store(&th.waits[0])
-	s, r, err := th.claim(port, deadline)
+	s, r, err := th.claim(port, timeout)
 	if err != nil {
 		return rpcOutcome{err: err}
 	}
@@ -316,46 +307,35 @@ func (th *Thread) rpcCallRaw(dest PortName, req *Message, rec *cpu.Span, deadlin
 // it, returning the port's route: the pool and the handler's name for the
 // port.  It fails with ErrDeadPort when the port dies or its set is
 // destroyed, with ErrAborted when th is terminated, and with ErrTimeout
-// at the deadline.  A call to a port nothing serves yet waits for a
-// server to register.  A killed slot still waiting to be taken is
-// dropped.
-func (th *Thread) claim(port *Port, deadline <-chan time.Time) (*slot, route, error) {
+// once timeout (0: none) has passed since it first parked.  A call to a
+// port nothing serves yet waits for a server to register.  A killed slot
+// still waiting to be taken is dropped.
+func (th *Thread) claim(port *Port, timeout time.Duration) (*slot, route, error) {
+	var deadline time.Time
 	for {
-		r := port.route()
-		var idle chan *slot
-		if r.pool != nil {
-			idle = r.pool.idle
+		s, r, pk, err := port.take(th)
+		if pk == nil {
+			return s, r, err
 		}
-		var s *slot
-		select {
-		case s = <-idle:
-		default:
-			// Every slot is busy, or nothing serves the port yet.  A port
-			// set's pending gauge counts its callers waiting here.
-			var pending *kstat.Gauge
-			if r.pend != "" {
-				pending = kstat.For(th.task.kernel.CPU).Gauge(r.pend)
-				pending.Inc()
-			}
-			var err error
-			select {
-			case s = <-idle:
-			case <-r.wake:
-			case <-r.closed:
-				err = ErrDeadPort
-			case <-r.gone:
-				err = ErrDeadPort
-			case <-th.abort:
-				err = ErrAborted
-			case <-deadline:
-				err = ErrTimeout
-			}
-			pending.Dec()
-			if err != nil {
-				return nil, r, err
-			}
+		// Every slot is busy, or nothing serves the port yet.  A port
+		// set's pending gauge counts its callers waiting here.
+		if timeout > 0 && deadline.IsZero() {
+			deadline = time.Now().Add(timeout)
 		}
-		if s != nil && !s.th.Dead() {
+		var pending *kstat.Gauge
+		if r.pend != "" {
+			pending = kstat.For(th.task.kernel.CPU).Gauge(r.pend)
+			pending.Inc()
+		}
+		why := pk.park(th, &th.waits[0], deadline)
+		pending.Dec()
+		if why != granted {
+			r.mu.Lock()
+			r.q.drop(pk)
+			r.mu.Unlock()
+			return nil, r, why.err()
+		}
+		if s := pk.slot; s != nil && !s.th.Dead() {
 			return s, r, nil
 		}
 	}
@@ -409,7 +389,11 @@ func (p *ServerPool) serve(s *slot, port *Port, name PortName, caller *Thread) r
 	}
 	sp := ps.Open(cpu.Event{Type: cpu.EvRPCServe, Subsystem: "mach.rpc", Name: s.frame,
 		Arg: uint64(req.ID), Req: req.rec}, req.rec)
+	// The handler runs on the caller's goroutine: waits made as the
+	// slot's thread park the caller's parker until the slot is freed.
+	s.th.pk.Store(caller.pk.Load())
 	out := p.reply(s, s.handle(name, p.handler), caller, rel, busy)
+	s.th.pk.Store(&s.th.own)
 	sp.End()
 	if p.opsFam != "" {
 		st.Counter(p.opsFam).Inc()
@@ -599,10 +583,11 @@ func (p *Port) receiverASID() uint64 {
 type Handler func(*Message) *Message
 
 // Serve makes th the one slot of a server on the named receive right:
-// each call to the port runs h under th's identity.  It blocks until the
-// thread or the port dies and returns ErrAborted or ErrDeadPort; a port
-// already served fails with ErrRightExists.  This is the "optimized and
-// simplified ... server loop" of the rework, reduced to a registration.
+// each call to the port runs h under th's identity.  It parks th's own
+// goroutine until the port or the thread dies and returns ErrDeadPort or
+// ErrAborted; a port already served fails with ErrRightExists.  This is
+// the "optimized and simplified ... server loop" of the rework, reduced
+// to a registration.
 func (th *Thread) Serve(recvName PortName, h Handler) error {
 	port, _, err := th.task.portFor(recvName, RightReceive)
 	if err != nil {
@@ -611,18 +596,23 @@ func (th *Thread) Serve(recvName PortName, h Handler) error {
 	if port.receiverTask() != th.task {
 		return ErrNotReceiver
 	}
-	p := &ServerPool{task: th.task, idle: make(chan *slot, 1),
+	p := &ServerPool{task: th.task, server: th,
+		idle:    []*slot{{th: th, frame: "serve:" + th.task.name}},
 		handler: func(_ PortName, m *Message) *Message { return h(m) }}
-	p.idle <- &slot{th: th, frame: "serve:" + th.task.name}
-	if err := port.serve(p, recvName); err != nil {
-		return err
-	}
-	select {
-	case <-port.closed:
-		return ErrDeadPort
-	case <-th.abort:
+	// Armed before it registers, so the port's death cannot slip by.
+	if !th.own.arm(th, true) {
 		return ErrAborted
 	}
+	if err := port.serve(p, recvName); err != nil {
+		th.own.wake(granted)
+		th.own.park(th, nil, time.Time{}) // withdraw the wait
+		return err
+	}
+	why := th.own.park(th, nil, time.Time{})
+	p.mu.Lock()
+	p.server = nil
+	p.mu.Unlock()
+	return why.err()
 }
 
 // cloneForDelivery copies a header the kernel cannot deliver as it is

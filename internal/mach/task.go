@@ -128,7 +128,8 @@ func (t *Task) String() string {
 
 // Thread is a Mach thread.  Simulated threads are backed by goroutines,
 // except a server pool's slots, which run on their callers'; all
-// performance numbers come from the cost model, not the Go scheduler.
+// performance numbers come from the cost model, not the Go scheduler.  A
+// thread is driven by one goroutine at a time, so it waits in one place.
 type Thread struct {
 	task *Task
 	id   ThreadID
@@ -136,10 +137,14 @@ type Thread struct {
 
 	mu       sync.Mutex
 	dead     bool
-	doneCh   chan struct{}
 	selfPort *Port
 	selfName PortName
-	abort    chan struct{}
+
+	// own is the parker the thread's own goroutine blocks on; pk is the
+	// one its waits block on now: own, or while a call borrows the
+	// thread's slot, the caller's (park.go).
+	own parker
+	pk  atomic.Pointer[parker]
 
 	// lastEng is the engine this thread's previous burst ran on — the
 	// scheduler's affinity hint, and the reference that makes a resume
@@ -182,8 +187,8 @@ type Thread struct {
 
 	// wait is the thread's registered blocking point (nil while running):
 	// the structural-introspection hook behind the kflight wait-for
-	// graph.  Written by the thread around its own blocking selects, read
-	// by Kernel.WaitEdges from any goroutine.
+	// graph.  Written by the thread around its own waits, read by
+	// Kernel.WaitEdges from any goroutine.
 	wait atomic.Pointer[flightWait]
 
 	// waits are the thread's RPC wait records, for a slot then for the
@@ -202,7 +207,8 @@ type Thread struct {
 // for whichever request it is serving, like the file server's diskio —
 // is told its parent by the handler that holds the message.  The thread
 // does not arbitrate: its owner admits one request at a time; callers
-// sharing a thread without such an owner use CallOpts.Parent instead.
+// lending a thread among themselves without such an owner use
+// CallOpts.Parent instead.
 // A nil thread, request or ledger names nothing.
 func (th *Thread) ActFor(req *Message) {
 	if th != nil {
@@ -288,14 +294,9 @@ func (t *Task) newThread(name string, exit func()) (*Thread, error) {
 	id := k.nextThread
 	k.nextThread++
 	k.mu.Unlock()
-	th := &Thread{
-		task:   t,
-		id:     id,
-		name:   name,
-		doneCh: make(chan struct{}),
-		abort:  make(chan struct{}),
-		exit:   exit,
-	}
+	th := &Thread{task: t, id: id, name: name, exit: exit}
+	th.own.woke = make(chan wakeReason, 1)
+	th.pk.Store(&th.own)
 	th.waits[0].kind = kflight.WaitRendezvous
 	th.waits[1].kind = kflight.WaitReply
 	th.selfPort = newPort(k.allocPortID())
@@ -314,9 +315,6 @@ func (th *Thread) Name() string { return th.name }
 // Task returns the owning task.
 func (th *Thread) Task() *Task { return th.task }
 
-// Done is closed when the thread terminates.
-func (th *Thread) Done() <-chan struct{} { return th.doneCh }
-
 // Self is the thread_self trap of Table 2: it enters the kernel, touches
 // the thread object, and returns the caller's thread port name.  465
 // instructions on the calibrated model.
@@ -333,7 +331,8 @@ func (th *Thread) Self() PortName {
 	return th.selfName
 }
 
-// terminate marks the thread dead and aborts any blocking operation.
+// terminate marks the thread dead and aborts its abortable wait, on its
+// own goroutine or on the one borrowing its slot.
 func (th *Thread) terminate() {
 	th.mu.Lock()
 	if th.dead {
@@ -341,9 +340,9 @@ func (th *Thread) terminate() {
 		return
 	}
 	th.dead = true
-	close(th.abort)
-	close(th.doneCh)
 	th.mu.Unlock()
+	th.own.grant(aborted, nil, th)
+	th.pk.Load().grant(aborted, nil, th)
 	th.task.mu.Lock()
 	delete(th.task.threads, th.id)
 	th.task.mu.Unlock()

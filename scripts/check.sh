@@ -92,6 +92,15 @@ if grep -nE '(ktrace|kflight|klat)\.(For|From)\(|\.Push\("' $(find . -name '*.go
 	exit 1
 fi
 
+# Every kernel wait parks and wakes through one pair in
+# internal/mach/park.go: mach keeps no condition variable, and no blocking
+# select outside that file.
+if grep -nE 'sync\.(NewCond|Cond)\b' $(find internal/mach -name '*.go' ! -name '*_test.go') ||
+	grep -nE '^\s*select \{' $(find internal/mach -name '*.go' ! -name '*_test.go' ! -name park.go); then
+	echo "check: a kernel wait outside mach's park/wake pair" >&2
+	exit 1
+fi
+
 # A deadlock — a turn or a rendezvous nobody releases — must fail in
 # seconds, not hang for go test's ten-minute default.
 run go test -race -timeout 300s ./internal/cpu/... ./internal/kstat/... ./internal/ktrace/... ./internal/kprof/... ./internal/kflight/... ./internal/klat/... ./internal/mach/... ./internal/vfs/... ./internal/os2/... ./internal/monitor/... ./internal/bcache/... ./internal/drivers/... ./internal/registry/... ./internal/fat/... ./internal/hpfs/... ./internal/jfs/... ./internal/mono/... ./cmd/kobs/...
@@ -105,8 +114,10 @@ run go test -race -count=50 -timeout 300s -run 'TestExchange|TestReusedRequestIs
 # The kernel lock: FIFO handoff with the releaser queued behind a
 # waiter, the wait-for edge shown until the handoff (for a carrier's
 # sub-request too), and a volume's requests taking turns on it, device-
-# and RAM-backed.
-run go test -race -count=50 -timeout 300s -run 'TestLockFIFOHandoff|TestLockUncontendedAllocatesNothing|TestLockWaitFromCarrierSub' ./internal/mach/
+# and RAM-backed.  With it, the one park/wake pair: every kind of wait
+# under every waker that applies, and termination or a deadline racing a
+# grant without losing the slot or the lock.
+run go test -race -count=50 -timeout 300s -run 'TestLockFIFOHandoff|TestLockUncontendedAllocatesNothing|TestLockWaitFromCarrierSub|TestParkWakeTable|TestParkWakeRaces' ./internal/mach/
 run go test -race -count=50 -timeout 300s -run 'TestVolumeLockTurns' ./internal/vfs/
 
 # The file server's batches are CallV carriers of single ops: each batch
