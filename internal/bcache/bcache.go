@@ -16,6 +16,7 @@ package bcache
 import (
 	"container/list"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/cpu"
 	"repro/internal/iosys"
@@ -72,6 +73,10 @@ type Cache struct {
 	dirtyQ   []uint64   // sectors in first-dirtied order
 	nextSeq  uint64     // expected start sector of a sequential read
 	seqValid bool
+
+	// dirty is len(dirtyQ) as of the last account, the one field a
+	// metrics snapshot reads from another goroutine.
+	dirty atomic.Int64
 }
 
 // New builds a cache over inner sized by cfg.  The layout placements give
@@ -125,12 +130,14 @@ func New(eng *cpu.Engine, layout *cpu.Layout, inner vfs.BlockDev, cfg Config) *C
 	// touch, and account() only touches counters that moved, so a freshly
 	// booted cache would otherwise be invisible to -prom scrapes and
 	// per-family monitor queries until the first hit/miss of each kind.
+	// Each cache registers its own dirty level, so bcache.dirty is the
+	// sum over every cached volume.
 	st := kstat.For(c.eng)
 	st.Counter("bcache.hits")
 	st.Counter("bcache.misses")
 	st.Counter("bcache.readahead")
 	st.Counter("bcache.writeback")
-	st.Gauge("bcache.dirty").Set(0)
+	st.GaugeFunc("bcache.dirty", c.dirty.Load)
 	return c
 }
 
@@ -426,8 +433,8 @@ func (c *Cache) dropRange(sector, n uint64) {
 	}
 	if dropped {
 		// Dirty sectors left the write-behind list without a writeback;
-		// refresh the bcache.dirty gauge or it reads stale-high until the
-		// next cached operation happens to account.
+		// account, or bcache.dirty reads stale-high until the next cached
+		// operation happens to.
 		c.account(0, 0, 0, 0)
 	}
 }
@@ -452,8 +459,8 @@ var outcomes = [...]string{"hit", "miss", "readahead", "writeback"}
 // account emits one record per outcome class of the op — hits, misses,
 // read-ahead fills, sectors written back, each with its count — on the
 // request the cache works for, so a p99 drill-down shows whether it
-// missed, and refreshes the bcache.dirty gauge, a level rather than a
-// stamp.  Observation-only: it never charges the engine.
+// missed, and publishes the dirty level bcache.dirty reads, a level
+// rather than a stamp.  Observation-only: it never charges the engine.
 func (c *Cache) account(hits, misses, ra, wb uint64) {
 	ps := c.eng.Planes()
 	if ps.Wants(cpu.EvCache) {
@@ -463,7 +470,7 @@ func (c *Cache) account(hits, misses, ra, wb uint64) {
 			}
 		}
 	}
-	kstat.From(ps).Gauge("bcache.dirty").Set(int64(len(c.dirtyQ)))
+	c.dirty.Store(int64(len(c.dirtyQ)))
 }
 
 var (

@@ -15,9 +15,13 @@ import (
 
 const ss = bcache.SectorSize
 
+// newCache builds a cache on a fresh engine with kstat attached first,
+// as boot does: a cache registers its dirty level with the Set attached
+// when it is built (kstat.Attach returns that Set).
 func newCache(t *testing.T, dev vfs.BlockDev, cfg bcache.Config) (*bcache.Cache, *cpu.Engine) {
 	t.Helper()
 	eng := cpu.NewEngine(cpu.Pentium133())
+	kstat.Attach(eng)
 	layout := cpu.NewLayout(0x100000)
 	return bcache.New(eng, layout, dev, cfg), eng
 }
@@ -273,7 +277,7 @@ func TestMetricsExposition(t *testing.T) {
 			t.Errorf("counter %s never incremented", name)
 		}
 	}
-	if g := st.Gauge("bcache.dirty").Value(); g != 0 {
+	if g := st.Snapshot().Gauges["bcache.dirty"]; g != 0 {
 		t.Errorf("bcache.dirty = %d after Sync, want 0", g)
 	}
 }

@@ -27,7 +27,6 @@ type echoService struct {
 
 	mu   sync.Mutex
 	task *mach.Task
-	pool *mach.ServerPool
 	recv mach.PortName
 	gen  uint64
 }
@@ -45,11 +44,10 @@ func (e *echoService) start() error {
 	if err != nil {
 		return err
 	}
-	pool, err := e.task.ServePool("echo", recv, e.h.cfg.Pool, e.handle)
-	if err != nil {
+	if _, err := e.task.ServePool("echo", recv, e.h.cfg.Pool, e.handle); err != nil {
 		return err
 	}
-	e.recv, e.pool = recv, pool
+	e.recv = recv
 	e.gen++
 	return nil
 }
@@ -70,12 +68,6 @@ func (e *echoService) current() (uint64, *mach.Task, mach.PortName) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.gen, e.task, e.recv
-}
-
-func (e *echoService) currentPool() *mach.ServerPool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.pool
 }
 
 // destroyPort deallocates the receive right out from under the pool and

@@ -191,8 +191,9 @@ func Boot(cfg Config) (*System, error) {
 	// timelines for the monitor's tail view.  Observation-only like the
 	// planes above — a detached boot models bit-identical cycles.
 	klat.Attach(s.Kernel.CPU)
-	// On a multi-engine boot, seed the per-engine kstat families so every
-	// exposition lists all engines from the first frame.
+	// On a multi-engine boot, register the per-engine kstat families —
+	// reads of the dispatcher's own counters — so every exposition lists
+	// all engines from the first frame.
 	s.Kernel.PublishCPUStats()
 	if ncpu > 1 {
 		log("smp: %d engines, processor sets, affinity dispatch with idle stealing", ncpu)

@@ -12,10 +12,13 @@
 //   - Histogram: a mergeable log-bucketed (HDR-style) distribution of
 //     latencies or sizes, readable as quantiles.
 //
-// Two ways in: a Set consumes the engine's observation records (Observe:
-// RPC calls, the thread_self trap, VM faults, cache outcomes), and counts
-// that are not stamp points — operation counts, pool and port-set levels —
-// go through the direct Counter/Gauge/Histogram API.  Like ktrace, kstat
+// Three ways in: a Set consumes the engine's observation records
+// (Observe: RPC calls, the thread_self trap, VM faults, cache outcomes);
+// counts that are not stamp points — operation counts — go through the
+// direct Counter/Gauge/Histogram API; and state some other component
+// already keeps — scheduler, pool, port-set and cache levels — is read
+// where it lives, by a func its owner registers (GaugeFunc, CounterFunc)
+// and Snapshot calls, so no second copy of it can drift.  Like ktrace, kstat
 // is observation-only: nothing here charges the cpu.Engine, so modeled
 // cycle counts — the Table 1 and Table 2 reproductions — are bit-identical
 // with kstat enabled or disabled (gated by bench.CounterTable2 and
@@ -28,6 +31,7 @@
 //	mach.rpc.to.<srv>  per-destination-server call counts
 //	mach.pool.<t>/<p>  server-pool occupancy (workers/busy gauges, ops)
 //	mach.portset.*     port-set queue depth
+//	cpu.e<i>.*         per-engine scheduler state (multi-engine kernels)
 //	vfs.* os2.* registry.* netsvc.* drivers.* pager.* vm.* names.*
 //	ksync.* ktime.*    per-subsystem operation counts
 //
@@ -91,7 +95,8 @@ func (c *Counter) Value() uint64 {
 	return sum
 }
 
-// Gauge is an instantaneous signed level.
+// Gauge is an instantaneous signed level that kstat itself holds.  A
+// level some other component keeps is read where it lives (GaugeFunc).
 type Gauge struct {
 	v atomic.Int64
 }
@@ -102,19 +107,6 @@ func (g *Gauge) Set(v int64) {
 		g.v.Store(v)
 	}
 }
-
-// Add moves the level by d (negative to decrease); nil-safe.
-func (g *Gauge) Add(d int64) {
-	if g != nil {
-		g.v.Add(d)
-	}
-}
-
-// Inc raises the level by one.
-func (g *Gauge) Inc() { g.Add(1) }
-
-// Dec lowers the level by one.
-func (g *Gauge) Dec() { g.Add(-1) }
 
 // Value reads the level.
 func (g *Gauge) Value() int64 { return g.v.Load() }
@@ -128,6 +120,11 @@ type Set struct {
 	gauges   sync.Map // name -> *Gauge
 	hists    sync.Map // name -> *Histogram
 	rpcTo    sync.Map // server -> its mach.rpc.to.<srv>.calls *Counter
+
+	// reads are the registered reads of owners' state, each adding its
+	// value into a snapshot; mu guards the slice, never a call.
+	mu    sync.Mutex
+	reads []func(Snapshot)
 }
 
 // NewSet creates an empty metric set.
@@ -167,6 +164,31 @@ func (s *Set) Histogram(name string) *Histogram {
 	}
 	v, _ := s.hists.LoadOrStore(name, new(Histogram))
 	return v.(*Histogram)
+}
+
+// GaugeFunc registers f as a read of the named gauge family: Snapshot
+// calls it, and a family with several funcs (or a Gauge of the same name)
+// reads their sum.  f reads state its owner keeps anyway — atomics, or a
+// leaf mutex at most — and never blocks, because a flight dump of a
+// stalled system snapshots through it.  A func stays registered for the
+// Set's life; a nil Set drops it.
+func (s *Set) GaugeFunc(name string, f func() int64) {
+	s.register(func(snap Snapshot) { snap.Gauges[name] += f() })
+}
+
+// CounterFunc registers f as a read of the named counter family, summed
+// like GaugeFunc's.  f must never go backwards — Snapshot.Delta subtracts
+// — so an owner that dies keeps reading its final count.
+func (s *Set) CounterFunc(name string, f func() uint64) {
+	s.register(func(snap Snapshot) { snap.Counters[name] += f() })
+}
+
+func (s *Set) register(read func(Snapshot)) {
+	if s != nil {
+		s.mu.Lock()
+		s.reads = append(s.reads, read)
+		s.mu.Unlock()
+	}
 }
 
 // cacheFamilies names the counter of each buffer-cache outcome record.
@@ -269,6 +291,12 @@ func (s *Set) Snapshot() Snapshot {
 		snap.Histograms[k.(string)] = v.(*Histogram).Snapshot()
 		return true
 	})
+	s.mu.Lock()
+	reads := s.reads
+	s.mu.Unlock()
+	for _, read := range reads {
+		read(snap)
+	}
 	return snap
 }
 

@@ -34,12 +34,12 @@ func TestCounterConcurrent(t *testing.T) {
 func TestGauge(t *testing.T) {
 	var g Gauge
 	g.Set(5)
-	g.Inc()
-	g.Add(-3)
-	g.Dec()
+	g.Set(2)
 	if got := g.Value(); got != 2 {
 		t.Fatalf("gauge = %d, want 2", got)
 	}
+	var none *Gauge // a detached Set's
+	none.Set(1)
 }
 
 // TestSetSnapshotDelta exercises family creation, snapshotting, and the
@@ -173,4 +173,29 @@ func TestExpositions(t *testing.T) {
 			t.Errorf("prom output missing %q:\n%s", want, p)
 		}
 	}
+}
+
+// TestFuncFamilies: a snapshot calls every registered read and sums the
+// reads of one name, with a plain metric of that name too; a nil Set
+// drops a registration.
+func TestFuncFamilies(t *testing.T) {
+	s := NewSet()
+	level, count := int64(2), uint64(5)
+	s.GaugeFunc("c.dirty", func() int64 { return level })
+	s.GaugeFunc("c.dirty", func() int64 { return 3 })
+	s.Gauge("c.dirty").Set(1)
+	s.CounterFunc("p.ops", func() uint64 { return count })
+	s.CounterFunc("p.ops", func() uint64 { return 4 })
+	base := s.Snapshot()
+	if g, c := base.Gauges["c.dirty"], base.Counters["p.ops"]; g != 6 || c != 9 {
+		t.Fatalf("c.dirty = %d, p.ops = %d, want 6 and 9", g, c)
+	}
+	level, count = 0, 7
+	d := s.Snapshot().Delta(base)
+	if g, c := d.Gauges["c.dirty"], d.Counters["p.ops"]; g != 4 || c != 2 {
+		t.Fatalf("delta c.dirty = %d, p.ops = %d, want the level 4 and 2 more", g, c)
+	}
+	var nilSet *Set
+	nilSet.GaugeFunc("x", func() int64 { return 1 })
+	nilSet.CounterFunc("y", func() uint64 { return 1 })
 }

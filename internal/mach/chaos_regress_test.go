@@ -2,6 +2,7 @@ package mach
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -13,12 +14,11 @@ import (
 // Regression tests for the pool/port-set/SMP lifecycle bugs flushed out by
 // the chaos soak harness (internal/chaos).  Each test is the minimized,
 // deterministic form of a failure mode the soak either found or guards
-// against; they live in-package so they can check the unexported kstat
-// family names directly.
+// against; they live in-package so they can name a port set's family by
+// its unexported id.
 
-// settle polls cond until it holds or the deadline passes.  Lifecycle
-// bookkeeping (gauge decrements, thread exits) completes shortly after the
-// observable event, not atomically with it.
+// settle polls cond until it holds or the deadline passes: another
+// goroutine's progress, such as a caller reaching its park.
 func settle(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
@@ -30,11 +30,25 @@ func settle(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// wantGauge asserts a gauge family's level in a fresh snapshot.  The pool
+// and port-set families read their owners' own state, so the level is
+// exact the moment the observable event has happened.
+func wantGauge(t *testing.T, st *kstat.Set, name string, want int64) {
+	t.Helper()
+	if got := st.Snapshot().Gauges[name]; got != want {
+		t.Fatalf("%s = %d, want %d", name, got, want)
+	}
+}
+
+// pendingFam names a port set's pending family.
+func pendingFam(ps *PortSet) string {
+	return fmt.Sprintf("mach.portset.%s/%d.pending", ps.task.name, ps.id)
+}
+
 // Satellite 1: destroying a pool's receive right while a handler is still
 // running must tear the pool down cleanly — every slot dies before the
 // destroy returns, the in-flight handler's reply is still delivered, the busy
-// gauge returns to zero, and the pool-occupancy workers gauge drains to
-// zero rather than showing phantom workers forever.
+// gauge returns to zero, and the workers gauge reads zero live slots.
 func TestPoolTeardownOnPortDestroyMidHandler(t *testing.T) {
 	k := newTestKernel()
 	st := kstat.Attach(k.CPU)
@@ -57,10 +71,7 @@ func TestPoolTeardownOnPortDestroyMidHandler(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ServePool: %v", err)
 	}
-	// Each slot raises the gauge as it is created.
-	settle(t, "workers gauge at start", func() bool {
-		return st.Gauge(pool.WorkersGauge()).Value() == 3
-	})
+	wantGauge(t, st, "mach.pool.fsrv/work.workers", 3)
 
 	client := k.NewTask("client")
 	defer client.Terminate()
@@ -98,9 +109,9 @@ func TestPoolTeardownOnPortDestroyMidHandler(t *testing.T) {
 		t.Fatalf("LiveWorkers after teardown = %d, want 0", n)
 	}
 
-	// Occupancy bookkeeping: no stuck busy gauge, no phantom workers.
-	settle(t, "busy gauge", func() bool { return st.Gauge(pool.busyFam).Value() == 0 })
-	settle(t, "workers gauge", func() bool { return st.Gauge(pool.WorkersGauge()).Value() == 0 })
+	// Occupancy: no stuck busy gauge, no live workers.
+	wantGauge(t, st, "mach.pool.fsrv/work.busy", 0)
+	wantGauge(t, st, "mach.pool.fsrv/work.workers", 0)
 
 	// A fresh call against the dead right fails fast, it does not hang.
 	fastTh, _ := client.NewBoundThread("fast")
@@ -163,9 +174,7 @@ func TestPoolKillRespawnWorkerEdges(t *testing.T) {
 		t.Fatalf("RespawnWorker(0): %v", err)
 	}
 	settle(t, "respawn", func() bool { return pool.LiveWorkers() == 2 })
-	settle(t, "workers gauge", func() bool {
-		return st.Gauge(pool.WorkersGauge()).Value() == int64(pool.LiveWorkers())
-	})
+	wantGauge(t, st, "mach.pool.fsrv/work.workers", 2)
 	call()
 }
 
@@ -196,7 +205,7 @@ func TestPortSetAbandonedCallerReleasesForwarder(t *testing.T) {
 	if _, err := th.Call(send, &Message{ID: 1}, CallOpts{Timeout: 30 * time.Millisecond}); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
-	settle(t, "pending gauge", func() bool { return st.Gauge(ps.pendFam).Value() == 0 })
+	wantGauge(t, st, pendingFam(ps), 0)
 
 	// The member port must still be serviceable after the abandonment.
 	pool, err := srv.ServeSetPool("late", ps, 1, func(_ PortName, m *Message) *Message {
@@ -235,7 +244,7 @@ func TestPortSetDestroyUnblocksForwardedCaller(t *testing.T) {
 		done <- err
 	}()
 	// Wait until the caller is counted waiting on the set.
-	settle(t, "caller waiting", func() bool { return st.Gauge(ps.pendFam).Value() == 1 })
+	settle(t, "caller waiting", func() bool { return st.Snapshot().Gauges[pendingFam(ps)] == 1 })
 
 	ps.Destroy()
 	select {
@@ -246,7 +255,7 @@ func TestPortSetDestroyUnblocksForwardedCaller(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("caller still blocked after set destroy")
 	}
-	settle(t, "pending gauge", func() bool { return st.Gauge(ps.pendFam).Value() == 0 })
+	wantGauge(t, st, pendingFam(ps), 0)
 }
 
 // Satellite 3: repartitioning processors with processor_assign while a
@@ -381,7 +390,6 @@ func TestPoolBusyFallsBeforeReply(t *testing.T) {
 		client := k.NewTask("client")
 		send, _ := client.InsertRight(srv, recv, DispMakeSend)
 		th, _ := client.NewBoundThread("main")
-		busy := st.Gauge(pool.busyFam)
 		for i := 0; i < 10; i++ {
 			var err error
 			switch i % 3 {
@@ -397,7 +405,7 @@ func TestPoolBusyFallsBeforeReply(t *testing.T) {
 			if err != nil {
 				t.Fatalf("round %d call %d: %v", round, i, err)
 			}
-			if v := busy.Value(); v != 0 {
+			if v := st.Snapshot().Gauges["mach.pool.fsrv/work.busy"]; v != 0 {
 				t.Fatalf("round %d call %d: busy gauge reads %d after the caller has its reply", round, i, v)
 			}
 		}
@@ -407,5 +415,72 @@ func TestPoolBusyFallsBeforeReply(t *testing.T) {
 			t.Fatalf("round %d: %d slots alive after the server task died", round, n)
 		}
 		kstat.Detach(k.CPU)
+	}
+}
+
+// Stop retires the pool as a dead port would: with its one slot busy and
+// a caller parked for it with no deadline, Stop wakes the parked caller
+// with ErrDeadPort, the busy call still gets its reply once released, and
+// a later call fails fast instead of parking for a slot that will never
+// be freed.
+func TestPoolStopWakesParkedCaller(t *testing.T) {
+	k := newTestKernel()
+	srv := k.NewTask("fsrv")
+	recv, _ := srv.AllocatePort()
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	pool, err := srv.ServePool("work", recv, 1, func(m *Message) *Message {
+		if m.ID == 1 {
+			entered <- struct{}{}
+			<-release
+		}
+		return &Message{ID: m.ID + 100}
+	})
+	if err != nil {
+		t.Fatalf("ServePool: %v", err)
+	}
+	client := k.NewTask("client")
+	defer client.Terminate()
+	send, _ := client.InsertRight(srv, recv, DispMakeSend)
+	call := func(name string, id MsgID) chan error {
+		th, _ := client.NewBoundThread(name)
+		done := make(chan error, 1)
+		go func() {
+			reply, err := th.Call(send, &Message{ID: id}, CallOpts{})
+			if err == nil && reply.ID != id+100 {
+				err = errors.New("wrong reply")
+			}
+			done <- err
+		}()
+		return done
+	}
+	busy := call("busy", 1)
+	<-entered
+	parked := call("parked", 2)
+	settle(t, "caller parked", func() bool {
+		pool.mu.Lock()
+		defer pool.mu.Unlock()
+		return len(pool.waiters) == 1
+	})
+
+	pool.Stop()
+	close(release)
+	for _, c := range []struct {
+		what string
+		done chan error
+		want error
+	}{{"busy", busy, nil}, {"parked", parked, ErrDeadPort}} {
+		select {
+		case err := <-c.done:
+			if !errors.Is(err, c.want) {
+				t.Fatalf("%s caller: err = %v, want %v", c.what, err, c.want)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s caller still blocked after Stop", c.what)
+		}
+	}
+	late, _ := client.NewBoundThread("late")
+	if _, err := late.Call(send, &Message{ID: 3}, CallOpts{Timeout: time.Second}); !errors.Is(err, ErrDeadPort) {
+		t.Fatalf("call after Stop: err = %v, want ErrDeadPort", err)
 	}
 }

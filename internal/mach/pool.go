@@ -36,10 +36,15 @@ type ServerPool struct {
 	// each slot's own clock.
 	vtp *vtPool
 
-	// ops and the kstat family names exist only for ServePool and
-	// ServeSetPool; a Thread.Serve registration has neither.
-	ops                         []atomic.Uint64
-	busyFam, opsFam, workersFam string
+	// ops counts completed calls per slot and busy the calls between
+	// pickup and reply: what the pool's kstat families, named fam, read.
+	// Only ServePool and ServeSetPool count them.  The busy and ops
+	// families register at the first pickup and the first completion, so
+	// a pool that has served nothing lists only workers.
+	ops               []atomic.Uint64
+	busy              atomic.Int64
+	fam               string
+	busyOnce, opsOnce sync.Once
 
 	mu      sync.Mutex
 	slots   []*slot // slot i's current thread, nil for Thread.Serve
@@ -106,11 +111,11 @@ func (t *Task) servePool(name string, n int, h func(PortName, *Message) *Message
 		task: t, name: name, handler: h, idle: make([]*slot, 0, n),
 		ops: make([]atomic.Uint64, n), slots: make([]*slot, n), vtp: newVTPool(n),
 	}
-	fam := "mach.pool." + t.name + "/" + name
-	p.busyFam, p.opsFam, p.workersFam = fam+".busy", fam+".ops", fam+".workers"
-	// Touch the gauge so the family exists even before the first slot;
-	// spawnSlot maintains the live count.
-	kstat.For(t.kernel.CPU).Gauge(p.workersFam).Add(0)
+	// The pool's families read its own state: a pool that dies reads
+	// zero busy and workers and keeps its ops, so a successor of the same
+	// name adds to the count.
+	p.fam = "mach.pool." + t.name + "/" + name
+	kstat.For(t.kernel.CPU).GaugeFunc(p.fam+".workers", func() int64 { return int64(p.LiveWorkers()) })
 	for i := 0; i < n; i++ {
 		if err := p.spawnSlot(i); err != nil {
 			p.Stop()
@@ -125,20 +130,14 @@ func (t *Task) servePool(name string, n int, h func(PortName, *Message) *Message
 }
 
 // spawnSlot creates (or recreates) slot idx through the charged
-// thread_create path and frees it.  The workers gauge counts live slots:
-// raised here, lowered when the slot's thread dies for any reason —
-// kill, stop, dead port, task shutdown — so the monitor never shows
-// phantom workers.
+// thread_create path and frees it.
 func (p *ServerPool) spawnSlot(idx int) error {
 	p.mu.Lock()
 	seq := p.spawned
 	p.spawned++
 	p.mu.Unlock()
-	workers := kstat.For(p.task.kernel.CPU).Gauge(p.workersFam)
-	workers.Inc()
-	th, err := p.task.create(fmt.Sprintf("%s/%d", p.name, seq), workers.Dec)
+	th, err := p.task.create(fmt.Sprintf("%s/%d", p.name, seq))
 	if err != nil {
-		workers.Dec()
 		return err
 	}
 	th.poolVT = p.vtp
@@ -182,13 +181,18 @@ func (p *ServerPool) give(s *slot) {
 	}
 }
 
-// retire ends a pool whose port or set died; nil-safe.  Its parked
-// callers, and a thread parked in Serve, wake as closed; then every slot
-// dies.  A handler already running completes and its reply is delivered.
+// retire ends a pool whose port or set died; nil-safe.
 func (p *ServerPool) retire() {
-	if p == nil {
-		return
+	if p != nil {
+		p.end((*Thread).terminate)
 	}
+}
+
+// end retires the pool: its parked callers, and a thread parked in
+// Serve, wake as closed (ErrDeadPort), later calls fail fast, and kill
+// ends every slot.  A handler already running completes and its reply is
+// delivered.
+func (p *ServerPool) end(kill func(*Thread)) {
 	p.mu.Lock()
 	p.retired = true
 	p.waiters.wake(nil, closed)
@@ -197,17 +201,12 @@ func (p *ServerPool) retire() {
 	}
 	p.mu.Unlock()
 	for _, th := range p.snapshot() {
-		th.terminate()
+		kill(th)
 	}
 }
 
 // Size reports the number of slots.
 func (p *ServerPool) Size() int { return len(p.ops) }
-
-// WorkersGauge reports the kstat gauge family that tracks this pool's
-// live slot count, so external health checks (the chaos harness) can
-// compare the published gauge against LiveWorkers.
-func (p *ServerPool) WorkersGauge() string { return p.workersFam }
 
 // LimitVirtualServers caps the pool's virtual capacity at n servers on
 // multi-engine kernels, regardless of slot count.  A pool fronting one
@@ -236,12 +235,9 @@ func (p *ServerPool) WorkerOps() []uint64 {
 	return out
 }
 
-// Stop terminates every slot (thread_terminate on each).
-func (p *ServerPool) Stop() {
-	for _, th := range p.snapshot() {
-		th.Terminate()
-	}
-}
+// Stop retires the pool as its port's death would, terminating every
+// slot through thread_terminate.
+func (p *ServerPool) Stop() { p.end((*Thread).Terminate) }
 
 // snapshot returns the current slot threads.
 func (p *ServerPool) snapshot() []*Thread {

@@ -118,8 +118,8 @@ func (p *Port) destroy() {
 type route struct {
 	pool *ServerPool // nil while nothing serves the port
 	name PortName    // the handler's name for the port
-	// pend is the set's pending gauge family ("" outside a set).
-	pend string
+	// set is the port set the port belongs to (nil outside one).
+	set *PortSet
 	// q is the queue a call that found no free slot waits on, mu its
 	// owner's mutex.
 	q  *waitq
@@ -137,7 +137,7 @@ func (p *Port) take(th *Thread) (*slot, route, *parker, error) {
 	if ps := p.set; ps != nil {
 		p.mu.Unlock()
 		ps.mu.Lock()
-		r.pool, r.pend, r.q, r.mu = ps.pool, ps.pendFam, &ps.callers, &ps.mu
+		r.pool, r.set, r.q, r.mu = ps.pool, ps, &ps.callers, &ps.mu
 		dead = ps.dead || p.Dead()
 	}
 	if r.pool != nil {

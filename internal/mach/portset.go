@@ -3,6 +3,9 @@ package mach
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
+
+	"repro/internal/kstat"
 )
 
 // Port sets, inherited from Mach 3.0: a receive right can be moved into a
@@ -25,9 +28,10 @@ type PortSet struct {
 	pool    *ServerPool
 	callers waitq
 
-	// pendFam is the kstat queue-depth gauge: callers waiting for a slot
-	// of the set.
-	pendFam string
+	// pending counts the callers waiting for a slot of the set; its
+	// kstat family is registered when the first one waits.
+	pending atomic.Int64
+	publish sync.Once
 }
 
 // AllocatePortSet creates an empty port set in the task.
@@ -42,12 +46,17 @@ func (t *Task) AllocatePortSet() (*PortSet, error) {
 		return nil, ErrInvalidTask
 	}
 	id := k.allocPortID()
-	return &PortSet{
-		id:      id,
-		task:    t,
-		members: make(map[*Port]PortName),
-		pendFam: fmt.Sprintf("mach.portset.%s/%d.pending", t.name, id),
-	}, nil
+	return &PortSet{id: id, task: t, members: make(map[*Port]PortName)}, nil
+}
+
+// waiting moves the set's count of callers waiting for a slot by d.  The
+// first wait registers the set's pending family, which reads the count.
+func (ps *PortSet) waiting(d int64) {
+	ps.publish.Do(func() {
+		fam := fmt.Sprintf("mach.portset.%s/%d.pending", ps.task.name, ps.id)
+		kstat.For(ps.task.kernel.CPU).GaugeFunc(fam, ps.pending.Load)
+	})
+	ps.pending.Add(d)
 }
 
 // AddMember moves the named receive right into the set: from here its

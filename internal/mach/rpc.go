@@ -318,17 +318,17 @@ func (th *Thread) claim(port *Port, timeout time.Duration) (*slot, route, error)
 			return s, r, err
 		}
 		// Every slot is busy, or nothing serves the port yet.  A port
-		// set's pending gauge counts its callers waiting here.
+		// set counts its callers waiting here.
 		if timeout > 0 && deadline.IsZero() {
 			deadline = time.Now().Add(timeout)
 		}
-		var pending *kstat.Gauge
-		if r.pend != "" {
-			pending = kstat.For(th.task.kernel.CPU).Gauge(r.pend)
-			pending.Inc()
+		if r.set != nil {
+			r.set.waiting(1)
 		}
 		why := pk.park(th, &th.waits[0], deadline)
-		pending.Dec()
+		if r.set != nil {
+			r.set.waiting(-1)
+		}
 		if why != granted {
 			r.mu.Lock()
 			r.q.drop(pk)
@@ -353,8 +353,8 @@ func (th *Thread) claim(port *Port, timeout time.Duration) (*slot, route, error)
 // server and operation profile frames, and is closed by the reply commit
 // (it covers handler AND reply delivery — the server-occupancy segment
 // internal/bench calibrates its concurrency model from).  A reply that is
-// never committed closes it on return.  The pool's busy gauge covers the
-// same segment.
+// never committed closes it on return.  The pool's busy count covers the
+// same segment and falls before the caller resumes.
 func (p *ServerPool) serve(s *slot, port *Port, name PortName, caller *Thread) rpcOutcome {
 	k := p.task.kernel
 	req := &s.req
@@ -380,25 +380,23 @@ func (p *ServerPool) serve(s *slot, port *Port, name PortName, caller *Thread) r
 	port.mu.Unlock()
 	k.rti()
 
-	ps := k.CPU.Planes()
-	st := kstat.From(ps)
-	var busy *kstat.Gauge
-	if p.busyFam != "" {
-		busy = st.Gauge(p.busyFam)
-		busy.Inc()
+	if p.ops != nil {
+		p.busyOnce.Do(func() { kstat.For(k.CPU).GaugeFunc(p.fam+".busy", p.busy.Load) })
+		p.busy.Add(1)
 	}
-	sp := ps.Open(cpu.Event{Type: cpu.EvRPCServe, Subsystem: "mach.rpc", Name: s.frame,
+	sp := k.CPU.Planes().Open(cpu.Event{Type: cpu.EvRPCServe, Subsystem: "mach.rpc", Name: s.frame,
 		Arg: uint64(req.ID), Req: req.rec}, req.rec)
 	// The handler runs on the caller's goroutine: waits made as the
 	// slot's thread park the caller's parker until the slot is freed.
 	s.th.pk.Store(caller.pk.Load())
-	out := p.reply(s, s.handle(name, p.handler), caller, rel, busy)
+	out := p.reply(s, s.handle(name, p.handler), caller, rel)
+	if p.ops != nil {
+		p.busy.Add(-1)
+		p.ops[s.idx].Add(1)
+		p.opsOnce.Do(func() { kstat.For(k.CPU).CounterFunc(p.fam+".ops", p.Ops) })
+	}
 	s.th.pk.Store(&s.th.own)
 	sp.End()
-	if p.opsFam != "" {
-		st.Counter(p.opsFam).Inc()
-		p.ops[s.idx].Add(1)
-	}
 	p.free(s)
 	return out
 }
@@ -508,10 +506,9 @@ func (k *Kernel) chargeRegions(m *Message) {
 // space, and the handler's own list keeps the server's names).  A reply
 // the kernel cannot deliver (oversized body, bad rights) fails the call
 // with ErrReplyFailed wrapping the cause; the pool serves on.
-func (p *ServerPool) reply(s *slot, reply *Message, caller *Thread, rel func(), busy *kstat.Gauge) rpcOutcome {
+func (p *ServerPool) reply(s *slot, reply *Message, caller *Thread, rel func()) rpcOutcome {
 	k := p.task.kernel
 	fail := func(err error) rpcOutcome {
-		busy.Dec()
 		if rel != nil {
 			rel()
 		}
@@ -550,10 +547,9 @@ func (p *ServerPool) reply(s *slot, reply *Message, caller *Thread, rel func(), 
 		s.req.Hop().NoteSched(s.th.schedBurst.Load(),
 			s.th.schedPoolWait.Load(), s.th.schedCPUWait.Load())
 	}
-	// Reply commit: service ends here and so do the serve span and the
-	// pool's busy gauge, before the caller resumes.
+	// Reply commit: service ends here and so does the serve span, before
+	// the caller resumes.
 	s.req.rec.Stamp(cpu.PhaseServed, "", 0)
-	busy.Dec()
 	if reply.batch != nil {
 		return rpcOutcome{batch: reply.batch, vt: s.th.vt.Load()}
 	}

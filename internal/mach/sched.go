@@ -102,45 +102,14 @@ type schedEngine struct {
 	migrations atomic.Uint64
 	steals     atomic.Uint64
 	dispatches atomic.Uint64
-
-	// kstat family names, precomputed (cpu.e<slot>.*).
-	famCycles, famRunq, famMigrations, famCoher, famDispatches, famSteals string
 }
 
 func newSched(k *Kernel) *sched {
 	s := &sched{k: k, cx: k.cx, hyst: k.CPU.Config().MigrateCycles}
 	for _, eng := range k.cx.Engines() {
-		slot := eng.Slot()
-		s.engs = append(s.engs, &schedEngine{
-			eng:           eng,
-			slot:          slot,
-			famCycles:     fmt.Sprintf("cpu.e%d.cycles", slot),
-			famRunq:       fmt.Sprintf("cpu.e%d.runq", slot),
-			famMigrations: fmt.Sprintf("cpu.e%d.migrations", slot),
-			famCoher:      fmt.Sprintf("cpu.e%d.coherence_cycles", slot),
-			famDispatches: fmt.Sprintf("cpu.e%d.dispatches", slot),
-			famSteals:     fmt.Sprintf("cpu.e%d.steals", slot),
-		})
+		s.engs = append(s.engs, &schedEngine{eng: eng, slot: eng.Slot()})
 	}
 	return s
-}
-
-// publishAll seeds every per-engine kstat family so expositions list all
-// engines before any traffic runs.  Observation-only.
-func (s *sched) publishAll() {
-	st := kstat.For(s.k.CPU)
-	if st == nil {
-		return
-	}
-	st.Gauge("cpu.engines").Set(int64(len(s.engs)))
-	for _, se := range s.engs {
-		st.Gauge(se.famCycles).Set(int64(s.cx.EngineCounters(se.slot).Cycles))
-		st.Gauge(se.famRunq).Set(se.runq.Load())
-		st.Counter(se.famMigrations).Add(0)
-		st.Counter(se.famCoher).Add(0)
-		st.Counter(se.famDispatches).Add(0)
-		st.Counter(se.famSteals).Add(0)
-	}
 }
 
 // candidates returns the scheduler engines of the thread's processor set;
@@ -371,19 +340,6 @@ func (s *sched) place(th *Thread, pool *vtPool, ready uint64) func() {
 		s.burstCycles.Add(length)
 		s.bursts.Add(1)
 		th.schedCycles.Add(length)
-		// The per-engine families are levels and counts at release,
-		// not stamps of the dispatch record.
-		st := kstat.For(s.k.CPU)
-		st.Gauge(se.famCycles).Set(int64(s.cx.EngineCounters(se.slot).Cycles))
-		st.Gauge(se.famRunq).Set(se.runq.Load())
-		st.Counter(se.famDispatches).Inc()
-		if migrated {
-			st.Counter(se.famMigrations).Inc()
-			st.Counter(se.famCoher).Add(se.eng.Config().MigrateCycles)
-			if stolen {
-				st.Counter(se.famSteals).Inc()
-			}
-		}
 	}
 }
 
@@ -429,11 +385,27 @@ func (k *Kernel) schedReady(th *Thread, vt uint64) {
 	th.syncVT(vt)
 }
 
-// PublishCPUStats seeds the per-engine kstat families on the attached
-// Set; no-op on single-CPU kernels.  Called by boot after kstat attaches.
+// PublishCPUStats registers the per-engine families on the attached
+// Set — cpu.engines and cpu.e<i>.{cycles,runq,dispatches,migrations,
+// coherence_cycles,steals}, read from the scheduler's own state — so every
+// exposition lists all engines from the first frame.  No-op on
+// single-CPU kernels.  Called by boot after kstat attaches.
 func (k *Kernel) PublishCPUStats() {
-	if k.sched != nil {
-		k.sched.publishAll()
+	st := kstat.For(k.CPU)
+	if k.sched == nil || st == nil {
+		return
+	}
+	engs := int64(len(k.sched.engs))
+	st.GaugeFunc("cpu.engines", func() int64 { return engs })
+	for _, se := range k.sched.engs {
+		fam := fmt.Sprintf("cpu.e%d.", se.slot)
+		migrate := se.eng.Config().MigrateCycles
+		st.GaugeFunc(fam+"cycles", func() int64 { return int64(k.cx.EngineCounters(se.slot).Cycles) })
+		st.GaugeFunc(fam+"runq", se.runq.Load)
+		st.CounterFunc(fam+"dispatches", se.dispatches.Load)
+		st.CounterFunc(fam+"migrations", se.migrations.Load)
+		st.CounterFunc(fam+"coherence_cycles", func() uint64 { return se.migrations.Load() * migrate })
+		st.CounterFunc(fam+"steals", se.steals.Load)
 	}
 }
 

@@ -195,10 +195,6 @@ type Thread struct {
 	// reply: each call aims both at its port and operation before
 	// publishing either, so the crossing builds no record of its own.
 	waits [2]flightWait
-
-	// exit, when set at creation, runs once when the thread dies: a pool
-	// slot's live count falls with it.
-	exit func()
 }
 
 // ActFor names the request the thread's Calls are made for: until
@@ -252,7 +248,7 @@ func (t *Task) ThreadsSnapshot() []*Thread {
 // Spawn creates a thread in the task running fn on its own goroutine.
 // It charges the thread-creation path.
 func (t *Task) Spawn(name string, fn func(*Thread)) (*Thread, error) {
-	th, err := t.create(name, nil)
+	th, err := t.create(name)
 	if err != nil {
 		return nil, err
 	}
@@ -264,8 +260,8 @@ func (t *Task) Spawn(name string, fn func(*Thread)) (*Thread, error) {
 }
 
 // create is thread_create: it charges the thread-creation path and
-// returns a thread with no goroutine, whose death runs exit.
-func (t *Task) create(name string, exit func()) (*Thread, error) {
+// returns a thread with no goroutine.
+func (t *Task) create(name string) (*Thread, error) {
 	k := t.kernel
 	k.trap()
 	k.CPU.Exec(k.paths.threadCreate)
@@ -273,17 +269,17 @@ func (t *Task) create(name string, exit func()) (*Thread, error) {
 	if ps := k.CPU.Planes(); ps.Wants(cpu.EvTask) {
 		ps.Emit(cpu.Event{Type: cpu.EvTask, Subsystem: "mach.task", Name: "thread_create:" + name, Arg: uint64(t.id)})
 	}
-	return t.newThread(name, exit)
+	return t.newThread(name)
 }
 
 // NewBoundThread creates a thread object without a goroutine; the caller's
 // own goroutine acts as the thread (used by benchmarks and the boot task).
 func (t *Task) NewBoundThread(name string) (*Thread, error) {
-	return t.newThread(name, nil)
+	return t.newThread(name)
 }
 
 // newThread allocates a thread in the task and enters it in its table.
-func (t *Task) newThread(name string, exit func()) (*Thread, error) {
+func (t *Task) newThread(name string) (*Thread, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.dead {
@@ -294,7 +290,7 @@ func (t *Task) newThread(name string, exit func()) (*Thread, error) {
 	id := k.nextThread
 	k.nextThread++
 	k.mu.Unlock()
-	th := &Thread{task: t, id: id, name: name, exit: exit}
+	th := &Thread{task: t, id: id, name: name}
 	th.own.woke = make(chan wakeReason, 1)
 	th.pk.Store(&th.own)
 	th.waits[0].kind = kflight.WaitRendezvous
@@ -347,9 +343,6 @@ func (th *Thread) terminate() {
 	delete(th.task.threads, th.id)
 	th.task.mu.Unlock()
 	th.selfPort.destroy()
-	if th.exit != nil {
-		th.exit()
-	}
 }
 
 // Terminate kills the thread (thread_terminate).

@@ -323,24 +323,34 @@ func fromWire(msg string) error {
 
 // --- server side ------------------------------------------------------------
 
-// fsOpNames labels file-server operations for tracing, in MsgID order.
-var fsOpNames = [...]string{"open", "close", "read", "write", "truncate", "stat",
-	"fstat", "mkdir", "readdir", "remove", "rename", "setea", "getea", "sync"}
+// fsOpNames labels file-server operations for tracing, in MsgID order,
+// then any other ID; fsOpFamilies are their kstat counters.
+var (
+	fsOpNames = [...]string{"open", "close", "read", "write", "truncate", "stat",
+		"fstat", "mkdir", "readdir", "remove", "rename", "setea", "getea", "sync", "unknown"}
+	fsOpFamilies = func() (fams [len(fsOpNames)]string) {
+		for i, op := range fsOpNames {
+			fams[i] = "vfs.ops." + op
+		}
+		return fams
+	}()
+)
 
-func fsOpName(id mach.MsgID) string {
-	if i := int(id) - int(MsgOpen); i >= 0 && i < len(fsOpNames) {
-		return fsOpNames[i]
+// fsOp indexes an operation's name and family.
+func fsOp(id mach.MsgID) int {
+	if i := int(id) - int(MsgOpen); i >= 0 && i < len(fsOpNames)-1 {
+		return i
 	}
-	return "unknown"
+	return len(fsOpNames) - 1
 }
 
 // obsOp opens the observation of one file-server operation — its ktrace
 // span and kstat sample; the returned func closes both, recording the op
 // count and a cycles-latency sample.  Reads only, nothing charged.
 func (s *Server) obsOp(id mach.MsgID) func() {
-	op := fsOpName(id)
+	op := fsOp(id)
 	ps := s.k.CPU.Planes()
-	sp := ps.Open(cpu.Event{Type: cpu.EvFSOp, Subsystem: "vfs", Name: op}, nil)
+	sp := ps.Open(cpu.Event{Type: cpu.EvFSOp, Subsystem: "vfs", Name: fsOpNames[op]}, nil)
 	st := kstat.From(ps)
 	if st == nil {
 		return sp.End
@@ -348,7 +358,7 @@ func (s *Server) obsOp(id mach.MsgID) func() {
 	base := s.k.CPU.Counters()
 	return func() {
 		d := s.k.CPU.Counters().Sub(base)
-		st.Counter("vfs.ops." + op).Inc()
+		st.Counter(fsOpFamilies[op]).Inc()
 		st.Histogram("vfs.latency_cycles").Observe(d.Cycles)
 		sp.End()
 	}

@@ -101,6 +101,16 @@ if grep -nE 'sync\.(NewCond|Cond)\b' $(find internal/mach -name '*.go' ! -name '
 	exit 1
 fi
 
+# kstat reads the dispatcher's, pools', port sets' and threads' levels
+# where they live: each registers reads of its own state (GaugeFunc,
+# CounterFunc) when it is built, and no family is looked up by name on
+# the call, slot-claim, burst or thread-death path.
+if grep -nE '\.(Counter|Gauge|Histogram)\(' internal/mach/rpc.go internal/mach/pool.go internal/mach/sched.go \
+	internal/mach/portset.go internal/mach/park.go internal/mach/task.go; then
+	echo "check: a by-name kstat lookup in mach's rpc, pool, sched, portset, park or task" >&2
+	exit 1
+fi
+
 # A deadlock — a turn or a rendezvous nobody releases — must fail in
 # seconds, not hang for go test's ten-minute default.
 run go test -race -timeout 300s ./internal/cpu/... ./internal/kstat/... ./internal/ktrace/... ./internal/kprof/... ./internal/kflight/... ./internal/klat/... ./internal/mach/... ./internal/vfs/... ./internal/os2/... ./internal/monitor/... ./internal/bcache/... ./internal/drivers/... ./internal/registry/... ./internal/fat/... ./internal/hpfs/... ./internal/jfs/... ./internal/mono/... ./cmd/kobs/...

@@ -1,6 +1,8 @@
 package repro_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -42,8 +44,52 @@ func TestSMPObservationOff(t *testing.T) {
 		t.Errorf("engine delta = %d, want %d", got, seedFI1WPOS)
 	}
 	// No per-engine families may exist on a single-CPU system.
-	if v := s.Stats.Gauge("cpu.engines").Value(); v != 0 {
-		t.Errorf("cpu.engines gauge = %d on a 1-CPU boot, want absent (0)", v)
+	for name := range s.Stats.Snapshot().Gauges {
+		if strings.HasPrefix(name, "cpu.") {
+			t.Errorf("%s registered on a 1-CPU boot, want absent", name)
+		}
+	}
+}
+
+// TestSMPEngineFamiliesReadScheduler: the per-engine families are reads
+// of the dispatcher's own state, so on a 4-engine boot at quiescence
+// every cpu.e<i>.* value equals SchedStats, and coherence_cycles is the
+// migrations times the migration charge.
+func TestSMPEngineFamiliesReadScheduler(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.CPUs = 4
+	s, err := core.Boot(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := workload.Run(workload.FileIntensive1, s.WorkloadEnv()); err != nil {
+		t.Fatal(err)
+	}
+	snap := s.Stats.Snapshot()
+	stats := s.Kernel.SchedStats()
+	if n := snap.Gauges["cpu.engines"]; n != 4 || len(stats) != 4 {
+		t.Fatalf("cpu.engines = %d, SchedStats has %d engines, want 4", n, len(stats))
+	}
+	migrate := cfg.CPU.MigrateCycles
+	var dispatches uint64
+	for _, es := range stats {
+		fam := fmt.Sprintf("cpu.e%d.", es.Slot)
+		for name, c := range map[string][2]uint64{
+			"cycles":           {uint64(snap.Gauges[fam+"cycles"]), es.Cycles},
+			"runq":             {uint64(snap.Gauges[fam+"runq"]), uint64(es.RunQueue)},
+			"dispatches":       {snap.Counters[fam+"dispatches"], es.Dispatches},
+			"migrations":       {snap.Counters[fam+"migrations"], es.Migrations},
+			"steals":           {snap.Counters[fam+"steals"], es.Steals},
+			"coherence_cycles": {snap.Counters[fam+"coherence_cycles"], es.Migrations * migrate},
+		} {
+			if c[0] != c[1] {
+				t.Errorf("%s%s = %d, scheduler says %d", fam, name, c[0], c[1])
+			}
+		}
+		dispatches += es.Dispatches
+	}
+	if dispatches == 0 {
+		t.Fatal("FI1 on 4 engines dispatched no burst")
 	}
 }
 
