@@ -63,12 +63,13 @@ type Config struct {
 type Report struct {
 	Seed     int64
 	Epochs   int
-	Ops      uint64         // operations attempted (deterministic per seed)
-	OpErrors uint64         // operations that returned errors (fault-induced)
-	Faults   map[string]int // fault kind -> injections
-	Verified int            // files content-verified exactly by the final oracle
-	Tainted  int            // files whose last write errored (reachability-checked only)
-	Log      []string       // fault/epoch narrative
+	Ops      uint64            // operations attempted (deterministic per seed)
+	OpErrors uint64            // operations that returned errors (fault-induced)
+	Faults   map[string]int    // fault kind -> injections
+	Verified int               // files content-verified exactly by the final oracle
+	Tainted  int               // files whose last write errored (reachability-checked only)
+	Streams  map[string]uint64 // worker name -> digest of the ops its setup and op drew
+	Log      []string          // fault/epoch narrative
 }
 
 // Fault kinds.
@@ -121,6 +122,7 @@ type worker interface {
 	setup(h *harness) error
 	op() error
 	verify() (clean, tainted int, err error)
+	digest() uint64
 }
 
 type harness struct {
@@ -170,6 +172,11 @@ func Run(cfg Config) (*Report, error) {
 			h.fill(rep)
 			return rep, h.fail(err)
 		}
+	}
+	// Every batch has drained, so the workers' streams are settled.
+	rep.Streams = make(map[string]uint64, len(h.workers))
+	for _, w := range h.workers {
+		rep.Streams[w.name()] = w.digest()
 	}
 	// Final oracle: heal everything, drain the caches, then have every
 	// worker verify its own files end to end.

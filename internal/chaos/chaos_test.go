@@ -96,8 +96,10 @@ func TestChaosSingleCPU(t *testing.T) {
 }
 
 // TestChaosDeterministic pins the replay property: the same seed produces
-// the same operation count and the same fault schedule (the interleaving
-// is the host scheduler's, but the driven streams are the seed's).
+// the same operation count, the same fault schedule and, worker by worker,
+// the same op stream — pinned to seed 5's recorded digests (the
+// interleaving is the host scheduler's, but the driven streams are the
+// seed's).
 func TestChaosDeterministic(t *testing.T) {
 	run := func() *Report {
 		rep, err := Run(Config{Seed: 5, Actions: 3000, CPUs: 2})
@@ -115,5 +117,27 @@ func TestChaosDeterministic(t *testing.T) {
 	}
 	if a.Epochs != b.Epochs {
 		t.Errorf("epoch counts diverged: %d vs %d", a.Epochs, b.Epochs)
+	}
+	if fmt.Sprint(a.Streams) != fmt.Sprint(b.Streams) {
+		t.Errorf("op streams diverged for one seed:\n%v\n%v", a.Streams, b.Streams)
+	}
+	// Seed 5's streams as the separate OS/2 and POSIX workers drew them:
+	// a worker that draws its rng differently, or maps a draw to another
+	// op, path or size, moves its digest.
+	want := map[string]uint64{
+		"os2-0":   0xb58dd9d08e0a5f03,
+		"os2-1":   0xa404feb71a064dc4,
+		"posix-2": 0x0a440e3cf657ec3f,
+		"posix-3": 0xc4a90e31291f43a1,
+		"mvm-4":   0xfa26340796e4e6a8,
+		"echo-5":  0x1d3d7c624f283975,
+	}
+	for name, d := range want {
+		if a.Streams[name] != d {
+			t.Errorf("%s op stream digest %#x, want %#x", name, a.Streams[name], d)
+		}
+	}
+	if len(a.Streams) != len(want) {
+		t.Errorf("streams for %d workers, want %d: %v", len(a.Streams), len(want), a.Streams)
 	}
 }

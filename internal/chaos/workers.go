@@ -44,11 +44,12 @@ func stamp(rng *rand.Rand, buf []byte, serial, tag uint64) {
 	}
 }
 
-// pathTag hashes a path into the stamp's identity field.
-func pathTag(path string) uint64 {
+// fnv64 is FNV-1a over s: a path's stamp tag, and a step of an op
+// stream's digest.
+func fnv64(s string) uint64 {
 	var h uint64 = 1469598103934665603
-	for i := 0; i < len(path); i++ {
-		h = (h ^ uint64(path[i])) * 1099511628211
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
 	}
 	return h
 }
@@ -64,6 +65,17 @@ func describeStamp(got, want []byte) string {
 		firstDiff(got, want))
 }
 
+// opStream digests the ops a worker's setup and op draw — kind, path,
+// size and serial — so a test can pin each worker's stream to its seed.
+// verify is left out: its rewrites depend on which writes faulted.
+type opStream uint64
+
+func (s *opStream) note(kind, path string, size int, serial uint64) {
+	*s = opStream(fnv64(fmt.Sprintf("%x %s %s %d %d", uint64(*s), kind, path, size, serial)))
+}
+
+func (s *opStream) digest() uint64 { return uint64(*s) }
+
 func wrng(seed int64, id int) *rand.Rand {
 	return rand.New(rand.NewSource(seed*1000003 + int64(id)))
 }
@@ -77,6 +89,7 @@ type os2Worker struct {
 	p      *os2.Process
 	files  []*shadowFile
 	serial uint64
+	opStream
 }
 
 func newOS2Worker(id int) *os2Worker { return &os2Worker{id: id} }
@@ -104,6 +117,7 @@ func (w *os2Worker) setup(h *harness) error {
 		if f.taint {
 			return fmt.Errorf("initial rewrite of %s errored with no fault armed", f.path)
 		}
+		w.note("setup", f.path, f.size, w.serial)
 	}
 	return nil
 }
@@ -114,7 +128,7 @@ func (w *os2Worker) setup(h *harness) error {
 func (w *os2Worker) rewrite(f *shadowFile) error {
 	w.serial++
 	buf := make([]byte, f.size)
-	stamp(w.rng, buf, w.serial, pathTag(f.path))
+	stamp(w.rng, buf, w.serial, fnv64(f.path))
 	h, e := w.p.DosOpen(f.path, true, true)
 	if e != os2.NoError {
 		w.h.opErrs.Add(1)
@@ -177,10 +191,13 @@ func (w *os2Worker) op() error {
 	f := w.files[w.rng.Intn(len(w.files))]
 	switch r := w.rng.Intn(100); {
 	case r < 35:
+		w.note("rewrite", f.path, f.size, w.serial)
 		return w.rewrite(f)
 	case r < 75:
+		w.note("read", f.path, f.size, w.serial)
 		return w.readVerify(f)
 	case r < 90:
+		w.note("stat", f.path, f.size, w.serial)
 		// Stat oracle: an untainted file's size is exactly what was
 		// acknowledged.
 		a, e := w.p.DosQueryPathInfo(f.path)
@@ -196,6 +213,7 @@ func (w *os2Worker) op() error {
 		}
 		return nil
 	default:
+		w.note("recreate", f.path, f.size, w.serial)
 		// Delete + recreate: the hostile path for the cache's
 		// invalidation accounting.
 		if e := w.p.DosDelete(f.path); e != os2.NoError {
@@ -243,6 +261,7 @@ type posixWorker struct {
 	files  []*shadowFile
 	dir    string
 	serial uint64
+	opStream
 }
 
 func newPosixWorker(id int) *posixWorker { return &posixWorker{id: id} }
@@ -272,6 +291,7 @@ func (w *posixWorker) setup(h *harness) error {
 		if f.taint {
 			return fmt.Errorf("initial rewrite of %s errored with no fault armed", f.path)
 		}
+		w.note("setup", f.path, f.size, w.serial)
 	}
 	return nil
 }
@@ -279,7 +299,7 @@ func (w *posixWorker) setup(h *harness) error {
 func (w *posixWorker) rewrite(f *shadowFile) error {
 	w.serial++
 	buf := make([]byte, f.size)
-	stamp(w.rng, buf, w.serial, pathTag(f.path))
+	stamp(w.rng, buf, w.serial, fnv64(f.path))
 	fd, e := w.p.Open(f.path, posix.OWronly|posix.OCreat)
 	if e != posix.OK {
 		w.h.opErrs.Add(1)
@@ -340,15 +360,19 @@ func (w *posixWorker) op() error {
 	f := w.files[w.rng.Intn(len(w.files))]
 	switch r := w.rng.Intn(100); {
 	case r < 35:
+		w.note("rewrite", f.path, f.size, w.serial)
 		return w.rewrite(f)
 	case r < 70:
+		w.note("read", f.path, f.size, w.serial)
 		return w.readVerify(f)
 	case r < 80:
+		w.note("readdir", f.path, f.size, w.serial)
 		if _, e := w.p.Readdir(w.dir); e != posix.OK {
 			w.h.opErrs.Add(1)
 		}
 		return nil
 	case r < 88:
+		w.note("stat", f.path, f.size, w.serial)
 		a, e := w.p.Stat(f.path)
 		if e != posix.OK {
 			w.h.opErrs.Add(1)
@@ -362,6 +386,7 @@ func (w *posixWorker) op() error {
 		}
 		return nil
 	default:
+		w.note("rename", f.path, f.size, w.serial)
 		// Rename shuffle on an untracked scratch file: namespace churn
 		// without oracle bookkeeping.
 		scratch := w.dir + "/scratch"
@@ -422,6 +447,7 @@ type mvmWorker struct {
 	wrProg []byte
 	rdProg []byte
 	serial uint64
+	opStream
 }
 
 type mvmSlot struct {
@@ -485,6 +511,7 @@ func (w *mvmWorker) setup(h *harness) error {
 		if s.taint {
 			return fmt.Errorf("initial MVM write of %s errored with no fault armed", s.dosName)
 		}
+		w.note("setup", s.dosName, mvmChunk, w.serial)
 	}
 	return nil
 }
@@ -513,7 +540,7 @@ func (w *mvmWorker) run(prog []byte, s *mvmSlot, payload []byte) (openAX, ioAX u
 func (w *mvmWorker) writeRound(s *mvmSlot) error {
 	w.serial++
 	payload := make([]byte, mvmChunk)
-	stamp(w.rng, payload, w.serial, pathTag(s.dosName))
+	stamp(w.rng, payload, w.serial, fnv64(s.dosName))
 	openAX, ioAX, err := w.run(w.wrProg, s, payload)
 	if err != nil {
 		return err
@@ -565,8 +592,10 @@ func (w *mvmWorker) readRound(s *mvmSlot) error {
 func (w *mvmWorker) op() error {
 	s := w.slots[w.rng.Intn(len(w.slots))]
 	if w.rng.Intn(2) == 0 {
+		w.note("write", s.dosName, mvmChunk, w.serial)
 		return w.writeRound(s)
 	}
+	w.note("read", s.dosName, mvmChunk, w.serial)
 	return w.readRound(s)
 }
 
@@ -599,6 +628,7 @@ type echoWorker struct {
 	dest   mach.PortName
 	gen    uint64
 	serial uint64
+	opStream
 }
 
 func newEchoWorker(id int) *echoWorker { return &echoWorker{id: id} }
@@ -639,6 +669,7 @@ func (w *echoWorker) op() error {
 	w.serial++
 	payload := make([]byte, 48)
 	stamp(w.rng, payload, w.serial, uint64(w.id))
+	w.note("echo", "", len(payload), w.serial)
 	reply, err := w.th.Call(w.dest, &mach.Message{ID: echoMsgID, Body: payload},
 		mach.CallOpts{Timeout: echoCallTimeout})
 	if err != nil {

@@ -146,9 +146,10 @@ run go test -race -count=50 -timeout 300s -run 'TestPoolBusyFallsBeforeReply' ./
 run go test -run '^$' -bench Touch -benchtime 1x -timeout 120s ./internal/cpu
 
 # Chaos short soak under the race detector: one seed, all six fault kinds,
-# full invariant oracle.  Kept -short so the race-instrumented run stays in
-# CI budget; a failure prints the -chaos.seed flags for deterministic replay.
-run go test -race -timeout 300s ./internal/chaos/ -short -run 'TestChaosSoak|TestChaosSingleCPU'
+# full invariant oracle, and one seed's op streams pinned worker by worker.
+# Kept -short so the race-instrumented run stays in CI budget; a failure
+# prints the -chaos.seed flags for deterministic replay.
+run go test -race -timeout 300s ./internal/chaos/ -short -run 'TestChaosSoak|TestChaosSingleCPU|TestChaosDeterministic'
 
 # The one stall detector and the postmortem it writes: drain fires on a
 # worker stuck in a pool call (naming the busy gauge) and on one holding
