@@ -20,9 +20,10 @@ tables:
 # End-to-end tier: build cmd/kobs once, then run it as a child process
 # per scenario — metrics over the monitor's RPC (stat, prom), an
 # attributed profile window (prof), a 4-engine SMP run, a flight dump with
-# its wait-for graph, saved-dump rendering, and the tail ledger with nested
-# driver hops — asserting each one's output.  The test reaps every process
-# it starts.
+# its wait-for graph, saved-dump rendering, the tail ledger with nested
+# driver hops, and the trace views (causal tree, Chrome JSON, E-ATTR gap
+# attribution) — asserting each one's output.  The test reaps every
+# process it starts.
 e2e:
 	$(GO) test -timeout 120s -run E2E ./cmd/kobs
 

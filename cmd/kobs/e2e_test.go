@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
@@ -94,6 +95,39 @@ func TestE2E(t *testing.T) {
 		match(t, out, `(?m)^fileserver .* [1-9]`)
 		match(t, out, `(?m)^\*call`)
 		match(t, out, `(?m)^\*  call blockdrv`)
+	})
+	t.Run("trace-tree", func(t *testing.T) {
+		// A causal tree nests an OS/2 call's RPC down to the disk's
+		// reflected interrupt.
+		out := run(t, 0, bin, "trace", "-workload", "file2", "-format", "tree", "-trees", "2")
+		match(t, out, `(?m)^\(showing 2 of \d+ causal trees\)$`)
+		match(t, out, `(?m)^os2:\S+  incl=[1-9]\d* .*\n  mach\.rpc:rpc:`)
+		match(t, out, `(?m)^ {10,}iosys:intr:reflect  incl=[1-9]`)
+	})
+	t.Run("trace-chrome", func(t *testing.T) {
+		// The Chrome trace is one JSON array of events with complete
+		// ("X") spans among them.
+		var events []struct {
+			Ph string `json:"ph"`
+		}
+		if err := json.Unmarshal([]byte(run(t, 0, bin, "trace", "-workload", "file1", "-format", "chrome")), &events); err != nil {
+			t.Fatalf("chrome trace is not a JSON array: %v", err)
+		}
+		spans := 0
+		for _, e := range events {
+			if e.Ph == "X" {
+				spans++
+			}
+		}
+		if spans == 0 {
+			t.Errorf("chrome trace of %d events holds no X span", len(events))
+		}
+	})
+	t.Run("trace-attr", func(t *testing.T) {
+		// E-ATTR charges the crossing subsystems' cycles against the
+		// WPOS-native gap.
+		out := run(t, 0, bin, "trace", "-workload", "file1", "-format", "attr")
+		match(t, out, `(?m)^  crossing cycles [1-9]\d* = [0-9.]+% of the gap$`)
 	})
 	t.Run("usage", func(t *testing.T) {
 		run(t, 2, bin, "nosuch")

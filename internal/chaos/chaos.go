@@ -181,7 +181,7 @@ func Run(cfg Config) (*Report, error) {
 	// Final oracle: heal everything, drain the caches, then have every
 	// worker verify its own files end to end.
 	h.fdev.Heal()
-	if err := h.guard("final sync", h.syncAll); err != nil {
+	if err := h.guard("final sync", h.checker.Sync); err != nil {
 		h.fill(rep)
 		return rep, h.fail(fmt.Errorf("final sync: %w", err))
 	}
@@ -470,27 +470,15 @@ func (h *harness) guard(what string, call func() error) error {
 	}
 }
 
-// syncAll flushes every volume through the file server, retrying briefly
-// (a just-healed device can need a second pass while in-flight errors
-// settle).
-func (h *harness) syncAll() error {
-	var err error
-	for i := 0; i < 8; i++ {
-		if err = h.checker.Sync(); err == nil {
-			return nil
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	return fmt.Errorf("sync after heal kept failing: %w", err)
-}
-
 // checkInvariants runs the post-epoch checks: counter conservation,
 // cache drain, occupancy gauges at zero, scheduler quiescent, and the
 // observation plane answering.
 func (h *harness) checkInvariants(epoch int, kind string) error {
 	// Drain write-behind state first so the dirty gauge must be zero.
-	if err := h.syncAll(); err != nil {
-		return fmt.Errorf("epoch %d (%s): %w", epoch, kind, err)
+	// The device is healthy here (repair healed it), so one pass must
+	// land.
+	if err := h.checker.Sync(); err != nil {
+		return fmt.Errorf("epoch %d (%s): sync: %w", epoch, kind, err)
 	}
 	// The workers are idle and every harness RPC has returned, so the
 	// RPC ledger must balance: every dispatched call resolved as exactly
@@ -506,10 +494,13 @@ func (h *harness) checkInvariants(epoch int, kind string) error {
 	if d := snap.Gauges["bcache.dirty"]; d != 0 {
 		return fmt.Errorf("epoch %d (%s): bcache.dirty=%d after sync", epoch, kind, d)
 	}
-	// No handler is running and nothing is queued, so every pool
-	// occupancy and port-set pending gauge must read zero.
-	if err := h.settleGauges(); err != nil {
-		return fmt.Errorf("epoch %d (%s): %w", epoch, kind, err)
+	// No call is in flight: drain and guard return only when every
+	// batch and harness call has, a dead slot or a stopped pool wakes
+	// its parked callers before they return, busy falls before a
+	// caller's Call returns, and a set counts its waiters inside claim.
+	// So every pool occupancy and port-set pending gauge reads zero now.
+	if occ := kflight.Outstanding(snap); len(occ) > 0 {
+		return fmt.Errorf("epoch %d (%s): stuck occupancy: %s", epoch, kind, strings.Join(occ, " "))
 	}
 	for _, es := range h.sys.Kernel.SchedStats() {
 		if es.RunQueue != 0 || es.Reserved != 0 {
@@ -526,28 +517,6 @@ func (h *harness) checkInvariants(epoch int, kind string) error {
 	}
 	if _, err := h.mon.Family("mach.rpc"); err != nil {
 		return fmt.Errorf("epoch %d (%s): monitor family: %w", epoch, kind, err)
-	}
-	return nil
-}
-
-// settleGauges waits briefly for asynchronous teardown and then requires
-// every busy and pending gauge to read zero.
-func (h *harness) settleGauges() error {
-	deadline := time.Now().Add(2 * time.Second)
-	var last error
-	for time.Now().Before(deadline) {
-		last = h.gaugeViolation()
-		if last == nil {
-			return nil
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	return last
-}
-
-func (h *harness) gaugeViolation() error {
-	if occ := kflight.Outstanding(h.sys.Stats.Snapshot()); len(occ) > 0 {
-		return fmt.Errorf("stuck occupancy: %s", strings.Join(occ, " "))
 	}
 	return nil
 }

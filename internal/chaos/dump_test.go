@@ -106,7 +106,7 @@ func TestDrainNamesStall(t *testing.T) {
 			spawn(func() error { <-release; return nil })
 		}, drainOne, "with 1 workers outstanding ()", nil},
 		{"harness-call", holdVolumeLock, func(h *harness) error {
-			return h.guard("final sync", h.syncAll)
+			return h.guard("final sync", h.checker.Sync)
 		}, "final sync blocked for 100ms", func(e kflight.WaitEdge) bool {
 			return e.Kind == kflight.WaitKernelLock && e.Lock == "volume:/stuck" && e.Holder != ""
 		}},

@@ -80,92 +80,151 @@ func wrng(seed int64, id int) *rand.Rand {
 	return rand.New(rand.NewSource(seed*1000003 + int64(id)))
 }
 
-// ---------------------------------------------------------------- OS/2 --
+// ---------------------------------------------------------- OS/2, POSIX --
 
-type os2Worker struct {
+// fileWorker is an OS/2 or POSIX process rewriting, reading back and
+// statting four files of its own.  The oracle is the same for both
+// personalities; only the calls under it differ.
+type fileWorker struct {
 	id     int
+	kind   string // "os2" or "posix"
 	h      *harness
 	rng    *rand.Rand
-	p      *os2.Process
+	fs     fileCalls
 	files  []*shadowFile
+	mix    []fileOp
 	serial uint64
 	opStream
 }
 
-func newOS2Worker(id int) *os2Worker { return &os2Worker{id: id} }
+// fileCalls is one personality's file API as a file worker drives it:
+// the personality's success code is a nil error.
+type fileCalls interface {
+	start(h *harness, name string) error              // the worker's process (and directory)
+	open(path string, write bool) (fd int, err error) // write creates or truncates
+	read(fd int, buf []byte) (int, error)
+	write(fd int, buf []byte) (int, error)
+	close(fd int) error
+	stat(path string) (size int64, err error)
+	remove(path string) error
+}
 
-func (w *os2Worker) name() string { return fmt.Sprintf("os2-%d", w.id) }
+// fileOp is one bucket of a worker's op mix: it runs when the worker's
+// 0–99 draw falls below cutoff.
+type fileOp struct {
+	cutoff int
+	kind   string
+	run    func(w *fileWorker, f *shadowFile) error
+}
 
-func (w *os2Worker) setup(h *harness) error {
+func newOS2Worker(id int) *fileWorker {
+	w := &fileWorker{id: id, kind: "os2", fs: &os2Calls{}, mix: []fileOp{
+		{35, "rewrite", rewriteOp},
+		{75, "read", (*fileWorker).readVerify},
+		{90, "stat", (*fileWorker).statCheck},
+		{100, "recreate", (*fileWorker).recreate},
+	}}
+	for j := 0; j < 4; j++ {
+		w.files = append(w.files, &shadowFile{path: fmt.Sprintf("/chaos/o%d_%d.dat", id, j), size: 256 + 128*j})
+	}
+	return w
+}
+
+func newPosixWorker(id int) *fileWorker {
+	c := &posixCalls{dir: fmt.Sprintf("/chaos/p%d", id)}
+	w := &fileWorker{id: id, kind: "posix", fs: c, mix: []fileOp{
+		{35, "rewrite", rewriteOp},
+		{70, "read", (*fileWorker).readVerify},
+		{80, "readdir", c.readdir},
+		{88, "stat", (*fileWorker).statCheck},
+		{100, "rename", c.renameShuffle},
+	}}
+	for j := 0; j < 4; j++ {
+		w.files = append(w.files, &shadowFile{path: fmt.Sprintf("%s/f%d.dat", c.dir, j), size: 192 + 96*j})
+	}
+	return w
+}
+
+func (w *fileWorker) name() string { return fmt.Sprintf("%s-%d", w.kind, w.id) }
+
+func (w *fileWorker) setup(h *harness) error {
 	w.h, w.rng = h, wrng(h.cfg.Seed, w.id)
-	p, err := h.sys.OS2.CreateProcess(fmt.Sprintf("chaos-os2-%d", w.id))
-	if err != nil {
+	if err := w.fs.start(h, "chaos-"+w.name()); err != nil {
 		return err
 	}
-	w.p = p
-	for j := 0; j < 4; j++ {
-		f := &shadowFile{
-			path: fmt.Sprintf("/chaos/o%d_%d.dat", w.id, j),
-			size: 256 + 128*j,
-		}
-		w.files = append(w.files, f)
+	for _, f := range w.files {
 		// Initial population happens before any fault is armed, so a
 		// failure here is a harness error, not a taint.
-		if err := w.rewrite(f); err != nil {
-			return err
-		}
+		w.rewrite(f)
 		if f.taint {
 			return fmt.Errorf("initial rewrite of %s errored with no fault armed", f.path)
 		}
 		w.note("setup", f.path, f.size, w.serial)
 	}
 	return nil
+}
+
+func (w *fileWorker) op() error {
+	f := w.files[w.rng.Intn(len(w.files))]
+	r := w.rng.Intn(100)
+	i := 0
+	for r >= w.mix[i].cutoff {
+		i++
+	}
+	w.note(w.mix[i].kind, f.path, f.size, w.serial)
+	return w.mix[i].run(w, f)
 }
 
 // rewrite replaces f's content in full: open(create) + write + close.  The
 // write is acknowledged only when every step succeeds — then the shadow
 // copy becomes the new expected content.  Any error taints the file.
-func (w *os2Worker) rewrite(f *shadowFile) error {
+func (w *fileWorker) rewrite(f *shadowFile) {
 	w.serial++
 	buf := make([]byte, f.size)
 	stamp(w.rng, buf, w.serial, fnv64(f.path))
-	h, e := w.p.DosOpen(f.path, true, true)
-	if e != os2.NoError {
+	fd, err := w.fs.open(f.path, true)
+	if err != nil {
 		w.h.opErrs.Add(1)
 		f.taint = true
-		return nil
+		return
 	}
-	n, e := w.p.DosWrite(h, buf)
-	ce := w.p.DosClose(h)
-	if e != os2.NoError || n != f.size || ce != os2.NoError {
+	n, err := w.fs.write(fd, buf)
+	cerr := w.fs.close(fd)
+	if err != nil || n != f.size || cerr != nil {
 		w.h.opErrs.Add(1)
 		f.taint = true
-		return nil
+		return
 	}
 	f.known, f.taint = buf, false
+}
+
+// rewriteOp is rewrite in the op mix: a failed rewrite taints its file,
+// which violates no invariant.
+func rewriteOp(w *fileWorker, f *shadowFile) error {
+	w.rewrite(f)
 	return nil
 }
 
 // readVerify reads f back in full and, when untainted, requires an exact
 // match against the last acknowledged content.
-func (w *os2Worker) readVerify(f *shadowFile) error {
-	h, e := w.p.DosOpen(f.path, false, false)
-	if e != os2.NoError {
+func (w *fileWorker) readVerify(f *shadowFile) error {
+	fd, err := w.fs.open(f.path, false)
+	if err != nil {
 		w.h.opErrs.Add(1)
 		if !f.taint {
-			return fmt.Errorf("lost file: %s acknowledged but open failed: %v", f.path, e)
+			return fmt.Errorf("lost file: %s acknowledged but open failed: %v", f.path, err)
 		}
 		return nil
 	}
-	defer w.p.DosClose(h)
+	defer w.fs.close(fd)
 	got := make([]byte, 0, f.size)
 	tmp := make([]byte, f.size)
 	for len(got) < f.size {
-		n, e := w.p.DosRead(h, tmp[:f.size-len(got)])
-		if e != os2.NoError {
+		n, err := w.fs.read(fd, tmp[:f.size-len(got)])
+		if err != nil {
 			w.h.opErrs.Add(1)
 			if !f.taint {
-				return fmt.Errorf("lost data: %s read failed mid-file: %v", f.path, e)
+				return fmt.Errorf("lost data: %s read failed mid-file: %v", f.path, err)
 			}
 			return nil
 		}
@@ -174,260 +233,177 @@ func (w *os2Worker) readVerify(f *shadowFile) error {
 		}
 		got = append(got, tmp[:n]...)
 	}
-	if f.taint {
-		return nil
-	}
-	if !bytes.Equal(got, f.known) {
-		if debugDump != nil {
-			debugDump(got, f.known)
-		}
+	if !f.taint && !bytes.Equal(got, f.known) {
 		return fmt.Errorf("lost write: %s acknowledged %d bytes, read back %d (%s)",
 			f.path, len(f.known), len(got), describeStamp(got, f.known))
 	}
 	return nil
 }
 
-func (w *os2Worker) op() error {
-	f := w.files[w.rng.Intn(len(w.files))]
-	switch r := w.rng.Intn(100); {
-	case r < 35:
-		w.note("rewrite", f.path, f.size, w.serial)
-		return w.rewrite(f)
-	case r < 75:
-		w.note("read", f.path, f.size, w.serial)
-		return w.readVerify(f)
-	case r < 90:
-		w.note("stat", f.path, f.size, w.serial)
-		// Stat oracle: an untainted file's size is exactly what was
-		// acknowledged.
-		a, e := w.p.DosQueryPathInfo(f.path)
-		if e != os2.NoError {
-			w.h.opErrs.Add(1)
-			if !f.taint {
-				return fmt.Errorf("lost file: %s acknowledged but stat failed: %v", f.path, e)
-			}
-			return nil
-		}
-		if !f.taint && a.Size != int64(f.size) {
-			return fmt.Errorf("lost write: %s acknowledged size %d, stat says %d", f.path, f.size, a.Size)
+// statCheck is the stat oracle: an untainted file's size is exactly what
+// was acknowledged.
+func (w *fileWorker) statCheck(f *shadowFile) error {
+	size, err := w.fs.stat(f.path)
+	if err != nil {
+		w.h.opErrs.Add(1)
+		if !f.taint {
+			return fmt.Errorf("lost file: %s acknowledged but stat failed: %v", f.path, err)
 		}
 		return nil
-	default:
-		w.note("recreate", f.path, f.size, w.serial)
-		// Delete + recreate: the hostile path for the cache's
-		// invalidation accounting.
-		if e := w.p.DosDelete(f.path); e != os2.NoError {
-			w.h.opErrs.Add(1)
-			f.taint = true
-		} else {
-			f.known, f.taint = nil, true // gone until the rewrite lands
-		}
-		return w.rewrite(f)
 	}
+	if !f.taint && size != int64(f.size) {
+		return fmt.Errorf("lost write: %s acknowledged size %d, stat says %d", f.path, f.size, size)
+	}
+	return nil
 }
 
-func (w *os2Worker) verify() (clean, tainted int, err error) {
+// recreate deletes f and rewrites it: the hostile path for the cache's
+// invalidation accounting.
+func (w *fileWorker) recreate(f *shadowFile) error {
+	if err := w.fs.remove(f.path); err != nil {
+		w.h.opErrs.Add(1)
+	}
+	f.taint = true // gone, or in an unknown state, until the rewrite lands
+	w.rewrite(f)
+	return nil
+}
+
+// verify is the post-heal oracle: every file ends untainted and exact.
+func (w *fileWorker) verify() (clean, tainted int, err error) {
 	for _, f := range w.files {
 		// The device is healed by now, so one clean rewrite must land —
 		// the fail/heal/retry convergence the cache retry path promises.
 		// That clears the taint and re-arms the exact check.
 		if f.taint {
-			if err := w.rewrite(f); err != nil {
-				return clean, tainted, err
-			}
+			w.rewrite(f)
 			if f.taint {
-				return clean, tainted, fmt.Errorf("no recovery: rewrite of %s still failing after heal", f.path)
+				return 0, 0, fmt.Errorf("no recovery: rewrite of %s still failing after heal", f.path)
 			}
 		}
 		if err := w.readVerify(f); err != nil {
-			return clean, tainted, err
-		}
-		if f.taint {
-			tainted++
-		} else {
-			clean++
+			return 0, 0, err
 		}
 	}
-	return clean, tainted, nil
+	return len(w.files), 0, nil
 }
 
-// --------------------------------------------------------------- POSIX --
-
-type posixWorker struct {
-	id     int
-	h      *harness
-	rng    *rand.Rand
-	p      *posix.Process
-	files  []*shadowFile
-	dir    string
-	serial uint64
-	opStream
+// asError maps a personality's success code, its zero (os2.NoError,
+// posix.OK), to a nil error: a typed zero stored in an error is not nil.
+func asError[E interface {
+	comparable
+	error
+}](e E) error {
+	var ok E
+	if e == ok {
+		return nil
+	}
+	return e
 }
 
-func newPosixWorker(id int) *posixWorker { return &posixWorker{id: id} }
+// os2Calls drives an OS/2 process.
+type os2Calls struct{ p *os2.Process }
 
-func (w *posixWorker) name() string { return fmt.Sprintf("posix-%d", w.id) }
+func (c *os2Calls) start(h *harness, name string) (err error) {
+	c.p, err = h.sys.OS2.CreateProcess(name)
+	return err
+}
 
-func (w *posixWorker) setup(h *harness) error {
-	w.h, w.rng = h, wrng(h.cfg.Seed, w.id)
-	p, err := h.sys.POSIX.Spawn(fmt.Sprintf("chaos-posix-%d", w.id))
+func (c *os2Calls) open(path string, write bool) (int, error) {
+	fd, e := c.p.DosOpen(path, write, write)
+	return int(fd), asError(e)
+}
+
+func (c *os2Calls) read(fd int, buf []byte) (int, error) {
+	n, e := c.p.DosRead(uint32(fd), buf)
+	return n, asError(e)
+}
+
+func (c *os2Calls) write(fd int, buf []byte) (int, error) {
+	n, e := c.p.DosWrite(uint32(fd), buf)
+	return n, asError(e)
+}
+
+func (c *os2Calls) close(fd int) error { return asError(c.p.DosClose(uint32(fd))) }
+
+func (c *os2Calls) stat(path string) (int64, error) {
+	a, e := c.p.DosQueryPathInfo(path)
+	return a.Size, asError(e)
+}
+
+func (c *os2Calls) remove(path string) error { return asError(c.p.DosDelete(path)) }
+
+// posixCalls drives a POSIX process working in its own directory.
+type posixCalls struct {
+	dir string
+	p   *posix.Process
+}
+
+func (c *posixCalls) start(h *harness, name string) error {
+	p, err := h.sys.POSIX.Spawn(name)
 	if err != nil {
 		return err
 	}
-	w.p = p
-	w.dir = fmt.Sprintf("/chaos/p%d", w.id)
-	if e := p.Mkdir(w.dir); e != posix.OK {
-		return fmt.Errorf("mkdir %s: %v", w.dir, e)
-	}
-	for j := 0; j < 4; j++ {
-		f := &shadowFile{
-			path: fmt.Sprintf("%s/f%d.dat", w.dir, j),
-			size: 192 + 96*j,
-		}
-		w.files = append(w.files, f)
-		if err := w.rewrite(f); err != nil {
-			return err
-		}
-		if f.taint {
-			return fmt.Errorf("initial rewrite of %s errored with no fault armed", f.path)
-		}
-		w.note("setup", f.path, f.size, w.serial)
+	c.p = p
+	if e := p.Mkdir(c.dir); e != posix.OK {
+		return fmt.Errorf("mkdir %s: %v", c.dir, e)
 	}
 	return nil
 }
 
-func (w *posixWorker) rewrite(f *shadowFile) error {
-	w.serial++
-	buf := make([]byte, f.size)
-	stamp(w.rng, buf, w.serial, fnv64(f.path))
-	fd, e := w.p.Open(f.path, posix.OWronly|posix.OCreat)
-	if e != posix.OK {
-		w.h.opErrs.Add(1)
-		f.taint = true
-		return nil
+func (c *posixCalls) open(path string, write bool) (int, error) {
+	flags := posix.ORdonly
+	if write {
+		flags = posix.OWronly | posix.OCreat
 	}
-	n, e := w.p.Write(fd, buf)
-	ce := w.p.Close(fd)
-	if e != posix.OK || n != f.size || ce != posix.OK {
-		w.h.opErrs.Add(1)
-		f.taint = true
-		return nil
-	}
-	f.known, f.taint = buf, false
-	return nil
+	fd, e := c.p.Open(path, flags)
+	return fd, asError(e)
 }
 
-func (w *posixWorker) readVerify(f *shadowFile) error {
-	fd, e := w.p.Open(f.path, posix.ORdonly)
-	if e != posix.OK {
+func (c *posixCalls) read(fd int, buf []byte) (int, error) {
+	n, e := c.p.Read(fd, buf)
+	return n, asError(e)
+}
+
+func (c *posixCalls) write(fd int, buf []byte) (int, error) {
+	n, e := c.p.Write(fd, buf)
+	return n, asError(e)
+}
+
+func (c *posixCalls) close(fd int) error { return asError(c.p.Close(fd)) }
+
+func (c *posixCalls) stat(path string) (int64, error) {
+	a, e := c.p.Stat(path)
+	return a.Size, asError(e)
+}
+
+func (c *posixCalls) remove(path string) error { return asError(c.p.Unlink(path)) }
+
+// readdir lists the worker's directory.
+func (c *posixCalls) readdir(w *fileWorker, _ *shadowFile) error {
+	if _, e := c.p.Readdir(c.dir); e != posix.OK {
 		w.h.opErrs.Add(1)
-		if !f.taint {
-			return fmt.Errorf("lost file: %s acknowledged but open failed: %v", f.path, e)
-		}
-		return nil
-	}
-	defer w.p.Close(fd)
-	got := make([]byte, 0, f.size)
-	tmp := make([]byte, f.size)
-	for len(got) < f.size {
-		n, e := w.p.Read(fd, tmp[:f.size-len(got)])
-		if e != posix.OK {
-			w.h.opErrs.Add(1)
-			if !f.taint {
-				return fmt.Errorf("lost data: %s read failed mid-file: %v", f.path, e)
-			}
-			return nil
-		}
-		if n == 0 {
-			break
-		}
-		got = append(got, tmp[:n]...)
-	}
-	if f.taint {
-		return nil
-	}
-	if !bytes.Equal(got, f.known) {
-		if debugDump != nil {
-			debugDump(got, f.known)
-		}
-		return fmt.Errorf("lost write: %s acknowledged %d bytes, read back %d (%s)",
-			f.path, len(f.known), len(got), describeStamp(got, f.known))
 	}
 	return nil
 }
 
-func (w *posixWorker) op() error {
-	f := w.files[w.rng.Intn(len(w.files))]
-	switch r := w.rng.Intn(100); {
-	case r < 35:
-		w.note("rewrite", f.path, f.size, w.serial)
-		return w.rewrite(f)
-	case r < 70:
-		w.note("read", f.path, f.size, w.serial)
-		return w.readVerify(f)
-	case r < 80:
-		w.note("readdir", f.path, f.size, w.serial)
-		if _, e := w.p.Readdir(w.dir); e != posix.OK {
-			w.h.opErrs.Add(1)
-		}
-		return nil
-	case r < 88:
-		w.note("stat", f.path, f.size, w.serial)
-		a, e := w.p.Stat(f.path)
-		if e != posix.OK {
-			w.h.opErrs.Add(1)
-			if !f.taint {
-				return fmt.Errorf("lost file: %s acknowledged but stat failed: %v", f.path, e)
-			}
-			return nil
-		}
-		if !f.taint && a.Size != int64(f.size) {
-			return fmt.Errorf("lost write: %s acknowledged size %d, stat says %d", f.path, f.size, a.Size)
-		}
-		return nil
-	default:
-		w.note("rename", f.path, f.size, w.serial)
-		// Rename shuffle on an untracked scratch file: namespace churn
-		// without oracle bookkeeping.
-		scratch := w.dir + "/scratch"
-		if fd, e := w.p.Open(scratch, posix.OWronly|posix.OCreat); e == posix.OK {
-			w.p.Write(fd, []byte("scratch"))
-			w.p.Close(fd)
-		} else {
-			w.h.opErrs.Add(1)
-		}
-		if e := w.p.Rename(scratch, scratch+".2"); e != posix.OK {
-			w.h.opErrs.Add(1)
-			return nil
-		}
-		if e := w.p.Unlink(scratch + ".2"); e != posix.OK {
-			w.h.opErrs.Add(1)
-		}
+// renameShuffle writes, renames and unlinks an untracked scratch file:
+// namespace churn without oracle bookkeeping.
+func (c *posixCalls) renameShuffle(w *fileWorker, _ *shadowFile) error {
+	scratch := c.dir + "/scratch"
+	if fd, err := c.open(scratch, true); err == nil {
+		c.write(fd, []byte("scratch"))
+		c.close(fd)
+	} else {
+		w.h.opErrs.Add(1)
+	}
+	if e := c.p.Rename(scratch, scratch+".2"); e != posix.OK {
+		w.h.opErrs.Add(1)
 		return nil
 	}
-}
-
-func (w *posixWorker) verify() (clean, tainted int, err error) {
-	for _, f := range w.files {
-		// Same post-heal convergence contract as the OS/2 worker.
-		if f.taint {
-			if err := w.rewrite(f); err != nil {
-				return clean, tainted, err
-			}
-			if f.taint {
-				return clean, tainted, fmt.Errorf("no recovery: rewrite of %s still failing after heal", f.path)
-			}
-		}
-		if err := w.readVerify(f); err != nil {
-			return clean, tainted, err
-		}
-		if f.taint {
-			tainted++
-		} else {
-			clean++
-		}
+	if err := c.remove(scratch + ".2"); err != nil {
+		w.h.opErrs.Add(1)
 	}
-	return clean, tainted, nil
+	return nil
 }
 
 // ----------------------------------------------------------------- MVM --
@@ -715,7 +691,3 @@ func firstDiff(a, b []byte) int {
 	}
 	return n
 }
-
-// debugDump, when set by a test, receives the raw got/want buffers of the
-// first mismatch for offline diagnosis.
-var debugDump func(got, want []byte)
