@@ -149,7 +149,8 @@ type Event struct {
 type Span struct {
 	Event
 	// Lat is the latency plane's ledger entry for a call (a *klat.Hop),
-	// set by that plane when it consumes the Begin.
+	// allocated with the record by that plane (RecordMaker) and filled
+	// when it consumes the Begin.
 	Lat any
 
 	ps      *Planes
@@ -162,6 +163,10 @@ type Span struct {
 // Observer is a plane that consumes records.  A record is handed over by
 // value: a stamp point's record never escapes to the heap.
 type Observer interface{ Observe(Event) }
+
+// RecordMaker is a plane that keeps an entry per call: Open takes each
+// EvRPC record from it, so the record and the entry are one allocation.
+type RecordMaker interface{ NewRecord() *Span }
 
 // reads lists the record types each plane consumes as spans (Begin and
 // End) and as points (stamps and instants).  The profile plane consumes
@@ -193,6 +198,7 @@ type Planes struct {
 	slots         [NumPlanes]any
 	spans, points uint32 // types some attached plane consumes
 	obs           []observer
+	records       RecordMaker // the plane a call's record comes from, if any
 }
 
 type observer struct {
@@ -266,6 +272,9 @@ func (e *Engine) setPlane(p Plane, v any) any {
 		if o, ok := s.(Observer); ok {
 			next.obs = append(next.obs, observer{o, r.spans, r.points})
 		}
+		if m, ok := s.(RecordMaker); ok {
+			next.records = m
+		}
 	}
 	e.planes.Store(&next)
 	return v
@@ -321,7 +330,13 @@ func (ps *Planes) Open(e Event, parent *Span) *Span {
 	if ps == nil || ps.spans&(1<<e.Type) == 0 {
 		return nil
 	}
-	sp := &Span{Event: e, ps: ps}
+	var sp *Span
+	if e.Type == EvRPC && ps.records != nil {
+		sp = ps.records.NewRecord()
+	} else {
+		sp = new(Span)
+	}
+	sp.Event, sp.ps = e, ps
 	sp.Phase, sp.Span = PhaseBegin, sp
 	ps.stamp(&sp.Event)
 	traced := ps.slots[PlaneTrace] != nil && reads[PlaneTrace].spans&(1<<e.Type) != 0

@@ -15,10 +15,13 @@ import (
 )
 
 // ioOp names one driver operation: the name of its record and its kstat
-// family, "drivers.io.<name>", built once so no request builds it.
-type ioOp struct{ name, family string }
+// family, "drivers.io.<name>", declared once so no request looks it up.
+type ioOp struct {
+	name string
+	key  *kstat.Key
+}
 
-func newIOOp(name string) ioOp { return ioOp{name: name, family: "drivers.io." + name} }
+func newIOOp(name string) ioOp { return ioOp{name: name, key: kstat.NewKey("drivers.io." + name)} }
 
 // The driver operations traceIO counts.
 var (
@@ -37,7 +40,7 @@ var (
 // driver I/O is a no-op.
 func traceIO(k *mach.Kernel, op ioOp) *cpu.Span {
 	ps := k.CPU.Planes()
-	kstat.From(ps).Counter(op.family).Inc()
+	kstat.From(ps).Count(op.key).Inc()
 	return ps.Open(cpu.Event{Type: cpu.EvDriverIO, Subsystem: "drivers", Name: op.name}, nil)
 }
 

@@ -151,8 +151,8 @@ func TestOutstandingSettledBoot(t *testing.T) {
 	if calls == 0 || calls != replies+errs {
 		t.Fatalf("rpc ledger of a settled boot: calls=%d replies=%d errors=%d", calls, replies, errs)
 	}
-	sys.Stats.Gauge("x.busy").Set(2)
-	sys.Stats.Gauge("x.workers").Set(3)
+	sys.Stats.GaugeFunc("x.busy", func() int64 { return 2 })
+	sys.Stats.GaugeFunc("x.workers", func() int64 { return 3 })
 	if occ := kflight.Outstanding(sys.Stats.Snapshot()); len(occ) != 1 || occ[0] != "x.busy=2" {
 		t.Fatalf("Outstanding = %v, want [x.busy=2]", occ)
 	}

@@ -21,7 +21,7 @@ func emit(eng *cpu.Engine, arg uint64) {
 func sampleSnapshot() kstat.Snapshot {
 	set := kstat.NewSet()
 	set.Counter("mach.rpc.replies").Add(3)
-	set.Gauge("test.pool.busy").Set(2)
+	set.GaugeFunc("test.pool.busy", func() int64 { return 2 })
 	return set.Snapshot()
 }
 

@@ -140,6 +140,7 @@ type Hop struct {
 
 	mu       sync.Mutex
 	children []*Hop
+	kids     [2]*Hop // children's first backing: one nested call grows nothing
 	marks    map[string]uint64
 	notes    map[string]uint64
 	// Modeled schedule of the hop's server burst, attached at reply
@@ -186,6 +187,9 @@ func (h *Hop) E2E() uint64 { return h.seg(h.start(), h.end()) }
 
 func (h *Hop) addChild(c *Hop) {
 	h.mu.Lock()
+	if h.children == nil {
+		h.children = h.kids[:0]
+	}
 	h.children = append(h.children, c)
 	h.mu.Unlock()
 }
@@ -255,12 +259,28 @@ func Detach(eng *cpu.Engine) { eng.DetachPlane(cpu.PlaneLat, nil) }
 // For returns the engine's tracker, or nil when the plane is detached.
 func For(eng *cpu.Engine) *Tracker { return cpu.PlaneOf[*Tracker](eng.Planes(), cpu.PlaneLat) }
 
+// record is a call's record and its hop, allocated together.
+type record struct {
+	rec cpu.Span
+	hop Hop
+}
+
+func (t *Tracker) newRecord() *record {
+	r := &record{hop: Hop{t: t}}
+	r.rec.Lat = &r.hop
+	return r
+}
+
+// NewRecord implements cpu.RecordMaker: a call's record holds its hop,
+// which the Begin fills.
+func (t *Tracker) NewRecord() *cpu.Span { return &t.newRecord().rec }
+
 // Observe implements cpu.Observer: a call's five stamps, and the cache
 // outcomes noted on the request they served.
 func (t *Tracker) Observe(e cpu.Event) {
 	switch e.Phase {
 	case cpu.PhaseBegin:
-		e.Span.Lat = t.begin(Of(e.Req), &e)
+		t.begin(Of(e.Span), Of(e.Req), &e)
 	case cpu.PhaseEnd:
 		t.finish(Of(e.Span), &e)
 	case cpu.PhaseInstant:
@@ -279,24 +299,22 @@ var cacheNotes = map[string]string{
 	"readahead": "bcache.readahead", "writeback": "bcache.writeback",
 }
 
-// begin opens the hop of one outgoing call at P0.  A call made for a
+// begin opens h, the hop of one outgoing call, at P0.  A call made for a
 // request being served names that request's hop as parent and attaches
 // to its ledger as a child; with no parent (or one already sealed — its
 // client gave up) the hop is a root, a fresh request ID minted at a
 // client entry point.
-func (t *Tracker) begin(parent *Hop, e *cpu.Event) *Hop {
-	server := e.Name
-	if server == "" {
-		server = "?"
+func (t *Tracker) begin(h, parent *Hop, e *cpu.Event) {
+	h.ID, h.Server, h.Op, h.Width = t.seq.Add(1), e.Name, uint32(e.Arg), e.Width
+	if h.Server == "" {
+		h.Server = "?"
 	}
-	h := &Hop{t: t, ID: t.seq.Add(1), Server: server, Op: uint32(e.Arg), Width: e.Width}
 	if parent != nil && !parent.sealed.Load() {
 		parent.addChild(h)
 	} else {
 		h.Root = true
 	}
 	h.stamps[pEntry].set(e.Ctr.Cycles)
-	return h
 }
 
 // BeginSub opens a sub-hop under a carrier hop for one demultiplexed
@@ -309,11 +327,8 @@ func (h *Hop) BeginSub(op uint32) *cpu.Span {
 		return nil
 	}
 	t := h.t
-	sub := &struct {
-		rec cpu.Span
-		hop Hop
-	}{hop: Hop{t: t, ID: t.seq.Add(1), Server: h.Server, Op: op, Sub: true}}
-	sub.rec.Lat = &sub.hop
+	sub := t.newRecord()
+	sub.hop.ID, sub.hop.Server, sub.hop.Op, sub.hop.Sub = t.seq.Add(1), h.Server, op, true
 	h.addChild(&sub.hop)
 	sub.hop.stampNow(pRecv)
 	return &sub.rec

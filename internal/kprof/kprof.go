@@ -65,8 +65,7 @@ type Profiler struct {
 	enabled bool
 	cells   map[cellKey]*cell
 
-	charges   uint64 // total ProfCharge calls, never reset (kstat self-metric)
-	published uint64 // portion of charges already pushed to kstat
+	charges uint64 // total ProfCharge calls, never reset (kprof.charges)
 }
 
 // ProfCharge implements cpu.ProfSink on every engine the profiler
@@ -116,10 +115,7 @@ func (p *Profiler) Reset() {
 	p.mu.Unlock()
 }
 
-// Snapshot captures the profile as a stable, sorted sample list and
-// refreshes the profiler's kstat self-metrics (kprof.charges counter,
-// kprof.cells and kprof.enabled gauges) on the engine's Set, if one is
-// attached.
+// Snapshot captures the profile as a stable, sorted sample list.
 func (p *Profiler) Snapshot() Profile {
 	p.mu.Lock()
 	prof := Profile{Samples: make([]Sample, 0, len(p.cells))}
@@ -139,25 +135,37 @@ func (p *Profiler) Snapshot() Profile {
 			Count:  c.count,
 		})
 	}
-	delta := p.charges - p.published
-	p.published = p.charges
-	cells, enabled := len(p.cells), p.enabled
 	p.mu.Unlock()
 
 	slices.SortFunc(prof.Samples, func(a, b Sample) int {
 		return cmp.Or(cmp.Compare(strings.Join(a.Stack, ";"), strings.Join(b.Stack, ";")),
 			cmp.Compare(a.Region, b.Region), cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Engine, b.Engine))
 	})
-
-	st := kstat.For(p.eng)
-	st.Counter("kprof.charges").Add(delta)
-	st.Gauge("kprof.cells").Set(int64(cells))
-	on := int64(0)
-	if enabled {
-		on = 1
-	}
-	st.Gauge("kprof.enabled").Set(on)
 	return prof
+}
+
+// register has the engine's Set read the profiler's own state (self).
+// Its charges never go backwards, and a later profiler's add to them, so
+// kprof.charges stays monotone across a detach and a re-attach.
+func (p *Profiler) register(st *kstat.Set) {
+	st.CounterFunc("kprof.charges", func() uint64 { c, _, _ := p.self(); return c })
+	st.GaugeFunc("kprof.cells", func() int64 { _, n, _ := p.self(); return n })
+	st.GaugeFunc("kprof.enabled", func() int64 { _, _, on := p.self(); return on })
+}
+
+// self reads the profiler's charge count and, while it is the engine's
+// attached profiler, its cell count and whether it is enabled (both 0
+// once it is detached).
+func (p *Profiler) self() (charges uint64, cells, enabled int64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if For(p.eng) == p {
+		cells = int64(len(p.cells))
+		if p.enabled {
+			enabled = 1
+		}
+	}
+	return p.charges, cells, enabled
 }
 
 // --- engine attachment -----------------------------------------------------
@@ -165,14 +173,16 @@ func (p *Profiler) Snapshot() Profile {
 // Attach returns the engine's Profiler, attaching one if none is: it is
 // installed as the ProfSink of every engine eng observes, so samples carry
 // the engine the charge landed on, and its slot makes the open-record
-// stack keep the frames.  The profiler starts disabled; call Enable to
-// open an attribution window.
+// stack keep the frames.  The kstat Set attached at that moment, if any,
+// reads its kprof.* families from it.  The profiler starts disabled; call
+// Enable to open an attribution window.
 func Attach(eng *cpu.Engine) *Profiler {
 	return eng.AttachPlane(cpu.PlaneProf, func() any {
 		p := &Profiler{eng: eng, cells: make(map[cellKey]*cell)}
 		for _, e := range eng.Engines() {
 			e.SetProfSink(p)
 		}
+		p.register(kstat.For(eng))
 		return p
 	}).(*Profiler)
 }

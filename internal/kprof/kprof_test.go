@@ -234,29 +234,51 @@ func TestFoldedAndJSON(t *testing.T) {
 	}
 }
 
-// TestSelfMetrics checks that Snapshot refreshes the kprof.* families on
-// the engine's kstat Set.
+// TestSelfMetrics checks that the engine's kstat Set reads the kprof.*
+// families from the profiler itself, with no Snapshot in between:
+// kprof.charges stays monotone across a detach and a re-attach, and
+// kprof.cells and kprof.enabled read 0 once the profiler is detached.
 func TestSelfMetrics(t *testing.T) {
-	eng, p, ra, _ := rig(t)
+	eng, _, ra, _ := rig(t)
+	Detach(eng)
 	st := kstat.Attach(eng)
 	defer kstat.Detach(eng)
+	p := Attach(eng)
+	p.Enable()
 
 	eng.Exec(ra)
-	p.Snapshot()
 	snap := st.Snapshot()
-	if snap.Counters["kprof.charges"] == 0 {
-		t.Error("kprof.charges not published")
+	charges := snap.Counters["kprof.charges"]
+	if charges == 0 {
+		t.Error("kprof.charges does not read the profiler")
 	}
 	if snap.Gauges["kprof.cells"] == 0 {
-		t.Error("kprof.cells not published")
+		t.Error("kprof.cells does not read the profiler")
 	}
 	if snap.Gauges["kprof.enabled"] != 1 {
 		t.Error("kprof.enabled != 1 while enabled")
 	}
 	p.Disable()
-	p.Snapshot()
 	if st.Snapshot().Gauges["kprof.enabled"] != 0 {
 		t.Error("kprof.enabled != 0 while disabled")
+	}
+
+	Detach(eng)
+	snap = st.Snapshot()
+	if c, g := snap.Gauges["kprof.cells"], snap.Gauges["kprof.enabled"]; c != 0 || g != 0 {
+		t.Errorf("detached profiler reads kprof.cells = %d, kprof.enabled = %d, want 0 and 0", c, g)
+	}
+	if got := snap.Counters["kprof.charges"]; got != charges {
+		t.Errorf("kprof.charges = %d after detach, want %d", got, charges)
+	}
+	Attach(eng).Enable()
+	eng.Exec(ra)
+	snap = st.Snapshot()
+	if got := snap.Counters["kprof.charges"]; got <= charges {
+		t.Errorf("kprof.charges = %d after a re-attach and more charges, want more than %d", got, charges)
+	}
+	if snap.Gauges["kprof.enabled"] != 1 {
+		t.Error("re-attached profiler's kprof.enabled != 1")
 	}
 }
 

@@ -8,21 +8,29 @@
 // a Set:
 //
 //   - Counter: a sharded, lock-free monotonic count (operations, bytes).
-//   - Gauge: an instantaneous level (pool workers busy, queue depth).
+//   - Gauge: an instantaneous level (pool workers busy, queue depth),
+//     always read where its owner keeps it (GaugeFunc).
 //   - Histogram: a mergeable log-bucketed (HDR-style) distribution of
 //     latencies or sizes, readable as quantiles.
 //
 // Three ways in: a Set consumes the engine's observation records
 // (Observe: RPC calls, the thread_self trap, VM faults, cache outcomes);
 // counts that are not stamp points — operation counts — go through the
-// direct Counter/Gauge/Histogram API; and state some other component
-// already keeps — scheduler, pool, port-set and cache levels — is read
+// direct Counter/Histogram API; and state some other component already
+// keeps — scheduler, pool, port-set, cache and profiler levels — is read
 // where it lives, by a func its owner registers (GaugeFunc, CounterFunc)
-// and Snapshot calls, so no second copy of it can drift.  Like ktrace, kstat
-// is observation-only: nothing here charges the cpu.Engine, so modeled
-// cycle counts — the Table 1 and Table 2 reproductions — are bit-identical
-// with kstat enabled or disabled (gated by bench.CounterTable2 and
-// TestKstatObservationOnly).
+// and Snapshot calls, so no second copy of it can drift.
+//
+// A family a per-operation path touches is declared once, at package
+// level, as a Key (NewKey); a Set resolves it on first touch into a slot
+// of its own, so the count is an index and a load, not a lookup by name.
+// By-name Counter and Histogram serve tests and registration where a
+// component is built.
+//
+// Like ktrace, kstat is observation-only: nothing here charges the
+// cpu.Engine, so modeled cycle counts — the Table 1 and Table 2
+// reproductions — are bit-identical with kstat enabled or disabled (gated
+// by bench.CounterTable2 and TestKstatObservationOnly).
 //
 // Family naming convention (dotted, lower-case):
 //
@@ -95,21 +103,28 @@ func (c *Counter) Value() uint64 {
 	return sum
 }
 
-// Gauge is an instantaneous signed level that kstat itself holds.  A
-// level some other component keeps is read where it lives (GaugeFunc).
-type Gauge struct {
-	v atomic.Int64
+// Key names a family a per-operation path touches, declared once at
+// package level: each Set resolves it on first touch into its own slot.
+type Key struct {
+	name string
+	slot int
 }
 
-// Set stores the level; a nil gauge (from a nil Set) drops it.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v.Store(v)
+// maxKeys bounds the Keys a program declares; a Set holds a slot for
+// each of them.
+const maxKeys = 128
+
+// keys counts the declared Keys; package initialization declares them.
+var keys atomic.Int32
+
+// NewKey declares the family name.  Call it at package level.
+func NewKey(name string) *Key {
+	slot := int(keys.Add(1)) - 1
+	if slot >= maxKeys {
+		panic("kstat: more than maxKeys keys declared")
 	}
+	return &Key{name: name, slot: slot}
 }
-
-// Value reads the level.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Set is a registry of named metric families.  All methods are safe for
 // concurrent use; families are created on first touch.  A nil Set — a
@@ -117,9 +132,14 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // given, so a count site is one line whether or not kstat is attached.
 type Set struct {
 	counters sync.Map // name -> *Counter
-	gauges   sync.Map // name -> *Gauge
 	hists    sync.Map // name -> *Histogram
 	rpcTo    sync.Map // server -> its mach.rpc.to.<srv>.calls *Counter
+
+	// keyed holds each Key's resolved families, filled on first touch.
+	keyed [maxKeys]struct {
+		c atomic.Pointer[Counter]
+		h atomic.Pointer[Histogram]
+	}
 
 	// reads are the registered reads of owners' state, each adding its
 	// value into a snapshot; mu guards the slice, never a call.
@@ -142,18 +162,6 @@ func (s *Set) Counter(name string) *Counter {
 	return v.(*Counter)
 }
 
-// Gauge returns the named gauge, creating it if needed.
-func (s *Set) Gauge(name string) *Gauge {
-	if s == nil {
-		return nil
-	}
-	if v, ok := s.gauges.Load(name); ok {
-		return v.(*Gauge)
-	}
-	v, _ := s.gauges.LoadOrStore(name, new(Gauge))
-	return v.(*Gauge)
-}
-
 // Histogram returns the named histogram, creating it if needed.
 func (s *Set) Histogram(name string) *Histogram {
 	if s == nil {
@@ -166,12 +174,40 @@ func (s *Set) Histogram(name string) *Histogram {
 	return v.(*Histogram)
 }
 
+// Count returns k's counter, resolving it on the Set's first touch.
+func (s *Set) Count(k *Key) *Counter {
+	if s == nil {
+		return nil
+	}
+	slot := &s.keyed[k.slot].c
+	if c := slot.Load(); c != nil {
+		return c
+	}
+	c := s.Counter(k.name)
+	slot.Store(c)
+	return c
+}
+
+// Hist returns k's histogram, resolving it on the Set's first touch.
+func (s *Set) Hist(k *Key) *Histogram {
+	if s == nil {
+		return nil
+	}
+	slot := &s.keyed[k.slot].h
+	if h := slot.Load(); h != nil {
+		return h
+	}
+	h := s.Histogram(k.name)
+	slot.Store(h)
+	return h
+}
+
 // GaugeFunc registers f as a read of the named gauge family: Snapshot
-// calls it, and a family with several funcs (or a Gauge of the same name)
-// reads their sum.  f reads state its owner keeps anyway — atomics, or a
-// leaf mutex at most — and never blocks, because a flight dump of a
-// stalled system snapshots through it.  A func stays registered for the
-// Set's life; a nil Set drops it.
+// calls it, and a family with several funcs reads their sum.  f reads
+// state its owner keeps anyway — atomics, or a leaf mutex at most — and
+// never blocks, because a flight dump of a stalled system snapshots
+// through it.  A func stays registered for the Set's life; a nil Set
+// drops it.
 func (s *Set) GaugeFunc(name string, f func() int64) {
 	s.register(func(snap Snapshot) { snap.Gauges[name] += f() })
 }
@@ -191,10 +227,36 @@ func (s *Set) register(read func(Snapshot)) {
 	}
 }
 
-// cacheFamilies names the counter of each buffer-cache outcome record.
-var cacheFamilies = map[string]string{
-	"hit": "bcache.hits", "miss": "bcache.misses",
-	"readahead": "bcache.readahead", "writeback": "bcache.writeback",
+// The families of the stamp points.
+var (
+	rpcCalls    = NewKey("mach.rpc.calls")
+	rpcBytesIn  = NewKey("mach.rpc.bytes_in")
+	rpcBatched  = NewKey("mach.rpc.batched")
+	rpcSize     = NewKey("mach.rpc.size_bytes")
+	rpcErrors   = NewKey("mach.rpc.errors")
+	rpcReplies  = NewKey("mach.rpc.replies")
+	rpcBytesOut = NewKey("mach.rpc.bytes_out")
+	oolMapped   = NewKey("mach.ool.bytes_mapped")
+	trapCount   = NewKey("mach.trap.count")
+	vmFaults    = NewKey("vm.faults")
+
+	cacheHits      = NewKey("bcache.hits")
+	cacheMisses    = NewKey("bcache.misses")
+	cacheReadahead = NewKey("bcache.readahead")
+	cacheWriteback = NewKey("bcache.writeback")
+)
+
+// cacheFamily is the counter of a buffer-cache outcome record.
+func cacheFamily(outcome string) *Key {
+	switch outcome {
+	case "hit":
+		return cacheHits
+	case "miss":
+		return cacheMisses
+	case "readahead":
+		return cacheReadahead
+	}
+	return cacheWriteback
 }
 
 // Observe implements cpu.Observer: the families of the stamp points.  An
@@ -209,64 +271,75 @@ func (s *Set) Observe(e cpu.Event) {
 	switch e.Type {
 	case cpu.EvRPC:
 		if e.Phase == cpu.PhaseBegin {
-			s.Counter("mach.rpc.calls").Inc()
-			s.Counter("mach.rpc.bytes_in").Add(e.Bytes)
+			s.Count(rpcCalls).Inc()
+			s.Count(rpcBytesIn).Add(e.Bytes)
 			if e.Width > 0 {
-				s.Counter("mach.rpc.batched").Add(uint64(e.Width))
+				s.Count(rpcBatched).Add(uint64(e.Width))
 			}
 			if e.Mapped > 0 {
-				s.Counter("mach.ool.bytes_mapped").Add(e.Mapped)
+				s.Count(oolMapped).Add(e.Mapped)
 			}
 			if e.Name != "" {
-				c, ok := s.rpcTo.Load(e.Name)
-				if !ok {
-					c, _ = s.rpcTo.LoadOrStore(e.Name, s.Counter("mach.rpc.to."+e.Name+".calls"))
-				}
-				c.(*Counter).Inc()
+				s.callsTo(e.Name).Inc()
 			}
 			return
 		}
 		s.delta(&rpcFamilies, &e)
-		s.Histogram("mach.rpc.size_bytes").Observe(e.Span.Bytes)
+		s.Hist(rpcSize).Observe(e.Span.Bytes)
 		if e.Err != "" {
-			s.Counter("mach.rpc.errors").Inc()
+			s.Count(rpcErrors).Inc()
 			return
 		}
-		s.Counter("mach.rpc.replies").Inc()
-		s.Counter("mach.rpc.bytes_out").Add(e.Bytes)
+		s.Count(rpcReplies).Inc()
+		s.Count(rpcBytesOut).Add(e.Bytes)
 		if e.Mapped > 0 {
-			s.Counter("mach.ool.bytes_mapped").Add(e.Mapped)
+			s.Count(oolMapped).Add(e.Mapped)
 		}
 	case cpu.EvTrap:
 		// The mach.trap family is Table 2's trap column accumulated live:
 		// E-CTR (bench.CounterTable2) derives the trap-vs-RPC ratios from
 		// these counters alone.
 		if e.Phase == cpu.PhaseEnd {
-			s.Counter("mach.trap.count").Inc()
+			s.Count(trapCount).Inc()
 			s.delta(&trapFamilies, &e)
 		}
 	case cpu.EvVMFault:
-		s.Counter("vm.faults").Inc()
+		s.Count(vmFaults).Inc()
 	case cpu.EvCache:
-		s.Counter(cacheFamilies[e.Name]).Add(e.Arg)
+		s.Count(cacheFamily(e.Name)).Add(e.Arg)
 	}
 }
 
+// callsTo returns the mach.rpc.to.<server>.calls counter: one load keyed
+// by the server, the family's name built on its first call only.
+func (s *Set) callsTo(server string) *Counter {
+	c, ok := s.rpcTo.Load(server)
+	if !ok {
+		c, _ = s.rpcTo.LoadOrStore(server, s.Counter("mach.rpc.to."+server+".calls"))
+	}
+	return c.(*Counter)
+}
+
 // spanFamilies names the families a span's counter deltas land on.
-type spanFamilies struct{ instr, cycles, bus, latency string }
+type spanFamilies struct{ instr, cycles, bus, latency *Key }
+
+func newSpanFamilies(prefix string) spanFamilies {
+	return spanFamilies{NewKey(prefix + ".instr"), NewKey(prefix + ".cycles"),
+		NewKey(prefix + ".bus"), NewKey(prefix + ".latency_cycles")}
+}
 
 var (
-	rpcFamilies  = spanFamilies{"mach.rpc.instr", "mach.rpc.cycles", "mach.rpc.bus", "mach.rpc.latency_cycles"}
-	trapFamilies = spanFamilies{"mach.trap.instr", "mach.trap.cycles", "mach.trap.bus", "mach.trap.latency_cycles"}
+	rpcFamilies  = newSpanFamilies("mach.rpc")
+	trapFamilies = newSpanFamilies("mach.trap")
 )
 
 // delta records a span's counter deltas, begin to end.
 func (s *Set) delta(f *spanFamilies, end *cpu.Event) {
 	d := end.Ctr.Sub(end.Span.Ctr)
-	s.Counter(f.instr).Add(d.Instructions)
-	s.Counter(f.cycles).Add(d.Cycles)
-	s.Counter(f.bus).Add(d.BusCycles)
-	s.Histogram(f.latency).Observe(d.Cycles)
+	s.Count(f.instr).Add(d.Instructions)
+	s.Count(f.cycles).Add(d.Cycles)
+	s.Count(f.bus).Add(d.BusCycles)
+	s.Hist(f.latency).Observe(d.Cycles)
 }
 
 // Snapshot captures every family's current value.  It is weakly
@@ -281,10 +354,6 @@ func (s *Set) Snapshot() Snapshot {
 	}
 	s.counters.Range(func(k, v any) bool {
 		snap.Counters[k.(string)] = v.(*Counter).Value()
-		return true
-	})
-	s.gauges.Range(func(k, v any) bool {
-		snap.Gauges[k.(string)] = v.(*Gauge).Value()
 		return true
 	})
 	s.hists.Range(func(k, v any) bool {

@@ -31,29 +31,71 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(5)
-	g.Set(2)
-	if got := g.Value(); got != 2 {
-		t.Fatalf("gauge = %d, want 2", got)
+// testKey is a family declared the way a per-op path declares one.
+var testKey = NewKey("k.ops")
+
+// TestKeyResolvesPerSet: a Key lands on its Set's by-name family, which
+// the Set lists only once something has touched it; a fresh Set — a
+// detach and re-attach — resolves it afresh; a nil Set drops the count.
+func TestKeyResolvesPerSet(t *testing.T) {
+	s := NewSet()
+	if _, ok := s.Snapshot().Counters["k.ops"]; ok {
+		t.Fatal("an untouched key's family is listed")
 	}
-	var none *Gauge // a detached Set's
-	none.Set(1)
+	s.Count(testKey).Add(2)
+	s.Counter("k.ops").Inc()
+	s.Hist(testKey).Observe(7)
+	snap := s.Snapshot()
+	if c, h := snap.Counters["k.ops"], snap.Histograms["k.ops"].Count; c != 3 || h != 1 {
+		t.Fatalf("k.ops counter = %d, histogram count = %d, want 3 and 1", c, h)
+	}
+	fresh := NewSet()
+	fresh.Count(testKey).Inc()
+	if got := fresh.Counter("k.ops").Value(); got != 1 {
+		t.Fatalf("fresh set's k.ops = %d, want 1", got)
+	}
+	if got := s.Counter("k.ops").Value(); got != 3 {
+		t.Fatalf("first set's k.ops = %d after the fresh set counted, want 3", got)
+	}
+	var none *Set // a detached engine's
+	none.Count(testKey).Inc()
+	none.Hist(testKey).Observe(1)
+}
+
+// TestKeyFirstTouchRace: goroutines racing to resolve a key on a fresh Set
+// all land on one counter, so none of their counts is lost.
+func TestKeyFirstTouchRace(t *testing.T) {
+	const workers, per = 8, 1000
+	s := NewSet()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				s.Count(testKey).Inc()
+			}
+		}()
+	}
+	wg.Wait()
+	if got := s.Counter("k.ops").Value(); got != workers*per {
+		t.Fatalf("k.ops = %d, want %d", got, workers*per)
+	}
 }
 
 // TestSetSnapshotDelta exercises family creation, snapshotting, and the
 // delta semantics the monitor protocol relies on.
 func TestSetSnapshotDelta(t *testing.T) {
 	s := NewSet()
+	busy := int64(3)
 	s.Counter("a.calls").Add(10)
-	s.Gauge("a.busy").Set(3)
+	s.GaugeFunc("a.busy", func() int64 { return busy })
 	s.Histogram("a.lat").Observe(100)
 	base := s.Snapshot()
 
 	s.Counter("a.calls").Add(7)
 	s.Counter("b.new").Inc()
-	s.Gauge("a.busy").Set(1)
+	busy = 1
 	s.Histogram("a.lat").Observe(200)
 	d := s.Snapshot().Delta(base)
 
@@ -139,7 +181,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 func TestExpositions(t *testing.T) {
 	s := NewSet()
 	s.Counter("mach.rpc.calls").Add(42)
-	s.Gauge("mach.pool.files/control.busy").Set(2)
+	s.GaugeFunc("mach.pool.files/control.busy", func() int64 { return 2 })
 	s.Histogram("mach.rpc.latency_cycles").Observe(5163)
 	snap := s.Snapshot()
 
@@ -176,24 +218,24 @@ func TestExpositions(t *testing.T) {
 }
 
 // TestFuncFamilies: a snapshot calls every registered read and sums the
-// reads of one name, with a plain metric of that name too; a nil Set
+// reads of one name, with a plain counter of that name too; a nil Set
 // drops a registration.
 func TestFuncFamilies(t *testing.T) {
 	s := NewSet()
 	level, count := int64(2), uint64(5)
 	s.GaugeFunc("c.dirty", func() int64 { return level })
 	s.GaugeFunc("c.dirty", func() int64 { return 3 })
-	s.Gauge("c.dirty").Set(1)
 	s.CounterFunc("p.ops", func() uint64 { return count })
 	s.CounterFunc("p.ops", func() uint64 { return 4 })
+	s.Counter("p.ops").Add(1)
 	base := s.Snapshot()
-	if g, c := base.Gauges["c.dirty"], base.Counters["p.ops"]; g != 6 || c != 9 {
-		t.Fatalf("c.dirty = %d, p.ops = %d, want 6 and 9", g, c)
+	if g, c := base.Gauges["c.dirty"], base.Counters["p.ops"]; g != 5 || c != 10 {
+		t.Fatalf("c.dirty = %d, p.ops = %d, want 5 and 10", g, c)
 	}
 	level, count = 0, 7
 	d := s.Snapshot().Delta(base)
-	if g, c := d.Gauges["c.dirty"], d.Counters["p.ops"]; g != 4 || c != 2 {
-		t.Fatalf("delta c.dirty = %d, p.ops = %d, want the level 4 and 2 more", g, c)
+	if g, c := d.Gauges["c.dirty"], d.Counters["p.ops"]; g != 3 || c != 2 {
+		t.Fatalf("delta c.dirty = %d, p.ops = %d, want the level 3 and 2 more", g, c)
 	}
 	var nilSet *Set
 	nilSet.GaugeFunc("x", func() int64 { return 1 })

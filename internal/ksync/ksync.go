@@ -60,14 +60,20 @@ func NewFactory(eng *cpu.Engine, layout *cpu.Layout) *Factory {
 	return f
 }
 
+// The op counters of the two synchronization paths.
+var (
+	kernelOps = kstat.NewKey("ksync.kernel_ops")
+	userOps   = kstat.NewKey("ksync.user_ops")
+)
+
 func (f *Factory) kernelOp() {
-	kstat.For(f.eng).Counter("ksync.kernel_ops").Inc()
+	kstat.For(f.eng).Count(kernelOps).Inc()
 	f.eng.Stall(f.costs.TrapCycles)
 	f.eng.Exec(f.kernelPath)
 }
 
 func (f *Factory) userOp() {
-	kstat.For(f.eng).Counter("ksync.user_ops").Inc()
+	kstat.For(f.eng).Count(userOps).Inc()
 	f.eng.Exec(f.userPath)
 }
 

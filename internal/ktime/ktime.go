@@ -58,10 +58,16 @@ func NewClock(eng *cpu.Engine, layout *cpu.Layout, mhz uint64) *Clock {
 	}
 }
 
+// The clock's op counters.
+var (
+	clockReads = kstat.NewKey("ktime.clock_reads")
+	timersSet  = kstat.NewKey("ktime.timers_set")
+)
+
 // Now returns the current simulated time: elapsed cycles at the clock
 // rate, plus any manual advancement.
 func (c *Clock) Now() Time {
-	kstat.For(c.eng).Counter("ktime.clock_reads").Inc()
+	kstat.For(c.eng).Count(clockReads).Inc()
 	c.eng.Exec(c.readOp)
 	cyc := c.eng.Counters().Cycles
 	c.mu.Lock()
@@ -121,7 +127,7 @@ func (c *Clock) Every(period Duration, fn func(Time)) *Timer {
 }
 
 func (c *Clock) schedule(d Duration, period Duration, fn func(Time)) *Timer {
-	kstat.For(c.eng).Counter("ktime.timers_set").Inc()
+	kstat.For(c.eng).Count(timersSet).Inc()
 	c.eng.Exec(c.adminOp)
 	now := c.Now()
 	c.mu.Lock()

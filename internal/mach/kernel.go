@@ -240,11 +240,14 @@ func (k *Kernel) fixedPath(base uint64, name string, instr uint64) cpu.Region {
 // Host returns the host object (hosts-and-processor-sets component).
 func (k *Kernel) Host() *Host { return k.host }
 
+// kernelEntries counts kernel entries.
+var kernelEntries = kstat.NewKey("mach.kernel.entries")
+
 // trap charges one kernel entry: user->kernel privilege transition.
 // mach.kernel.entries is a count, not a stamp point: it goes to kstat's
 // direct API.
 func (k *Kernel) trap() {
-	kstat.For(k.CPU).Counter("mach.kernel.entries").Inc()
+	kstat.For(k.CPU).Count(kernelEntries).Inc()
 	k.CPU.Stall(k.tun.TrapCycles)
 	k.CPU.Overhead(0, k.tun.TrapBusEntry)
 	k.CPU.Exec(k.paths.trapEntry)

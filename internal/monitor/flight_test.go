@@ -28,7 +28,7 @@ func TestFlightDumpOverRPC(t *testing.T) {
 	k, st, c := newRig(t, 1)
 	kflight.Attach(k.CPU)
 	t.Cleanup(func() { kflight.Detach(k.CPU) })
-	st.Gauge("mach.pool.test.busy").Set(1)
+	st.GaugeFunc("mach.pool.test.busy", func() int64 { return 1 })
 
 	// Traffic ahead of the dump so the ring has history.
 	for i := 0; i < 3; i++ {

@@ -32,7 +32,7 @@ func newRig(t testing.TB, pool int) (*mach.Kernel, *kstat.Set, *Client) {
 func TestSnapshotOverRPC(t *testing.T) {
 	_, st, c := newRig(t, 1)
 	st.Counter("vfs.ops.read").Add(7)
-	st.Gauge("mach.pool.files/service.busy").Set(3)
+	st.GaugeFunc("mach.pool.files/service.busy", func() int64 { return 3 })
 	st.Histogram("mach.rpc.latency_cycles").Observe(1000)
 
 	snap, id, err := c.Snapshot()

@@ -171,9 +171,12 @@ func (s *Service) Bind(path string, b Binding) error {
 	return nil
 }
 
+// lookups counts name resolutions.
+var lookups = kstat.NewKey("names.lookups")
+
 // Lookup resolves a path to its binding.
 func (s *Service) Lookup(path string) (Binding, error) {
-	kstat.For(s.eng).Counter("names.lookups").Inc()
+	kstat.For(s.eng).Count(lookups).Inc()
 	var sp *cpu.Span
 	if ps := s.eng.Planes(); ps.Wants(cpu.EvNameLookup) {
 		sp = ps.Open(cpu.Event{Type: cpu.EvNameLookup, Subsystem: "names", Name: "lookup:" + path}, nil)

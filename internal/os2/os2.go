@@ -319,13 +319,37 @@ func (p *Process) Thread() *mach.Thread { return p.th }
 // stubCall charges the per-API shared-library stub.
 func (p *Process) stubCall() { p.srv.k.CPU.Exec(p.srv.stub) }
 
+// api names one OS/2 API entry: the name of its record and its kstat
+// family, "os2.api.<name>", declared once so no call builds it.
+type api struct {
+	name string
+	key  *kstat.Key
+}
+
+func newAPI(name string) api { return api{name: name, key: kstat.NewKey("os2.api." + name)} }
+
+// The API entries traceAPI counts.
+var (
+	apiDosOpen           = newAPI("DosOpen")
+	apiDosRead           = newAPI("DosRead")
+	apiDosWrite          = newAPI("DosWrite")
+	apiDosClose          = newAPI("DosClose")
+	apiDosDelete         = newAPI("DosDelete")
+	apiDosMkdir          = newAPI("DosMkdir")
+	apiDosQueryPathInfo  = newAPI("DosQueryPathInfo")
+	apiDosAllocMem       = newAPI("DosAllocMem")
+	apiDosAllocSharedMem = newAPI("DosAllocSharedMem")
+	apiWinPostMsg        = newAPI("WinPostMsg")
+	apiGfxLibCall        = newAPI("GfxLibCall")
+)
+
 // traceAPI opens a span covering one OS/2 API call.  Top-level calls root
 // a new trace; everything the call causes downstream (file-server RPCs,
 // driver I/O, faults) hangs off it in the causal tree.
-func (p *Process) traceAPI(name string) *cpu.Span {
+func (p *Process) traceAPI(a api) *cpu.Span {
 	ps := p.srv.k.CPU.Planes()
-	kstat.From(ps).Counter("os2.api." + name).Inc()
-	return ps.Open(cpu.Event{Type: cpu.EvAPI, Subsystem: "os2", Name: name}, nil)
+	kstat.From(ps).Count(a.key).Inc()
+	return ps.Open(cpu.Event{Type: cpu.EvAPI, Subsystem: "os2", Name: a.name}, nil)
 }
 
 // rpc sends a request to the personality server.
@@ -363,7 +387,7 @@ func mapVFSErr(err error) Error {
 
 // DosOpen opens (optionally creating) a file and returns its handle.
 func (p *Process) DosOpen(path string, write, create bool) (uint32, Error) {
-	defer p.traceAPI("DosOpen").End()
+	defer p.traceAPI(apiDosOpen).End()
 	p.stubCall()
 	f, err := p.fs.Open(path, write, create)
 	if err != nil {
@@ -389,7 +413,7 @@ func (p *Process) file(h uint32) (*os2File, Error) {
 
 // DosRead reads sequentially from the handle's position.
 func (p *Process) DosRead(h uint32, buf []byte) (int, Error) {
-	defer p.traceAPI("DosRead").End()
+	defer p.traceAPI(apiDosRead).End()
 	p.stubCall()
 	f, e := p.file(h)
 	if e != NoError {
@@ -405,7 +429,7 @@ func (p *Process) DosRead(h uint32, buf []byte) (int, Error) {
 
 // DosWrite writes sequentially at the handle's position.
 func (p *Process) DosWrite(h uint32, data []byte) (int, Error) {
-	defer p.traceAPI("DosWrite").End()
+	defer p.traceAPI(apiDosWrite).End()
 	p.stubCall()
 	f, e := p.file(h)
 	if e != NoError {
@@ -435,7 +459,7 @@ func (p *Process) DosSetFilePtr(h uint32, pos int64) Error {
 
 // DosClose closes the handle.
 func (p *Process) DosClose(h uint32) Error {
-	defer p.traceAPI("DosClose").End()
+	defer p.traceAPI(apiDosClose).End()
 	p.stubCall()
 	p.mu.Lock()
 	f, ok := p.files[h]
@@ -452,21 +476,21 @@ func (p *Process) DosClose(h uint32) Error {
 
 // DosDelete removes a file.
 func (p *Process) DosDelete(path string) Error {
-	defer p.traceAPI("DosDelete").End()
+	defer p.traceAPI(apiDosDelete).End()
 	p.stubCall()
 	return mapVFSErr(p.fs.Remove(path))
 }
 
 // DosMkdir creates a directory.
 func (p *Process) DosMkdir(path string) Error {
-	defer p.traceAPI("DosMkdir").End()
+	defer p.traceAPI(apiDosMkdir).End()
 	p.stubCall()
 	return mapVFSErr(p.fs.Mkdir(path))
 }
 
 // DosQueryPathInfo stats a path.
 func (p *Process) DosQueryPathInfo(path string) (vfs.Attr, Error) {
-	defer p.traceAPI("DosQueryPathInfo").End()
+	defer p.traceAPI(apiDosQueryPathInfo).End()
 	p.stubCall()
 	a, err := p.fs.Stat(path)
 	return a, mapVFSErr(err)
@@ -476,7 +500,7 @@ func (p *Process) DosQueryPathInfo(path string) (vfs.Attr, Error) {
 
 // DosAllocMem allocates byte-granular committed or reserved memory.
 func (p *Process) DosAllocMem(bytes uint64, commit bool) (vm.VAddr, Error) {
-	defer p.traceAPI("DosAllocMem").End()
+	defer p.traceAPI(apiDosAllocMem).End()
 	p.stubCall()
 	return p.Mem.Alloc(bytes, commit)
 }
@@ -504,7 +528,7 @@ func (p *Process) DosQueryMem(base vm.VAddr) (uint64, Error) {
 // DosAllocSharedMem allocates named shared memory that every process sees
 // at the same address — the coerced-memory requirement.
 func (p *Process) DosAllocSharedMem(name string, bytes uint64) (vm.VAddr, Error) {
-	defer p.traceAPI("DosAllocSharedMem").End()
+	defer p.traceAPI(apiDosAllocSharedMem).End()
 	p.stubCall()
 	var body [8]byte
 	binary.LittleEndian.PutUint64(body[:], bytes)
@@ -622,7 +646,7 @@ func (p *Process) DosSleep(d ktime.Duration) Error {
 // WinPostMsg posts a window message to another process's queue through
 // the personality server (the PM tasking path of Table 1).
 func (p *Process) WinPostMsg(dst PID, msg, arg uint32) Error {
-	defer p.traceAPI("WinPostMsg").End()
+	defer p.traceAPI(apiWinPostMsg).End()
 	p.stubCall()
 	var body [12]byte
 	binary.LittleEndian.PutUint32(body[0:4], uint32(dst))
@@ -648,7 +672,7 @@ func (p *Process) WinGetMsg(wait bool) (PMMsg, Error) {
 // performance "was comparable or better with the microkernel-based
 // system".
 func (p *Process) GfxLibCall(instr uint64) {
-	defer p.traceAPI("GfxLibCall").End()
+	defer p.traceAPI(apiGfxLibCall).End()
 	p.srv.k.CPU.Exec(p.srv.gfx)
 	p.srv.k.CPU.Instr(instr)
 }

@@ -104,10 +104,16 @@ func New(eng *cpu.Engine, layout *cpu.Layout, store BackingStore) *DefaultPager 
 
 var _ vm.Pager = (*DefaultPager)(nil)
 
+// The pager's op counters.
+var (
+	pageIns  = kstat.NewKey("pager.pageins")
+	pageOuts = kstat.NewKey("pager.pageouts")
+)
+
 // PageIn implements vm.Pager: returns stored contents, or zeros for pages
 // never evicted.
 func (p *DefaultPager) PageIn(obj *vm.Object, offset uint64) ([]byte, error) {
-	kstat.For(p.eng).Counter("pager.pageins").Inc()
+	kstat.For(p.eng).Count(pageIns).Inc()
 	defer p.eng.Planes().Open(cpu.Event{Type: cpu.EvPageIn, Subsystem: "pager", Name: "pagein"}, nil).End()
 	p.eng.Exec(p.inOp)
 	p.mu.Lock()
@@ -128,7 +134,7 @@ func (p *DefaultPager) PageIn(obj *vm.Object, offset uint64) ([]byte, error) {
 
 // PageOut implements vm.Pager: stores an evicted page's contents.
 func (p *DefaultPager) PageOut(obj *vm.Object, offset uint64, data []byte) error {
-	kstat.For(p.eng).Counter("pager.pageouts").Inc()
+	kstat.For(p.eng).Count(pageOuts).Inc()
 	defer p.eng.Planes().Open(cpu.Event{Type: cpu.EvPageOut, Subsystem: "pager", Name: "pageout"}, nil).End()
 	p.eng.Exec(p.outOp)
 	p.mu.Lock()

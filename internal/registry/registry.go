@@ -153,12 +153,18 @@ func fromWire(msg string) error {
 
 // --- server ------------------------------------------------------------------
 
+// The registry server's op count and latency.
+var (
+	ops     = kstat.NewKey("registry.ops")
+	latency = kstat.NewKey("registry.latency_cycles")
+)
+
 func (s *Server) handle(req *mach.Message) *mach.Message {
 	if st := kstat.For(s.k.CPU); st != nil {
-		st.Counter("registry.ops").Inc()
+		st.Count(ops).Inc()
 		base := s.k.CPU.Counters()
 		defer func() {
-			st.Histogram("registry.latency_cycles").Observe(s.k.CPU.Counters().Sub(base).Cycles)
+			st.Hist(latency).Observe(s.k.CPU.Counters().Sub(base).Cycles)
 		}()
 	}
 	s.k.CPU.Exec(s.path)

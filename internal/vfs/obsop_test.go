@@ -8,8 +8,9 @@ import (
 )
 
 // Closing a file-server op's observation counts it on a precomputed
-// family: with kstat attached the close allocates nothing, for a known
-// op and an unknown ID alike, and each lands on its vfs.ops.<op> counter.
+// family: with kstat attached neither the open nor the close allocates,
+// for a known op and an unknown ID alike, and each lands on its
+// vfs.ops.<op> counter.
 func TestObsOpCloseAllocatesNothing(t *testing.T) {
 	k, s, _ := newServerRig(t)
 	st := kstat.Attach(k.CPU)
@@ -19,12 +20,13 @@ func TestObsOpCloseAllocatesNothing(t *testing.T) {
 		id  mach.MsgID
 		fam string
 	}{{MsgRead, "vfs.ops.read"}, {MsgSync, "vfs.ops.sync"}, {MsgOpen - 1, "vfs.ops.unknown"}} {
-		closes := make([]func(), runs+1) // AllocsPerRun warms up once
-		for i := range closes {
-			closes[i] = s.obsOp(c.id)
-		}
+		opens := make([]opObs, runs+1) // AllocsPerRun warms up once
 		next := 0
-		if n := testing.AllocsPerRun(runs, func() { closes[next](); next++ }); n != 0 {
+		if n := testing.AllocsPerRun(runs, func() { opens[next] = s.obsOp(c.id); next++ }); n != 0 {
+			t.Errorf("opening a %s observation allocates %.1f times", c.fam, n)
+		}
+		next = 0
+		if n := testing.AllocsPerRun(runs, func() { opens[next].end(); next++ }); n != 0 {
 			t.Errorf("closing a %s observation allocates %.1f times", c.fam, n)
 		}
 		if got := st.Counter(c.fam).Value(); got != runs+1 {

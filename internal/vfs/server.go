@@ -324,16 +324,17 @@ func fromWire(msg string) error {
 // --- server side ------------------------------------------------------------
 
 // fsOpNames labels file-server operations for tracing, in MsgID order,
-// then any other ID; fsOpFamilies are their kstat counters.
+// then any other ID; fsOpKeys are their kstat counters.
 var (
 	fsOpNames = [...]string{"open", "close", "read", "write", "truncate", "stat",
 		"fstat", "mkdir", "readdir", "remove", "rename", "setea", "getea", "sync", "unknown"}
-	fsOpFamilies = func() (fams [len(fsOpNames)]string) {
+	fsOpKeys = func() (keys [len(fsOpNames)]*kstat.Key) {
 		for i, op := range fsOpNames {
-			fams[i] = "vfs.ops." + op
+			keys[i] = kstat.NewKey("vfs.ops." + op)
 		}
-		return fams
+		return keys
 	}()
+	fsOpLatency = kstat.NewKey("vfs.latency_cycles")
 )
 
 // fsOp indexes an operation's name and family.
@@ -344,28 +345,42 @@ func fsOp(id mach.MsgID) int {
 	return len(fsOpNames) - 1
 }
 
-// obsOp opens the observation of one file-server operation — its ktrace
-// span and kstat sample; the returned func closes both, recording the op
-// count and a cycles-latency sample.  Reads only, nothing charged.
-func (s *Server) obsOp(id mach.MsgID) func() {
+// opObs is the open observation of one file-server operation: its ktrace
+// span and, with kstat attached, its kstat sample.
+type opObs struct {
+	eng  *cpu.Engine
+	st   *kstat.Set
+	sp   *cpu.Span
+	op   int
+	base cpu.Counters
+}
+
+// obsOp opens the observation of one file-server operation; its end
+// closes it.  Reads only, nothing charged.
+func (s *Server) obsOp(id mach.MsgID) opObs {
 	op := fsOp(id)
 	ps := s.k.CPU.Planes()
-	sp := ps.Open(cpu.Event{Type: cpu.EvFSOp, Subsystem: "vfs", Name: fsOpNames[op]}, nil)
-	st := kstat.From(ps)
-	if st == nil {
-		return sp.End
+	o := opObs{eng: s.k.CPU, st: kstat.From(ps), op: op}
+	o.sp = ps.Open(cpu.Event{Type: cpu.EvFSOp, Subsystem: "vfs", Name: fsOpNames[op]}, nil)
+	if o.st != nil {
+		o.base = o.eng.Counters()
 	}
-	base := s.k.CPU.Counters()
-	return func() {
-		d := s.k.CPU.Counters().Sub(base)
-		st.Counter(fsOpFamilies[op]).Inc()
-		st.Histogram("vfs.latency_cycles").Observe(d.Cycles)
-		sp.End()
+	return o
+}
+
+// end closes the observation, recording the op count and a cycles-latency
+// sample.
+func (o opObs) end() {
+	if o.st != nil {
+		d := o.eng.Counters().Sub(o.base)
+		o.st.Count(fsOpKeys[o.op]).Inc()
+		o.st.Hist(fsOpLatency).Observe(d.Cycles)
 	}
+	o.sp.End()
 }
 
 func (s *Server) handleControl(req *mach.Message) *mach.Message {
-	defer s.obsOp(req.ID)()
+	defer s.obsOp(req.ID).end()
 	s.k.CPU.Exec(s.path)
 	switch req.ID {
 	case MsgOpen:
@@ -511,7 +526,7 @@ func (s *Server) handleFilePort(port mach.PortName, req *mach.Message) *mach.Mes
 
 // handleFile serves one open file's port.
 func (s *Server) handleFile(fd uint32, req *mach.Message) *mach.Message {
-	defer s.obsOp(req.ID)()
+	defer s.obsOp(req.ID).end()
 	s.k.CPU.Exec(s.path)
 	fsys, _ := s.Disp.FileFS(fd) // every open-file op resolves to the file's volume
 	defer s.volumeOf(fsys).begin(req).end()

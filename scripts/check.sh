@@ -104,10 +104,15 @@ fi
 # kstat reads the dispatcher's, pools', port sets' and threads' levels
 # where they live: each registers reads of its own state (GaugeFunc,
 # CounterFunc) when it is built, and no family is looked up by name on
-# the call, slot-claim, burst or thread-death path.
+# the call, slot-claim, burst or thread-death path.  A family a per-op
+# emitter counts is a kstat.Key declared once (Set.Count, Set.Hist):
+# kernel entries, driver I/O, OS/2 API calls, file-server ops, and the
+# stamp-point families kstat's own Observe and delta record.
 if grep -nE '\.(Counter|Gauge|Histogram)\(' internal/mach/rpc.go internal/mach/pool.go internal/mach/sched.go \
-	internal/mach/portset.go internal/mach/park.go internal/mach/task.go; then
-	echo "check: a by-name kstat lookup in mach's rpc, pool, sched, portset, park or task" >&2
+	internal/mach/portset.go internal/mach/park.go internal/mach/task.go internal/mach/kernel.go \
+	internal/drivers/block.go internal/os2/os2.go internal/vfs/server.go ||
+	awk '/^func \(s \*Set\) (Observe|delta)\(/, /^}/' internal/kstat/kstat.go | grep -nE '\.(Counter|Gauge|Histogram)\('; then
+	echo "check: a by-name kstat lookup on a per-op path (mach, drivers/block.go, os2/os2.go, vfs/server.go, kstat's Observe or delta)" >&2
 	exit 1
 fi
 
