@@ -18,12 +18,13 @@ tables:
 	$(GO) run ./cmd/benchtables
 
 # End-to-end tier: build cmd/kobs once, then run it as a child process
-# per scenario — metrics over the monitor's RPC (stat, prom), an
+# per scenario — metrics from the monitor's one dump (stat, prom), an
 # attributed profile window (prof), a 4-engine SMP run, a flight dump with
-# its wait-for graph, saved-dump rendering, the tail ledger with nested
-# driver hops, and the trace views (causal tree, Chrome JSON, E-ATTR gap
-# attribution) — asserting each one's output.  The test reaps every
-# process it starts.
+# its wait-for graph, one saved dump rendered as the stat, tail and flight
+# views, views of a dump without their planes, two top frames, the tail
+# ledger with nested driver hops, and the trace views (causal tree,
+# Chrome JSON, E-ATTR gap attribution) — asserting each one's output.
+# The test reaps every process it starts.
 e2e:
 	$(GO) test -timeout 120s -run E2E ./cmd/kobs
 

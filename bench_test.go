@@ -11,6 +11,7 @@ import (
 	"repro/internal/klat"
 	"repro/internal/kprof"
 	"repro/internal/kstat"
+	"repro/internal/ktrace"
 	"repro/internal/workload"
 )
 
@@ -489,16 +490,17 @@ func TestECTRCounterDerivedTable2(t *testing.T) {
 
 // TestWorkloadObservationOnly is the observation-only gate of every plane
 // a boot can carry: on two identical boots, one with the plane and one
-// without, File Intensive 1 must model bit-identical cycles — hooks read
-// counters and store records, they never charge.  Each row also checks
-// that the attached side actually recorded the workload.
+// without, File Intensive 1 and then Graphics Low must each model
+// bit-identical cycles — hooks read counters and store records, they
+// never charge.  Each row also checks that the attached side actually
+// recorded the workloads.
 func TestWorkloadObservationOnly(t *testing.T) {
 	for _, tc := range []struct {
 		plane string
 		// split leaves the plane on a and off b.
 		split func(t *testing.T, a, b *core.System)
-		// recorded checks what the attached side saw of a run of the
-		// given modeled cycles.
+		// recorded checks what the attached side saw of runs of the
+		// given modeled cycles in all.
 		recorded func(t *testing.T, a *core.System, cycles uint64)
 	}{
 		{"kstat", func(_ *testing.T, _, b *core.System) { kstat.Detach(b.Kernel.CPU) },
@@ -516,6 +518,20 @@ func TestWorkloadObservationOnly(t *testing.T) {
 			got, _, _ := kprof.For(a.Kernel.CPU).Snapshot().Totals()
 			if got == 0 || got < cycles {
 				t.Fatalf("profile attributed %d cycles, workload modeled %d — cycles escaped attribution", got, cycles)
+			}
+		}},
+		{"ktrace", func(t *testing.T, a, _ *core.System) {
+			ktrace.Attach(a.Kernel.CPU)
+			t.Cleanup(func() { ktrace.Detach(a.Kernel.CPU) })
+		}, func(t *testing.T, a *core.System, _ uint64) {
+			var rpcs int
+			for _, e := range ktrace.For(a.Kernel.CPU).Events() {
+				if e.Type == cpu.EvRPC {
+					rpcs++
+				}
+			}
+			if rpcs == 0 {
+				t.Fatal("tracer attached but traced no RPC")
 			}
 		}},
 		{"kflight", func(_ *testing.T, _, b *core.System) { kflight.Detach(b.Kernel.CPU) },
@@ -568,18 +584,22 @@ func TestWorkloadObservationOnly(t *testing.T) {
 				t.Fatal(err)
 			}
 			tc.split(t, a, b)
-			ra, err := workload.Run(workload.FileIntensive1, a.WorkloadEnv())
-			if err != nil {
-				t.Fatal(err)
+			var cycles uint64
+			for _, row := range []workload.Row{workload.FileIntensive1, workload.GraphicsLow} {
+				ra, err := workload.Run(row, a.WorkloadEnv())
+				if err != nil {
+					t.Fatal(err)
+				}
+				rb, err := workload.Run(row, b.WorkloadEnv())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ra.Cycles != rb.Cycles {
+					t.Fatalf("%s perturbed %s: attached=%d detached=%d", tc.plane, row, ra.Cycles, rb.Cycles)
+				}
+				cycles += ra.Cycles
 			}
-			rb, err := workload.Run(workload.FileIntensive1, b.WorkloadEnv())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ra.Cycles != rb.Cycles {
-				t.Fatalf("%s perturbed the workload: attached=%d detached=%d", tc.plane, ra.Cycles, rb.Cycles)
-			}
-			tc.recorded(t, a, ra.Cycles)
+			tc.recorded(t, a, cycles)
 		})
 	}
 }

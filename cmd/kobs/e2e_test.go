@@ -79,13 +79,34 @@ func TestE2E(t *testing.T) {
 		match(t, out, `(?m)^no cycles in the wait-for graph$`)
 	})
 	t.Run("flight-offline", func(t *testing.T) {
-		// A saved dump renders and diffs without booting.
+		// One saved dump renders as every view that reads it, and diffs,
+		// without booting.
 		dump := filepath.Join(dir, "flight.json")
 		if err := os.WriteFile(dump, []byte(run(t, 0, bin, "flight", "-format", "json")), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		match(t, run(t, 0, bin, "flight", "-read", dump), `(?m)^kflight postmortem — monitor query$`)
+		match(t, run(t, 0, bin, "stat", "-read", dump, "-family", "mach.rpc."), `(?m)^mach\.rpc\.calls +[1-9]`)
+		match(t, run(t, 0, bin, "tail", "-read", dump), `(?m)^fileserver .* [1-9]`)
 		match(t, run(t, 0, bin, "flight", "-diff", dump, dump), `(?m)^counters moved \(0\)$`)
+	})
+	t.Run("detached", func(t *testing.T) {
+		// A dump without a plane's section fails that plane's view with
+		// exit status 1.
+		empty := filepath.Join(dir, "empty.json")
+		if err := os.WriteFile(empty, []byte(`{"reason": "no planes"}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, view := range []string{"stat", "flight", "tail"} {
+			run(t, 1, bin, view, "-read", empty)
+		}
+	})
+	t.Run("top", func(t *testing.T) {
+		// Two frames, each the client-side delta of two dumps: the
+		// second frame's RPC line counts the second run's calls.
+		out := run(t, 0, bin, "top", "-workload", "file1", "-iters", "2", "-interval", "0s")
+		match(t, out, `frame 1/2`)
+		match(t, out, `frame 2/2[^\x1b]*\nRPC +[1-9]\d* calls`)
 	})
 	t.Run("tail", func(t *testing.T) {
 		// Per-(server, op) families recorded requests, exemplars were

@@ -1,11 +1,12 @@
 // Command kobs is the one observation command.  It boots Workplace OS,
-// drives a workload, and renders one view of the observation planes,
-// fetched from the monitor server — found through the name service, spoken
-// to over the system's own RPC, like any other shared service.
+// drives a workload, fetches the one dump of the observation planes from
+// the monitor server — found through the name service, spoken to over the
+// system's own RPC, like any other shared service — and renders one view
+// of it.
 //
 // Usage:
 //
-//	kobs stat   [-format text|json|prom] [-family PREFIX]   metrics fabric
+//	kobs stat   [-format text|json|prom] [-family PREFIX] [-read FILE]
 //	kobs top    [-iters N] [-interval D]                    live delta frames
 //	kobs prof   [-format regions|servers|kinds|folded|json] [-top N] [-eprof]
 //	kobs trace  [-format summary|tree|chrome|attr] [-ring N] [-trees N]
@@ -14,9 +15,12 @@
 //
 // Every subcommand takes the boot flags -workload, -cpus, -pool, -cache
 // and -clients; `-workload none` observes the booted system alone.  The
-// trace view is the one that does not go through the monitor: the event
-// ring is attached in-process for the run.  -read and -diff render dumps
-// saved by -format json or by the chaos harness.
+// family filter and top's frame deltas are computed here, from the dump.
+// The trace view is the one that does not go through the monitor: the
+// event ring is attached in-process for the run.  flight and tail
+// -format json write the whole dump; -read renders a dump saved that way
+// or by the chaos harness as a stat, flight or tail view, and -diff
+// compares two.  A view whose plane is not attached exits 1 naming it.
 //
 // Exit status is 2 for usage errors (unknown subcommand, workload or
 // format) and 1 for everything else that fails.
@@ -154,10 +158,12 @@ func format(fs *flag.FlagSet, def string, allowed ...string) func() string {
 func statCmd(fs *flag.FlagSet, b *boot) func() {
 	form := format(fs, "text", "text", "json", "prom")
 	family := fs.String("family", "", "restrict output to metrics with this name prefix")
+	read := readFlag(fs)
 	return func() {
 		f := form()
-		snap, err := b.observe().Family(*family) // "" matches every family
-		check(err)
+		d := b.dump(*read)
+		attached(d.Stats.Counters != nil, "kstat")
+		snap := d.Stats.Filter(*family) // "" matches every family
 		switch f {
 		case "text":
 			check(kstat.WriteText(os.Stdout, snap))
@@ -169,8 +175,9 @@ func statCmd(fs *flag.FlagSet, b *boot) func() {
 	}
 }
 
-// topCmd renders a live view: each frame drives the workload once, polls
-// the monitor for the delta since the previous frame, and redraws.
+// topCmd renders a live view: each frame drives the workload once,
+// fetches a dump, takes its delta against the previous frame's, and
+// redraws.
 func topCmd(fs *flag.FlagSet, b *boot) func() {
 	iters := fs.Int("iters", 5, "workload iterations (one frame each)")
 	interval := fs.Duration("interval", 500*time.Millisecond, "delay between frames")
@@ -178,19 +185,14 @@ func topCmd(fs *flag.FlagSet, b *boot) func() {
 		row, _ := b.row(true)
 		s := b.system()
 		c := connect(s)
-		_, baseline, err := c.Snapshot()
-		check(err)
-		// Per-engine cycle gauges are absolute; utilization needs the
-		// frame-to-frame delta, kept here across frames.
-		prevCyc := map[int]int64{}
+		prev := stats(c)
 		for i := 0; i < *iters; i++ {
 			start := time.Now()
 			res := b.drive(s, row)
-			d, next, err := c.DeltaSince(baseline)
-			check(err)
-			baseline = next
+			cur := stats(c)
 			fmt.Print("\x1b[2J\x1b[H") // clear screen, home cursor
-			renderFrame(d, res, i+1, *iters, time.Since(start), prevCyc)
+			renderFrame(cur.Delta(prev), prev, res, i+1, *iters, time.Since(start))
+			prev = cur
 			if i < *iters-1 {
 				time.Sleep(*interval)
 			}
@@ -198,7 +200,17 @@ func topCmd(fs *flag.FlagSet, b *boot) func() {
 	}
 }
 
-func renderFrame(d kstat.Snapshot, res workload.Result, frame, iters int, wall time.Duration, prevCyc map[int]int64) {
+// stats fetches a dump and returns its kstat section.
+func stats(c *monitor.Client) kstat.Snapshot {
+	d, err := c.Dump()
+	check(err)
+	attached(d.Stats.Counters != nil, "kstat")
+	return d.Stats
+}
+
+// renderFrame draws one frame from its delta d; gauges are levels, so the
+// per-engine cycle gauges take their frame delta against prev.
+func renderFrame(d, prev kstat.Snapshot, res workload.Result, frame, iters int, wall time.Duration) {
 	fmt.Printf("kobs top — %s  frame %d/%d  (%d modeled cycles, %v wall)\n\n",
 		res.Row, frame, iters, res.Cycles, wall.Round(time.Millisecond))
 
@@ -244,9 +256,8 @@ func renderFrame(d kstat.Snapshot, res workload.Result, frame, iters int, wall t
 		deltas := make([]int64, n)
 		var total int64
 		for i := int64(0); i < n; i++ {
-			cur := d.Gauges[fmt.Sprintf("cpu.e%d.cycles", i)]
-			deltas[i] = cur - prevCyc[int(i)]
-			prevCyc[int(i)] = cur
+			name := fmt.Sprintf("cpu.e%d.cycles", i)
+			deltas[i] = d.Gauges[name] - prev.Gauges[name]
 			total += deltas[i]
 		}
 		fmt.Printf("\n%-8s %14s %8s %6s %10s %10s %8s\n",
@@ -325,8 +336,10 @@ func profCmd(fs *flag.FlagSet, b *boot) func() {
 		check(c.ProfStart())
 		res := b.drive(s, row)
 		check(c.ProfStop())
-		prof, err := c.Profile()
+		d, err := c.Dump()
 		check(err)
+		attached(d.Profile != nil, "kprof")
+		prof := *d.Profile
 		switch f {
 		case "folded":
 			check(prof.WriteFolded(os.Stdout))
@@ -462,7 +475,7 @@ func printAttribution(w io.Writer, res bench.AttributionResult) {
 // scheduler state and the outstanding-work gauges.
 func flightCmd(fs *flag.FlagSet, b *boot) func() {
 	form := format(fs, "text", "text", "json")
-	read := fs.String("read", "", "render a saved dump file instead of booting")
+	read := readFlag(fs)
 	diff := fs.Bool("diff", false, "diff two saved dump files (args: a.json b.json)")
 	return func() {
 		f := form()
@@ -470,10 +483,11 @@ func flightCmd(fs *flag.FlagSet, b *boot) func() {
 			if fs.NArg() != 2 {
 				usageErr("-diff needs exactly two dump files")
 			}
-			kflight.Diff(os.Stdout, readDump[kflight.Dump](fs.Arg(0)), readDump[kflight.Dump](fs.Arg(1)))
+			kflight.Diff(os.Stdout, readDump(fs.Arg(0)), readDump(fs.Arg(1)))
 			return
 		}
-		d := dump(b, *read, (*monitor.Client).FlightDump)
+		d := b.dump(*read)
+		attached(d.Engines != nil, "kflight")
 		if f == "json" {
 			writeJSON(d)
 			return
@@ -489,17 +503,19 @@ func flightCmd(fs *flag.FlagSet, b *boot) func() {
 func tailCmd(fs *flag.FlagSet, b *boot) func() {
 	form := format(fs, "text", "text", "json")
 	top := fs.Int("top", 1, "exemplar waterfalls to show per (server, op) family")
-	read := fs.String("read", "", "render a saved dump file instead of booting")
+	read := readFlag(fs)
 	return func() {
 		f := form()
-		d := dump(b, *read, (*monitor.Client).TailDump)
+		d := b.dump(*read)
+		attached(d.Tail != nil, "klat")
 		if f == "json" {
 			writeJSON(d)
 			return
 		}
-		check(d.WriteText(os.Stdout))
-		for i := range d.Families {
-			fam := &d.Families[i]
+		tail := d.Tail
+		check(tail.WriteText(os.Stdout))
+		for i := range tail.Families {
+			fam := &tail.Families[i]
 			for j := 0; j < len(fam.Exemplars) && j < *top; j++ {
 				fmt.Println()
 				fam.Exemplars[j].WriteExemplar(os.Stdout)
@@ -508,36 +524,45 @@ func tailCmd(fs *flag.FlagSet, b *boot) func() {
 	}
 }
 
-// observe boots, drives the workload (if any) and returns the monitor
-// client for the query that reads the run back.
-func (b *boot) observe() *monitor.Client {
+// readFlag registers -read, the saved dump a view renders instead of
+// booting.
+func readFlag(fs *flag.FlagSet) *string {
+	return fs.String("read", "", "render a saved dump file instead of booting")
+}
+
+// dump returns the dump saved at path or, with no path, boots, drives the
+// workload (if any) and fetches one from the monitor.
+func (b *boot) dump(path string) *kflight.Dump {
+	if path != "" {
+		return readDump(path)
+	}
 	row, ok := b.row(false)
 	s := b.system()
 	c := connect(s)
 	if ok {
 		b.drive(s, row)
 	}
-	return c
-}
-
-// dump returns the dump saved at path or, with no path, fetches one from
-// a fresh run.
-func dump[D any](b *boot, path string, fetch func(*monitor.Client) (*D, error)) *D {
-	if path != "" {
-		return readDump[D](path)
-	}
-	d, err := fetch(b.observe())
+	d, err := c.Dump()
 	check(err)
 	return d
 }
 
-// readDump parses a dump saved with -format json.
-func readDump[D any](path string) *D {
+// readDump parses a dump saved by flight or tail -format json or by the
+// chaos harness.
+func readDump(path string) *kflight.Dump {
 	js, err := os.ReadFile(path)
 	check(err)
-	d := new(D)
+	d := new(kflight.Dump)
 	check(json.Unmarshal(js, d))
 	return d
+}
+
+// attached exits 1 naming plane when the dump lacks that plane's section.
+func attached(present bool, plane string) {
+	if !present {
+		fmt.Fprintln(os.Stderr, "kobs: plane not attached:", plane)
+		os.Exit(1)
+	}
 }
 
 // writeJSON prints v as indented JSON: the format -read takes back.

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	wpos [-driver user|kernel|ooddm] [-mem MB] [-simple-names] [-pool N] [-cache SECTORS] [-cpus N] [-zerocopy] [-batch]
+//	wpos [-driver user|kernel|ooddm] [-mem MB] [-pool N] [-cache SECTORS] [-cpus N] [-zerocopy] [-batch]
 package main
 
 import (
@@ -20,18 +20,16 @@ import (
 func main() {
 	driver := flag.String("driver", "user", "block driver model: user, kernel, ooddm")
 	mem := flag.Int("mem", 64, "installed memory in MB")
-	simple := flag.Bool("simple-names", false, "also start the Release 2 simplified name service")
 	pool := flag.Int("pool", 1, "server threads per RPC server (Release 2 multi-threaded servers when > 1)")
 	cache := flag.Int("cache", 0, "file-server buffer cache size in sectors (0 = off, the seed path)")
 	cpus := flag.Int("cpus", 1, "number of processing engines (SMP complex when > 1)")
 	zerocopy := flag.Bool("zerocopy", false, "move page-sized file payloads by out-of-line region descriptor (zero per-byte copy)")
-	batch := flag.Bool("batch", false, "vector hot-path RPC batches (readdir+stat, write-behind flush) into single crossings")
+	batch := flag.Bool("batch", false, "vector the buffer cache's write-behind flush to the driver into single crossings")
 	flag.Parse()
 
 	cfg := core.DefaultConfig()
 	cfg.MemoryMB = *mem
 	cfg.CPUs = *cpus
-	cfg.SimpleNames = *simple
 	cfg.ServerPool = *pool
 	cfg.CacheSectors = *cache
 	cfg.ZeroCopy = *zerocopy

@@ -134,12 +134,11 @@ type harness struct {
 	echo    *echoService
 	cpset   *mach.ProcessorSet
 
-	workers   []worker
-	cmds      []chan workerCmd
-	results   chan error
-	ops       atomic.Uint64
-	opErrs    atomic.Uint64
-	baselines []uint64 // monitor baseline ids, oldest first
+	workers []worker
+	cmds    []chan workerCmd
+	results chan error
+	ops     atomic.Uint64
+	opErrs  atomic.Uint64
 
 	faults    map[string]int
 	injectErr error
@@ -226,19 +225,17 @@ func (h *harness) fail(err error) error {
 		h.cfg.Seed, h.cfg.Actions, h.cfg.CPUs, err, strings.Join(tail, "\n  "), dump)
 }
 
-// writeDump captures the system's kflight postmortem next to the replay
-// flags of a failed run: the last-K event rings, the wait-for graph (a
-// deadlocked drain names its cycle), scheduler state and the full kstat
-// snapshot.  Best-effort — a missing recorder or an unwritable dir just
-// drops the artifact, never masks the original failure.
+// writeDump captures the system's one dump next to the replay flags of a
+// failed run: the last-K event rings, the wait-for graph (a deadlocked
+// drain names its cycle), scheduler state, the full kstat snapshot and
+// the tail ledgers — what kobs renders as its flight, stat and tail
+// views.  Best-effort — an unwritable dir just drops the artifact, never
+// masks the original failure.
 func (h *harness) writeDump(cause error) string {
 	if h.cfg.DumpDir == "-" || h.sys == nil {
 		return ""
 	}
 	d := h.sys.Kernel.FlightDump(fmt.Sprintf("chaos invariant failure: %v", cause))
-	if d == nil {
-		return ""
-	}
 	path := filepath.Join(h.cfg.DumpDir, fmt.Sprintf("chaos-flight-seed%d.json", h.cfg.Seed))
 	f, ferr := os.Create(path)
 	if ferr != nil {
@@ -509,14 +506,11 @@ func (h *harness) checkInvariants(epoch int, kind string) error {
 		}
 	}
 	// Observation plane: the monitor must still answer over the
-	// system's own RPC.
-	if _, id, err := h.mon.Snapshot(); err != nil {
-		return fmt.Errorf("epoch %d (%s): monitor snapshot: %w", epoch, kind, err)
-	} else {
-		h.baselines = append(h.baselines, id)
-	}
-	if _, err := h.mon.Family("mach.rpc"); err != nil {
-		return fmt.Errorf("epoch %d (%s): monitor family: %w", epoch, kind, err)
+	// system's own RPC, with the kstat section the system always has.
+	if d, err := h.mon.Dump(); err != nil {
+		return fmt.Errorf("epoch %d (%s): monitor dump: %w", epoch, kind, err)
+	} else if d.Stats.Counters == nil {
+		return fmt.Errorf("epoch %d (%s): monitor dump carries no kstat section", epoch, kind)
 	}
 	return nil
 }

@@ -8,8 +8,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/kstat"
 	"repro/internal/mach"
-	"repro/internal/monitor"
 )
 
 const (
@@ -235,35 +235,35 @@ func (h *harness) repairPset() error {
 }
 
 // injectObsStorm hammers the observation plane while the workers run:
-// snapshot/delta/family queries plus a profiler start/stop cycle.  Old
-// baselines are queried deliberately — under storm load the monitor's
-// 16-slot baseline ring evicts them, and the only acceptable outcomes are
-// a delta or ErrUnknownBaseline, never a hang or a bogus answer.
+// 24 dumps, each checked against the one before it, then a profiler
+// start/stop cycle.  The monitor keeps nothing between queries, so the
+// only acceptable answer is a whole dump whose counters never go
+// backwards — never a hang or a bogus answer.
 func (h *harness) injectObsStorm() error {
+	var prev kstat.Snapshot
 	for i := 0; i < 24; i++ {
-		_, id, err := h.mon.Snapshot()
+		d, err := h.mon.Dump()
 		if err != nil {
-			return fmt.Errorf("snapshot %d: %w", i, err)
+			return fmt.Errorf("dump %d: %w", i, err)
 		}
-		h.baselines = append(h.baselines, id)
-		old := h.baselines[0]
-		if _, _, err := h.mon.DeltaSince(old); err != nil && !errors.Is(err, monitor.ErrUnknownBaseline) {
-			return fmt.Errorf("delta-since %d: %w", old, err)
+		for name, v := range d.Stats.Counters {
+			if v < prev.Counters[name] {
+				return fmt.Errorf("dump %d: %s went backwards: %d -> %d", i, name, prev.Counters[name], v)
+			}
 		}
-		if _, err := h.mon.Family("mach.rpc"); err != nil {
-			return fmt.Errorf("family: %w", err)
-		}
+		prev = d.Stats
 	}
-	if err := h.mon.ProfStart(); err != nil && !errors.Is(err, monitor.ErrDetached) {
+	if err := h.mon.ProfStart(); err != nil {
 		return fmt.Errorf("prof start: %w", err)
-	} else if err == nil {
-		if _, perr := h.mon.Profile(); perr != nil && !errors.Is(perr, monitor.ErrDetached) {
-			return fmt.Errorf("profile: %w", perr)
-		}
-		if serr := h.mon.ProfStop(); serr != nil && !errors.Is(serr, monitor.ErrDetached) {
-			return fmt.Errorf("prof stop: %w", serr)
-		}
 	}
-	h.logf("inject obs-storm: 24 snapshot/delta/family rounds + profiler cycle")
+	if d, err := h.mon.Dump(); err != nil {
+		return fmt.Errorf("profile dump: %w", err)
+	} else if d.Profile == nil {
+		return errors.New("profile dump: no profile section in an open window")
+	}
+	if err := h.mon.ProfStop(); err != nil {
+		return fmt.Errorf("prof stop: %w", err)
+	}
+	h.logf("inject obs-storm: 24 dump rounds + profiler cycle")
 	return nil
 }

@@ -66,27 +66,15 @@ type IOConfig struct {
 	// memory.  Off (the default) keeps the seed's copy semantics, cycle
 	// for cycle.
 	ZeroCopy bool
-	// BatchRPC enables vectored RPC batching: batched stat and
-	// readdir+stat on the file protocol, and one-crossing vectored
-	// write-behind flushes from the buffer cache to the user-level
-	// driver.  Off keeps the classic one-crossing-per-op paths.
+	// BatchRPC enables one-crossing vectored write-behind flushes from
+	// the buffer cache to the user-level driver.  Off keeps the classic
+	// one-crossing-per-op flush.
 	BatchRPC bool
 }
 
-// ServerConfig groups the multi-server structure knobs.
-type ServerConfig struct {
-	// ServerPool is the number of server threads each multi-threaded
-	// server (file server, OS/2 personality, registry, user-level block
-	// driver) runs per receive right.  0 or 1 keeps the classic
-	// single-threaded loops of the seed reproduction.
-	ServerPool int
-	// SimpleNames selects the Release 2 embedded name service.
-	SimpleNames bool
-}
-
-// Config parameterizes a boot.  The I/O and server knobs live in
-// embedded sub-configs; field promotion keeps flat access
-// (cfg.DiskSectors, cfg.ServerPool, ...) working for existing callers.
+// Config parameterizes a boot.  The I/O knobs live in an embedded
+// sub-config; field promotion keeps flat access (cfg.DiskSectors, ...)
+// working for existing callers.
 type Config struct {
 	CPU      cpu.Config
 	MemoryMB int
@@ -96,7 +84,11 @@ type Config struct {
 	// sets and the SMP dispatcher.
 	CPUs int
 	IOConfig
-	ServerConfig
+	// ServerPool is the number of server threads each multi-threaded
+	// server (file server, OS/2 personality, registry, user-level block
+	// driver) runs per receive right.  0 or 1 keeps the classic
+	// single-threaded loops of the seed reproduction.
+	ServerPool int
 	// Personalities to start: "os2", "posix", "mvm" (default all).
 	Personalities []string
 }
@@ -122,10 +114,9 @@ type System struct {
 	Sync   *ksync.Factory
 
 	// Microkernel Services.
-	Names    *names.Service
-	SimpleNS *names.SimpleService
-	Loader   *loader.Loader
-	Pager    *pager.DefaultPager
+	Names  *names.Service
+	Loader *loader.Loader
+	Pager  *pager.DefaultPager
 
 	// I/O support and devices.
 	HRM     *iosys.HRM
@@ -235,14 +226,10 @@ func Boot(cfg Config) (*System, error) {
 
 	// 3. Microkernel Services: bootstrap task, naming, loader, pager.
 	s.Names = names.NewService(s.Kernel.CPU, layout)
-	if cfg.SimpleNames {
-		s.SimpleNS = names.NewSimpleService(s.Kernel.CPU, layout)
-	}
 	s.Loader = loader.New(s.Kernel.CPU, layout, s.VM)
 	s.Pager = pager.New(s.Kernel.CPU, layout, pager.NewRAMStore(4096))
 	s.VM.SetDefaultPager(s.Pager)
-	log("microkernel services: name service (%s), loader, default pager",
-		map[bool]string{true: "X.500 + simplified", false: "X.500"}[cfg.SimpleNames])
+	log("microkernel services: name service (X.500), loader, default pager")
 
 	// 4. Device driver for the boot disk, per the configured model.
 	switch cfg.Driver {
@@ -390,7 +377,7 @@ func Boot(cfg Config) (*System, error) {
 
 	// 7. Monitor server: the metrics fabric exported as a shared service
 	// over the system's own RPC, last so it can observe everything above.
-	s.Monitor, err = monitor.NewServer(s.Kernel, s.Stats, cfg.ServerPool)
+	s.Monitor, err = monitor.NewServer(s.Kernel, cfg.ServerPool)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/mvm"
-	"repro/internal/names"
 	"repro/internal/vfs"
 	"repro/internal/workload"
 )
@@ -273,22 +272,6 @@ func TestTable1Shape(t *testing.T) {
 		if ratios[pm] < 0.6 || ratios[pm] > 1.5 {
 			t.Errorf("%s ratio %.2f outside [0.6, 1.5] (paper 0.82/1.02)", pm, ratios[pm])
 		}
-	}
-}
-
-func TestSimpleNamesConfig(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SimpleNames = true
-	cfg.Personalities = []string{"os2"}
-	s, err := Boot(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.SimpleNS == nil {
-		t.Fatal("simple name service missing")
-	}
-	if err := s.SimpleNS.Bind("files", names.Binding{}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"strings"
 
 	"repro/internal/cpu"
+	"repro/internal/klat"
+	"repro/internal/kprof"
 	"repro/internal/kstat"
 )
 
@@ -32,10 +34,13 @@ type EngineDump struct {
 	Events  []cpu.Event `json:"events"`
 }
 
-// Dump is a postmortem snapshot of the whole diagnosis plane: why it was
-// taken, the last-K events per engine, the wait-for graph with any cycles
-// named, scheduler state, and the kstat counter/gauge fabric (which
-// includes the pool worker busy/workers gauges — the pool worker states).
+// Dump is the one snapshot of the observation planes, a postmortem and a
+// monitor answer alike: why it was taken, the last-K events per engine,
+// the wait-for graph with any cycles named, scheduler state, the kstat
+// counter/gauge fabric (which includes the pool worker busy/workers
+// gauges — the pool worker states), and the tail-latency dump and the
+// profile.  A detached plane's section is absent: no engine rings, nil
+// stat maps, no tail or profile.
 type Dump struct {
 	Reason  string         `json:"reason"`
 	Engines []EngineDump   `json:"engines"`
@@ -43,6 +48,8 @@ type Dump struct {
 	Cycles  [][]WaitEdge   `json:"cycles,omitempty"`
 	Sched   []EngineSnap   `json:"sched,omitempty"`
 	Stats   kstat.Snapshot `json:"stats"`
+	Tail    *klat.Dump     `json:"tail,omitempty"`
+	Profile *kprof.Profile `json:"profile,omitempty"`
 }
 
 // Collect assembles a dump from the plane's parts.  rec may be nil (no

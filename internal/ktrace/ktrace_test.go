@@ -141,34 +141,6 @@ func TestAttributePartition(t *testing.T) {
 	}
 }
 
-// TestObservationOnly runs the same charged work with and without a tracer
-// attached and requires bit-identical counters — the calibration-gate
-// guarantee.
-func TestObservationOnly(t *testing.T) {
-	run := func(trace bool) cpu.Counters {
-		eng := newEngine()
-		layout := cpu.NewLayout(0x1000)
-		op := region(layout, "work", 465)
-		if trace {
-			Attach(eng)
-			defer Detach(eng)
-		}
-		for i := 0; i < 50; i++ {
-			sp := begin(eng, cpu.EvAPI, "test", "op", nil)
-			eng.Exec(op)
-			eng.SwitchAddressSpace(uint64(i % 4))
-			eng.Copy(0x8000_0000, 0x9000_0000, 4096)
-			sp.End()
-		}
-		return eng.Counters()
-	}
-	plain := run(false)
-	traced := run(true)
-	if plain != traced {
-		t.Fatalf("tracing perturbed the cost model:\nuntraced %+v\ntraced   %+v", plain, traced)
-	}
-}
-
 // TestChromeExport checks the exporter emits valid Chrome trace_event JSON.
 func TestChromeExport(t *testing.T) {
 	eng := newEngine()

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 
 	"repro/internal/kflight"
+	"repro/internal/klat"
+	"repro/internal/kprof"
 	"repro/internal/kstat"
 )
 
@@ -93,18 +95,23 @@ func (k *Kernel) WaitEdges() []kflight.WaitEdge {
 	return out
 }
 
-// FlightDump assembles the postmortem dump for this kernel: the flight
-// rings, the wait-for graph with cycles named, scheduler state, and the
-// kstat fabric.  Returns nil when no recorder is attached (the monitor
-// maps that to ErrDetached).
+// FlightDump assembles the one dump of this kernel's observation planes:
+// the flight rings, the wait-for graph with cycles named, scheduler
+// state, the kstat fabric, the tail-latency dump and the profile.  It is
+// the chaos harness's postmortem and the monitor's one answer; a plane
+// that is not attached leaves its section absent.
 func (k *Kernel) FlightDump(reason string) *kflight.Dump {
-	rec := kflight.For(k.CPU)
-	if rec == nil {
-		return nil
-	}
 	var stats kstat.Snapshot
 	if st := kstat.For(k.CPU); st != nil {
 		stats = st.Snapshot()
 	}
-	return kflight.Collect(reason, rec, k.WaitEdges(), k.SchedStats(), stats)
+	d := kflight.Collect(reason, kflight.For(k.CPU), k.WaitEdges(), k.SchedStats(), stats)
+	if lt := klat.For(k.CPU); lt != nil {
+		d.Tail = lt.Dump()
+	}
+	if p := kprof.For(k.CPU); p != nil {
+		prof := p.Snapshot()
+		d.Profile = &prof
+	}
+	return d
 }

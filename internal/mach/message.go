@@ -90,7 +90,7 @@ type Transfer struct {
 	// per-page map cost, no per-byte copy cost — instead of out of line.
 	ZeroCopy bool
 	// Batch lets a caller vector several operations into one crossing
-	// (ReadDirStat's stat storm, the buffer cache's write-behind runs).
+	// (the buffer cache's write-behind runs to the block driver).
 	Batch bool
 }
 

@@ -1,6 +1,7 @@
 package mach
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -137,6 +138,72 @@ func TestReplyRightsFailureUnblocksClient(t *testing.T) {
 }
 
 // --- server pools ------------------------------------------------------------
+
+// Concurrent CallV carriers on a pooled echo server: each carrier mixes a
+// region-placed page, an out-of-line buffer and a body-only sub, every
+// client refills its buffers with its own bytes each round, and every
+// sub-reply must echo its request byte for byte.  A region is shared by
+// reference, so a sub whose payload outlived its slot, or a reply
+// aliasing another carrier's request, is a data race under -race and a
+// wrong byte without it.
+func TestConcurrentCarriers(t *testing.T) {
+	k := newTestKernel()
+	srv := k.NewTask("server")
+	defer srv.Terminate()
+	recv, _ := srv.AllocatePort()
+	xf := Transfer{ZeroCopy: true}
+	if _, err := srv.ServePool("echo", recv, 4, func(m *Message) *Message {
+		return xf.Place(m.ID, append([]byte(nil), m.Body...), append([]byte(nil), m.Payload()...))
+	}); err != nil {
+		t.Fatalf("ServePool: %v", err)
+	}
+
+	const clients, rounds = 4, 20
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		task := k.NewTask(fmt.Sprintf("client%d", c))
+		defer task.Terminate()
+		send, err := task.InsertRight(srv, recv, DispMakeSend)
+		if err != nil {
+			t.Fatal(err)
+		}
+		th, _ := task.NewBoundThread("main")
+		page, ool, body := make([]byte, PageSize), make([]byte, 100), make([]byte, 8)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for i, b := range [][]byte{page, ool, body} {
+					for j := range b {
+						b[j] = byte(c*rounds + r + i + j)
+					}
+				}
+				reqs := []*Message{xf.Place(1, body, page), xf.Place(2, body, ool), {ID: 3, Body: body}}
+				if len(reqs[0].Regions) != 1 || reqs[1].OOL == nil {
+					errs <- fmt.Errorf("client %d: page not placed by region or buffer not out of line", c)
+					return
+				}
+				replies, err := th.CallV(send, reqs, CallOpts{})
+				if err != nil {
+					errs <- fmt.Errorf("client %d round %d: %w", c, r, err)
+					return
+				}
+				for i, rep := range replies {
+					if rep.ID != reqs[i].ID || !bytes.Equal(rep.Body, body) || !bytes.Equal(rep.Payload(), reqs[i].Payload()) {
+						errs <- fmt.Errorf("client %d round %d: sub %d echoed wrong bytes", c, r, i)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
 
 // A pool of N slots on one receive right must serve concurrent clients,
 // spread work across more than one slot, and answer every request

@@ -3,7 +3,6 @@ package vfs
 import (
 	"encoding/binary"
 	"errors"
-	"strings"
 	"sync"
 
 	"repro/internal/cpu"
@@ -14,7 +13,6 @@ import (
 
 // File server message IDs: the single-op protocol, in its pre-redesign
 // values and byte layouts (wire.TestLegacyLayoutsPinned pins the bytes).
-// Batches are mach.Thread.CallV carriers of these same messages.
 const (
 	MsgOpen mach.MsgID = 0x0F00 + iota
 	MsgClose
@@ -31,18 +29,6 @@ const (
 	MsgGetEA
 	MsgSync
 )
-
-// Extent is one (offset, length) pair of a vectored read.
-type Extent struct {
-	Off int64
-	Len uint32
-}
-
-// VecWrite couples one write buffer with its file offset.
-type VecWrite struct {
-	Off  int64
-	Data []byte
-}
 
 // MaxReadChunk bounds one read RPC's server-side buffer; longer reads
 // return short and the client iterates.
@@ -640,14 +626,10 @@ func (c *Client) call(dest mach.PortName, id mach.MsgID, body, ool []byte) (*mac
 }
 
 // callMsg sends a prebuilt request (region payloads) and maps an error
-// reply back to its sentinel.
+// reply back to its sentinel, so errors.Is works across the RPC boundary.
+// The reply decoders below take its two results whole.
 func (c *Client) callMsg(dest mach.PortName, req *mach.Message) (*mach.Message, error) {
-	return result(c.th.Call(dest, req, mach.CallOpts{}))
-}
-
-// result maps an error reply back to its sentinel, so errors.Is works
-// across the RPC boundary.
-func result(reply *mach.Message, err error) (*mach.Message, error) {
+	reply, err := c.th.Call(dest, req, mach.CallOpts{})
 	if err == nil && reply.ID != 0 {
 		err = fromWire(string(reply.Body))
 	}
@@ -655,15 +637,6 @@ func result(reply *mach.Message, err error) (*mach.Message, error) {
 		return nil, err
 	}
 	return reply, nil
-}
-
-// Request builders and reply decoders, shared by each single op and its
-// batch: a batch is one mach.Thread.CallV carrier of the op's requests,
-// which the server handles one by one as the single ops they are, so
-// each sub-reply decodes as result and the op's own decoder.
-
-func readReq(off int64, n uint32) *mach.Message {
-	return &mach.Message{ID: MsgRead, Body: wire.ReadReq{Off: off, Len: n}.Encode()}
 }
 
 // readData returns the bytes a MsgRead reply carries; a reply of a page
@@ -697,10 +670,6 @@ func writeCount(reply *mach.Message, err error) (int, error) {
 		return 0, ErrBadHandle
 	}
 	return int(binary.LittleEndian.Uint32(reply.Body)), nil
-}
-
-func statReq(path string) *mach.Message {
-	return &mach.Message{ID: MsgStat, Body: []byte(path)}
 }
 
 // attrOf decodes a MsgStat or MsgFStat reply.
@@ -741,65 +710,17 @@ func (c *Client) Open(path string, write, create bool) (*File, error) {
 
 // ReadAt reads up to len(p) bytes at off.
 func (f *File) ReadAt(p []byte, off int64) (int, error) {
-	data, err := readData(f.c.callMsg(f.port, readReq(off, uint32(len(p)))))
+	req := &mach.Message{ID: MsgRead, Body: wire.ReadReq{Off: off, Len: uint32(len(p))}.Encode()}
+	data, err := readData(f.c.callMsg(f.port, req))
 	if err != nil {
 		return 0, err
 	}
 	return copy(p, data), nil
 }
 
-// ReadV reads several extents in one crossing: a carrier of MsgRead
-// subs.  Each returned slice aliases its own sub-reply; the first failed
-// extent fails the call.
-func (f *File) ReadV(exts []Extent) ([][]byte, error) {
-	if len(exts) == 0 {
-		return nil, nil
-	}
-	reqs := make([]*mach.Message, len(exts))
-	for i, e := range exts {
-		reqs[i] = readReq(e.Off, e.Len)
-	}
-	replies, err := f.c.th.CallV(f.port, reqs, mach.CallOpts{})
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, len(replies))
-	for i, r := range replies {
-		if out[i], err = readData(result(r, nil)); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // WriteAt writes p at off.
 func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	return writeCount(f.c.callMsg(f.port, f.c.writeReq(p, off)))
-}
-
-// WriteV writes several buffers in one crossing: a carrier of MsgWrite
-// subs, each placed as WriteAt places it.  Returns the per-buffer write
-// counts.  The server runs every sub-write; the first failure is
-// returned, as UserBlockDriver.WriteSectorsV's carrier reports it.
-func (f *File) WriteV(ws []VecWrite) ([]int, error) {
-	if len(ws) == 0 {
-		return nil, nil
-	}
-	reqs := make([]*mach.Message, len(ws))
-	for i, w := range ws {
-		reqs[i] = f.c.writeReq(w.Data, w.Off)
-	}
-	replies, err := f.c.th.CallV(f.port, reqs, mach.CallOpts{})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, len(replies))
-	for i, r := range replies {
-		if out[i], err = writeCount(result(r, nil)); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // Truncate resizes the file.
@@ -821,30 +742,7 @@ func (f *File) Close() error {
 
 // Stat queries a path's attributes.
 func (c *Client) Stat(path string) (Attr, error) {
-	return attrOf(c.callMsg(c.ctrl, statReq(path)))
-}
-
-// StatBatch stats N paths in one crossing: a carrier of MsgStat subs.
-// Per-path errors come back in errs (nil entries mean success); the
-// call-level error covers the crossing only.
-func (c *Client) StatBatch(paths []string) ([]Attr, []error, error) {
-	if len(paths) == 0 {
-		return nil, nil, nil
-	}
-	reqs := make([]*mach.Message, len(paths))
-	for i, p := range paths {
-		reqs[i] = statReq(p)
-	}
-	replies, err := c.th.CallV(c.ctrl, reqs, mach.CallOpts{})
-	if err != nil {
-		return nil, nil, err
-	}
-	attrs := make([]Attr, len(replies))
-	errs := make([]error, len(replies))
-	for i, r := range replies {
-		attrs[i], errs[i] = attrOf(result(r, nil))
-	}
-	return attrs, errs, nil
+	return attrOf(c.call(c.ctrl, MsgStat, []byte(path), nil))
 }
 
 // Mkdir creates a directory.
@@ -864,46 +762,6 @@ func (c *Client) ReadDir(path string) ([]DirEnt, error) {
 		return nil, ErrBadHandle
 	}
 	return ents, nil
-}
-
-// ReadDirStat lists a directory and stats every entry — the readdir+stat
-// storm every file browser issues.  With batching on, all N stats share
-// one StatBatch carrier (two crossings total, regardless of N); with
-// it off, the fallback pays one Stat crossing per entry, which is what
-// E-XFER charts.  Per-entry stat errors surface as zero Attrs — an entry
-// racing a concurrent remove does not fail the listing.
-func (c *Client) ReadDirStat(path string) ([]DirEnt, []Attr, error) {
-	ents, err := c.ReadDir(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(ents) == 0 {
-		return ents, nil, nil
-	}
-	paths := make([]string, len(ents))
-	for i, e := range ents {
-		if strings.HasSuffix(path, "/") {
-			paths[i] = path + e.Name
-		} else {
-			paths[i] = path + "/" + e.Name
-		}
-	}
-	// The per-entry fallback stays: it is the paper's own baseline, the
-	// one-crossing-per-stat storm E-XFER measures batching against.
-	if c.xfer.Batch {
-		attrs, _, err := c.StatBatch(paths)
-		if err != nil {
-			return nil, nil, err
-		}
-		return ents, attrs, nil
-	}
-	attrs := make([]Attr, len(paths))
-	for i, p := range paths {
-		if a, err := c.Stat(p); err == nil {
-			attrs[i] = a
-		}
-	}
-	return ents, attrs, nil
 }
 
 // Remove deletes a file or empty directory.

@@ -148,11 +148,7 @@ func TestServerSurvivesMalformedRequests(t *testing.T) {
 		id   mach.MsgID
 	}{{f.port, 0x0F0E}, {f.port, 0x0F0F}, {c.ctrl, 0x0F10}} {
 		for _, body := range [][]byte{nil, {1, 2}} {
-			reply, err := c.th.Call(r.port, &mach.Message{ID: r.id, Body: body}, mach.CallOpts{})
-			if err != nil {
-				t.Fatalf("RPC died (server crashed?): %v", err)
-			}
-			if _, err := result(reply, nil); !errors.Is(err, ErrUnsupported) {
+			if _, err := c.callMsg(r.port, &mach.Message{ID: r.id, Body: body}); !errors.Is(err, ErrUnsupported) {
 				t.Fatalf("retired %#x answered %v, want %v", r.id, err, ErrUnsupported)
 			}
 		}
