@@ -452,7 +452,7 @@ func (e *Engine) Slot() int { return e.slot }
 func (e *Engine) Complex() *Complex { return e.cx }
 
 // route resolves the engine a charge should land on: the engine bound to
-// the calling OS thread when e is the router of a Complex, e itself
+// the calling goroutine when e is the router of a Complex, e itself
 // otherwise.  It also returns the binding the charge is routed through
 // (nil when unbound or standalone), which unlock credits with the
 // charge's cycles.  It is called once at each public entry point, never

@@ -6,7 +6,7 @@
 //
 // The system charges all costs through one *Engine handle (the kernel's
 // k.CPU).  Under a Complex that handle is engine 0, the *router*: a
-// scheduler binds each running simulated thread's OS thread to an engine
+// scheduler binds each running simulated thread's goroutine to an engine
 // (Bind), and every charge arriving at the router is forwarded to the
 // caller's bound engine.  Unbound callers (boot, background emitters)
 // land on engine 0.  A standalone engine has no router and no per-charge
@@ -21,14 +21,15 @@ import (
 // Complex is a set of N engines with a shared routing table.
 type Complex struct {
 	engines []*Engine
-	// bind maps an OS thread id to its current binding.  A binding is
-	// only ever installed under runtime.LockOSThread, so a live entry can
-	// never be observed by any goroutine but its owner (a locked OS
-	// thread runs nothing else).
-	bind sync.Map // threadID() -> *Binding
+	// bind maps a goroutine — or, on linux off amd64, its OS thread
+	// (routeKey) — to its current binding.  A binding is installed and
+	// removed by its owner, under runtime.LockOSThread, so a live entry
+	// can never be observed by any goroutine but its owner: the key names
+	// the owner, and a locked OS thread runs nothing else.
+	bind sync.Map // routeKey() -> *Binding
 }
 
-// Binding is one OS thread's route to an engine.  Besides routing, it
+// Binding is one goroutine's route to an engine.  Besides routing, it
 // counts the cycles every charge routed through it adds — the engine's
 // cycles that belong to this binding alone, whatever other threads bound
 // to the same engine charge meanwhile.  A nested binding shadows the
@@ -71,9 +72,9 @@ func (cx *Complex) Router() *Engine { return cx.engines[0] }
 // modify it.
 func (cx *Complex) Engines() []*Engine { return cx.engines }
 
-// current returns the calling OS thread's binding, or nil when unbound.
+// current returns the calling goroutine's binding, or nil when unbound.
 func (cx *Complex) current() *Binding {
-	if v, ok := cx.bind.Load(threadID()); ok {
+	if v, ok := cx.bind.Load(routeKey()); ok {
 		return v.(*Binding)
 	}
 	return nil
@@ -86,15 +87,15 @@ func (cx *Complex) current() *Binding {
 // undo restores it — matching LockOSThread's own nesting.
 func (cx *Complex) Bind(b *Binding, e *Engine) (undo func()) {
 	runtime.LockOSThread()
-	tid := threadID()
-	prev, hadPrev := cx.bind.Load(tid)
+	key := routeKey()
+	prev, hadPrev := cx.bind.Load(key)
 	b.eng, b.cycles = e, 0
-	cx.bind.Store(tid, b)
+	cx.bind.Store(key, b)
 	return func() {
 		if hadPrev {
-			cx.bind.Store(tid, prev)
+			cx.bind.Store(key, prev)
 		} else {
-			cx.bind.Delete(tid)
+			cx.bind.Delete(key)
 		}
 		runtime.UnlockOSThread()
 	}

@@ -3,6 +3,7 @@ package cpu
 import (
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestComplexUnboundRoutesToSlot0: charges issued by a goroutine with no
@@ -210,4 +211,99 @@ func TestBindingCountsOwnCharges(t *testing.T) {
 	if sum, delta := mine.Cycles()+other.Cycles()+10*11, cx.EngineCounters(1).Cycles; sum != delta {
 		t.Fatalf("bindings sum to %d cycles, engine 1 gained %d", sum, delta)
 	}
+}
+
+// TestComplexBindLeavesNoRoute: a binding ends with its undo.  Goroutines
+// that bind, charge, undo and exit leave nothing in the table, so fresh
+// goroutines — which the runtime builds from the exited ones' recycled
+// records — land every charge on slot 0; and a nested bind's undo hands
+// the route back to the outer binding, not to slot 0.
+func TestComplexBindLeavesNoRoute(t *testing.T) {
+	cx := NewComplex(Pentium133(), 4)
+	r := cx.Router()
+	reg := NewLayout(0).PlaceInstr("path", 100)
+	var wg sync.WaitGroup
+	for g := 0; g < 64; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outer := cx.Engines()[1+g%3]
+			undo := cx.Bind(new(Binding), outer)
+			r.Exec(reg)
+			undoInner := cx.Bind(new(Binding), cx.Engines()[1+(g+1)%3])
+			r.Exec(reg)
+			undoInner()
+			if got := r.CurrentSlot(); got != outer.Slot() {
+				t.Errorf("after a nested undo charges route to slot %d, want the outer binding's slot %d", got, outer.Slot())
+			}
+			r.Exec(reg)
+			undo()
+		}()
+	}
+	wg.Wait()
+	cx.bind.Range(func(k, _ any) bool {
+		t.Errorf("binding for key %v outlived its undo", k)
+		return true
+	})
+	before := make([]Counters, cx.Size())
+	for slot := range before {
+		before[slot] = cx.EngineCounters(slot)
+	}
+	const fresh = 256
+	for g := 0; g < fresh; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if e := cx.BoundEngine(); e != nil {
+				t.Errorf("an unbound goroutine sees slot %d", e.Slot())
+			}
+			if got := r.CurrentSlot(); got != 0 {
+				t.Errorf("an unbound goroutine's charges route to slot %d", got)
+			}
+			r.Exec(reg)
+		}()
+	}
+	wg.Wait()
+	if got := cx.EngineCounters(0).Instructions - before[0].Instructions; got != fresh*100 {
+		t.Fatalf("slot 0 retired %d instructions from unbound goroutines, want %d", got, fresh*100)
+	}
+	for slot := 1; slot < cx.Size(); slot++ {
+		if c := cx.EngineCounters(slot); c != before[slot] {
+			t.Fatalf("slot %d charged by unbound goroutines: %+v -> %+v", slot, before[slot], c)
+		}
+	}
+}
+
+// BenchmarkRoutedCharge times one Exec through a Complex's router by a
+// bound goroutine against the same Exec on a standalone engine, in
+// alternating blocks so a change of host speed hits both alike, and
+// reports routed/standalone: what routing adds to a charge.
+func BenchmarkRoutedCharge(b *testing.B) {
+	reg := NewLayout(0).PlaceInstr("path", 16)
+	plain := NewEngine(Pentium133())
+	cx := NewComplex(Pentium133(), 2)
+	undo := cx.Bind(new(Binding), cx.Engines()[1])
+	defer undo()
+	r := cx.Router()
+	r.Exec(reg)
+	plain.Exec(reg)
+	const block = 1024
+	var routed, standalone time.Duration
+	b.ResetTimer()
+	for done := 0; done < b.N; done += block {
+		n := min(block, b.N-done)
+		start := time.Now()
+		for i := 0; i < n; i++ {
+			r.Exec(reg)
+		}
+		mid := time.Now()
+		for i := 0; i < n; i++ {
+			plain.Exec(reg)
+		}
+		routed += mid.Sub(start)
+		standalone += time.Since(mid)
+	}
+	b.ReportMetric(float64(routed.Nanoseconds())/float64(b.N), "routed-ns/charge")
+	b.ReportMetric(float64(standalone.Nanoseconds())/float64(b.N), "standalone-ns/charge")
+	b.ReportMetric(float64(routed)/float64(standalone), "routed/standalone")
 }

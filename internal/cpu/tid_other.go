@@ -1,17 +1,16 @@
-//go:build !linux
+//go:build !linux && !amd64
 
 package cpu
 
 import "runtime"
 
-// threadID identifies the calling execution context where no cheap OS
-// thread id exists: the goroutine id, parsed from the stack header
-// ("goroutine <id> [...") — the only portable way to name a goroutine,
-// and not a cheap one: the runtime unwinds the whole stack to fill even a
-// tiny buffer.  A binding is only installed under LockOSThread, where
-// goroutine and OS thread are one-to-one, so it is an equivalent routing
-// key.  Slower than gettid; correctness identical.
-func threadID() int {
+// routeKey identifies the calling goroutine where neither a goroutine
+// key (tid_amd64.s) nor a cheap OS thread id exists: the goroutine id,
+// parsed from the stack header ("goroutine <id> [...") — the only
+// portable way to name a goroutine, and not a cheap one: the runtime
+// unwinds the whole stack to fill even a tiny buffer.  Slower than the
+// other keys; correctness identical.
+func routeKey() int {
 	var buf [64]byte
 	n := runtime.Stack(buf[:], false)
 	id := 0

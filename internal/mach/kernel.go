@@ -136,8 +136,9 @@ func NewSMP(cfg cpu.Config, ncpu int) *Kernel {
 		nextTask: 1, nextThread: 1,
 	}
 	// The standalone engine stays beside the Complex: a Complex of one
-	// would route every charge through its per-OS-thread binding table,
-	// paying Gettid per charge (tid_linux.go) for nothing to route.
+	// would route every charge through its per-goroutine binding table,
+	// paying a routing-key read and a sync.Map lookup per charge
+	// (cpu/tid_*.go) for nothing to route.
 	if ncpu > 1 {
 		k.cx = cpu.NewComplex(cfg, ncpu)
 		k.CPU = k.cx.Router()

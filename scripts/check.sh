@@ -23,7 +23,7 @@
 # lock's FIFO handoff and the volume lock every file system, cache and
 # device adapter relies on instead of a lock of its own (fat, hpfs, jfs
 # and mono, which keep none, run under the detector too); cpu's
-# Complex routes every charge through a per-OS-thread binding table while
+# Complex routes every charge through a per-goroutine binding table while
 # the SMP dispatcher binds and steals from many goroutines; and cmd/kobs
 # runs the end-to-end tier, the CLI as a child process per scenario.
 # Tier-1 (go build && go test ./...) stays the merge gate; this catches
@@ -56,6 +56,14 @@ run() {
 }
 
 run go vet ./...
+
+# cpu's routing key is split by platform: a goroutine key read by an
+# assembly stub on amd64 (tid_amd64.s), gettid on linux off amd64, the
+# stack header elsewhere.  Vet it where it does not run, so the stub's
+# declaration and both fallbacks keep compiling.
+run env GOARCH=arm64 go vet ./internal/cpu
+run env GOOS=darwin GOARCH=arm64 go vet ./internal/cpu
+run env GOOS=windows GOARCH=amd64 go vet ./internal/cpu
 
 # Formatting drift fails here, not in a later PR that has to reformat it.
 test -z "$(gofmt -l .)"
@@ -148,6 +156,13 @@ run go test -race -count=20 -timeout 300s -run 'TestConcurrentRegionTransfer' ./
 # echo traffic writes the flight rings and the latency reservoir; every
 # dump whole, every exemplar's segments summing exactly.
 run go test -race -count=20 -timeout 300s -run 'TestFlightDumpQueryStorm|TestTailDumpQueryStorm' ./internal/monitor/
+
+# cpu's binding table: sixteen goroutines bind, charge and undo while a
+# reader sums the counters, and no binding outlives its undo — the
+# runtime builds new goroutines from exited ones' records, which a
+# leftover binding would misroute — with nested undos restoring the
+# outer route.
+run go test -race -count=20 -timeout 300s -run 'TestComplexBindRace|TestComplexBindLeavesNoRoute' ./internal/cpu/
 
 # A pool's busy gauge falls at the reply commit, before the caller is
 # released: read the instant each call returns, over many boots.
