@@ -50,12 +50,18 @@ func TestBootBadConfig(t *testing.T) {
 	if _, err := Boot(cfg); err == nil {
 		t.Fatal("unknown personality should fail")
 	}
-	// The cache model indexes by shift and mask: a non-power-of-two
-	// geometry is a configuration error, not a panic at engine build.
+	// The cache model and the TLB index by shift and mask: a
+	// non-power-of-two geometry is a configuration error, not a panic at
+	// engine build.
 	cfg = DefaultConfig()
 	cfg.CPU.DCache.Sets = 96
 	if _, err := Boot(cfg); !errors.Is(err, ErrBadConfig) || !strings.Contains(err.Error(), "DCache.Sets") {
 		t.Fatalf("non-power-of-two DCache.Sets: err = %v, want ErrBadConfig naming the field", err)
+	}
+	cfg = DefaultConfig()
+	cfg.CPU.PageSize = 6144
+	if _, err := Boot(cfg); !errors.Is(err, ErrBadConfig) || !strings.Contains(err.Error(), "PageSize") {
+		t.Fatalf("non-power-of-two PageSize: err = %v, want ErrBadConfig naming the field", err)
 	}
 }
 

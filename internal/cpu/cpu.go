@@ -15,6 +15,7 @@ package cpu
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -217,13 +218,13 @@ func (l *Layout) PlaceInstr(name string, n uint64) Region {
 }
 
 // Validate reports a geometry the model cannot represent.  A cache
-// indexes by shift and mask, and Engine.touch walks a range line by line
-// from addr &^ (LineSize-1), so each cache's Sets and LineSize must be
-// powers of two; the TLB and touch divide addresses by PageSize, so it
-// must not be zero.
+// indexes by shift and mask, Engine.touch walks a range line by line from
+// addr &^ (LineSize-1), and the TLB and touch find a line's page by
+// shift, so each cache's Sets and LineSize and the PageSize must be powers
+// of two.
 func (c Config) Validate() error {
-	if c.PageSize == 0 {
-		return fmt.Errorf("cpu: PageSize = 0: the TLB has no page to map")
+	if bits.OnesCount64(c.PageSize) != 1 {
+		return fmt.Errorf("cpu: PageSize = %d is not a power of two", c.PageSize)
 	}
 	for _, cc := range []struct {
 		name string
@@ -245,24 +246,32 @@ func (c Config) Validate() error {
 // line's cache page — its address divided by Sets*LineSize — plus one (0
 // = invalid): within one set that names the same line a full line
 // address would, and a run of consecutive sets in one cache page shares
-// it.  Set s occupies tags[s*Ways : (s+1)*Ways], most recently used first
-// — Mattson's LRU stack, so the way a line hits in is its stack distance
-// and the last way is the victim.
+// it.  Tags are 32 bits, so addresses from limit up cannot be tagged
+// (touch refuses them).  Set s occupies tags[s*Ways : (s+1)*Ways], most
+// recently used first — Mattson's LRU stack, so the way a line hits in is
+// its stack distance and the last way is the victim; a two-way set is one
+// 64-bit word.
 type cache struct {
 	cfg       CacheConfig
-	tags      []uint64 // 0 = invalid
+	tags      []uint32 // 0 = invalid
 	lineShift uint     // log2(LineSize)
 	pageShift uint     // log2(Sets): a line's cache page is line >> pageShift
 	setMask   uint64   // Sets-1
+	limit     uint64   // the first address whose cache page+1 overflows a tag
 }
 
 // newCache builds a cold cache; cfg must pass Config.Validate.
 func newCache(cfg CacheConfig) *cache {
-	return &cache{
-		cfg: cfg, tags: make([]uint64, cfg.Sets*cfg.Ways),
+	c := &cache{
+		cfg: cfg, tags: make([]uint32, cfg.Sets*cfg.Ways),
 		lineShift: uint(bits.TrailingZeros64(cfg.LineSize)),
 		pageShift: uint(bits.TrailingZeros64(uint64(cfg.Sets))), setMask: uint64(cfg.Sets) - 1,
+		limit: math.MaxUint64,
 	}
+	if shift := c.lineShift + c.pageShift; shift <= 32 {
+		c.limit = math.MaxUint32 << shift
+	}
+	return c
 }
 
 // run touches the line at a and every LineSize step after it below end,
@@ -276,10 +285,14 @@ func (c *cache) run(a, end uint64) (misses uint64) {
 	for n > 0 {
 		s := line & c.setMask
 		k := min(n, c.setMask+1-s)
-		tag, ways := line>>c.pageShift+1, uint64(c.cfg.Ways)
+		tag, ways := uint32(line>>c.pageShift+1), uint64(c.cfg.Ways)
 		sets := c.tags[s*ways : (s+k)*ways]
 		if ways == 2 {
-			misses += run2(sets, tag)
+			if avx2 && k >= 4 {
+				misses += run2x4(sets, tag)
+				sets = sets[k&^3*2:]
+			}
+			misses += run2Go(sets, tag)
 		} else {
 			misses += runN(sets, int(ways), tag)
 		}
@@ -288,11 +301,13 @@ func (c *cache) run(a, end uint64) (misses uint64) {
 	return misses
 }
 
-// run2 looks tag up in each two-way set of sets and returns how many
-// missed.  Every outcome stores the same two ways — tag first, then
-// whichever old way is not tag (the old first way on a miss) — so the
-// loop is selects, not branches.
-func run2(sets []uint64, tag uint64) (misses uint64) {
+// run2Go looks tag up in each two-way set of sets and returns how many
+// missed: the two-way loop of every host, and the vector kernel's tail
+// and short runs where the host has one (run2x4, on amd64 with AVX2).
+// Every outcome stores the same two ways — tag first, then whichever old
+// way is not tag (the old first way on a miss) — so the loop is selects,
+// not branches.
+func run2Go(sets []uint32, tag uint32) (misses uint64) {
 	for ; len(sets) >= 2; sets = sets[2:] {
 		a0, a1 := sets[0], sets[1]
 		misses += b2u(a0 != tag) & b2u(a1 != tag)
@@ -316,7 +331,7 @@ func b2u(b bool) uint64 {
 // missed.  A hit on the most recent way costs one compare; any other
 // hit, or a miss, moves the line to the front of its set, and a miss
 // drops the set's last way.
-func runN(sets []uint64, ways int, tag uint64) (misses uint64) {
+func runN(sets []uint32, ways int, tag uint32) (misses uint64) {
 	for ; len(sets) >= ways; sets = sets[ways:] {
 		set := sets[:ways]
 		if set[0] == tag {
@@ -345,20 +360,22 @@ func (c *cache) flush() {
 // tlb is a fully-associative LRU TLB over pages, the resident pages held
 // most recently used first (TLBEntries at most).  A lookup is usually one
 // compare: consecutive code regions and buffers mostly sit on the page
-// the previous access left at the front.
+// the previous access left at the front, and touch makes that compare
+// inline before it calls access.
 type tlb struct {
-	pageSize uint64
-	pages    []uint64 // cap = TLBEntries
+	shift uint     // log2(PageSize): a page is addr >> shift
+	pages []uint64 // cap = TLBEntries
 }
 
+// newTLB builds an empty TLB; pageSize must be a power of two.
 func newTLB(entries int, pageSize uint64) *tlb {
 	entries = max(entries, 1) // a TLB always holds the page it just walked
-	return &tlb{pageSize: pageSize, pages: make([]uint64, 0, entries)}
+	return &tlb{shift: uint(bits.TrailingZeros64(pageSize)), pages: make([]uint64, 0, entries)}
 }
 
 // access touches the page containing addr; it reports whether it hit.
 func (t *tlb) access(addr uint64) bool {
-	page := addr / t.pageSize
+	page := addr >> t.shift
 	p := t.pages
 	i := 0
 	for i < len(p) && p[i] != page {
@@ -556,23 +573,35 @@ func (e *Engine) chargeInstr(n uint64) {
 // taken as a run: the first is a real TLB lookup, the rest hit the page
 // it left at the front and need no lookup, and the cache returns the
 // run's miss count.  Hits charge nothing, so the charge sequence is the
-// per-line one: the run's TLB miss, then its line misses.
+// per-line one: the run's TLB miss, then its line misses.  An empty range
+// still touches the line addr sits in when addr is not line-aligned.
 func (e *Engine) touch(c *cache, kind ProfKind, addr, end uint64) {
-	line, page := c.cfg.LineSize, e.cfg.PageSize
+	if end > c.limit {
+		untaggable(addr, end, c.limit)
+	}
 	misses := &e.ctr.DCacheMisses
 	if kind == ProfIMiss {
 		misses = &e.ctr.ICacheMisses
 	}
-	for a := addr &^ (line - 1); a < end; {
-		if !e.tlb.access(a) {
-			e.chargeMiss(&e.ctr.TLBMisses, 1, ProfTLB, e.cfg.TLBMissCycles, e.cfg.TLBMissBus)
+	lineMask, pageMask, t := c.cfg.LineSize-1, e.cfg.PageSize-1, e.tlb
+	for a := addr &^ lineMask; a < end; {
+		if len(t.pages) == 0 || t.pages[0] != a>>t.shift {
+			if !t.access(a) {
+				e.chargeMiss(&e.ctr.TLBMisses, 1, ProfTLB, e.cfg.TLBMissCycles, e.cfg.TLBMissBus)
+			}
 		}
-		runEnd := min(end, (a/page+1)*page)
+		runEnd := min(end, (a|pageMask)+1)
 		if n := c.run(a, runEnd); n > 0 {
 			e.chargeMiss(misses, n, kind, e.cfg.MissLatency, e.cfg.BusPerLine)
 		}
-		a += (runEnd - a + line - 1) &^ (line - 1) // the first line at or past runEnd
+		a += (runEnd - a + lineMask) &^ lineMask // the first line at or past runEnd
 	}
+}
+
+// untaggable panics, naming the range, on addresses a cache's 32-bit tags
+// cannot hold.
+func untaggable(addr, end, limit uint64) {
+	panic(fmt.Errorf("cpu: range [%#x, %#x) reaches %#x, the first address a 32-bit cache tag cannot hold", addr, end, limit))
 }
 
 // chargeMiss adds n misses of cycles and bus each to the counter ctr and

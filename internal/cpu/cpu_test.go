@@ -48,10 +48,9 @@ func TestCacheFlush(t *testing.T) {
 }
 
 // TestNewEngineRejectsNonPow2Geometry: the caches index by shift and
-// mask and touch walks lines from addr &^ (LineSize-1), so any other
-// geometry is refused up front, with the offending field named.  A zero
-// PageSize is refused the same way rather than dividing by zero at the
-// first charge.
+// mask, touch walks lines from addr &^ (LineSize-1) and the TLB finds a
+// page by shift, so any other geometry is refused up front, with the
+// offending field named.  A zero PageSize is refused the same way.
 func TestNewEngineRejectsNonPow2Geometry(t *testing.T) {
 	for _, tc := range []struct {
 		field string
@@ -62,6 +61,7 @@ func TestNewEngineRejectsNonPow2Geometry(t *testing.T) {
 		{"ICache.LineSize", func(c *Config) { c.ICache.LineSize = 48 }},
 		{"DCache.LineSize", func(c *Config) { c.DCache.LineSize = 24 }},
 		{"PageSize", func(c *Config) { c.PageSize = 0 }},
+		{"PageSize", func(c *Config) { c.PageSize = 6144 }},
 	} {
 		cfg := Pentium133()
 		tc.mod(&cfg)

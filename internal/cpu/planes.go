@@ -499,17 +499,20 @@ type Ring struct {
 // NewRing returns a ring holding up to capacity records (at least one).
 func NewRing(capacity int) *Ring { return &Ring{max: max(capacity, 1)} }
 
-// Put stores a copy of e, stamped with the ring's sequence.
-func (r *Ring) Put(e Event) {
-	e.Span, e.Req = nil, nil
+// Put stores a copy of *e, stamped with the ring's sequence.  It takes a
+// pointer, and keeps none, so an observer hands over the record it was
+// given without one more copy of it.
+func (r *Ring) Put(e *Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e.Seq = r.seq
-	if i := int(r.seq - r.reset); i < r.max {
-		r.buf = append(r.buf, e)
+	i := int(r.seq - r.reset)
+	if i < r.max {
+		r.buf = append(r.buf, *e)
 	} else {
-		r.buf[i%r.max] = e
+		i %= r.max
+		r.buf[i] = *e
 	}
+	r.buf[i].Span, r.buf[i].Req, r.buf[i].Seq = nil, nil, r.seq
 	r.seq++
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -137,10 +138,10 @@ func (t *refTLB) resident() []uint64 {
 // (line + 1, 0 = invalid).
 func (c *cache) lineTags(s int) []uint64 {
 	w := c.cfg.Ways
-	out := slices.Clone(c.tags[s*w : (s+1)*w])
-	for i, tag := range out {
+	out := make([]uint64, w)
+	for i, tag := range c.tags[s*w : (s+1)*w] {
 		if tag != 0 {
-			out[i] = (tag-1)<<c.pageShift | uint64(s) + 1
+			out[i] = uint64(tag-1)<<c.pageShift | uint64(s) + 1
 		}
 	}
 	return out
@@ -205,6 +206,18 @@ func (g *accessGen) next() uint64 {
 
 const diffAccesses = 1 << 20
 
+// eachKernel runs f once per two-way kernel the host has: the Go loop,
+// and the vector kernel where the host has one, so a host that runs the
+// vector kernel still checks the loop every other host runs.
+func eachKernel(t *testing.T, f func(t *testing.T)) {
+	vector := avx2
+	defer func() { avx2 = vector }()
+	t.Run("go", func(t *testing.T) { avx2 = false; f(t) })
+	if vector {
+		t.Run("avx2", func(t *testing.T) { avx2 = true; f(t) })
+	}
+}
+
 func TestTLBMatchesReference(t *testing.T) {
 	for _, entries := range []int{0, 1, 2, 64} {
 		for _, flushEvery := range []int{0, 40, 5000} {
@@ -247,28 +260,30 @@ func TestCacheMatchesReference(t *testing.T) {
 	for ci, cfg := range cfgs {
 		for _, flushEvery := range []int{0, 20000} {
 			t.Run(fmt.Sprintf("%dx%dx%d/flush=%d", cfg.Sets, cfg.Ways, cfg.LineSize, flushEvery), func(t *testing.T) {
-				rng := rand.New(rand.NewPCG(uint64(ci)+1, uint64(flushEvery)))
-				gen := &accessGen{rng: rng}
-				ref, got := newRefCache(cfg), newCache(cfg)
-				var hits int
-				for i := 0; i < diffAccesses; i++ {
-					if flushEvery > 0 && rng.IntN(flushEvery) == 0 {
-						ref.flush()
-						got.flush()
+				eachKernel(t, func(t *testing.T) {
+					rng := rand.New(rand.NewPCG(uint64(ci)+1, uint64(flushEvery)))
+					gen := &accessGen{rng: rng}
+					ref, got := newRefCache(cfg), newCache(cfg)
+					var hits int
+					for i := 0; i < diffAccesses; i++ {
+						if flushEvery > 0 && rng.IntN(flushEvery) == 0 {
+							ref.flush()
+							got.flush()
+						}
+						a := gen.next()
+						want, have := ref.access(a), got.access(a)
+						if want != have {
+							t.Fatalf("access %d (addr %#x): cache hit=%v, reference hit=%v", i, a, have, want)
+						}
+						if want {
+							hits++
+						}
 					}
-					a := gen.next()
-					want, have := ref.access(a), got.access(a)
-					if want != have {
-						t.Fatalf("access %d (addr %#x): cache hit=%v, reference hit=%v", i, a, have, want)
+					sameSets(t, "final state", got, ref)
+					if hits == 0 || hits == diffAccesses {
+						t.Fatalf("degenerate stream: %d hits of %d", hits, diffAccesses)
 					}
-					if want {
-						hits++
-					}
-				}
-				sameSets(t, "final state", got, ref)
-				if hits == 0 || hits == diffAccesses {
-					t.Fatalf("degenerate stream: %d hits of %d", hits, diffAccesses)
-				}
+				})
 			})
 		}
 	}
@@ -291,41 +306,137 @@ func TestCacheRunMatchesReference(t *testing.T) {
 	}
 	for ci, cfg := range cfgs {
 		t.Run(fmt.Sprintf("%dx%dx%d", cfg.Sets, cfg.Ways, cfg.LineSize), func(t *testing.T) {
-			rng := rand.New(rand.NewPCG(uint64(ci)+1, 3))
-			ref, got := newRefCache(cfg), newCache(cfg)
-			page := uint64(cfg.Sets) * cfg.LineSize
-			var lines, misses uint64
-			for i := 0; i < 20000; i++ {
-				if rng.IntN(5000) == 0 {
-					ref.flush()
-					got.flush()
-				}
-				// A window of 8 cache pages, so runs both hit and evict.
-				a := rng.Uint64N(8 * page)
-				if rng.IntN(2) == 0 {
-					a = (a/page+1)*page - rng.Uint64N(min(page, 64*cfg.LineSize)) - 1
-				}
-				n := 1 + rng.Uint64N(400)
-				end := a + (n-1)*cfg.LineSize + 1 + rng.Uint64N(cfg.LineSize)
-				var want uint64
-				for x := a; x < end; x += cfg.LineSize {
-					if !ref.access(x) {
-						want++
+			eachKernel(t, func(t *testing.T) {
+				rng := rand.New(rand.NewPCG(uint64(ci)+1, 3))
+				ref, got := newRefCache(cfg), newCache(cfg)
+				page := uint64(cfg.Sets) * cfg.LineSize
+				var lines, misses uint64
+				for i := 0; i < 20000; i++ {
+					if rng.IntN(5000) == 0 {
+						ref.flush()
+						got.flush()
 					}
+					// A window of 8 cache pages, so runs both hit and evict.
+					a := rng.Uint64N(8 * page)
+					if rng.IntN(2) == 0 {
+						a = (a/page+1)*page - rng.Uint64N(min(page, 64*cfg.LineSize)) - 1
+					}
+					n := 1 + rng.Uint64N(400)
+					end := a + (n-1)*cfg.LineSize + 1 + rng.Uint64N(cfg.LineSize)
+					var want uint64
+					for x := a; x < end; x += cfg.LineSize {
+						if !ref.access(x) {
+							want++
+						}
+					}
+					if have := got.run(a, end); have != want {
+						t.Fatalf("run %d [%#x, %#x) of %d lines: %d misses, reference %d", i, a, end, n, have, want)
+					}
+					if i%64 == 0 {
+						sameSets(t, fmt.Sprintf("after run %d", i), got, ref)
+					}
+					lines, misses = lines+n, misses+want
 				}
-				if have := got.run(a, end); have != want {
-					t.Fatalf("run %d [%#x, %#x) of %d lines: %d misses, reference %d", i, a, end, n, have, want)
+				sameSets(t, "final state", got, ref)
+				if misses == 0 || misses == lines {
+					t.Fatalf("degenerate stream: %d misses of %d lines", misses, lines)
 				}
-				if i%64 == 0 {
-					sameSets(t, fmt.Sprintf("after run %d", i), got, ref)
-				}
-				lines, misses = lines+n, misses+want
-			}
-			sameSets(t, "final state", got, ref)
-			if misses == 0 || misses == lines {
-				t.Fatalf("degenerate stream: %d misses of %d lines", misses, lines)
-			}
+			})
 		})
+	}
+}
+
+// TestTwoWayKernelsAgree drives the vector kernel, the Go loop and the
+// reference over the same runs of a Pentium133 I-cache: every start set
+// with every length from 1 to Sets (so runs cross into the next cache
+// page and wrap to set 0), in a seeded order, with tags drawn from three
+// cache pages so lines hit in either way, fresh pages that only miss, and
+// flushes between runs.  After every run the two kernels hold the same
+// words and the touched sets hold the reference's lines in its order.
+func TestTwoWayKernelsAgree(t *testing.T) {
+	cfg := Pentium133().ICache
+	vector := avx2
+	defer func() { avx2 = vector }()
+	vec, loop, ref := newCache(cfg), newCache(cfg), newRefCache(cfg)
+	rng := rand.New(rand.NewPCG(64, 2))
+	page := uint64(cfg.Sets) * cfg.LineSize
+	var lines, misses, flushes uint64
+	for i, pair := range rng.Perm(cfg.Sets * cfg.Sets) {
+		if rng.IntN(400) == 0 {
+			vec.flush()
+			loop.flush()
+			ref.flush()
+			flushes++
+		}
+		s, n := uint64(pair%cfg.Sets), uint64(1+pair/cfg.Sets)
+		pg := rng.Uint64N(3)
+		if rng.IntN(8) == 0 {
+			pg = 3 + uint64(i)
+		}
+		a := pg*page + s*cfg.LineSize
+		end := a + n*cfg.LineSize
+		var want uint64
+		for x := a; x < end; x += cfg.LineSize {
+			if !ref.access(x) {
+				want++
+			}
+		}
+		avx2 = vector
+		v := vec.run(a, end)
+		avx2 = false
+		g := loop.run(a, end)
+		if v != want || g != want {
+			t.Fatalf("run %d: %d sets from set %d in cache page %d: vector %d misses, Go loop %d, reference %d", i, n, s, pg, v, g, want)
+		}
+		if !slices.Equal(vec.tags, loop.tags) {
+			t.Fatalf("run %d: %d sets from set %d: the kernels left different tags", i, n, s)
+		}
+		for k := range n {
+			set := int((s + k) % uint64(cfg.Sets))
+			if w, h := byRecency(ref.tags[set], ref.age[set]), loop.lineTags(set); !slices.Equal(w, h) {
+				t.Fatalf("run %d: set %d holds lines %#x, reference in recency order %#x", i, set, h, w)
+			}
+		}
+		lines, misses = lines+n, misses+want
+	}
+	sameSets(t, "final state", vec, ref)
+	if misses == 0 || misses == lines || flushes == 0 {
+		t.Fatalf("degenerate stream: %d misses of %d lines, %d flushes", misses, lines, flushes)
+	}
+	if !vector {
+		t.Log("no vector kernel on this host: the Go loop alone was checked")
+	}
+}
+
+// TestTouchRefusesUntaggableRange: a cache tag is 32 bits, so touch
+// panics, naming the range, on one that reaches the first address a tag
+// cannot hold (2^44 - 4096 on Pentium133), and takes the last page below
+// it like any other.
+func TestTouchRefusesUntaggableRange(t *testing.T) {
+	const limit = 1<<44 - 4096
+	e := NewEngine(Pentium133())
+	e.Read(limit-64, 64)
+	e.Exec(Region{Name: "top", Base: limit - 4096, Size: 4096, Instr: 1024})
+	if c := e.Counters(); c.DCacheMisses != 2 || c.ICacheMisses != 128 {
+		t.Fatalf("the last taggable page: %v, want 2 D-misses and 128 I-misses", c)
+	}
+	for _, tc := range []struct {
+		addr uint64
+		call func(e *Engine)
+	}{
+		{limit - 1, func(e *Engine) { e.Read(limit-1, 2) }},
+		{1 << 44, func(e *Engine) { e.Exec(Region{Name: "high", Base: 1 << 44, Size: 64, Instr: 16}) }},
+		{1 << 50, func(e *Engine) { e.Copy(0x1000, 1<<50, 32) }},
+	} {
+		func() {
+			defer func() {
+				err, ok := recover().(error)
+				if want := fmt.Sprintf("%#x", tc.addr); !ok || !strings.Contains(err.Error(), want) {
+					t.Errorf("a range at %#x: recovered %v, want a panic naming %s", tc.addr, err, want)
+				}
+			}()
+			tc.call(e)
+		}()
 	}
 }
 
@@ -466,20 +577,22 @@ func cfgName(cfg Config) string {
 // time, the way the engine used to, and requires the same counters after
 // every call and the same resident lines in the same order at the end.
 func TestEngineMatchesReference(t *testing.T) {
-	for _, cfg := range engineConfigs() {
-		eng, ref := NewEngine(cfg), newRefEngine(cfg)
-		mixedStream(eng, ref, 7, 60000, func(i, op int) {
-			if got, want := eng.Counters(), ref.ctr; got != want {
-				t.Fatalf("%s, call %d (op %d): engine %v i$=%d d$=%d tlb=%d sw=%d, reference %v i$=%d d$=%d tlb=%d sw=%d",
-					cfgName(cfg), i, op, got, got.ICacheMisses, got.DCacheMisses, got.TLBMisses, got.Switches,
-					want, want.ICacheMisses, want.DCacheMisses, want.TLBMisses, want.Switches)
-			}
-		})
-		what := cfgName(cfg)
-		sameTLB(t, what+" TLB", eng.tlb, ref.tl)
-		sameSets(t, what+" I-cache", eng.icache, ref.ic)
-		sameSets(t, what+" D-cache", eng.dcache, ref.dc)
-	}
+	eachKernel(t, func(t *testing.T) {
+		for _, cfg := range engineConfigs() {
+			eng, ref := NewEngine(cfg), newRefEngine(cfg)
+			mixedStream(eng, ref, 7, 60000, func(i, op int) {
+				if got, want := eng.Counters(), ref.ctr; got != want {
+					t.Fatalf("%s, call %d (op %d): engine %v i$=%d d$=%d tlb=%d sw=%d, reference %v i$=%d d$=%d tlb=%d sw=%d",
+						cfgName(cfg), i, op, got, got.ICacheMisses, got.DCacheMisses, got.TLBMisses, got.Switches,
+						want, want.ICacheMisses, want.DCacheMisses, want.TLBMisses, want.Switches)
+				}
+			})
+			what := cfgName(cfg)
+			sameTLB(t, what+" TLB", eng.tlb, ref.tl)
+			sameSets(t, what+" I-cache", eng.icache, ref.ic)
+			sameSets(t, what+" D-cache", eng.dcache, ref.dc)
+		}
+	})
 }
 
 // TestProfSinkMatchesReference: a page run's misses are charged to the
@@ -487,23 +600,25 @@ func TestEngineMatchesReference(t *testing.T) {
 // miss, in the per-line order — the run's TLB miss, then its line misses
 // — so every profile cell and charge count stays what it was.
 func TestProfSinkMatchesReference(t *testing.T) {
-	for _, cfg := range engineConfigs() {
-		eng, ref := NewEngine(cfg), newRefEngine(cfg)
-		sink := &recSink{}
-		eng.SetProfSink(sink)
-		var charges int
-		mixedStream(eng, ref, 11, 20000, func(i, op int) {
-			if !slices.Equal(sink.got, ref.charges) {
-				t.Fatalf("%s, call %d (op %d): sink got %d charges %v,\nreference %d charges %v",
-					cfgName(cfg), i, op, len(sink.got), sink.got, len(ref.charges), ref.charges)
+	eachKernel(t, func(t *testing.T) {
+		for _, cfg := range engineConfigs() {
+			eng, ref := NewEngine(cfg), newRefEngine(cfg)
+			sink := &recSink{}
+			eng.SetProfSink(sink)
+			var charges int
+			mixedStream(eng, ref, 11, 20000, func(i, op int) {
+				if !slices.Equal(sink.got, ref.charges) {
+					t.Fatalf("%s, call %d (op %d): sink got %d charges %v,\nreference %d charges %v",
+						cfgName(cfg), i, op, len(sink.got), sink.got, len(ref.charges), ref.charges)
+				}
+				charges += len(sink.got)
+				sink.got, ref.charges = sink.got[:0], ref.charges[:0]
+			})
+			if charges == 0 {
+				t.Fatalf("%s: no charges delivered", cfgName(cfg))
 			}
-			charges += len(sink.got)
-			sink.got, ref.charges = sink.got[:0], ref.charges[:0]
-		})
-		if charges == 0 {
-			t.Fatalf("%s: no charges delivered", cfgName(cfg))
 		}
-	}
+	})
 }
 
 // TestStoreRowsMatchesRowLoop: StoreRows is the loop it replaces — a
@@ -592,10 +707,12 @@ func TestStoreRowsMatchesRowLoop(t *testing.T) {
 // stream taken through Exec (the I-cache), Read and Copy (the D-cache),
 // and from the same addresses through StoreRows in a framebuffer fill's
 // shape (36 rows of 24 bytes, 640 apart), one sub-benchmark each on an
-// engine of its own, reported per line touched.  Code fetch and data traffic reward different set
-// representations, so a change that trades one for the other shows as
-// one sub-benchmark gaining and another losing.  The loop is sensitive to
-// code alignment, so compare runs of it with benchstat rather than by eye.
+// engine of its own, reported per line touched, once per two-way kernel
+// (go, and avx2 where the host has it).  Code fetch and data traffic
+// reward different set representations, so a change that trades one for
+// the other shows as one sub-benchmark gaining and another losing.  The
+// loop is sensitive to code alignment, so compare runs of it with
+// benchstat rather than by eye.
 func BenchmarkTouch(b *testing.B) {
 	type call struct{ a, c, n uint64 }
 	gen := &accessGen{rng: rand.New(rand.NewPCG(1, 2))}
@@ -621,11 +738,11 @@ func BenchmarkTouch(b *testing.B) {
 			return n
 		}, func(e *Engine, c call) { e.StoreRows(c.a, 24, 640, 36, 6) }},
 	} {
-		b.Run(bc.name, func(b *testing.B) {
-			var lines uint64
-			for _, c := range calls {
-				lines += bc.lines(c)
-			}
+		var lines uint64
+		for _, c := range calls {
+			lines += bc.lines(c)
+		}
+		eachKernelBench(b, bc.name, func(b *testing.B) {
 			eng := NewEngine(Pentium133())
 			b.ResetTimer()
 			for range b.N {
@@ -635,5 +752,40 @@ func BenchmarkTouch(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(lines*uint64(b.N)), "ns/line")
 		})
+	}
+}
+
+// BenchmarkRun2 times a two-way cache run alone (cache.run over one
+// cache page of a Pentium133 I-cache) at 1, 6, 31 (FI1's mean I-cache
+// run) and 128 sets (a whole cache page), per kernel, reported per set
+// looked up.  The runs look for three cache pages' tags in turn over sets
+// the others filled; misses/line reports the outcome mix.
+func BenchmarkRun2(b *testing.B) {
+	for _, n := range []uint64{1, 6, 31, 128} {
+		eachKernelBench(b, fmt.Sprintf("sets=%d", n), func(b *testing.B) {
+			c := newCache(Pentium133().ICache)
+			starts := make([]uint64, 1024)
+			for i := range starts {
+				starts[i] = (uint64(i)%3*128 + uint64(i)*37%(129-n)) * 32
+			}
+			var misses uint64
+			for i := range b.N {
+				a := starts[i&1023]
+				misses += c.run(a, a+n*32)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*n), "ns/line")
+			b.ReportMetric(float64(misses)/float64(uint64(b.N)*n), "misses/line")
+		})
+	}
+}
+
+// eachKernelBench runs f as sub-benchmark name/<kernel> once per two-way
+// kernel the host has.
+func eachKernelBench(b *testing.B, name string, f func(b *testing.B)) {
+	vector := avx2
+	defer func() { avx2 = vector }()
+	b.Run(name+"/go", func(b *testing.B) { avx2 = false; f(b) })
+	if vector {
+		b.Run(name+"/avx2", func(b *testing.B) { avx2 = true; f(b) })
 	}
 }

@@ -134,7 +134,7 @@ func TestComplexBindRace(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				undo := cx.Bind(new(Binding), cx.Engines()[(g+i)%4])
 				r.Exec(regs[g%4])
-				r.Read(uint64(0x9000_0000+g*8192), 256)
+				r.Read(0x9000_0000+uint64(g)*8192, 256)
 				if i%3 == 0 {
 					r.Migrate()
 				}

@@ -55,7 +55,7 @@ func (r *Recorder) Observe(e cpu.Event) {
 	if slot < 0 || slot >= len(r.rings) {
 		slot = 0
 	}
-	r.rings[slot].Put(e)
+	r.rings[slot].Put(&e)
 }
 
 // EngineDumps snapshots every ring for a postmortem dump, each record

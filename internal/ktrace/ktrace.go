@@ -40,7 +40,7 @@ type Tracer struct {
 // spans the open-record stack assigned trace identity.
 func (t *Tracer) Observe(e cpu.Event) {
 	if e.Phase == cpu.PhaseInstant || e.SpanID != 0 {
-		t.Put(e)
+		t.Put(&e)
 	}
 }
 

@@ -59,11 +59,15 @@ run go vet ./...
 
 # cpu's routing key is split by platform: a goroutine key read by an
 # assembly stub on amd64 (tid_amd64.s), gettid on linux off amd64, the
-# stack header elsewhere.  Vet it where it does not run, so the stub's
-# declaration and both fallbacks keep compiling.
+# stack header elsewhere.  Its two-way cache kernel is too: an AVX2
+# kernel on amd64 (run2_amd64.s, checked by the asmdecl pass of the vet
+# above), the Go loop elsewhere.  Vet it where it does not run, so the
+# stubs' declarations and the fallbacks keep compiling, the Go loop on a
+# 32-bit host too.
 run env GOARCH=arm64 go vet ./internal/cpu
 run env GOOS=darwin GOARCH=arm64 go vet ./internal/cpu
 run env GOOS=windows GOARCH=amd64 go vet ./internal/cpu
+run env GOARCH=386 go vet ./internal/cpu
 
 # Formatting drift fails here, not in a later PR that has to reformat it.
 test -z "$(gofmt -l .)"

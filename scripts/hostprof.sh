@@ -9,9 +9,11 @@
 # functions, so a host-cost change starts from a profile instead of a
 # guess.  Runs in the foreground and exits; everything it writes goes to a
 # temporary directory under .bench_build/ (git-ignored) that it removes.
-# Fixed at 20 passes per row (a pass is a fresh boot plus one run of the
+# Fixed at 200 passes per row (a pass is a fresh boot plus one run of the
 # row, WPOS and native) on one P, top 25 functions, so two profiles are
-# comparable; for anything else run `go test -cpuprofile` directly.
+# comparable: about 7 s of samples for File Intensive 1 and 2, enough to
+# resolve a few percent of one function, where 20 passes gave 0.8 s.  For
+# anything else run `go test -cpuprofile` directly.
 set -eu
 rows=${1:-FileIntensive[12]}
 
@@ -21,8 +23,8 @@ dir=$(mktemp -d "$PWD/.bench_build/hostprof.XXXXXX")
 trap 'rm -rf "$dir"' EXIT
 trap 'exit 1' HUP INT PIPE TERM
 
-GOMAXPROCS=1 go test -timeout 300s -run '^$' -bench "Table1_($rows)\$" \
-	-benchtime 20x -cpuprofile "$dir/cpu.pb.gz" -o "$dir/repro.test" . >"$dir/bench.txt" || {
+GOMAXPROCS=1 go test -timeout 600s -run '^$' -bench "Table1_($rows)\$" \
+	-benchtime 200x -cpuprofile "$dir/cpu.pb.gz" -o "$dir/repro.test" . >"$dir/bench.txt" || {
 	cat "$dir/bench.txt"
 	exit 1
 }
